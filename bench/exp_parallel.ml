@@ -80,17 +80,14 @@ type hammer_result = {
   hr_per_domain_qps : float list;
   hr_spread_pct : float;     (* (max-min)/max across domains, percent *)
   hr_lock_waits : int;
-  hr_fast_hits : int;
   hr_hits : int;
   hr_identical : bool;
 }
 
 (* Warm one store, then hammer the same hot fingerprints from [domains]
-   domains. [shards]/[fast_path] select the configuration: (1, false) is
-   the single-mutex baseline, (8, true) the sharded store under test. *)
-let hammer_config ~domains ~iters ~shards ~fast_path engine compiled_list
-    reference =
-  let store = Rox_cache.Store.of_megabytes ~shards ~fast_path engine 32 in
+   domains. [shards = 1] is the single-mutex baseline. *)
+let hammer_config ~domains ~iters ~shards engine compiled_list reference =
+  let store = Rox_cache.Store.of_megabytes ~shards engine 32 in
   (* Warm pass: after this every edge/estimate fingerprint is resident,
      so the measured phase is (almost) pure cache-hit traffic. *)
   ignore (List.map (fun c -> run_one ~cache:store c) compiled_list);
@@ -122,39 +119,12 @@ let hammer_config ~domains ~iters ~shards ~fast_path engine compiled_list
     hr_per_domain_qps = per_qps;
     hr_spread_pct = spread;
     hr_lock_waits = s.Store.relations.Lru.lock_waits + s.Store.estimates.Lru.lock_waits;
-    hr_fast_hits = s.Store.relations.Lru.fast_hits + s.Store.estimates.Lru.fast_hits;
     hr_hits = s.Store.relations.Lru.hits + s.Store.estimates.Lru.hits;
     hr_identical =
       answers_equal answers && List.for_all (fun l -> l = reference) answers;
   }
 
 let json_escape_float f = Printf.sprintf "%.2f" f
-
-(* ---- intra-query leg ------------------------------------------------ *)
-
-(* ONE query fanned out across a session pool: every physical join runs
-   as K partition-joins and the racing probes go concurrently, merged in
-   partition order. The answers must be bit-identical at every K (the
-   partition/concat contract, RX310); the timing is reported honestly —
-   on a 1-core container sub-1x is the expected result and the machine
-   stamp says so. *)
-let intra_query ~iters compiled reference =
-  List.map
-    (fun parts ->
-      let pool =
-        if parts > 1 then Some (Rox_core.Pool.create ~parts) else None
-      in
-      let ok = ref true in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        let session = Rox_core.Session.create ?pool () in
-        let answer = fst (Rox_core.Optimizer.answer session compiled) in
-        if answer <> reference then ok := false
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      Option.iter Rox_core.Pool.shutdown pool;
-      (parts, dt, !ok))
-    [ 1; 2; 4 ]
 
 let run ?(factor = 0.25) ?(iters = 3) () =
   header "Parallel sessions: N domains, one shared engine";
@@ -209,49 +179,26 @@ let run ?(factor = 0.25) ?(iters = 3) () =
     telemetry_domains served expected_served
     (if telemetry_ok then "" else "  INCONSISTENT");
   (* Cache-hit throughput: the same hot fingerprints hammered from N
-     domains against (a) a single-mutex, fast-path-off baseline store and
-     (b) the sharded store with the lock-free read image. The contention
-     counters make the refactor's effect visible even when a 1-core
-     container flattens the qps difference. *)
+     domains against a single-mutex store and the default sharded store.
+     Both record qps and shard lock waits; neither is gated. *)
   let hammer_domains = 2 in
+  let sharded_shards = Rox_cache.Store.default_shards in
   let single =
-    hammer_config ~domains:hammer_domains ~iters ~shards:1 ~fast_path:false
-      engine compiled_list reference
+    hammer_config ~domains:hammer_domains ~iters ~shards:1 engine compiled_list
+      reference
   in
   let sharded =
-    hammer_config ~domains:hammer_domains ~iters
-      ~shards:8 ~fast_path:true engine compiled_list reference
+    hammer_config ~domains:hammer_domains ~iters ~shards:sharded_shards engine
+      compiled_list reference
   in
-  let lock_waits_dropped = sharded.hr_lock_waits <= single.hr_lock_waits in
   let hammer_ok = single.hr_identical && sharded.hr_identical in
   Printf.printf
-    "cache-hit hammer, %d domains: single-lock %6.2f q/s (%d waits), 8-shard %6.2f q/s (%d waits, %d fast hits)%s\n%!"
-    hammer_domains single.hr_qps single.hr_lock_waits sharded.hr_qps
-    sharded.hr_lock_waits sharded.hr_fast_hits
+    "cache-hit hammer, %d domains: single-lock %6.2f q/s (%d waits), %d-shard %6.2f q/s (%d waits)%s\n%!"
+    hammer_domains single.hr_qps single.hr_lock_waits sharded_shards
+    sharded.hr_qps sharded.hr_lock_waits
     (if hammer_ok then "" else "  ANSWERS DIVERGED");
-  Printf.printf "  qps spread across domains: single %.1f%%, sharded %.1f%%; shard lock waits %s\n%!"
-    single.hr_spread_pct sharded.hr_spread_pct
-    (if lock_waits_dropped then "dropped" else "DID NOT DROP");
-  (* Intra-query partitioning: the SAME single query at 1, 2 and 4
-     partitions on a session pool. *)
-  let intra_compiled = List.hd compiled_list in
-  let intra_reference = List.hd reference in
-  let intra = intra_query ~iters:(max 1 iters) intra_compiled intra_reference in
-  let intra_t1 =
-    match intra with (1, dt, _) :: _ -> dt | _ -> 0.0
-  in
-  List.iter
-    (fun (parts, dt, ok) ->
-      Printf.printf
-        "intra-query, %d part(s): %.3fs (%.2fx vs sequential)%s\n%!" parts dt
-        (if dt > 0.0 then intra_t1 /. dt else 0.0)
-        (if ok then "" else "  ANSWERS DIVERGED"))
-    intra;
-  let intra_ok = List.for_all (fun (_, _, ok) -> ok) intra in
-  if n_cores < 4 then
-    Printf.printf
-      "note: intra-query speedup is bounded by the %d available core(s)\n%!"
-      n_cores;
+  Printf.printf "  qps spread across domains: single %.1f%%, sharded %.1f%%\n%!"
+    single.hr_spread_pct sharded.hr_spread_pct;
   let qps_of d = List.find_opt (fun (d', _, _) -> d' = d) runs in
   let speedup =
     match (qps_of 1, qps_of 4) with
@@ -267,16 +214,16 @@ let run ?(factor = 0.25) ?(iters = 3) () =
            n_cores
        else " on a >= 4-core machine: investigate");
   let all_identical =
-    cache_ok && telemetry_ok && hammer_ok && intra_ok
+    cache_ok && telemetry_ok && hammer_ok
     && List.for_all (fun (_, _, ok) -> ok) runs
   in
-  let hammer_json label hr =
+  let hammer_json label shards hr =
     Printf.sprintf
-      "    \"%s\": {\"qps\": %s, \"per_domain_qps\": [%s], \"qps_spread_pct\": %s, \"lock_waits\": %d, \"fast_hits\": %d, \"hits\": %d, \"identical\": %b}"
-      label (json_escape_float hr.hr_qps)
+      "    \"%s\": {\"shards\": %d, \"qps\": %s, \"per_domain_qps\": [%s], \"qps_spread_pct\": %s, \"lock_waits\": %d, \"hits\": %d, \"identical\": %b}"
+      label shards (json_escape_float hr.hr_qps)
       (String.concat ", " (List.map json_escape_float hr.hr_per_domain_qps))
       (json_escape_float hr.hr_spread_pct)
-      hr.hr_lock_waits hr.hr_fast_hits hr.hr_hits hr.hr_identical
+      hr.hr_lock_waits hr.hr_hits hr.hr_identical
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
@@ -307,29 +254,10 @@ let run ?(factor = 0.25) ?(iters = 3) () =
   Buffer.add_string buf
     (Printf.sprintf "  \"cache_hit_leg\": {\n    \"domains\": %d,\n"
        hammer_domains);
-  Buffer.add_string buf (hammer_json "single_lock" single);
+  Buffer.add_string buf (hammer_json "single_lock" 1 single);
   Buffer.add_string buf ",\n";
-  Buffer.add_string buf (hammer_json "sharded" sharded);
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"cache_shard_lock_waits\": %d,\n"
-       sharded.hr_lock_waits);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"lock_waits_dropped\": %b\n  },\n" lock_waits_dropped);
-  Buffer.add_string buf "  \"intra_query\": {\n    \"runs\": [\n";
-  List.iteri
-    (fun i (parts, dt, ok) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"parts\": %d, \"seconds\": %.3f, \"speedup_vs_1\": %s, \
-            \"identical\": %b}%s\n"
-           parts dt
-           (json_escape_float (if dt > 0.0 then intra_t1 /. dt else 0.0))
-           ok
-           (if i = List.length intra - 1 then "" else ",")))
-    intra;
-  Buffer.add_string buf
-    (Printf.sprintf "    ],\n    \"identical\": %b\n  },\n" intra_ok);
+  Buffer.add_string buf (hammer_json "sharded" sharded_shards sharded);
+  Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"all_identical\": %b\n" all_identical);
   Buffer.add_string buf "}\n";

@@ -95,9 +95,9 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
-    deadline_ms max_sampled_rows count_only limit cache_mb cache_shards
-    cache_cost_aware cache_stats profile trace_out metrics_out slow_log slow_ms =
+let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
+    max_sampled_rows count_only limit cache_mb cache_shards cache_stats profile
+    trace_out metrics_out slow_log slow_ms =
   (* The slow log needs span timings, so --slow-log arms the sink too. *)
   let telemetry_on =
     profile || trace_out <> None || metrics_out <> None || slow_log <> None
@@ -132,11 +132,7 @@ let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
   if show_graph then prerr_string (Rox_joingraph.Pretty.to_string compiled.Rox_xquery.Compile.graph);
   let cache =
     if cache_mb > 0 then
-      Some
-        (Rox_cache.Store.of_megabytes ~shards:cache_shards
-           ~policy:(if cache_cost_aware then Rox_cache.Lru.Cost_aware
-                    else Rox_cache.Lru.Lru_only)
-           engine cache_mb)
+      Some (Rox_cache.Store.of_megabytes ~shards:cache_shards engine cache_mb)
     else None
   in
   if (cache_mb > 0 || cache_stats)
@@ -155,13 +151,6 @@ let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
   let session_config use_chain =
     { (Rox_core.Session.default_config ()) with
       Rox_core.Session.tau; seed; use_chain; budgets }
-  in
-  (* One pool for the whole invocation, shared by whichever session the
-     optimizer choice builds; [--parallel-parts 1] spawns nothing and runs
-     the strictly sequential engine byte-for-byte. *)
-  let pool =
-    if parallel_parts > 1 then Some (Rox_core.Pool.create ~parts:parallel_parts)
-    else None
   in
   (* Telemetry outputs are written on success AND on a budget abort — an
      aborted run's partial profile is exactly what one wants to inspect. *)
@@ -218,7 +207,7 @@ let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
         let session =
           Rox_core.Session.create
             ~config:(session_config (optimizer = Opt_rox))
-            ~trace ?cache ~telemetry:sink ?pool ()
+            ~trace ?cache ~telemetry:sink ()
         in
         cur_session := Some session;
         let answer, result = Rox_core.Optimizer.answer session compiled in
@@ -237,8 +226,7 @@ let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
           Rox_classical.Classical_opt.static_order engine compiled.Rox_xquery.Compile.graph
         in
         let session =
-          Rox_core.Session.create ~config:(session_config false) ~telemetry:sink
-            ?pool ()
+          Rox_core.Session.create ~config:(session_config false) ~telemetry:sink ()
         in
         cur_session := Some session;
         let answer, run = Rox_classical.Executor.answer session compiled order in
@@ -246,8 +234,7 @@ let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
           (List.map (fun e -> e.Rox_joingraph.Edge.id) order, session) )
       | Opt_midquery ->
         let session =
-          Rox_core.Session.create ~config:(session_config false) ~telemetry:sink
-            ?pool ()
+          Rox_core.Session.create ~config:(session_config false) ~telemetry:sink ()
         in
         cur_session := Some session;
         let answer, run = Rox_classical.Midquery.answer session compiled in
@@ -268,13 +255,11 @@ let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
          in
          flight session ~plan:[] ~status
        | None -> ());
-      Option.iter Rox_core.Pool.shutdown pool;
       exit 2
   in
   let dt = Unix.gettimeofday () -. t0 in
   let plan, session = plan_session in
   flight session ~plan ~status:"ok";
-  Option.iter Rox_core.Pool.shutdown pool;
   Printf.eprintf "answer: %d nodes; work: sampling=%d execution=%d; %.3fs\n"
     (Array.length answer)
     (Rox_algebra.Cost.read counter Rox_algebra.Cost.Sampling)
@@ -541,30 +526,6 @@ let racecheck_workload ~domains ~iters ~scale () =
                     (Rox_telemetry.Sink.metrics telemetry))
                 compiled_list
             done);
-        (* Intra-query pass: the same queries with every session lent one
-           shared 2-part pool, so partitioned edge kernels and concurrent
-           racing probes run under the armed log — the recording covers the
-           pool's generation/batch handoff (hb fork/join tokens) alongside
-           the client domains' own session traffic. *)
-        let pool = Rox_core.Pool.create ~parts:2 in
-        A.Race_fixtures.fork_join domains (fun _ ->
-            for _ = 1 to iters do
-              List.iter
-                (fun compiled ->
-                  let telemetry = Rox_telemetry.Sink.create ~enabled:true () in
-                  let session =
-                    Rox_core.Session.create ~cache ~telemetry ~pool ()
-                  in
-                  let answer =
-                    Rox_core.Session.confine session (fun () ->
-                        fst (Rox_core.Optimizer.answer session compiled))
-                  in
-                  ignore (answer : _ array);
-                  Rox_telemetry.Aggregate.absorb aggregate
-                    (Rox_telemetry.Sink.metrics telemetry))
-                compiled_list
-            done);
-        Rox_core.Pool.shutdown pool;
         (* Served pass: the same queries through the serving front-end's
            shared state (admission queue, in-flight table, audit counters)
            — client domains submitting against a 2-worker pool, so the
@@ -840,7 +801,7 @@ let serve_smoke scale slow_log slow_ms =
   if !failures = 0 then 0 else 1
 
 let serve_run docs socket port workers queue_cap max_conns cache_mb cache_shards
-    cache_cost_aware parallel_parts smoke scale slow_log slow_ms =
+    smoke scale slow_log slow_ms =
   if smoke then serve_smoke scale slow_log slow_ms
   else begin
     let engine = Rox_storage.Engine.create () in
@@ -863,18 +824,13 @@ let serve_run docs socket port workers queue_cap max_conns cache_mb cache_shards
       Printf.eprintf "warning: no --doc given; every doc() reference will fail\n";
     let cache =
       if cache_mb > 0 then
-        Some
-          (Rox_cache.Store.of_megabytes ~shards:cache_shards
-             ~policy:(if cache_cost_aware then Rox_cache.Lru.Cost_aware
-                      else Rox_cache.Lru.Lru_only)
-             engine cache_mb)
+        Some (Rox_cache.Store.of_megabytes ~shards:cache_shards engine cache_mb)
       else None
     in
     let server =
       Serve.create
         (Serve.config ?cache ~workers ~queue_capacity:queue_cap
-           ~max_connections:max_conns ~parallel_parts:(max 1 parallel_parts)
-           ?slow_ms ?slow_log engine)
+           ~max_connections:max_conns ?slow_ms ?slow_log engine)
     in
     let fd =
       match socket with
@@ -905,8 +861,7 @@ let serve_run docs socket port workers queue_cap max_conns cache_mb cache_shards
 (* profile: the built-in XMark workload under full telemetry — the self-  *)
 (* contained run behind `make profile-smoke` (no external files needed).  *)
 
-let profile_builtin trace_out metrics_out repeat scale parallel_parts slow_log
-    slow_ms =
+let profile_builtin trace_out metrics_out repeat scale slow_log slow_ms =
   let engine = Rox_storage.Engine.create () in
   let params = Rox_workload.Xmark.scaled scale in
   ignore
@@ -920,17 +875,13 @@ let profile_builtin trace_out metrics_out repeat scale parallel_parts slow_log
     | Some path ->
       Some (Rox_telemetry.Recorder.create ?slow_ms ~slow_log:path ())
   in
-  let pool =
-    if parallel_parts > 1 then Some (Rox_core.Pool.create ~parts:parallel_parts)
-    else None
-  in
   let sampling = ref 0 and execution = ref 0 in
   let queries = [ xmark_query "<"; xmark_query ">"; showdown_query ] in
   for _ = 1 to max 1 repeat do
     List.iter
       (fun q ->
         let compiled = Rox_xquery.Compile.compile_string ~telemetry:sink engine q in
-        let session = Rox_core.Session.create ~cache ~telemetry:sink ?pool () in
+        let session = Rox_core.Session.create ~cache ~telemetry:sink () in
         let t0 = Unix.gettimeofday () in
         let answer, result = Rox_core.Optimizer.answer session compiled in
         ignore (answer : _ array);
@@ -969,7 +920,6 @@ let profile_builtin trace_out metrics_out repeat scale parallel_parts slow_log
      Printf.eprintf "wrote metrics to %s\n" path
    | None -> ());
   print_string (Rox_telemetry.Export.profile ~work_units:(!sampling, !execution) m);
-  Option.iter Rox_core.Pool.shutdown pool;
   0
 
 let trace_validate file =
@@ -1093,14 +1043,6 @@ let slow_ms_arg =
          ~doc:"Slow-query threshold for $(b,--slow-log) in milliseconds \
                (default 100; 0 logs every request).")
 
-let parallel_parts_arg =
-  Arg.(value & opt int 1 & info [ "parallel-parts" ] ~docv:"K"
-         ~doc:"Intra-query partition count: execute each physical join as K \
-               partition-joins and race sampling probes concurrently on a \
-               shared domain pool, merging in partition order so answers are \
-               bit-identical at every K. 1 (the default) spawns no pool and \
-               runs the strictly sequential engine byte-for-byte.")
-
 let serve_cmd =
   let socket =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
@@ -1131,14 +1073,8 @@ let serve_cmd =
   let cache_shards =
     Arg.(value & opt shards_conv Rox_cache.Store.default_shards
          & info [ "cache-shards" ] ~docv:"N"
-             ~doc:"Power-of-two shard count for each cache (per-shard \
-                   mutexes plus a lock-free read fast path; default 4).")
-  in
-  let cache_cost_aware =
-    Arg.(value & flag
-         & info [ "cache-cost-aware" ]
-             ~doc:"Evict by cost-per-byte within the cold window instead \
-                   of pure LRU: keep what is expensive to recompute.")
+             ~doc:"Power-of-two shard count for each cache (one mutex per \
+                   shard; default 4).")
   in
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
@@ -1161,8 +1097,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const serve_run $ docs_arg $ socket $ port $ workers $ queue_cap
-          $ max_conns $ cache_mb $ cache_shards $ cache_cost_aware
-          $ parallel_parts_arg $ smoke $ scale $ slow_log_arg $ slow_ms_arg)
+          $ max_conns $ cache_mb $ cache_shards $ smoke $ scale $ slow_log_arg
+          $ slow_ms_arg)
 
 let stat_cmd =
   let socket =
@@ -1221,7 +1157,7 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const profile_builtin $ trace_out_arg $ metrics_out_arg $ repeat
-          $ scale $ parallel_parts_arg $ slow_log_arg $ slow_ms_arg)
+          $ scale $ slow_log_arg $ slow_ms_arg)
 
 let trace_validate_cmd =
   let file =
@@ -1355,15 +1291,8 @@ let cmd =
     Arg.(value & opt shards_conv Rox_cache.Store.default_shards
          & info [ "cache-shards" ] ~docv:"N"
              ~doc:"Power-of-two shard count for each cache: keys spread \
-                   across N independently locked shards with a lock-free \
-                   read fast path (default 4; 1 = classic single lock).")
-  in
-  let cache_cost_aware =
-    Arg.(value & flag
-         & info [ "cache-cost-aware" ]
-             ~doc:"Evict by cost-per-byte within the cold window instead \
-                   of pure LRU: keep entries that are expensive to \
-                   recompute rather than merely recently used.")
+                   across N independently locked shards (default 4; 1 = \
+                   classic single lock).")
   in
   let cache_stats =
     Arg.(value & flag & info [ "cache-stats" ]
@@ -1379,15 +1308,13 @@ let cmd =
   let doc = "ROX: run-time optimization of XQueries" in
   let run_term =
     Term.(
-      const (fun docs qf g t o tau seed pp dl msr c l cmb csh cca cst p tro mo
-                 sl sm ->
-          run docs qf g t o tau seed pp dl msr c l cmb csh cca cst p tro mo
-            sl sm;
+      const (fun docs qf g t o tau seed dl msr c l cmb csh cst p tro mo sl sm ->
+          run docs qf g t o tau seed dl msr c l cmb csh cst p tro mo sl sm;
           0)
       $ docs $ query_file $ show_graph $ show_trace $ optimizer $ tau $ seed
-      $ parallel_parts_arg $ deadline_ms $ max_sampled_rows $ count_only
-      $ limit $ cache_mb $ cache_shards $ cache_cost_aware $ cache_stats
-      $ profile $ trace_out_arg $ metrics_out_arg $ slow_log_arg $ slow_ms_arg)
+      $ deadline_ms $ max_sampled_rows $ count_only $ limit $ cache_mb
+      $ cache_shards $ cache_stats $ profile $ trace_out_arg $ metrics_out_arg
+      $ slow_log_arg $ slow_ms_arg)
   in
   let group =
     Cmd.group ~default:run_term (Cmd.info "rox" ~doc)

@@ -6,8 +6,6 @@ type contract =
   | Sorted_flag
   | Kernel_equiv
   | Session_confined
-  | Shard_consistent
-  | Partition_consistent
 
 type violation = {
   op : string;
@@ -25,9 +23,6 @@ let contract_label = function
   | Sorted_flag -> "column sorted flag honest (strictly increasing)"
   | Kernel_equiv -> "columnar kernel bit-identical to naive reference"
   | Session_confined -> "per-query state reached only through the session"
-  | Shard_consistent -> "lock-free shard hit bit-identical to locked reference"
-  | Partition_consistent ->
-    "partitioned parallel kernel bit-identical to sequential kernel"
 
 let fail ~op ~contract detail = raise (Violation { op; contract; detail })
 

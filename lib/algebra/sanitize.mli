@@ -41,15 +41,6 @@ type contract =
       (** no operator inside a session run reads process-global mutable
           state (cost counters, RNG, sanitize mode) other than through its
           session (RX307) *)
-  | Shard_consistent
-      (** a sharded-cache hit served by the lock-free fast path is
-          bit-identical to what the single-lock reference lookup returns
-          for the same key (RX308) *)
-  | Partition_consistent
-      (** an edge executed as K partition-joins on the domain pool,
-          merged in part order, is bit-identical to one sequential
-          kernel run over the unpartitioned inputs (RX310 — the RX306
-          kernel-identity pattern lifted to the partition layer) *)
 
 type violation = {
   op : string;          (** operator, e.g. ["Staircase.join(descendant)"] *)

@@ -58,22 +58,9 @@ let allowlist =
        owning shard's lock critical section";
     f "lib/cache/lru.ml" "shard.*"
       "mutex: every locked operation runs under the shard's own lock \
-       (Mutex.protect in locked / try_locked); the lock-free fast path \
-       reads only the Atomic-published immutable image, never these \
-       fields; the armed access log records each locked entry as a Write";
+       (Mutex.protect in locked / try_locked); the armed access log \
+       records each locked entry as a Write";
     (* -- core ------------------------------------------------------ *)
-    f "lib/core/pool.ml" "t.*"
-      "mutex: batch installation, generation bumps, stopping and the \
-       remaining countdown all happen inside t.mutex (the armed log \
-       records the core.pool.mutex bracket and the core.pool.batch \
-       site); t.domains is publish-before-spawn — written once in \
-       create before any run, and hb spawn/fork/join/exit tokens order \
-       the handoffs for the race detector";
-    f "lib/core/pool.ml" "batch.*"
-      "mutex: remaining is decremented only inside t.mutex; tasks are \
-       claimed by the atomic cursor (disjoint fetch_and_add slots) and \
-       each worker writes only its own exns slot, read by the caller \
-       after the join edge";
     f "lib/core/session.ml" "t.deadline_at"
       "single-owner: a session lives and dies on one domain; confine \
        records an RX504 site access to prove it";

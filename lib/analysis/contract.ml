@@ -12,8 +12,6 @@ let code_of_contract = function
   | Sanitize.Sorted_flag -> "RX305"
   | Sanitize.Kernel_equiv -> "RX306"
   | Sanitize.Session_confined -> "RX307"
-  | Sanitize.Shard_consistent -> "RX308"
-  | Sanitize.Partition_consistent -> "RX310"
 
 let diagnostic_of_violation ?label (v : Sanitize.violation) =
   let message =

@@ -276,23 +276,6 @@ let registry =
          draw RNG, counters and mode from the session it was handed; a \
          read through a process-global accessor breaks the isolation \
          that makes concurrent sessions sound." };
-    { ci_code = "RX308"; ci_severity = Error;
-      ci_summary = "lock-free shard hit differed from the locked reference lookup";
-      ci_detail =
-        "Under ROX_SANITIZE=1 every hit the sharded cache serves from \
-         its lock-free read image is replayed through the single-lock \
-         reference path; a mismatch means the published image diverged \
-         from the authoritative shard table (check image maintenance \
-         and epoch stamping first)." };
-    { ci_code = "RX310"; ci_severity = Error;
-      ci_summary = "partitioned parallel edge diverged from the sequential kernel";
-      ci_detail =
-        "Under ROX_SANITIZE=1 every edge executed as K partition-joins \
-         on the domain pool is replayed through the sequential kernel \
-         and bit-compared (the RX306 kernel-identity pattern lifted to \
-         the partition layer); a mismatch means partitioning, a per-part \
-         kernel, or the part-order merge broke the deterministic \
-         row-order contract." };
     { ci_code = "RX401"; ci_severity = Error;
       ci_summary = "telemetry spans are not well-nested (overlap without containment)";
       ci_detail =
@@ -401,8 +384,8 @@ let registry =
       ci_summary = "retained trace is not well-nested";
       ci_detail =
         "A span tree kept by tail sampling must satisfy the same \
-         per-lane nesting discipline RX401 enforces on live sinks: \
-         same-lane spans either nest or are disjoint, and spans never \
+         nesting discipline RX401 enforces on live sinks: spans \
+         either nest or are disjoint, and spans never \
          have negative durations. A violation means retention corrupted \
          the chronological span order (or retained a half-built tree), \
          so the exported Chrome trace would render garbage." };

@@ -132,10 +132,10 @@ let confined_leak () =
       fork_join 1 (fun _ -> Al.record ~site Al.Write))
 
 (* A sharded-cache interleaving with a planted hole: domain 0 follows the
-   shard discipline (mutate only under the shard mutex), domain 1 plays a
-   broken "fast path" that writes the shard's byte counter lock-free.
-   The very bug the sharded Lru's published-image design exists to make
-   impossible — the detector must still have teeth for it. *)
+   shard discipline (mutate only under the shard mutex), domain 1 writes
+   the shard's byte counter without the lock. The sharded Lru takes the
+   shard lock on every operation to make this impossible — the detector
+   must still have teeth for it. *)
 let shard_unguarded ?(iters = 48) () =
   with_recording (fun () ->
       let bytes = ref 0 in
@@ -158,9 +158,7 @@ let shard_unguarded ?(iters = 48) () =
 
 (* The fixed twin is the real thing: a 4-shard Rox_cache.Lru hammered
    from two domains through its public operations — per-shard mutexes on
-   every mutation, the lock-free path reading only the Atomic-published
-   image (which records nothing at the mutable shard sites because it
-   never touches them). Must come back clean. *)
+   every lookup and mutation. Must come back clean. *)
 let shard_guarded ?(domains = 2) ?(iters = 120) () =
   let module L = Rox_cache.Lru.Make (struct
     type t = string
@@ -176,8 +174,7 @@ let shard_guarded ?(domains = 2) ?(iters = 120) () =
           for i = 1 to iters do
             let k = Printf.sprintf "k%d" ((i + d) land 31) in
             L.add cache k ~weight:16 ((d * 100_000) + i);
-            ignore (L.find cache k : int option);
-            ignore (L.find_fast cache k : int option)
+            ignore (L.find cache k : int option)
           done))
 
 let all =
@@ -193,7 +190,7 @@ let all =
     ("confined-leak", (fun () -> confined_leak ()),
      "a session-confined site touched from a second domain", [ "RX504" ]);
     ("shard-unguarded", (fun () -> shard_unguarded ()),
-     "a cache shard's bytes mutated by a lock-free writer", [ "RX501" ]);
+     "a cache shard's bytes mutated without the shard lock", [ "RX501" ]);
     ("shard-guarded", (fun () -> shard_guarded ()),
      "the real 4-shard LRU hammered through its public ops", []);
   ]

@@ -5,11 +5,11 @@ module Recorder = Rox_telemetry.Recorder
 let span_end (s : Sink.span) = Int64.add s.Sink.start_ns s.Sink.dur_ns
 
 (* Same interval discipline Telemetry_check enforces on live sinks
-   (RX401/RX402), applied to a retained tree: same-lane spans must nest
-   or be disjoint, and no span runs backwards. Retention stores
+   (RX401/RX402), applied to a retained tree: spans must nest or be
+   disjoint, and no span runs backwards. Retention stores
    [Sink.spans_chronological] output verbatim, so any violation here
    means the tree was corrupted between sampling and retention. *)
-let check_lane_nesting add ~trace_id spans =
+let check_trace add (trace_id, _record, _reason, spans) =
   let stack = ref [] in
   List.iteri
     (fun idx (s : Sink.span) ->
@@ -44,16 +44,6 @@ let check_lane_nesting add ~trace_id spans =
                    parent.Sink.name (span_end parent))));
       stack := (idx, s) :: !stack)
     spans
-
-let check_trace add (trace_id, _record, _reason, spans) =
-  let lanes =
-    List.sort_uniq compare (List.map (fun s -> s.Sink.lane) spans)
-  in
-  List.iter
-    (fun lane ->
-      check_lane_nesting add ~trace_id
-        (List.filter (fun s -> s.Sink.lane = lane) spans))
-    lanes
 
 let check ?submitted recorder =
   let out = ref [] in

@@ -8,7 +8,7 @@
       flight record — executed, coalesced and rejected requests all
       record, so [Recorder.records = submitted]. This is what makes the
       slow log reconcile with the serve audit counters.
-    - [RX702] every retained trace is well-nested per lane (the RX401
+    - [RX702] every retained trace is well-nested (the RX401
       discipline applied to the stored tree) with no negative durations —
       retention must store the chronological span order verbatim.
     - [RX703] tenant series cardinality respects the bound: at most

@@ -2,13 +2,10 @@ open Rox_joingraph
 module D = Diagnostic
 module Sink = Rox_telemetry.Sink
 
-(* Spans are wall-clock intervals, so two spans recorded by one sink *in
-   the same lane* must either nest or be disjoint — lane 0 is the owner's
-   strictly-LIFO [with_span] tree, and each lane > 0 replays one pool
-   worker's sequential task stream. Spans in *different* lanes ran
-   concurrently and may overlap freely, so the RX401 check partitions by
-   lane first. Clock granularity can make a child share its parent's
-   boundary instants, so containment checks are non-strict. *)
+(* Spans are wall-clock intervals, so two spans recorded by one sink must
+   either nest or be disjoint — the sink is single-domain state and
+   [with_span] is strictly LIFO. Clock granularity can make a child share
+   its parent's boundary instants, so containment checks are non-strict. *)
 
 let span_end (s : Sink.span) = Int64.add s.Sink.start_ns s.Sink.dur_ns
 
@@ -87,11 +84,7 @@ let check ?trace (sink : Sink.t) =
   let add d = out := d :: !out in
   if Sink.enabled sink then begin
     let spans = Sink.spans_chronological sink in
-    let lanes = List.sort_uniq compare (List.map (fun s -> s.Sink.lane) spans) in
-    List.iter
-      (fun lane ->
-        check_nesting add (List.filter (fun s -> s.Sink.lane = lane) spans))
-      lanes;
+    check_nesting add spans;
     if Sink.dropped sink > 0 then
       add
         (D.warning "RX404" D.Graph_loc

@@ -7,21 +7,15 @@ end)
 
 type t = Rox_algebra.Cutoff.t L.t
 
-(* Cutoff.t is plain data (estimate, out array, consumed flag), so
-   structural equality is the bit-identity the RX308 cross-check wants. *)
-let cutoff_equal (a : Rox_algebra.Cutoff.t) (b : Rox_algebra.Cutoff.t) =
-  a == b || a = b
+let create ?shards ?rebalance_every ~budget () =
+  L.create ~name:"cache.estimates" ?shards ?rebalance_every ~budget ()
 
-let create ?shards ?policy ?fast_path ?rebalance_every ?validate ~budget () =
-  L.create ~name:"cache.estimates" ?shards ?policy ?fast_path ?rebalance_every
-    ?validate ~check_equal:cutoff_equal ~budget ()
-
-let find ?sanitize t k = L.find ?sanitize t k
+let find = L.find
 
 let weight (c : Rox_algebra.Cutoff.t) =
   (8 * Array.length c.Rox_algebra.Cutoff.out) + 160
 
-let add ?cost t k v = L.add t k ~weight:(weight v) ?cost v
+let add t k v = L.add t k ~weight:(weight v) v
 let stats = L.stats
 let shard_stats = L.shard_stats
 let clear = L.clear

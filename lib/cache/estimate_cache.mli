@@ -14,18 +14,13 @@ type t
 
 val create :
   ?shards:int ->
-  ?policy:Lru.policy ->
-  ?fast_path:bool ->
   ?rebalance_every:int ->
-  ?validate:(unit -> int) ->
   budget:int ->
   unit ->
   t
 
-val find : ?sanitize:bool -> t -> Fingerprint.t -> Rox_algebra.Cutoff.t option
-val add : ?cost:int -> t -> Fingerprint.t -> Rox_algebra.Cutoff.t -> unit
-(** [cost] is the measured sampled-execution time (ns) — the input to
-    cost-aware eviction. *)
+val find : t -> Fingerprint.t -> Rox_algebra.Cutoff.t option
+val add : t -> Fingerprint.t -> Rox_algebra.Cutoff.t -> unit
 
 val weight : Rox_algebra.Cutoff.t -> int
 val stats : t -> Lru.stats

@@ -3,7 +3,6 @@ type stats = {
   misses : int;
   insertions : int;
   evictions : int;
-  cost_evictions : int;
   rejected : int;
   entries : int;
   bytes : int;
@@ -16,20 +15,10 @@ let stats_to_string s =
   let lookups = s.hits + s.misses in
   let rate = if lookups = 0 then 0.0 else float_of_int s.hits /. float_of_int lookups in
   Printf.sprintf
-    "hits %d / %d lookups (%.1f%%, %d lock-free), %d insertions, %d evictions \
-     (%d cost-aware), %d rejected, %d entries, %d / %d bytes, %d lock waits"
-    s.hits lookups (100.0 *. rate) s.fast_hits s.insertions s.evictions
-    s.cost_evictions s.rejected s.entries s.bytes s.budget s.lock_waits
-
-type policy = Lru_only | Cost_aware
-
-let policy_to_string = function Lru_only -> "lru" | Cost_aware -> "cost-aware"
-
-(* Cost-aware eviction scans at most this many entries from the cold end
-   of a shard's recency list and evicts the one with the lowest
-   cost-per-byte — a bounded GreedyDual: recency still dominates (only the
-   cold tail is eligible), cost breaks the tie inside the window. *)
-let cost_scan_window = 8
+    "hits %d / %d lookups (%.1f%%), %d insertions, %d evictions, %d rejected, \
+     %d entries, %d / %d bytes, %d lock waits"
+    s.hits lookups (100.0 *. rate) s.insertions s.evictions s.rejected s.entries
+    s.bytes s.budget s.lock_waits
 
 module type S = sig
   type key
@@ -38,19 +27,14 @@ module type S = sig
   val create :
     name:string ->
     ?shards:int ->
-    ?policy:policy ->
-    ?fast_path:bool ->
     ?rebalance_every:int ->
-    ?validate:(unit -> int) ->
-    ?check_equal:('v -> 'v -> bool) ->
     budget:int ->
     unit ->
     'v t
 
-  val find : ?sanitize:bool -> 'v t -> key -> 'v option
-  val find_fast : 'v t -> key -> 'v option
+  val find : 'v t -> key -> 'v option
   val mem : 'v t -> key -> bool
-  val add : 'v t -> key -> weight:int -> ?cost:int -> ?epoch:int -> 'v -> unit
+  val add : 'v t -> key -> weight:int -> 'v -> unit
   val remove : 'v t -> key -> unit
   val clear : 'v t -> unit
   val stats : 'v t -> stats
@@ -64,7 +48,6 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
   type key = K.t
 
   module H = Hashtbl.Make (K)
-  module IM = Map.Make (Int)
 
   (* Doubly-linked recency list: [first] is coldest (next eviction victim),
      [last] is hottest. *)
@@ -72,20 +55,12 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
     nkey : key;
     mutable nvalue : 'v;
     mutable nweight : int;
-    mutable ncost : int;
     mutable prev : 'v node option;
     mutable next : 'v node option;
   }
 
-  (* Lock-free read image of one shard: full hash -> bucket of resident
-     entries, each stamped with the epoch it was admitted under. Writers
-     rebuild the persistent map under the shard lock and publish it with a
-     single [Atomic.set]; readers dereference whatever snapshot is current
-     without taking any lock — the map itself is immutable. *)
-  type 'v image = (key * 'v * int) list IM.t
-
   type 'v shard = {
-    (* One lock per shard: misses and mutations serialize only against
+    (* One lock per shard: lookups and mutations serialize only against
        operations on the same shard. *)
     lock : Mutex.t;
     (* RX5xx access-log identities: every locked operation records one
@@ -103,28 +78,20 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
     mutable misses : int;
     mutable insertions : int;
     mutable evictions : int;
-    mutable cost_evictions : int;
     mutable rejected : int;
     mutable last_ins : int;
-    image : 'v image Atomic.t;
     waits : int Atomic.t;
-    fast : int Atomic.t;
   }
 
   type 'v t = {
     shards : 'v shard array;
     shard_shift : int;
     total_budget : int;
-    policy : policy;
-    fast_path : bool;
     rebalance_every : int;
-    validate : (unit -> int) option;
-    check_equal : ('v -> 'v -> bool) option;
     insert_seq : int Atomic.t;
   }
 
-  let create ~name ?(shards = 1) ?(policy = Lru_only) ?(fast_path = true)
-      ?(rebalance_every = 1024) ?validate ?check_equal ~budget () =
+  let create ~name ?(shards = 1) ?(rebalance_every = 1024) ~budget () =
     if shards < 1 || shards land (shards - 1) <> 0 then
       invalid_arg
         (Printf.sprintf "Lru.create: shard count %d is not a power of two" shards);
@@ -151,23 +118,16 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
         misses = 0;
         insertions = 0;
         evictions = 0;
-        cost_evictions = 0;
         rejected = 0;
         last_ins = 0;
-        image = Atomic.make IM.empty;
         waits = Atomic.make 0;
-        fast = Atomic.make 0;
       }
     in
     {
       shards = Array.init shards mk_shard;
       shard_shift = 30 - log2;
       total_budget = max 0 budget;
-      policy;
-      fast_path;
       rebalance_every;
-      validate;
-      check_equal;
       insert_seq = Atomic.make 0;
     }
 
@@ -219,38 +179,6 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
       push_hottest s n
     end
 
-  (* ---- published read image (writers hold the shard lock) ---- *)
-
-  let image_put s k v ep =
-    let h = K.hash k in
-    let m = Atomic.get s.image in
-    let bucket = match IM.find_opt h m with Some b -> b | None -> [] in
-    let bucket =
-      (k, v, ep) :: List.filter (fun (k', _, _) -> not (K.equal k' k)) bucket
-    in
-    Atomic.set s.image (IM.add h bucket m)
-
-  let image_del s k =
-    let h = K.hash k in
-    let m = Atomic.get s.image in
-    match IM.find_opt h m with
-    | None -> ()
-    | Some bucket ->
-      (match List.filter (fun (k', _, _) -> not (K.equal k' k)) bucket with
-       | [] -> Atomic.set s.image (IM.remove h m)
-       | bucket -> Atomic.set s.image (IM.add h bucket m))
-
-  let image_find s k =
-    match IM.find_opt (K.hash k) (Atomic.get s.image) with
-    | None -> None
-    | Some bucket ->
-      List.find_map
-        (fun (k', v, ep) -> if K.equal k' k then Some (v, ep) else None)
-        bucket
-
-  let epoch_ok t ep =
-    match t.validate with None -> true | Some current -> current () = ep
-
   (* ---- core ops ---- *)
 
   let find_locked s k =
@@ -263,55 +191,15 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
       s.misses <- s.misses + 1;
       None
 
-  let find ?(sanitize = false) t k =
+  (* A busy shard lock is counted in [lock_waits] before blocking on it:
+     the contention signal the sharding is sized by. *)
+  let find t k =
     let s = shard t k in
     match try_locked s (fun () -> find_locked s k) with
     | Some r -> r
     | None ->
-      (* The shard lock is busy: a hit can be served lock-free from the
-         published image, provided the entry's epoch stamp still matches
-         the engine. Misses (and disabled fast path) block like any
-         mutation would. *)
       Atomic.incr s.waits;
-      let speculative =
-        if t.fast_path then
-          match image_find s k with
-          | Some (v, ep) when epoch_ok t ep -> Some v
-          | _ -> None
-        else None
-      in
-      (match speculative with
-       | Some v when not sanitize ->
-         Atomic.incr s.fast;
-         Some v
-       | Some v ->
-         (* ROX_SANITIZE: replay through the single-lock reference path
-            and insist the lock-free hit is the same result (RX308). An
-            entry evicted between the image read and lock acquisition is
-            not a violation — the reference answer wins either way. *)
-         let reference = locked s (fun () -> find_locked s k) in
-         (match reference with
-          | Some v' ->
-            let eq =
-              match t.check_equal with
-              | Some eq -> eq
-              | None -> fun a b -> a == b
-            in
-            if not (eq v v') then
-              Rox_algebra.Sanitize.fail ~op:"Lru.find(fast-path)"
-                ~contract:Rox_algebra.Sanitize.Shard_consistent
-                "lock-free hit differs from the locked reference entry"
-          | None -> ());
-         reference
-       | None -> locked s (fun () -> find_locked s k))
-
-  let find_fast t k =
-    let s = shard t k in
-    match image_find s k with
-    | Some (v, ep) when epoch_ok t ep ->
-      Atomic.incr s.fast;
-      Some v
-    | _ -> None
+      locked s (fun () -> find_locked s k)
 
   let mem t k =
     let s = shard t k in
@@ -320,44 +208,13 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
   let drop s n =
     unlink s n;
     H.remove s.table n.nkey;
-    image_del s n.nkey;
     s.bytes <- s.bytes - n.nweight
 
-  let victim_score n = float_of_int n.ncost /. float_of_int (max 1 n.nweight)
-
-  let pick_victim t s =
-    match s.first with
-    | None -> None
-    | Some coldest ->
-      (match t.policy with
-       | Lru_only -> Some coldest
-       | Cost_aware ->
-         let best = ref coldest and best_score = ref (victim_score coldest) in
-         let cur = ref coldest.next and scanned = ref 1 in
-         let continue = ref true in
-         while !continue && !scanned < cost_scan_window do
-           (match !cur with
-            | Some n ->
-              let sc = victim_score n in
-              if sc < !best_score then begin
-                best := n;
-                best_score := sc
-              end;
-              cur := n.next;
-              incr scanned
-            | None -> continue := false)
-         done;
-         Some !best)
-
-  let evict_to_budget t s =
+  let evict_to_budget s =
     while s.bytes > s.budget do
-      match pick_victim t s with
-      | Some victim ->
-        (match s.first with
-         | Some coldest when not (coldest == victim) ->
-           s.cost_evictions <- s.cost_evictions + 1
-         | _ -> ());
-        drop s victim;
+      match s.first with
+      | Some coldest ->
+        drop s coldest;
         s.evictions <- s.evictions + 1
       | None -> assert false (* bytes > 0 implies a resident entry *)
     done
@@ -384,7 +241,7 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
         let b = floor_b + (spread * demand.(i) / total_demand) in
         locked s (fun () ->
             s.budget <- b;
-            evict_to_budget t s))
+            evict_to_budget s))
       t.shards
 
   let maybe_rebalance t =
@@ -394,7 +251,7 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
       if tick mod t.rebalance_every = 0 then rebalance t
     end
 
-  let add t k ~weight ?(cost = 0) ?epoch v =
+  let add t k ~weight v =
     if weight < 0 then
       invalid_arg (Printf.sprintf "Lru.add: negative weight %d" weight);
     let s = shard t k in
@@ -406,17 +263,11 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
           s.rejected <- s.rejected + 1
         end
         else begin
-          let ep =
-            match epoch with
-            | Some e -> e
-            | None -> (match t.validate with Some f -> f () | None -> 0)
-          in
           (match H.find_opt s.table k with
            | Some n ->
              s.bytes <- s.bytes - n.nweight + weight;
              n.nvalue <- v;
              n.nweight <- weight;
-             n.ncost <- max cost 0;
              touch s n
            | None ->
              let n =
@@ -424,7 +275,6 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
                  nkey = k;
                  nvalue = v;
                  nweight = weight;
-                 ncost = max cost 0;
                  prev = None;
                  next = None;
                }
@@ -432,9 +282,8 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
              H.replace s.table k n;
              push_hottest s n;
              s.bytes <- s.bytes + weight);
-          image_put s k v ep;
           s.insertions <- s.insertions + 1;
-          evict_to_budget t s
+          evict_to_budget s
         end);
     maybe_rebalance t
 
@@ -450,24 +299,22 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
             H.reset s.table;
             s.first <- None;
             s.last <- None;
-            s.bytes <- 0;
-            Atomic.set s.image IM.empty))
+            s.bytes <- 0))
       t.shards
 
   let shard_stat s =
     locked s (fun () ->
         {
-          hits = s.hits + Atomic.get s.fast;
+          hits = s.hits;
           misses = s.misses;
           insertions = s.insertions;
           evictions = s.evictions;
-          cost_evictions = s.cost_evictions;
           rejected = s.rejected;
           entries = H.length s.table;
           bytes = s.bytes;
           budget = s.budget;
           lock_waits = Atomic.get s.waits;
-          fast_hits = Atomic.get s.fast;
+          fast_hits = 0;
         })
 
   (* Aggregation takes each shard lock in turn, never all at once: the
@@ -483,20 +330,18 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
             misses = a.misses + x.misses;
             insertions = a.insertions + x.insertions;
             evictions = a.evictions + x.evictions;
-            cost_evictions = a.cost_evictions + x.cost_evictions;
             rejected = a.rejected + x.rejected;
             entries = a.entries + x.entries;
             bytes = a.bytes + x.bytes;
             budget = a.budget;
             lock_waits = a.lock_waits + x.lock_waits;
-            fast_hits = a.fast_hits + x.fast_hits;
+            fast_hits = 0;
           })
         {
           hits = 0;
           misses = 0;
           insertions = 0;
           evictions = 0;
-          cost_evictions = 0;
           rejected = 0;
           entries = 0;
           bytes = 0;

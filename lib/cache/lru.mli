@@ -14,29 +14,11 @@
     complete LRU (own mutex, own hashtable, own recency list, own slice of
     the byte budget). A key's shard comes from the {e high} bits of its
     hash — with {!Fingerprint.shard_hash} as the functor's [hash], that is
-    the high end of the 2x FNV-1a key digest — so misses and mutations
+    the high end of the 2x FNV-1a key digest — so lookups and mutations
     contend only with operations on the same shard. With [shards = 1]
-    (the default) behaviour is exactly the classic single-lock LRU.
-
-    {2 Lock-free read fast path}
-
-    Each shard additionally publishes an immutable read image (a
-    persistent map swapped atomically by writers). When {!find} cannot
-    take the shard lock immediately, it serves a {e hit} from that image
-    without blocking — after validating the entry's stored epoch stamp
-    against the [validate] callback (the engine's O(1) mutation epoch) —
-    and counts it in [fast_hits]. Misses, and all mutations, take the one
-    shard lock. Under the sanitizer ({!find} [~sanitize:true]) every
-    fast-path hit is replayed through the locked reference lookup and the
-    two results must be identical ([check_equal], RX308).
-
-    {2 Cost-aware admission}
-
-    With [policy = Cost_aware], entries carry the measured cost (ns) of
-    recomputing them; eviction scans a bounded window at the cold end of
-    the recency list and drops the entry with the lowest cost-per-byte,
-    keeping what is expensive to recompute rather than what is merely
-    recently touched. [Lru_only] is classic LRU.
+    (the default) behaviour is exactly the classic single-lock LRU. A
+    lookup that finds its shard lock busy is counted in [lock_waits] and
+    then blocks.
 
     When the {!Rox_util.Accesslog} is armed at construction time, every
     locked operation records one access-log Write under the owning
@@ -45,32 +27,21 @@
     boolean test per operation. *)
 
 type stats = {
-  hits : int;            (** lookups answered from the cache (locked + fast path) *)
+  hits : int;            (** lookups answered from the cache *)
   misses : int;          (** lookups that found nothing *)
   insertions : int;      (** entries admitted (including replacements) *)
   evictions : int;       (** entries pushed out by the byte budget *)
-  cost_evictions : int;  (** evictions where cost-per-byte overrode pure LRU order *)
   rejected : int;        (** entries larger than their shard's budget, never admitted *)
   entries : int;         (** currently resident entries *)
   bytes : int;           (** currently resident weight total *)
   budget : int;          (** the configured byte budget (all shards) *)
   lock_waits : int;      (** lookups that found their shard lock busy *)
-  fast_hits : int;       (** hits served lock-free from the read image *)
+  fast_hits : int;       (** always 0: kept so existing readers of the record compile *)
 }
 
 val stats_to_string : stats -> string
 (** One-line rendering: hits/misses/hit-rate, evictions, bytes/budget,
-    contention counters. *)
-
-type policy =
-  | Lru_only    (** evict the coldest entry, regardless of cost *)
-  | Cost_aware  (** evict the lowest cost-per-byte entry within a bounded
-                    cold-end window *)
-
-val policy_to_string : policy -> string
-
-val cost_scan_window : int
-(** How many cold-end entries a [Cost_aware] eviction considers. *)
+    contention counter. *)
 
 module type S = sig
   type key
@@ -79,11 +50,7 @@ module type S = sig
   val create :
     name:string ->
     ?shards:int ->
-    ?policy:policy ->
-    ?fast_path:bool ->
     ?rebalance_every:int ->
-    ?validate:(unit -> int) ->
-    ?check_equal:('v -> 'v -> bool) ->
     budget:int ->
     unit ->
     'v t
@@ -91,42 +58,22 @@ module type S = sig
       evenly across [shards] (a power of two, default 1). A non-positive
       budget admits nothing, which is how "cache off" is spelled. [name]
       labels each shard's site and lock in RX5xx race-detector reports
-      (["name.shardN"] when [shards > 1]).
-
-      [policy] selects the eviction discipline (default {!Lru_only}).
-      [fast_path] (default [true]) enables the lock-free read image;
-      [false] makes every operation block on its shard lock — the
-      single-lock reference configuration benchmarks compare against.
-      [validate] supplies the current engine epoch; a fast-path hit whose
-      stored stamp disagrees is not served. [check_equal] compares a
-      fast-path hit with the locked reference under the sanitizer
-      (default: physical equality). Budgets are rebalanced across shards
-      by insertion demand every [rebalance_every] insertions ([0]
+      (["name.shardN"] when [shards > 1]). Budgets are rebalanced across
+      shards by insertion demand every [rebalance_every] insertions ([0]
       disables rebalancing).
       @raise Invalid_argument when [shards] is not a power of two. *)
 
-  val find : ?sanitize:bool -> 'v t -> key -> 'v option
-  (** Counted lookup; a hit through the locked path refreshes the entry's
-      recency. When the shard lock is busy, a hit may be served lock-free
-      from the published image (epoch-validated, recency not refreshed).
-      [~sanitize:true] replays every fast-path hit through the locked
-      reference and raises {!Rox_algebra.Sanitize.Violation}
-      ([Shard_consistent], RX308) on mismatch. *)
-
-  val find_fast : 'v t -> key -> 'v option
-  (** Read the published image directly: no lock, no hit/miss counters
-      (beyond [fast_hits]), no recency update. Deterministic handle on
-      the fast path for tests; production callers want {!find}. *)
+  val find : 'v t -> key -> 'v option
+  (** Counted lookup under the shard lock; a hit refreshes the entry's
+      recency. A lookup that finds the lock busy counts one [lock_waits]
+      and then blocks. *)
 
   val mem : 'v t -> key -> bool
   (** Uncounted, recency-neutral membership probe (tests, introspection). *)
 
-  val add : 'v t -> key -> weight:int -> ?cost:int -> ?epoch:int -> 'v -> unit
-  (** Insert or replace, then evict entries until the shard's weight
-      total fits its budget again. [cost] is the measured recomputation
-      cost in ns (drives {!Cost_aware} eviction; default 0). [epoch]
-      overrides the stamp stored for fast-path validation (default: the
-      [validate] callback's current value, or 0). Entries heavier than
+  val add : 'v t -> key -> weight:int -> 'v -> unit
+  (** Insert or replace, then evict the coldest entries until the shard's
+      weight total fits its budget again. Entries heavier than
       the whole shard budget are rejected (counted, not stored).
       @raise Invalid_argument when [weight] is negative. *)
 

@@ -8,19 +8,10 @@ end)
 type value = { left : Rox_util.Column.t; right : Rox_util.Column.t }
 type t = value L.t
 
-(* Bit-identical in the Fingerprint sense: a fast-path hit and the locked
-   reference must describe the same pair columns, even if a concurrent
-   replacement produced a fresh (content-equal) materialization. *)
-let value_equal a b =
-  (a.left == b.left && a.right == b.right)
-  || (Fingerprint.column a.left = Fingerprint.column b.left
-      && Fingerprint.column a.right = Fingerprint.column b.right)
+let create ?shards ?rebalance_every ~budget () =
+  L.create ~name:"cache.relations" ?shards ?rebalance_every ~budget ()
 
-let create ?shards ?policy ?fast_path ?rebalance_every ?validate ~budget () =
-  L.create ~name:"cache.relations" ?shards ?policy ?fast_path ?rebalance_every
-    ?validate ~check_equal:value_equal ~budget ()
-
-let find ?sanitize t k = L.find ?sanitize t k
+let find = L.find
 
 (* Bytes of the *underlying storage*, with storage shared between the two
    columns (e.g. zero-copy views of the same array) counted once, plus a
@@ -34,7 +25,7 @@ let weight v =
   in
   left + right + 128
 
-let add ?cost t k v = L.add t k ~weight:(weight v) ?cost v
+let add t k v = L.add t k ~weight:(weight v) v
 let stats = L.stats
 let shard_stats = L.shard_stats
 let clear = L.clear

@@ -17,22 +17,15 @@ type t
 
 val create :
   ?shards:int ->
-  ?policy:Lru.policy ->
-  ?fast_path:bool ->
   ?rebalance_every:int ->
-  ?validate:(unit -> int) ->
   budget:int ->
   unit ->
   t
-(** [budget] in bytes of resident pair data; sharding, eviction policy,
-    fast path and epoch validation as in {!Lru.S.create}. Fast-path hits
-    are cross-checked against the locked reference by column content
-    (Fingerprint digests) under the sanitizer. *)
+(** [budget] in bytes of resident pair data; sharding and rebalancing as
+    in {!Lru.S.create}. *)
 
-val find : ?sanitize:bool -> t -> Fingerprint.t -> value option
-val add : ?cost:int -> t -> Fingerprint.t -> value -> unit
-(** [cost] is the measured execution time (ns) of producing the value —
-    the input to cost-aware eviction. *)
+val find : t -> Fingerprint.t -> value option
+val add : t -> Fingerprint.t -> value -> unit
 
 val weight : value -> int
 (** The byte weight charged for a value: underlying column storage (shared

@@ -8,28 +8,21 @@ let default_budget = 16 * 1024 * 1024
 let default_shards = 4
 
 let create ?(relation_budget = default_budget) ?(estimate_budget = default_budget)
-    ?(shards = default_shards) ?(policy = Lru.Lru_only) ?fast_path
-    ?rebalance_every engine =
-  (* Fast-path hits validate against the engine's O(1) mutation epoch:
-     a stale entry (admitted before a document registration or an
-     explicit bump) is never served lock-free. *)
-  let validate () = Rox_storage.Engine.epoch engine in
+    ?(shards = default_shards) ?rebalance_every engine =
   {
     engine;
     relations =
-      Relation_cache.create ~shards ~policy ?fast_path ?rebalance_every
-        ~validate ~budget:relation_budget ();
+      Relation_cache.create ~shards ?rebalance_every ~budget:relation_budget ();
     estimates =
-      Estimate_cache.create ~shards ~policy ?fast_path ?rebalance_every
-        ~validate ~budget:estimate_budget ();
+      Estimate_cache.create ~shards ?rebalance_every ~budget:estimate_budget ();
   }
 
-let of_megabytes ?shards ?policy ?fast_path engine mb =
+let of_megabytes ?shards engine mb =
   let bytes = mb * 1024 * 1024 in
   create
     ~relation_budget:(bytes * 3 / 4)
     ~estimate_budget:(bytes / 4)
-    ?shards ?policy ?fast_path engine
+    ?shards engine
 
 let engine t = t.engine
 let epoch t = Rox_storage.Engine.epoch t.engine

@@ -9,9 +9,7 @@
     document registration (or an explicit
     {!Rox_storage.Engine.bump_epoch}) can never hit again — invalidation
     is one integer increment; the dead entries age out of the LRU under
-    normal insertion pressure. The same epoch also validates the sharded
-    caches' lock-free read fast path ({!Lru}): a hit whose stored epoch
-    stamp disagrees with the engine is never served without the lock.
+    normal insertion pressure.
 
     A store is deliberately *external* to any single query run: create it
     once next to the engine and pass it to every optimizer invocation to
@@ -28,18 +26,13 @@ val create :
   ?relation_budget:int ->
   ?estimate_budget:int ->
   ?shards:int ->
-  ?policy:Lru.policy ->
-  ?fast_path:bool ->
   ?rebalance_every:int ->
   Rox_storage.Engine.t ->
   t
-(** Budgets in bytes; both default to 16 MiB. [shards]/[policy]/
-    [fast_path]/[rebalance_every] configure both member caches (see
-    {!Lru.S.create}); epoch validation is wired to the engine. *)
+(** Budgets in bytes; both default to 16 MiB. [shards]/[rebalance_every]
+    configure both member caches (see {!Lru.S.create}). *)
 
-val of_megabytes :
-  ?shards:int -> ?policy:Lru.policy -> ?fast_path:bool ->
-  Rox_storage.Engine.t -> int -> t
+val of_megabytes : ?shards:int -> Rox_storage.Engine.t -> int -> t
 (** The CLI's [--cache-mb n]: 3/4 of the budget to relations, 1/4 to
     estimates. [n <= 0] yields a store that caches nothing. *)
 

@@ -119,57 +119,27 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
           incr round;
           if grow_cutoff && !round > 1 then cutoff := !cutoff + tau;
           let extended = ref false in
-          (* Gather the round's competitor set first: [cutoff] is fixed for
-             the whole round (it only grows at round start), so every
-             frontier probe is known up front and the batch can race them
-             concurrently on the session pool. The flattened probe order is
-             exactly the order the sequential per-probe loop used, and
-             [sampled_cutoff_batch] keeps all session effects in that
-             order, so segment labels, costs and the trace are unchanged. *)
-          let jobs =
-            List.map
+          let next =
+            List.concat_map
               (fun p ->
                 let frontier =
                   Runtime.unexecuted_incident runtime p.s_stop
                   |> List.filter (fun e' -> not (List.mem e'.Edge.id p.s_edge_ids))
                 in
-                if frontier <> [] then extended := true;
-                (p, frontier))
-              !paths
-          in
-          let probes =
-            List.concat_map
-              (fun (p, frontier) ->
-                List.map
-                  (fun e' ->
-                    let outer =
-                      if e'.Edge.v1 = p.s_stop then Exec.From_v1 else Exec.From_v2
-                    in
-                    { State.p_edge = e';
-                      p_outer = outer;
-                      p_sample = p.s_input;
-                      p_inner = Runtime.table runtime (Edge.other_end e' p.s_stop);
-                      p_limit = !cutoff })
-                  frontier)
-              jobs
-          in
-          let cuts = ref (State.sampled_cutoff_batch state probes) in
-          let next_cut () =
-            match !cuts with
-            | c :: rest ->
-              cuts := rest;
-              c
-            | [] -> assert false
-          in
-          let next =
-            List.concat_map
-              (fun (p, frontier) ->
                 if frontier = [] then [ p ]
-                else
+                else begin
+                  extended := true;
                   List.mapi
                     (fun branch_idx e' ->
+                      let outer =
+                        if e'.Edge.v1 = p.s_stop then Exec.From_v1 else Exec.From_v2
+                      in
                       let v' = Edge.other_end e' p.s_stop in
-                      let cut = next_cut () in
+                      let inner_table = Runtime.table runtime v' in
+                      let cut =
+                        State.sampled_cutoff state e' ~outer ~sample:p.s_input
+                          ~inner_table ~limit:!cutoff
+                      in
                       let est = cut.Rox_algebra.Cutoff.est in
                       {
                         s_edges = p.s_edges @ [ e' ];
@@ -186,8 +156,9 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
                           (if p.s_edges = [] || branch_idx > 0 then fresh_label ()
                            else p.s_label);
                       })
-                    frontier)
-              jobs
+                    frontier
+                end)
+              !paths
           in
           let next =
             if List.length next > max_paths then begin

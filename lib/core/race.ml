@@ -35,85 +35,6 @@ let variant_cost state e ~outer =
     Some (float_of_int spent *. card /. float_of_int (Rox_util.Column.length sample))
   | _ -> None
 
-(* Concurrent competitors: the applicable directions' sampled probes run
-   as one fork/join on the session pool. [Exec.sampled] is pure, so each
-   task only fills its own scratch counter and timing slots; the caller
-   then replays the accounting — sampling-meter charges, metrics, one
-   closed task span per competitor — in candidate order, making scores
-   (and hence the chosen variant) independent of pool scheduling and
-   bit-identical to the sequential path. *)
-let scored_concurrent state (e : Edge.t) session candidates =
-  let classified =
-    List.filter_map
-      (fun (dir, applicable) ->
-        if not applicable then None
-        else
-          let v =
-            match dir with Exec.From_v1 -> e.Edge.v1 | Exec.From_v2 -> e.Edge.v2
-          in
-          match (State.sample state v, State.card state v) with
-          | Some _, Some card when card <= 0.0 -> Some (dir, `Free)
-          | Some sample, Some card when Rox_util.Column.length sample > 0 ->
-            Some
-              ( dir,
-                `Probe
-                  (sample, card,
-                   Runtime.table (State.runtime state) (Edge.other_end e v)) )
-          | _ -> None)
-      candidates
-  in
-  let probes =
-    List.filter_map
-      (function
-        | dir, `Probe (sample, card, inner) -> Some (dir, sample, card, inner)
-        | _, `Free -> None)
-      classified
-  in
-  let parr = Array.of_list probes in
-  let n = Array.length parr in
-  let scratch = Array.init n (fun _ -> Cost.new_counter ()) in
-  let starts = Array.make n 0L in
-  let durs = Array.make n 0L in
-  let lanes = Array.make n 1 in
-  let engine = State.engine state in
-  let graph = State.graph state in
-  let tau = State.tau state in
-  Session.run_tasks session n (fun ~worker k ->
-      let dir, sample, _, inner_table = parr.(k) in
-      let t0 = Rox_telemetry.Clock.now_ns () in
-      ignore
-        (Exec.sampled
-           ~meter:(Cost.sampling_meter scratch.(k))
-           engine graph e ~outer:dir ~sample ~inner_table ~limit:tau
-          : Cutoff.t);
-      lanes.(k) <- worker + 1;
-      starts.(k) <- t0;
-      durs.(k) <- Int64.sub (Rox_telemetry.Clock.now_ns ()) t0);
-  let tel = Session.telemetry session in
-  let next = ref 0 in
-  List.map
-    (fun (dir, cls) ->
-      match cls with
-      | `Free -> (dir, 0.0)
-      | `Probe (sample, card, _) ->
-        let k = !next in
-        incr next;
-        if Rox_telemetry.Sink.enabled tel then begin
-          let m = Rox_telemetry.Sink.metrics tel in
-          let dur = Int64.to_int durs.(k) in
-          Rox_telemetry.Metrics.observe m.Rox_telemetry.Metrics.sampled_run_ns dur;
-          Rox_telemetry.Metrics.incr ~by:dur
-            m.Rox_telemetry.Metrics.sampling_time_ns;
-          Rox_telemetry.Sink.add_task_span tel ~lane:lanes.(k)
-            ~start_ns:starts.(k) ~dur_ns:durs.(k)
-            ~attrs:[ ("edge", string_of_int e.Edge.id) ]
-            "race_probe"
-        end;
-        let spent = Cost.total scratch.(k) in
-        Cost.charge (Some (State.sampling_meter state)) spent;
-        (dir, float_of_int spent *. card /. float_of_int (Rox_util.Column.length sample)))
-    classified
-
 let choose state (e : Edge.t) =
   let candidates =
     match e.Edge.op with
@@ -128,17 +49,13 @@ let choose state (e : Edge.t) =
       in
       [ (Exec.From_v1, value_vertex e.Edge.v2); (Exec.From_v2, value_vertex e.Edge.v1) ]
   in
-  let session = State.session state in
   let scored =
-    if Session.parallel_parts session > 1 then
-      scored_concurrent state e session candidates
-    else
-      List.filter_map
-        (fun (dir, applicable) ->
-          if applicable then
-            Option.map (fun cost -> (dir, cost)) (variant_cost state e ~outer:dir)
-          else None)
-        candidates
+    List.filter_map
+      (fun (dir, applicable) ->
+        if applicable then
+          Option.map (fun cost -> (dir, cost)) (variant_cost state e ~outer:dir)
+        else None)
+      candidates
   in
   match scored with
   | [] -> Default

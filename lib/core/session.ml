@@ -23,7 +23,6 @@ type config = {
   sanitize : bool;
   budgets : budgets;
   client_id : string;
-  parallel_parts : int;
 }
 
 (* The ONLY place a session consults process-global state: the default
@@ -43,7 +42,6 @@ let default_config () =
     sanitize = Sanitize.default_mode ();
     budgets = default_budgets;
     client_id = "local";
-    parallel_parts = 1;
   }
 
 type t = {
@@ -59,18 +57,12 @@ type t = {
      session reused across domains is RX504, the cross-domain extension
      of RX307. *)
   al_site : int;
-  (* The intra-query domain pool: [None] means strictly sequential
-     execution (parallel_parts = 1) — no pool is ever spawned on that
-     path. [owns_pool] distinguishes a session-private pool (shut down by
-     {!release}) from one shared by the server across request sessions. *)
-  pool : Pool.t option;
-  owns_pool : bool;
   mutable deadline_at : float option;
       (* Absolute wall-clock instant (Unix time) past which the session
          aborts; set when a run is armed, cleared when it unwinds. *)
 }
 
-let create ?config ?trace ?cache ?telemetry ?pool () =
+let create ?config ?trace ?cache ?telemetry () =
   let config = match config with Some c -> c | None -> default_config () in
   let trace =
     match trace with Some t -> t | None -> Trace.create ~enabled:false ()
@@ -80,14 +72,6 @@ let create ?config ?trace ?cache ?telemetry ?pool () =
   in
   let sampling_budget =
     match config.budgets.max_sampled_rows with Some b -> b | None -> max_int
-  in
-  let pool, owns_pool =
-    match pool with
-    | Some p -> (Some p, false)
-    | None ->
-      if config.parallel_parts > 1 then
-        (Some (Pool.create ~parts:config.parallel_parts), true)
-      else (None, false)
   in
   {
     config;
@@ -100,8 +84,6 @@ let create ?config ?trace ?cache ?telemetry ?pool () =
       (if Accesslog.armed () then
          Accesslog.site ~name:"core.session" Accesslog.Confined
        else -1);
-    pool;
-    owns_pool;
     deadline_at = None;
   }
 
@@ -148,50 +130,6 @@ let confine t f =
     ~finally:(fun () -> disarm t)
     (fun () -> Sanitize.confine ~sanitize:t.config.sanitize f)
 
-let parallel_parts t = match t.pool with None -> 1 | Some p -> Pool.parts p
-
-let release t =
-  if t.owns_pool then match t.pool with Some p -> Pool.shutdown p | None -> ()
-
-(* The pool fork/join with the session's deadline made worker-safe:
-   [deadline_at] is mutable single-owner state (RX504 Confined), so the
-   guard closes over a caller-side snapshot taken before the fork — no
-   worker ever reads the session. The budget abort stays cooperative:
-   each task checks once at start, exactly like the sequential loop's
-   per-edge {!check_deadline} cadence. *)
-let run_tasks t n f =
-  match t.pool with
-  | None ->
-    for i = 0 to n - 1 do
-      f ~worker:0 i
-    done
-  | Some pool ->
-    let guard =
-      match t.deadline_at with
-      | None -> fun () -> ()
-      | Some at ->
-        let budget =
-          match t.config.budgets.deadline_ms with Some ms -> ms | None -> 0
-        in
-        fun () ->
-          let now = Unix.gettimeofday () in
-          if now > at then
-            raise
-              (Cost.Budget_exceeded
-                 { reason = Cost.Deadline;
-                   spent = budget + int_of_float (ceil ((now -. at) *. 1000.0));
-                   budget })
-    in
-    Pool.run pool n (fun ~worker i ->
-        guard ();
-        f ~worker i)
-
-(* The seed-splitting rule: concurrent competitors each get a stream
-   forked from the session *seed*, never from the live RNG — drawing from
-   [t.rng] to seed a worker would advance it and break the
-   [--parallel-parts 1] bit-identity. *)
-let fork_rng t ~stream = Xoshiro.fork ~seed:t.config.seed ~stream
-
 let table_sampler t =
   match t.config.table_fraction with
   | None -> None
@@ -208,11 +146,6 @@ let runtime_config t =
     cache = t.cache;
     table_sampler = table_sampler t;
     telemetry = t.telemetry;
-    parallel =
-      (match t.pool with
-       | None -> None
-       | Some pool ->
-         Some { Runtime.parts = Pool.parts pool; run_tasks = run_tasks t });
   }
 
 (* The one-shot CLI's flight-recorder hook: rox run / rox profile build a
@@ -258,7 +191,7 @@ let describe t =
   Printf.sprintf
     "session client=%s seed=%d tau=%d chain=%b resample=%b grow_cutoff=%b race=%b \
      table_fraction=%s sanitize=%b max_rows=%d deadline_ms=%s \
-     max_sampled_rows=%s cache=%b trace=%b telemetry=%b parallel_parts=%d"
+     max_sampled_rows=%s cache=%b trace=%b telemetry=%b"
     t.config.client_id t.config.seed t.config.tau t.config.use_chain t.config.resample
     t.config.grow_cutoff t.config.race_operators
     (match t.config.table_fraction with
@@ -269,4 +202,3 @@ let describe t =
     (match b.max_sampled_rows with None -> "-" | Some r -> string_of_int r)
     (t.cache <> None) (Trace.enabled t.trace)
     (Rox_telemetry.Sink.enabled t.telemetry)
-    (parallel_parts t)

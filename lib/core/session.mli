@@ -45,12 +45,6 @@ type config = {
       (** tenant tag (default ["local"]): surfaced per request by the
           serving front-end, threaded into the query span's attributes and
           the server's per-tenant accounting *)
-  parallel_parts : int;
-      (** intra-query partition count K (default 1 = strictly sequential,
-          no pool spawned). When K > 1 and no pool is handed to {!create},
-          the session owns a fresh {!Pool} of K workers; partitioned edge
-          kernels and concurrent racing probes fan out across it with
-          bit-identical results at every K. *)
 }
 
 val default_config : unit -> config
@@ -63,41 +57,12 @@ type t
 
 val create :
   ?config:config -> ?trace:Rox_joingraph.Trace.t -> ?cache:Rox_cache.Store.t ->
-  ?telemetry:Rox_telemetry.Sink.t -> ?pool:Pool.t ->
-  unit -> t
+  ?telemetry:Rox_telemetry.Sink.t -> unit -> t
 (** A fresh session: new RNG seeded from [config.seed], new cost counter
     (with the sampled-rows budget installed), disabled trace and null
     telemetry sink unless one is passed. Sessions are single-domain values
     — share the engine, the cache and the telemetry {!Rox_telemetry.Aggregate}
-    across domains, never a session or its sink.
-
-    [pool] lends an externally owned domain pool (the server shares one
-    across request sessions); without it a pool is created — and owned —
-    only when [config.parallel_parts > 1]. Call {!release} when done with
-    a session that may own a pool. *)
-
-val release : t -> unit
-(** Shut down the session-owned pool, if any; a no-op for sequential
-    sessions and for sessions running on a lent pool. *)
-
-val parallel_parts : t -> int
-(** Effective partition count: the pool's worker count, or 1 when
-    sequential. *)
-
-val run_tasks : t -> int -> (worker:int -> int -> unit) -> unit
-(** The fork/join capability injected into {!runtime_config} and used by
-    the concurrent racing probes: runs [n] independent tasks on the pool
-    (sequentially in-place when the session has none), each task
-    deadline-guarded against a snapshot taken caller-side before the
-    fork. Tasks must write only their own slots and never touch the
-    session (RX307/RX504). *)
-
-val fork_rng : t -> stream:int -> Rox_util.Xoshiro.t
-(** The seed-splitting rule for concurrent competitors:
-    [Xoshiro.fork ~seed:(seed t) ~stream] — an independent stream that is
-    a pure function of (session seed, stream id), never drawn from the
-    live {!rng} (which would advance it and break [--parallel-parts 1]
-    bit-identity). *)
+    across domains, never a session or its sink. *)
 
 val config : t -> config
 val seed : t -> int

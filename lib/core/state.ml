@@ -36,55 +36,6 @@ let cache t = Session.cache t.session
 let sampling_meter t = Session.sampling_meter t.session
 let execution_meter t = Session.execution_meter t.session
 
-(* --- cut-off sampled execution, estimate cache in front ---------------- *)
-
-let est_key t (e : Edge.t) ~outer ~sample ~inner_table ~limit store =
-  let graph = Runtime.graph t.runtime in
-  let vdesc v = Vertex.fingerprint_label (Graph.vertex graph v) in
-  Rox_cache.Fingerprint.make
-    ~epoch:(Rox_cache.Store.epoch store)
-    [
-      "est";
-      (match e.Edge.op with
-       | Edge.Step axis -> "step:" ^ Axis.short_label axis
-       | Edge.Equijoin -> "eq");
-      (match outer with Exec.From_v1 -> "1" | Exec.From_v2 -> "2");
-      vdesc e.Edge.v1;
-      vdesc e.Edge.v2;
-      Rox_cache.Fingerprint.column sample;
-      Rox_cache.Fingerprint.option_column inner_table;
-      string_of_int limit;
-    ]
-
-let est_note_lookup t hit =
-  let tel = Session.telemetry t.session in
-  if Sink.enabled tel then begin
-    let m = Sink.metrics tel in
-    Tm.incr (if hit then m.Tm.estimate_cache_hits else m.Tm.estimate_cache_misses)
-  end
-
-(* A hit under the sanitizer is cross-checked bit-identical against a
-   fresh (uncharged) execution of the same sampled operator. *)
-let est_check_hit t (e : Edge.t) ~run (cut : Cutoff.t) =
-  if Session.sanitize t.session then begin
-    let op = Printf.sprintf "State.sampled_cutoff(e%d)" e.Edge.id in
-    let fresh = run None in
-    Sanitize.check_identical ~op ~what:"sampled output"
-      cut.Cutoff.out fresh.Cutoff.out;
-    if
-      cut.Cutoff.est <> fresh.Cutoff.est
-      || cut.Cutoff.produced <> fresh.Cutoff.produced
-      || cut.Cutoff.consumed_outer
-         <> fresh.Cutoff.consumed_outer
-      || cut.Cutoff.completed <> fresh.Cutoff.completed
-    then
-      Sanitize.fail ~op
-        ~contract:Sanitize.Cache_consistent
-        (Printf.sprintf "cached est %g/produced %d, fresh est %g/produced %d"
-           cut.Cutoff.est cut.Cutoff.produced
-           fresh.Cutoff.est fresh.Cutoff.produced)
-  end
-
 (* Cut-off sampled execution with the cross-query estimate cache in front.
    A sampled run is a pure function of (edge shape, direction, outer
    sample, inner table, limit), so the full Cutoff.t — estimate, sampled
@@ -107,145 +58,66 @@ let sampled_cutoff t (e : Edge.t) ~outer ~sample ~inner_table ~limit =
         Tm.incr ~by:dur m.Tm.sampling_time_ns)
       (fun () -> run (Some (sampling_meter t)))
   in
+  let note_lookup hit =
+    if Sink.enabled tel then begin
+      let m = Sink.metrics tel in
+      Tm.incr (if hit then m.Tm.estimate_cache_hits else m.Tm.estimate_cache_misses)
+    end
+  in
   match Session.cache t.session with
   | None -> run_charged ()
   | Some store ->
-    let key = est_key t e ~outer ~sample ~inner_table ~limit store in
+    let vdesc v = Vertex.fingerprint_label (Graph.vertex graph v) in
+    let key =
+      Rox_cache.Fingerprint.make
+        ~epoch:(Rox_cache.Store.epoch store)
+        [
+          "est";
+          (match e.Edge.op with
+           | Edge.Step axis -> "step:" ^ Axis.short_label axis
+           | Edge.Equijoin -> "eq");
+          (match outer with Exec.From_v1 -> "1" | Exec.From_v2 -> "2");
+          vdesc e.Edge.v1;
+          vdesc e.Edge.v2;
+          Rox_cache.Fingerprint.column sample;
+          Rox_cache.Fingerprint.option_column inner_table;
+          string_of_int limit;
+        ]
+    in
     let estimates = Rox_cache.Store.estimates store in
     (match
-       Rox_cache.Estimate_cache.find ~sanitize:(Session.sanitize t.session)
-         estimates key
+       Rox_cache.Estimate_cache.find estimates key
      with
      | Some cut ->
-       est_note_lookup t true;
+       note_lookup true;
        Trace.emit (trace t)
          (Trace.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = true });
-       est_check_hit t e ~run cut;
+       if Session.sanitize t.session then begin
+         let op = Printf.sprintf "State.sampled_cutoff(e%d)" e.Edge.id in
+         let fresh = run None in
+         Sanitize.check_identical ~op ~what:"sampled output"
+           cut.Cutoff.out fresh.Cutoff.out;
+         if
+           cut.Cutoff.est <> fresh.Cutoff.est
+           || cut.Cutoff.produced <> fresh.Cutoff.produced
+           || cut.Cutoff.consumed_outer
+              <> fresh.Cutoff.consumed_outer
+           || cut.Cutoff.completed <> fresh.Cutoff.completed
+         then
+           Sanitize.fail ~op
+             ~contract:Sanitize.Cache_consistent
+             (Printf.sprintf "cached est %g/produced %d, fresh est %g/produced %d"
+                cut.Cutoff.est cut.Cutoff.produced
+                fresh.Cutoff.est fresh.Cutoff.produced)
+       end;
        cut
      | None ->
-       est_note_lookup t false;
+       note_lookup false;
        Trace.emit (trace t)
          (Trace.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = false });
-       let t0 = Rox_telemetry.Clock.now_ns () in
        let cut = run_charged () in
-       let cost = Rox_telemetry.Clock.elapsed_ns t0 in
-       Rox_cache.Estimate_cache.add ~cost estimates key cut;
+       Rox_cache.Estimate_cache.add estimates key cut;
        cut)
-
-type probe = {
-  p_edge : Edge.t;
-  p_outer : Exec.direction;
-  p_sample : Column.t;
-  p_inner : Column.t option;
-  p_limit : int;
-}
-
-let sampled_cutoff_p t p =
-  sampled_cutoff t p.p_edge ~outer:p.p_outer ~sample:p.p_sample
-    ~inner_table:p.p_inner ~limit:p.p_limit
-
-(* One chain round's competitors, raced concurrently on the session pool.
-
-   Three phases keep every session effect on the calling domain and in
-   probe order, so the result — and the trace, meter charges, metrics and
-   cache contents — is a function of the probe list alone, independent of
-   pool scheduling:
-
-   1. caller: estimate-cache lookups, trace events and hit cross-checks,
-      probe by probe (exactly the sequential hit path);
-   2. pool: the misses run concurrently — [Exec.sampled] is pure (no RNG,
-      no session state), each task writing only its own result, scratch
-      counter and timing slots;
-   3. caller: merge in probe order — sampling-meter charges (so a
-      [max_sampled_rows] abort fires at the same probe as sequentially),
-      metrics, one closed task span per probe, cache adds.
-
-   With no pool (or a single probe) this is exactly the sequential
-   [sampled_cutoff] loop, effect for effect. *)
-let sampled_cutoff_batch t probes =
-  if List.length probes <= 1 || Session.parallel_parts t.session <= 1 then
-    List.map (sampled_cutoff_p t) probes
-  else begin
-    let engine = Runtime.engine t.runtime in
-    let graph = Runtime.graph t.runtime in
-    let tel = Session.telemetry t.session in
-    let arr = Array.of_list probes in
-    let n = Array.length arr in
-    let run p meter =
-      Exec.sampled ?meter engine graph p.p_edge ~outer:p.p_outer
-        ~sample:p.p_sample ~inner_table:p.p_inner ~limit:p.p_limit
-    in
-    let results : Cutoff.t option array = Array.make n None in
-    let keys = Array.make n None in
-    (match Session.cache t.session with
-     | None -> ()
-     | Some store ->
-       let estimates = Rox_cache.Store.estimates store in
-       Array.iteri
-         (fun i p ->
-           let key =
-             est_key t p.p_edge ~outer:p.p_outer ~sample:p.p_sample
-               ~inner_table:p.p_inner ~limit:p.p_limit store
-           in
-           keys.(i) <- Some (key, estimates);
-           match
-             Rox_cache.Estimate_cache.find
-               ~sanitize:(Session.sanitize t.session) estimates key
-           with
-           | Some cut ->
-             est_note_lookup t true;
-             Trace.emit (trace t)
-               (Trace.Cache_lookup
-                  { edge = p.p_edge.Edge.id; store = `Estimate; hit = true });
-             est_check_hit t p.p_edge ~run:(run p) cut;
-             results.(i) <- Some cut
-           | None ->
-             est_note_lookup t false;
-             Trace.emit (trace t)
-               (Trace.Cache_lookup
-                  { edge = p.p_edge.Edge.id; store = `Estimate; hit = false }))
-         arr);
-    let miss = ref [] in
-    for i = n - 1 downto 0 do
-      if results.(i) = None then miss := i :: !miss
-    done;
-    let miss = Array.of_list !miss in
-    let m = Array.length miss in
-    let scratch = Array.init m (fun _ -> Cost.new_counter ()) in
-    let starts = Array.make m 0L in
-    let durs = Array.make m 0L in
-    let lanes = Array.make m 1 in
-    let outs = Array.make m None in
-    Session.run_tasks t.session m (fun ~worker k ->
-        let t0 = Rox_telemetry.Clock.now_ns () in
-        let cut = run arr.(miss.(k)) (Some (Cost.sampling_meter scratch.(k))) in
-        lanes.(k) <- worker + 1;
-        starts.(k) <- t0;
-        durs.(k) <- Int64.sub (Rox_telemetry.Clock.now_ns ()) t0;
-        outs.(k) <- Some cut);
-    Array.iteri
-      (fun k i ->
-        let cut = match outs.(k) with Some c -> c | None -> assert false in
-        Cost.charge (Some (sampling_meter t)) (Cost.total scratch.(k));
-        let dur = Int64.to_int durs.(k) in
-        if Sink.enabled tel then begin
-          let met = Sink.metrics tel in
-          Tm.observe met.Tm.sampled_run_ns dur;
-          Tm.incr ~by:dur met.Tm.sampling_time_ns;
-          Sink.add_task_span tel ~lane:lanes.(k) ~start_ns:starts.(k)
-            ~dur_ns:durs.(k)
-            ~attrs:[ ("edge", string_of_int arr.(i).p_edge.Edge.id) ]
-            "exec_sampled"
-        end;
-        (match keys.(i) with
-         | Some (key, estimates) ->
-           Rox_cache.Estimate_cache.add ~cost:dur estimates key cut
-         | None -> ());
-        results.(i) <- Some cut)
-      miss;
-    Array.to_list
-      (Array.map (function Some c -> c | None -> assert false) results)
-  end
 
 let set_sample_from t v table =
   let s = Sampling.sample (rng t) table (tau t) in

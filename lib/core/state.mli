@@ -72,22 +72,3 @@ val sampled_cutoff :
     consultation; a hit is cross-checked bit-identical under the session's
     sanitize mode. Without a cache this is exactly [Exec.sampled] charged
     to the sampling meter. *)
-
-type probe = {
-  p_edge : Edge.t;
-  p_outer : Exec.direction;
-  p_sample : Rox_util.Column.t;
-  p_inner : Rox_util.Column.t option;
-  p_limit : int;
-}
-(** One {!sampled_cutoff} request, reified so a chain round can hand the
-    whole competitor set over at once. *)
-
-val sampled_cutoff_batch : t -> probe list -> Rox_algebra.Cutoff.t list
-(** {!sampled_cutoff} over the list, racing the probes concurrently on
-    the session pool when it has one. All session effects — trace events,
-    cache lookups and adds, meter charges (and hence [max_sampled_rows]
-    aborts), metrics — happen on the calling domain in probe order, so
-    results and effects are independent of pool scheduling; the pool only
-    runs the pure [Exec.sampled] misses. With no pool (or a single probe)
-    this is exactly the sequential per-probe loop. *)

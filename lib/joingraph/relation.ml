@@ -68,50 +68,6 @@ let equal a b =
   in
   go 0
 
-(* --- partitioning ------------------------------------------------------- *)
-
-(* K contiguous row-range slices — zero-copy ([Column.slice] per column,
-   verts/col_of shared). Contiguous row ranges are what makes the merge
-   deterministic: every parallelized kernel (extend, filter_pairs) emits
-   output in base-row order, so per-part outputs concatenated in part
-   order reconstruct exactly the sequential kernel's row order. When the
-   [by] column is strictly increasing (its sorted flag is set), row
-   ranges are also disjoint key ranges. Parts may be empty (K > nrows);
-   row counts differ by at most one. *)
-let partition t ~by ~parts =
-  if parts <= 0 then invalid_arg "Relation.partition: parts must be positive";
-  ignore (col_index_exn t by : int);
-  Array.init parts (fun i ->
-      let lo = i * t.nrows / parts in
-      let hi = (i + 1) * t.nrows / parts in
-      let len = hi - lo in
-      { t with
-        cols = Array.map (fun c -> Column.slice c ~pos:lo ~len) t.cols;
-        nrows = len })
-
-(* Deterministic merge: parts (over identical vertex sets, in identical
-   column order) concatenated in part order. [Column.concat]'s boundary
-   rule keeps every output flag honest — and equal to the sequential
-   kernel's flag whenever every part dropped rows the same way the
-   sequential kernel would have. *)
-let concat_parts parts =
-  if Array.length parts = 0 then invalid_arg "Relation.concat_parts: no parts";
-  let first = parts.(0) in
-  Array.iter
-    (fun p ->
-      if Array.length p.verts <> Array.length first.verts
-         || not (Array.for_all2 ( = ) p.verts first.verts)
-      then invalid_arg "Relation.concat_parts: parts disagree on vertices")
-    parts;
-  if Array.length parts = 1 then first
-  else
-    let nrows = Array.fold_left (fun acc p -> acc + p.nrows) 0 parts in
-    let cols =
-      Array.init (Array.length first.verts) (fun j ->
-          Column.concat (Array.map (fun p -> p.cols.(j)) parts))
-    in
-    { first with cols; nrows }
-
 let row_array t i = Array.map (fun c -> Column.get c i) t.cols
 
 let iter_rows t f =

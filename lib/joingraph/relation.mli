@@ -54,24 +54,6 @@ val equal : t -> t -> bool
 (** Same vertices, same rows in the same order; monomorphic element
     loops, no polymorphic compare. Used by the sanitizer cross-checks. *)
 
-val partition : t -> by:int -> parts:int -> t array
-(** [partition t ~by ~parts] splits [t] into [parts] contiguous
-    row-range slices — zero-copy ({!Rox_util.Column.slice} per column).
-    Parts may be empty when [parts > rows t]; row counts differ by at
-    most one. [by] must be a vertex of [t]; when its column is strictly
-    increasing, the row ranges are disjoint key ranges. Because every
-    parallelized kernel emits output in base-row order, running a kernel
-    per part and merging with {!concat_parts} in part order reproduces
-    the sequential kernel's exact row order.
-    @raise Invalid_argument on [parts <= 0] or a foreign [by] vertex. *)
-
-val concat_parts : t array -> t
-(** Deterministic merge of partition outputs: concatenate in part order.
-    All parts must agree on the vertex set (in column order). Column
-    flags follow {!Rox_util.Column.concat}'s boundary rule, so
-    re-assembling unmodified slices restores the original flags.
-    @raise Invalid_argument on an empty array or disagreeing parts. *)
-
 (** The kernels below take the calling session's sanitize mode as
     [?sanitize]; omitting it falls back to {!Rox_algebra.Sanitize.default_mode},
     which is an RX307 violation inside an armed session region. *)

@@ -6,16 +6,6 @@ module Tm = Rox_telemetry.Metrics
 
 exception Blowup of { edge : int; rows : int; limit : int }
 
-(* The narrow intra-query parallelism capability the session injects: the
-   joingraph layer sits below [Rox_core.Pool] in the dependency order, so
-   it receives the pool as a closure instead of seeing the module. *)
-type parallel = {
-  parts : int;  (** partition count K; the capability is absent when K = 1 *)
-  run_tasks : int -> (worker:int -> int -> unit) -> unit;
-      (** session fork/join: runs [n] tasks on the shared pool (caller
-          included as worker 0), deadline-guarded per task *)
-}
-
 (* Everything per-query the runtime needs, handed over in one piece by the
    session (or defaulted for direct/test use) instead of the historical
    ad-hoc [?max_rows ?cache ?table_sampler] optionals. *)
@@ -35,9 +25,6 @@ type config = {
   (* Per-session telemetry sink: spans around edge executions, cache
      hit/miss counters. A disabled (null) sink costs one boolean test. *)
   telemetry : Sink.t;
-  (* Intra-query parallelism: [None] is the sequential path, bit-for-bit
-     the historical behavior (and the [--parallel-parts 1] default). *)
-  parallel : parallel option;
 }
 
 let default_config () =
@@ -45,8 +32,7 @@ let default_config () =
     sanitize = Sanitize.default_mode ();
     cache = None;
     table_sampler = None;
-    telemetry = Sink.null ();
-    parallel = None }
+    telemetry = Sink.null () }
 
 type t = {
   engine : Engine.t;
@@ -56,7 +42,6 @@ type t = {
   cache : Rox_cache.Store.t option;
   table_sampler : (int -> Column.t -> Column.t) option;
   telemetry : Sink.t;
-  parallel : parallel option;
   tables : Column.t option array;
   executed_edges : bool array;
   implied_edges : bool array;
@@ -91,7 +76,6 @@ let create ?config engine graph =
       cache = config.cache;
       table_sampler = config.table_sampler;
       telemetry = config.telemetry;
-      parallel = config.parallel;
       tables = Array.make (Graph.vertex_count graph) None;
       executed_edges = Array.make (Graph.edge_count graph) false;
       implied_edges = Array.make (Graph.edge_count graph) false;
@@ -262,7 +246,7 @@ let cached_pairs ?meter t (e : Edge.t) plan =
   | Some store ->
     let key = edge_fingerprint t e store plan in
     let relations = Rox_cache.Store.relations store in
-    (match Rox_cache.Relation_cache.find ~sanitize:t.sanitize relations key with
+    (match Rox_cache.Relation_cache.find relations key with
      | Some v ->
        note_lookup true;
        let pairs =
@@ -280,49 +264,10 @@ let cached_pairs ?meter t (e : Edge.t) plan =
        (pairs, true)
      | None ->
        note_lookup false;
-       (* The measured recomputation cost rides into the cache entry:
-          cost-aware eviction keeps what was expensive to produce. *)
-       let t0 = Rox_telemetry.Clock.now_ns () in
        let pairs = plan.run meter in
-       let cost = Rox_telemetry.Clock.elapsed_ns t0 in
-       Rox_cache.Relation_cache.add ~cost relations key
+       Rox_cache.Relation_cache.add relations key
          { Rox_cache.Relation_cache.left = pairs.Exec.left; right = pairs.Exec.right };
        (pairs, false))
-
-(* Fork [n] partition tasks onto the session pool and merge their
-   side-effects deterministically. Task [i] writes only its own slots —
-   result, scratch cost counter, timing — and runs its kernel with
-   [sanitize:false] (sanitizing, like every other session effect, is the
-   caller's job: RX307 confinement extends across the pool). After the
-   join the caller folds the scratch meters into [meter], bumps the
-   partition metrics and appends one closed task span per part, all in
-   part order, so work accounting is independent of scheduling. *)
-let pooled_parts ?meter t (p : parallel) ~n task =
-  let results = Array.make n None in
-  let scratch = Array.init n (fun _ -> Cost.new_counter ()) in
-  let starts = Array.make n 0L in
-  let durs = Array.make n 0L in
-  let lanes = Array.make n 1 in
-  p.run_tasks n (fun ~worker i ->
-      let t0 = Rox_telemetry.Clock.now_ns () in
-      let r = task i (Some (Cost.execution_meter scratch.(i))) in
-      lanes.(i) <- worker + 1;
-      starts.(i) <- t0;
-      durs.(i) <- Int64.sub (Rox_telemetry.Clock.now_ns ()) t0;
-      results.(i) <- Some r);
-  Array.iter (fun c -> Cost.charge meter (Cost.total c)) scratch;
-  if Sink.enabled t.telemetry then begin
-    let m = Sink.metrics t.telemetry in
-    for i = 0 to n - 1 do
-      Tm.incr m.Tm.partition_tasks;
-      Tm.observe m.Tm.partition_task_ns (Int64.to_int durs.(i));
-      Sink.add_task_span t.telemetry ~lane:lanes.(i) ~start_ns:starts.(i)
-        ~dur_ns:durs.(i)
-        ~attrs:[ ("part", string_of_int i) ]
-        "partition_task"
-    done
-  end;
-  Array.map (function Some r -> r | None -> assert false) results
 
 let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
   let v1 = e.Edge.v1 and v2 = e.Edge.v2 in
@@ -397,94 +342,21 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
   let pairs, cache_hit = cached_pairs ?meter t e plan in
   let c1 = t.comp_of.(v1) and c2 = t.comp_of.(v2) in
   let get cid = match t.components.(cid) with Some r -> r | None -> assert false in
-  let swapped = { Exec.left = pairs.Exec.right; right = pairs.Exec.left } in
-  (* The component kernel for this edge, as one closure: the sequential
-     path runs it once with the session's meter and sanitize mode; the
-     partitioned path runs it per part and reuses it (sanitize on, meter
-     free) as the RX310 replay reference. *)
-  let sequential ~sanitize meter =
-    if c1 < 0 && c2 < 0 then Relation.of_pairs ~v1 ~v2 pairs
-    else if c1 >= 0 && c2 < 0 then
-      Relation.extend ~sanitize ?meter ~max_rows:t.max_rows (get c1) ~on:v1
-        ~new_vertex:v2 pairs
-    else if c1 < 0 && c2 >= 0 then
-      Relation.extend ~sanitize ?meter ~max_rows:t.max_rows (get c2) ~on:v2
-        ~new_vertex:v1 swapped
-    else if c1 = c2 then
-      Relation.filter_pairs ~sanitize ?meter (get c1) ~c1:v1 ~c2:v2 pairs
-    else
-      Relation.fuse ~sanitize ?meter ~max_rows:t.max_rows (get c1) (get c2)
-        ~on_left:v1 ~on_right:v2 pairs
-  in
-  (* Each kernel's output order is a function of its *first* input's order
-     (extend and filter_pairs stream base rows; fuse streams pairs), so
-     contiguous slices of that input, joined per slice and concatenated in
-     slice order, reproduce the sequential row order exactly. [of_pairs]
-     does no join work and always stays sequential. *)
-  let partitioned =
-    match t.parallel with
-    | Some p when p.parts > 1 ->
-      let parts = p.parts in
-      if c1 >= 0 && c2 < 0 && Relation.rows (get c1) >= parts then
-        Some
-          (fun () ->
-            let base = Relation.partition (get c1) ~by:v1 ~parts in
-            pooled_parts ?meter t p ~n:parts (fun i m ->
-                Relation.extend ~sanitize:false ?meter:m ~max_rows:t.max_rows
-                  base.(i) ~on:v1 ~new_vertex:v2 pairs))
-      else if c1 < 0 && c2 >= 0 && Relation.rows (get c2) >= parts then
-        Some
-          (fun () ->
-            let base = Relation.partition (get c2) ~by:v2 ~parts in
-            pooled_parts ?meter t p ~n:parts (fun i m ->
-                Relation.extend ~sanitize:false ?meter:m ~max_rows:t.max_rows
-                  base.(i) ~on:v2 ~new_vertex:v1 swapped))
-      else if c1 >= 0 && c2 >= 0 && c1 = c2 && Relation.rows (get c1) >= parts
-      then
-        Some
-          (fun () ->
-            let base = Relation.partition (get c1) ~by:v1 ~parts in
-            pooled_parts ?meter t p ~n:parts (fun i m ->
-                Relation.filter_pairs ~sanitize:false ?meter:m base.(i) ~c1:v1
-                  ~c2:v2 pairs))
-      else if c1 >= 0 && c2 >= 0 && c1 <> c2 && Exec.pair_count pairs >= parts
-      then
-        Some
-          (fun () ->
-            let npairs = Exec.pair_count pairs in
-            pooled_parts ?meter t p ~n:parts (fun i m ->
-                let lo = i * npairs / parts in
-                let len = ((i + 1) * npairs / parts) - lo in
-                let sub =
-                  { Exec.left = Column.slice pairs.Exec.left ~pos:lo ~len;
-                    right = Column.slice pairs.Exec.right ~pos:lo ~len }
-                in
-                Relation.fuse ~sanitize:false ?meter:m ~max_rows:t.max_rows
-                  (get c1) (get c2) ~on_left:v1 ~on_right:v2 sub))
-      else None
-    | _ -> None
-  in
   let rel =
     match
-      match partitioned with
-      | None -> sequential ~sanitize:t.sanitize meter
-      | Some run_parts ->
-        let rel = Relation.concat_parts (run_parts ()) in
-        if t.sanitize then begin
-          (* RX310: replay the whole edge through the sequential kernel
-             and demand bit-identity — the RX306 kernel-equivalence
-             pattern lifted to the partition layer. *)
-          let reference = sequential ~sanitize:true None in
-          if not (Relation.equal rel reference) then
-            Sanitize.fail
-              ~op:(Printf.sprintf "Runtime.execute_edge(e%d)" e.Edge.id)
-              ~contract:Sanitize.Partition_consistent
-              (Printf.sprintf
-                 "partitioned result (%d rows) differs from the sequential \
-                  kernel (%d rows)"
-                 (Relation.rows rel) (Relation.rows reference))
-        end;
-        rel
+      if c1 < 0 && c2 < 0 then Relation.of_pairs ~v1 ~v2 pairs
+      else if c1 >= 0 && c2 < 0 then
+        Relation.extend ~sanitize:t.sanitize ?meter ~max_rows:t.max_rows (get c1)
+          ~on:v1 ~new_vertex:v2 pairs
+      else if c1 < 0 && c2 >= 0 then
+        Relation.extend ~sanitize:t.sanitize ?meter ~max_rows:t.max_rows (get c2)
+          ~on:v2 ~new_vertex:v1
+          { Exec.left = pairs.Exec.right; right = pairs.Exec.left }
+      else if c1 = c2 then
+        Relation.filter_pairs ~sanitize:t.sanitize ?meter (get c1) ~c1:v1 ~c2:v2 pairs
+      else
+        Relation.fuse ~sanitize:t.sanitize ?meter ~max_rows:t.max_rows (get c1)
+          (get c2) ~on_left:v1 ~on_right:v2 pairs
     with
     | rel -> rel
     | exception Relation.Too_large rows ->

@@ -21,23 +21,6 @@ exception Blowup of { edge : int; rows : int; limit : int }
 (** Raised when an edge execution would materialize more than [max_rows]
     tuples — the runaway-plan guard for the enumeration experiments. *)
 
-type parallel = {
-  parts : int;
-      (** partition count K; inject the capability only when K > 1 *)
-  run_tasks : int -> (worker:int -> int -> unit) -> unit;
-      (** the session's pool fork/join ([Rox_core.Session.run_tasks]):
-          runs [n] independent tasks to completion, the caller
-          participating as worker 0. Handed in as a closure because this
-          layer sits below [Rox_core.Pool] in the dependency order. *)
-}
-(** Intra-query parallelism capability. When present (and an edge's base
-    input has at least K rows), {!execute_edge} runs the component kernel
-    as K partition-joins on the pool and concatenates the slices in part
-    order — bit-identical to the sequential kernel by the kernels'
-    order-of-first-input contract, enforced under the sanitizer by the
-    RX310 [Partition_consistent] replay. Work is metered per task and
-    folded in part order, so cost accounting stays deterministic. *)
-
 type config = {
   max_rows : int;
       (** materialization guard: {!execute_edge} raises {!Blowup} past it *)
@@ -61,9 +44,6 @@ type config = {
           ["execute_edge"] span carrying an [("edge", id)] attribute and
           feeds the edge-latency histogram and cache hit/miss counters.
           The null sink (see {!default_config}) costs one boolean test. *)
-  parallel : parallel option;
-      (** [None] (the default, and the [--parallel-parts 1] path) is the
-          sequential kernel, byte-for-byte the historical behavior. *)
 }
 
 val default_config : unit -> config

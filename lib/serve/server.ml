@@ -24,7 +24,6 @@ type config = {
   session : Session.config;
   telemetry : bool;
   max_frame : int;
-  parallel_parts : int;
   recorder : bool;
   slow_ms : int option;
   slow_log : string option;
@@ -32,15 +31,13 @@ type config = {
 
 let config ?cache ?(workers = 2) ?(queue_capacity = 64)
     ?(max_connections = 256) ?session ?(telemetry = true)
-    ?(max_frame = Protocol.default_max_frame) ?(parallel_parts = 1)
-    ?(recorder = true) ?slow_ms ?slow_log engine =
+    ?(max_frame = Protocol.default_max_frame) ?(recorder = true) ?slow_ms ?slow_log engine =
   let session =
     match session with Some s -> s | None -> Session.default_config ()
   in
   if workers < 0 then invalid_arg "Server.config: workers < 0";
   if queue_capacity < 1 then invalid_arg "Server.config: queue_capacity < 1";
   if max_connections < 1 then invalid_arg "Server.config: max_connections < 1";
-  if parallel_parts < 1 then invalid_arg "Server.config: parallel_parts < 1";
   (match slow_ms with
    | Some n when n < 0 -> invalid_arg "Server.config: slow_ms < 0"
    | _ -> ());
@@ -53,7 +50,6 @@ let config ?cache ?(workers = 2) ?(queue_capacity = 64)
     session;
     telemetry;
     max_frame;
-    parallel_parts;
     recorder;
     slow_ms;
     slow_log;
@@ -111,10 +107,6 @@ type t = {
   aggregate : Aggregate.t;          (* absorbed per-request session sinks *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
-  (* One intra-query pool shared by all request sessions ([None] when
-     parallel_parts = 1): Pool.run serializes concurrent batches, so
-     several worker domains can route partition tasks through it safely. *)
-  pool : Rox_core.Pool.t option;
   sanitize_coalesce : bool;
   (* The flight recorder: always-on request records, tail-sampled trace
      retention, slow log. Its own per-domain slots and small mutexes —
@@ -211,9 +203,7 @@ let run_query t (q : Protocol.query) ~deadline_ms ~absorb =
       budgets;
     }
   in
-  let session =
-    Session.create ~config ?cache:t.cfg.cache ~telemetry:sink ?pool:t.pool ()
-  in
+  let session = Session.create ~config ?cache:t.cfg.cache ~telemetry:sink () in
   let resp, plan =
     try
       let compiled =
@@ -435,10 +425,6 @@ let create cfg =
       aggregate = Aggregate.create ();
       stopping = false;
       workers = [];
-      pool =
-        (if cfg.parallel_parts > 1 then
-           Some (Rox_core.Pool.create ~parts:cfg.parallel_parts)
-         else None);
       sanitize_coalesce = Sanitize.default_mode ();
       recorder =
         (if cfg.recorder then
@@ -463,28 +449,22 @@ let create cfg =
   t
 
 let shutdown t =
-  let first =
+  let workers =
     locked t (fun () ->
-        if t.stopping then None
+        if t.stopping then []
         else begin
           t.stopping <- true;
           Condition.broadcast t.work;
           let ws = t.workers in
           t.workers <- [];
-          Some ws
+          ws
         end)
   in
-  (match first with
-   | None -> ()
-   | Some workers ->
-     List.iter
-       (fun d ->
-         Domain.join d;
-         Accesslog.hb_acquire t.hb_done)
-       workers;
-     (* After the request workers joined no session can reach the shared
-        pool, so this is the quiescent point to retire it. *)
-     Option.iter Rox_core.Pool.shutdown t.pool);
+  List.iter
+    (fun d ->
+      Domain.join d;
+      Accesslog.hb_acquire t.hb_done)
+    workers;
   (* Workers drain the queue before exiting; anything still here means
      workers = 0. Fail it as rejected so the RX603 balance holds and no
      awaiting client hangs. *)
@@ -712,10 +692,7 @@ let stats_kvs t =
           (Printf.sprintf "cache.%s.bytes" name, string_of_int (sum (fun s -> s.bytes)));
           (Printf.sprintf "cache.%s.entries" name, string_of_int (sum (fun s -> s.entries)));
           (Printf.sprintf "cache.%s.evictions" name, string_of_int (sum (fun s -> s.evictions)));
-          ( Printf.sprintf "cache.%s.cost_evictions" name,
-            string_of_int (sum (fun s -> s.cost_evictions)) );
           (Printf.sprintf "cache.%s.lock_waits" name, string_of_int (sum (fun s -> s.lock_waits)));
-          (Printf.sprintf "cache.%s.fast_hits" name, string_of_int (sum (fun s -> s.fast_hits)));
         ]
         @ List.concat
             (List.mapi

@@ -9,7 +9,7 @@
       buffering);
     - a pool of long-lived *worker domains* that pop requests and run one
       fresh {!Rox_core.Session} each over the shared engine and the
-      mutex-guarded cache store;
+      cache store (one mutex per shard);
     - an *in-flight table* keyed by request fingerprint (query text hash,
       seed, τ, budgets, engine epoch — {e not} the tenant): a request whose
       fingerprint matches an in-flight execution attaches to it as a
@@ -48,12 +48,6 @@ type config = {
           budgets, client_id) win field-by-field *)
   telemetry : bool;     (** per-request sinks + process aggregate *)
   max_frame : int;      (** protocol frame cap for {!handle_connection} *)
-  parallel_parts : int;
-      (** intra-query partition count (≥ 1): when > 1 the server owns one
-          shared {!Rox_core.Pool} and lends it to every request session,
-          so partitioned edge kernels and racing probes fan out without a
-          per-request pool spawn. [1] (the default) serves strictly
-          sequential sessions with no pool. *)
   recorder : bool;
       (** the flight recorder (default on): every submitted request —
           executed, coalesced, or rejected — leaves one bounded record;
@@ -66,12 +60,11 @@ type config = {
 val config :
   ?cache:Rox_cache.Store.t -> ?workers:int -> ?queue_capacity:int ->
   ?max_connections:int -> ?session:Rox_core.Session.config ->
-  ?telemetry:bool -> ?max_frame:int -> ?parallel_parts:int ->
-  ?recorder:bool -> ?slow_ms:int -> ?slow_log:string ->
+  ?telemetry:bool -> ?max_frame:int -> ?recorder:bool -> ?slow_ms:int -> ?slow_log:string ->
   Rox_storage.Engine.t -> config
 (** Defaults: no cache, 2 workers, capacity 64, 256 connections, default
-    session config, telemetry on, {!Protocol.default_max_frame},
-    [parallel_parts = 1], recorder on, no slow log. *)
+    session config, telemetry on, {!Protocol.default_max_frame}, recorder
+    on, no slow log. *)
 
 type t
 

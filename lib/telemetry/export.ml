@@ -66,31 +66,12 @@ let chrome_trace_parts ?(process_name = "rox") parts =
     [ "\"name\": \"process_name\""; "\"ph\": \"M\""; "\"cat\": \"__metadata\"";
       "\"ts\": 0"; "\"pid\": 0"; "\"tid\": 0";
       Printf.sprintf "\"args\": {\"name\": \"%s\"}" (json_escape process_name) ];
-  (* Pool-worker task spans (lane > 0) render as their own Chrome threads:
-     lane [l] of session [tid] maps to tid [100000 + tid*100 + l], so up to
-     99 worker lanes per session stay collision-free across sessions. *)
-  let lane_tid tid (s : Sink.span) =
-    if s.Sink.lane = 0 then tid else 100000 + (tid * 100) + s.Sink.lane
-  in
   List.iter
     (fun (tid, spans, dropped) ->
       event
         [ "\"name\": \"thread_name\""; "\"ph\": \"M\""; "\"cat\": \"__metadata\"";
           "\"ts\": 0"; "\"pid\": 0"; Printf.sprintf "\"tid\": %d" tid;
           Printf.sprintf "\"args\": {\"name\": \"session-%d\"}" tid ];
-      let lanes_seen = Hashtbl.create 4 in
-      List.iter
-        (fun (s : Sink.span) ->
-          if s.Sink.lane > 0 && not (Hashtbl.mem lanes_seen s.Sink.lane) then begin
-            Hashtbl.add lanes_seen s.Sink.lane ();
-            event
-              [ "\"name\": \"thread_name\""; "\"ph\": \"M\"";
-                "\"cat\": \"__metadata\""; "\"ts\": 0"; "\"pid\": 0";
-                Printf.sprintf "\"tid\": %d" (lane_tid tid s);
-                Printf.sprintf "\"args\": {\"name\": \"session-%d-worker-%d\"}" tid
-                  (s.Sink.lane - 1) ]
-          end)
-        spans;
       List.iter
         (fun (s : Sink.span) ->
           let args =
@@ -110,7 +91,7 @@ let chrome_trace_parts ?(process_name = "rox") parts =
               "\"ph\": \"X\""; "\"cat\": \"rox\"";
               Printf.sprintf "\"ts\": %s" (ts s.Sink.start_ns);
               Printf.sprintf "\"dur\": %.3f" (Clock.us_of_ns s.Sink.dur_ns);
-              "\"pid\": 0"; Printf.sprintf "\"tid\": %d" (lane_tid tid s); args ])
+              "\"pid\": 0"; Printf.sprintf "\"tid\": %d" tid; args ])
         spans;
       if dropped > 0 then
         event

@@ -44,8 +44,6 @@ type t = {
   responses_sent : counter;
   admission_rejects : counter;
   coalesce_hits : counter;
-  partition_tasks : counter;
-  partition_task_ns : histogram;
   queue_wait_ns : histogram;
   serve_ns : histogram;
   cache_resident_bytes : gauge;
@@ -107,12 +105,6 @@ let create () =
     coalesce_hits =
       counter "rox_serve_coalesce_hits_total"
         "requests attached to a fingerprint-equal in-flight execution";
-    partition_tasks =
-      counter "rox_partition_tasks_total"
-        "intra-query partition tasks executed on the domain pool";
-    partition_task_ns =
-      histogram "rox_partition_task_duration_ns"
-        "per partition-task latency on the domain pool";
     queue_wait_ns =
       histogram "rox_serve_queue_wait_duration_ns"
         "admission-queue residence per served request";
@@ -194,14 +186,13 @@ let counters t =
     t.rows_materialized; t.pairs_emitted; t.edges_executed; t.chain_rounds;
     t.queries_served; t.budget_aborts; t.spans_dropped; t.aggregate_merges;
     t.requests_received; t.responses_sent; t.admission_rejects; t.coalesce_hits;
-    t.partition_tasks;
   ]
 
 let gauges t = [ t.cache_resident_bytes; t.cache_shard_lock_waits; t.queue_depth ]
 
 let histograms t =
   [ t.compile_ns; t.query_ns; t.edge_execution_ns; t.chain_round_ns;
-    t.sampled_run_ns; t.partition_task_ns; t.queue_wait_ns; t.serve_ns ]
+    t.sampled_run_ns; t.queue_wait_ns; t.serve_ns ]
 
 let add_into ~into t =
   List.iter2

@@ -62,8 +62,6 @@ type t = {
   responses_sent : counter;      (** protocol replies written by [rox serve] *)
   admission_rejects : counter;   (** requests bounced off a full queue *)
   coalesce_hits : counter;       (** requests served by an in-flight twin *)
-  partition_tasks : counter;     (** intra-query partition tasks run on the pool *)
-  partition_task_ns : histogram; (** per partition-task latency *)
   queue_wait_ns : histogram;     (** admission-queue residence per request *)
   serve_ns : histogram;          (** whole served-request latency *)
   cache_resident_bytes : gauge;  (** last observed [Rox_cache] residency *)

@@ -71,26 +71,6 @@ let with_span t ?attrs ?record name f =
       f
   end
 
-(* Pool tasks run on worker domains, but the sink stays single-domain
-   state: the *caller* appends each task's already-closed span after the
-   fork/join, stamped with the worker's lane (worker index + 1; lane 0 is
-   the session's own call tree). Per-worker execution is sequential, so
-   spans within one lane never overlap — which is exactly the per-lane
-   well-nesting contract the RX401 check and the Chrome exporter rely
-   on. *)
-let add_task_span t ?(attrs = []) ~lane ~start_ns ~dur_ns name =
-  if t.is_enabled then begin
-    if t.n_spans >= t.cap then begin
-      t.n_dropped <- t.n_dropped + 1;
-      Metrics.incr t.metrics.Metrics.spans_dropped
-    end
-    else begin
-      t.rev_spans <-
-        { name; start_ns; dur_ns; depth = t.live; lane; attrs } :: t.rev_spans;
-      t.n_spans <- t.n_spans + 1
-    end
-  end
-
 let spans t = List.rev t.rev_spans
 
 let spans_chronological t =

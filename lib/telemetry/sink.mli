@@ -17,7 +17,7 @@ type span = {
   start_ns : int64;   (** monotonic clock at open *)
   dur_ns : int64;
   depth : int;        (** enclosing-span count at open; 0 = root *)
-  lane : int;         (** 0 = the owner's call tree; [w+1] = pool worker [w] *)
+  lane : int;         (** always 0: every span belongs to the owner's call tree *)
   attrs : (string * string) list;
 }
 
@@ -47,24 +47,6 @@ val with_span :
     [attrs] is evaluated) even when [f] raises — budget aborts unwind
     through well-nested spans. [record] is where call sites feed latency
     histograms without a second clock read. *)
-
-val add_task_span :
-  t ->
-  ?attrs:(string * string) list ->
-  lane:int ->
-  start_ns:int64 ->
-  dur_ns:int64 ->
-  string ->
-  unit
-(** Append an already-closed span measured on a pool worker. The sink
-    stays single-domain state: workers only report [(start, dur)] pairs
-    back through the fork/join, and the *caller* appends them here, in
-    deterministic part order, stamped with [lane] = worker index + 1
-    (lane 0 is the caller's own {!with_span} tree). Within one lane
-    spans never overlap — each worker runs its tasks sequentially — so
-    the RX401 well-nesting check and the Chrome exporter treat each
-    lane as its own thread. Subject to the same cap/dropped accounting
-    as {!with_span}; no-op on a disabled sink. *)
 
 val spans : t -> span list
 (** In completion order (a child precedes its parent). *)

@@ -97,37 +97,6 @@ let mem t x =
     let rec go i = i < t.off + t.len && (t.data.(i) = x || go (i + 1)) in
     go t.off
 
-(* Deterministic merge of partition outputs: parts in order, one blit
-   each. The sorted flag is propagated exactly when it is provably
-   honest: every non-empty part sorted AND strictly increasing across
-   part boundaries — so concatenating the slices of a sorted column
-   gives back a sorted column, while kernel outputs (always flagged
-   unsorted) stay unsorted. *)
-let concat parts =
-  match Array.length parts with
-  | 0 -> empty
-  | 1 -> parts.(0)
-  | _ ->
-    let total = Array.fold_left (fun acc c -> acc + c.len) 0 parts in
-    if total = 0 then empty
-    else begin
-      let out = Array.make total 0 in
-      let pos = ref 0 in
-      let sorted = ref true in
-      let last = ref min_int in
-      Array.iter
-        (fun c ->
-          if c.len > 0 then begin
-            Array.blit c.data c.off out !pos c.len;
-            if (not c.sorted) || (!pos > 0 && c.data.(c.off) <= !last) then
-              sorted := false;
-            last := c.data.(c.off + c.len - 1);
-            pos := !pos + c.len
-          end)
-        parts;
-      { data = out; off = 0; len = total; sorted = !sorted }
-    end
-
 (* Honesty audit for the trusted flag: true iff the flag matches reality
    in the strict direction that kernels rely on (a set flag over an
    unsorted view is the lie; an unset flag is merely conservative). *)

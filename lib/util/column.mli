@@ -56,13 +56,6 @@ val storage_bytes : t -> int
 val mem : t -> int -> bool
 (** Binary search when sorted, linear scan otherwise. *)
 
-val concat : t array -> t
-(** Concatenate in order (the deterministic merge of partitioned kernel
-    outputs). The sorted flag is set iff every non-empty part is sorted
-    *and* the boundaries are strictly increasing — always honest, and it
-    reproduces the input flag when re-assembling the slices of one
-    column. *)
-
 val flag_honest : t -> bool
 (** [true] iff a set sorted flag matches reality (an unset flag is
     merely conservative, never a lie). *)

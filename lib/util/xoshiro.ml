@@ -38,22 +38,6 @@ let split t =
   let seed = Int64.to_int (int64 t) land max_int in
   create seed
 
-(* Fork a stream from a *seed integer* without touching any live
-   generator: mixing (seed, stream) through splitmix64 gives independent
-   streams per index, and — unlike [split] — leaves every existing
-   generator's state byte-identical. This is the only sanctioned way to
-   derive per-task streams for pooled work: splitting a live RNG would
-   advance it and make sequential and parallel runs diverge. *)
-let fork ~seed ~stream =
-  let state = ref (Int64.of_int seed) in
-  let _ = splitmix64 state in
-  state := Int64.logxor !state (Int64.of_int (stream + 0x51ce));
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
-
 let int t n =
   assert (n > 0);
   (* Rejection-free for practical purposes: 63 uniform bits modulo n has

@@ -16,16 +16,6 @@ val split : t -> t
     sub-systems (generator, optimizer, sampler) isolated streams so adding
     draws in one place does not perturb another. *)
 
-val fork : seed:int -> stream:int -> t
-(** [fork ~seed ~stream] derives an independent generator from a seed
-    *integer* and a stream index, without advancing any live generator.
-    Equal [(seed, stream)] pairs yield equal streams. This is the
-    seed-splitting rule for intra-query parallelism: pooled tasks fork
-    their streams from the session's seed, never by calling {!split} on
-    the session's live RNG — so results are independent of task
-    scheduling and a one-part run stays byte-identical to the sequential
-    path. *)
-
 val int : t -> int -> int
 (** [int t n] draws uniformly from [0, n-1]. [n] must be positive. *)
 

@@ -132,13 +132,12 @@ let prop_sharded_model =
         let k = Printf.sprintf "m%d" (Rox_util.Xoshiro.int rng 24) in
         let r = refs.(SLru.shard_of sharded k) in
         if Rox_util.Xoshiro.int rng 3 = 0 then begin
-          if SLru.find_fast sharded k <> SLru.find_fast r k then ok := false;
           if SLru.find sharded k <> SLru.find r k then ok := false
         end
         else begin
           let w = Rox_util.Xoshiro.int rng ((budget / 3) + 2) in
-          SLru.add sharded k ~weight:w ~cost:i i;
-          SLru.add r k ~weight:w ~cost:i i
+          SLru.add sharded k ~weight:w i;
+          SLru.add r k ~weight:w i
         end
       done;
       let per = SLru.shard_stats sharded in
@@ -163,33 +162,6 @@ let prop_sharded_model =
       in
       let expected = List.concat_map (fun i -> order refs.(i)) [ 0; 1; 2; 3 ] in
       !ok && counters_match && order sharded = expected)
-
-(* ---------- Cost-aware admission ---------- *)
-
-let test_cost_aware_eviction () =
-  (* The coldest entry is the most expensive to recompute; a cheap one
-     sits just above it in the recency order. Plain LRU sacrifices the
-     dear entry; the cost-aware policy spares it and counts the swap. *)
-  let run policy =
-    let c = SLru.create ~name:"test.cost" ~policy ~budget:12 () in
-    SLru.add c "dear" ~weight:4 ~cost:1_000_000 1;
-    SLru.add c "cheap" ~weight:4 ~cost:10 2;
-    SLru.add c "mid" ~weight:4 ~cost:500 3;
-    (* The budget is now full: the next insert forces one eviction. *)
-    SLru.add c "new" ~weight:4 ~cost:100 4;
-    c
-  in
-  let lru = run Lru.Lru_only in
-  check_bool "LRU evicts the coldest (dear)" true
-    ((not (SLru.mem lru "dear")) && SLru.mem lru "cheap");
-  check_int "no cost evictions under plain LRU" 0
-    (SLru.stats lru).Lru.cost_evictions;
-  let ca = run Lru.Cost_aware in
-  check_bool "cost-aware spares dear, evicts cheap" true
-    (SLru.mem ca "dear" && not (SLru.mem ca "cheap"));
-  let s = SLru.stats ca in
-  check_int "one eviction" 1 s.Lru.evictions;
-  check_int "counted as cost-aware" 1 s.Lru.cost_evictions
 
 (* ---------- Budget rebalance ---------- *)
 
@@ -232,8 +204,7 @@ let test_shard_rebalance () =
 
 let test_sharded_hammer_bit_identical () =
   (* Each key's value is a pure function of the key, so whatever domain
-     wrote last, any hit — locked or lock-free — must return exactly
-     that function's value. *)
+     wrote last, any hit must return exactly that function's value. *)
   let expected k = Hashtbl.hash ("v:" ^ k) in
   let cache = SLru.create ~name:"test.hammer" ~shards:4 ~budget:65536 () in
   let keys = Array.init 64 (fun i -> Printf.sprintf "h%d" i) in
@@ -243,10 +214,7 @@ let test_sharded_hammer_bit_identical () =
     for i = 1 to 500 do
       let k = keys.(i * (d + 3) land 63) in
       SLru.add cache k ~weight:8 (expected k);
-      (match SLru.find cache k with
-       | Some v when v <> expected k -> Atomic.incr bad
-       | _ -> ());
-      match SLru.find_fast cache k with
+      match SLru.find cache k with
       | Some v when v <> expected k -> Atomic.incr bad
       | _ -> ()
     done
@@ -414,7 +382,6 @@ let suite =
     prop_lru_model;
     Alcotest.test_case "weighted LRU basics" `Quick test_lru_basics;
     prop_sharded_model;
-    Alcotest.test_case "cost-aware eviction" `Quick test_cost_aware_eviction;
     Alcotest.test_case "shard budget rebalance" `Quick test_shard_rebalance;
     Alcotest.test_case "2-domain hammer hits bit-identical" `Slow
       test_sharded_hammer_bit_identical;

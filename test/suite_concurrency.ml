@@ -431,6 +431,25 @@ let test_registry_markdown () =
          go 0))
     A.Diagnostic.registry
 
+(* DESIGN.md's "Diagnostic code registry" table claims to be the output of
+   `rox analyze --codes-md`; hold it to that, so a code added or removed
+   in Diagnostic.registry cannot leave the document stale. *)
+let test_registry_design_doc_current () =
+  (* [dune runtest] runs from _build/default/test; [dune exec] from the root. *)
+  let path =
+    List.find Sys.file_exists [ "../DESIGN.md"; "DESIGN.md" ]
+  in
+  let ic = open_in_bin path in
+  let design =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let table = A.Diagnostic.registry_markdown () in
+  let n = String.length design and tn = String.length table in
+  let rec go j = j + tn <= n && (String.sub design j tn = table || go (j + 1)) in
+  check_bool "DESIGN.md embeds `rox analyze --codes-md` verbatim" true (go 0)
+
 let suite =
   [
     Alcotest.test_case "unlocked cross-domain write -> RX501" `Quick
@@ -479,4 +498,6 @@ let suite =
     Alcotest.test_case "registry explain" `Quick test_registry_explain;
     Alcotest.test_case "registry markdown covers all codes" `Quick
       test_registry_markdown;
+    Alcotest.test_case "registry table in DESIGN.md is current" `Quick
+      test_registry_design_doc_current;
   ]

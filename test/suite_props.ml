@@ -303,53 +303,6 @@ let prop_kernel_unary =
       && agree (Naive.sort_rows r) (Relation.sort_rows (Naive.to_relation r))
       && agree (Naive.project r keep) (Relation.project (Naive.to_relation r) keep))
 
-(* Partition/concat identity: slice the base relation into K contiguous
-   parts, run the kernel per part, merge in part order — the result must
-   be bit-identical to the sequential kernel. This is the contract the
-   Runtime's partitioned edge execution rests on (RX310). K in {1,2,3,8}
-   over 0..24-row fuzzed relations covers zero-row parts, K > row-count,
-   duplicate-heavy skew and the empty relation. *)
-let prop_partition_kernel_merge =
-  qtest ~count:300 "partition -> extend per part -> concat = sequential"
-    QCheck.(pair small_int (int_range 0 3))
-    (fun (seed, kpick) ->
-      let parts = [| 1; 2; 3; 8 |].(kpick) in
-      let rng = Rox_util.Xoshiro.create (seed + 310) in
-      let span = 1 + xi rng 9 in
-      let naive = fuzz_naive rng ~base_vertex:0 ~span in
-      let r = Naive.to_relation naive in
-      let pairs = cpairs (fuzz_pairs rng ~m:(xi rng 20) ~lspan:span ~rspan:50) in
-      let on = pick_vertex rng naive in
-      let sequential = Relation.extend r ~on ~new_vertex:9 pairs in
-      let merged =
-        Relation.concat_parts
-          (Array.map
-             (fun base -> Relation.extend base ~on ~new_vertex:9 pairs)
-             (Relation.partition r ~by:on ~parts))
-      in
-      Relation.equal merged sequential)
-
-let prop_partition_filter_merge =
-  qtest ~count:300 "partition -> filter_pairs per part -> concat = sequential"
-    QCheck.(pair small_int (int_range 0 3))
-    (fun (seed, kpick) ->
-      let parts = [| 1; 2; 3; 8 |].(kpick) in
-      let rng = Rox_util.Xoshiro.create (seed + 311) in
-      let span = 1 + xi rng 9 in
-      let naive = fuzz_naive rng ~base_vertex:0 ~span in
-      let r = Naive.to_relation naive in
-      let c1 = pick_vertex rng naive in
-      let c2 = pick_vertex rng naive in
-      let pairs = cpairs (fuzz_pairs rng ~m:(xi rng 20) ~lspan:span ~rspan:span) in
-      let sequential = Relation.filter_pairs r ~c1 ~c2 pairs in
-      let merged =
-        Relation.concat_parts
-          (Array.map
-             (fun base -> Relation.filter_pairs base ~c1 ~c2 pairs)
-             (Relation.partition r ~by:c1 ~parts))
-      in
-      Relation.equal merged sequential)
-
 let prop_kernel_cross =
   qtest ~count:200 "columnar cross = naive cross" QCheck.small_int
     (fun seed ->
@@ -374,6 +327,4 @@ let suite =
     prop_kernel_filter_pairs;
     prop_kernel_unary;
     prop_kernel_cross;
-    prop_partition_kernel_merge;
-    prop_partition_filter_merge;
   ]

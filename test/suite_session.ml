@@ -171,81 +171,6 @@ let test_two_domains_bit_identical () =
   let theirs = Domain.join other in
   check_bool "domains agree bit-for-bit" true (mine = theirs)
 
-(* ---------- Intra-query pool ---------- *)
-
-let test_pool_fork_join () =
-  let pool = Pool.create ~parts:3 in
-  check_int "parts" 3 (Pool.parts pool);
-  let n = 64 in
-  let out = Array.make n (-1) in
-  Pool.run pool n (fun ~worker:_ i -> out.(i) <- i * i);
-  check_bool "each task filled exactly its own slot" true
-    (Array.to_list out = List.init n (fun i -> i * i));
-  (* Failure is deterministic: the LOWEST-index exception re-raises, no
-     matter which domain hit one first. *)
-  (try
-     Pool.run pool 8 (fun ~worker:_ i ->
-         if i >= 2 then failwith (string_of_int i));
-     Alcotest.fail "expected a task failure"
-   with Failure m -> check_string "lowest-index exception wins" "2" m);
-  (* The pool survives a failed batch. *)
-  Pool.run pool 4 (fun ~worker:_ _ -> ());
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* idempotent *)
-  try
-    Pool.run pool 4 (fun ~worker:_ _ -> ());
-    Alcotest.fail "expected Invalid_argument after shutdown"
-  with Invalid_argument _ -> ()
-
-let test_parallel_parts_bit_identical () =
-  let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine q1 in
-  let run parts =
-    let session =
-      Session.create
-        ~config:
-          { (Session.default_config ()) with
-            Session.seed = 11; parallel_parts = parts }
-        ()
-    in
-    let answer = fst (Optimizer.answer session compiled) in
-    Session.release session;
-    answer
-  in
-  let reference = run 1 in
-  List.iter
-    (fun parts ->
-      check_bool
-        (Printf.sprintf "parts=%d answer bit-identical" parts)
-        true
-        (run parts = reference))
-    [ 2; 3; 4 ]
-
-let test_parallel_parts_one_spawns_nothing () =
-  let session = seeded 5 in
-  check_int "no pool by default" 1 (Session.parallel_parts session);
-  (* run_tasks without a pool is the inline loop: task order, worker 0. *)
-  let order = ref [] in
-  Session.run_tasks session 5 (fun ~worker i ->
-      check_int "inline worker is the caller" 0 worker;
-      order := i :: !order);
-  check_bool "inline tasks run in order" true
-    (List.rev !order = [ 0; 1; 2; 3; 4 ]);
-  Session.release session
-
-let test_fork_rng_seed_split () =
-  let session = seeded 42 in
-  let draw rng = List.init 8 (fun _ -> Rox_util.Xoshiro.int rng 1_000_000) in
-  (* fork_rng derives from the session SEED, not the live RNG: forking
-     must not advance session randomness (the parts=1 bit-identity rule),
-     so the same stream replays and distinct streams decorrelate. *)
-  let a = draw (Session.fork_rng session ~stream:3) in
-  let b = draw (Session.fork_rng session ~stream:3) in
-  let c = draw (Session.fork_rng session ~stream:4) in
-  check_bool "same stream replays" true (a = b);
-  check_bool "distinct streams decorrelate" true (a <> c)
-
 let suite =
   [
     Alcotest.test_case "same seed, same run" `Quick test_same_seed_same_run;
@@ -263,10 +188,4 @@ let suite =
     Alcotest.test_case "sanitized full run" `Quick test_full_run_stays_confined;
     Alcotest.test_case "two domains, identical answers" `Quick
       test_two_domains_bit_identical;
-    Alcotest.test_case "pool fork/join basics" `Quick test_pool_fork_join;
-    Alcotest.test_case "parallel parts, identical answers" `Slow
-      test_parallel_parts_bit_identical;
-    Alcotest.test_case "parts=1 spawns nothing" `Quick
-      test_parallel_parts_one_spawns_nothing;
-    Alcotest.test_case "fork_rng seed-splits" `Quick test_fork_rng_seed_split;
   ]

@@ -197,46 +197,6 @@ let busy_sink () =
   Metrics.set m.Metrics.cache_resident_bytes 4096.0;
   sink
 
-(* Task spans live on per-worker lanes: a pool task's closed span never
-   interleaves with the owner's with_span tree, so RX401 nesting is
-   checked per lane and a lane-1 span overlapping lane 0 is legal. *)
-let test_task_span_lanes () =
-  let sink = Sink.create ~enabled:true () in
-  Sink.with_span sink "edge" (fun () ->
-      (* Two "workers" report overlapping windows inside the owner span —
-         exactly what a partitioned kernel produces. *)
-      Sink.add_task_span sink ~lane:1 ~start_ns:10L ~dur_ns:100L
-        ~attrs:[ ("part", "0") ] "partition_task";
-      Sink.add_task_span sink ~lane:2 ~start_ns:15L ~dur_ns:100L
-        ~attrs:[ ("part", "1") ] "partition_task");
-  check_int "three spans closed" 3 (Sink.span_count sink);
-  let lanes =
-    List.map (fun s -> (s.Sink.name, s.Sink.lane)) (Sink.spans_chronological sink)
-  in
-  check_bool "owner span on lane 0" true (List.mem ("edge", 0) lanes);
-  check_bool "task spans on worker lanes" true
-    (List.mem ("partition_task", 1) lanes && List.mem ("partition_task", 2) lanes);
-  check_int "per-lane nesting is RX4xx clean" 0
-    (List.length (A.Telemetry_check.check sink));
-  (* The Chrome export maps each lane to its own synthetic tid... *)
-  let json = Export.chrome_trace [ (1, sink) ] in
-  check_bool "worker lanes get named threads" true
-    (contains json "session-1-worker-0" && contains json "session-1-worker-1");
-  (* ...and the result is still a valid trace. *)
-  (match Rox_util.Minijson.parse json with
-   | Error e -> Alcotest.failf "lane trace does not parse: %s" e
-   | Ok j -> (
-     match Export.validate_chrome j with
-     | Error e -> Alcotest.failf "lane trace fails validation: %s" e
-     | Ok n -> check_int "one X event per span" 3 n))
-
-let test_task_span_cap () =
-  let sink = Sink.create ~cap:1 ~enabled:true () in
-  Sink.with_span sink "owner" (fun () -> ());
-  Sink.add_task_span sink ~lane:1 ~start_ns:0L ~dur_ns:1L "late";
-  check_int "cap applies to task spans too" 1 (Sink.span_count sink);
-  check_int "dropped task span counted" 1 (Sink.dropped sink)
-
 let test_chrome_trace_roundtrip () =
   let sink = busy_sink () in
   let json = Export.chrome_trace ~process_name:"rox-test" [ (1, sink) ] in
@@ -731,8 +691,6 @@ let suite =
     prop_random_nesting_well_formed;
     ("disabled sink records nothing", `Quick, test_disabled_sink);
     ("disabled sink allocates nothing", `Quick, test_disabled_sink_no_alloc);
-    ("task-span lanes", `Quick, test_task_span_lanes);
-    ("task-span cap", `Quick, test_task_span_cap);
     ("chrome trace round-trip", `Quick, test_chrome_trace_roundtrip);
     ("chrome trace truncation marker", `Quick, test_chrome_trace_truncation_marker);
     ("prometheus exposition", `Quick, test_prometheus_exposition);
