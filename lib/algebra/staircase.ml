@@ -1,9 +1,14 @@
 open Rox_util
 open Rox_shred
 
-(* All loops below keep the invariant that candidates are probed through
-   galloping searches from a monotonically advancing cursor, so total probe
-   cost is O(|consumed C| + |touched S| + |R|) — the Table 1 costs. *)
+(* Each context locates its candidate range with its own binary search
+   ([Bin_search.lower_bound] over the whole candidate column, in
+   [emit_range] and the Following / Preceding scans) and then scans the
+   range; Parent / Ancestor steps probe candidates by [Bin_search.mem].
+   Charged work is one unit per context plus one per candidate scanned or
+   probed (Table 1's |C| + |S| + |R| on the pruned containment axes); the
+   searches add O(log |S|) uncharged time per context, or per probe on the
+   upward axes. *)
 
 let iter_pairs ?meter ~doc ~axis ~context ~candidates f =
   let context = Column.read context and candidates = Column.read candidates in

@@ -47,7 +47,36 @@ let vertex_domain engine (v : Vertex.t) =
           Selection.filter ~doc:r.Engine.doc ~pred:p
             (Element_index.lookup_attr r.Engine.elements name_id)))
 
-let vertex_domain_count engine v = Column.length (vertex_domain engine v)
+(* The same cases as [vertex_domain], answered from index counts. Only an
+   attribute range predicate has no count path and filters its domain. *)
+let vertex_domain_count engine (v : Vertex.t) =
+  let r = docref engine v in
+  match v.Vertex.annot with
+  | Vertex.Root -> 1
+  | Vertex.Element q ->
+    (match Engine.qname_id engine q with
+     | Some id -> Element_index.count r.Engine.elements id
+     | None -> 0)
+  | Vertex.Text None -> Kind_index.count r.Engine.kinds Rox_shred.Nodekind.Text
+  | Vertex.Text (Some (Selection.Eq s)) ->
+    (match Engine.value_id engine s with
+     | Some id -> Value_index.text_eq_count r.Engine.values id
+     | None -> 0)
+  | Vertex.Text (Some pred) ->
+    (match range_of_pred pred with
+     | Some (lo, hi) -> Value_index.text_range_count r.Engine.values ?lo ?hi ()
+     | None -> assert false)
+  | Vertex.Attr (q, pred) ->
+    (match Engine.qname_id engine q with
+     | None -> 0
+     | Some name_id ->
+       (match pred with
+        | None -> Element_index.count_attr r.Engine.elements name_id
+        | Some (Selection.Eq s) ->
+          (match Engine.value_id engine s with
+           | Some value_id -> Value_index.attr_eq_count r.Engine.values ~name_id ~value_id
+           | None -> 0)
+        | Some _ -> Column.length (vertex_domain engine v)))
 
 let can_index_init (v : Vertex.t) =
   match v.Vertex.annot with

@@ -19,8 +19,10 @@ val vertex_domain : Engine.t -> Vertex.t -> Rox_util.Column.t
     or attribute-name index otherwise. Includes the vertex predicate. *)
 
 val vertex_domain_count : Engine.t -> Vertex.t -> int
-(** Like [vertex_domain] but only the count — index lookups expose counts
-    for free (Section 2.2). *)
+(** [Column.length (vertex_domain engine v)] without materializing the
+    domain — index lookups expose counts for free (Section 2.2). An
+    attribute vertex with a range predicate is the one exception: no
+    index counts it, so its domain is filtered. *)
 
 val can_index_init : Vertex.t -> bool
 (** Algorithm 1 (lines 1-2, 9-12) initializes only root vertices, elements

@@ -7,8 +7,8 @@ open Rox_algebra
    they cannot ([extend], [fuse], [distinct], [sort_rows]), so a cell is
    copied at most once per kernel and never boxed. The trusted
    [Column.sorted] flag (strictly increasing = document order, duplicate
-   free) unlocks merge paths and makes [distinct] / [sort_rows] /
-   [column_distinct] free on fresh single-component relations.
+   free) unlocks merge paths and makes [distinct] / [sort_rows] free on
+   fresh single-component relations.
 
    Under [ROX_SANITIZE=1] every kernel is cross-checked bit-for-bit
    against the retained row-major reference in {!Naive} (RX306), and
@@ -47,7 +47,6 @@ let col_index_exn t v =
   | None -> invalid_arg "Relation: vertex not in relation"
 
 let column t v = t.cols.(col_index_exn t v)
-let column_distinct t v = Column.sorted_dedup (column t v)
 
 let singleton ~vertex nodes = make [| vertex |] [| nodes |] (Column.length nodes)
 

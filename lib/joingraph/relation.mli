@@ -14,15 +14,15 @@
     [extend] / [fuse] / [distinct] / [sort_rows] gather through unboxed
     row-index vectors and open-addressing int tables (no polymorphic
     compare, no boxed keys); the trusted [Column.sorted] flag turns
-    [distinct], [sort_rows] and [column_distinct] into no-ops on
-    document-ordered columns and unlocks a merge path in [extend].
+    [distinct] and [sort_rows] into no-ops on document-ordered columns
+    and unlocks a merge path in [extend].
 
     Under [ROX_SANITIZE=1] every kernel is cross-checked bit-for-bit
     against the retained row-major reference {!Naive} (contract RX306)
     and every column's sorted flag is audited (RX305).
 
-    The per-vertex tables T(v) of Algorithm 1 are distinct column
-    projections of these relations. *)
+    The per-vertex tables T(v) of Algorithm 1 are the distinct values of
+    these relations' columns ({!Runtime} derives them without sorting). *)
 
 type t
 
@@ -45,10 +45,6 @@ val of_pairs : v1:int -> v2:int -> Exec.pairs -> t
 
 val column : t -> int -> Rox_util.Column.t
 (** The vertex's column, with duplicates, in row order — zero-copy. *)
-
-val column_distinct : t -> int -> Rox_util.Column.t
-(** Sorted duplicate-free column — the updated T(v). Zero-copy when the
-    column's sorted flag is already set. *)
 
 val equal : t -> t -> bool
 (** Same vertices, same rows in the same order; monomorphic element

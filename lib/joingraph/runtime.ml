@@ -54,6 +54,9 @@ type t = {
      (the closure edges of Figure 4 are alternatives, not extra work) and
      completes as a no-op. *)
   equi_uf : int array;
+  (* All-zero scratch indexed by pre for [Column.semijoin]; grown on
+     demand. *)
+  mutable marks : Bytes.t;
 }
 
 let engine t = t.engine
@@ -83,6 +86,7 @@ let create ?config engine graph =
       components = Array.make 8 None;
       ncomponents = 0;
       equi_uf = Array.init (Graph.vertex_count graph) (fun i -> i);
+      marks = Bytes.empty;
     }
   in
   Array.iter
@@ -171,13 +175,28 @@ let sweep_implied t =
       end)
     (Graph.edges t.graph)
 
+(* A scratch mark buffer covering every entry of [table], a node set of
+   vertex [v]: grown at most once per document size, to cover the whole
+   document. *)
+let marks_for t v table =
+  let n = Column.length table in
+  if n > 0 && Bytes.length t.marks <= Column.get table (n - 1) then begin
+    let doc = (Engine.get t.engine (Graph.vertex t.graph v).Vertex.doc_id).Engine.doc in
+    t.marks <- Bytes.make (Rox_shred.Doc.node_count doc) '\000'
+  end;
+  t.marks
+
 (* After the affected component changed, refresh T(v) for all its vertices;
-   report which ones actually shrank. *)
-let refresh_tables t rel =
+   report which ones actually shrank. Each column holds only nodes of the
+   table the edge read for its vertex ([read v]: the endpoint input, else
+   the current T(v)), and T(v) only ever shrinks — so the new T(v) is that
+   sorted table semijoined with the column, never a sort. *)
+let refresh_tables t rel ~read =
   let changed = ref [] in
   Array.iter
     (fun v ->
-      let fresh = Relation.column_distinct rel v in
+      let base = read v in
+      let fresh = Column.semijoin ~marks:(marks_for t v base) base (Relation.column rel v) in
       let dirty =
         match t.tables.(v) with
         | Some old -> Column.length old <> Column.length fresh
@@ -373,7 +392,10 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
   if c1 >= 0 && c2 >= 0 && c1 <> c2 then t.components.(c2) <- None;
   set_component t cid rel;
   mark_executed t e;
-  let changed = refresh_tables t rel in
+  let read v =
+    if v = v1 then plan.in1 else if v = v2 then plan.in2 else table_or_domain t v
+  in
+  let changed = refresh_tables t rel ~read in
   if t.sanitize then begin
     let op = Printf.sprintf "Runtime.execute_edge(e%d)" e.Edge.id in
     Array.iter
@@ -382,6 +404,9 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
         | None -> ()
         | Some tab ->
           let what = Printf.sprintf "T(v%d)" v in
+          (* The sort-free refresh must equal sorting its column (RX306). *)
+          Sanitize.check_kernel_equiv ~op ~what
+            (Column.equal tab (Column.sorted_dedup (Relation.column rel v)));
           Sanitize.check_column_flag ~op ~what tab;
           Sanitize.check_sorted_dedup ~op ~what (Column.read tab);
           Sanitize.check_subset ~op ~what

@@ -5,17 +5,21 @@ type t = {
   text_by_value : (int, Column.t) Hashtbl.t;
   attr_by_name_value : (int * int, Column.t) Hashtbl.t;
   attr_by_value : (int, Column.t) Hashtbl.t;
-  (* Numeric access path: parallel arrays sorted by numeric value. *)
+  (* Numeric access paths over the text nodes whose value parses as a
+     number other than NaN: the values sorted, for range counts by binary
+     search, and the nodes in pre order with their values alongside, for
+     range lookups by one filtering scan that needs no sort. *)
   num_values : float array;
-  num_pres : int array;
+  num_pre : int array;
+  num_pre_values : float array; (* parallel to [num_pre] *)
 }
 
 let build doc =
   let text_acc : (int, Int_vec.t) Hashtbl.t = Hashtbl.create 1024 in
   let attr_nv_acc : (int * int, Int_vec.t) Hashtbl.t = Hashtbl.create 1024 in
   let attr_v_acc : (int, Int_vec.t) Hashtbl.t = Hashtbl.create 1024 in
+  let num_pre = Int_vec.create () in
   let nums = ref [] in
-  let num_count = ref 0 in
   let push tbl key pre =
     let vec =
       match Hashtbl.find_opt tbl key with
@@ -32,11 +36,13 @@ let build doc =
     | Nodekind.Text ->
       let v = Doc.value_id doc pre in
       push text_acc v pre;
+      (* [float_of_string_opt] accepts "nan", but no comparison selects
+         NaN, and indexing it would break the sorted-value binary search. *)
       (match float_of_string_opt (Doc.value doc pre) with
-       | Some f ->
-         nums := (f, pre) :: !nums;
-         incr num_count
-       | None -> ())
+       | Some f when not (Float.is_nan f) ->
+         Int_vec.push num_pre pre;
+         nums := f :: !nums
+       | Some _ | None -> ())
     | Nodekind.Attr ->
       let v = Doc.value_id doc pre in
       let n = Doc.name_id doc pre in
@@ -52,17 +58,16 @@ let build doc =
       tbl;
     out
   in
-  let num_pairs = Array.of_list !nums in
-  Array.sort
-    (fun (a, pa) (b, pb) ->
-      match Float.compare a b with 0 -> Int.compare pa pb | c -> c)
-    num_pairs;
+  let num_pre_values = Array.of_list (List.rev !nums) in
+  let num_values = Array.copy num_pre_values in
+  Array.sort Float.compare num_values;
   {
     text_by_value = freeze text_acc;
     attr_by_name_value = freeze attr_nv_acc;
     attr_by_value = freeze attr_v_acc;
-    num_values = Array.map fst num_pairs;
-    num_pres = Array.map snd num_pairs;
+    num_values;
+    num_pre = Int_vec.to_array num_pre;
+    num_pre_values;
   }
 
 let find_or_empty tbl key =
@@ -74,7 +79,7 @@ let attr_eq t ~name_id ~value_id = find_or_empty t.attr_by_name_value (name_id, 
 let attr_eq_count t ~name_id ~value_id = Column.length (attr_eq t ~name_id ~value_id)
 let attr_eq_any_name t ~value_id = find_or_empty t.attr_by_value value_id
 
-(* Boundary indices in the numeric-sorted arrays for [lo, hi]. *)
+(* Boundary indices in the value-sorted array for [lo, hi]. *)
 let range_bounds t ?lo ?hi () =
   let n = Array.length t.num_values in
   let start =
@@ -101,14 +106,30 @@ let range_bounds t ?lo ?hi () =
   in
   (start, stop)
 
-let text_range t ?lo ?hi () =
-  let start, stop = range_bounds t ?lo ?hi () in
-  let out = Array.sub t.num_pres start (max 0 (stop - start)) in
-  Array.sort Int.compare out;
-  Column.unsafe_of_array ~sorted:true out
+let is_nan_bound = function Some b -> Float.is_nan b | None -> false
 
+(* A NaN bound selects nothing, as in every comparison. *)
 let text_range_count t ?lo ?hi () =
-  let start, stop = range_bounds t ?lo ?hi () in
-  max 0 (stop - start)
+  if is_nan_bound lo || is_nan_bound hi then 0
+  else
+    let start, stop = range_bounds t ?lo ?hi () in
+    max 0 (stop - start)
+
+(* One scan of the pre-ordered numeric nodes: the result comes out sorted
+   on pre, into an array sized by the count — the same selection, since no
+   NaN is indexed and a NaN bound selects nothing either way. *)
+let text_range t ?lo ?hi () =
+  let out = Array.make (text_range_count t ?lo ?hi ()) 0 in
+  let lo = Option.value lo ~default:Float.neg_infinity in
+  let hi = Option.value hi ~default:Float.infinity in
+  let values = t.num_pre_values and k = ref 0 in
+  for i = 0 to Array.length values - 1 do
+    let v = values.(i) in
+    if lo <= v && v <= hi then begin
+      out.(!k) <- t.num_pre.(i);
+      incr k
+    end
+  done;
+  Column.unsafe_of_array ~sorted:true out
 
 let numeric_text_count t = Array.length t.num_values

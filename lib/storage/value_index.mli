@@ -12,7 +12,12 @@
     Counts of qualifying nodes are available without materializing the
     result, and every result sequence is duplicate-free, sorted on pre.
     Unlike the paper's [Dattr], attribute lookups here return the attribute
-    nodes themselves; the owner element is one O(1) [parent] hop away. *)
+    nodes themselves; the owner element is one O(1) [parent] hop away.
+
+    A text node is numeric when its value parses with [float_of_string]
+    to anything but NaN: ["nan"] is never numeric, so no range selects it
+    (just as no comparison with NaN holds), while ["inf"], ["-0"] and
+    ["1e2"] are. A NaN bound selects nothing. *)
 
 type t
 
@@ -35,9 +40,12 @@ val attr_eq_any_name : t -> value_id:int -> Rox_util.Column.t
 
 val text_range : t -> ?lo:float -> ?hi:float -> unit -> Rox_util.Column.t
 (** Text nodes whose value parses as a number within [lo, hi] (inclusive;
-    bounds optional). Result is freshly allocated, sorted on pre. *)
+    bounds optional). Result is freshly allocated, sorted on pre: one scan
+    of the numeric nodes kept in pre order, no sort. *)
 
 val text_range_count : t -> ?lo:float -> ?hi:float -> unit -> int
+(** [Column.length (text_range t ?lo ?hi ())] by binary search over the
+    sorted values, without materializing. *)
 
 val numeric_text_count : t -> int
 (** How many text nodes have numeric values at all. *)

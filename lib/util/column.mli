@@ -63,6 +63,16 @@ val flag_honest : t -> bool
 val sorted_dedup : t -> t
 (** Sorted duplicate-free values; zero-copy when already sorted. *)
 
+val semijoin : marks:Bytes.t -> t -> t -> t
+(** [semijoin ~marks table c] keeps the entries of [table] that occur in
+    [c], in table order, without sorting: O([length c + length table]).
+    When every value of [c] occurs in [table] this equals
+    [sorted_dedup c]; when nothing is dropped it is [table] itself.
+    [marks] is scratch: it must be all zero on entry, is all zero again on
+    return, and should be longer than the largest value of [table]
+    (entries beyond it are dropped).
+    @raise Invalid_argument when [table]'s sorted flag is unset. *)
+
 val is_strictly_increasing : int array -> bool
 
 val pp : Format.formatter -> t -> unit

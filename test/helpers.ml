@@ -5,7 +5,10 @@ open Rox_xmldom
 
 let tags = [| "a"; "b"; "c"; "d"; "item" |]
 let attr_names = [| "id"; "ref"; "x" |]
-let words = [| "1"; "2"; "42"; "hello"; "145"; "7.5"; "x y"; "" |]
+(* Includes the strings [float_of_string] reads as NaN, infinity, negative
+   zero and an exponent, so numeric predicates meet every float class. *)
+let words =
+  [| "1"; "2"; "42"; "hello"; "145"; "7.5"; "x y"; ""; "nan"; "inf"; "-0"; "1e2" |]
 
 (* Random tree via a seeded generator; sizes stay small so naive
    reference computations are cheap. *)
@@ -111,3 +114,17 @@ let qtest ?(count = 100) name arb prop =
 
 (* Sorted distinct list equality for answers given as (doc, pre) or pre. *)
 let same_set a b = List.sort_uniq compare a = List.sort_uniq compare b
+
+(* Algorithm 1's semijoin invariant after a run: every materialized vertex
+   table equals the distinct values of its final relation column. *)
+let tables_match_relation (result : Rox_core.Optimizer.result) =
+  let rel = result.Rox_core.Optimizer.relation in
+  let runtime = Rox_core.State.runtime result.Rox_core.Optimizer.state in
+  Array.for_all
+    (fun v ->
+      match Rox_joingraph.Runtime.table runtime v with
+      | Some table ->
+        Rox_util.Column.equal table
+          (Rox_util.Column.sorted_dedup (Rox_joingraph.Relation.column rel v))
+      | None -> true)
+    (Rox_joingraph.Relation.vertices rel)

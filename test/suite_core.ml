@@ -76,6 +76,21 @@ let test_rox_dblp_correct () =
   check_bool "ROX = naive on DBLP" true
     (List.map (fun p -> (0, p)) (Array.to_list answer) = naive)
 
+(* NaN text must never satisfy a numeric predicate: ROX reads the value
+   index's range path, the naive evaluator compares every text node. *)
+let test_rox_nan_text () =
+  let engine, _ =
+    engine_of_xml "<r><p>nan</p><p>3</p><p>NaN</p><p>7</p><p>-nan</p><p>1</p><p>9</p></r>"
+  in
+  List.iter
+    (fun (op, expected) ->
+      let src = Printf.sprintf {|for $p in doc("doc0.xml")//p[./text() %s 5] return $p|} op in
+      let compiled = Compile.compile_string engine src in
+      let answer, _ = Optimizer.answer_default compiled in
+      check_bool ("ROX = naive, text() " ^ op ^ " 5") true (answers_match engine compiled answer);
+      Alcotest.check int_array ("answer, text() " ^ op ^ " 5") expected answer)
+    [ ("<", [| 4; 12 |]); (">", [| 8; 14 |]) ]
+
 let test_rox_deterministic () =
   let engine = xmark_engine () in
   let compiled = Compile.compile_string engine (q1 145 "<") in
@@ -277,6 +292,7 @@ let suite =
     Alcotest.test_case "ROX Fig1 query = naive" `Quick test_rox_fig1_correct;
     Alcotest.test_case "ROX answer nonempty" `Quick test_rox_nonempty;
     Alcotest.test_case "ROX DBLP = naive" `Quick test_rox_dblp_correct;
+    Alcotest.test_case "ROX = naive on NaN text" `Quick test_rox_nan_text;
     Alcotest.test_case "deterministic" `Quick test_rox_deterministic;
     Alcotest.test_case "seed-independent answers" `Quick test_rox_seed_sensitivity;
     Alcotest.test_case "ablation: greedy" `Quick test_ablation_greedy;

@@ -87,6 +87,23 @@ let test_range_boundaries () =
   check_int "empty below" 0 (Value_index.text_range_count vi ~hi:4.9 ());
   check_int "empty above" 0 (Value_index.text_range_count vi ~lo:6.1 ())
 
+(* "nan" parses as a float, but NaN is never numeric: it used to sort into
+   the value array and be counted into every [hi]-bounded range. *)
+let nan_xml = "<r><p>nan</p><p>3</p><p>NaN</p><p>7</p><p>-nan</p><p>1</p><p>9</p></r>"
+
+let test_range_skips_nan () =
+  let _, r = engine_and_doc nan_xml in
+  let vi = r.Engine.values in
+  check_int "numeric count" 4 (Value_index.numeric_text_count vi);
+  Alcotest.check int_array "below 5" [| 5; 13 |]
+    (arr (Value_index.text_range vi ~hi:(Float.pred 5.) ()));
+  check_int "below 5 count" 2 (Value_index.text_range_count vi ~hi:(Float.pred 5.) ());
+  Alcotest.check int_array "above 5" [| 9; 15 |]
+    (arr (Value_index.text_range vi ~lo:(Float.succ 5.) ()));
+  Alcotest.check int_array "open range" [| 5; 9; 13; 15 |] (arr (Value_index.text_range vi ()));
+  check_int "NaN bound selects nothing" 0 (clen (Value_index.text_range vi ~lo:Float.nan ()));
+  check_int "NaN bound counts nothing" 0 (Value_index.text_range_count vi ~hi:Float.nan ())
+
 (* ---------- Sampling ---------- *)
 
 let prop_sampling =
@@ -163,6 +180,7 @@ let suite =
     Alcotest.test_case "value index eq" `Quick test_value_index_eq;
     Alcotest.test_case "value index range" `Quick test_value_index_range;
     Alcotest.test_case "range boundaries" `Quick test_range_boundaries;
+    Alcotest.test_case "range skips NaN" `Quick test_range_skips_nan;
     prop_sampling;
     Alcotest.test_case "sample all" `Quick test_sample_all;
     Alcotest.test_case "sample fraction" `Quick test_sample_fraction;
