@@ -24,7 +24,7 @@ lint:
 # Dynamic race detection (RX501-RX504): prove the detector's teeth on
 # the seeded fixtures (the planted unguarded counter must come back
 # RX501, its mutex-guarded twin clean), then replay the multi-domain
-# workload — concurrent sessions on one shared sharded cache, then the
+# workload — concurrent sessions on one shared cache, then the
 # same queries through the serving front-end — under the armed access
 # log and require it race-free. The explicit seeded-race invocation
 # asserts the non-zero exit path CI depends on.

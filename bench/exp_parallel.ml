@@ -85,9 +85,9 @@ type hammer_result = {
 }
 
 (* Warm one store, then hammer the same hot fingerprints from [domains]
-   domains. [shards = 1] is the single-mutex baseline. *)
-let hammer_config ~domains ~iters ~shards engine compiled_list reference =
-  let store = Rox_cache.Store.of_megabytes ~shards engine 32 in
+   domains. *)
+let hammer ~domains ~iters engine compiled_list reference =
+  let store = Rox_cache.Store.of_megabytes engine 32 in
   (* Warm pass: after this every edge/estimate fingerprint is resident,
      so the measured phase is (almost) pure cache-hit traffic. *)
   ignore (List.map (fun c -> run_one ~cache:store c) compiled_list);
@@ -179,26 +179,14 @@ let run ?(factor = 0.25) ?(iters = 3) () =
     telemetry_domains served expected_served
     (if telemetry_ok then "" else "  INCONSISTENT");
   (* Cache-hit throughput: the same hot fingerprints hammered from N
-     domains against a single-mutex store and the default sharded store.
-     Both record qps and shard lock waits; neither is gated. *)
+     domains against one store. Records qps and lock waits; not gated. *)
   let hammer_domains = 2 in
-  let sharded_shards = Rox_cache.Store.default_shards in
-  let single =
-    hammer_config ~domains:hammer_domains ~iters ~shards:1 engine compiled_list
-      reference
-  in
-  let sharded =
-    hammer_config ~domains:hammer_domains ~iters ~shards:sharded_shards engine
-      compiled_list reference
-  in
-  let hammer_ok = single.hr_identical && sharded.hr_identical in
+  let hr = hammer ~domains:hammer_domains ~iters engine compiled_list reference in
+  let hammer_ok = hr.hr_identical in
   Printf.printf
-    "cache-hit hammer, %d domains: single-lock %6.2f q/s (%d waits), %d-shard %6.2f q/s (%d waits)%s\n%!"
-    hammer_domains single.hr_qps single.hr_lock_waits sharded_shards
-    sharded.hr_qps sharded.hr_lock_waits
+    "cache-hit hammer, %d domains: %6.2f q/s (%d lock waits, spread %.1f%%)%s\n%!"
+    hammer_domains hr.hr_qps hr.hr_lock_waits hr.hr_spread_pct
     (if hammer_ok then "" else "  ANSWERS DIVERGED");
-  Printf.printf "  qps spread across domains: single %.1f%%, sharded %.1f%%\n%!"
-    single.hr_spread_pct sharded.hr_spread_pct;
   let qps_of d = List.find_opt (fun (d', _, _) -> d' = d) runs in
   let speedup =
     match (qps_of 1, qps_of 4) with
@@ -216,14 +204,6 @@ let run ?(factor = 0.25) ?(iters = 3) () =
   let all_identical =
     cache_ok && telemetry_ok && hammer_ok
     && List.for_all (fun (_, _, ok) -> ok) runs
-  in
-  let hammer_json label shards hr =
-    Printf.sprintf
-      "    \"%s\": {\"shards\": %d, \"qps\": %s, \"per_domain_qps\": [%s], \"qps_spread_pct\": %s, \"lock_waits\": %d, \"hits\": %d, \"identical\": %b}"
-      label shards (json_escape_float hr.hr_qps)
-      (String.concat ", " (List.map json_escape_float hr.hr_per_domain_qps))
-      (json_escape_float hr.hr_spread_pct)
-      hr.hr_lock_waits hr.hr_hits hr.hr_identical
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
@@ -252,12 +232,12 @@ let run ?(factor = 0.25) ?(iters = 3) () =
   Buffer.add_string buf
     (Printf.sprintf "  \"aggregate_merges\": %d,\n" merges);
   Buffer.add_string buf
-    (Printf.sprintf "  \"cache_hit_leg\": {\n    \"domains\": %d,\n"
-       hammer_domains);
-  Buffer.add_string buf (hammer_json "single_lock" 1 single);
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf (hammer_json "sharded" sharded_shards sharded);
-  Buffer.add_string buf "\n  },\n";
+    (Printf.sprintf
+       "  \"cache_hit_leg\": {\"domains\": %d, \"qps\": %s, \"per_domain_qps\": [%s], \"qps_spread_pct\": %s, \"lock_waits\": %d, \"hits\": %d, \"identical\": %b},\n"
+       hammer_domains (json_escape_float hr.hr_qps)
+       (String.concat ", " (List.map json_escape_float hr.hr_per_domain_qps))
+       (json_escape_float hr.hr_spread_pct)
+       hr.hr_lock_waits hr.hr_hits hr.hr_identical);
   Buffer.add_string buf
     (Printf.sprintf "  \"all_identical\": %b\n" all_identical);
   Buffer.add_string buf "}\n";

@@ -18,18 +18,6 @@ let optimizer_conv =
     [ ("rox", Opt_rox); ("greedy", Opt_greedy); ("static", Opt_static);
       ("midquery", Opt_midquery) ]
 
-(* Shard counts must be powers of two (Lru.create enforces it); reject
-   bad values at the command line instead of surfacing the exception. *)
-let shards_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 && n land (n - 1) = 0 -> Ok n
-    | Some n ->
-      Error (`Msg (Printf.sprintf "shard count %d is not a power of two" n))
-    | None -> Error (`Msg (Printf.sprintf "invalid shard count %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let read_query = function
   | "-" ->
     let buf = Buffer.create 1024 in
@@ -96,7 +84,7 @@ let write_file path content =
   close_out oc
 
 let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
-    max_sampled_rows count_only limit cache_mb cache_shards cache_stats profile
+    max_sampled_rows count_only limit cache_mb cache_stats profile
     trace_out metrics_out slow_log slow_ms =
   (* The slow log needs span timings, so --slow-log arms the sink too. *)
   let telemetry_on =
@@ -131,8 +119,7 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
   in
   if show_graph then prerr_string (Rox_joingraph.Pretty.to_string compiled.Rox_xquery.Compile.graph);
   let cache =
-    if cache_mb > 0 then
-      Some (Rox_cache.Store.of_megabytes ~shards:cache_shards engine cache_mb)
+    if cache_mb > 0 then Some (Rox_cache.Store.of_megabytes engine cache_mb)
     else None
   in
   if (cache_mb > 0 || cache_stats)
@@ -800,8 +787,8 @@ let serve_smoke scale slow_log slow_ms =
   Printf.printf "serve-smoke: %s\n" (if !failures = 0 then "PASS" else "FAIL");
   if !failures = 0 then 0 else 1
 
-let serve_run docs socket port workers queue_cap max_conns cache_mb cache_shards
-    smoke scale slow_log slow_ms =
+let serve_run docs socket port workers queue_cap max_conns cache_mb smoke scale
+    slow_log slow_ms =
   if smoke then serve_smoke scale slow_log slow_ms
   else begin
     let engine = Rox_storage.Engine.create () in
@@ -823,8 +810,7 @@ let serve_run docs socket port workers queue_cap max_conns cache_mb cache_shards
     if docs = [] then
       Printf.eprintf "warning: no --doc given; every doc() reference will fail\n";
     let cache =
-      if cache_mb > 0 then
-        Some (Rox_cache.Store.of_megabytes ~shards:cache_shards engine cache_mb)
+      if cache_mb > 0 then Some (Rox_cache.Store.of_megabytes engine cache_mb)
       else None
     in
     let server =
@@ -1070,12 +1056,6 @@ let serve_cmd =
     Arg.(value & opt int 0 & info [ "cache-mb" ] ~docv:"MB"
            ~doc:"Cross-query cache budget shared by all workers (0 = off).")
   in
-  let cache_shards =
-    Arg.(value & opt shards_conv Rox_cache.Store.default_shards
-         & info [ "cache-shards" ] ~docv:"N"
-             ~doc:"Power-of-two shard count for each cache (one mutex per \
-                   shard; default 4).")
-  in
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
            ~doc:"Self-test: serve an in-process XMark engine to a scripted \
@@ -1097,7 +1077,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const serve_run $ docs_arg $ socket $ port $ workers $ queue_cap
-          $ max_conns $ cache_mb $ cache_shards $ smoke $ scale $ slow_log_arg
+          $ max_conns $ cache_mb $ smoke $ scale $ slow_log_arg
           $ slow_ms_arg)
 
 let stat_cmd =
@@ -1287,13 +1267,6 @@ let cmd =
                  executions and sample estimates (0 = off; default 0). Only \
                  affects the rox and greedy optimizers.")
   in
-  let cache_shards =
-    Arg.(value & opt shards_conv Rox_cache.Store.default_shards
-         & info [ "cache-shards" ] ~docv:"N"
-             ~doc:"Power-of-two shard count for each cache: keys spread \
-                   across N independently locked shards (default 4; 1 = \
-                   classic single lock).")
-  in
   let cache_stats =
     Arg.(value & flag & info [ "cache-stats" ]
            ~doc:"Print cache hit/miss/eviction counters to stderr after the run \
@@ -1308,12 +1281,12 @@ let cmd =
   let doc = "ROX: run-time optimization of XQueries" in
   let run_term =
     Term.(
-      const (fun docs qf g t o tau seed dl msr c l cmb csh cst p tro mo sl sm ->
-          run docs qf g t o tau seed dl msr c l cmb csh cst p tro mo sl sm;
+      const (fun docs qf g t o tau seed dl msr c l cmb cst p tro mo sl sm ->
+          run docs qf g t o tau seed dl msr c l cmb cst p tro mo sl sm;
           0)
       $ docs $ query_file $ show_graph $ show_trace $ optimizer $ tau $ seed
       $ deadline_ms $ max_sampled_rows $ count_only $ limit $ cache_mb
-      $ cache_shards $ cache_stats $ profile $ trace_out_arg $ metrics_out_arg
+      $ cache_stats $ profile $ trace_out_arg $ metrics_out_arg
       $ slow_log_arg $ slow_ms_arg)
   in
   let group =

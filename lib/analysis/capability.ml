@@ -55,9 +55,9 @@ let allowlist =
     (* -- cache ----------------------------------------------------- *)
     f "lib/cache/lru.ml" "node.*"
       "mutex: recency links and entry payloads only change inside the \
-       owning shard's lock critical section";
-    f "lib/cache/lru.ml" "shard.*"
-      "mutex: every locked operation runs under the shard's own lock \
+       owning cache's lock critical section";
+    f "lib/cache/lru.ml" "t.*"
+      "mutex: every operation runs under the cache's one lock \
        (Mutex.protect in locked / try_locked); the armed access log \
        records each locked entry as a Write";
     (* -- core ------------------------------------------------------ *)
@@ -104,23 +104,19 @@ let allowlist =
     (* -- telemetry ------------------------------------------------- *)
     f "lib/telemetry/metrics.ml" "counter.*"
       "single-owner: a Metrics.t belongs to one sink on one domain; \
-       cross-domain totals live in Aggregate's per-domain slots, each \
-       mutated only under its own slot mutex";
+       cross-domain totals live in the Aggregate's own Metrics.t, \
+       mutated only under its mutex";
     f "lib/telemetry/metrics.ml" "gauge.*"
       "single-owner: same discipline as counter.*";
     f "lib/telemetry/metrics.ml" "histogram.*"
       "single-owner: same discipline as counter.*";
-    f "lib/telemetry/aggregate.ml" "t.slots"
-      "mutex: the slot list grows only under reg_mutex; each slot's \
-       Metrics.t mutates only under that slot's slot_mutex, and the \
-       owning domain is its only steady-state writer (Domain.DLS)";
     f "lib/telemetry/sink.ml" "t.*"
       "single-owner: sinks are session-local; Aggregate.absorb moves \
-       totals into the calling domain's slot under that slot's mutex";
+       totals into the aggregate under its mutex";
     f "lib/telemetry/recorder.ml" "slot.*"
       "mutex: a ring slot's cursor and contents mutate only under that \
        slot's slot_mutex; the owning domain is its only steady-state \
-       writer (Domain.DLS, same discipline as Aggregate's slots)";
+       writer (Domain.DLS)";
     f "lib/telemetry/recorder.ml" "t.slots"
       "mutex: the slot list grows only under reg_mutex; snapshot folds \
        take each slot's own mutex in turn";

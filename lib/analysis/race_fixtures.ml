@@ -131,16 +131,16 @@ let confined_leak () =
       Al.record ~site Al.Write;
       fork_join 1 (fun _ -> Al.record ~site Al.Write))
 
-(* A sharded-cache interleaving with a planted hole: domain 0 follows the
-   shard discipline (mutate only under the shard mutex), domain 1 writes
-   the shard's byte counter without the lock. The sharded Lru takes the
-   shard lock on every operation to make this impossible — the detector
-   must still have teeth for it. *)
-let shard_unguarded ?(iters = 48) () =
+(* A cache interleaving with a planted hole: domain 0 follows the cache
+   discipline (mutate only under the cache mutex), domain 1 writes the
+   cache's byte counter without the lock. The Lru takes its lock on every
+   operation to make this impossible — the detector must still have
+   teeth for it. *)
+let cache_unguarded ?(iters = 48) () =
   with_recording (fun () ->
       let bytes = ref 0 in
-      let site = Al.site ~name:"fixture.cache_shard" Al.Shared in
-      let lock = Al.lock ~name:"fixture.cache_shard.mutex" in
+      let site = Al.site ~name:"fixture.cache" Al.Shared in
+      let lock = Al.lock ~name:"fixture.cache.mutex" in
       let mutex = Mutex.create () in
       fork_join 2 (fun d ->
           for _ = 1 to iters do
@@ -150,16 +150,16 @@ let shard_unguarded ?(iters = 48) () =
                       Al.record ~site Al.Write;
                       incr bytes))
             else begin
-              (* planted: shard state mutated without the shard lock *)
+              (* planted: cache state mutated without the cache lock *)
               Al.record ~site Al.Write;
               decr bytes
             end
           done))
 
-(* The fixed twin is the real thing: a 4-shard Rox_cache.Lru hammered
-   from two domains through its public operations — per-shard mutexes on
-   every lookup and mutation. Must come back clean. *)
-let shard_guarded ?(domains = 2) ?(iters = 120) () =
+(* The fixed twin is the real thing: a Rox_cache.Lru hammered from two
+   domains through its public operations — its one mutex on every lookup
+   and mutation. Must come back clean. *)
+let cache_guarded ?(domains = 2) ?(iters = 120) () =
   let module L = Rox_cache.Lru.Make (struct
     type t = string
 
@@ -167,9 +167,7 @@ let shard_guarded ?(domains = 2) ?(iters = 120) () =
     let hash = Hashtbl.hash
   end) in
   with_recording (fun () ->
-      let cache =
-        L.create ~name:"fixture.sharded_cache" ~shards:4 ~budget:4096 ()
-      in
+      let cache = L.create ~name:"fixture.lru" ~budget:4096 () in
       fork_join domains (fun d ->
           for i = 1 to iters do
             let k = Printf.sprintf "k%d" ((i + d) land 31) in
@@ -189,10 +187,10 @@ let all =
      "two paths guard one site with two different locks", [ "RX502" ]);
     ("confined-leak", (fun () -> confined_leak ()),
      "a session-confined site touched from a second domain", [ "RX504" ]);
-    ("shard-unguarded", (fun () -> shard_unguarded ()),
-     "a cache shard's bytes mutated without the shard lock", [ "RX501" ]);
-    ("shard-guarded", (fun () -> shard_guarded ()),
-     "the real 4-shard LRU hammered through its public ops", []);
+    ("cache-unguarded", (fun () -> cache_unguarded ()),
+     "a cache's bytes mutated without the cache lock", [ "RX501" ]);
+    ("cache-guarded", (fun () -> cache_guarded ()),
+     "the real single-lock LRU hammered through its public ops", []);
   ]
 
 let find name =

@@ -2,13 +2,12 @@ module L = Lru.Make (struct
   type t = string
 
   let equal = String.equal
-  let hash = Fingerprint.shard_hash
+  let hash = Hashtbl.hash
 end)
 
 type t = Rox_algebra.Cutoff.t L.t
 
-let create ?shards ?rebalance_every ~budget () =
-  L.create ~name:"cache.estimates" ?shards ?rebalance_every ~budget ()
+let create ~budget () = L.create ~name:"cache.estimates" ~budget ()
 
 let find = L.find
 
@@ -17,5 +16,4 @@ let weight (c : Rox_algebra.Cutoff.t) =
 
 let add t k v = L.add t k ~weight:(weight v) v
 let stats = L.stats
-let shard_stats = L.shard_stats
 let clear = L.clear

@@ -12,17 +12,11 @@
 
 type t
 
-val create :
-  ?shards:int ->
-  ?rebalance_every:int ->
-  budget:int ->
-  unit ->
-  t
+val create : budget:int -> unit -> t
 
 val find : t -> Fingerprint.t -> Rox_algebra.Cutoff.t option
 val add : t -> Fingerprint.t -> Rox_algebra.Cutoff.t -> unit
 
 val weight : Rox_algebra.Cutoff.t -> int
 val stats : t -> Lru.stats
-val shard_stats : t -> Lru.stats array
 val clear : t -> unit

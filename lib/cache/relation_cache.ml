@@ -2,14 +2,13 @@ module L = Lru.Make (struct
   type t = string
 
   let equal = String.equal
-  let hash = Fingerprint.shard_hash
+  let hash = Hashtbl.hash
 end)
 
 type value = { left : Rox_util.Column.t; right : Rox_util.Column.t }
 type t = value L.t
 
-let create ?shards ?rebalance_every ~budget () =
-  L.create ~name:"cache.relations" ?shards ?rebalance_every ~budget ()
+let create ~budget () = L.create ~name:"cache.relations" ~budget ()
 
 let find = L.find
 
@@ -27,5 +26,4 @@ let weight v =
 
 let add t k v = L.add t k ~weight:(weight v) v
 let stats = L.stats
-let shard_stats = L.shard_stats
 let clear = L.clear

@@ -15,14 +15,8 @@ type value = { left : Rox_util.Column.t; right : Rox_util.Column.t }
 
 type t
 
-val create :
-  ?shards:int ->
-  ?rebalance_every:int ->
-  budget:int ->
-  unit ->
-  t
-(** [budget] in bytes of resident pair data; sharding and rebalancing as
-    in {!Lru.S.create}. *)
+val create : budget:int -> unit -> t
+(** [budget] in bytes of resident pair data. *)
 
 val find : t -> Fingerprint.t -> value option
 val add : t -> Fingerprint.t -> value -> unit
@@ -32,5 +26,4 @@ val weight : value -> int
     storage counted once) plus entry overhead. *)
 
 val stats : t -> Lru.stats
-val shard_stats : t -> Lru.stats array
 val clear : t -> unit

@@ -13,26 +13,17 @@
 
     A store is deliberately *external* to any single query run: create it
     once next to the engine and pass it to every optimizer invocation to
-    get cross-query reuse. Both member caches are sharded ([shards]
-    power-of-two slices, each with its own mutex), so concurrent sessions
-    on separate domains contend only when they touch the same shard. *)
+    get cross-query reuse. Each member cache is one LRU behind one
+    mutex, shared by every session on every domain. *)
 
 type t
 
-val default_shards : int
-(** Shards per member cache when unspecified (4). *)
-
 val create :
-  ?relation_budget:int ->
-  ?estimate_budget:int ->
-  ?shards:int ->
-  ?rebalance_every:int ->
-  Rox_storage.Engine.t ->
-  t
-(** Budgets in bytes; both default to 16 MiB. [shards]/[rebalance_every]
-    configure both member caches (see {!Lru.S.create}). *)
+  ?relation_budget:int -> ?estimate_budget:int -> Rox_storage.Engine.t -> t
+(** Budgets in bytes; both default to 16 MiB. An entry up to the whole
+    budget of its member cache is admitted. *)
 
-val of_megabytes : ?shards:int -> Rox_storage.Engine.t -> int -> t
+val of_megabytes : Rox_storage.Engine.t -> int -> t
 (** The CLI's [--cache-mb n]: 3/4 of the budget to relations, 1/4 to
     estimates. [n <= 0] yields a store that caches nothing. *)
 
@@ -49,17 +40,13 @@ type stats = {
 }
 
 val stats : t -> stats
-val shard_stats : t -> Lru.stats array * Lru.stats array
-(** Per-shard snapshots of (relations, estimates) — the serving STATS
-    surface. *)
 
 val stats_to_string : stats -> string
 
 val observe_into : t -> Rox_telemetry.Metrics.t -> unit
-(** Record the store's current residency (relation + estimate bytes,
-    summed across every shard) into the registry's [cache_resident_bytes]
-    gauge, and the accumulated shard-lock contention into
-    [cache_shard_lock_waits]. Call at export time — gauges are
-    point-in-time observations, not counters. *)
+(** Record the store's current residency (relation + estimate bytes)
+    into the registry's [cache_resident_bytes] gauge, and the accumulated
+    lock contention of both caches into [cache_lock_waits]. Call at
+    export time — gauges are point-in-time observations, not counters. *)
 
 val clear : t -> unit

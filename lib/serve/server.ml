@@ -248,9 +248,8 @@ let run_query t (q : Protocol.query) ~deadline_ms ~absorb =
         [] )
     | exn -> (Protocol.Err (Protocol.Internal, Printexc.to_string exn), [])
   in
-  (* Runs on the worker's own domain, so the absorb lands in that
-     domain's Aggregate slot: per-request sinks batch into the worker's
-     local registry without ever contending with other workers. *)
+  (* One absorb per request: the session's sink merges into the
+     process aggregate under its mutex. *)
   if absorb && t.cfg.telemetry then Aggregate.absorb t.aggregate (Sink.metrics sink);
   {
     resp;
@@ -676,36 +675,23 @@ let stats_kvs t =
           ("workers", string_of_int t.cfg.workers);
         ])
   in
-  (* Cache shard surface: per-shard residency plus the eviction and
-     contention counters the sharded store maintains (no server lock —
-     Store aggregates one shard lock at a time). *)
+  (* Cache surface: residency plus the eviction and contention counters
+     of each member cache (taken under the cache's own lock, never
+     inside the server lock). *)
   let cache_kvs =
     match t.cfg.cache with
     | None -> []
     | Some store ->
-      let rel, est = Rox_cache.Store.shard_stats store in
-      let member name (per : Rox_cache.Lru.stats array) =
-        let sum f = Array.fold_left (fun a s -> a + f s) 0 per in
-        let open Rox_cache.Lru in
+      let st = Rox_cache.Store.stats store in
+      let member name (s : Rox_cache.Lru.stats) =
         [
-          (Printf.sprintf "cache.%s.shards" name, string_of_int (Array.length per));
-          (Printf.sprintf "cache.%s.bytes" name, string_of_int (sum (fun s -> s.bytes)));
-          (Printf.sprintf "cache.%s.entries" name, string_of_int (sum (fun s -> s.entries)));
-          (Printf.sprintf "cache.%s.evictions" name, string_of_int (sum (fun s -> s.evictions)));
-          (Printf.sprintf "cache.%s.lock_waits" name, string_of_int (sum (fun s -> s.lock_waits)));
+          (Printf.sprintf "cache.%s.bytes" name, string_of_int s.bytes);
+          (Printf.sprintf "cache.%s.entries" name, string_of_int s.entries);
+          (Printf.sprintf "cache.%s.evictions" name, string_of_int s.evictions);
+          (Printf.sprintf "cache.%s.lock_waits" name, string_of_int s.lock_waits);
         ]
-        @ List.concat
-            (List.mapi
-               (fun i (s : Rox_cache.Lru.stats) ->
-                 [
-                   ( Printf.sprintf "cache.%s.shard%d.bytes" name i,
-                     string_of_int s.bytes );
-                   ( Printf.sprintf "cache.%s.shard%d.entries" name i,
-                     string_of_int s.entries );
-                 ])
-               (Array.to_list per))
       in
-      member "relations" rel @ member "estimates" est
+      member "relations" st.relations @ member "estimates" st.estimates
   in
   (* Recorder counters come from the recorder's own slot mutexes — never
      inside the server lock. *)

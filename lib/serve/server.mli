@@ -9,7 +9,7 @@
       buffering);
     - a pool of long-lived *worker domains* that pop requests and run one
       fresh {!Rox_core.Session} each over the shared engine and the
-      cache store (one mutex per shard);
+      cache store (one mutex per member cache);
     - an *in-flight table* keyed by request fingerprint (query text hash,
       seed, τ, budgets, engine epoch — {e not} the tenant): a request whose
       fingerprint matches an in-flight execution attaches to it as a

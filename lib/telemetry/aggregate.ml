@@ -1,105 +1,43 @@
-(* One absorption slot per domain: the worker's hot path merges into its
-   own slot under a mutex nobody else holds in steady state (readers take
-   it only while snapshotting), so absorb never contends across domains. *)
-type slot = {
-  slot_metrics : Metrics.t;
-  slot_mutex : Mutex.t;
-  (* RX5xx access-log identities (-1 when the log was disarmed at slot
-     creation): every merge in or out records one Write at [slot_site]
-     under [slot_lock], so the race detector sees each slot as its own
-     mutex-guarded shared site. *)
-  slot_site : int;
-  slot_lock : int;
-}
-
 type t = {
-  key : slot option Domain.DLS.key;
-  reg_mutex : Mutex.t;
-  reg_site : int;
-  reg_lock : int;
-  (* Every slot ever created for this aggregate, newest first. Slots
-     outlive their domain: totals absorbed by a finished worker stay
-     visible to later snapshots. Guarded by [reg_mutex]. *)
-  mutable slots : slot list;
-  next_slot : int Atomic.t;
+  metrics : Metrics.t;
+  mutex : Mutex.t;
+  (* RX5xx access-log identities (-1 when the log was disarmed at
+     creation): every merge in or out records one Write at [al_site]
+     under [al_lock], so the race detector sees the aggregate as a
+     mutex-guarded shared site. *)
+  al_site : int;
+  al_lock : int;
 }
 
 let create () =
   let armed = Rox_util.Accesslog.armed () in
   {
-    key = Domain.DLS.new_key (fun () -> None);
-    reg_mutex = Mutex.create ();
-    reg_site =
+    metrics = Metrics.create ();
+    mutex = Mutex.create ();
+    al_site =
       (if armed then
-         Rox_util.Accesslog.site ~name:"telemetry.aggregate.registry"
-           Rox_util.Accesslog.Shared
+         Rox_util.Accesslog.site ~name:"telemetry.aggregate" Rox_util.Accesslog.Shared
        else -1);
-    reg_lock =
-      (if armed then
-         Rox_util.Accesslog.lock ~name:"telemetry.aggregate.registry.mutex"
-       else -1);
-    slots = [];
-    next_slot = Atomic.make 0;
+    al_lock =
+      (if armed then Rox_util.Accesslog.lock ~name:"telemetry.aggregate.mutex" else -1);
   }
 
-let bracketed_slot s f =
-  if Rox_util.Accesslog.armed () then
-    Rox_util.Accesslog.with_lock s.slot_lock (fun () ->
-        Rox_util.Accesslog.record ~site:s.slot_site Rox_util.Accesslog.Write;
-        f ())
-  else f ()
-
-let mk_slot t =
-  let armed = Rox_util.Accesslog.armed () in
-  let i = Atomic.fetch_and_add t.next_slot 1 in
-  let label = Printf.sprintf "telemetry.aggregate.d%d" i in
-  {
-    slot_metrics = Metrics.create ();
-    slot_mutex = Mutex.create ();
-    slot_site =
-      (if armed then Rox_util.Accesslog.site ~name:label Rox_util.Accesslog.Shared
-       else -1);
-    slot_lock = (if armed then Rox_util.Accesslog.lock ~name:(label ^ ".mutex") else -1);
-  }
-
-(* The calling domain's slot, created and registered on first use. *)
-let local t =
-  match Domain.DLS.get t.key with
-  | Some s -> s
-  | None ->
-    let s = mk_slot t in
-    Mutex.protect t.reg_mutex (fun () ->
-        (if Rox_util.Accesslog.armed () then
-           Rox_util.Accesslog.with_lock t.reg_lock (fun () ->
-               Rox_util.Accesslog.record ~site:t.reg_site Rox_util.Accesslog.Write));
-        t.slots <- s :: t.slots);
-    Domain.DLS.set t.key (Some s);
-    s
+let locked t f =
+  Mutex.protect t.mutex (fun () ->
+      if Rox_util.Accesslog.armed () then
+        Rox_util.Accesslog.with_lock t.al_lock (fun () ->
+            Rox_util.Accesslog.record ~site:t.al_site Rox_util.Accesslog.Write;
+            f ())
+      else f ())
 
 let absorb t m =
-  let s = local t in
-  Mutex.protect s.slot_mutex (fun () ->
-      bracketed_slot s (fun () ->
-          Metrics.add_into ~into:s.slot_metrics m;
-          Metrics.incr s.slot_metrics.Metrics.aggregate_merges))
-
-let slot_count t = Mutex.protect t.reg_mutex (fun () -> List.length t.slots)
+  locked t (fun () ->
+      Metrics.add_into ~into:t.metrics m;
+      Metrics.incr t.metrics.Metrics.aggregate_merges)
 
 let with_metrics t f =
-  (* Merge-on-demand: fold every slot into a fresh snapshot, one slot
-     mutex at a time — no global lock exists to contend on. The snapshot
-     is the reader's to keep; writes to it do not reach the aggregate. *)
+  (* Copy under the lock, run [f] outside it: the snapshot is the
+     reader's to keep, and writes to it do not reach the aggregate. *)
   let snap = Metrics.create () in
-  let slots =
-    Mutex.protect t.reg_mutex (fun () ->
-        (if Rox_util.Accesslog.armed () then
-           Rox_util.Accesslog.with_lock t.reg_lock (fun () ->
-               Rox_util.Accesslog.record ~site:t.reg_site Rox_util.Accesslog.Write));
-        t.slots)
-  in
-  List.iter
-    (fun s ->
-      Mutex.protect s.slot_mutex (fun () ->
-          bracketed_slot s (fun () -> Metrics.add_into ~into:snap s.slot_metrics)))
-    slots;
+  locked t (fun () -> Metrics.add_into ~into:snap t.metrics);
   f snap

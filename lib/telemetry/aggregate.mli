@@ -1,38 +1,26 @@
-(** Process-level metrics aggregate for the multi-domain server —
-    contention-free by construction.
+(** Process-level metrics aggregate for the multi-domain server.
 
-    Sessions (and their sinks) are single-domain values; the serving path
-    of [bench/exp_parallel] runs one session per query on N OCaml domains.
-    The aggregate is the one place their metrics meet, but it is not one
-    mutex-guarded registry: each domain gets its own absorption slot
-    (via [Domain.DLS]), {!absorb} merges into the caller's slot under a
-    mutex no other domain holds in steady state, and readers build a
-    snapshot by folding every slot through {!Metrics.add_into} on demand.
-    Worker domains therefore never contend with each other on the hot
-    absorb path. Per-domain metrics must still sum exactly to the
-    aggregate — the 2-domain test in [test/suite_telemetry.ml] pins that
-    down. Slots outlive their domain, so totals absorbed by a finished
-    worker stay visible.
+    Sessions (and their sinks) are single-domain values; the server runs
+    one session per request on its worker domains. The aggregate is the
+    one place their metrics meet: one {!Metrics.t} behind one mutex.
+    {!absorb} merges a session's registry into it, and readers get a
+    private copy. Per-domain metrics must sum exactly to the aggregate —
+    the 2-domain test in [test/suite_telemetry.ml] pins that down.
 
-    Every {!absorb} also increments the slot's [aggregate_merges]
+    Every {!absorb} also increments the aggregate's [aggregate_merges]
     counter, so a snapshot reports how many per-session registries were
-    batched into domain-local slots. *)
+    merged in. *)
 
 type t
 
 val create : unit -> t
 
 val absorb : t -> Metrics.t -> unit
-(** Add a session's registry into the calling domain's slot (one
-    uncontended mutex acquisition; safe from any domain). The session
-    registry is not modified and may be absorbed only once unless double
-    counting is intended. *)
+(** Add a session's registry into the aggregate under its mutex (safe
+    from any domain). The session registry is not modified and may be
+    absorbed only once unless double counting is intended. *)
 
 val with_metrics : t -> (Metrics.t -> 'a) -> 'a
-(** Run [f] on a freshly merged snapshot of every slot (taken one slot
-    mutex at a time while domains may still be serving). The snapshot is
-    private to the caller: mutating it does not write back into the
-    aggregate. *)
-
-val slot_count : t -> int
-(** How many per-domain slots exist (diagnostics, tests). *)
+(** Run [f] on a snapshot copied under the mutex while domains may still
+    be serving. The snapshot is private to the caller: mutating it does
+    not write back into the aggregate. *)

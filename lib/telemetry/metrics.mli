@@ -57,7 +57,7 @@ type t = {
   queries_served : counter;
   budget_aborts : counter;       (** runs ended by [Cost.Budget_exceeded] *)
   spans_dropped : counter;       (** spans lost to the sink's buffer cap *)
-  aggregate_merges : counter;    (** registries merged into a domain-local slot *)
+  aggregate_merges : counter;    (** registries merged into the {!Aggregate} *)
   requests_received : counter;   (** protocol frames parsed by [rox serve] *)
   responses_sent : counter;      (** protocol replies written by [rox serve] *)
   admission_rejects : counter;   (** requests bounced off a full queue *)
@@ -65,7 +65,7 @@ type t = {
   queue_wait_ns : histogram;     (** admission-queue residence per request *)
   serve_ns : histogram;          (** whole served-request latency *)
   cache_resident_bytes : gauge;  (** last observed [Rox_cache] residency *)
-  cache_shard_lock_waits : gauge; (** last observed shard-lock contention total *)
+  cache_lock_waits : gauge;      (** last observed cache-lock contention total *)
   queue_depth : gauge;           (** requests waiting in the admission queue *)
 }
 
@@ -124,7 +124,7 @@ val add_into : into:t -> t -> unit
     and absorbing the same registry twice genuinely double-counts — call
     sites must absorb a registry into a given aggregate at most once per
     measurement interval. A *gauge* is a last-observed snapshot of shared
-    state (cache residency, shard lock waits, queue depth): many sessions
+    state (cache residency, cache lock waits, queue depth): many sessions
     observe the *same* store, so adding would multiply one store's
     residency by the number of observers. Merging therefore takes
     [Float.max] — idempotent, so absorbing the same store's snapshot

@@ -1,8 +1,7 @@
 (* The flight recorder: always-on, bounded accounting of every completed
-   request. Mirrors Aggregate's per-domain discipline — each worker
-   domain appends finished request records to its own DLS ring slot
-   under a mutex nobody else holds in steady state, so the hot path
-   never contends across domains. The rare paths (trace retention,
+   request. Each worker domain appends finished request records to its
+   own DLS ring slot under a mutex nobody else holds in steady state,
+   so the hot path never contends across domains. The rare paths (trace retention,
    tenant series, slow log) share small mutex-guarded tables. *)
 
 type outcome = Executed | Coalesced | Rejected
@@ -175,8 +174,7 @@ let mk_slot t =
     slot_lock;
   }
 
-(* The calling domain's slot, created and registered on first use —
-   Aggregate's [local] verbatim. *)
+(* The calling domain's slot, created and registered on first use. *)
 let local t =
   match Domain.DLS.get t.key with
   | Some s -> s

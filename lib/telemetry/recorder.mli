@@ -6,9 +6,8 @@
     - {b Request records.} Every completed request — executed, coalesced
       onto an in-flight twin, or rejected at admission — appends one
       {!record} to the calling domain's own ring slot (a
-      [Domain.DLS]-registered ring, mirroring [Aggregate]'s per-domain
-      slot discipline: the append takes a mutex only its own domain
-      holds in steady state, so it never contends). A full ring
+      [Domain.DLS]-registered ring: the append takes a mutex only its
+      own domain holds in steady state, so it never contends). A full ring
       overwrites the oldest record and the overwrite is counted, like
       [Sink]'s span cap.
     - {b Tail-sampled traces.} {!observe} returns a retention {!reason}

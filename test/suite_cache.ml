@@ -104,109 +104,31 @@ let test_lru_basics () =
   check_int "clear empties" 0 s.Lru.entries;
   check_int "clear keeps counters" 1 s.Lru.rejected
 
-(* ---------- Sharded store vs independent single-shard models ---------- *)
+(* ---------- Store admission: the whole budget is usable ---------- *)
 
-(* With rebalancing off, a 4-shard cache must be observationally equal to
-   four independent single-shard caches each holding a quarter of the
-   budget, with keys routed by [shard_of]: same find answers, same
-   per-shard hit/miss/eviction counters, same residency, same
-   coldest-first order. This is the property that makes the sharding
-   refactor safe: nothing about admission or recency is global. *)
-let prop_sharded_model =
-  qtest ~count:150 "4-shard LRU = 4 independent single-shard models"
-    QCheck.(pair small_int (int_range 8 200))
-    (fun (seed, budget) ->
-      let rng = Rox_util.Xoshiro.create ((seed * 97) + budget) in
-      let sharded =
-        SLru.create ~name:"test.shardmodel" ~shards:4 ~rebalance_every:0
-          ~budget ()
-      in
-      let refs =
-        Array.init 4 (fun i ->
-            SLru.create
-              ~name:(Printf.sprintf "test.shardmodel.ref%d" i)
-              ~budget:(budget / 4) ())
-      in
-      let ok = ref true in
-      for i = 0 to 199 do
-        let k = Printf.sprintf "m%d" (Rox_util.Xoshiro.int rng 24) in
-        let r = refs.(SLru.shard_of sharded k) in
-        if Rox_util.Xoshiro.int rng 3 = 0 then begin
-          if SLru.find sharded k <> SLru.find r k then ok := false
-        end
-        else begin
-          let w = Rox_util.Xoshiro.int rng ((budget / 3) + 2) in
-          SLru.add sharded k ~weight:w i;
-          SLru.add r k ~weight:w i
-        end
-      done;
-      let per = SLru.shard_stats sharded in
-      let counters_match =
-        List.for_all
-          (fun i ->
-            let a = per.(i) and b = SLru.stats refs.(i) in
-            a.Lru.hits = b.Lru.hits
-            && a.Lru.misses = b.Lru.misses
-            && a.Lru.insertions = b.Lru.insertions
-            && a.Lru.evictions = b.Lru.evictions
-            && a.Lru.rejected = b.Lru.rejected
-            && a.Lru.entries = b.Lru.entries
-            && a.Lru.bytes = b.Lru.bytes
-            && a.Lru.budget = b.Lru.budget)
-          [ 0; 1; 2; 3 ]
-      in
-      let order c =
-        let acc = ref [] in
-        SLru.iter_coldest_first c (fun k v -> acc := (k, v) :: !acc);
-        List.rev !acc
-      in
-      let expected = List.concat_map (fun i -> order refs.(i)) [ 0; 1; 2; 3 ] in
-      !ok && counters_match && order sharded = expected)
-
-(* ---------- Budget rebalance ---------- *)
-
-let test_shard_rebalance () =
-  let total = 4096 in
-  let c =
-    SLru.create ~name:"test.rebalance" ~shards:4 ~rebalance_every:8
-      ~budget:total ()
-  in
-  (* Drive every insertion into one shard; after [rebalance_every]
-     insertions its budget share must grow while cold shards keep their
-     quarter-share floor. *)
-  let hot = SLru.shard_of c "r0" in
-  let rec hot_keys i acc n =
-    if n = 0 then List.rev acc
-    else
-      let k = Printf.sprintf "r%d" i in
-      if SLru.shard_of c k = hot then hot_keys (i + 1) (k :: acc) (n - 1)
-      else hot_keys (i + 1) acc n
-  in
-  List.iter (fun k -> SLru.add c k ~weight:32 0) (hot_keys 0 [] 16);
-  let per = SLru.shard_stats c in
-  let hot_b = per.(hot).Lru.budget in
-  check_bool "hot shard budget grew past its even share" true
-    (hot_b > total / 4);
-  Array.iteri
-    (fun i s ->
-      if i <> hot then begin
-        check_bool "cold shard keeps its floor" true
-          (s.Lru.budget >= total / 16);
-        check_bool "cold shard below hot" true (s.Lru.budget < hot_b)
-      end)
-    per;
-  let sum = Array.fold_left (fun a s -> a + s.Lru.budget) 0 per in
-  check_bool "shard budgets stay within the total" true (sum <= total);
-  check_int "aggregate stats report the configured total" total
-    (SLru.stats c).Lru.budget
+let test_store_admits_up_to_budget () =
+  let engine, _ = engine_of_xml site_xml in
+  let store = Store.create ~relation_budget:1000 ~estimate_budget:1000 engine in
+  (* One shared 59-element column: 472 bytes of storage counted once,
+     plus the 128-byte entry overhead. *)
+  let c = Rox_util.Column.of_array (Array.init 59 Fun.id) in
+  let v = { Relation_cache.left = c; right = c } in
+  check_int "entry weight" 600 (Relation_cache.weight v);
+  let key = Fingerprint.make ~epoch:(Store.epoch store) [ "admit" ] in
+  Relation_cache.add (Store.relations store) key v;
+  check_bool "600-byte entry resident under a 1000-byte budget" true
+    (Relation_cache.find (Store.relations store) key <> None);
+  let s = (Store.stats store).Store.relations in
+  check_int "not rejected" 0 s.Lru.rejected;
+  check_int "resident bytes" 600 s.Lru.bytes
 
 (* ---------- Two-domain hammer: every hit bit-identical ---------- *)
 
-let test_sharded_hammer_bit_identical () =
+let test_hammer_bit_identical () =
   (* Each key's value is a pure function of the key, so whatever domain
      wrote last, any hit must return exactly that function's value. *)
   let expected k = Hashtbl.hash ("v:" ^ k) in
-  let cache = SLru.create ~name:"test.hammer" ~shards:4 ~budget:65536 () in
+  let cache = SLru.create ~name:"test.hammer" ~budget:65536 () in
   let keys = Array.init 64 (fun i -> Printf.sprintf "h%d" i) in
   Array.iter (fun k -> SLru.add cache k ~weight:8 (expected k)) keys;
   let bad = Atomic.make 0 in
@@ -381,10 +303,10 @@ let suite =
   [
     prop_lru_model;
     Alcotest.test_case "weighted LRU basics" `Quick test_lru_basics;
-    prop_sharded_model;
-    Alcotest.test_case "shard budget rebalance" `Quick test_shard_rebalance;
+    Alcotest.test_case "store admits entries up to the budget" `Quick
+      test_store_admits_up_to_budget;
     Alcotest.test_case "2-domain hammer hits bit-identical" `Slow
-      test_sharded_hammer_bit_identical;
+      test_hammer_bit_identical;
     prop_fingerprint;
     Alcotest.test_case "epoch bump invalidates" `Quick test_epoch_invalidation;
     Alcotest.test_case "repeat run replays from cache" `Quick test_estimate_reuse;
