@@ -84,9 +84,42 @@ let make_tests () =
     Test.make ~name:"index sampling tau=100 (Sec 2.3)"
       (Staged.stage (fun () -> Sampling.sample rng persons 100))
   in
+  (* The per-probe primitives under sampling: a staircase range lookup's
+     binary search, a tau=100 position draw, an index-NL equality probe. *)
+  let lower_bound_100 =
+    let candidates = Rox_util.Column.read bidders in
+    let probes = Rox_util.Column.read sample100 in
+    Test.make ~name:"Bin_search.lower_bound x100 (staircase probe)"
+      (Staged.stage (fun () ->
+           let acc = ref 0 in
+           Array.iter (fun x -> acc := !acc + Rox_util.Bin_search.lower_bound candidates x) probes;
+           !acc))
+  in
+  let sample_positions =
+    Test.make ~name:"Xoshiro.sample_without_replacement n=551 k=100"
+      (Staged.stage (fun () -> Rox_util.Xoshiro.sample_without_replacement rng 551 100))
+  in
+  let attr_probe =
+    let value_ids =
+      Array.init (min 100 (Rox_util.Column.length person_attrs)) (fun i ->
+          Rox_shred.Doc.value_id doc (Rox_util.Column.get person_attrs i))
+    in
+    Test.make ~name:"Value_index.attr_eq x100 (index-NL probes)"
+      (Staged.stage (fun () ->
+           let acc = ref 0 in
+           Array.iter
+             (fun value_id ->
+               acc :=
+                 !acc
+                 + Rox_util.Column.length
+                     (Value_index.attr_eq r.Engine.values ~name_id:id_name ~value_id))
+             value_ids;
+           !acc))
+  in
   Test.make_grouped ~name:"kernels"
     [ staircase_desc; staircase_child; staircase_anc; index_lookup; value_join;
-      cutoff_sample; relation_extend; sampling_draw ]
+      cutoff_sample; relation_extend; sampling_draw; lower_bound_100; sample_positions;
+      attr_probe ]
 
 let run () =
   header "Bechamel micro-benchmarks of the physical operator kernels";

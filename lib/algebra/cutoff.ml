@@ -12,10 +12,10 @@ type t = {
 exception Cut
 
 let run ~limit ~outer_len ~iter =
-  let out = Int_vec.create ~capacity:(min limit 1024) () in
+  let out = Int_vec.create ~capacity:(Int.min limit 1024) () in
   let last_outer = ref (-1) in
   let emit oi node =
-    last_outer := max !last_outer oi;
+    last_outer := Int.max !last_outer oi;
     Int_vec.push out node;
     if Int_vec.length out >= limit then raise Cut
   in
@@ -29,9 +29,7 @@ let run ~limit ~outer_len ~iter =
   let consumed_outer = if completed then outer_len else !last_outer + 1 in
   let fraction =
     if completed || outer_len = 0 then 1.0
-    else float_of_int (max 1 consumed_outer) /. float_of_int outer_len
+    else float_of_int (Int.max 1 consumed_outer) /. float_of_int outer_len
   in
   let est = if completed then float_of_int produced else float_of_int produced /. fraction in
   { out = Int_vec.to_array out; produced; consumed_outer; fraction; est; completed }
-
-let out_distinct t = Int_vec.sorted_dedup (Int_vec.of_array t.out)

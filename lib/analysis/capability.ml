@@ -167,9 +167,6 @@ let allowlist =
     f "lib/util/str_pool.ml" "t.*"
       "publish-before-spawn: pools are populated while documents load, \
        read-only once the engine is shared";
-    f "lib/util/xoshiro.ml" "t.*"
-      "single-owner: each RNG stream belongs to one session (equal \
-       seeds on different domains are distinct states)";
     (* -- workload generators --------------------------------------- *)
     g "lib/workload/dblp.ml" "venues"
       "read-only table: generator vocabulary, never written";

@@ -357,16 +357,17 @@ let sort_rows_impl t =
     let w = Array.length t.cols in
     let cols_data = Array.map Column.read t.cols in
     let idx = Array.init t.nrows (fun i -> i) in
-    let cmp a b =
-      let rec go c =
-        if c >= w then 0
-        else
-          let d = Int.compare cols_data.(c).(a) cols_data.(c).(b) in
-          if d <> 0 then d else go (c + 1)
-      in
-      go 0
+    (* Lexicographic on the columns; rows equal in every column gather
+       to the same data, so any sort order among them is the same
+       result. *)
+    let less a b =
+      let c = ref 0 in
+      while !c < w && cols_data.(!c).(a) = cols_data.(!c).(b) do
+        incr c
+      done;
+      !c < w && cols_data.(!c).(a) < cols_data.(!c).(b)
     in
-    Array.sort cmp idx;
+    Int_sort.sort_by ~less idx;
     make t.verts (gather t idx t.nrows) t.nrows
   end
 

@@ -55,7 +55,7 @@ let names t =
   let out = Int_vec.create () in
   Hashtbl.iter (fun name _ -> Int_vec.push out name) t.by_name;
   let arr = Int_vec.to_array out in
-  Array.sort Int.compare arr;
+  Int_sort.sort arr;
   arr
 
 let lookup_attr t name_id = find_or_empty t.attrs_by_name name_id

@@ -5,7 +5,8 @@
 
     - a hash path for equality lookups ([Dtext(v)] and [Dattr(v, qelt,
       qattr)]) — matching "the released version of MonetDB that supports a
-      hash-based index for string equality lookups";
+      hash-based index for string equality lookups"; keys are single ints
+      in an open-addressing table, so a probe allocates nothing;
     - an ordered numeric path for range selections (the [current < 145]
       predicates of the XMark queries), playing the role of the B-tree.
 
@@ -22,6 +23,9 @@
 type t
 
 val build : Rox_shred.Doc.t -> t
+(** Attribute lookups key on the (name, value) id pair packed into one
+    int, so both ids must fit in 31 bits.
+    @raise Invalid_argument on an attribute whose ids do not. *)
 
 val text_eq : t -> int -> Rox_util.Column.t
 (** [text_eq idx value_id]: text nodes whose value equals the interned

@@ -109,7 +109,7 @@ let sorted_dedup t =
   if t.sorted then t
   else begin
     let arr = to_array t in
-    Array.sort Int.compare arr;
+    Int_sort.sort arr;
     let n = Array.length arr in
     if n = 0 then empty
     else begin

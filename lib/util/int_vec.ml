@@ -60,7 +60,7 @@ let append_array t arr =
 
 let sort t =
   let live = Array.sub t.data 0 t.len in
-  Array.sort Int.compare live;
+  Int_sort.sort live;
   Array.blit live 0 t.data 0 t.len
 
 let sorted_dedup t =

@@ -6,6 +6,9 @@
     splitmix64), never through [Stdlib.Random]. *)
 
 type t
+(** A generator's state, mutated in place by every draw. Single-owner:
+    each RNG stream belongs to one session, and equal seeds on different
+    domains are distinct states. *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from a 63-bit seed. Equal seeds

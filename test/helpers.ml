@@ -112,6 +112,21 @@ let check_string = Alcotest.(check string)
 let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
+(* Minor-heap words allocated by [n] calls of [f], net of the same loop
+   around a call that allocates nothing. Deterministic while no other
+   thread of this domain runs (the util and storage suites run before
+   any test starts one), so allocation gates can demand an exact 0. *)
+let minor_words_of_calls n f =
+  let run g =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (g ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  let empty = run (fun () -> ()) in
+  run f -. empty
+
 (* Sorted distinct list equality for answers given as (doc, pre) or pre. *)
 let same_set a b = List.sort_uniq compare a = List.sort_uniq compare b
 

@@ -64,6 +64,50 @@ let test_value_index_eq () =
   check_int "attr v=x" 1 (Value_index.attr_eq_count r.Engine.values ~name_id:name_v ~value_id:(vid "x"));
   check_int "any-name attr x" 1 (clen (Value_index.attr_eq_any_name r.Engine.values ~value_id:(vid "x")))
 
+(* Every equality path against a filter over the document: each value
+   id that occurs (and one that does not) with each attribute name that
+   occurs (and one that does not). *)
+let prop_value_index_eq =
+  qtest ~count:100 "value index eq = document filter" QCheck.small_int (fun seed ->
+      let engine = Engine.create () in
+      let r = Engine.add_tree engine (random_tree seed) in
+      let doc = r.Engine.doc and vi = r.Engine.values in
+      let pres = List.init (Doc.node_count doc - 1) (fun i -> i + 1) in
+      let of_kind k = List.filter (fun pre -> Doc.kind doc pre = k) pres in
+      let texts = of_kind Nodekind.Text and attrs = of_kind Nodekind.Attr in
+      let with_unused ids = List.sort_uniq compare (List.fold_left max 0 ids + 1 :: ids) in
+      let values = with_unused (List.map (Doc.value_id doc) (texts @ attrs)) in
+      let names = with_unused (List.map (Doc.name_id doc) attrs) in
+      let filter nodes p = Array.of_list (List.filter p nodes) in
+      List.for_all
+        (fun v ->
+          arr (Value_index.text_eq vi v) = filter texts (fun pre -> Doc.value_id doc pre = v)
+          && arr (Value_index.attr_eq_any_name vi ~value_id:v)
+             = filter attrs (fun pre -> Doc.value_id doc pre = v)
+          && List.for_all
+               (fun n ->
+                 let expect =
+                   filter attrs (fun pre -> Doc.name_id doc pre = n && Doc.value_id doc pre = v)
+                 in
+                 arr (Value_index.attr_eq vi ~name_id:n ~value_id:v) = expect
+                 && Value_index.attr_eq_count vi ~name_id:n ~value_id:v = Array.length expect)
+               names)
+        values)
+
+(* Equality probes run per sampled tuple in index-NL joins: a hit and a
+   miss both allocate nothing. *)
+let test_value_index_alloc_free () =
+  let engine, r = engine_and_doc {|<a><t>x</t><t>y</t><b v="x"/><b w="y"/></a>|} in
+  let vi = r.Engine.values in
+  let x = Option.get (Engine.value_id engine "x") in
+  let y = Option.get (Engine.value_id engine "y") in
+  let name_v = Option.get (Engine.qname_id engine "v") in
+  let zero label f = Alcotest.(check (float 0.0)) label 0.0 (minor_words_of_calls 1000 f) in
+  zero "text_eq hit" (fun () -> Value_index.text_eq vi x);
+  zero "text_eq miss" (fun () -> Value_index.text_eq vi 1_000_000);
+  zero "attr_eq hit" (fun () -> Value_index.attr_eq vi ~name_id:name_v ~value_id:x);
+  zero "attr_eq miss" (fun () -> Value_index.attr_eq vi ~name_id:name_v ~value_id:y)
+
 let test_value_index_range () =
   let _, r =
     engine_and_doc "<a><n>10</n><n>20</n><n>30</n><n>notnum</n><n>25.5</n></a>"
@@ -178,6 +222,8 @@ let suite =
     prop_element_index_complete;
     Alcotest.test_case "kind index" `Quick test_kind_index;
     Alcotest.test_case "value index eq" `Quick test_value_index_eq;
+    prop_value_index_eq;
+    Alcotest.test_case "value index probes allocate nothing" `Quick test_value_index_alloc_free;
     Alcotest.test_case "value index range" `Quick test_value_index_range;
     Alcotest.test_case "range boundaries" `Quick test_range_boundaries;
     Alcotest.test_case "range skips NaN" `Quick test_range_skips_nan;

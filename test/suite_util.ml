@@ -24,6 +24,104 @@ let test_split_independent () =
   let ys = List.init 32 (fun _ -> Xoshiro.int64 b) in
   check_bool "split streams differ" true (xs <> ys)
 
+(* Pinned outputs of every draw function: a change to the state's layout
+   or to the step must leave each stream exactly as it is. *)
+let test_golden_stream () =
+  let first4 seed =
+    let t = Xoshiro.create seed in
+    List.init 4 (fun _ -> Xoshiro.int64 t)
+  in
+  let int64s = Alcotest.(list int64) in
+  Alcotest.check int64s "seed 0"
+    [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L; 7684712102626143532L ]
+    (first4 0);
+  Alcotest.check int64s "seed 1"
+    [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L; 7218738570589545383L ]
+    (first4 1);
+  Alcotest.check int64s "seed 42"
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L; -1389169964527427423L ]
+    (first4 42);
+  let t = Xoshiro.create 42 in
+  Alcotest.(check (list int)) "int" [ 742; 198; 201; 481; 764 ]
+    (List.init 5 (fun _ -> Xoshiro.int t 1000));
+  Alcotest.(check (list string)) "float"
+    [ "0x1.8a1b4a6202f2ap-1"; "0x1.7042a90ab4cbbp-1"; "0x1.b3344e87d7ccp-1" ]
+    (List.init 3 (fun _ -> Printf.sprintf "%h" (Xoshiro.float t)));
+  Alcotest.(check (list bool)) "bool" [ false; true; true; true; false; false; true; false ]
+    (List.init 8 (fun _ -> Xoshiro.bool t));
+  let s = Xoshiro.split t in
+  Alcotest.check int64s "split" [ -7876195182371076435L; -2741369095840054060L ]
+    [ Xoshiro.int64 s; Xoshiro.int64 t ]
+
+(* Reference [sample_without_replacement]: the same draws, positions
+   ordered by the polymorphic [Array.sort]. *)
+let reference_sample t n k =
+  let k = min n k in
+  if k <= 0 then [||]
+  else if k * 3 >= n then begin
+    let all = Array.init n (fun i -> i) in
+    Xoshiro.shuffle t all;
+    let out = Array.sub all 0 k in
+    Array.sort compare out;
+    out
+  end
+  else begin
+    let seen = Int_table.create ~capacity:(2 * k) () in
+    for j = n - k to n - 1 do
+      let r = Xoshiro.int t (j + 1) in
+      if Int_table.mem seen r then Int_table.add seen j else Int_table.add seen r
+    done;
+    let out = Array.make k 0 in
+    let i = ref 0 in
+    Int_table.iter (fun key _ -> out.(!i) <- key; incr i) seen;
+    Array.sort compare out;
+    out
+  end
+
+(* Pinned draws (seed, n, k), each followed by the generator's next
+   [int 1000]: dense (3k >= n) and Floyd cases alike. *)
+let sample_goldens =
+  [
+    ((0, 0, 3), [||], 612);
+    ((1, 5, 10), [| 0; 1; 2; 3; 4 |], 563);
+    ((2, 1, 1), [| 0 |], 575);
+    ((3, 10, 5), [| 3; 5; 7; 8; 9 |], 596);
+    ((4, 10, 3), [| 0; 3; 4 |], 330);
+    ((5, 12, 4), [| 0; 2; 5; 10 |], 139);
+    ((6, 30, 8), [| 2; 9; 11; 13; 14; 27; 28; 29 |], 448);
+    ((7, 100, 10), [| 19; 26; 33; 41; 44; 51; 56; 72; 76; 98 |], 495);
+    ((42, 1000, 6), [| 17; 42; 555; 583; 746; 872 |], 946);
+    ((9, 100000, 5), [| 5060; 43685; 46859; 51411; 95005 |], 440);
+  ]
+
+let test_golden_samples () =
+  List.iter
+    (fun ((seed, n, k), expected, next) ->
+      let label = Printf.sprintf "seed %d n %d k %d" seed n k in
+      let t = Xoshiro.create seed in
+      Alcotest.check int_array label expected (Xoshiro.sample_without_replacement t n k);
+      check_int (label ^ " next draw") next (Xoshiro.int t 1000))
+    sample_goldens;
+  (* A wider grid against the reference: both branches, both sides of
+     the 3k = n switch, sizes up to the sampled domains. *)
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (n, k) ->
+          let label = Printf.sprintf "seed %d n %d k %d" seed n k in
+          let a = Xoshiro.create seed and b = Xoshiro.create seed in
+          Alcotest.check int_array label (reference_sample b n k)
+            (Xoshiro.sample_without_replacement a n k);
+          check_bool (label ^ " same state") true (Xoshiro.int64 a = Xoshiro.int64 b))
+        [ (17, 5); (17, 6); (100, 33); (100, 34); (551, 100); (551, 183); (551, 184);
+          (3005, 100); (5000, 2000); (100000, 100); (100000, 40000) ])
+    [ 0; 1; 42; 301 ]
+
+let test_int_alloc_free () =
+  let t = Xoshiro.create 3 in
+  Alcotest.(check (float 0.0)) "Xoshiro.int: minor words over 1000 calls" 0.0
+    (minor_words_of_calls 1000 (fun () -> Xoshiro.int t 1000))
+
 let prop_int_range =
   qtest "Xoshiro.int in range" QCheck.(pair small_int (int_range 1 1000)) (fun (seed, n) ->
       let rng = Xoshiro.create seed in
@@ -130,6 +228,47 @@ let test_str_pool_growth () =
   done;
   check_string "resolves after growth" "1234" (Str_pool.to_string p 1234)
 
+(* ---------- Int_sort ---------- *)
+
+(* Up to a few hundred elements, so the merge passes run; values from a
+   narrow signed range (many duplicates) or the full int range. *)
+let int_list_arb =
+  QCheck.make
+    ~print:QCheck.Print.(list int)
+    QCheck.Gen.(list_size (0 -- 300) (oneof [ int_range (-20) 20; int ]))
+
+let prop_int_sort =
+  qtest ~count:300 "Int_sort.sort = List.sort" int_list_arb (fun l ->
+      let a = Array.of_list l in
+      Int_sort.sort a;
+      Array.to_list a = List.sort compare l)
+
+let prop_int_sort_by =
+  qtest ~count:300 "Int_sort.sort_by = List.stable_sort" int_list_arb (fun l ->
+      let key = Array.of_list l in
+      let idx = Array.init (Array.length key) (fun i -> i) in
+      Int_sort.sort_by ~less:(fun i j -> key.(i) < key.(j)) idx;
+      Array.to_list idx
+      = List.stable_sort
+          (fun i j -> compare key.(i) key.(j))
+          (List.init (Array.length key) (fun i -> i)))
+
+let test_int_sort_shapes () =
+  List.iter
+    (fun n ->
+      let expect = Array.init n (fun i -> i) in
+      let check label a =
+        Int_sort.sort a;
+        Alcotest.check int_array (Printf.sprintf "%s n=%d" label n) expect a
+      in
+      check "sorted" (Array.init n (fun i -> i));
+      check "reversed" (Array.init n (fun i -> n - 1 - i));
+      check "organ pipe" (Array.init n (fun i -> if i mod 2 = 0 then i else n - i - (n mod 2)));
+      let same = Array.make n 7 in
+      Int_sort.sort same;
+      Alcotest.check int_array (Printf.sprintf "constant n=%d" n) (Array.make n 7) same)
+    [ 0; 1; 2; 15; 16; 17; 31; 32; 33; 100; 1000 ]
+
 (* ---------- Bin_search ---------- *)
 
 let naive_lower_bound a x =
@@ -140,18 +279,23 @@ let naive_upper_bound a x =
   let rec go i = if i >= Array.length a || a.(i) > x then i else go (i + 1) in
   go 0
 
-let sorted_arr = QCheck.map (fun l -> Array.of_list (List.sort compare l)) QCheck.(list small_int)
+(* Signed values from a narrow range: negatives, duplicates and probes
+   outside the array on either side. *)
+let sorted_arr =
+  QCheck.map (fun l -> Array.of_list (List.sort compare l)) QCheck.(list (int_range (-30) 30))
+
+let probe = QCheck.int_range (-35) 35
 
 let prop_lower_bound =
-  qtest "lower_bound = naive" QCheck.(pair sorted_arr small_int) (fun (a, x) ->
+  qtest "lower_bound = naive" (QCheck.pair sorted_arr probe) (fun (a, x) ->
       Bin_search.lower_bound a x = naive_lower_bound a x)
 
 let prop_upper_bound =
-  qtest "upper_bound = naive" QCheck.(pair sorted_arr small_int) (fun (a, x) ->
+  qtest "upper_bound = naive" (QCheck.pair sorted_arr probe) (fun (a, x) ->
       Bin_search.upper_bound a x = naive_upper_bound a x)
 
 let prop_lower_bound_from =
-  qtest "lower_bound_from consistent" QCheck.(pair sorted_arr small_int) (fun (a, x) ->
+  qtest "lower_bound_from consistent" (QCheck.pair sorted_arr probe) (fun (a, x) ->
       let full = Bin_search.lower_bound a x in
       (* Starting at or before the answer gives the same boundary. *)
       List.for_all
@@ -159,11 +303,11 @@ let prop_lower_bound_from =
         (List.init (min 5 (Array.length a + 1)) (fun i -> i)))
 
 let prop_mem =
-  qtest "mem = Array.mem" QCheck.(pair sorted_arr small_int) (fun (a, x) ->
+  qtest "mem = Array.mem" (QCheck.pair sorted_arr probe) (fun (a, x) ->
       Bin_search.mem a x = Array.exists (( = ) x) a)
 
 let prop_count_range =
-  qtest "count_range = filter length" QCheck.(triple sorted_arr small_int small_int)
+  qtest "count_range = filter length" (QCheck.triple sorted_arr probe probe)
     (fun (a, lo, hi) ->
       Bin_search.count_range a ~lo ~hi
       = Array.length (Array.of_seq (Seq.filter (fun x -> lo <= x && x <= hi) (Array.to_seq a))))
@@ -318,6 +462,9 @@ let suite =
     Alcotest.test_case "xoshiro determinism" `Quick test_determinism;
     Alcotest.test_case "xoshiro distinct seeds" `Quick test_distinct_seeds;
     Alcotest.test_case "xoshiro split" `Quick test_split_independent;
+    Alcotest.test_case "xoshiro golden stream" `Quick test_golden_stream;
+    Alcotest.test_case "sample_without_replacement golden" `Quick test_golden_samples;
+    Alcotest.test_case "xoshiro int allocates nothing" `Quick test_int_alloc_free;
     prop_int_range;
     prop_float_range;
     prop_sample_wor;
@@ -330,6 +477,9 @@ let suite =
     prop_int_vec_fold;
     Alcotest.test_case "str_pool basic" `Quick test_str_pool;
     Alcotest.test_case "str_pool growth" `Quick test_str_pool_growth;
+    prop_int_sort;
+    prop_int_sort_by;
+    Alcotest.test_case "int_sort shapes" `Quick test_int_sort_shapes;
     prop_lower_bound;
     prop_upper_bound;
     prop_lower_bound_from;
