@@ -82,7 +82,7 @@ let allowlist =
        t.mutex critical section (completion broadcasts under it)";
     f "lib/serve/server.ml" "t.*"
       "mutex: queue, in-flight table, audit and connection counters, \
-       tenant table, server metrics, stopping and the worker list all \
+       server metrics, stopping and the worker list all \
        mutate inside Mutex.protect t.mutex (the locked wrapper records \
        the Accesslog serve.mutex bracket); worker spawn/join carry hb \
        tokens";
@@ -113,23 +113,14 @@ let allowlist =
     f "lib/telemetry/sink.ml" "t.*"
       "single-owner: sinks are session-local; Aggregate.absorb moves \
        totals into the aggregate under its mutex";
-    f "lib/telemetry/recorder.ml" "slot.*"
-      "mutex: a ring slot's cursor and contents mutate only under that \
-       slot's slot_mutex; the owning domain is its only steady-state \
-       writer (Domain.DLS)";
-    f "lib/telemetry/recorder.ml" "t.slots"
-      "mutex: the slot list grows only under reg_mutex; snapshot folds \
-       take each slot's own mutex in turn";
+    f "lib/telemetry/recorder.ml" "t.*"
+      "mutex: the ring cursor and the slow-log state are read and \
+       written only under the recorder's one t.mutex (the locked \
+       wrapper records the telemetry.recorder access-log bracket)";
     f "lib/telemetry/recorder.ml" "tenant_series.*"
-      "mutex: tenant counters mutate only under ten_mutex, the same \
-       lock that bounds the tenant table's cardinality";
-    f "lib/telemetry/recorder.ml" "t.tenant_order"
-      "mutex: first-seen tenant order appends only under ten_mutex";
-    f "lib/telemetry/recorder.ml" "t.log_closed"
-      "mutex: slow-log lifecycle flag, read and written only under \
-       log_mutex (close vs a concurrent observe)";
-    f "lib/telemetry/recorder.ml" "t.log_lines"
-      "mutex: bumped only under log_mutex, right after the write";
+      "mutex: tenant counters mutate only under the recorder's one \
+       t.mutex, the same critical section that bounds the tenant \
+       table's cardinality";
     (* -- util: access log itself ----------------------------------- *)
     g "lib/util/accesslog.ml" "armed_flag"
       "publish-before-spawn: flipped at CLI startup or by a racecheck \

@@ -175,6 +175,40 @@ let cache_guarded ?(domains = 2) ?(iters = 120) () =
             ignore (L.find cache k : int option)
           done))
 
+(* The flight recorder's twin of cache-guarded: a real Recorder driven
+   from two domains through observe/retain while the same domains read
+   recent, prometheus and threshold_ns — its one mutex on every path.
+   Must come back clean. *)
+let recorder_guarded ?(domains = 2) ?(iters = 60) () =
+  let module R = Rox_telemetry.Recorder in
+  with_recording (fun () ->
+      let rc = R.create ~cap:16 ~retain_cap:4 ~tenant_cap:2 ~head_every:4 () in
+      fork_join domains (fun d ->
+          for i = 1 to iters do
+            let r =
+              {
+                R.trace_id = R.next_trace_id rc;
+                fingerprint = "fixture";
+                tenant = Printf.sprintf "t%d" ((i + d) land 3);
+                plan_digest = "-";
+                plan_edges = 0;
+                latency_ns = 1_000 * i;
+                queue_ns = 0;
+                sampling_units = 0;
+                execution_units = 0;
+                cache_hits = 0;
+                cache_misses = 0;
+                outcome = R.Executed;
+                status = "ok";
+                edge_ns = [];
+              }
+            in
+            Option.iter (fun reason -> R.retain rc r reason []) (R.observe rc r);
+            ignore (R.recent rc 4 : R.record list);
+            ignore (R.prometheus rc : string);
+            ignore (R.threshold_ns rc : int)
+          done))
+
 let all =
   [
     ("seeded-race", (fun () -> seeded_race ()),
@@ -191,6 +225,8 @@ let all =
      "a cache's bytes mutated without the cache lock", [ "RX501" ]);
     ("cache-guarded", (fun () -> cache_guarded ()),
      "the real single-lock LRU hammered through its public ops", []);
+    ("recorder-guarded", (fun () -> recorder_guarded ()),
+     "the real flight recorder written and read from two domains", []);
   ]
 
 let find name =

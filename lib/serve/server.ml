@@ -102,15 +102,14 @@ type t = {
   (* connection accounting — bounds the thread-per-connection pool *)
   mutable conns : int;
   mutable conn_rejected : int;
-  tenants : (string, int) Hashtbl.t;
   metrics : Tm.t;                   (* server-level instruments, mutex-guarded *)
   aggregate : Aggregate.t;          (* absorbed per-request session sinks *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
   sanitize_coalesce : bool;
   (* The flight recorder: always-on request records, tail-sampled trace
-     retention, slow log. Its own per-domain slots and small mutexes —
-     never touched while t.mutex is held. *)
+     retention, tenant series, slow log. Behind its own mutex — never
+     touched while t.mutex is held. *)
   recorder : Recorder.t option;
   started_ns : int64;   (* monotonic, for uptime_ms *)
   started_at : float;   (* wall clock (epoch seconds), for STATS *)
@@ -133,10 +132,6 @@ let locked t f =
 
 let set_depth_locked t =
   Tm.set t.metrics.Tm.queue_depth (float_of_int (Queue.length t.queue))
-
-let bump_tenant t client_id =
-  let n = try Hashtbl.find t.tenants client_id with Not_found -> 0 in
-  Hashtbl.replace t.tenants client_id (n + 1)
 
 (* The coalescing identity: everything that determines the *answer bytes*
    — query text, RNG seed, τ, every budget, the reply limit, and the
@@ -274,8 +269,7 @@ let status_of_resp = function
    execution's plan/spend/span surface, coalesced and rejected ones only
    their admission outcome, so the recorder's record count reconciles
    with the RX601-603 audit (RX701). Never called with t.mutex held:
-   observe takes the recorder's own (leaf) mutexes and may write the
-   slow log. *)
+   observe takes the recorder's mutex and may write the slow log. *)
 let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
     ~queue_ns ~exec =
   match t.recorder with
@@ -361,8 +355,8 @@ let process t entry =
   in
   (* Record before waking the waiter: by the time a client reads its
      reply, the flight record is visible (RECENT/STATS right after an
-     answer are deterministic). record_request takes only recorder leaf
-     mutexes, never t.mutex. *)
+     answer are deterministic). record_request takes only the recorder's
+     mutex, never t.mutex. *)
   record_request t ~trace_id:entry.trace_id ~q ~outcome:Recorder.Executed ~resp
     ~latency_ns:(Clock.elapsed_ns entry.submitted_ns) ~queue_ns:wait_ns ~exec;
   complete t entry ~wait_ns resp
@@ -419,7 +413,6 @@ let create cfg =
       divergence = 0;
       conns = 0;
       conn_rejected = 0;
-      tenants = Hashtbl.create 8;
       metrics = Tm.create ();
       aggregate = Aggregate.create ();
       stopping = false;
@@ -524,7 +517,6 @@ let submit_async t (q : Protocol.query) =
             entry.waiters <- entry.waiters + 1;
             t.coalesced <- t.coalesced + 1;
             Tm.incr t.metrics.Tm.coalesce_hits;
-            bump_tenant t q.Protocol.client_id;
             `Ticket { entry; coalesced = true; tid = trace_id; t0; tq = q }
           | None ->
             if Queue.length t.queue >= t.cfg.queue_capacity then reject ()
@@ -545,7 +537,6 @@ let submit_async t (q : Protocol.query) =
               Accesslog.record ~site:t.al_inflight Write;
               Hashtbl.add t.inflight key entry;
               set_depth_locked t;
-              bump_tenant t q.Protocol.client_id;
               Condition.signal t.work;
               `Ticket { entry; coalesced = false; tid = trace_id; t0; tq = q }
             end
@@ -643,9 +634,12 @@ let audit t =
 let self_check t = Serve_check.check (audit t)
 
 let tenants t =
-  locked t (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tenants []
-      |> List.sort compare)
+  match t.recorder with
+  | None -> []
+  | Some rc ->
+    List.map
+      (fun (s : Recorder.tenant_stat) -> (s.tenant, s.requests))
+      (Recorder.tenant_stats rc)
 
 let stats_kvs t =
   let counts =
@@ -693,8 +687,8 @@ let stats_kvs t =
       in
       member "relations" st.relations @ member "estimates" st.estimates
   in
-  (* Recorder counters come from the recorder's own slot mutexes — never
-     inside the server lock. *)
+  (* Recorder counters and tenant series come from the recorder's own
+     mutex — never inside the server lock. *)
   let recorder_kvs =
     match t.recorder with
     | None -> []

@@ -119,12 +119,15 @@ val stats_kvs : t -> (string * string) list
     wall-clock epoch seconds), the audit counters, queue depth, in-flight
     entries and their attached waiters ([inflight_waiters] — submitters
     plus coalesced clients), open/bounced connections ([connections] /
-    [conn_rejected]), worker count, flight-recorder counters ([records],
-    [records_dropped], [traces_retained] — present only with the recorder
-    on), and per-tenant served counts as [tenant.<client_id>]. *)
+    [conn_rejected]), worker count, and, only with the recorder on, its
+    counters ([records], [records_dropped], [traces_retained]) and
+    per-tenant request counts as [tenant.<client_id>] ({!tenants}). *)
 
 val tenants : t -> (string * int) list
-(** Per-tenant admitted-request counts, sorted by client_id. *)
+(** Per-tenant submitted-request counts (rejections included), read
+    from {!Rox_telemetry.Recorder.tenant_stats}: sorted by client_id,
+    at most [tenant_cap] tenants plus ["other"], and empty with the
+    recorder off. *)
 
 val audit : t -> Rox_analysis.Serve_check.counts
 (** Snapshot the audit counters ({!Rox_analysis.Serve_check.check}

@@ -174,11 +174,6 @@ let quantile h q =
     end
   end
 
-let add_histogram ~into h =
-  into.h_count <- into.h_count + h.h_count;
-  into.h_sum <- into.h_sum + h.h_sum;
-  Array.iteri (fun i n -> into.h_buckets.(i) <- into.h_buckets.(i) + n) h.h_buckets
-
 let counters t =
   [
     t.sampling_time_ns; t.execution_time_ns; t.relation_cache_hits;

@@ -73,10 +73,10 @@ val create : unit -> t
 
 val histogram : string -> string -> histogram
 (** [histogram name help] is a standalone instrument outside any
-    registry — the flight recorder's per-tenant latency series and
-    per-slot adaptive-threshold histograms are built from these. A
-    standalone histogram never participates in {!add_into} (which only
-    merges the fixed registry shape); callers fold buckets by hand. *)
+    registry — the flight recorder's adaptive-threshold histogram and
+    per-tenant latency series are built from these. A standalone
+    histogram never participates in {!add_into}, which only merges the
+    fixed registry shape. *)
 
 val incr : ?by:int -> counter -> unit
 val set : gauge -> float -> unit
@@ -101,11 +101,6 @@ val quantile : histogram -> float -> float
     bucket boundaries ([frac = 1] lands on the next power of two), and —
     unlike the upper-edge rule it replaces — unbiased in expectation for
     log-uniform populations. 0 for an empty histogram. *)
-
-val add_histogram : into:histogram -> histogram -> unit
-(** Merge one histogram's population into another (count, sum and every
-    bucket add) — how standalone histograms from {!histogram} are folded
-    across the recorder's per-domain slots. *)
 
 val counters : t -> counter list
 val gauges : t -> gauge list

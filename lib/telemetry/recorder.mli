@@ -1,15 +1,14 @@
 (** The flight recorder: always-on, bounded request accounting for a
     live process.
 
-    Three layers, all bounded so they can stay armed in production:
+    Three layers, all bounded so they can stay armed in production, and
+    all behind one mutex:
 
     - {b Request records.} Every completed request — executed, coalesced
       onto an in-flight twin, or rejected at admission — appends one
-      {!record} to the calling domain's own ring slot (a
-      [Domain.DLS]-registered ring: the append takes a mutex only its
-      own domain holds in steady state, so it never contends). A full ring
-      overwrites the oldest record and the overwrite is counted, like
-      [Sink]'s span cap.
+      {!record} to one process-wide ring. A full ring overwrites the
+      oldest record and the overwrite is counted, like [Sink]'s span
+      cap.
     - {b Tail-sampled traces.} {!observe} returns a retention {!reason}
       when the request's full span tree is worth keeping: its latency
       cleared an adaptive threshold (the {!create}[ ~quantile] of the
@@ -26,7 +25,8 @@
 
     When built with [?slow_log], {!observe} also appends one structured
     JSONL line (via [Rox_util.Minijson]) for every record that errored
-    or ran at least [slow_ms] milliseconds. *)
+    or ran at least [slow_ms] milliseconds. The line is formatted outside
+    the mutex and written and flushed inside it. *)
 
 type outcome = Executed | Coalesced | Rejected
 
@@ -56,7 +56,7 @@ type record = {
 type t
 
 val create :
-  ?cap:int ->          (* per-domain ring capacity (256) *)
+  ?cap:int ->          (* ring capacity, all domains together (256) *)
   ?retain_cap:int ->   (* retained-trace bound (64) *)
   ?head_every:int ->   (* head-sample 1-in-N by trace id (128; 0 = off) *)
   ?quantile:float ->   (* adaptive-threshold quantile (0.95) *)
@@ -71,8 +71,7 @@ val next_trace_id : t -> int
 (** Monotonic id assignment ([Atomic.fetch_and_add]); ids start at 1. *)
 
 val observe : t -> record -> reason option
-(** Append to the calling domain's ring, fold the latency into the
-    adaptive threshold, update the tenant series, write the slow-log
+(** Append to the ring, fold the latency into the adaptive threshold, update the tenant series, write the slow-log
     line if armed — and say whether the caller should {!retain} the
     request's span tree. The retention decision uses the threshold as it
     stood {e before} this record, so a spike cannot raise the bar for
@@ -87,11 +86,12 @@ val retain : t -> record -> reason -> Sink.span list -> unit
 val find_trace : t -> int -> (record * reason * Sink.span list) option
 
 val recent : t -> int -> record list
-(** The [n] most recent records across every domain's ring, newest
-    first (by trace id — assignment order, which is admission order). *)
+(** The [n] most recent records still in the ring, newest first by
+    trace id (assignment order, which is admission order; records are
+    appended in completion order). *)
 
 val records : t -> int
-(** Total records ever observed (all slots, survivors and overwritten). *)
+(** Total records ever observed (survivors and overwritten). *)
 
 val dropped : t -> int
 (** Records overwritten by ring wraparound. *)
@@ -102,9 +102,9 @@ val traces : t -> (int * record * reason * Sink.span list) list
 (** Every currently retained trace (diagnostics / RX702). *)
 
 val threshold_ns : t -> int
-(** The process-wide adaptive threshold: every slot's latency histogram
-    merged, then the same floor/warmup/quantile rule the per-slot
-    decision applies. *)
+(** The adaptive threshold the next {!observe} will judge against: the
+    [floor_ns] until [warmup] served latencies, then the [quantile] of
+    the recorder's latency histogram, never below [floor_ns]. *)
 
 type tenant_stat = {
   tenant : string;
@@ -114,7 +114,9 @@ type tenant_stat = {
 }
 
 val tenant_stats : t -> tenant_stat list
-(** Snapshot of every tenant series, first-seen order. *)
+(** Every tenant series, sorted by tenant. The counters are a snapshot;
+    [serve_ns] is the live histogram. A tenant's [requests] counts every
+    observed record, rejections included. *)
 
 val tenant_count : t -> int
 val tenant_cap : t -> int

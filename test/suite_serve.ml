@@ -368,6 +368,46 @@ let test_tenant_accounting () =
     [ ("alpha", 2); ("beta", 1); ("local", 1) ]
     (S.tenants server)
 
+(* A client-chosen client_id must not grow the server's memory: 50
+   distinct tenants stay within the recorder's tenant_cap + "other". *)
+let test_tenant_flood_bounded () =
+  let engine = library_engine () in
+  let server =
+    S.create (S.config ~workers:1 ~queue_capacity:8 ~telemetry:false engine)
+  in
+  for i = 1 to 50 do
+    ignore
+      (S.submit server
+         (P.query ~client_id:(Printf.sprintf "flood%02d" i) library_query))
+  done;
+  S.shutdown server;
+  let cap =
+    match S.recorder server with
+    | Some rc -> Rox_telemetry.Recorder.tenant_cap rc
+    | None -> Alcotest.fail "recorder is on by default"
+  in
+  let tenants = S.tenants server in
+  Alcotest.(check bool) "tenants bounded to tenant_cap + 1" true
+    (List.length tenants <= cap + 1);
+  Alcotest.(check int) "every request counted" 50
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 tenants);
+  let tenant_keys =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"tenant." k)
+      (S.stats_kvs server)
+  in
+  Alcotest.(check bool) "STATS tenant.* keys bounded" true
+    (List.length tenant_keys <= cap + 1);
+  let off =
+    S.create
+      (S.config ~workers:1 ~queue_capacity:8 ~telemetry:false ~recorder:false
+         engine)
+  in
+  ignore (S.submit off (P.query ~client_id:"x" library_query));
+  S.shutdown off;
+  Alcotest.(check (list (pair string int))) "no tenants with the recorder off"
+    [] (S.tenants off)
+
 (* ---------- end-to-end: protocol session over a socketpair ------------- *)
 
 let test_socketpair_session_two_domains () =
@@ -701,4 +741,5 @@ let suite =
     Alcotest.test_case "protocol: scrape verbs round-trip" `Quick test_scrape_roundtrip;
     Alcotest.test_case "flight recorder: STATS/METRICS/RECENT/TRACE" `Quick test_flight_recorder_scrape;
     Alcotest.test_case "e2e: scrape verbs over a socketpair" `Quick test_socketpair_scrape_session;
+    Alcotest.test_case "tenant flood bounded" `Quick test_tenant_flood_bounded;
   ]

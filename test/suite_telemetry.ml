@@ -483,6 +483,60 @@ let test_recorder_ring_wrap () =
        (fun d -> d.A.Diagnostic.code = "RX701")
        (A.Recorder_check.check ~submitted:11 rc))
 
+(* Two domains share one ring: nothing is lost or double-counted, and
+   recent sees both domains' survivors. *)
+let test_recorder_two_domain_conservation () =
+  let k = 50 in
+  let rc = Recorder.create ~cap:4 ~head_every:0 () in
+  let writer () =
+    Domain.spawn (fun () ->
+        for _ = 1 to k do
+          ignore (Recorder.observe rc (mk_record rc ()) : Recorder.reason option)
+        done)
+  in
+  let a = writer () and b = writer () in
+  Domain.join a;
+  Domain.join b;
+  check_int "records = 2k" (2 * k) (Recorder.records rc);
+  check_int "dropped = 2k - cap" ((2 * k) - 4) (Recorder.dropped rc);
+  let ids = List.map (fun r -> r.Recorder.trace_id) (Recorder.recent rc 100) in
+  check_int "recent returns the cap" 4 (List.length ids);
+  Alcotest.(check (list int))
+    "distinct, descending by trace id"
+    (List.sort_uniq (fun x y -> compare y x) ids)
+    ids;
+  Alcotest.(check (list string)) "RX701 clean" []
+    (List.map
+       (fun d -> d.A.Diagnostic.code)
+       (A.Recorder_check.check ~submitted:(2 * k) rc))
+
+(* Retention on one domain is judged against the latencies every domain
+   served, and threshold_ns is that same bar. *)
+let test_recorder_threshold_shared_across_domains () =
+  let rc = Recorder.create ~head_every:0 () in
+  Domain.join
+    (Domain.spawn (fun () ->
+         for _ = 1 to 32 do
+           ignore
+             (Recorder.observe rc (mk_record rc ~latency_ns:10_000_000 ())
+               : Recorder.reason option)
+         done));
+  check_bool "the bar armed above 5 ms" true
+    (Recorder.threshold_ns rc > 5_000_000);
+  let verdict latency_ns = Recorder.observe rc (mk_record rc ~latency_ns ()) in
+  let five_ms, under, at =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let five_ms = verdict 5_000_000 in
+           let under = verdict (Recorder.threshold_ns rc - 1) in
+           let at = verdict (Recorder.threshold_ns rc) in
+           (five_ms, under, at)))
+  in
+  check_bool "5 ms after 32 x 10 ms on another domain: not retained" true
+    (five_ms = None);
+  check_bool "just under threshold_ns: not retained" true (under = None);
+  check_bool "at threshold_ns: Slow" true (at = Some Recorder.Slow)
+
 let test_recorder_threshold_monotone () =
   let rc =
     Recorder.create ~warmup:8 ~quantile:0.5 ~floor_ns:1000 ~head_every:0 ()
@@ -586,7 +640,7 @@ let test_recorder_tenant_bound () =
   ignore (Recorder.observe rc (mk_record rc ~tenant:"other" ~status:"busy" ()));
   let stats = Recorder.tenant_stats rc in
   Alcotest.(check (list (pair string int)))
-    "first-seen order, overflow folded"
+    "sorted by tenant, overflow folded"
     [ ("a", 2); ("b", 1); ("other", 3) ]
     (List.map (fun s -> (s.Recorder.tenant, s.Recorder.requests)) stats);
   let other = List.find (fun s -> s.Recorder.tenant = "other") stats in
@@ -711,4 +765,7 @@ let suite =
     ("recorder: hostile tenant labels", `Quick, test_recorder_hostile_tenant_label);
     ("recorder: slow-log JSON shape", `Quick, test_recorder_json_shape);
     ("recorder: slow-log file lifecycle", `Quick, test_recorder_slow_log_file);
+    ("recorder: two-domain conservation", `Quick, test_recorder_two_domain_conservation);
+    ("recorder: one threshold across domains", `Quick,
+     test_recorder_threshold_shared_across_domains);
   ]
