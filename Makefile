@@ -40,10 +40,13 @@ racecheck:
 # fuzz suite with every operator call cross-checked — columnar kernels
 # bit-for-bit against the row-major reference, cache hits against fresh
 # recomputation, sorted flags audited, session confinement (no global
-# reads on a session's path) armed.
+# reads on a session's path) armed — then the serve suite under the same
+# contracts, so cache replay (RX304) and confinement (RX307) run on the
+# concurrent served path too.
 sanitize:
 	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- analyze
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test fuzz
+	ROX_SANITIZE=1 dune exec test/test_main.exe -- test serve
 
 # Quick benchmarks: the cache experiment (BENCH_cache.json), the
 # columnar relation kernels vs the row-major reference
@@ -52,15 +55,15 @@ sanitize:
 # enforced; speedup tracks physical cores), telemetry overhead on
 # the Figure 5 workload (BENCH_telemetry.json, <3% target), and the
 # serving front-end (BENCH_serve.json: saturation qps at 1 and N
-# worker domains, open-loop p50/p99, coalesce hit ratio with
-# bit-identity enforced).
+# worker domains, open-loop p50/p99, a scripted socketpair session,
+# audits required clean).
 bench-smoke:
 	dune exec bench/main.exe -- cache relation parallel telemetry serve
 
 # A scripted protocol session against an in-process server over a
 # socketpair: PING, repeated QUERY (answers must be bit-identical),
 # a budget-aborted QUERY (structured ERR, not a dropped connection),
-# STATS accounting, QUIT — then the RX601-603 self-audit.
+# STATS accounting, QUIT — then the RX601/RX603 self-audit.
 serve-smoke:
 	dune exec bin/rox_cli.exe -- serve --smoke
 

@@ -1,22 +1,18 @@
 (* The serving front-end under load — the payoff of lib/serve.
 
-   Four legs against one shared XMark engine:
+   Three legs against one shared XMark engine:
 
    1. Closed-loop saturation: G client threads submit back-to-back with
-      per-request distinct thresholds (defeating both coalescing and any
-      cache), at 1 worker domain and at N — the saturation qps pair.
+      per-request distinct thresholds (defeating any cache), at 1 worker
+      domain and at N — the saturation qps pair.
    2. Open-loop latency: requests arrive on a fixed schedule (fractions
       of the measured saturation rate); latency is completion minus the
       *scheduled* arrival, so queueing delay counts. p50/p99 from the
       serve-side histogram-free client-side samples.
-   3. Coalescing: one worker is pinned by a blocker request, then 8
-      fingerprint-identical requests are submitted — the first queues,
-      the other 7 must coalesce onto it, and all 8 answers must be
-      bit-identical to an independent execution.
-   4. A scripted protocol session over a socketpair.
+   3. A scripted protocol session over a socketpair.
 
-   Writes BENCH_serve.json; fails hard on audit diagnostics (RX601-603),
-   admission imbalance or divergent coalesced answers. *)
+   Writes BENCH_serve.json; fails hard on audit diagnostics (RX601/RX603)
+   or a failed protocol session. *)
 
 open Bench_common
 module P = Rox_serve.Protocol
@@ -92,10 +88,8 @@ let open_loop server ~clients ~requests ~rate =
     achieved,
     Atomic.get rejected )
 
-let ids_of = function P.Answer a -> Some a.ids | _ -> None
-
 let run ?(factor = 0.1) ?(requests = 90) () =
-  header "Serving front-end: admission, worker domains, coalescing";
+  header "Serving front-end: admission, worker domains";
   let engine = xmark_engine ~factor () in
   let n_cores = cores () in
   let big_workers = 4 in
@@ -146,45 +140,6 @@ let run ?(factor = 0.1) ?(requests = 90) () =
       [ 0.5; 0.8 ]
   in
 
-  (* -- coalescing: 1 worker pinned, 7 of 8 identical requests coalesce  *)
-  let coalesce_server = S.create (S.config ~workers:1 ~queue_capacity:64 engine) in
-  let blocker =
-    match S.submit_async coalesce_server (P.query (q1_query "<" 145)) with
-    | `Ticket t -> t
-    | `Rejected -> failwith "blocker rejected"
-  in
-  let twin = P.query ~seed:11 (q1_query ">" 145) in
-  let tickets =
-    List.init 8 (fun _ ->
-        match S.submit_async coalesce_server twin with
-        | `Ticket t -> t
-        | `Rejected -> failwith "twin rejected")
-  in
-  ignore (S.await coalesce_server blocker : P.response);
-  let twin_answers = List.map (S.await coalesce_server) tickets in
-  S.shutdown coalesce_server;
-  let coalesce_audit = S.audit coalesce_server in
-  let hits = coalesce_audit.Rox_analysis.Serve_check.sv_coalesced in
-  let reference =
-    let compiled = Rox_xquery.Compile.compile_string engine (q1_query ">" 145) in
-    let session =
-      Rox_core.Session.create
-        ~config:{ (Rox_core.Session.default_config ()) with Rox_core.Session.seed = 11 }
-        ()
-    in
-    fst (Rox_core.Optimizer.answer session compiled)
-  in
-  let coalesce_identical =
-    List.for_all (fun r -> ids_of r = Some reference) twin_answers
-  in
-  let hit_ratio = float_of_int hits /. 8.0 in
-  let coalesce_ok =
-    hits = 7 && coalesce_identical && S.self_check coalesce_server = []
-  in
-  Printf.printf
-    "coalescing: %d/8 hits (ratio %.3f), answers %s\n%!" hits hit_ratio
-    (if coalesce_identical then "bit-identical" else "DIVERGED");
-
   (* -- scripted protocol session over a socketpair -------------------- *)
   let sp_server = S.create (S.config ~workers:2 ~queue_capacity:16 engine) in
   let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -225,7 +180,7 @@ let run ?(factor = 0.1) ?(requests = 90) () =
     && List.for_all (fun (_, _, _, _, _, _, ok) -> ok) open_runs
     && sp_audit_ok
   in
-  let all_ok = audits_ok && coalesce_ok && socketpair_ok in
+  let all_ok = audits_ok && socketpair_ok in
 
   (* -- BENCH_serve.json ---------------------------------------------- *)
   let buf = Buffer.create 1024 in
@@ -256,11 +211,6 @@ let run ?(factor = 0.1) ?(requests = 90) () =
            (if i = List.length open_runs - 1 then "" else ",")))
     open_runs;
   Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"coalesce\": {\"requests\": 8, \"hits\": %d, \"hit_ratio\": %.3f, \
-        \"identical\": %b},\n"
-       hits hit_ratio coalesce_identical);
   Buffer.add_string buf (Printf.sprintf "  \"socketpair_ok\": %b,\n" socketpair_ok);
   Buffer.add_string buf (Printf.sprintf "  \"audits_clean\": %b,\n" audits_ok);
   Buffer.add_string buf (Printf.sprintf "  \"all_ok\": %b\n" all_ok);

@@ -25,7 +25,7 @@ let experiments ~full =
     ("parallel", "Concurrent sessions on OCaml 5 domains, shared engine", fun () -> Exp_parallel.run ());
     ("telemetry", "Telemetry span/metric overhead on the fig5 workload", fun () -> Exp_telemetry.run ~full ());
     ("recorder", "Flight-recorder overhead (alias: the telemetry experiment's recorder arm)", fun () -> Exp_telemetry.run ~full ());
-    ("serve", "Serving front-end: saturation, open-loop latency, coalescing", fun () -> Exp_serve.run ());
+    ("serve", "Serving front-end: saturation, open-loop latency, socketpair session", fun () -> Exp_serve.run ());
     ("bechamel", "Operator kernel micro-benchmarks", fun () -> Exp_bechamel.run ());
   ]
 

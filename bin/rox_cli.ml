@@ -514,7 +514,7 @@ let racecheck_workload ~domains ~iters ~scale () =
                 compiled_list
             done);
         (* Served pass: the same queries through the serving front-end's
-           shared state (admission queue, in-flight table, audit counters)
+           shared state (admission queue, audit counters)
            — client domains submitting against a 2-worker pool, so the
            recording covers the server's mutex discipline too. *)
         let server =
@@ -1068,9 +1068,9 @@ let serve_cmd =
   in
   let doc =
     "Serve queries over a length-prefixed socket protocol (QUERY/PING/STATS/\
-     METRICS/RECENT/TRACE/QUIT) with bounded admission, a worker-domain pool, \
-     fingerprint coalescing of concurrent identical requests, and an \
-     always-on flight recorder (request records, tail-sampled traces, \
+     METRICS/RECENT/TRACE/QUIT) with bounded admission, a worker-domain pool \
+     that executes every admitted request once over a shared cross-query \
+     cache, and an always-on flight recorder (request records, tail-sampled traces, \
      optional $(b,--slow-log) JSONL). Budget overruns answer as structured \
      ERR replies (the served counterpart of the one-shot CLI's exit 2), \
      never as dropped connections."

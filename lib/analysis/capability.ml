@@ -78,14 +78,13 @@ let allowlist =
       "single-owner: one decoder per connection, fed and drained only \
        by that connection's handler thread";
     f "lib/serve/server.ml" "pending.*"
-      "mutex: outcome and waiters only change inside the server's one \
-       t.mutex critical section (completion broadcasts under it)";
+      "mutex: outcome only changes inside the server's one t.mutex \
+       critical section (completion broadcasts under it)";
     f "lib/serve/server.ml" "t.*"
-      "mutex: queue, in-flight table, audit and connection counters, \
-       server metrics, stopping and the worker list all \
-       mutate inside Mutex.protect t.mutex (the locked wrapper records \
-       the Accesslog serve.mutex bracket); worker spawn/join carry hb \
-       tokens";
+      "mutex: queue, audit and connection counters, server metrics, \
+       stopping and the worker list all mutate inside Mutex.protect \
+       t.mutex (the locked wrapper records the Accesslog serve.mutex \
+       bracket); worker spawn/join carry hb tokens";
     (* -- shred ----------------------------------------------------- *)
     f "lib/shred/doc.ml" "t.doc_id"
       "publish-before-spawn: written once by Engine.register before the \

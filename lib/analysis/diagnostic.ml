@@ -355,31 +355,22 @@ let registry =
          matching parsed frame — a connection-handler bookkeeping bug \
          (every reply, including protocol errors, must answer exactly one \
          frame)." };
-    { ci_code = "RX602"; ci_severity = Error;
-      ci_summary = "coalesced result diverged from an independent execution";
-      ci_detail =
-        "Under ROX_SANITIZE=1 every request served by attaching to a \
-         fingerprint-equal in-flight execution re-runs the query \
-         independently afterwards and compares bit-for-bit. A divergence \
-         means the coalescing key conflated two distinct computations \
-         (wrong fingerprint parts, epoch leak) and a client received an \
-         answer to someone else's query." };
     { ci_code = "RX603"; ci_severity = Error;
-      ci_summary = "admission accounting imbalance (submitted != executed + coalesced + rejected)";
+      ci_summary = "admission accounting imbalance (submitted != executed + rejected)";
       ci_detail =
         "At quiescence every submitted request must be accounted for \
-         exactly once: executed by a worker, attached to an in-flight \
-         twin, or rejected at admission. An imbalance means a request was \
-         dropped on the floor (a hung client) or double-served." };
+         exactly once: executed by a worker or rejected at admission. An \
+         imbalance means a request was dropped on the floor (a hung \
+         client) or double-served." };
     { ci_code = "RX701"; ci_severity = Error;
       ci_summary = "flight-recorder accounting imbalance (records != submitted)";
       ci_detail =
-        "Every admitted request — executed, coalesced onto an in-flight \
-         twin, or rejected at admission — must leave exactly one flight \
-         record, so at quiescence the recorder's observed-record total \
-         equals the RX603 audit's submitted count. An imbalance means a \
-         request path skipped (or double-ran) its record_request hook \
-         and the slow log no longer reconciles with the audit counters." };
+        "Every admitted request — executed or rejected at admission — \
+         must leave exactly one flight record, so at quiescence the \
+         recorder's observed-record total equals the RX603 audit's \
+         submitted count. An imbalance means a request path skipped (or \
+         double-ran) its record_request hook and the slow log no longer \
+         reconciles with the audit counters." };
     { ci_code = "RX702"; ci_severity = Error;
       ci_summary = "retained trace is not well-nested";
       ci_detail =

@@ -55,7 +55,7 @@ let check ?submitted recorder =
        add
          (D.of_code "RX701" D.Graph_loc
             ~hint:
-              "every submit_async outcome (executed, coalesced, rejected — \
+              "every submit_async outcome (executed or rejected — \
                including shutdown-drained leftovers) must record exactly \
                once; take the snapshot at quiescence"
             (Printf.sprintf

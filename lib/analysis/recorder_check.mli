@@ -5,9 +5,9 @@
 
     - [RX701] record accounting: with [?submitted] (the RX603 audit's
       submitted count), every admitted request must have left exactly one
-      flight record — executed, coalesced and rejected requests all
-      record, so [Recorder.records = submitted]. This is what makes the
-      slow log reconcile with the serve audit counters.
+      flight record — executed and rejected requests both record, so
+      [Recorder.records = submitted]. This is what makes the slow log
+      reconcile with the serve audit counters.
     - [RX702] every retained trace is well-nested (the RX401
       discipline applied to the stored tree) with no negative durations —
       retention must store the chronological span order verbatim.

@@ -5,7 +5,6 @@ type counts = {
   sv_executed : int;
   sv_coalesced : int;
   sv_rejected : int;
-  sv_divergence : int;
 }
 
 let check c =
@@ -19,17 +18,7 @@ let check c =
         (Printf.sprintf "%d response(s) written for %d parsed request(s)"
            c.sv_responses c.sv_requests)
       :: !diags;
-  if c.sv_divergence > 0 then
-    diags :=
-      Diagnostic.of_code "RX602" Diagnostic.Graph_loc
-        ~hint:
-          "the coalescing key conflated two distinct computations — audit \
-           the fingerprint parts (query text, seed, tau, budgets, epoch)"
-        (Printf.sprintf
-           "%d coalesced result(s) diverged from an independent execution"
-           c.sv_divergence)
-      :: !diags;
-  let accounted = c.sv_executed + c.sv_coalesced + c.sv_rejected in
+  let accounted = c.sv_executed + c.sv_rejected in
   if c.sv_submitted <> accounted then
     diags :=
       Diagnostic.of_code "RX603" Diagnostic.Graph_loc
@@ -38,7 +27,7 @@ let check c =
            — mid-flight snapshots legitimately imbalance"
         (Printf.sprintf
            "%d submitted request(s) but %d accounted (executed %d + \
-            coalesced %d + rejected %d)"
-           c.sv_submitted accounted c.sv_executed c.sv_coalesced c.sv_rejected)
+            rejected %d)"
+           c.sv_submitted accounted c.sv_executed c.sv_rejected)
       :: !diags;
   List.rev !diags

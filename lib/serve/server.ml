@@ -2,9 +2,7 @@ module Session = Rox_core.Session
 module Optimizer = Rox_core.Optimizer
 module Compile = Rox_xquery.Compile
 module Cost = Rox_algebra.Cost
-module Sanitize = Rox_algebra.Sanitize
 module Engine = Rox_storage.Engine
-module Fingerprint = Rox_cache.Fingerprint
 module Accesslog = Rox_util.Accesslog
 module Sink = Rox_telemetry.Sink
 module Tm = Rox_telemetry.Metrics
@@ -62,43 +60,29 @@ let config ?cache ?(workers = 2) ?(queue_capacity = 64)
 let ignore_sigpipe =
   lazy (if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
 
+(* One admitted request: it holds one queue slot until a worker takes
+   it, and its submitter holds it as the ticket to await. *)
 type pending = {
-  key : Fingerprint.t;
   query : Protocol.query;
   trace_id : int;  (* flight-recorder id (0 when the recorder is off) *)
   submitted_ns : int64;
   done_c : Condition.t;
   mutable outcome : Protocol.response option;
-  mutable waiters : int;
 }
 
-(* [tid]/[t0]/[tq] are the *waiter's* flight-record identity: a
-   coalesced request rides the entry's execution but is its own record —
-   its own trace id, submit time and query (the coalescing key excludes
-   the tenant tag, so the waiter's client_id can differ from the
-   executing entry's). *)
-type ticket = {
-  entry : pending;
-  coalesced : bool;
-  tid : int;
-  t0 : int64;
-  tq : Protocol.query;
-}
+type ticket = pending
 
 type t = {
   cfg : config;
   mutex : Mutex.t;
   work : Condition.t;               (* signalled on push and on shutdown *)
   queue : pending Queue.t;
-  inflight : (Fingerprint.t, pending) Hashtbl.t;
   (* audit counters — the Serve_check.counts source of truth *)
   mutable requests : int;
   mutable responses : int;
   mutable submitted : int;
   mutable executed : int;
-  mutable coalesced : int;
   mutable rejected : int;
-  mutable divergence : int;
   (* connection accounting — bounds the thread-per-connection pool *)
   mutable conns : int;
   mutable conn_rejected : int;
@@ -106,7 +90,6 @@ type t = {
   aggregate : Aggregate.t;          (* absorbed per-request session sinks *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
-  sanitize_coalesce : bool;
   (* The flight recorder: always-on request records, tail-sampled trace
      retention, tenant series, slow log. Behind its own mutex — never
      touched while t.mutex is held. *)
@@ -116,7 +99,6 @@ type t = {
   (* Accesslog ids; -1 (no-op) when created disarmed *)
   al_lock : int;
   al_queue : int;
-  al_inflight : int;
   al_counts : int;
   hb_spawn : int;
   hb_done : int;
@@ -132,24 +114,6 @@ let locked t f =
 
 let set_depth_locked t =
   Tm.set t.metrics.Tm.queue_depth (float_of_int (Queue.length t.queue))
-
-(* The coalescing identity: everything that determines the *answer bytes*
-   — query text, RNG seed, τ, every budget, the reply limit, and the
-   engine epoch — and nothing that doesn't (the tenant tag). Two requests
-   from different tenants with equal fingerprints share one execution. *)
-let coalesce_key t (q : Protocol.query) =
-  let opt = function None -> "-" | Some n -> string_of_int n in
-  Fingerprint.make ~epoch:(Engine.epoch t.cfg.engine)
-    [
-      "serve";
-      Digest.to_hex (Digest.string q.Protocol.text);
-      string_of_int q.Protocol.seed;
-      string_of_int q.Protocol.tau;
-      opt q.Protocol.deadline_ms;
-      opt q.Protocol.max_sampled_rows;
-      opt q.Protocol.max_rows;
-      opt q.Protocol.limit;
-    ]
 
 (* ---- execution ---------------------------------------------------------- *)
 
@@ -168,7 +132,7 @@ type exec = {
 (* One served execution: a fresh single-domain session over the shared
    engine/cache, wire-level overrides winning over the base config. Every
    failure mode maps to a structured ERR — a budget abort is an answer. *)
-let run_query t (q : Protocol.query) ~deadline_ms ~absorb =
+let run_query t (q : Protocol.query) ~deadline_ms =
   (* The recorder needs spans even when the aggregate-telemetry flag is
      off: tail sampling decides after the fact whether this request's
      tree was worth keeping, so every request runs with a live sink. *)
@@ -245,7 +209,7 @@ let run_query t (q : Protocol.query) ~deadline_ms ~absorb =
   in
   (* One absorb per request: the session's sink merges into the
      process aggregate under its mutex. *)
-  if absorb && t.cfg.telemetry then Aggregate.absorb t.aggregate (Sink.metrics sink);
+  if t.cfg.telemetry then Aggregate.absorb t.aggregate (Sink.metrics sink);
   {
     resp;
     plan;
@@ -266,10 +230,10 @@ let status_of_resp = function
   | _ -> "ok"
 
 (* One flight record per submitted request — executed entries carry their
-   execution's plan/spend/span surface, coalesced and rejected ones only
-   their admission outcome, so the recorder's record count reconciles
-   with the RX601-603 audit (RX701). Never called with t.mutex held:
-   observe takes the recorder's mutex and may write the slow log. *)
+   execution's plan/spend/span surface, rejected ones only their
+   admission outcome, so the recorder's record count reconciles with the
+   RX601/RX603 audit (RX701). Never called with t.mutex held: observe
+   takes the recorder's mutex and may write the slow log. *)
 let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
     ~queue_ns ~exec =
   match t.recorder with
@@ -322,8 +286,6 @@ let complete t entry ~wait_ns resp =
       Accesslog.record ~site:t.al_counts Write;
       entry.outcome <- Some resp;
       t.executed <- t.executed + 1;
-      Accesslog.record ~site:t.al_inflight Write;
-      Hashtbl.remove t.inflight entry.key;
       Tm.observe t.metrics.Tm.queue_wait_ns wait_ns;
       Tm.observe t.metrics.Tm.serve_ns (Clock.elapsed_ns entry.submitted_ns);
       Condition.broadcast entry.done_c)
@@ -343,17 +305,16 @@ let process t entry =
               wait_ms d ),
         None )
     | Some d ->
-      let e = run_query t q ~deadline_ms:(Some (d - wait_ms)) ~absorb:true in
+      let e = run_query t q ~deadline_ms:(Some (d - wait_ms)) in
       (e.resp, Some e)
     | None ->
       let e =
         run_query t q
           ~deadline_ms:t.cfg.session.Session.budgets.Session.deadline_ms
-          ~absorb:true
       in
       (e.resp, Some e)
   in
-  (* Record before waking the waiter: by the time a client reads its
+  (* Record before waking the submitter: by the time a client reads its
      reply, the flight record is visible (RECENT/STATS right after an
      answer are deterministic). record_request takes only the recorder's
      mutex, never t.mutex. *)
@@ -403,21 +364,17 @@ let create cfg =
       mutex = Mutex.create ();
       work = Condition.create ();
       queue = Queue.create ();
-      inflight = Hashtbl.create 64;
       requests = 0;
       responses = 0;
       submitted = 0;
       executed = 0;
-      coalesced = 0;
       rejected = 0;
-      divergence = 0;
       conns = 0;
       conn_rejected = 0;
       metrics = Tm.create ();
       aggregate = Aggregate.create ();
       stopping = false;
       workers = [];
-      sanitize_coalesce = Sanitize.default_mode ();
       recorder =
         (if cfg.recorder then
            Some
@@ -427,7 +384,6 @@ let create cfg =
       started_at = Unix.gettimeofday ();
       al_lock = (if armed then Accesslog.lock ~name:"serve.mutex" else -1);
       al_queue = reg_site "serve.queue";
-      al_inflight = reg_site "serve.inflight";
       al_counts = reg_site "serve.counts";
       hb_spawn = (if armed then Accesslog.hb_token ~name:"serve.spawn" else -1);
       hb_done = (if armed then Accesslog.hb_token ~name:"serve.done" else -1);
@@ -469,8 +425,6 @@ let shutdown t =
           Accesslog.record ~site:t.al_counts Write;
           t.rejected <- t.rejected + 1;
           Tm.incr t.metrics.Tm.admission_rejects;
-          Accesslog.record ~site:t.al_inflight Write;
-          Hashtbl.remove t.inflight e.key;
           e.outcome <- Some (Protocol.Err (Protocol.Busy, "server shutting down"));
           Condition.broadcast e.done_c;
           acc := e :: !acc
@@ -503,43 +457,26 @@ let submit_async t (q : Protocol.query) =
     locked t (fun () ->
         Accesslog.record ~site:t.al_counts Write;
         t.submitted <- t.submitted + 1;
-        let reject () =
+        if t.stopping || Queue.length t.queue >= t.cfg.queue_capacity then begin
           t.rejected <- t.rejected + 1;
           Tm.incr t.metrics.Tm.admission_rejects;
           `Rejected
-        in
-        if t.stopping then reject ()
+        end
         else begin
-          let key = coalesce_key t q in
-          Accesslog.record ~site:t.al_inflight Read;
-          match Hashtbl.find_opt t.inflight key with
-          | Some entry ->
-            entry.waiters <- entry.waiters + 1;
-            t.coalesced <- t.coalesced + 1;
-            Tm.incr t.metrics.Tm.coalesce_hits;
-            `Ticket { entry; coalesced = true; tid = trace_id; t0; tq = q }
-          | None ->
-            if Queue.length t.queue >= t.cfg.queue_capacity then reject ()
-            else begin
-              let entry =
-                {
-                  key;
-                  query = q;
-                  trace_id;
-                  submitted_ns = t0;
-                  done_c = Condition.create ();
-                  outcome = None;
-                  waiters = 1;
-                }
-              in
-              Accesslog.record ~site:t.al_queue Write;
-              Queue.push entry t.queue;
-              Accesslog.record ~site:t.al_inflight Write;
-              Hashtbl.add t.inflight key entry;
-              set_depth_locked t;
-              Condition.signal t.work;
-              `Ticket { entry; coalesced = false; tid = trace_id; t0; tq = q }
-            end
+          let entry =
+            {
+              query = q;
+              trace_id;
+              submitted_ns = t0;
+              done_c = Condition.create ();
+              outcome = None;
+            }
+          in
+          Accesslog.record ~site:t.al_queue Write;
+          Queue.push entry t.queue;
+          set_depth_locked t;
+          Condition.signal t.work;
+          `Ticket entry
         end)
   in
   (* Rejected requests are flight-recorded too (outside the server
@@ -554,45 +491,15 @@ let submit_async t (q : Protocol.query) =
   verdict
 
 let await t (tk : ticket) =
-  let resp =
-    Mutex.protect t.mutex (fun () ->
-        let rec wait () =
-          match tk.entry.outcome with
-          | Some r -> r
-          | None ->
-            Condition.wait tk.entry.done_c t.mutex;
-            wait ()
-        in
-        wait ())
-  in
-  (* RX602 cross-check: under sanitize, a coalesced answer must be
-     bit-identical to an independent execution of the same request. Only
-     Answer/Answer pairs are compared — budget errors are timing-dependent
-     and say nothing about coalescing soundness. *)
-  if tk.coalesced && t.sanitize_coalesce then begin
-    let independent =
-      (run_query t tk.entry.query
-         ~deadline_ms:tk.entry.query.Protocol.deadline_ms ~absorb:false)
-        .resp
-    in
-    let diverged =
-      match (resp, independent) with
-      | Protocol.Answer a, Protocol.Answer b ->
-        a.total <> b.total || a.ids <> b.ids
-      | _ -> false
-    in
-    if diverged then
-      locked t (fun () ->
-          Accesslog.record ~site:t.al_counts Write;
-          t.divergence <- t.divergence + 1)
-  end;
-  (* A coalesced waiter is its own flight record — its own trace id,
-     tenant and wait — with the shared execution's answer but no plan or
-     span surface (those belong to the executing entry's record). *)
-  if tk.coalesced then
-    record_request t ~trace_id:tk.tid ~q:tk.tq ~outcome:Recorder.Coalesced
-      ~resp ~latency_ns:(Clock.elapsed_ns tk.t0) ~queue_ns:0 ~exec:None;
-  resp
+  Mutex.protect t.mutex (fun () ->
+      let rec wait () =
+        match tk.outcome with
+        | Some r -> r
+        | None ->
+          Condition.wait tk.done_c t.mutex;
+          wait ()
+      in
+      wait ())
 
 let submit t q =
   match submit_async t q with
@@ -626,9 +533,8 @@ let audit t =
         sv_responses = t.responses;
         sv_submitted = t.submitted;
         sv_executed = t.executed;
-        sv_coalesced = t.coalesced;
+        sv_coalesced = 0;
         sv_rejected = t.rejected;
-        sv_divergence = t.divergence;
       })
 
 let self_check t = Serve_check.check (audit t)
@@ -645,12 +551,6 @@ let stats_kvs t =
   let counts =
     locked t (fun () ->
         Accesslog.record ~site:t.al_counts Read;
-        Accesslog.record ~site:t.al_inflight Read;
-        (* Clients currently attached to in-flight executions: each entry's
-           submitter plus every coalesced waiter. *)
-        let inflight_waiters =
-          Hashtbl.fold (fun _ e acc -> acc + e.waiters) t.inflight 0
-        in
         [
           ("uptime_ms", string_of_int (Clock.elapsed_ns t.started_ns / 1_000_000));
           ("started_at", Printf.sprintf "%.3f" t.started_at);
@@ -658,12 +558,8 @@ let stats_kvs t =
           ("responses", string_of_int t.responses);
           ("submitted", string_of_int t.submitted);
           ("executed", string_of_int t.executed);
-          ("coalesced", string_of_int t.coalesced);
           ("rejected", string_of_int t.rejected);
-          ("divergence", string_of_int t.divergence);
           ("queue_depth", string_of_int (Queue.length t.queue));
-          ("inflight", string_of_int (Hashtbl.length t.inflight));
-          ("inflight_waiters", string_of_int inflight_waiters);
           ("connections", string_of_int t.conns);
           ("conn_rejected", string_of_int t.conn_rejected);
           ("workers", string_of_int t.cfg.workers);

@@ -1,5 +1,5 @@
-(** The serving front-end: bounded admission, a worker-domain pool, and
-    fingerprint coalescing over one shared read-side engine.
+(** The serving front-end: bounded admission and a worker-domain pool
+    over one shared read-side engine.
 
     One server owns:
 
@@ -9,13 +9,10 @@
       buffering);
     - a pool of long-lived *worker domains* that pop requests and run one
       fresh {!Rox_core.Session} each over the shared engine and the
-      cache store (one mutex per member cache);
-    - an *in-flight table* keyed by request fingerprint (query text hash,
-      seed, τ, budgets, engine epoch — {e not} the tenant): a request whose
-      fingerprint matches an in-flight execution attaches to it as a
-      waiter instead of executing again. Under [ROX_SANITIZE=1] every
-      coalesced answer is cross-checked against an independent execution;
-      a mismatch is the RX602 audit signal.
+      cache store (one mutex per member cache). Every admitted request
+      takes one queue slot and executes once, identical requests
+      included: a repeat reuses the shared cache's edge joins and
+      sampled estimates rather than another request's execution.
 
     Connection handling is separate from execution: {!serve} accepts on a
     listening socket and runs {!handle_connection} on a thread per
@@ -28,9 +25,9 @@
     [ERR sampled_rows] / [ERR max_rows] reply — a served request never
     drops the connection the way the one-shot CLI exits with code 2.
 
-    All shared state ([t]'s queue, in-flight table and audit counters) is
-    guarded by one mutex and instrumented through {!Rox_util.Accesslog}
-    when armed, so [rox racecheck] covers a served workload. *)
+    All shared state ([t]'s queue and audit counters) is guarded by one
+    mutex and instrumented through {!Rox_util.Accesslog} when armed, so
+    [rox racecheck] covers a served workload. *)
 
 type config = {
   engine : Rox_storage.Engine.t;
@@ -50,7 +47,7 @@ type config = {
   max_frame : int;      (** protocol frame cap for {!handle_connection} *)
   recorder : bool;
       (** the flight recorder (default on): every submitted request —
-          executed, coalesced, or rejected — leaves one bounded record;
+          executed or rejected — leaves one bounded record;
           slow/errored/head-sampled span trees are retained by trace id
           (see {!Rox_telemetry.Recorder}) *)
   slow_ms : int option;  (** slow-log latency threshold override *)
@@ -69,8 +66,7 @@ val config :
 type t
 
 val create : config -> t
-(** Spawns the worker domains. The coalesced-answer cross-check arms from
-    {!Rox_algebra.Sanitize.default_mode} at creation time. Also ignores
+(** Spawns the worker domains. Also ignores
     [SIGPIPE] process-wide (once), so a client that disconnects before
     reading its reply surfaces as [EPIPE] on the write — an ordinary
     connection close — instead of killing the process. *)
@@ -79,15 +75,11 @@ type ticket
 
 val submit_async : t -> Protocol.query -> [ `Ticket of ticket | `Rejected ]
 (** Admit one request. [`Rejected] when the queue is full or the server
-    is shutting down (the caller answers [ERR busy]). A fingerprint-equal
-    in-flight request coalesces — it returns a ticket without consuming
-    queue capacity. *)
+    is shutting down (the caller answers [ERR busy]). An admitted request
+    holds one queue slot until a worker takes it. *)
 
 val await : t -> ticket -> Protocol.response
-(** Block until the ticket's request completes. On a coalesced ticket
-    under sanitize mode, re-executes the request independently and counts
-    an RX602 divergence if the answers differ (the coalesced answer is
-    still returned). *)
+(** Block until the ticket's request completes. *)
 
 val submit : t -> Protocol.query -> Protocol.response
 (** {!submit_async} + {!await}; a full queue is [Err (Busy, _)]. *)
@@ -116,10 +108,9 @@ val queue_depth : t -> int
 
 val stats_kvs : t -> (string * string) list
 (** The STATS reply: process uptime ([uptime_ms], and [started_at] as
-    wall-clock epoch seconds), the audit counters, queue depth, in-flight
-    entries and their attached waiters ([inflight_waiters] — submitters
-    plus coalesced clients), open/bounced connections ([connections] /
-    [conn_rejected]), worker count, and, only with the recorder on, its
+    wall-clock epoch seconds), the audit counters, queue depth,
+    open/bounced connections ([connections] / [conn_rejected]), worker
+    count, and, only with the recorder on, its
     counters ([records], [records_dropped], [traces_retained]) and
     per-tenant request counts as [tenant.<client_id>] ({!tenants}). *)
 
@@ -138,7 +129,7 @@ val self_check : t -> Rox_analysis.Diagnostic.t list
 
 val metrics : t -> Rox_telemetry.Metrics.t
 (** A merged snapshot: the server's own instruments (queue depth,
-    admission rejects, coalesce hits, queue-wait and serve latency) plus
+    admission rejects, queue-wait and serve latency) plus
     the absorbed per-request session registries. *)
 
 val aggregate : t -> Rox_telemetry.Aggregate.t

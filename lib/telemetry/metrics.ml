@@ -43,7 +43,6 @@ type t = {
   requests_received : counter;
   responses_sent : counter;
   admission_rejects : counter;
-  coalesce_hits : counter;
   queue_wait_ns : histogram;
   serve_ns : histogram;
   cache_resident_bytes : gauge;
@@ -102,9 +101,6 @@ let create () =
     admission_rejects =
       counter "rox_serve_admission_rejects_total"
         "requests rejected because the admission queue was full";
-    coalesce_hits =
-      counter "rox_serve_coalesce_hits_total"
-        "requests attached to a fingerprint-equal in-flight execution";
     queue_wait_ns =
       histogram "rox_serve_queue_wait_duration_ns"
         "admission-queue residence per served request";
@@ -180,7 +176,7 @@ let counters t =
     t.relation_cache_misses; t.estimate_cache_hits; t.estimate_cache_misses;
     t.rows_materialized; t.pairs_emitted; t.edges_executed; t.chain_rounds;
     t.queries_served; t.budget_aborts; t.spans_dropped; t.aggregate_merges;
-    t.requests_received; t.responses_sent; t.admission_rejects; t.coalesce_hits;
+    t.requests_received; t.responses_sent; t.admission_rejects;
   ]
 
 let gauges t = [ t.cache_resident_bytes; t.cache_lock_waits; t.queue_depth ]

@@ -61,7 +61,6 @@ type t = {
   requests_received : counter;   (** protocol frames parsed by [rox serve] *)
   responses_sent : counter;      (** protocol replies written by [rox serve] *)
   admission_rejects : counter;   (** requests bounced off a full queue *)
-  coalesce_hits : counter;       (** requests served by an in-flight twin *)
   queue_wait_ns : histogram;     (** admission-queue residence per request *)
   serve_ns : histogram;          (** whole served-request latency *)
   cache_resident_bytes : gauge;  (** last observed [Rox_cache] residency *)

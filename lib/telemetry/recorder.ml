@@ -4,11 +4,10 @@
    retention decision and the threshold STATS reports read the same
    histogram. *)
 
-type outcome = Executed | Coalesced | Rejected
+type outcome = Executed | Rejected
 
 let outcome_label = function
   | Executed -> "executed"
-  | Coalesced -> "coalesced"
   | Rejected -> "rejected"
 
 type reason = Slow | Errored | Head_sampled

@@ -4,8 +4,8 @@
     Three layers, all bounded so they can stay armed in production, and
     all behind one mutex:
 
-    - {b Request records.} Every completed request — executed, coalesced
-      onto an in-flight twin, or rejected at admission — appends one
+    - {b Request records.} Every completed request — executed or
+      rejected at admission — appends one
       {!record} to one process-wide ring. A full ring overwrites the
       oldest record and the overwrite is counted, like [Sink]'s span
       cap.
@@ -28,7 +28,7 @@
     or ran at least [slow_ms] milliseconds. The line is formatted outside
     the mutex and written and flushed inside it. *)
 
-type outcome = Executed | Coalesced | Rejected
+type outcome = Executed | Rejected
 
 val outcome_label : outcome -> string
 
@@ -38,7 +38,7 @@ val reason_label : reason -> string
 
 type record = {
   trace_id : int;        (** monotonic, process-wide, from {!next_trace_id} *)
-  fingerprint : string;  (** query fingerprint (coalescing key digest) *)
+  fingerprint : string;  (** first 12 hex digits of the MD5 of the query text *)
   tenant : string;       (** the request's [client_id] *)
   plan_digest : string;  (** {!plan_digest} of the chosen join order *)
   plan_edges : int;      (** edges in the executed plan *)

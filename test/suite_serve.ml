@@ -1,7 +1,8 @@
 (* The serving front-end: wire protocol totality (framing, truncation,
-   junk), bounded admission with backpressure, fingerprint coalescing
-   determinism, budget aborts as structured replies, the RX6xx audit
-   checks, and a 2-domain end-to-end session over a socketpair. *)
+   junk), bounded admission with backpressure, identical requests each
+   executing once with bit-identical answers, budget aborts as structured
+   replies, the RX6xx audit checks, and 2-domain end-to-end sessions over
+   socketpairs. *)
 
 module P = Rox_serve.Protocol
 module S = Rox_serve.Server
@@ -228,74 +229,134 @@ let test_admission_rejects_when_full () =
     | `Ticket t -> t
     | `Rejected -> Alcotest.fail "first submit must be admitted"
   in
-  (* A *distinct* fingerprint must bounce off the full queue (an identical
-     one would coalesce, which consumes no capacity). *)
   (match S.submit_async server (P.query other_query) with
    | `Rejected -> ()
    | `Ticket _ -> Alcotest.fail "full queue must reject");
+  (* An identical request needs a queue slot of its own too. *)
+  (match S.submit_async server (P.query ~client_id:"twin" library_query) with
+   | `Rejected -> ()
+   | `Ticket _ -> Alcotest.fail "full queue must reject an identical request");
   S.shutdown server;
   (match S.await server t1 with
    | P.Err (P.Busy, _) -> ()
    | _ -> Alcotest.fail "shutdown must fail queued tickets as busy");
   let a = S.audit server in
-  Alcotest.(check int) "submitted" 2 a.A.Serve_check.sv_submitted;
-  Alcotest.(check int) "rejected" 2 a.A.Serve_check.sv_rejected;
+  Alcotest.(check int) "submitted" 3 a.A.Serve_check.sv_submitted;
+  Alcotest.(check int) "rejected" 3 a.A.Serve_check.sv_rejected;
   Alcotest.(check int) "executed" 0 a.A.Serve_check.sv_executed;
   Alcotest.(check (list string)) "audit balances" [] (codes (S.self_check server))
 
-(* ---------- coalescing: one execution, bit-identical answers ----------- *)
+(* ---------- identical requests: each executes once ------------------- *)
 
-let test_coalescing_deterministic () =
+let answer_ids = function
+  | P.Answer a -> a.ids
+  | r -> Alcotest.failf "expected answer, got %s" (P.render_response r)
+
+let test_identical_requests_execute_each () =
   let engine = library_engine () in
   let server =
     S.create (S.config ~workers:0 ~queue_capacity:4 ~telemetry:false engine)
   in
-  let q = P.query library_query in
-  let t1 =
+  let admit q =
     match S.submit_async server q with
     | `Ticket t -> t
     | `Rejected -> Alcotest.fail "admitted"
   in
-  let t2 =
-    match S.submit_async server (P.query ~client_id:"twin" library_query) with
-    | `Ticket t -> t
-    | `Rejected -> Alcotest.fail "identical request must coalesce, not reject"
-  in
-  Alcotest.(check int) "one queued execution" 1 (S.queue_depth server);
-  (* One in-flight entry, two clients attached to it (submitter + twin). *)
-  let stats = S.stats_kvs server in
-  Alcotest.(check string) "one inflight entry" "1" (List.assoc "inflight" stats);
-  Alcotest.(check string) "two attached waiters" "2"
-    (List.assoc "inflight_waiters" stats);
-  Alcotest.(check bool) "one drain serves both" true (S.drain_once server);
+  let t1 = admit (P.query library_query) in
+  let t2 = admit (P.query ~client_id:"twin" library_query) in
+  Alcotest.(check int) "one queue slot each" 2 (S.queue_depth server);
+  Alcotest.(check bool) "first drain" true (S.drain_once server);
+  Alcotest.(check bool) "second drain" true (S.drain_once server);
   Alcotest.(check bool) "queue empty" false (S.drain_once server);
-  let r1 = S.await server t1 and r2 = S.await server t2 in
-  let ids = function
-    | P.Answer a -> a.ids
-    | r -> Alcotest.failf "expected answer, got %s" (P.render_response r)
-  in
-  Alcotest.(check bool) "coalesced twins bit-identical" true (ids r1 = ids r2);
-  Alcotest.(check bool) "matches independent execution" true
-    (ids r1 = reference_ids engine library_query);
+  let reference = reference_ids engine library_query in
+  Alcotest.(check bool) "first matches independent execution" true
+    (answer_ids (S.await server t1) = reference);
+  Alcotest.(check bool) "second matches independent execution" true
+    (answer_ids (S.await server t2) = reference);
   S.shutdown server;
   let a = S.audit server in
-  Alcotest.(check int) "coalesced" 1 a.A.Serve_check.sv_coalesced;
-  Alcotest.(check int) "executed" 1 a.A.Serve_check.sv_executed;
+  Alcotest.(check int) "executed" 2 a.A.Serve_check.sv_executed;
   Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
 
-let test_distinct_seeds_do_not_coalesce () =
+(* Two client domains send the same request over their own socketpairs to
+   a 2-worker server with a shared cache, so most runs replay warm cache
+   entries: every answer must still equal the one-shot reference. *)
+let test_concurrent_identical_warm_cache () =
   let engine = library_engine () in
-  let server =
-    S.create (S.config ~workers:0 ~queue_capacity:4 ~telemetry:false engine)
+  let seed = 7 and tau = 50 and per_client = 6 in
+  let reference =
+    let compiled = Rox_xquery.Compile.compile_string engine library_query in
+    let config =
+      { (Rox_core.Session.default_config ()) with Rox_core.Session.seed; tau }
+    in
+    fst
+      (Rox_core.Optimizer.answer (Rox_core.Session.create ~config ()) compiled)
   in
-  ignore (S.submit_async server (P.query ~seed:1 library_query));
-  ignore (S.submit_async server (P.query ~seed:2 library_query));
-  Alcotest.(check int) "two executions queued" 2 (S.queue_depth server);
-  while S.drain_once server do () done;
+  let server =
+    S.create
+      (S.config ~cache:(Rox_cache.Store.create engine) ~workers:2
+         ~queue_capacity:16 engine)
+  in
+  let client cli_fd =
+    let d = P.decoder () in
+    let send r = P.write_frame cli_fd (P.render_request r) in
+    let recv () =
+      match P.read_frame cli_fd d with
+      | `Frame payload -> (
+        match P.parse_response payload with Ok r -> r | Error m -> failwith m)
+      | `Eof -> failwith "eof"
+      | `Corrupt m -> failwith m
+    in
+    let answers =
+      List.init per_client (fun _ ->
+          send (P.Query (P.query ~seed ~tau library_query));
+          recv ())
+    in
+    send P.Quit;
+    ignore (recv () : P.response);
+    Unix.close cli_fd;
+    answers
+  in
+  let sessions =
+    List.init 2 (fun _ ->
+        let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let handler = Thread.create (S.handle_connection server) srv_fd in
+        (handler, Domain.spawn (fun () -> client cli_fd)))
+  in
+  let answers =
+    List.concat_map
+      (fun (handler, client) ->
+        let answers = Domain.join client in
+        Thread.join handler;
+        answers)
+      sessions
+  in
   S.shutdown server;
+  let module Tm = Rox_telemetry.Metrics in
+  Alcotest.(check bool) "repeats hit the shared cache" true
+    ((S.metrics server).Tm.relation_cache_hits.Tm.c_value > 0);
+  Alcotest.(check int) "every request answered" (2 * per_client)
+    (List.length answers);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "answer equals the one-shot reference" true
+        (answer_ids r = reference))
+    answers;
   let a = S.audit server in
-  Alcotest.(check int) "no coalescing" 0 a.A.Serve_check.sv_coalesced;
-  Alcotest.(check int) "both executed" 2 a.A.Serve_check.sv_executed
+  Alcotest.(check int) "submitted" (2 * per_client) a.A.Serve_check.sv_submitted;
+  Alcotest.(check int) "executed = submitted" a.A.Serve_check.sv_submitted
+    a.A.Serve_check.sv_executed;
+  let rc =
+    match S.recorder server with
+    | Some rc -> rc
+    | None -> Alcotest.fail "recorder is on by default"
+  in
+  Alcotest.(check int) "records = submitted" a.A.Serve_check.sv_submitted
+    (Rox_telemetry.Recorder.records rc);
+  Alcotest.(check (list string)) "recorder accounting balances" []
+    (codes
+       (A.Recorder_check.check ~submitted:a.A.Serve_check.sv_submitted rc));
+  Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
 
 (* ---------- budget aborts are structured replies ----------------------- *)
 
@@ -328,28 +389,20 @@ let test_serve_check_codes () =
       sv_responses = 5;
       sv_submitted = 3;
       sv_executed = 2;
-      sv_coalesced = 1;
-      sv_rejected = 0;
-      sv_divergence = 0;
+      sv_coalesced = 0;
+      sv_rejected = 1;
     }
   in
   Alcotest.(check (list string)) "balanced is clean" []
     (codes (A.Serve_check.check ok));
   Alcotest.(check (list string)) "response without request" [ "RX601" ]
     (codes (A.Serve_check.check { ok with A.Serve_check.sv_responses = 6 }));
-  Alcotest.(check (list string)) "divergence" [ "RX602" ]
-    (codes (A.Serve_check.check { ok with A.Serve_check.sv_divergence = 1 }));
   Alcotest.(check (list string)) "dropped request" [ "RX603" ]
     (codes (A.Serve_check.check { ok with A.Serve_check.sv_submitted = 4 }));
-  Alcotest.(check (list string)) "all three" [ "RX601"; "RX602"; "RX603" ]
+  Alcotest.(check (list string)) "both" [ "RX601"; "RX603" ]
     (codes
        (A.Serve_check.check
-          {
-            ok with
-            A.Serve_check.sv_responses = 9;
-            sv_divergence = 2;
-            sv_rejected = 7;
-          }))
+          { ok with A.Serve_check.sv_responses = 9; sv_rejected = 7 }))
 
 (* ---------- tenants ----------------------------------------------------- *)
 
@@ -728,10 +781,10 @@ let suite =
     Alcotest.test_case "decoder: truncated frame awaits" `Quick test_decoder_truncated_awaits;
     Alcotest.test_case "decoder: junk and oversized corrupt" `Quick test_decoder_corrupt;
     Alcotest.test_case "admission: full queue rejects" `Quick test_admission_rejects_when_full;
-    Alcotest.test_case "coalescing: bit-identical twins" `Quick test_coalescing_deterministic;
-    Alcotest.test_case "coalescing: distinct seeds independent" `Quick test_distinct_seeds_do_not_coalesce;
+    Alcotest.test_case "identical requests: one execution each" `Quick test_identical_requests_execute_each;
+    Alcotest.test_case "e2e: identical requests, warm cache" `Quick test_concurrent_identical_warm_cache;
     Alcotest.test_case "budget aborts answer as ERR" `Quick test_budget_abort_replies;
-    Alcotest.test_case "serve_check: RX601/602/603" `Quick test_serve_check_codes;
+    Alcotest.test_case "serve_check: RX601/603" `Quick test_serve_check_codes;
     Alcotest.test_case "tenant accounting" `Quick test_tenant_accounting;
     Alcotest.test_case "e2e: socketpair session, 2 domains" `Quick test_socketpair_session_two_domains;
     Alcotest.test_case "sigpipe ignored: closed peer is EPIPE" `Quick test_sigpipe_ignored_on_closed_peer;
