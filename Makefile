@@ -38,15 +38,18 @@ racecheck:
 
 # Runtime contract checks (RX301-RX307): the analyze workloads plus the
 # fuzz suite with every operator call cross-checked — columnar kernels
-# bit-for-bit against the row-major reference, cache hits against fresh
-# recomputation, sorted flags audited, session confinement (no global
-# reads on a session's path) armed — then the serve suite under the same
-# contracts, so cache replay (RX304) and confinement (RX307) run on the
-# concurrent served path too.
+# bit-for-bit against the row-major reference, index-domain steps against
+# the candidate-column path, cache hits against fresh recomputation,
+# sorted flags audited, session confinement (no global reads on a
+# session's path) armed — then the serve suite under the same contracts,
+# so cache replay (RX304) and confinement (RX307) run on the concurrent
+# served path too, and the property suite, whose index-domain property
+# drives the RX306 step cross-check over every axis and domain kind.
 sanitize:
 	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- analyze
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test fuzz
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test serve
+	ROX_SANITIZE=1 dune exec test/test_main.exe -- test props
 
 # Quick benchmarks: the cache experiment (BENCH_cache.json), the
 # columnar relation kernels vs the row-major reference

@@ -2,7 +2,8 @@
    operator kernels each experiment leans on. One Test.make per paper
    artifact: the staircase joins (Table 1 / Figs 1-3), the value-index
    lookups (Table 1), the index-NL equi-join (Figs 4-7 joins), cut-off
-   sampled execution (Table 2 / Fig 8), and relation maintenance (Fig 5
+   sampled execution (Table 2 / Fig 8) — also with its inner side an
+   untouched index domain — and relation maintenance (Fig 5
    intermediates). *)
 
 open Bechamel
@@ -63,6 +64,38 @@ let make_tests () =
                Staircase.iter_pairs ~doc ~axis:Axis.Descendant ~context:sample100
                  ~candidates:bidders (fun cidx _ s -> emit cidx s))))
   in
+  (* Sampled steps whose inner side is an untouched index domain, the
+     shape of the DBLP author/text steps: a 100-name sample to its text
+     children (one each: a 1-node walk against a search over every text
+     node), and those texts back to their name parents (a descriptor test
+     against a search over every name). Each runs on the candidate column,
+     the path before index-domain descriptors, and with the descriptor. *)
+  let index_domain annot =
+    Rox_joingraph.Exec.index_domain engine { Rox_joingraph.Vertex.id = 0; doc_id = 0; annot }
+  in
+  let names, name_domain = index_domain (Rox_joingraph.Vertex.Element "name") in
+  let texts, text_domain = index_domain (Rox_joingraph.Vertex.Text None) in
+  let name_sample = Sampling.sample rng names 100 in
+  let name_texts = Staircase.join ~doc ~axis:Axis.Child ~context:name_sample texts in
+  let sampled_step label ~axis ~context ~candidates domain =
+    Test.make ~name:label
+      (Staged.stage (fun () ->
+           Cutoff.run ~limit:100 ~outer_len:(Rox_util.Column.length context) ~iter:(fun emit ->
+               Staircase.iter_pairs ?domain ~doc ~axis ~context ~candidates (fun cidx _ s ->
+                   emit cidx s))))
+  in
+  let domain_steps =
+    [
+      sampled_step "sampled child step name/text(), column search" ~axis:Axis.Child
+        ~context:name_sample ~candidates:texts None;
+      sampled_step "sampled child step name/text(), index-domain walk" ~axis:Axis.Child
+        ~context:name_sample ~candidates:texts text_domain;
+      sampled_step "sampled parent step text()/name, column search" ~axis:Axis.Parent
+        ~context:name_texts ~candidates:names None;
+      sampled_step "sampled parent step text()/name, index-domain test" ~axis:Axis.Parent
+        ~context:name_texts ~candidates:names name_domain;
+    ]
+  in
   let relation_extend =
     let base = Rox_joingraph.Relation.singleton ~vertex:0 auctions in
     let pairs =
@@ -117,9 +150,10 @@ let make_tests () =
            !acc))
   in
   Test.make_grouped ~name:"kernels"
-    [ staircase_desc; staircase_child; staircase_anc; index_lookup; value_join;
-      cutoff_sample; relation_extend; sampling_draw; lower_bound_100; sample_positions;
-      attr_probe ]
+    ([ staircase_desc; staircase_child; staircase_anc; index_lookup; value_join;
+       cutoff_sample; relation_extend; sampling_draw; lower_bound_100; sample_positions;
+       attr_probe ]
+    @ domain_steps)
 
 let run () =
   header "Bechamel micro-benchmarks of the physical operator kernels";

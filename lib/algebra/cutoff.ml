@@ -12,7 +12,11 @@ type t = {
 exception Cut
 
 let run ~limit ~outer_len ~iter =
-  let out = Int_vec.create ~capacity:(Int.min limit 1024) () in
+  (* At most 256 slots up front, the largest block the minor heap takes
+     (Max_young_wosize): a late chain round at limit 1,200 that emits 100
+     nodes stays off the major heap, and only what is produced beyond 256
+     grows the buffer. *)
+  let out = Int_vec.create ~capacity:(Int.min limit 256) () in
   let last_outer = ref (-1) in
   let emit oi node =
     last_outer := Int.max !last_outer oi;
@@ -33,3 +37,12 @@ let run ~limit ~outer_len ~iter =
   in
   let est = if completed then float_of_int produced else float_of_int produced /. fraction in
   { out = Int_vec.to_array out; produced; consumed_outer; fraction; est; completed }
+
+let equal a b =
+  a.produced = b.produced
+  && a.consumed_outer = b.consumed_outer
+  && Float.equal a.fraction b.fraction
+  && Float.equal a.est b.est
+  && Bool.equal a.completed b.completed
+  && Array.length a.out = Array.length b.out
+  && Array.for_all2 Int.equal a.out b.out

@@ -25,3 +25,7 @@ val run : limit:int -> outer_len:int -> iter:((int -> int -> unit) -> unit) -> t
 (** [run ~limit ~outer_len ~iter] drives [iter emit] where the operator
     calls [emit outer_idx inner_node] in ascending [outer_idx] order; [run]
     interrupts it once [limit] results exist. *)
+
+val equal : t -> t -> bool
+(** Field by field: the same output sequence, counts, fraction and
+    estimate. *)

@@ -112,7 +112,7 @@ let check_column_flag ~op ~what (c : Rox_util.Column.t) =
 let check_kernel_equiv ~op ~what ok =
   if not ok then
     fail ~op ~contract:Kernel_equiv
-      (Printf.sprintf "%s differs from the naive row-major reference" what)
+      (Printf.sprintf "%s differs from its reference computation" what)
 
 let check_cost ~op ~charged ~bound =
   if charged > bound then

@@ -98,8 +98,9 @@ val check_column_flag : op:string -> what:string -> Rox_util.Column.t -> unit
 
 val check_kernel_equiv : op:string -> what:string -> bool -> unit
 (** [check_kernel_equiv ~op ~what ok] fails the {!Kernel_equiv} contract
-    (RX306) when the caller's columnar-vs-naive comparison came back
-    [false]. *)
+    (RX306) when the caller's comparison of a fast kernel with its
+    reference (the row-major relation, a sort, the candidate-column step)
+    came back [false]. *)
 
 val check_cost : op:string -> charged:int -> bound:int -> unit
 (** Observed work does not exceed the operator's cost-formula bound. *)

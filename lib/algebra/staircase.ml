@@ -8,14 +8,41 @@ open Rox_shred
    Charged work is one unit per context plus one per candidate scanned or
    probed (Table 1's |C| + |S| + |R| on the pruned containment axes); the
    searches add O(log |S|) uncharged time per context, or per probe on the
-   upward axes. *)
+   upward axes.
 
-let iter_pairs ?meter ~doc ~axis ~context ~candidates f =
+   When the candidates are an untouched index domain, its descriptor
+   answers membership from the document's own columns in O(1): upward
+   probes test the descriptor instead of searching, and [emit_range] walks
+   a pre range no longer than the ⌈log2 |S|⌉ probes of the search it
+   replaces, testing each node. The walk meets the domain members of the
+   range in the same ascending order the scan does and charges each one
+   unit, so pairs and work units are those of the column path. *)
+
+type domain = { kind : Nodekind.t; name : int; value : int }
+
+(* ⌈log2 n⌉: the probes of one binary search over [n] candidates. *)
+let search_probes n =
+  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+  go 0
+
+let iter_pairs ?meter ?domain ~doc ~axis ~context ~candidates f =
   let context = Column.read context and candidates = Column.read candidates in
   let ncand = Array.length candidates in
+  (* [mem s]: is [s] a candidate? [walk_max]: the longest range walked. *)
+  let mem, walk_max =
+    match domain with
+    | None -> (Bin_search.mem candidates, 0)
+    | Some { kind; name; value } ->
+      let kind = Nodekind.to_int kind in
+      ( (fun s ->
+          Doc.kind_code doc s = kind
+          && (name < 0 || Doc.name_id doc s = name)
+          && (value < 0 || Doc.value_id doc s = value)),
+        search_probes ncand )
+  in
   (* Emit all candidates within [lo, hi] satisfying [pred]. *)
   let emit_range cidx c lo hi pred =
-    if hi >= lo then begin
+    if hi - lo >= walk_max then begin
       let start = Bin_search.lower_bound candidates lo in
       let i = ref start in
       while !i < ncand && candidates.(!i) <= hi do
@@ -25,6 +52,13 @@ let iter_pairs ?meter ~doc ~axis ~context ~candidates f =
         incr i
       done
     end
+    else
+      for s = lo to hi do
+        if mem s then begin
+          Cost.charge meter 1;
+          if pred s then f cidx c s
+        end
+      done
   in
   let per_context work =
     Array.iteri
@@ -54,14 +88,14 @@ let iter_pairs ?meter ~doc ~axis ~context ~candidates f =
         let p = Doc.parent doc c in
         if p >= 0 then begin
           Cost.charge meter 1;
-          if Bin_search.mem candidates p then f cidx c p
+          if mem p then f cidx c p
         end)
   | Axis.Ancestor ->
     per_context (fun cidx c ->
         let p = ref (Doc.parent doc c) in
         while !p >= 0 do
           Cost.charge meter 1;
-          if Bin_search.mem candidates !p then f cidx c !p;
+          if mem !p then f cidx c !p;
           p := Doc.parent doc !p
         done)
   | Axis.Anc_or_self ->
@@ -69,7 +103,7 @@ let iter_pairs ?meter ~doc ~axis ~context ~candidates f =
         let p = ref c in
         while !p >= 0 do
           Cost.charge meter 1;
-          if Bin_search.mem candidates !p then f cidx c !p;
+          if mem !p then f cidx c !p;
           p := Doc.parent doc !p
         done)
   | Axis.Following ->

@@ -23,8 +23,14 @@
 
 open Rox_shred
 
+type domain = { kind : Nodekind.t; name : int; value : int }
+(** An untouched index domain, described by the document columns that
+    decide membership: every node of [kind] whose name id is [name] and
+    whose value id is [value], a negative id matching any. *)
+
 val iter_pairs :
   ?meter:Cost.meter ->
+  ?domain:domain ->
   doc:Doc.t ->
   axis:Axis.t ->
   context:Rox_util.Column.t ->
@@ -34,7 +40,12 @@ val iter_pairs :
 (** [iter_pairs ~doc ~axis ~context ~candidates f] calls [f cidx c s] for
     every qualifying pair, grouped by ascending context index [cidx]. The
     callback may raise to stop early (cut-off); partial work is still
-    charged to the meter. *)
+    charged to the meter.
+
+    [?domain] describes [candidates] when they are exactly the nodes of
+    [doc] it matches (an unrestricted index domain); membership is then
+    tested on the document's columns instead of searched in the column,
+    with the same pairs, order and charged work. *)
 
 val join :
   ?sanitize:bool ->

@@ -24,17 +24,17 @@ let static_order engine graph =
      tables only: no intermediate-result feedback, hence blindness to
      correlations. *)
   let doc_of v = (Graph.vertex graph v).Vertex.doc_id in
-  let domain v = Exec.vertex_domain engine (Graph.vertex graph v) in
+  let domain v = Exec.index_domain engine (Graph.vertex graph v) in
   let score (e : Edge.t) =
     if doc_of e.Edge.v1 = doc_of e.Edge.v2 then begin
-      let t1 = domain e.Edge.v1 and t2 = domain e.Edge.v2 in
-      let pairs = Exec.full_pairs engine graph e ~t1 ~t2 in
+      let t1, t1_domain = domain e.Edge.v1 and t2, t2_domain = domain e.Edge.v2 in
+      let pairs = Exec.full_pairs ?t1_domain ?t2_domain engine graph e ~t1 ~t2 in
       float_of_int (Exec.pair_count pairs)
     end
     else begin
       (* Unknowable cross-document cardinality: rank behind every
          single-document operator, smaller inputs first. *)
-      let size v = Rox_util.Column.length (domain v) in
+      let size v = Rox_util.Column.length (fst (domain v)) in
       1e12 +. float_of_int (size e.Edge.v1 + size e.Edge.v2)
     end
   in

@@ -169,9 +169,13 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
             else next
           in
           paths := next;
-          Trace.emit (State.trace state)
-            (Trace.Chain_round
-               { round = !round; cutoff = !cutoff; paths = List.map (seg_to_trace graph) next });
+          (* The payload renders every path's label: build it only for a
+             trace that records. *)
+          let trace = State.trace state in
+          if Trace.enabled trace then
+            Trace.emit trace
+              (Trace.Chain_round
+                 { round = !round; cutoff = !cutoff; paths = List.map (seg_to_trace graph) next });
           let live = List.filter (fun p -> p.s_edges <> []) !paths in
           (match List.find_opt (dominates_all live) live with
            | Some winner -> finished := Some (winner, `Stopping_condition)

@@ -25,6 +25,7 @@ let variant_cost state e ~outer =
       (fun () ->
         ignore
           (Exec.sampled
+             ~sanitize:(Session.sanitize (State.session state))
              ~meter:(Cost.sampling_meter scratch)
              (State.engine state) (State.graph state) e ~outer ~sample ~inner_table
              ~limit:(State.tau state)

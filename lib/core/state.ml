@@ -47,7 +47,10 @@ let sampled_cutoff t (e : Edge.t) ~outer ~sample ~inner_table ~limit =
   let engine = Runtime.engine t.runtime in
   let graph = Runtime.graph t.runtime in
   let tel = Session.telemetry t.session in
-  let run meter = Exec.sampled ?meter engine graph e ~outer ~sample ~inner_table ~limit in
+  let run meter =
+    Exec.sampled ~sanitize:(Session.sanitize t.session) ?meter engine graph e ~outer ~sample
+      ~inner_table ~limit
+  in
   (* Charged (non-sanitize-replay) sampled runs are spanned and feed the
      sampling wall-clock bucket — the numerator of the Figure 8 overhead. *)
   let run_charged () =

@@ -1,6 +1,7 @@
 open Rox_util
 open Rox_storage
 open Rox_algebra
+open Rox_shred
 
 type direction = From_v1 | From_v2
 
@@ -16,36 +17,49 @@ let range_of_pred = function
   | Selection.Between (lo, hi) -> Some (Some lo, Some hi)
   | Selection.Eq _ -> None
 
-let vertex_domain engine (v : Vertex.t) =
+(* The base node set of a vertex and, when the document's own columns
+   decide membership in it, the descriptor of that set. One match derives
+   both, so they cannot drift apart. Range predicates, and names or values
+   the pools have never seen, keep the column alone. *)
+let index_domain engine (v : Vertex.t) =
   let r = docref engine v in
+  let described ?(name = -1) ?(value = -1) kind col =
+    (col, Some { Staircase.kind; name; value })
+  in
+  let plain col = (col, None) in
   match v.Vertex.annot with
-  | Vertex.Root -> Column.unsafe_of_array ~sorted:true [| 0 |]
+  | Vertex.Root -> described Nodekind.Doc (Column.unsafe_of_array ~sorted:true [| 0 |])
   | Vertex.Element q ->
     (match Engine.qname_id engine q with
-     | Some id -> Element_index.lookup r.Engine.elements id
-     | None -> Column.empty)
-  | Vertex.Text None -> Kind_index.lookup r.Engine.kinds Rox_shred.Nodekind.Text
+     | Some name -> described ~name Nodekind.Elem (Element_index.lookup r.Engine.elements name)
+     | None -> plain Column.empty)
+  | Vertex.Text None -> described Nodekind.Text (Kind_index.lookup r.Engine.kinds Nodekind.Text)
   | Vertex.Text (Some (Selection.Eq s)) ->
     (match Engine.value_id engine s with
-     | Some id -> Value_index.text_eq r.Engine.values id
-     | None -> Column.empty)
+     | Some value -> described ~value Nodekind.Text (Value_index.text_eq r.Engine.values value)
+     | None -> plain Column.empty)
   | Vertex.Text (Some pred) ->
     (match range_of_pred pred with
-     | Some (lo, hi) -> Value_index.text_range r.Engine.values ?lo ?hi ()
+     | Some (lo, hi) -> plain (Value_index.text_range r.Engine.values ?lo ?hi ())
      | None -> assert false)
   | Vertex.Attr (q, pred) ->
     (match Engine.qname_id engine q with
-     | None -> Column.empty
-     | Some name_id ->
+     | None -> plain Column.empty
+     | Some name ->
        (match pred with
-        | None -> Element_index.lookup_attr r.Engine.elements name_id
+        | None -> described ~name Nodekind.Attr (Element_index.lookup_attr r.Engine.elements name)
         | Some (Selection.Eq s) ->
           (match Engine.value_id engine s with
-           | Some value_id -> Value_index.attr_eq r.Engine.values ~name_id ~value_id
-           | None -> Column.empty)
+           | Some value ->
+             described ~name ~value Nodekind.Attr
+               (Value_index.attr_eq r.Engine.values ~name_id:name ~value_id:value)
+           | None -> plain Column.empty)
         | Some p ->
-          Selection.filter ~doc:r.Engine.doc ~pred:p
-            (Element_index.lookup_attr r.Engine.elements name_id)))
+          plain
+            (Selection.filter ~doc:r.Engine.doc ~pred:p
+               (Element_index.lookup_attr r.Engine.elements name))))
+
+let vertex_domain engine v = fst (index_domain engine v)
 
 (* The same cases as [vertex_domain], answered from index counts. Only an
    attribute range predicate has no count path and filters its domain. *)
@@ -57,7 +71,7 @@ let vertex_domain_count engine (v : Vertex.t) =
     (match Engine.qname_id engine q with
      | Some id -> Element_index.count r.Engine.elements id
      | None -> 0)
-  | Vertex.Text None -> Kind_index.count r.Engine.kinds Rox_shred.Nodekind.Text
+  | Vertex.Text None -> Kind_index.count r.Engine.kinds Nodekind.Text
   | Vertex.Text (Some (Selection.Eq s)) ->
     (match Engine.value_id engine s with
      | Some id -> Value_index.text_eq_count r.Engine.values id
@@ -117,7 +131,8 @@ let inner_spec engine (v : Vertex.t) restrict =
   in
   { Value_join.docref = r; side; restrict }
 
-let full_pairs_impl ?meter ?equi_algo ?step_direction engine graph (e : Edge.t) ~t1 ~t2 =
+let full_pairs_impl ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine graph
+    (e : Edge.t) ~t1 ~t2 =
   let v1 = Graph.vertex graph e.Edge.v1 in
   let v2 = Graph.vertex graph e.Edge.v2 in
   match e.Edge.op with
@@ -131,13 +146,14 @@ let full_pairs_impl ?meter ?equi_algo ?step_direction engine graph (e : Edge.t) 
     (match dir with
      | From_v1 ->
        let doc = (docref engine v1).Engine.doc in
-       Staircase.iter_pairs ?meter ~doc ~axis ~context:t1 ~candidates:t2 (fun _ c s ->
+       Staircase.iter_pairs ?meter ?domain:t2_domain ~doc ~axis ~context:t1 ~candidates:t2
+         (fun _ c s ->
            Int_vec.push lefts c;
            Int_vec.push rights s)
      | From_v2 ->
        let doc = (docref engine v2).Engine.doc in
-       Staircase.iter_pairs ?meter ~doc ~axis:(Axis.reverse axis) ~context:t2 ~candidates:t1
-         (fun _ c s ->
+       Staircase.iter_pairs ?meter ?domain:t1_domain ~doc ~axis:(Axis.reverse axis)
+         ~context:t2 ~candidates:t1 (fun _ c s ->
            Int_vec.push lefts s;
            Int_vec.push rights c));
     { left = freeze lefts; right = freeze rights }
@@ -182,13 +198,21 @@ let full_pairs_impl ?meter ?equi_algo ?step_direction engine graph (e : Edge.t) 
               Int_vec.push rights o)));
     { left = freeze lefts; right = freeze rights }
 
-let full_pairs ?sanitize ?meter ?equi_algo ?step_direction engine graph (e : Edge.t)
-    ~t1 ~t2 =
+(* Under the sanitizer, a step that tested membership against an
+   index-domain descriptor is re-run on the candidate column: the same
+   result and the same charged work, or RX306. *)
+let check_domain_path ~op ~same ~charged ~column_charged =
+  Sanitize.check_kernel_equiv ~op ~what:"index-domain membership"
+    (same && charged = column_charged)
+
+let full_pairs ?sanitize ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine
+    graph (e : Edge.t) ~t1 ~t2 =
   let sanitize =
     match sanitize with Some s -> s | None -> Sanitize.default_mode ()
   in
   if not sanitize then
-    full_pairs_impl ?meter ?equi_algo ?step_direction engine graph e ~t1 ~t2
+    full_pairs_impl ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine graph e
+      ~t1 ~t2
   else begin
     let op =
       match e.Edge.op with
@@ -201,8 +225,19 @@ let full_pairs ?sanitize ?meter ?equi_algo ?step_direction engine graph (e : Edg
     Sanitize.check_sorted_dedup ~op ~what:"t2" (Column.read t2);
     let pairs, charged =
       Sanitize.observed meter (fun m ->
-          full_pairs_impl ~meter:m ?equi_algo ?step_direction engine graph e ~t1 ~t2)
+          full_pairs_impl ~meter:m ?equi_algo ?step_direction ?t1_domain ?t2_domain engine
+            graph e ~t1 ~t2)
     in
+    (match (e.Edge.op, t1_domain, t2_domain) with
+     | Edge.Step _, Some _, _ | Edge.Step _, _, Some _ ->
+       let column, column_charged =
+         Sanitize.observed None (fun m ->
+             full_pairs_impl ~meter:m ?equi_algo ?step_direction engine graph e ~t1 ~t2)
+       in
+       check_domain_path ~op ~charged ~column_charged
+         ~same:
+           (Column.equal pairs.left column.left && Column.equal pairs.right column.right)
+     | _ -> ());
     Sanitize.check_column_flag ~op ~what:"pairs.left" pairs.left;
     Sanitize.check_column_flag ~op ~what:"pairs.right" pairs.right;
     Sanitize.check_subset ~op ~what:"left column" ~domain:(Column.read t1)
@@ -220,7 +255,7 @@ let full_pairs ?sanitize ?meter ?equi_algo ?step_direction engine graph (e : Edg
     pairs
   end
 
-let sampled ?meter engine graph (e : Edge.t) ~outer ~sample ~inner_table ~limit =
+let sampled ?sanitize ?meter engine graph (e : Edge.t) ~outer ~sample ~inner_table ~limit =
   let v1 = Graph.vertex graph e.Edge.v1 in
   let v2 = Graph.vertex graph e.Edge.v2 in
   let outer_v, inner_v = match outer with From_v1 -> (v1, v2) | From_v2 -> (v2, v1) in
@@ -228,14 +263,30 @@ let sampled ?meter engine graph (e : Edge.t) ~outer ~sample ~inner_table ~limit 
   | Edge.Step axis ->
     let axis = match outer with From_v1 -> axis | From_v2 -> Axis.reverse axis in
     let doc = (docref engine outer_v).Engine.doc in
-    let candidates =
+    let candidates, domain =
       match inner_table with
-      | Some t -> t
-      | None -> vertex_domain engine inner_v
+      | Some t -> (t, None)
+      | None -> index_domain engine inner_v
     in
-    Cutoff.run ~limit ~outer_len:(Column.length sample) ~iter:(fun emit ->
-        Staircase.iter_pairs ?meter ~doc ~axis ~context:sample ~candidates (fun cidx _ s ->
-            emit cidx s))
+    let run ?domain meter =
+      Cutoff.run ~limit ~outer_len:(Column.length sample) ~iter:(fun emit ->
+          Staircase.iter_pairs ?meter ?domain ~doc ~axis ~context:sample ~candidates
+            (fun cidx _ s -> emit cidx s))
+    in
+    let sanitize =
+      match sanitize with Some s -> s | None -> Sanitize.default_mode ()
+    in
+    if sanitize && Option.is_some domain then begin
+      (* Both paths against private counters, so the caller's meter sees
+         the descriptor run's charges exactly as without the check. *)
+      let private_run ?domain () = Sanitize.observed None (fun m -> run ?domain (Some m)) in
+      let cut, charged = private_run ?domain () in
+      let column, column_charged = private_run () in
+      check_domain_path
+        ~op:(Printf.sprintf "Exec.sampled(step %s)" (Axis.to_string axis))
+        ~charged ~column_charged ~same:(Cutoff.equal cut column)
+    end;
+    run ?domain meter
   | Edge.Equijoin ->
     let outer_doc = (docref engine outer_v).Engine.doc in
     let inner = inner_spec engine inner_v inner_table in

@@ -18,6 +18,13 @@ val vertex_domain : Engine.t -> Vertex.t -> Rox_util.Column.t
     index for elements, value index for equality / range predicates, kind
     or attribute-name index otherwise. Includes the vertex predicate. *)
 
+val index_domain :
+  Engine.t -> Vertex.t -> Rox_util.Column.t * Rox_algebra.Staircase.domain option
+(** [vertex_domain] together with the descriptor that decides membership
+    in it from the document's columns: present for the root, element,
+    text and attribute domains, unpredicated or equality-predicated;
+    absent for range predicates. *)
+
 val vertex_domain_count : Engine.t -> Vertex.t -> int
 (** [Column.length (vertex_domain engine v)] without materializing the
     domain — index lookups expose counts for free (Section 2.2). An
@@ -42,6 +49,8 @@ val full_pairs :
   ?meter:Rox_algebra.Cost.meter ->
   ?equi_algo:equi_algo ->
   ?step_direction:direction ->
+  ?t1_domain:Rox_algebra.Staircase.domain ->
+  ?t2_domain:Rox_algebra.Staircase.domain ->
   Engine.t ->
   Graph.t ->
   Edge.t ->
@@ -50,9 +59,14 @@ val full_pairs :
   pairs
 (** Complete evaluation of an edge against materialized endpoint tables.
     Steps default to taking the smaller side as context; equi-joins default
-    to a hash join building on the smaller side. *)
+    to a hash join building on the smaller side. [?t1_domain] /
+    [?t2_domain] describe an input that is still its vertex's untouched
+    {!index_domain}; a step whose candidates are described tests
+    membership on the document's columns. Under the sanitizer that step is
+    cross-checked against the column path (RX306). *)
 
 val sampled :
+  ?sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   Engine.t ->
   Graph.t ->
@@ -65,5 +79,8 @@ val sampled :
 (** Zero-investment cut-off sampled evaluation: the [↓l(exec(e, S, T))] of
     Algorithms 1 and 2. [sample] is a (document-ordered) sample of the
     outer vertex; [inner_table] restricts the inner side to its current
-    materialized table, or [None] to use the vertex domain. The result's
-    [out] holds inner-side nodes in generation order. *)
+    materialized table, or [None] to use the vertex domain, whose
+    {!index_domain} descriptor then decides step membership (cross-checked
+    against the column path under the sanitizer, RX306; [?sanitize]
+    defaults to {!Rox_algebra.Sanitize.default_mode}). The result's [out]
+    holds inner-side nodes in generation order. *)

@@ -108,10 +108,14 @@ let all_executed t = Array.for_all (fun b -> b) t.executed_edges
 
 let table t v = t.tables.(v)
 
-let table_or_domain t v =
+(* A vertex without a table is still its untouched index domain, so the
+   domain's descriptor comes along for the step kernels. *)
+let table_or_index_domain t v =
   match t.tables.(v) with
-  | Some tab -> tab
-  | None -> Exec.vertex_domain t.engine (Graph.vertex t.graph v)
+  | Some tab -> (tab, None)
+  | None -> Exec.index_domain t.engine (Graph.vertex t.graph v)
+
+let table_or_domain t v = fst (table_or_index_domain t v)
 
 let ensure_table t v =
   match t.tables.(v) with
@@ -307,10 +311,14 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
         | Some d -> d
         | None -> if outer_first then Exec.From_v1 else Exec.From_v2
       in
-      let t1, t2 =
+      let t1, t2, t1_domain, t2_domain =
         match dir with
-        | Exec.From_v1 -> (charged_table ?meter t v1, table_or_domain t v2)
-        | Exec.From_v2 -> (table_or_domain t v1, charged_table ?meter t v2)
+        | Exec.From_v1 ->
+          let t2, t2_domain = table_or_index_domain t v2 in
+          (charged_table ?meter t v1, t2, None, t2_domain)
+        | Exec.From_v2 ->
+          let t1, t1_domain = table_or_index_domain t v1 in
+          (t1, charged_table ?meter t v2, t1_domain, None)
       in
       {
         variant =
@@ -320,8 +328,8 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
         in2 = t2;
         run =
           (fun m ->
-            Exec.full_pairs ~sanitize:t.sanitize ?meter:m ~step_direction:dir
-              t.engine t.graph e ~t1 ~t2);
+            Exec.full_pairs ~sanitize:t.sanitize ?meter:m ~step_direction:dir ?t1_domain
+              ?t2_domain t.engine t.graph e ~t1 ~t2);
       }
     | Edge.Equijoin ->
       (* Index nested-loop from the smaller side when the inner endpoint

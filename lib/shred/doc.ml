@@ -20,6 +20,7 @@ let set_id t i = t.doc_id <- i
 let uri t = t.uri
 let node_count t = Bytes.length t.kinds
 let kind t pre = Nodekind.of_int (Char.code (Bytes.get t.kinds pre))
+let kind_code t pre = Char.code (Bytes.get t.kinds pre)
 let name_id t pre = t.names.(pre)
 let value_id t pre = t.values.(pre)
 let size t pre = t.sizes.(pre)

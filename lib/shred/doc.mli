@@ -26,6 +26,10 @@ val uri : t -> string
 val node_count : t -> int
 
 val kind : t -> pre -> Nodekind.t
+
+val kind_code : t -> pre -> int
+(** [Nodekind.to_int (kind t pre)] without decoding: the stored code. *)
+
 val name_id : t -> pre -> int
 (** Interned qname of an element / attribute (target for a PI); -1 for
     kinds without a name. *)

@@ -14,8 +14,11 @@ type t = {
   mutable keys : int array;
   mutable vals : int array;
   mutable mask : int; (* capacity - 1, capacity a power of two *)
+  mutable shift : int; (* Sys.int_size - log2 capacity *)
   mutable size : int;
 }
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
 let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
 
@@ -25,14 +28,19 @@ let create ?(capacity = 16) () =
     keys = Array.make cap empty_key;
     vals = Array.make cap 0;
     mask = cap - 1;
+    shift = Sys.int_size - log2 cap;
     size = 0;
   }
 
 let length t = t.size
 
-let slot_of keys mask key =
-  (* [i] stays masked, so the unsafe reads are in bounds. *)
-  let i = ref (key * fib land mask) in
+(* The home slot is the top bits of the product (Fibonacci hashing): its
+   low bits depend only on the key's low bits, so keys that differ above
+   the mask, like packed (name, value) pairs, would share one chain. *)
+let slot_of keys mask shift key =
+  (* [i] is below the capacity and stays masked, so the unsafe reads are
+     in bounds. *)
+  let i = ref ((key * fib) lsr shift) in
   while
     let k = Array.unsafe_get keys !i in
     k <> empty_key && k <> key
@@ -46,17 +54,19 @@ let grow t =
   let keys = Array.make cap empty_key in
   let vals = Array.make cap 0 in
   let mask = cap - 1 in
+  let shift = t.shift - 1 in
   for i = 0 to t.mask do
     let k = t.keys.(i) in
     if k <> empty_key then begin
-      let j = slot_of keys mask k in
+      let j = slot_of keys mask shift k in
       keys.(j) <- k;
       vals.(j) <- t.vals.(i)
     end
   done;
   t.keys <- keys;
   t.vals <- vals;
-  t.mask <- mask
+  t.mask <- mask;
+  t.shift <- shift
 
 (* Keep load <= 1/2 so probe sequences stay short. *)
 let ensure_room t = if 2 * (t.size + 1) > t.mask + 1 then grow t
@@ -64,7 +74,7 @@ let ensure_room t = if 2 * (t.size + 1) > t.mask + 1 then grow t
 let set t key v =
   if key = empty_key then invalid_arg "Int_table: min_int key";
   ensure_room t;
-  let i = slot_of t.keys t.mask key in
+  let i = slot_of t.keys t.mask t.shift key in
   if t.keys.(i) = empty_key then begin
     t.keys.(i) <- key;
     t.size <- t.size + 1
@@ -72,15 +82,15 @@ let set t key v =
   t.vals.(i) <- v
 
 let find t key =
-  let i = slot_of t.keys t.mask key in
+  let i = slot_of t.keys t.mask t.shift key in
   if t.keys.(i) = empty_key then None else Some t.vals.(i)
 
 (* Allocation-free [find]: hot kernels probe once per row. *)
 let find_default t key ~default =
-  let i = slot_of t.keys t.mask key in
+  let i = slot_of t.keys t.mask t.shift key in
   if t.keys.(i) = empty_key then default else t.vals.(i)
 
-let mem t key = t.keys.(slot_of t.keys t.mask key) <> empty_key
+let mem t key = t.keys.(slot_of t.keys t.mask t.shift key) <> empty_key
 
 let add t key = set t key 0
 
@@ -89,7 +99,7 @@ let add t key = set t key 0
 let find_or_add t key ~default =
   if key = empty_key then invalid_arg "Int_table: min_int key";
   ensure_room t;
-  let i = slot_of t.keys t.mask key in
+  let i = slot_of t.keys t.mask t.shift key in
   if t.keys.(i) = empty_key then begin
     t.keys.(i) <- key;
     t.vals.(i) <- default;
@@ -97,6 +107,10 @@ let find_or_add t key ~default =
     default
   end
   else t.vals.(i)
+
+let probe_length t key =
+  let home = (key * fib) lsr t.shift in
+  ((slot_of t.keys t.mask t.shift key - home) land t.mask) + 1
 
 let iter f t =
   for i = 0 to t.mask do

@@ -26,6 +26,10 @@ val find_or_add : t -> int -> default:int -> int
 
 val iter : (int -> int -> unit) -> t -> unit
 
+val probe_length : t -> int -> int
+(** Slots a lookup of the key inspects: 1 when it sits in (or would take)
+    its home slot. A diagnostic for the hash's spread. *)
+
 (** Multimap: each key's values replay in insertion order — the columnar
     join kernels depend on that to stay bit-identical to the naive
     row-major reference. *)

@@ -216,6 +216,16 @@ let test_cutoff_limits () =
   check_int "consumed" 2 c.Cutoff.consumed_outer;
   check_bool "extrapolation exact on uniform data" true (abs_float (c.Cutoff.est -. 500.0) < 1e-9)
 
+(* A limit far above the produced count must not preallocate its output
+   on the major heap. *)
+let test_cutoff_large_limit_minor () =
+  Gc.minor ();
+  let _, _, major_before = Gc.counters () in
+  let c = Cutoff.run ~limit:1200 ~outer_len:100 ~iter:(uniform_op ~outer_len:100 ~hits:1) in
+  let _, _, major_after = Gc.counters () in
+  check_int "produced" 100 c.Cutoff.produced;
+  Alcotest.(check (float 0.0)) "major words" 0.0 (major_after -. major_before)
+
 let test_cutoff_empty_outer () =
   let c = Cutoff.run ~limit:10 ~outer_len:0 ~iter:(fun _ -> ()) in
   check_bool "completed" true c.Cutoff.completed;
@@ -281,6 +291,7 @@ let suite =
       Alcotest.test_case "selection" `Quick test_selection;
       Alcotest.test_case "cutoff completes" `Quick test_cutoff_completes;
       Alcotest.test_case "cutoff limits" `Quick test_cutoff_limits;
+      Alcotest.test_case "cutoff large limit stays minor" `Quick test_cutoff_large_limit_minor;
       Alcotest.test_case "cutoff empty outer" `Quick test_cutoff_empty_outer;
       Alcotest.test_case "cutoff distinct" `Quick test_cutoff_distinct;
       prop_intersect;

@@ -123,6 +123,88 @@ let prop_staircase_restriction =
       in
       arr direct = via_full)
 
+(* ---- index-domain descriptors vs their candidate columns ----------- *)
+
+(* A vertex with a described index domain, drawn from a random node so the
+   domain is not empty: the node's element name, all texts or the texts of
+   its value, its attribute name with or without its value, or the root
+   for the remaining kinds. *)
+let described_vertex rng doc =
+  let open Rox_util in
+  let p = 1 + Xoshiro.int rng (Doc.node_count doc - 1) in
+  let eq () = if Xoshiro.int rng 2 = 0 then Some (Selection.Eq (Doc.value doc p)) else None in
+  let annot =
+    match Doc.kind doc p with
+    | Nodekind.Elem -> Vertex.Element (Doc.name doc p)
+    | Nodekind.Text -> Vertex.Text (eq ())
+    | Nodekind.Attr -> Vertex.Attr (Doc.name doc p, eq ())
+    | Nodekind.Doc | Nodekind.Comment | Nodekind.Pi -> Vertex.Root
+  in
+  { Vertex.id = 0; doc_id = 0; annot }
+
+(* Membership tested on the document's columns is the column path exactly:
+   the same pair sequence and work units on every axis, the same Cutoff.t
+   at any limit, and the same results through Exec's sampled and full
+   step evaluation (which, under ROX_SANITIZE=1, cross-check the two
+   paths themselves as RX306). Self and Ancestor steps from every node
+   also put each node through the membership test. *)
+let prop_index_domain_walk =
+  qtest ~count:400 "staircase: index-domain descriptor = candidate column"
+    QCheck.(quad small_int small_int small_int (int_range 1 40))
+    (fun (seed, axis_pick, vertex_pick, limit) ->
+      let engine, r = random_engine seed in
+      let doc = r.Engine.doc in
+      let rng = Rox_util.Xoshiro.create ((seed * 7919) + vertex_pick) in
+      let axis = Axis.all.(axis_pick mod Array.length Axis.all) in
+      let v = described_vertex rng doc in
+      let candidates, domain = Exec.index_domain engine v in
+      let context = col (random_context rng doc) in
+      let metered f =
+        let counter = Cost.new_counter () in
+        let result = f (Some (Cost.execution_meter counter)) in
+        (result, Cost.total counter)
+      in
+      let pairs ?domain (axis, context) =
+        metered (fun meter ->
+            let out = ref [] in
+            Staircase.iter_pairs ?meter ?domain ~doc ~axis ~context ~candidates
+              (fun cidx c s -> out := (cidx, c, s) :: !out);
+            !out)
+      in
+      let every_node = col (Array.init (Doc.node_count doc) Fun.id) in
+      let steps = [ (axis, context); (Axis.Self, every_node); (Axis.Ancestor, every_node) ] in
+      let cut ?domain () =
+        metered (fun meter ->
+            Cutoff.run ~limit ~outer_len:(clen context) ~iter:(fun emit ->
+                Staircase.iter_pairs ?meter ?domain ~doc ~axis ~context ~candidates
+                  (fun cidx _ s -> emit cidx s)))
+      in
+      let g = Graph.create () in
+      let outer = Graph.add_vertex g ~doc_id:0 Vertex.Root in
+      let inner = Graph.add_vertex g ~doc_id:0 v.Vertex.annot in
+      let e = Graph.add_edge g ~v1:outer.Vertex.id ~v2:inner.Vertex.id (Edge.Step axis) in
+      let sampled inner_table =
+        metered (fun meter ->
+            Exec.sampled ?meter engine g e ~outer:Exec.From_v1 ~sample:context ~inner_table
+              ~limit)
+      in
+      let full ?t2_domain () =
+        metered (fun meter ->
+            Exec.full_pairs ?meter ~step_direction:Exec.From_v1 ?t2_domain engine g e
+              ~t1:context ~t2:candidates)
+      in
+      let cut_d, units_d = cut ?domain () and cut_c, units_c = cut () in
+      let sampled_d, sunits_d = sampled None
+      and sampled_c, sunits_c = sampled (Some candidates) in
+      let full_d, funits_d = full ?t2_domain:domain () and full_c, funits_c = full () in
+      Option.is_some domain
+      && List.for_all (fun step -> pairs ?domain step = pairs step) steps
+      && Cutoff.equal cut_d cut_c && units_d = units_c
+      && Cutoff.equal sampled_d sampled_c && sunits_d = sunits_c
+      && Rox_util.Column.equal full_d.Exec.left full_c.Exec.left
+      && Rox_util.Column.equal full_d.Exec.right full_c.Exec.right
+      && funits_d = funits_c)
+
 (* Runtime semijoin consistency: after all edges execute, every vertex
    table equals the distinct column of the final relation (the XMark and
    DBLP shapes of this property are in the fuzz suite). *)
@@ -310,6 +392,7 @@ let suite =
     prop_cutoff_sanity;
     prop_value_join_equivalence;
     prop_staircase_restriction;
+    prop_index_domain_walk;
     prop_tables_match_relation;
     prop_sampling_deterministic;
     prop_kernel_extend;

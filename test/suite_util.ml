@@ -122,6 +122,25 @@ let test_int_alloc_free () =
   Alcotest.(check (float 0.0)) "Xoshiro.int: minor words over 1000 calls" 0.0
     (minor_words_of_calls 1000 (fun () -> Xoshiro.int t 1000))
 
+(* Keys that differ only above bit 31, like the packed (attribute name,
+   value) keys of the value index, still spread over the table: the home
+   slot comes from the high bits of the Fibonacci product, not its low
+   bits, which such keys all share. *)
+let test_int_table_high_keys () =
+  let n = 5000 in
+  let t = Int_table.create () in
+  for k = 1 to n do
+    Int_table.add t (k lsl 31)
+  done;
+  let total = ref 0 and longest = ref 0 in
+  for k = 1 to n do
+    let p = Int_table.probe_length t (k lsl 31) in
+    total := !total + p;
+    longest := Int.max !longest p
+  done;
+  check_bool "mean probe length <= 2" true (!total <= 2 * n);
+  check_bool "longest probe <= 32" true (!longest <= 32)
+
 let prop_int_range =
   qtest "Xoshiro.int in range" QCheck.(pair small_int (int_range 1 1000)) (fun (seed, n) ->
       let rng = Xoshiro.create seed in
@@ -465,6 +484,7 @@ let suite =
     Alcotest.test_case "xoshiro golden stream" `Quick test_golden_stream;
     Alcotest.test_case "sample_without_replacement golden" `Quick test_golden_samples;
     Alcotest.test_case "xoshiro int allocates nothing" `Quick test_int_alloc_free;
+    Alcotest.test_case "int table spreads high-bit keys" `Quick test_int_table_high_keys;
     prop_int_range;
     prop_float_range;
     prop_sample_wor;
