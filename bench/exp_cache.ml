@@ -11,7 +11,7 @@
 open Rox_xquery
 open Rox_core
 open Bench_common
-module Trace = Rox_joingraph.Trace
+module Sink = Rox_telemetry.Sink
 module Store = Rox_cache.Store
 
 let queries ~full =
@@ -36,20 +36,20 @@ let run_query ?sanitize ?cache engine source =
     | None -> Session.default_config ()
     | Some s -> { (Session.default_config ()) with Session.sanitize = s }
   in
-  let trace = Trace.create () in
-  let session = Session.create ~config ~trace ?cache () in
+  let sink = Sink.create ~enabled:true () in
+  let session = Session.create ~config ?cache ~telemetry:sink () in
   let answer, result = Optimizer.answer session compiled in
-  let rel_hits = Trace.cache_hits ~store:`Relation trace in
-  let executed = List.length (Trace.execution_order trace) in
+  let rel_hits = Sink.cache_hits ~store:`Relation sink in
+  let executed = List.length (Sink.execution_order sink) in
   {
     answer;
     work = Rox_algebra.Cost.total result.Optimizer.counter;
     executed;
     physical = executed - rel_hits;
-    rel_lookups = Trace.cache_lookups ~store:`Relation trace;
+    rel_lookups = Sink.cache_lookups ~store:`Relation sink;
     rel_hits;
-    est_lookups = Trace.cache_lookups ~store:`Estimate trace;
-    est_hits = Trace.cache_hits ~store:`Estimate trace;
+    est_lookups = Sink.cache_lookups ~store:`Estimate sink;
+    est_hits = Sink.cache_hits ~store:`Estimate sink;
   }
 
 let sum f runs = List.fold_left (fun a r -> a + f r) 0 runs

@@ -6,7 +6,7 @@ open Rox_storage
 open Rox_xquery
 open Rox_core
 open Bench_common
-module Trace = Rox_joingraph.Trace
+module Sink = Rox_telemetry.Sink
 
 (* 2000 'a' elements; every a has a b child and most have an e child; only a
    handful of b's lead to c[d]. The (a,b) edge looks cheap and uniform; the
@@ -38,23 +38,23 @@ let run () =
   let engine = build_engine () in
   let compiled = Compile.compile_string engine query in
   print_string (Rox_joingraph.Pretty.to_string compiled.Compile.graph);
-  let trace = Trace.create () in
-  let answer, _result = Optimizer.answer (Session.create ~trace ()) compiled in
+  let sink = Sink.create ~enabled:true () in
+  let answer, _result = Optimizer.answer (Session.create ~telemetry:sink ()) compiled in
   subheader "chain sampling rounds (cost, sf) per path segment";
   List.iter
     (fun (round, cutoff, paths) ->
       Printf.printf "round %d (cutoff=%d):\n" round cutoff;
       List.iter
         (fun p ->
-          Printf.printf "  %-4s via %-28s cost=%-10s sf=%.3g\n" p.Trace.label p.Trace.via
-            (Rox_util.Table_fmt.human_float p.Trace.cost)
-            p.Trace.sf)
+          Printf.printf "  %-4s via %-28s cost=%-10s sf=%.3g\n" p.Sink.label p.Sink.via
+            (Rox_util.Table_fmt.human_float p.Sink.cost)
+            p.Sink.sf)
         paths)
-    (Trace.chain_rounds trace);
+    (Sink.chain_rounds sink);
   let chosen =
     List.filter_map
       (function
-        | Trace.Chain_chosen { edges; trigger } ->
+        | Sink.Chain_chosen { edges; trigger } ->
           let t =
             match trigger with
             | `Stopping_condition -> "stopping condition"
@@ -64,7 +64,7 @@ let run () =
           Some (Printf.sprintf "chose segment [%s] (%s)"
                   (String.concat " " (List.map string_of_int edges)) t)
         | _ -> None)
-      (Trace.events trace)
+      (Sink.events sink)
   in
   subheader "decisions";
   List.iter print_endline chosen;

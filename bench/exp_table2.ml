@@ -6,6 +6,7 @@
 
 open Rox_xquery
 open Rox_joingraph
+module Sink = Rox_telemetry.Sink
 open Rox_core
 open Bench_common
 
@@ -21,18 +22,18 @@ let show_query label op =
   let engine = xmark_engine ~factor:1.0 () in
   let compiled = Compile.compile_string engine (q1_query op 145) in
   let graph = compiled.Compile.graph in
-  let trace = Trace.create () in
+  let sink = Sink.create ~enabled:true () in
   let (answer, result), dt =
-    time_it (fun () -> Optimizer.answer (Session.create ~trace ()) compiled)
+    time_it (fun () -> Optimizer.answer (Session.create ~telemetry:sink ()) compiled)
   in
   (* Initial weights: the first Edge_weighted event per edge. *)
   let initial = Hashtbl.create 32 in
   List.iter
     (function
-      | Trace.Edge_weighted { edge; weight } ->
+      | Sink.Edge_weighted { edge; weight } ->
         if not (Hashtbl.mem initial edge) then Hashtbl.replace initial edge weight
       | _ -> ())
-    (Trace.events trace);
+    (Sink.events sink);
   Printf.printf "initial edge weights (Fig 3.1 analog):\n";
   Array.iter
     (fun (e : Edge.t) ->
@@ -43,7 +44,7 @@ let show_query label op =
       | None -> ())
     (Graph.edges graph);
   (* Chain rounds rooted at open_auction: the Table 2 analog. *)
-  let rounds = Trace.chain_rounds trace in
+  let rounds = Sink.chain_rounds sink in
   let interesting =
     List.filter (fun (_, _, paths) -> List.length paths >= 2) rounds
   in
@@ -54,9 +55,9 @@ let show_query label op =
         Printf.printf "  round %d (cutoff=%d): " round cutoff;
         List.iter
           (fun p ->
-            Printf.printf "%s=(%s, %.2g) " p.Trace.label
-              (Rox_util.Table_fmt.human_float p.Trace.cost)
-              p.Trace.sf)
+            Printf.printf "%s=(%s, %.2g) " p.Sink.label
+              (Rox_util.Table_fmt.human_float p.Sink.cost)
+              p.Sink.sf)
           paths;
         print_newline ()
       end)

@@ -190,11 +190,10 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
     try
       match optimizer with
       | Opt_rox | Opt_greedy ->
-        let trace = Rox_joingraph.Trace.create ~enabled:show_trace () in
         let session =
           Rox_core.Session.create
             ~config:(session_config (optimizer = Opt_rox))
-            ~trace ?cache ~telemetry:sink ()
+            ?cache ~telemetry:sink ()
         in
         cur_session := Some session;
         let answer, result = Rox_core.Optimizer.answer session compiled in
@@ -204,7 +203,7 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
               let e = Rox_joingraph.Graph.edge compiled.Rox_xquery.Compile.graph id in
               Printf.eprintf "executed edge %d: %s\n" id
                 (Rox_joingraph.Pretty.edge_line compiled.Rox_xquery.Compile.graph e))
-            (Rox_joingraph.Trace.execution_order trace)
+            result.Rox_core.Optimizer.edge_order
         end;
         ( answer, result.Rox_core.Optimizer.counter,
           (result.Rox_core.Optimizer.edge_order, session) )
@@ -283,8 +282,8 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
 module A = Rox_analysis
 
 (* One analysis case: compile, check the graph, run ROX with the sanitizer
-   armed and the trace enabled, then verify the trace and the executed
-   plan. *)
+   armed and the sink enabled, then replay its event stream, verify the
+   executed plan and check the timeline. *)
 let analyze_case ?(quiet = false) ~subject engine query =
   match Rox_xquery.Compile.compile_string engine query with
   | exception Rox_xquery.Compile.Rejected d -> A.Report.make ~subject [ d ]
@@ -297,16 +296,13 @@ let analyze_case ?(quiet = false) ~subject engine query =
   | compiled ->
     let graph = compiled.Rox_xquery.Compile.graph in
     let diags = ref (A.Graph_check.check graph) in
-    let trace = Rox_joingraph.Trace.create () in
-    (* Telemetry rides along so the RX4xx span checks run against the same
-       trace: every Edge_executed event must have its execute_edge span. *)
     let sink = Rox_telemetry.Sink.create ~enabled:true () in
     (* The sanitizer is a per-session capability: build an explicit
        sanitize-on session instead of flipping any global flag. *)
     let config =
       { (Rox_core.Session.default_config ()) with Rox_core.Session.sanitize = true }
     in
-    let session = Rox_core.Session.create ~config ~trace ~telemetry:sink () in
+    let session = Rox_core.Session.create ~config ~telemetry:sink () in
     if not quiet then
       Printf.printf "%s: %s\n" subject (Rox_core.Session.describe session);
     (match
@@ -317,9 +313,9 @@ let analyze_case ?(quiet = false) ~subject engine query =
      | Ok result ->
        diags :=
          !diags
-         @ A.Trace_check.check graph trace
+         @ A.Trace_check.check graph sink
          @ A.Plan_check.check graph result.Rox_core.Optimizer.edge_order
-         @ A.Telemetry_check.check ~trace sink);
+         @ A.Telemetry_check.check sink);
     A.Report.make ~subject !diags
 
 let quickstart_document =
@@ -735,6 +731,12 @@ let serve_smoke scale slow_log slow_ms =
              | Error _ -> false)
         in
         check "trace exports valid Chrome JSON" valid;
+        (* The retained timeline carries the optimizer's events beside the
+           spans, even for a request its budget cut short. *)
+        check "trace carries optimizer events"
+          (List.exists
+             (fun name -> contains_substring json (Printf.sprintf "\"name\": %S" name))
+             [ "vertex_initialized"; "edge_weighted"; "chain_round"; "edge_executed" ]);
         (match slow_log with
          | Some path ->
            let out = path ^ ".trace.json" in
@@ -1239,7 +1241,7 @@ let cmd =
            ~doc:"XQuery file, or - for stdin.")
   in
   let show_graph = Arg.(value & flag & info [ "graph" ] ~doc:"Print the isolated Join Graph to stderr.") in
-  let show_trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the edge execution order to stderr.") in
+  let show_trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the executed plan (edge execution order) to stderr. The optimizer's full event stream is exported with $(b,--trace-out).") in
   let optimizer =
     Arg.(value & opt optimizer_conv Opt_rox & info [ "optimizer" ] ~docv:"OPT"
            ~doc:"Evaluation strategy: $(b,rox) (run-time optimization with chain sampling), $(b,greedy) (run-time, smallest-weight edge), $(b,static) (compile-time synopsis plan), or $(b,midquery) (static plan with validity-range re-optimization).")

@@ -35,9 +35,9 @@ let () =
   print_string (Rox_joingraph.Pretty.to_string compiled.Rox_xquery.Compile.graph);
 
   (* 3. Run ROX: optimization happens during execution, driven by sampling. *)
-  let trace = Rox_joingraph.Trace.create () in
-  (* One explicit session owns the run: seed, trace, counter, budgets. *)
-  let session = Rox_core.Session.create ~trace () in
+  (* One explicit session owns the run: seed, counter, budgets and the
+     telemetry sink its spans and optimizer events would land in. *)
+  let session = Rox_core.Session.create () in
   let answer, result = Rox_core.Optimizer.answer session compiled in
 
   (* 4. The answer is a sequence of nodes of the queried document. *)

@@ -70,9 +70,6 @@ let allowlist =
        compiled query shared across domains is read-only";
     f "lib/joingraph/runtime.ml" "t.*"
       "single-owner: per-run optimizer state owned by one session run";
-    f "lib/joingraph/trace.ml" "t.*"
-      "single-owner: the trace belongs to one session (one domain); \
-       cross-domain aggregation copies, never shares";
     (* -- serve ----------------------------------------------------- *)
     f "lib/serve/protocol.ml" "decoder.*"
       "single-owner: one decoder per connection, fed and drained only \

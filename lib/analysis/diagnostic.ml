@@ -205,14 +205,8 @@ let registry =
     { ci_code = "RX114"; ci_severity = Error;
       ci_summary = "cache lookup references an unknown edge id";
       ci_detail =
-        "Cache_lookup trace events must point at live edges; a dangling \
+        "Cache_lookup events must point at live edges; a dangling \
          id means the cache key schema and the graph diverged." };
-    { ci_code = "RX115"; ci_severity = Warning;
-      ci_summary = "trace truncated at its event cap (later events dropped)";
-      ci_detail =
-        "The bounded trace hit its cap and synthesized a Truncated \
-         marker; replay checks that need the tail are skipped. Raise the \
-         cap or trace a smaller run for full coverage." };
     { ci_code = "RX201"; ci_severity = Error;
       ci_summary = "plan references an unknown edge id";
       ci_detail = "The executed plan names an edge the graph lacks." };
@@ -285,17 +279,13 @@ let registry =
       ci_summary = "telemetry span has a negative duration";
       ci_detail = "The monotonic clock cannot run backwards; a negative \
                    duration is a sink bookkeeping bug." };
-    { ci_code = "RX403"; ci_severity = Error;
-      ci_summary = "executed edge has no matching telemetry span";
-      ci_detail =
-        "Every Edge_executed trace event must have its execute_edge span \
-         when telemetry is on; a missing span means an uninstrumented \
-         execution path." };
     { ci_code = "RX404"; ci_severity = Warning;
-      ci_summary = "telemetry span buffer truncated (spans dropped past the cap)";
+      ci_summary = "telemetry buffer truncated (spans or events dropped past the cap)";
       ci_detail =
-        "The bounded span buffer hit its cap; exporters mark the \
-         truncation and span-matching checks are skipped." };
+        "The sink's one bounded buffer of spans and optimizer events hit \
+         its cap; the event stream ends in a Truncated marker, exporters \
+         mark the truncation, and replay findings past it (typically \
+         RX109) are partial. Raise the cap or trace a smaller run." };
     { ci_code = "RX501"; ci_severity = Error;
       ci_summary = "data race: unsynchronized cross-domain write to a shared site";
       ci_detail =

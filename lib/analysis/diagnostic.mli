@@ -17,7 +17,7 @@ type location =
   | Graph_loc          (** the join graph as a whole *)
   | Vertex of int      (** a vertex id *)
   | Edge of int        (** an edge id *)
-  | Event of int       (** index into the trace event list *)
+  | Event of int       (** index into the optimizer event list ([Sink.events]) *)
   | Plan_pos of int    (** index into an execution plan *)
   | Span of int        (** index into the chronological telemetry span list *)
   | Site of int        (** an access-log shared-site id *)

@@ -183,6 +183,11 @@ let recorder_guarded ?(domains = 2) ?(iters = 60) () =
   let module R = Rox_telemetry.Recorder in
   with_recording (fun () ->
       let rc = R.create ~cap:16 ~retain_cap:4 ~tenant_cap:2 ~head_every:4 () in
+      let snap =
+        let sink = Rox_telemetry.Sink.create ~enabled:true () in
+        Rox_telemetry.Sink.with_span sink "fixture" ignore;
+        Option.get (Rox_telemetry.Sink.snapshot sink)
+      in
       fork_join domains (fun d ->
           for i = 1 to iters do
             let r =
@@ -203,7 +208,7 @@ let recorder_guarded ?(domains = 2) ?(iters = 60) () =
                 edge_ns = [];
               }
             in
-            Option.iter (fun reason -> R.retain rc r reason []) (R.observe rc r);
+            Option.iter (fun reason -> R.retain rc r reason snap) (R.observe rc r);
             ignore (R.recent rc 4 : R.record list);
             ignore (R.prometheus rc : string);
             ignore (R.threshold_ns rc : int)

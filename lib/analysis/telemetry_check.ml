@@ -1,4 +1,3 @@
-open Rox_joingraph
 module D = Diagnostic
 module Sink = Rox_telemetry.Sink
 
@@ -48,54 +47,19 @@ let check_nesting add spans =
       stack := (idx, s) :: !stack)
     spans
 
-(* Every Edge_executed trace event must be covered by an "execute_edge"
-   telemetry span carrying a matching ("edge", id) attribute — the span
-   instrumentation and the deterministic trace describe the same run. *)
-let check_edge_coverage add trace spans =
-  let span_edges = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Sink.span) ->
-      if s.Sink.name = "execute_edge" then
-        match List.assoc_opt "edge" s.Sink.attrs with
-        | Some id -> (
-          match int_of_string_opt id with
-          | Some e ->
-            Hashtbl.replace span_edges e (1 + Option.value ~default:0 (Hashtbl.find_opt span_edges e))
-          | None -> ())
-        | None -> ())
-    spans;
-  List.iteri
-    (fun idx ev ->
-      match (ev : Trace.event) with
-      | Trace.Edge_executed { edge; _ } ->
-        (match Hashtbl.find_opt span_edges edge with
-         | Some n when n > 0 -> Hashtbl.replace span_edges edge (n - 1)
-         | _ ->
-           add
-             (D.error "RX403" (D.Event idx)
-                ~hint:"Runtime.execute_edge must run under with_span \"execute_edge\""
-                (Printf.sprintf
-                   "edge e%d executed with no matching telemetry span" edge)))
-      | _ -> ())
-    (Trace.events trace)
-
-let check ?trace (sink : Sink.t) =
+let check_timeline spans =
   let out = ref [] in
-  let add d = out := d :: !out in
-  if Sink.enabled sink then begin
-    let spans = Sink.spans_chronological sink in
-    check_nesting add spans;
-    if Sink.dropped sink > 0 then
-      add
-        (D.warning "RX404" D.Graph_loc
-           ~hint:"raise the cap via Sink.create ?cap to keep every span"
-           (Printf.sprintf "span buffer truncated: %d span(s) dropped"
-              (Sink.dropped sink)));
-    (* Edge coverage is only meaningful on a complete trace; a truncated
-       one would report RX403 for edges whose events were dropped. *)
-    match trace with
-    | Some tr when Trace.dropped tr = 0 && Sink.dropped sink = 0 ->
-      check_edge_coverage add tr spans
-    | _ -> ()
-  end;
+  check_nesting (fun d -> out := d :: !out) spans;
   List.rev !out
+
+let check (sink : Sink.t) =
+  if not (Sink.enabled sink) then []
+  else
+    check_timeline (Sink.timeline sink)
+    @
+    if Sink.dropped sink = 0 then []
+    else
+      [ D.warning "RX404" D.Graph_loc
+          ~hint:"raise the cap via Sink.create ?cap to keep every entry"
+          (Printf.sprintf "telemetry buffer truncated: %d entries dropped"
+             (Sink.dropped sink)) ]

@@ -1,5 +1,6 @@
 open Rox_joingraph
 module D = Diagnostic
+module Sink = Rox_telemetry.Sink
 
 (* Replay state for the per-component cardinality accounting (RX108):
    which component each vertex belongs to, its current row count, and its
@@ -56,7 +57,7 @@ let path_connected graph source edges =
     edges;
   !ok
 
-let check (g : Graph.t) (trace : Trace.t) =
+let check (g : Graph.t) (sink : Sink.t) =
   let out = ref [] in
   let add d = out := d :: !out in
   let nv = Graph.vertex_count g and ne = Graph.edge_count g in
@@ -80,8 +81,8 @@ let check (g : Graph.t) (trace : Trace.t) =
   List.iteri
     (fun idx ev ->
       let loc = D.Event idx in
-      match (ev : Trace.event) with
-      | Trace.Vertex_initialized { vertex; card } ->
+      match (ev : Sink.event) with
+      | Sink.Vertex_initialized { vertex; card } ->
         if not (valid_vertex vertex) then
           add
             (D.error "RX111" loc
@@ -91,7 +92,7 @@ let check (g : Graph.t) (trace : Trace.t) =
             (D.error "RX111" loc
                (Printf.sprintf "vertex v%d initialized with negative cardinality %d"
                   vertex card))
-      | Trace.Edge_weighted { edge; weight } ->
+      | Sink.Edge_weighted { edge; weight } ->
         if not (valid_edge edge) then
           add
             (D.error "RX112" loc
@@ -101,7 +102,7 @@ let check (g : Graph.t) (trace : Trace.t) =
             (D.error "RX112" loc
                (Printf.sprintf "edge e%d weighted %s" edge (string_of_float weight)))
         else r.weighted.(edge) <- true
-      | Trace.Chain_started { source; min_edge } ->
+      | Sink.Chain_started { source; min_edge } ->
         r.chain_round <- 0;
         r.chain_cutoff <- 0;
         if not (valid_edge min_edge) then begin
@@ -121,7 +122,7 @@ let check (g : Graph.t) (trace : Trace.t) =
                   min_edge))
         end
         else r.chain <- Some (source, min_edge)
-      | Trace.Chain_round { round; cutoff; paths } ->
+      | Sink.Chain_round { round; cutoff; paths } ->
         if r.chain = None then
           add
             (D.error "RX105" loc "chain round emitted outside a chain (no Chain_started)")
@@ -141,15 +142,15 @@ let check (g : Graph.t) (trace : Trace.t) =
           r.chain_round <- round;
           r.chain_cutoff <- max r.chain_cutoff cutoff;
           List.iter
-            (fun (p : Trace.chain_path) ->
-              if bad_stat p.Trace.cost || bad_stat p.Trace.sf then
+            (fun (p : Sink.chain_path) ->
+              if bad_stat p.Sink.cost || bad_stat p.Sink.sf then
                 add
                   (D.error "RX113" loc
-                     (Printf.sprintf "segment %s has cost %s, sf %s" p.Trace.label
-                        (string_of_float p.Trace.cost) (string_of_float p.Trace.sf))))
+                     (Printf.sprintf "segment %s has cost %s, sf %s" p.Sink.label
+                        (string_of_float p.Sink.cost) (string_of_float p.Sink.sf))))
             paths
         end
-      | Trace.Chain_chosen { edges; trigger = _ } ->
+      | Sink.Chain_chosen { edges; trigger = _ } ->
         (match r.chain with
          | None ->
            add
@@ -189,7 +190,7 @@ let check (g : Graph.t) (trace : Trace.t) =
              List.iter (fun id -> r.chosen.(id) <- true) edges
            end);
         r.chain <- None
-      | Trace.Edge_executed { edge; order; pairs; rel_rows } ->
+      | Sink.Edge_executed { edge; order; pairs; rel_rows } ->
         if not (valid_edge edge) then
           add
             (D.error "RX101" loc
@@ -278,7 +279,7 @@ let check (g : Graph.t) (trace : Trace.t) =
           | Edge.Equijoin -> uf_union r.equi_uf e.Edge.v1 e.Edge.v2
           | Edge.Step _ -> ()
         end
-      | Trace.Cache_lookup { edge; store = _; hit = _ } ->
+      | Sink.Cache_lookup { edge; store = _; hit = _ } ->
         (* Cache consultations are free-form (estimate lookups happen for
            edges never executed); only the edge id must be real. *)
         if not (valid_edge edge) then
@@ -286,17 +287,8 @@ let check (g : Graph.t) (trace : Trace.t) =
             (D.error "RX114" loc
                (Printf.sprintf "cache lookup on unknown edge e%d (graph has %d)" edge
                   ne))
-      | Trace.Truncated { dropped } ->
-        (* A partial trace legitimately trips RX109 (and possibly RX103 if
-           later chunks of the execution order were dropped); surface the
-           truncation itself so those follow-on findings can be read in
-           context. *)
-        add
-          (D.warning "RX115" loc
-             ~hint:"raise the cap via Trace.create ?cap to capture the full run"
-             (Printf.sprintf "trace truncated: %d event(s) dropped past the cap"
-                dropped)))
-    (Trace.events trace);
+      | Sink.Truncated _ -> ())
+    (Sink.events sink);
   (* RX109: completeness. Every non-trivial edge must have been executed or
      be transitively implied by executed equi-joins (Runtime.sweep_implied
      marks those without emitting an event). *)

@@ -1,6 +1,6 @@
-(** Replay verification of an optimizer event trace (Algorithm 2).
+(** Replay verification of the optimizer's event stream (Algorithm 2).
 
-    Replays a [Rox_joingraph.Trace.t] against its Join Graph and verifies
+    Replays [Rox_telemetry.Sink.events] against its Join Graph and verifies
     the run-time discipline the paper prescribes: executed edges exist and
     execute once (RX101/RX102) in contiguous order (RX103) after being
     weighted or chain-chosen (RX104); chain rounds are consecutive with a
@@ -9,6 +9,10 @@
     source (RX106, RX110); trivial edges never execute (RX107); per-edge
     cardinalities respect the relational bounds of the component operation
     performed (RX108); and every non-trivial edge is eventually executed or
-    transitively implied by executed equi-joins (RX109, warning). *)
+    transitively implied by executed equi-joins (RX109, warning).
 
-val check : Rox_joingraph.Graph.t -> Rox_joingraph.Trace.t -> Diagnostic.t list
+    A truncated stream is replayed up to its [Truncated] marker; the
+    truncation itself is RX404, reported by {!Telemetry_check} over the
+    same sink, and explains follow-on findings such as RX109. *)
+
+val check : Rox_joingraph.Graph.t -> Rox_telemetry.Sink.t -> Diagnostic.t list

@@ -21,13 +21,13 @@ type seg = {
 
 let max_paths = 32
 
-let seg_to_trace graph s =
+let seg_to_event graph s =
   let via =
     match s.s_edges with
     | [] -> "-"
     | e :: _ -> Vertex.label (Graph.vertex graph e.Edge.v1) ^ "~" ^ Vertex.label (Graph.vertex graph e.Edge.v2)
   in
-  { Trace.label = s.s_label; via; cost = s.s_cost; sf = s.s_sf }
+  { Sink.label = s.s_label; via; cost = s.s_cost; sf = s.s_sf }
 
 (* Line 26: executing pi first provably helps: cost(pi) + sf(pi)*cost(pj) <= cost(pj). *)
 let dominates_all paths pi =
@@ -83,8 +83,8 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
             (fun acc v -> if cardinality v < cardinality acc then v else acc)
             (List.hd candidates) (List.tl candidates)
         in
-        Trace.emit (State.trace state)
-          (Trace.Chain_started { source; min_edge = e.Edge.id });
+        Sink.emit (State.telemetry state)
+          (Sink.Chain_started { source; min_edge = e.Edge.id });
         let tau = State.tau state in
         let source_card = cardinality source in
         let initial =
@@ -170,12 +170,12 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
           in
           paths := next;
           (* The payload renders every path's label: build it only for a
-             trace that records. *)
-          let trace = State.trace state in
-          if Trace.enabled trace then
-            Trace.emit trace
-              (Trace.Chain_round
-                 { round = !round; cutoff = !cutoff; paths = List.map (seg_to_trace graph) next });
+             sink that records. *)
+          let tel = State.telemetry state in
+          if Sink.enabled tel then
+            Sink.emit tel
+              (Sink.Chain_round
+                 { round = !round; cutoff = !cutoff; paths = List.map (seg_to_event graph) next });
           let live = List.filter (fun p -> p.s_edges <> []) !paths in
           (match List.find_opt (dominates_all live) live with
            | Some winner -> finished := Some (winner, `Stopping_condition)
@@ -193,8 +193,8 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
              | Some w -> (w, `Exhausted)
              | None -> ({ initial with s_edges = [ e ] }, `Single_edge))
         in
-        Trace.emit (State.trace state)
-          (Trace.Chain_chosen
+        Sink.emit (State.telemetry state)
+          (Sink.Chain_chosen
              { edges = List.map (fun e -> e.Edge.id) winner.s_edges; trigger });
         Some { edges = winner.s_edges; trigger }
     end

@@ -43,11 +43,11 @@ let execute_one state ~order ~rows e =
   incr order;
   rows := (e.Edge.id, info.Runtime.rel_rows) :: !rows;
   if Session.cache session <> None then
-    Trace.emit (State.trace state)
-      (Trace.Cache_lookup
+    Sink.emit (State.telemetry state)
+      (Sink.Cache_lookup
          { edge = e.Edge.id; store = `Relation; hit = info.Runtime.cache_hit });
-  Trace.emit (State.trace state)
-    (Trace.Edge_executed
+  Sink.emit (State.telemetry state)
+    (Sink.Edge_executed
        { edge = e.Edge.id; order = !order; pairs = info.Runtime.pair_count;
          rel_rows = info.Runtime.rel_rows });
   (* Refresh samples/cards of every vertex whose table shrank, then
@@ -143,6 +143,6 @@ let answer session (compiled : Rox_xquery.Compile.compiled) =
   in
   (nodes, result)
 
-let run_default ?trace compiled = run (Session.create ?trace ()) compiled
+let run_default compiled = run (Session.create ()) compiled
 
-let answer_default ?trace compiled = answer (Session.create ?trace ()) compiled
+let answer_default compiled = answer (Session.create ()) compiled

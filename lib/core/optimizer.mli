@@ -9,7 +9,7 @@
     independence-scaling) that makes ROX robust to correlations.
 
     Every entry point takes the owning {!Session} explicitly: options,
-    RNG, trace, counter, cache and budgets all come from it, and the whole
+    RNG, telemetry sink, counter, cache and budgets all come from it, and the whole
     run executes inside {!Session.confine} — armed deadline, RX307
     confinement. Ablation switches (the design choices benchmarked in
     [bench/main.ml]) live in {!Session.config}:
@@ -43,8 +43,7 @@ val answer : Session.t -> Rox_xquery.Compile.compiled -> int array * result
 (** Run and apply the π/δ/τ tail: the query answer as return-vertex nodes
     in XQuery order. *)
 
-val run_default : ?trace:Rox_joingraph.Trace.t -> Rox_xquery.Compile.compiled -> result
+val run_default : Rox_xquery.Compile.compiled -> result
 (** Thin wrapper: a fresh default session per call ([Session.create ()]). *)
 
-val answer_default :
-  ?trace:Rox_joingraph.Trace.t -> Rox_xquery.Compile.compiled -> int array * result
+val answer_default : Rox_xquery.Compile.compiled -> int array * result

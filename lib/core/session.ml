@@ -47,7 +47,6 @@ let default_config () =
 type t = {
   config : config;
   rng : Xoshiro.t;
-  trace : Trace.t;
   counter : Cost.counter;
   cache : Rox_cache.Store.t option;
   telemetry : Rox_telemetry.Sink.t;
@@ -62,11 +61,8 @@ type t = {
          aborts; set when a run is armed, cleared when it unwinds. *)
 }
 
-let create ?config ?trace ?cache ?telemetry () =
+let create ?config ?cache ?telemetry () =
   let config = match config with Some c -> c | None -> default_config () in
-  let trace =
-    match trace with Some t -> t | None -> Trace.create ~enabled:false ()
-  in
   let telemetry =
     match telemetry with Some s -> s | None -> Rox_telemetry.Sink.null ()
   in
@@ -76,7 +72,6 @@ let create ?config ?trace ?cache ?telemetry () =
   {
     config;
     rng = Xoshiro.create config.seed;
-    trace;
     counter = Cost.new_counter ~sampling_budget ();
     cache;
     telemetry;
@@ -94,7 +89,6 @@ let sanitize t = t.config.sanitize
 let budgets t = t.config.budgets
 let client_id t = t.config.client_id
 let rng t = t.rng
-let trace t = t.trace
 let counter t = t.counter
 let cache t = t.cache
 let telemetry t = t.telemetry
@@ -180,9 +174,9 @@ let flight_record t recorder ~query ~plan ~latency_ns ~status =
   in
   (match R.observe recorder record with
    | Some reason -> (
-     match Rox_telemetry.Sink.spans_chronological t.telemetry with
-     | [] -> ()
-     | spans -> R.retain recorder record reason spans)
+     match Rox_telemetry.Sink.snapshot t.telemetry with
+     | None -> ()
+     | Some snap -> R.retain recorder record reason snap)
    | None -> ());
   record
 
@@ -191,7 +185,7 @@ let describe t =
   Printf.sprintf
     "session client=%s seed=%d tau=%d chain=%b resample=%b grow_cutoff=%b race=%b \
      table_fraction=%s sanitize=%b max_rows=%d deadline_ms=%s \
-     max_sampled_rows=%s cache=%b trace=%b telemetry=%b"
+     max_sampled_rows=%s cache=%b telemetry=%b"
     t.config.client_id t.config.seed t.config.tau t.config.use_chain t.config.resample
     t.config.grow_cutoff t.config.race_operators
     (match t.config.table_fraction with
@@ -200,5 +194,5 @@ let describe t =
     t.config.sanitize b.max_rows
     (match b.deadline_ms with None -> "-" | Some ms -> string_of_int ms)
     (match b.max_sampled_rows with None -> "-" | Some r -> string_of_int r)
-    (t.cache <> None) (Trace.enabled t.trace)
+    (t.cache <> None)
     (Rox_telemetry.Sink.enabled t.telemetry)

@@ -2,7 +2,7 @@
     run may read or mutate.
 
     A session bundles the optimizer options, a seeded deterministic RNG,
-    the trace sink, the cost counter, the sanitize mode, the cross-query
+    the telemetry sink, the cost counter, the sanitize mode, the cross-query
     cache handle and the resource budgets. Every layer receives the
     session (or a narrow capability derived from it) explicitly — no
     process-global mutable state is consulted during a run, which is what
@@ -56,11 +56,11 @@ val default_config : unit -> config
 type t
 
 val create :
-  ?config:config -> ?trace:Rox_joingraph.Trace.t -> ?cache:Rox_cache.Store.t ->
-  ?telemetry:Rox_telemetry.Sink.t -> unit -> t
+  ?config:config -> ?cache:Rox_cache.Store.t -> ?telemetry:Rox_telemetry.Sink.t ->
+  unit -> t
 (** A fresh session: new RNG seeded from [config.seed], new cost counter
-    (with the sampled-rows budget installed), disabled trace and null
-    telemetry sink unless one is passed. Sessions are single-domain values
+    (with the sampled-rows budget installed), and a null telemetry sink
+    unless one is passed. Sessions are single-domain values
     — share the engine, the cache and the telemetry {!Rox_telemetry.Aggregate}
     across domains, never a session or its sink. *)
 
@@ -74,13 +74,13 @@ val client_id : t -> string
 (** The session's tenant tag ([config.client_id]). *)
 
 val rng : t -> Rox_util.Xoshiro.t
-val trace : t -> Rox_joingraph.Trace.t
 val counter : t -> Rox_algebra.Cost.counter
 val cache : t -> Rox_cache.Store.t option
 
 val telemetry : t -> Rox_telemetry.Sink.t
 (** The session's telemetry sink (null unless one was passed to
-    {!create}); spans and metrics land here across the whole run. *)
+    {!create}); spans, the optimizer's events and metrics land here
+    across the whole run. *)
 
 val metrics : t -> Rox_telemetry.Metrics.t
 (** [Rox_telemetry.Sink.metrics (telemetry t)]. *)

@@ -29,7 +29,7 @@ let engine t = Runtime.engine t.runtime
 let tau t = Session.tau t.session
 let rng t = Session.rng t.session
 let counter t = Session.counter t.session
-let trace t = Session.trace t.session
+let telemetry t = Session.telemetry t.session
 let sample t v = t.samples.(v)
 let card t v = t.cards.(v)
 let cache t = Session.cache t.session
@@ -93,8 +93,8 @@ let sampled_cutoff t (e : Edge.t) ~outer ~sample ~inner_table ~limit =
      with
      | Some cut ->
        note_lookup true;
-       Trace.emit (trace t)
-         (Trace.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = true });
+       Sink.emit (telemetry t)
+         (Sink.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = true });
        if Session.sanitize t.session then begin
          let op = Printf.sprintf "State.sampled_cutoff(e%d)" e.Edge.id in
          let fresh = run None in
@@ -116,8 +116,8 @@ let sampled_cutoff t (e : Edge.t) ~outer ~sample ~inner_table ~limit =
        cut
      | None ->
        note_lookup false;
-       Trace.emit (trace t)
-         (Trace.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = false });
+       Sink.emit (telemetry t)
+         (Sink.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = false });
        let cut = run_charged () in
        Rox_cache.Estimate_cache.add estimates key cut;
        cut)
@@ -145,7 +145,7 @@ let init_vertex_from_index t v =
   if Exec.can_index_init vertex then begin
     let domain = Exec.vertex_domain (engine t) vertex in
     set_sample_from t v domain;
-    Trace.emit (trace t) (Trace.Vertex_initialized { vertex = v; card = Column.length domain });
+    Sink.emit (telemetry t) (Sink.Vertex_initialized { vertex = v; card = Column.length domain });
     true
   end
   else false
@@ -154,7 +154,7 @@ let weight t (e : Edge.t) = t.weights.(e.Edge.id)
 
 let set_weight t (e : Edge.t) w =
   t.weights.(e.Edge.id) <- Some w;
-  Trace.emit (trace t) (Trace.Edge_weighted { edge = e.Edge.id; weight = w })
+  Sink.emit (telemetry t) (Sink.Edge_weighted { edge = e.Edge.id; weight = w })
 
 let min_weight_edge t =
   let best = ref None in

@@ -3,7 +3,7 @@
     Wraps the shared execution {!Rox_joingraph.Runtime} with the sampling
     side of ROX: per-vertex random samples S(v) and cardinalities card(v)
     and per-edge weights w(e). Everything mutable a run touches — RNG,
-    cost counter, trace, cache — belongs to the owning {!Session}; the
+    cost counter, telemetry sink, cache — belongs to the owning {!Session}; the
     state only adds the per-graph arrays. *)
 
 open Rox_joingraph
@@ -23,7 +23,8 @@ val engine : t -> Rox_storage.Engine.t
 val tau : t -> int
 val rng : t -> Rox_util.Xoshiro.t
 val counter : t -> Rox_algebra.Cost.counter
-val trace : t -> Trace.t
+val telemetry : t -> Rox_telemetry.Sink.t
+(** The session's sink: spans and the optimizer's events. *)
 
 val sample : t -> int -> Rox_util.Column.t option
 (** S(v). *)
@@ -68,7 +69,7 @@ val sampled_cutoff :
     in front: identical requests (same edge shape, sample contents, inner
     table and limit, on the same engine epoch) replay the cached
     {!Rox_algebra.Cutoff.t} — across chain rounds and across queries —
-    and charge no sampling work. Emits a [Trace.Cache_lookup] event per
+    and charge no sampling work. Emits a [Sink.Cache_lookup] event per
     consultation; a hit is cross-checked bit-identical under the session's
     sanitize mode. Without a cache this is exactly [Exec.sampled] charged
     to the sampling meter. *)

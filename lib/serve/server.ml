@@ -276,9 +276,9 @@ let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
     in
     (match (Recorder.observe rc record, sink) with
      | Some reason, Some s ->
-       (match Sink.spans_chronological s with
-        | [] -> ()
-        | spans -> Recorder.retain rc record reason spans)
+       (match Sink.snapshot s with
+        | None -> ()
+        | Some snap -> Recorder.retain rc record reason snap)
      | _ -> ())
 
 let complete t entry ~wait_ns resp =
@@ -641,12 +641,12 @@ let trace_response t id =
       Protocol.Err
         ( Protocol.Unknown_id,
           Printf.sprintf "trace %d not retained (never kept, or evicted)" id )
-    | Some (_, _, spans) ->
+    | Some (_, _, snap) ->
       Protocol.Trace_reply
         ( id,
           Export.chrome_trace_parts
             ~process_name:(Printf.sprintf "rox trace %d" id)
-            [ (0, spans, 0) ] ))
+            [ (0, Sink.snapshot_timeline snap, 0) ] ))
 
 (* ---- connection handling ------------------------------------------------ *)
 

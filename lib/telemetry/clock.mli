@@ -1,7 +1,7 @@
 (** Monotonic wall-clock time for spans and latency metrics.
 
-    The trace replayed by [Rox_joingraph.Trace] is deterministic; spans
-    are not — they measure real elapsed time. All telemetry timestamps
+    The optimizer's event payloads are deterministic; timestamps are
+    not — they measure real elapsed time. All telemetry timestamps
     come from CLOCK_MONOTONIC (via the bechamel stub, an [@@noalloc]
     external), so they never jump on NTP adjustments and cost a few tens
     of nanoseconds per read. Durations are plain [int] nanoseconds — at

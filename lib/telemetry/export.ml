@@ -36,10 +36,11 @@ let escape_label s =
 (* Chrome trace-event JSON                                            *)
 
 (* The writer takes bare [(tid, spans, dropped)] parts rather than
-   [Sink.t]s so retained flight-recorder traces — span lists that have
+   [Sink.t]s so retained flight-recorder traces — timelines that have
    outlived their sink — export through the same code path as live
    sinks. Spans must arrive in chronological order (the trace-event
-   contract for same-timestamp nesting). *)
+   contract for same-timestamp nesting); optimizer events arrive as
+   zero-duration spans and export as zero-duration complete events. *)
 let chrome_trace_parts ?(process_name = "rox") parts =
   let buf = Buffer.create 4096 in
   let first = ref true in
@@ -95,7 +96,7 @@ let chrome_trace_parts ?(process_name = "rox") parts =
         spans;
       if dropped > 0 then
         event
-          [ Printf.sprintf "\"name\": \"telemetry truncated: %d spans dropped\""
+          [ Printf.sprintf "\"name\": \"telemetry truncated: %d entries dropped\""
               dropped;
             "\"ph\": \"i\""; "\"cat\": \"rox\""; "\"s\": \"t\""; "\"ts\": 0";
             "\"pid\": 0"; Printf.sprintf "\"tid\": %d" tid; "\"args\": {}" ])
@@ -107,7 +108,7 @@ let chrome_trace ?process_name sinks =
   chrome_trace_parts ?process_name
     (List.map
        (fun (tid, sink) ->
-         (tid, Sink.spans_chronological sink, Sink.dropped sink))
+         (tid, Sink.timeline sink, Sink.dropped sink))
        sinks)
 
 (* ------------------------------------------------------------------ *)
@@ -205,7 +206,7 @@ let profile ?work_units (m : Metrics.t) =
     (c m.Metrics.rows_materialized) (c m.Metrics.pairs_emitted)
     (c m.Metrics.edges_executed);
   if c m.Metrics.spans_dropped > 0 then
-    line "spans dropped       %d (raise the sink cap for a complete trace)"
+    line "entries dropped     %d (raise the sink cap for a complete trace)"
       (c m.Metrics.spans_dropped);
   Buffer.contents buf
 

@@ -10,16 +10,17 @@
 
 val chrome_trace :
   ?process_name:string -> (int * Sink.t) list -> string
-(** [(tid, sink)] pairs become one thread lane each. Includes process /
-    thread-name metadata events and, per sink with dropped spans, an
-    instant event marking the truncation. *)
+(** [(tid, sink)] pairs become one thread lane each, exported from
+    {!Sink.timeline}: spans and the optimizer's events side by side.
+    Includes process / thread-name metadata events and, per sink with
+    dropped entries, an instant event marking the truncation. *)
 
 val chrome_trace_parts :
   ?process_name:string -> (int * Sink.span list * int) list -> string
 (** Same writer over bare parts — [(tid, spans, dropped)] — for span
     lists that have outlived their sink (the flight recorder's retained
     traces). Spans must be in chronological order, as
-    [Sink.spans_chronological] returns them; {!chrome_trace} is this
+    [Sink.timeline] returns them; {!chrome_trace} is this
     applied to live sinks. *)
 
 val escape_label : string -> string

@@ -90,7 +90,7 @@ let create () =
     queries_served = counter "rox_queries_served_total" "optimized query runs completed";
     budget_aborts =
       counter "rox_budget_aborts_total" "runs aborted by a deadline or sampling budget";
-    spans_dropped = counter "rox_spans_dropped_total" "spans lost to the sink buffer cap";
+    spans_dropped = counter "rox_spans_dropped_total" "spans and events lost to the sink buffer cap";
     aggregate_merges =
       counter "rox_aggregate_merges_total"
         "per-session registries merged into the process aggregate";

@@ -56,7 +56,7 @@ type t = {
   chain_rounds : counter;
   queries_served : counter;
   budget_aborts : counter;       (** runs ended by [Cost.Budget_exceeded] *)
-  spans_dropped : counter;       (** spans lost to the sink's buffer cap *)
+  spans_dropped : counter;       (** spans and events lost to the sink's buffer cap *)
   aggregate_merges : counter;    (** registries merged into the {!Aggregate} *)
   requests_received : counter;   (** protocol frames parsed by [rox serve] *)
   responses_sent : counter;      (** protocol replies written by [rox serve] *)

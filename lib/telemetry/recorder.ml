@@ -71,7 +71,7 @@ type t = {
   (* Served latencies: the adaptive tail-sampling threshold. *)
   lat : Metrics.histogram;
   (* Retained traces by id, FIFO-evicted at [retain_cap]. *)
-  retained : (int, record * reason * Sink.span list) Hashtbl.t;
+  retained : (int, record * reason * Sink.snapshot) Hashtbl.t;
   ret_fifo : int Queue.t;
   (* First [tenant_cap] distinct ids get their own series, the rest fold
      into ["other"]. *)
@@ -296,10 +296,10 @@ let recent t n =
 (* ------------------------------------------------------------------ *)
 (* Retained traces                                                    *)
 
-let retain t (r : record) reason spans =
+let retain t (r : record) reason snapshot =
   locked t (fun () ->
       if not (Hashtbl.mem t.retained r.trace_id) then begin
-        Hashtbl.replace t.retained r.trace_id (r, reason, spans);
+        Hashtbl.replace t.retained r.trace_id (r, reason, snapshot);
         Queue.push r.trace_id t.ret_fifo;
         while Queue.length t.ret_fifo > t.retain_cap do
           Hashtbl.remove t.retained (Queue.pop t.ret_fifo)
@@ -310,11 +310,14 @@ let find_trace t id = locked t (fun () -> Hashtbl.find_opt t.retained id)
 
 let retained_count t = locked t (fun () -> Hashtbl.length t.retained)
 
+(* Snapshots are immutable, so they are rendered outside the lock. *)
 let traces t =
   locked t (fun () ->
       Hashtbl.fold
-        (fun id (r, reason, spans) acc -> (id, r, reason, spans) :: acc)
+        (fun id (r, reason, snap) acc -> (id, r, reason, snap) :: acc)
         t.retained [])
+  |> List.map (fun (id, r, reason, snap) ->
+         (id, r, reason, Sink.snapshot_timeline snap))
 
 (* ------------------------------------------------------------------ *)
 (* Helpers for building records                                       *)

@@ -78,12 +78,14 @@ val observe : t -> record -> reason option
     itself; rejected records never count as slow (their latency is the
     rejection, not service). *)
 
-val retain : t -> record -> reason -> Sink.span list -> unit
-(** Make the span tree addressable by [record.trace_id] (chronological
-    order, as [Sink.spans_chronological] returns). Oldest retained trace
-    is evicted past [retain_cap]; re-retaining an id is a no-op. *)
+val retain : t -> record -> reason -> Sink.snapshot -> unit
+(** Make the request's spans and optimizer events addressable by
+    [record.trace_id]. They are kept typed and rendered only when read
+    ({!traces}, or [Sink.snapshot_timeline] on a {!find_trace} result).
+    Oldest retained trace is evicted past [retain_cap]; re-retaining an
+    id is a no-op. *)
 
-val find_trace : t -> int -> (record * reason * Sink.span list) option
+val find_trace : t -> int -> (record * reason * Sink.snapshot) option
 
 val recent : t -> int -> record list
 (** The [n] most recent records still in the ring, newest first by
@@ -99,7 +101,8 @@ val dropped : t -> int
 val retained_count : t -> int
 
 val traces : t -> (int * record * reason * Sink.span list) list
-(** Every currently retained trace (diagnostics / RX702). *)
+(** Every currently retained trace as its timeline (diagnostics /
+    RX702). *)
 
 val threshold_ns : t -> int
 (** The adaptive threshold the next {!observe} will judge against: the

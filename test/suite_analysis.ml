@@ -6,6 +6,7 @@ open Rox_algebra
 open Rox_joingraph
 open Rox_analysis
 open Helpers
+module Sink = Rox_telemetry.Sink
 
 let errors diags = List.filter Diagnostic.is_error diags
 let codes diags = List.map (fun d -> d.Diagnostic.code) diags
@@ -86,19 +87,19 @@ let test_plan_violations () =
   check_bool "RX203 fires" true (has_error "RX203" missing);
   check_int "good plan: no errors" 0 (List.length (errors (Plan_check.check g [ step.Edge.id ])))
 
-(* --- trace checks ------------------------------------------------------ *)
+(* --- event-stream replay checks ------------------------------------------------------ *)
 
 let weighted_exec g (e : Edge.t) ~order ~pairs ~rel_rows events =
   ignore g;
   events
   @ [
-      Trace.Edge_weighted { edge = e.Edge.id; weight = 1.0 };
-      Trace.Edge_executed { edge = e.Edge.id; order; pairs; rel_rows };
+      Sink.Edge_weighted { edge = e.Edge.id; weight = 1.0 };
+      Sink.Edge_executed { edge = e.Edge.id; order; pairs; rel_rows };
     ]
 
 let trace_of events =
-  let t = Trace.create () in
-  List.iter (Trace.emit t) events;
+  let t = Sink.create ~enabled:true () in
+  List.iter (Sink.emit t) events;
   t
 
 let test_trace_double_execution () =
@@ -106,9 +107,9 @@ let test_trace_double_execution () =
   let t =
     trace_of
       [
-        Trace.Edge_weighted { edge = step.Edge.id; weight = 1.0 };
-        Trace.Edge_executed { edge = step.Edge.id; order = 1; pairs = 2; rel_rows = 2 };
-        Trace.Edge_executed { edge = step.Edge.id; order = 2; pairs = 2; rel_rows = 2 };
+        Sink.Edge_weighted { edge = step.Edge.id; weight = 1.0 };
+        Sink.Edge_executed { edge = step.Edge.id; order = 1; pairs = 2; rel_rows = 2 };
+        Sink.Edge_executed { edge = step.Edge.id; order = 2; pairs = 2; rel_rows = 2 };
       ]
   in
   check_bool "RX102 fires" true (has_error "RX102" (Trace_check.check g t))
@@ -119,8 +120,8 @@ let test_trace_illegal_order () =
   let t =
     trace_of
       [
-        Trace.Edge_weighted { edge = step.Edge.id; weight = 1.0 };
-        Trace.Edge_executed { edge = step.Edge.id; order = 3; pairs = 2; rel_rows = 2 };
+        Sink.Edge_weighted { edge = step.Edge.id; weight = 1.0 };
+        Sink.Edge_executed { edge = step.Edge.id; order = 3; pairs = 2; rel_rows = 2 };
       ]
   in
   check_bool "RX103 fires" true (has_error "RX103" (Trace_check.check g t))
@@ -129,7 +130,7 @@ let test_trace_unweighted_execution () =
   let g, _, step = small_graph () in
   let t =
     trace_of
-      [ Trace.Edge_executed { edge = step.Edge.id; order = 1; pairs = 2; rel_rows = 2 } ]
+      [ Sink.Edge_executed { edge = step.Edge.id; order = 1; pairs = 2; rel_rows = 2 } ]
   in
   check_bool "RX104 fires" true (has_error "RX104" (Trace_check.check g t))
 
@@ -147,9 +148,9 @@ let test_trace_nonmonotone_cutoff () =
   let t =
     trace_of
       [
-        Trace.Chain_started { source = step.Edge.v1; min_edge = step.Edge.id };
-        Trace.Chain_round { round = 1; cutoff = 100; paths = [] };
-        Trace.Chain_round { round = 2; cutoff = 50; paths = [] };
+        Sink.Chain_started { source = step.Edge.v1; min_edge = step.Edge.id };
+        Sink.Chain_round { round = 1; cutoff = 100; paths = [] };
+        Sink.Chain_round { round = 2; cutoff = 50; paths = [] };
       ]
   in
   check_bool "RX105 fires" true (has_error "RX105" (Trace_check.check g t))
@@ -165,9 +166,9 @@ let test_trace_disconnected_chain () =
   let t =
     trace_of
       [
-        Trace.Chain_started { source = a.Vertex.id; min_edge = e1.Edge.id };
+        Sink.Chain_started { source = a.Vertex.id; min_edge = e1.Edge.id };
         (* e2 does not touch the path frontier: not a connected segment. *)
-        Trace.Chain_chosen { edges = [ e1.Edge.id; e2.Edge.id ]; trigger = `Exhausted };
+        Sink.Chain_chosen { edges = [ e1.Edge.id; e2.Edge.id ]; trigger = `Exhausted };
       ]
   in
   check_bool "RX106 fires" true (has_error "RX106" (Trace_check.check g t))
@@ -178,8 +179,8 @@ let test_trace_cardinality_accounting () =
   let t =
     trace_of
       [
-        Trace.Edge_weighted { edge = step.Edge.id; weight = 1.0 };
-        Trace.Edge_executed { edge = step.Edge.id; order = 1; pairs = 2; rel_rows = 5 };
+        Sink.Edge_weighted { edge = step.Edge.id; weight = 1.0 };
+        Sink.Edge_executed { edge = step.Edge.id; order = 1; pairs = 2; rel_rows = 5 };
       ]
   in
   check_bool "RX108 fires" true (has_error "RX108" (Trace_check.check g t))
@@ -194,10 +195,10 @@ where $p/name/text() = $n/text()
 return $n|}
   in
   let graph = compiled.Rox_xquery.Compile.graph in
-  let trace = Rox_joingraph.Trace.create () in
-  let result = Rox_core.Optimizer.run (Rox_core.Session.create ~trace ()) compiled in
+  let sink = Sink.create ~enabled:true () in
+  let result = Rox_core.Optimizer.run (Rox_core.Session.create ~telemetry:sink ()) compiled in
   check_int "clean graph" 0 (List.length (errors (Graph_check.check graph)));
-  check_int "clean trace" 0 (List.length (errors (Trace_check.check graph trace)));
+  check_int "clean trace" 0 (List.length (errors (Trace_check.check graph sink)));
   check_int "clean plan" 0
     (List.length
        (errors (Plan_check.check graph result.Rox_core.Optimizer.edge_order)))

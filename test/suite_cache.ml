@@ -8,7 +8,7 @@
 open Rox_storage
 open Rox_cache
 open Helpers
-module Trace = Rox_joingraph.Trace
+module Sink = Rox_telemetry.Sink
 
 module SLru = Lru.Make (struct
   type t = string
@@ -175,15 +175,15 @@ return $p|};
 
 let run_with ?cache engine source =
   let compiled = Rox_xquery.Compile.compile_string engine source in
-  let trace = Trace.create () in
-  let session = Rox_core.Session.create ?cache ~trace () in
+  let sink = Sink.create ~enabled:true () in
+  let session = Rox_core.Session.create ?cache ~telemetry:sink () in
   let answer, _ = Rox_core.Optimizer.answer session compiled in
-  (answer, trace)
+  (answer, sink)
 
-let non_cache_events trace =
+let non_cache_events sink =
   List.filter
-    (function Trace.Cache_lookup _ -> false | _ -> true)
-    (Trace.events trace)
+    (function Sink.Cache_lookup _ -> false | _ -> true)
+    (Sink.events sink)
 
 let with_sanitizer f =
   let prev = Rox_algebra.Sanitize.default_mode () in
@@ -200,10 +200,10 @@ let test_epoch_invalidation () =
       let base, _ = run_with engine q in
       let _, _ = run_with ~cache:store engine q in
       let warm, warm_trace = run_with ~cache:store engine q in
-      check_bool "warm run hits" true (Trace.cache_hits warm_trace > 0);
+      check_bool "warm run hits" true (Sink.cache_hits warm_trace > 0);
       check_bool "warm run replays estimates fully" true
-        (Trace.cache_hits ~store:`Estimate warm_trace
-         = Trace.cache_lookups ~store:`Estimate warm_trace);
+        (Sink.cache_hits ~store:`Estimate warm_trace
+         = Sink.cache_lookups ~store:`Estimate warm_trace);
       check_bool "warm answer" true (warm = base);
       (* Bumping the epoch retires every key minted before it: the next
          run finds none of the earlier entries (any hits it reports are
@@ -214,10 +214,10 @@ let test_epoch_invalidation () =
       check_int "store sees the new epoch" (before + 1) (Store.epoch store);
       let cold, cold_trace = run_with ~cache:store engine q in
       check_int "no stale relation hits after bump" 0
-        (Trace.cache_hits ~store:`Relation cold_trace);
+        (Sink.cache_hits ~store:`Relation cold_trace);
       check_bool "estimates recompute after bump" true
-        (Trace.cache_hits ~store:`Estimate cold_trace
-         < Trace.cache_lookups ~store:`Estimate cold_trace);
+        (Sink.cache_hits ~store:`Estimate cold_trace
+         < Sink.cache_lookups ~store:`Estimate cold_trace);
       check_bool "post-bump answer" true (cold = base))
 
 let test_estimate_reuse () =
@@ -228,20 +228,20 @@ let test_estimate_reuse () =
       let base, _ = run_with engine q in
       let a1, t1 = run_with ~cache:store engine q in
       let a2, t2 = run_with ~cache:store engine q in
-      let executed t = List.length (Trace.execution_order t) in
+      let executed t = List.length (Sink.execution_order t) in
       check_bool "answers stable" true (a1 = base && a2 = base);
       (* An identical repeat on an unchanged engine replays entirely from
          cache: every edge execution and every sampled estimate hits. *)
       check_int "second run: all relations from cache" (executed t2)
-        (Trace.cache_hits ~store:`Relation t2);
+        (Sink.cache_hits ~store:`Relation t2);
       check_int "second run: all estimates from cache"
-        (Trace.cache_lookups ~store:`Estimate t2)
-        (Trace.cache_hits ~store:`Estimate t2);
+        (Sink.cache_lookups ~store:`Estimate t2)
+        (Sink.cache_hits ~store:`Estimate t2);
       check_bool "second run reuses first run's estimates" true
-        (Trace.cache_hits ~store:`Estimate t2
-         >= Trace.cache_lookups ~store:`Estimate t1
-            - Trace.cache_hits ~store:`Estimate t1
-         && Trace.cache_hits ~store:`Estimate t2 > 0);
+        (Sink.cache_hits ~store:`Estimate t2
+         >= Sink.cache_lookups ~store:`Estimate t1
+            - Sink.cache_hits ~store:`Estimate t1
+         && Sink.cache_hits ~store:`Estimate t2 > 0);
       ignore (executed t1))
 
 (* The counter-vs-gauge rule of metrics.mli, exercised end-to-end: a

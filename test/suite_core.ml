@@ -3,6 +3,7 @@ open Rox_xquery
 open Rox_joingraph
 open Rox_core
 open Helpers
+module Sink = Rox_telemetry.Sink
 
 let xmark_engine ?(factor = 0.02) () =
   let engine = Engine.create () in
@@ -201,12 +202,12 @@ let test_chain_finds_selective_path () =
 return $a|}
   in
   let compiled = Compile.compile_string engine q in
-  let trace = Trace.create () in
-  let answer, _ = Optimizer.answer (Session.create ~trace ()) compiled in
+  let sink = Sink.create ~enabled:true () in
+  let answer, _ = Optimizer.answer (Session.create ~telemetry:sink ()) compiled in
   check_int "three selective results" 3 (Array.length answer);
   (* Chain sampling ran and chose some segment. *)
   let chose =
-    List.exists (function Trace.Chain_chosen _ -> true | _ -> false) (Trace.events trace)
+    List.exists (function Sink.Chain_chosen _ -> true | _ -> false) (Sink.events sink)
   in
   check_bool "chain sampling engaged" true chose
 
@@ -265,17 +266,17 @@ let test_estimate_accuracy_uniform () =
 let test_trace_records () =
   let engine = xmark_engine () in
   let compiled = Compile.compile_string engine (q1 145 "<") in
-  let trace = Trace.create () in
-  let result = Optimizer.run (Session.create ~trace ()) compiled in
-  let events = Trace.events trace in
+  let sink = Sink.create ~enabled:true () in
+  let result = Optimizer.run (Session.create ~telemetry:sink ()) compiled in
+  let events = Sink.events sink in
   check_bool "vertex inits" true
-    (List.exists (function Trace.Vertex_initialized _ -> true | _ -> false) events);
+    (List.exists (function Sink.Vertex_initialized _ -> true | _ -> false) events);
   check_bool "edge weights" true
-    (List.exists (function Trace.Edge_weighted _ -> true | _ -> false) events);
+    (List.exists (function Sink.Edge_weighted _ -> true | _ -> false) events);
   check_bool "executions traced" true
-    (List.length (Trace.execution_order trace) = List.length result.Optimizer.edge_order);
+    (List.length (Sink.execution_order sink) = List.length result.Optimizer.edge_order);
   check_bool "order matches" true
-    (Trace.execution_order trace = result.Optimizer.edge_order)
+    (Sink.execution_order sink = result.Optimizer.edge_order)
 
 let test_work_buckets_populated () =
   let engine = xmark_engine () in

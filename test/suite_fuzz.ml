@@ -92,12 +92,12 @@ let run_instance seed =
         .Rox_joingraph.Vertex.doc_id
     in
     let tag nodes = List.map (fun p -> (return_doc, p)) (Array.to_list nodes) in
-    (* Route 1: ROX with a per-instance seed, trace enabled. *)
+    (* Route 1: ROX with a per-instance seed, sink enabled. *)
     let config =
       { (Rox_core.Session.default_config ()) with Rox_core.Session.seed = seed + 1 }
     in
-    let trace = Rox_joingraph.Trace.create () in
-    let session = Rox_core.Session.create ~config ~trace () in
+    let sink = Rox_telemetry.Sink.create ~enabled:true () in
+    let session = Rox_core.Session.create ~config ~telemetry:sink () in
     let rox, rox_result = Rox_core.Optimizer.answer session compiled in
     (* Route 2: a random-permutation plan through the classical executor. *)
     let plan = shuffled_plan rng compiled.Compile.graph in
@@ -110,7 +110,7 @@ let run_instance seed =
     let plan_ids = List.map (fun (e : Rox_joingraph.Edge.t) -> e.Rox_joingraph.Edge.id) plan in
     let analysis_clean =
       no_errors (Rox_analysis.Graph_check.check graph)
-      && no_errors (Rox_analysis.Trace_check.check graph trace)
+      && no_errors (Rox_analysis.Trace_check.check graph sink)
       && no_errors
            (Rox_analysis.Plan_check.check graph rox_result.Rox_core.Optimizer.edge_order)
       && no_errors (Rox_analysis.Plan_check.check graph plan_ids)

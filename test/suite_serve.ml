@@ -715,6 +715,65 @@ let test_flight_recorder_scrape () =
   Alcotest.(check (list string)) "recorder accounting balances" []
     (codes (A.Recorder_check.check ~submitted:3 rc))
 
+(* A retained served trace carries the optimizer's decisions beside wall
+   clock: its edge_executed events replay the request's plan in order.
+   The default recorder head-samples trace id 128, so 128 requests retain
+   at least one successful trace without depending on latency. *)
+let test_retained_trace_has_plan_events () =
+  let engine = library_engine () in
+  let server = S.create (S.config ~workers:1 ~queue_capacity:8 engine) in
+  for _ = 1 to 128 do
+    match S.submit server (P.query library_query) with
+    | P.Answer _ -> ()
+    | r -> Alcotest.failf "want an answer, got %s" (P.render_response r)
+  done;
+  let plan =
+    let compiled = Rox_xquery.Compile.compile_string engine library_query in
+    (Rox_core.Optimizer.run (Rox_core.Session.create ()) compiled)
+      .Rox_core.Optimizer.edge_order
+  in
+  Alcotest.(check bool) "the plan executes edges" true (plan <> []);
+  let rc =
+    match S.recorder server with
+    | Some rc -> rc
+    | None -> Alcotest.fail "recorder is on by default"
+  in
+  let ok_ids =
+    List.filter_map
+      (fun (id, r, _, _) ->
+        if r.Rox_telemetry.Recorder.status = "ok" then Some id else None)
+      (Rox_telemetry.Recorder.traces rc)
+  in
+  Alcotest.(check bool) "a successful request is retained" true (ok_ids <> []);
+  List.iter
+    (fun id ->
+      match Rox_telemetry.Recorder.find_trace rc id with
+      | None -> Alcotest.failf "trace %d must be addressable" id
+      | Some (record, _, snapshot) ->
+        let timeline = Rox_telemetry.Sink.snapshot_timeline snapshot in
+        Alcotest.(check string) "record names the reference plan"
+          (Rox_telemetry.Recorder.plan_digest plan)
+          record.Rox_telemetry.Recorder.plan_digest;
+        let executed =
+          List.filter_map
+            (fun (sp : Rox_telemetry.Sink.span) ->
+              if sp.Rox_telemetry.Sink.name = "edge_executed" then
+                Option.bind
+                  (List.assoc_opt "edge" sp.Rox_telemetry.Sink.attrs)
+                  int_of_string_opt
+              else None)
+            timeline
+        in
+        Alcotest.(check (list int)) "edge_executed events follow the plan" plan
+          executed;
+        (match S.trace_response server id with
+         | P.Trace_reply (_, body) ->
+           Alcotest.(check bool) "TRACE export carries the events" true
+             (contains body "\"name\": \"edge_executed\"")
+         | r -> Alcotest.failf "want TRACE reply, got %s" (P.render_response r)))
+    ok_ids;
+  S.shutdown server
+
 (* The scrape verbs over the wire, plus TRACE's error path end-to-end. *)
 let test_socketpair_scrape_session () =
   let engine = library_engine () in
@@ -794,5 +853,7 @@ let suite =
     Alcotest.test_case "protocol: scrape verbs round-trip" `Quick test_scrape_roundtrip;
     Alcotest.test_case "flight recorder: STATS/METRICS/RECENT/TRACE" `Quick test_flight_recorder_scrape;
     Alcotest.test_case "e2e: scrape verbs over a socketpair" `Quick test_socketpair_scrape_session;
+    Alcotest.test_case "retained trace carries the plan's events" `Quick
+      test_retained_trace_has_plan_events;
     Alcotest.test_case "tenant flood bounded" `Quick test_tenant_flood_bounded;
   ]

@@ -30,21 +30,21 @@ let seeded seed =
 let test_same_seed_same_run () =
   let engine = xmark_engine () in
   let compiled = Compile.compile_string engine q1 in
-  let t1 = Rox_joingraph.Trace.create () in
-  let t2 = Rox_joingraph.Trace.create () in
+  let t1 = Rox_telemetry.Sink.create ~enabled:true () in
+  let t2 = Rox_telemetry.Sink.create ~enabled:true () in
   let s1 =
-    Session.create ~config:{ (Session.default_config ()) with Session.seed = 9 } ~trace:t1 ()
+    Session.create ~config:{ (Session.default_config ()) with Session.seed = 9 } ~telemetry:t1 ()
   in
   let s2 =
-    Session.create ~config:{ (Session.default_config ()) with Session.seed = 9 } ~trace:t2 ()
+    Session.create ~config:{ (Session.default_config ()) with Session.seed = 9 } ~telemetry:t2 ()
   in
   let a1, r1 = Optimizer.answer s1 compiled in
   let a2, r2 = Optimizer.answer s2 compiled in
   check_bool "identical answers" true (a1 = a2);
   check_bool "identical edge order" true
     (r1.Optimizer.edge_order = r2.Optimizer.edge_order);
-  check_bool "identical traces" true
-    (Rox_joingraph.Trace.events t1 = Rox_joingraph.Trace.events t2)
+  check_bool "identical event streams" true
+    (Rox_telemetry.Sink.events t1 = Rox_telemetry.Sink.events t2)
 
 let test_session_is_single_use_rng () =
   (* Two runs on ONE session advance its RNG; two fresh sessions don't.

@@ -6,7 +6,6 @@
 
 open Helpers
 open Rox_telemetry
-module Trace = Rox_joingraph.Trace
 module A = Rox_analysis
 
 let contains hay needle =
@@ -84,9 +83,9 @@ let test_span_nesting () =
   check_int "result threads through" 42 r;
   check_int "span count" 4 (Sink.span_count sink);
   check_int "no live spans" 0 (Sink.depth sink);
-  let names = List.map (fun s -> s.Sink.name) (Sink.spans_chronological sink) in
+  let names = List.map (fun s -> s.Sink.name) (Sink.timeline sink) in
   Alcotest.(check (list string)) "chronological order" [ "a"; "b"; "c"; "d" ] names;
-  let depths = List.map (fun s -> s.Sink.depth) (Sink.spans_chronological sink) in
+  let depths = List.map (fun s -> s.Sink.depth) (Sink.timeline sink) in
   Alcotest.(check (list int)) "depths" [ 0; 1; 2; 1 ] depths;
   (* Completion order: children close before parents. *)
   let completed = List.map (fun s -> s.Sink.name) (Sink.spans sink) in
@@ -256,52 +255,47 @@ let test_budget_message_units () =
       "sampled-rows budget exceeded: spent 120 work units, budget 100 work units" msg);
   check_bool "other exceptions pass" true (budget_message Exit = None)
 
-(* ---------- Trace truncation marker (satellite: bounded Trace.t) ---------- *)
+(* ---------- One buffer: events and spans share the cap ---------- *)
 
-let test_trace_truncation () =
-  let tr = Trace.create ~cap:3 () in
-  for i = 1 to 5 do
-    Trace.emit tr (Trace.Edge_weighted { edge = i; weight = 1.0 })
-  done;
-  check_int "dropped" 2 (Trace.dropped tr);
-  let evs = Trace.events tr in
-  check_int "kept + marker" 4 (List.length evs);
+let test_shared_cap () =
+  let sink = Sink.create ~cap:3 ~enabled:true () in
+  Sink.with_span sink "query" (fun () ->
+      Sink.emit sink (Sink.Edge_weighted { edge = 1; weight = 1.0 });
+      Sink.with_span sink "execute_edge" (fun () -> ());
+      Sink.emit sink (Sink.Edge_executed { edge = 1; order = 1; pairs = 1; rel_rows = 1 });
+      Sink.emit sink (Sink.Edge_weighted { edge = 2; weight = 1.0 }));
+  (* Kept: the first event, the inner span, the second event. Dropped: the
+     third event and the outer span, which closes last. *)
+  check_int "dropped counts events and spans" 2 (Sink.dropped sink);
+  check_int "one span kept" 1 (Sink.span_count sink);
+  check_int "dropped counter" 2
+    (Sink.metrics sink).Metrics.spans_dropped.Metrics.c_value;
+  let evs = Sink.events sink in
+  check_int "kept events + marker" 3 (List.length evs);
   (match List.rev evs with
-  | Trace.Truncated { dropped } :: _ -> check_int "marker dropped count" 2 dropped
-  | _ -> Alcotest.fail "last event must be the Truncated marker");
+   | Sink.Truncated { dropped } :: rest ->
+     check_int "marker dropped count" 2 dropped;
+     check_bool "marker appears once" true
+       (not (List.exists (function Sink.Truncated _ -> true | _ -> false) rest))
+   | _ -> Alcotest.fail "last event must be the Truncated marker");
+  let rx404 =
+    List.filter (fun d -> d.A.Diagnostic.code = "RX404") (A.Telemetry_check.check sink)
+  in
+  check_int "RX404 fires once" 1 (List.length rx404);
   (* The marker is synthesized, never stored: further emits past the cap
      only bump the counter. *)
-  Trace.emit tr (Trace.Edge_weighted { edge = 9; weight = 1.0 });
-  check_int "dropped grows" 3 (Trace.dropped tr);
-  check_int "events stable" 4 (List.length (Trace.events tr))
+  Sink.emit sink (Sink.Edge_weighted { edge = 9; weight = 1.0 });
+  check_int "dropped grows" 3 (Sink.dropped sink);
+  check_int "events stable" 3 (List.length (Sink.events sink))
 
-(* ---------- RX403: trace/span cross-check ---------- *)
-
-let test_edge_span_matching () =
-  let tr = Trace.create () in
-  Trace.emit tr (Trace.Edge_executed { edge = 7; order = 0; pairs = 1; rel_rows = 1 });
-  (* Uncovered edge: an enabled sink with no execute_edge span. *)
-  let bare = Sink.create ~enabled:true () in
-  Sink.with_span bare "query" (fun () -> ());
-  let ds = A.Telemetry_check.check ~trace:tr bare in
-  check_bool "RX403 fires for uncovered edge" true
-    (List.exists (fun d -> d.A.Diagnostic.code = "RX403") ds);
-  (* Covered edge: matching span with the ("edge", id) attribute. *)
-  let covered = Sink.create ~enabled:true () in
-  Sink.with_span covered "execute_edge"
-    ~attrs:(fun () -> [ ("edge", "7") ])
-    (fun () -> ());
-  check_int "covered edge is clean" 0
-    (List.length (A.Telemetry_check.check ~trace:tr covered));
-  (* Truncated trace: the cross-check is skipped, not misfired. *)
-  let small = Trace.create ~cap:1 () in
-  Trace.emit small (Trace.Chain_started { source = 0; min_edge = 1 });
-  Trace.emit small (Trace.Edge_executed { edge = 7; order = 0; pairs = 1; rel_rows = 1 });
-  check_bool "truncated trace skips RX403" true
-    (not
-       (List.exists
-          (fun d -> d.A.Diagnostic.code = "RX403")
-          (A.Telemetry_check.check ~trace:small bare)))
+let test_bad_cap_rejected () =
+  List.iter
+    (fun cap ->
+      match Sink.create ~cap ~enabled:true () with
+      | _ -> Alcotest.failf "cap %d must be rejected" cap
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ];
+  check_int "cap 1 is fine" 0 (Sink.span_count (Sink.create ~cap:1 ~enabled:false ()))
 
 (* ---------- add_into and the 2-domain aggregate ---------- *)
 
@@ -357,7 +351,7 @@ let test_two_domain_aggregate () =
 
 (* ---------- End-to-end: a real run under an enabled sink ---------- *)
 
-let test_session_run_records () =
+let xmark_run () =
   let engine = Rox_storage.Engine.create () in
   ignore
     (Rox_workload.Xmark.generate
@@ -373,19 +367,51 @@ where $o//bidder//personref/@person = $p/@id
 return $o|}
   in
   let sink = Sink.create ~enabled:true () in
-  let trace = Trace.create () in
-  let session = Rox_core.Session.create ~trace ~telemetry:sink () in
-  let off = Rox_core.Session.create () in
-  let a = fst (Rox_core.Optimizer.answer session compiled) in
-  let b = fst (Rox_core.Optimizer.answer off compiled) in
+  let session = Rox_core.Session.create ~telemetry:sink () in
+  (compiled, sink, Rox_core.Optimizer.answer session compiled)
+
+let test_session_run_records () =
+  let compiled, sink, (a, _) = xmark_run () in
+  let b = fst (Rox_core.Optimizer.answer (Rox_core.Session.create ()) compiled) in
   check_bool "telemetry does not change answers" true (a = b);
   let m = Sink.metrics sink in
   check_int "one query served" 1 m.Metrics.queries_served.Metrics.c_value;
   check_bool "edges were executed" true (m.Metrics.edges_executed.Metrics.c_value > 0);
   check_bool "edge spans recorded" true
     (List.exists (fun s -> s.Sink.name = "execute_edge") (Sink.spans sink));
+  (* RX401/RX402 over a timeline that carries the zero-duration events. *)
+  let timeline = Sink.timeline sink in
+  check_bool "timeline carries events" true
+    (List.exists
+       (fun s -> s.Sink.name = "edge_executed" && s.Sink.dur_ns = 0L)
+       timeline);
+  check_int "timeline holds every entry"
+    (Sink.span_count sink + List.length (Sink.events sink))
+    (List.length timeline);
   check_int "verifier clean on a real run" 0
-    (List.length (A.Telemetry_check.check ~trace sink))
+    (List.length (A.Telemetry_check.check sink))
+
+(* Edge events and execute_edge spans share one buffer; every executed
+   edge must still have exactly one span carrying its id. *)
+let test_edge_events_match_spans () =
+  let _, sink, (_, result) = xmark_run () in
+  check_int "nothing dropped" 0 (Sink.dropped sink);
+  let span_edges =
+    List.filter_map
+      (fun s ->
+        if s.Sink.name = "execute_edge" then
+          Option.bind (List.assoc_opt "edge" s.Sink.attrs) int_of_string_opt
+        else None)
+      (Sink.spans sink)
+  in
+  let executed = Sink.execution_order sink in
+  check_bool "events follow the plan" true (executed = result.Rox_core.Optimizer.edge_order);
+  List.iter
+    (fun edge ->
+      check_int (Printf.sprintf "e%d has one execute_edge span" edge) 1
+        (List.length (List.filter (( = ) edge) span_edges)))
+    executed;
+  check_int "no span without its event" (List.length executed) (List.length span_edges)
 
 (* ---------- Quantile interpolation (satellite: upper-bound bias fix) --- *)
 
@@ -563,8 +589,17 @@ let test_recorder_threshold_monotone () =
       last := now)
     [ 2_000_000; 8_000_000; 32_000_000 ]
 
-let mk_span ?(name = "query") ?(start_ns = 0L) ?(dur_ns = 10L) ?(depth = 0) () =
-  { Sink.name; start_ns; dur_ns; depth; lane = 0; attrs = [] }
+(* A retained trace as the served path builds it: one real sink's
+   snapshot, here holding a single span named [name]. *)
+let snap ?(name = "query") () =
+  let sink = Sink.create ~enabled:true () in
+  Sink.with_span sink name ignore;
+  Option.get (Sink.snapshot sink)
+
+let single_span_name = function
+  | Some (_, _, snapshot) -> (
+    match Sink.snapshot_timeline snapshot with [ s ] -> Some s.Sink.name | _ -> None)
+  | None -> None
 
 let test_recorder_retention () =
   (* warmup never reached and head sampling off: only Errored and the
@@ -589,23 +624,34 @@ let test_recorder_retention () =
   (match Recorder.observe rc (mk_record rc ~latency_ns:10 ()) with
    | None -> ()
    | Some _ -> Alcotest.fail "fast ok request must not retain");
+  (* A snapshot is frozen when taken; an empty sink has none. *)
+  let sink = Sink.create ~enabled:true () in
+  Sink.with_span sink "before" ignore;
+  let frozen = Option.get (Sink.snapshot sink) in
+  Sink.emit sink (Sink.Edge_weighted { edge = 1; weight = 1.0 });
+  check_int "snapshot ignores later entries" 1
+    (List.length (Sink.snapshot_timeline frozen));
+  check_bool "empty sink has no snapshot" true
+    (Sink.snapshot (Sink.create ~enabled:true ()) = None);
   (* Retention storage: addressable by id, FIFO-evicted, re-retain no-op. *)
-  Recorder.retain rc err Recorder.Errored [ mk_span ~name:"first" () ];
-  Recorder.retain rc slow Recorder.Slow [ mk_span () ];
+  Recorder.retain rc err Recorder.Errored (snap ~name:"first" ());
+  Recorder.retain rc slow Recorder.Slow (snap ());
   check_int "two retained" 2 (Recorder.retained_count rc);
-  (match Recorder.find_trace rc err.Recorder.trace_id with
-   | Some (r, Recorder.Errored, [ s ]) ->
+  let found = Recorder.find_trace rc err.Recorder.trace_id in
+  (match found with
+   | Some (r, Recorder.Errored, _) ->
      check_int "record rides along" err.Recorder.trace_id r.Recorder.trace_id;
-     check_string "spans ride along" "first" s.Sink.name
+     check_bool "spans ride along" true (single_span_name found = Some "first")
    | _ -> Alcotest.fail "errored trace must be addressable");
-  Recorder.retain rc err Recorder.Slow [ mk_span ~name:"dupe" () ];
-  (match Recorder.find_trace rc err.Recorder.trace_id with
-   | Some (_, Recorder.Errored, [ s ]) ->
-     check_string "re-retain is a no-op" "first" s.Sink.name
+  Recorder.retain rc err Recorder.Slow (snap ~name:"dupe" ());
+  let found = Recorder.find_trace rc err.Recorder.trace_id in
+  (match found with
+   | Some (_, Recorder.Errored, _) ->
+     check_bool "re-retain is a no-op" true (single_span_name found = Some "first")
    | _ -> Alcotest.fail "re-retain must keep the original");
   let third = mk_record rc ~status:"busy" ~latency_ns:1 () in
   ignore (Recorder.observe rc third);
-  Recorder.retain rc third Recorder.Errored [ mk_span () ];
+  Recorder.retain rc third Recorder.Errored (snap ());
   check_int "retain_cap holds" 2 (Recorder.retained_count rc);
   check_bool "oldest is FIFO-evicted" true
     (Recorder.find_trace rc err.Recorder.trace_id = None);
@@ -750,11 +796,12 @@ let suite =
     ("prometheus exposition", `Quick, test_prometheus_exposition);
     ("profile summary", `Quick, test_profile_summary);
     ("budget message units", `Quick, test_budget_message_units);
-    ("trace truncation marker", `Quick, test_trace_truncation);
-    ("RX403 edge/span matching", `Quick, test_edge_span_matching);
+    ("shared cap: events and spans", `Quick, test_shared_cap);
+    ("bad cap rejected", `Quick, test_bad_cap_rejected);
     ("add_into merge", `Quick, test_add_into);
     ("2-domain aggregate sum", `Quick, test_two_domain_aggregate);
     ("real run under enabled sink", `Quick, test_session_run_records);
+    ("edge events match execute_edge spans", `Quick, test_edge_events_match_spans);
     ("quantile log-interpolation pins", `Quick, test_quantile_interpolation);
     ("prometheus label escaping", `Quick, test_escape_label);
     ("recorder: ring wraparound + RX701", `Quick, test_recorder_ring_wrap);
