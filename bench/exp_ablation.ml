@@ -17,7 +17,6 @@ let variants () =
     ("no resample", { (base_config ()) with Session.resample = false });
     ("greedy (no chain)", { (base_config ()) with Session.use_chain = false });
     ("fixed cutoff", { (base_config ()) with Session.grow_cutoff = false });
-    ("no operator race", { (base_config ()) with Session.race_operators = false });
   ]
 
 let measure compiled config =

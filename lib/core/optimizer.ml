@@ -26,19 +26,8 @@ let execute_one state ~order ~rows e =
   let session = State.session state in
   Session.check_deadline session;
   let cfg = Session.config session in
-  (* Operator racing (Section 6): sample the applicable zero-investment
-     variants and execute with the cheapest. *)
-  let step_direction, equi_algo =
-    if cfg.Session.race_operators then
-      match Race.choose state e with
-      | Race.Step_dir d -> (Some d, None)
-      | Race.Equi_dir d -> (None, Some (Exec.Algo_index_nl d))
-      | Race.Default -> (None, None)
-    else (None, None)
-  in
   let info =
-    Runtime.execute_edge ?step_direction ?equi_algo
-      ~meter:(State.execution_meter state) (State.runtime state) e
+    Runtime.execute_edge ~meter:(State.execution_meter state) (State.runtime state) e
   in
   incr order;
   rows := (e.Edge.id, info.Runtime.rel_rows) :: !rows;

@@ -17,9 +17,7 @@
       look-ahead;
     - [resample = false] — weights are never refreshed after Phase 1 (the
       independence assumption a classical optimizer is stuck with);
-    - [grow_cutoff = false] — chain sampling keeps a fixed cut-off τ;
-    - [race_operators = false] — skip the per-edge physical-operator
-      race. *)
+    - [grow_cutoff = false] — chain sampling keeps a fixed cut-off τ. *)
 
 type result = {
   state : State.t;

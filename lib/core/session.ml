@@ -18,7 +18,6 @@ type config = {
   use_chain : bool;
   resample : bool;
   grow_cutoff : bool;
-  race_operators : bool;
   table_fraction : float option;
   sanitize : bool;
   budgets : budgets;
@@ -37,7 +36,6 @@ let default_config () =
     use_chain = true;
     resample = true;
     grow_cutoff = true;
-    race_operators = true;
     table_fraction = None;
     sanitize = Sanitize.default_mode ();
     budgets = default_budgets;
@@ -183,11 +181,11 @@ let flight_record t recorder ~query ~plan ~latency_ns ~status =
 let describe t =
   let b = t.config.budgets in
   Printf.sprintf
-    "session client=%s seed=%d tau=%d chain=%b resample=%b grow_cutoff=%b race=%b \
+    "session client=%s seed=%d tau=%d chain=%b resample=%b grow_cutoff=%b \
      table_fraction=%s sanitize=%b max_rows=%d deadline_ms=%s \
      max_sampled_rows=%s cache=%b telemetry=%b"
     t.config.client_id t.config.seed t.config.tau t.config.use_chain t.config.resample
-    t.config.grow_cutoff t.config.race_operators
+    t.config.grow_cutoff
     (match t.config.table_fraction with
      | None -> "-"
      | Some f -> string_of_float f)

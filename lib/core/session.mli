@@ -37,7 +37,6 @@ type config = {
   use_chain : bool;              (** chain sampling vs greedy (ablation) *)
   resample : bool;               (** refresh weights after execution *)
   grow_cutoff : bool;            (** grow the chain cut-off by τ per round *)
-  race_operators : bool;         (** per-edge physical-operator racing *)
   table_fraction : float option; (** approximate mode (Section 6) *)
   sanitize : bool;               (** operator-contract checking mode *)
   budgets : budgets;

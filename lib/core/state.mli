@@ -19,7 +19,6 @@ val create : Session.t -> Rox_storage.Engine.t -> Graph.t -> t
 val session : t -> Session.t
 val runtime : t -> Runtime.t
 val graph : t -> Graph.t
-val engine : t -> Rox_storage.Engine.t
 val tau : t -> int
 val rng : t -> Rox_util.Xoshiro.t
 val counter : t -> Rox_algebra.Cost.counter
@@ -52,7 +51,6 @@ val min_weight_edge : t -> Edge.t option
 (** Un-executed edge of smallest weight (unweighted edges lose against any
     weighted one; among only-unweighted edges, the first). *)
 
-val sampling_meter : t -> Rox_algebra.Cost.meter
 val execution_meter : t -> Rox_algebra.Cost.meter
 
 val cache : t -> Rox_cache.Store.t option

@@ -107,7 +107,7 @@ let pair_count p = Column.length p.left
    step) keeps its document-order certificate for downstream kernels. *)
 let freeze vec = Column.unsafe_of_array_detect (Int_vec.to_array vec)
 
-type equi_algo = Algo_hash | Algo_merge | Algo_index_nl of direction
+type equi_algo = Algo_hash | Algo_index_nl of direction
 
 let inner_spec engine (v : Vertex.t) restrict =
   let r = docref engine v in
@@ -179,11 +179,6 @@ let full_pairs_impl ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engi
            (fun _ o i ->
              Int_vec.push lefts i;
              Int_vec.push rights o)
-     | Algo_merge ->
-       Value_join.iter_merge ?meter ~outer_doc:doc1 ~outer:t1 ~inner_doc:doc2 ~inner:t2
-         (fun _ o i ->
-           Int_vec.push lefts o;
-           Int_vec.push rights i)
      | Algo_index_nl dir ->
        (match dir with
         | From_v1 ->
@@ -244,11 +239,11 @@ let full_pairs ?sanitize ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain
       (Column.read pairs.left);
     Sanitize.check_subset ~op ~what:"right column" ~domain:(Column.read t2)
       (Column.read pairs.right);
-    (* Only the hash and merge value joins have a |C| + |S| + |R| Table 1
-       bound expressible in the sizes at hand; index-NL work depends on
-       bucket sizes, steps on subtree shapes. *)
+    (* Only the hash value join has a |C| + |S| + |R| Table 1 bound
+       expressible in the sizes at hand; index-NL work depends on bucket
+       sizes, steps on subtree shapes. *)
     (match (e.Edge.op, equi_algo) with
-     | Edge.Equijoin, (None | Some Algo_hash | Some Algo_merge) ->
+     | Edge.Equijoin, (None | Some Algo_hash) ->
        Sanitize.check_cost ~op ~charged
          ~bound:(Column.length t1 + Column.length t2 + Column.length pairs.left)
      | _ -> ());

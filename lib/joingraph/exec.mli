@@ -42,7 +42,7 @@ type pairs = { left : Rox_util.Column.t; right : Rox_util.Column.t }
 
 val pair_count : pairs -> int
 
-type equi_algo = Algo_hash | Algo_merge | Algo_index_nl of direction
+type equi_algo = Algo_hash | Algo_index_nl of direction
 
 val full_pairs :
   ?sanitize:bool ->

@@ -292,7 +292,7 @@ let cached_pairs ?meter t (e : Edge.t) plan =
          { Rox_cache.Relation_cache.left = pairs.Exec.left; right = pairs.Exec.right };
        (pairs, false))
 
-let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
+let execute_edge_body ?meter t (e : Edge.t) =
   let v1 = e.Edge.v1 and v2 = e.Edge.v2 in
   (match e.Edge.op with
    | Edge.Equijoin ->
@@ -306,11 +306,7 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
   let plan =
     match e.Edge.op with
     | Edge.Step axis ->
-      let dir =
-        match step_direction with
-        | Some d -> d
-        | None -> if outer_first then Exec.From_v1 else Exec.From_v2
-      in
+      let dir = if outer_first then Exec.From_v1 else Exec.From_v2 in
       let t1, t2, t1_domain, t2_domain =
         match dir with
         | Exec.From_v1 ->
@@ -335,12 +331,9 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
       (* Index nested-loop from the smaller side when the inner endpoint
          has a value-index access path; hash join otherwise. *)
       let algo =
-        match equi_algo with
-        | Some a -> a
-        | None ->
-          if outer_first && is_value_vertex t v2 then Exec.Algo_index_nl Exec.From_v1
-          else if is_value_vertex t v1 then Exec.Algo_index_nl Exec.From_v2
-          else Exec.Algo_hash
+        if outer_first && is_value_vertex t v2 then Exec.Algo_index_nl Exec.From_v1
+        else if is_value_vertex t v1 then Exec.Algo_index_nl Exec.From_v2
+        else Exec.Algo_hash
       in
       let t1, t2 =
         match algo with
@@ -348,14 +341,13 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
           (charged_table ?meter t v1, table_or_domain t v2)
         | Exec.Algo_index_nl Exec.From_v2 ->
           (table_or_domain t v1, charged_table ?meter t v2)
-        | Exec.Algo_hash | Exec.Algo_merge ->
+        | Exec.Algo_hash ->
           (charged_table ?meter t v1, charged_table ?meter t v2)
       in
       {
         variant =
           (match algo with
            | Exec.Algo_hash -> "eq:hash"
-           | Exec.Algo_merge -> "eq:merge"
            | Exec.Algo_index_nl Exec.From_v1 -> "eq:nl1"
            | Exec.Algo_index_nl Exec.From_v2 -> "eq:nl2");
         in1 = t1;
@@ -424,7 +416,7 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
   end;
   { pair_count = Exec.pair_count pairs; rel_rows = Relation.rows rel; changed; cache_hit }
 
-let execute_edge ?meter ?equi_algo ?step_direction t (e : Edge.t) =
+let execute_edge ?meter t (e : Edge.t) =
   if executed t e then invalid_arg "Runtime.execute_edge: edge already executed";
   Sink.with_span t.telemetry "execute_edge"
     ~attrs:(fun () -> [ ("edge", string_of_int e.Edge.id) ])
@@ -432,7 +424,7 @@ let execute_edge ?meter ?equi_algo ?step_direction t (e : Edge.t) =
       Tm.observe m.Tm.edge_execution_ns dur;
       Tm.incr ~by:dur m.Tm.execution_time_ns)
     (fun () ->
-      let info = execute_edge_body ?meter ?equi_algo ?step_direction t e in
+      let info = execute_edge_body ?meter t e in
       if Sink.enabled t.telemetry then begin
         let m = Sink.metrics t.telemetry in
         Tm.incr m.Tm.edges_executed;

@@ -100,12 +100,14 @@ type exec_info = {
 
 val execute_edge :
   ?meter:Rox_algebra.Cost.meter ->
-  ?equi_algo:Exec.equi_algo ->
-  ?step_direction:Exec.direction ->
   t ->
   Edge.t ->
   exec_info
-(** Full evaluation of one edge with component maintenance.
+(** Full evaluation of one edge with component maintenance. A step takes
+    the smaller known side as context; an equi-join probes a value-indexed
+    endpoint by index nested-loop, from the smaller side when both
+    qualify, and falls back to a hash join when neither does. Only the
+    probing side is materialized and charged (both sides of a hash join).
     @raise Invalid_argument if the edge was already executed.
     @raise Blowup when the component would exceed [max_rows]. *)
 

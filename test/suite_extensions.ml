@@ -1,5 +1,5 @@
-(* Tests for the Section 6 extensions: operator racing, approximate
-   (sample-driven) execution, the path synopsis, and the mid-query
+(* Tests for the Section 6 extensions: approximate (sample-driven)
+   execution, the path synopsis, and the mid-query
    re-optimization baseline. *)
 
 open Rox_storage
@@ -25,40 +25,42 @@ for $o in $d//open_auction[.//current/text() < 145],
 where $o//bidder//personref/@person = $p/@id
 return $o|}
 
-(* ---------- Operator racing ---------- *)
+(* ---------- Default physical choices ---------- *)
 
-let test_race_correct () =
+let test_default_answer_naive () =
   let engine = xmark_engine () in
   let compiled = Compile.compile_string engine q1 in
-  let on, _ =
-    Optimizer.answer (session_with (fun c -> { c with Session.race_operators = true })) compiled
-  in
-  let off, _ =
-    Optimizer.answer (session_with (fun c -> { c with Session.race_operators = false })) compiled
-  in
-  check_bool "same answers with and without racing" true (on = off);
+  let answer, _ = Optimizer.answer_default compiled in
   let naive = Naive.eval_query engine compiled.Compile.query |> List.map snd in
-  check_bool "racing answer = naive" true (Array.to_list on = naive)
+  check_bool "default answer = naive" true (Array.to_list answer = naive)
 
-let test_race_prefers_empty_side () =
-  (* One side empty: racing must report zero cost for it and never force
-     the expensive direction. *)
+let test_runtime_runs_from_empty_side () =
+  (* One side empty: the edge takes the empty side as context, so it costs
+     exactly the From_v2 kernel and strictly less than From_v1. *)
+  let open Rox_joingraph in
   let engine, _ = engine_of_xml "<r><a><b/></a><a><b/></a><a/></r>" in
-  let graph = Rox_joingraph.Graph.create () in
-  let a = Rox_joingraph.Graph.add_vertex graph ~doc_id:0 (Rox_joingraph.Vertex.Element "a") in
-  let z = Rox_joingraph.Graph.add_vertex graph ~doc_id:0 (Rox_joingraph.Vertex.Element "zz") in
+  let graph = Graph.create () in
+  let a = Graph.add_vertex graph ~doc_id:0 (Vertex.Element "a") in
+  let z = Graph.add_vertex graph ~doc_id:0 (Vertex.Element "zz") in
   let e =
-    Rox_joingraph.Graph.add_edge graph ~v1:a.Rox_joingraph.Vertex.id
-      ~v2:z.Rox_joingraph.Vertex.id
-      (Rox_joingraph.Edge.Step Rox_algebra.Axis.Child)
+    Graph.add_edge graph ~v1:a.Vertex.id ~v2:z.Vertex.id (Edge.Step Rox_algebra.Axis.Child)
   in
-  let state = State.create (Session.create ()) engine graph in
-  ignore (State.init_vertex_from_index state a.Rox_joingraph.Vertex.id : bool);
-  ignore (State.init_vertex_from_index state z.Rox_joingraph.Vertex.id : bool);
-  (match Race.choose state e with
-   | Race.Step_dir Rox_joingraph.Exec.From_v2 -> ()
-   | Race.Step_dir Rox_joingraph.Exec.From_v1 -> Alcotest.fail "raced into the non-empty side"
-   | Race.Equi_dir _ | Race.Default -> Alcotest.fail "expected a step direction")
+  let t1 = Exec.vertex_domain engine a and t2 = Exec.vertex_domain engine z in
+  let units f =
+    let c = Rox_algebra.Cost.new_counter () in
+    f (Rox_algebra.Cost.execution_meter c);
+    Rox_algebra.Cost.read c Rox_algebra.Cost.Execution
+  in
+  let kernel dir =
+    units (fun meter ->
+        ignore (Exec.full_pairs ~meter ~step_direction:dir engine graph e ~t1 ~t2 : Exec.pairs))
+  in
+  let rt = Runtime.create engine graph in
+  let run =
+    units (fun meter -> ignore (Runtime.execute_edge ~meter rt e : Runtime.exec_info))
+  in
+  check_int "charged as the From_v2 kernel" (kernel Exec.From_v2) run;
+  check_bool "below the From_v1 kernel" true (run < kernel Exec.From_v1)
 
 (* ---------- Approximate (sample-driven) execution ---------- *)
 
@@ -202,8 +204,8 @@ let test_midquery_replans_on_surprise () =
 
 let suite =
   [
-    Alcotest.test_case "race: correct" `Quick test_race_correct;
-    Alcotest.test_case "race: prefers empty side" `Quick test_race_prefers_empty_side;
+    Alcotest.test_case "default: answer = naive" `Quick test_default_answer_naive;
+    Alcotest.test_case "runtime: runs from empty side" `Quick test_runtime_runs_from_empty_side;
     Alcotest.test_case "approximate: subset" `Quick test_approximate_subset;
     Alcotest.test_case "approximate: fraction 1 exact" `Quick test_approximate_full_fraction_exact;
     Alcotest.test_case "synopsis counts" `Quick test_synopsis_counts;
