@@ -18,6 +18,17 @@ let optimizer_conv =
     [ ("rox", Opt_rox); ("greedy", Opt_greedy); ("static", Opt_static);
       ("midquery", Opt_midquery) ]
 
+(* An integer flag with a lower bound: an out-of-range value is a usage
+   error (exit 124) at argument parsing, never an exception at startup. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is below the minimum %d" s lo))
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let read_query = function
   | "-" ->
     let buf = Buffer.create 1024 in
@@ -392,8 +403,9 @@ let builtin_cases ?(quiet = false) () =
 let analyze docs query_file list_codes codes_md explain json =
   if list_codes then begin
     List.iter
-      (fun (code, doc) -> Printf.printf "%s  %s\n" code doc)
-      A.Diagnostic.code_docs;
+      (fun (ci : A.Diagnostic.code_info) ->
+        Printf.printf "%s  %s\n" ci.ci_code ci.ci_summary)
+      A.Diagnostic.registry;
     0
   end
   else if codes_md then begin
@@ -754,37 +766,35 @@ let serve_smoke scale slow_log slow_ms =
   Thread.join handler;
   Serve.shutdown server;
   check "audit self-check clean" (Serve.self_check server = []);
-  (match Serve.recorder server with
-   | None -> check "recorder present" false
-   | Some rc ->
-     check "recorder records=3 after shutdown"
-       (Rox_telemetry.Recorder.records rc = 3);
-     check "recorder RX7xx clean"
-       (A.Recorder_check.check ~submitted:3 rc = []);
-     (match slow_log with
-      | Some path ->
-        (* Every slow-log line must parse; the errored request always
-           logs, so the file is never empty. *)
-        let lines = ref [] in
+  let rc = Option.get (Serve.recorder server) in
+  check "recorder records=3 after shutdown"
+    (Rox_telemetry.Recorder.records rc = 3);
+  check "recorder RX7xx clean"
+    (A.Recorder_check.check ~submitted:3 rc = []);
+  (match slow_log with
+   | Some path ->
+     (* Every slow-log line must parse; the errored request always
+        logs, so the file is never empty. *)
+     let lines = ref [] in
+     (try
+        let ic = open_in path in
         (try
-           let ic = open_in path in
-           (try
-              while true do
-                lines := input_line ic :: !lines
-              done
-            with End_of_file -> close_in ic)
-         with Sys_error _ -> ());
-        let parsed =
-          List.filter_map
-            (fun l -> Result.to_option (Rox_util.Minijson.parse l))
-            !lines
-        in
-        check "slow-log non-empty" (!lines <> []);
-        check "slow-log lines parse as JSON"
-          (List.length parsed = List.length !lines);
-        check "slow-log reconciles with recorder"
-          (List.length !lines = Rox_telemetry.Recorder.log_lines rc)
-      | None -> ()));
+           while true do
+             lines := input_line ic :: !lines
+           done
+         with End_of_file -> close_in ic)
+      with Sys_error _ -> ());
+     let parsed =
+       List.filter_map
+         (fun l -> Result.to_option (Rox_util.Minijson.parse l))
+         !lines
+     in
+     check "slow-log non-empty" (!lines <> []);
+     check "slow-log lines parse as JSON"
+       (List.length parsed = List.length !lines);
+     check "slow-log reconciles with recorder"
+       (List.length !lines = Rox_telemetry.Recorder.log_lines rc)
+   | None -> ());
   (try Unix.close cli_fd with Unix.Unix_error _ -> ());
   Printf.printf "serve-smoke: %s\n" (if !failures = 0 then "PASS" else "FAIL");
   if !failures = 0 then 0 else 1
@@ -1027,9 +1037,9 @@ let slow_log_arg =
                or ran at least $(b,--slow-ms) milliseconds.")
 
 let slow_ms_arg =
-  Arg.(value & opt (some int) None & info [ "slow-ms" ] ~docv:"MS"
-         ~doc:"Slow-query threshold for $(b,--slow-log) in milliseconds \
-               (default 100; 0 logs every request).")
+  Arg.(value & opt (some (int_at_least 0)) None & info [ "slow-ms" ] ~docv:"MS"
+         ~doc:"Slow-query threshold for $(b,--slow-log) in milliseconds, at \
+               least 0 (default 100; 0 logs every request).")
 
 let serve_cmd =
   let socket =
@@ -1041,18 +1051,19 @@ let serve_cmd =
            ~doc:"TCP port on 127.0.0.1 (default 7077; ignored with --socket).")
   in
   let workers =
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains executing queries (default 2).")
+    Arg.(value & opt (int_at_least 1) 2 & info [ "workers" ] ~docv:"N"
+           ~doc:"Worker domains executing queries, at least 1 (default 2).")
   in
   let queue_cap =
-    Arg.(value & opt int 64 & info [ "queue-cap" ] ~docv:"N"
-           ~doc:"Admission-queue capacity; a full queue answers ERR busy \
-                 (default 64).")
+    Arg.(value & opt (int_at_least 1) 64 & info [ "queue-cap" ] ~docv:"N"
+           ~doc:"Admission-queue capacity, at least 1; a full queue answers \
+                 ERR busy (default 64).")
   in
   let max_conns =
-    Arg.(value & opt int 256 & info [ "max-conns" ] ~docv:"N"
-           ~doc:"Concurrent-connection cap; an over-limit connection is \
-                 answered one ERR busy frame and closed (default 256).")
+    Arg.(value & opt (int_at_least 1) 256 & info [ "max-conns" ] ~docv:"N"
+           ~doc:"Concurrent-connection cap, at least 1; an over-limit \
+                 connection is answered one ERR busy frame and closed \
+                 (default 256).")
   in
   let cache_mb =
     Arg.(value & opt int 0 & info [ "cache-mb" ] ~docv:"MB"

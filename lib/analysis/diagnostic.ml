@@ -390,9 +390,6 @@ let of_code code location ?hint message =
   in
   make severity code location ?hint message
 
-(* Kept as the registry's (code, summary) projection for existing callers. *)
-let code_docs = List.map (fun ci -> (ci.ci_code, ci.ci_summary)) registry
-
 let explain code =
   match find_code code with
   | None -> None

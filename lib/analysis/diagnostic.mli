@@ -71,10 +71,6 @@ val registry_markdown : unit -> string
 (** The registry rendered as a Markdown table — the generated "diagnostic
     code registry" section in DESIGN.md. *)
 
-val code_docs : (string * string) list
-(** One-line documentation per diagnostic code (the registry's
-    (code, summary) projection, kept for existing callers). *)
-
 val to_json : t -> Rox_util.Minijson.t
 (** One diagnostic as a JSON object: code, severity, location (structured
     and rendered), message, hint when present. *)

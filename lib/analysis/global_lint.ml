@@ -339,8 +339,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let scan_path path = scan_source ~file:path (read_file path)
-
 let scan_root root =
   let files = ref [] in
   let rec walk dir rel =

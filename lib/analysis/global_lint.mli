@@ -42,9 +42,6 @@ val strip : string -> string
 val scan_source : file:string -> string -> binding list
 (** Scan one file's contents. [file] is used verbatim in findings. *)
 
-val scan_path : string -> binding list
-(** Read and scan one [.ml] file. *)
-
 val scan_root : string -> binding list
 (** Recursively scan every [.ml] file under a directory, in sorted
     order. Findings are named relative to the root's parent

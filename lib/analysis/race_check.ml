@@ -288,8 +288,6 @@ let check ~(sites : Al.site_info array) (events : Al.event array) =
     site_states;
   List.rev !diags
 
-let check_log () = check ~sites:(Al.sites_snapshot ()) (Al.events ())
-
 (* A recording summary line for racecheck output. *)
 let summary ~(sites : Al.site_info array) (events : Al.event array) =
   let domains = Hashtbl.create 8 in

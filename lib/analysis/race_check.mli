@@ -28,11 +28,6 @@ val check :
 (** Pure replay of an explicit recording — what the property tests feed
     with synthetic interleavings. *)
 
-val check_log : unit -> Diagnostic.t list
-(** [check] over the live global log ({!Rox_util.Accesslog.events} +
-    {!Rox_util.Accesslog.sites_snapshot}). Call after worker domains
-    have joined. *)
-
 val summary :
   sites:Rox_util.Accesslog.site_info array ->
   Rox_util.Accesslog.event array ->

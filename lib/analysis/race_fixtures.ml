@@ -176,39 +176,35 @@ let cache_guarded ?(domains = 2) ?(iters = 120) () =
           done))
 
 (* The flight recorder's twin of cache-guarded: a real Recorder driven
-   from two domains through observe/retain while the same domains read
+   from two domains through record_request while the same domains read
    recent, prometheus and threshold_ns — its one mutex on every path.
-   Must come back clean. *)
-let recorder_guarded ?(domains = 2) ?(iters = 60) () =
+   The records outnumber the ring, errors outnumber the retained-trace
+   bound and tenants outnumber the tenant cap, so wraparound, retention
+   eviction and tenant overflow all run concurrently. Must come back
+   clean. *)
+let recorder_guarded ?(domains = 2) ?(iters = 200) () =
   let module R = Rox_telemetry.Recorder in
   with_recording (fun () ->
-      let rc = R.create ~cap:16 ~retain_cap:4 ~tenant_cap:2 ~head_every:4 () in
-      let snap =
-        let sink = Rox_telemetry.Sink.create ~enabled:true () in
-        Rox_telemetry.Sink.with_span sink "fixture" ignore;
-        Option.get (Rox_telemetry.Sink.snapshot sink)
-      in
+      let rc = R.create () in
       fork_join domains (fun d ->
           for i = 1 to iters do
-            let r =
-              {
-                R.trace_id = R.next_trace_id rc;
-                fingerprint = "fixture";
-                tenant = Printf.sprintf "t%d" ((i + d) land 3);
-                plan_digest = "-";
-                plan_edges = 0;
-                latency_ns = 1_000 * i;
-                queue_ns = 0;
-                sampling_units = 0;
-                execution_units = 0;
-                cache_hits = 0;
-                cache_misses = 0;
-                outcome = R.Executed;
-                status = "ok";
-                edge_ns = [];
-              }
+            let sink = Rox_telemetry.Sink.create ~cap:4 ~enabled:true () in
+            Rox_telemetry.Sink.with_span sink "fixture" ignore;
+            let run =
+              { R.sink; plan = []; sampling_units = i; execution_units = 0 }
             in
-            Option.iter (fun reason -> R.retain rc r reason snap) (R.observe rc r);
+            let outcome, status, run =
+              match i mod 4 with
+              | 0 -> (R.Rejected, "busy", None)
+              | 1 -> (R.Executed, "deadline", Some run)
+              | _ -> (R.Executed, "ok", Some run)
+            in
+            ignore
+              (R.record_request rc ~trace_id:(R.next_trace_id rc)
+                 ~query:"fixture"
+                 ~tenant:(Printf.sprintf "t%d" ((i + d) mod (R.tenant_cap + 4)))
+                 ~outcome ~status ~latency_ns:(1_000 * i) ~queue_ns:0 run
+                : R.record);
             ignore (R.recent rc 4 : R.record list);
             ignore (R.prometheus rc : string);
             ignore (R.threshold_ns rc : int)

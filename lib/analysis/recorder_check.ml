@@ -33,7 +33,7 @@ let check ?submitted recorder =
    | None -> ());
   List.iter (check_trace add) (Recorder.traces recorder);
   let count = Recorder.tenant_count recorder in
-  let cap = Recorder.tenant_cap recorder in
+  let cap = Recorder.tenant_cap in
   if count > cap + 1 then
     add
       (D.of_code "RX703" D.Graph_loc

@@ -140,43 +140,18 @@ let runtime_config t =
     telemetry = t.telemetry;
   }
 
-(* The one-shot CLI's flight-recorder hook: rox run / rox profile build a
-   record from the finished session exactly the way the server's
-   record_request does — same fingerprint rule, same spend/cache-counter
-   reads — so a slow CLI query and a slow served query produce
-   reconcilable slow-log lines. *)
 let flight_record t recorder ~query ~plan ~latency_ns ~status =
   let module R = Rox_telemetry.Recorder in
-  let module Tm = Rox_telemetry.Metrics in
-  let m = Rox_telemetry.Sink.metrics t.telemetry in
-  let c (cnt : Tm.counter) = cnt.Tm.c_value in
-  let record =
-    {
-      R.trace_id = R.next_trace_id recorder;
-      fingerprint = String.sub (Digest.to_hex (Digest.string query)) 0 12;
-      tenant = t.config.client_id;
-      plan_digest = R.plan_digest plan;
-      plan_edges = List.length plan;
-      latency_ns;
-      queue_ns = 0;
-      sampling_units = Cost.read t.counter Cost.Sampling;
-      execution_units = Cost.read t.counter Cost.Execution;
-      cache_hits = c m.Tm.relation_cache_hits + c m.Tm.estimate_cache_hits;
-      cache_misses = c m.Tm.relation_cache_misses + c m.Tm.estimate_cache_misses;
-      outcome = R.Executed;
-      status;
-      (* Raw close-order spans are fine for per-edge timings; the
-         chronological sort is paid only when the tree is retained. *)
-      edge_ns = R.edge_timings_of_spans (Rox_telemetry.Sink.spans t.telemetry);
-    }
-  in
-  (match R.observe recorder record with
-   | Some reason -> (
-     match Rox_telemetry.Sink.snapshot t.telemetry with
-     | None -> ()
-     | Some snap -> R.retain recorder record reason snap)
-   | None -> ());
-  record
+  R.record_request recorder ~trace_id:(R.next_trace_id recorder) ~query
+    ~tenant:t.config.client_id ~outcome:R.Executed ~status ~latency_ns
+    ~queue_ns:0
+    (Some
+       {
+         R.sink = t.telemetry;
+         plan;
+         sampling_units = Cost.read t.counter Cost.Sampling;
+         execution_units = Cost.read t.counter Cost.Execution;
+       })
 
 let describe t =
   let b = t.config.budgets in

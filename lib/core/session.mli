@@ -119,12 +119,10 @@ val flight_record :
   t -> Rox_telemetry.Recorder.t -> query:string -> plan:int list ->
   latency_ns:int -> status:string -> Rox_telemetry.Recorder.record
 (** The one-shot CLI's flight-recorder hook ([rox run] / [rox profile]):
-    build one request record from the finished session — fingerprint of
-    [query], the session's tenant tag and deterministic spend, cache
-    hit/miss counters and per-edge timings read from its sink — observe
-    it (which writes the slow-log line when armed), and retain the
-    session's span tree when the recorder says so. Same record shape the
-    serving front-end emits, so CLI and served slow-log lines reconcile. *)
+    hand the finished session — its tenant tag, deterministic spend and
+    sink — to {!Rox_telemetry.Recorder.record_request} under a fresh
+    trace id, the same builder the serving front-end uses, so CLI and
+    served slow-log lines reconcile. *)
 
 val describe : t -> string
 (** One-line rendering of the full session configuration (the [analyze]

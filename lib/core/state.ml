@@ -129,12 +129,6 @@ let set_sample_from t v table =
   t.samples.(v) <- Some s;
   t.cards.(v) <- Some (float_of_int (Column.length table))
 
-let set_table t v table =
-  (* Runtime tables are refreshed by Runtime.execute_edge itself; this
-     entry point is for the rare direct installs (tests). *)
-  ignore (Runtime.ensure_table t.runtime v : Column.t);
-  set_sample_from t v table
-
 let refresh_vertex t v =
   match Runtime.table t.runtime v with
   | Some table -> set_sample_from t v table

@@ -31,9 +31,6 @@ val sample : t -> int -> Rox_util.Column.t option
 val card : t -> int -> float option
 (** card(v); [None] while unknown. *)
 
-val set_table : t -> int -> Rox_util.Column.t -> unit
-(** Install T(v) and refresh S(v) (a fresh τ-sample) and card(v). *)
-
 val refresh_vertex : t -> int -> unit
 (** Re-derive S(v) / card(v) from the runtime's current T(v). *)
 

@@ -57,9 +57,6 @@ let edge_count t = t.nedges
 let incident t v =
   Array.to_list (edges t) |> List.filter (fun e -> Edge.touches e v)
 
-let neighbors t v =
-  incident t v |> List.map (fun e -> (e, vertex t (Edge.other_end e v)))
-
 let find_edge t a b =
   Array.to_list (edges t)
   |> List.find_opt (fun e ->

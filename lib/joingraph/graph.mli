@@ -23,8 +23,6 @@ val edges : t -> Edge.t array
 val incident : t -> int -> Edge.t list
 (** Edges touching a vertex, in insertion order. *)
 
-val neighbors : t -> int -> (Edge.t * Vertex.t) list
-
 val find_edge : t -> int -> int -> Edge.t option
 (** Any edge between the two vertices. *)
 

@@ -126,15 +126,6 @@ let ensure_table t v =
     t.tables.(v) <- Some tab;
     tab
 
-let component_rows t =
-  let out = ref [] in
-  for i = t.ncomponents - 1 downto 0 do
-    match t.components.(i) with
-    | Some rel -> out := Relation.rows rel :: !out
-    | None -> ()
-  done;
-  Array.of_list !out
-
 let new_component t rel =
   if t.ncomponents >= Array.length t.components then begin
     let bigger = Array.make (2 * Array.length t.components) None in

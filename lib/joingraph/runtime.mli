@@ -88,9 +88,6 @@ val table_or_domain : t -> int -> Rox_util.Column.t
 val ensure_table : t -> int -> Rox_util.Column.t
 (** Materialize T(v) from its index domain if unset, and return it. *)
 
-val component_rows : t -> int array
-(** Row counts of live components (diagnostics). *)
-
 type exec_info = {
   pair_count : int;      (** operator result pairs *)
   rel_rows : int;        (** rows of the affected component afterwards *)

@@ -19,7 +19,6 @@ let label t =
    equal keys denote the same base node set, whatever their graph ids. *)
 let fingerprint_label t = Printf.sprintf "d%d:%s" t.doc_id (label t)
 
-let is_element t = match t.annot with Element _ -> true | _ -> false
 let is_root t = match t.annot with Root -> true | _ -> false
 
 let predicate t =

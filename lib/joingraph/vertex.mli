@@ -26,7 +26,6 @@ val fingerprint_label : t -> string
     annotation label, without the per-graph vertex id — so the same base
     node set fingerprints identically across queries. *)
 
-val is_element : t -> bool
 val is_root : t -> bool
 
 val predicate : t -> Rox_algebra.Selection.t option

@@ -20,25 +20,18 @@ type config = {
   queue_capacity : int;
   max_connections : int;
   session : Session.config;
-  telemetry : bool;
-  max_frame : int;
-  recorder : bool;
   slow_ms : int option;
   slow_log : string option;
 }
 
 let config ?cache ?(workers = 2) ?(queue_capacity = 64)
-    ?(max_connections = 256) ?session ?(telemetry = true)
-    ?(max_frame = Protocol.default_max_frame) ?(recorder = true) ?slow_ms ?slow_log engine =
+    ?(max_connections = 256) ?session ?slow_ms ?slow_log engine =
   let session =
     match session with Some s -> s | None -> Session.default_config ()
   in
   if workers < 0 then invalid_arg "Server.config: workers < 0";
   if queue_capacity < 1 then invalid_arg "Server.config: queue_capacity < 1";
   if max_connections < 1 then invalid_arg "Server.config: max_connections < 1";
-  (match slow_ms with
-   | Some n when n < 0 -> invalid_arg "Server.config: slow_ms < 0"
-   | _ -> ());
   {
     engine;
     cache;
@@ -46,9 +39,6 @@ let config ?cache ?(workers = 2) ?(queue_capacity = 64)
     queue_capacity;
     max_connections;
     session;
-    telemetry;
-    max_frame;
-    recorder;
     slow_ms;
     slow_log;
   }
@@ -64,7 +54,7 @@ let ignore_sigpipe =
    it, and its submitter holds it as the ticket to await. *)
 type pending = {
   query : Protocol.query;
-  trace_id : int;  (* flight-recorder id (0 when the recorder is off) *)
+  trace_id : int;  (* flight-recorder id *)
   submitted_ns : int64;
   done_c : Condition.t;
   mutable outcome : Protocol.response option;
@@ -93,7 +83,7 @@ type t = {
   (* The flight recorder: always-on request records, tail-sampled trace
      retention, tenant series, slow log. Behind its own mutex — never
      touched while t.mutex is held. *)
-  recorder : Recorder.t option;
+  recorder : Recorder.t;
   started_ns : int64;   (* monotonic, for uptime_ms *)
   started_at : float;   (* wall clock (epoch seconds), for STATS *)
   (* Accesslog ids; -1 (no-op) when created disarmed *)
@@ -117,29 +107,15 @@ let set_depth_locked t =
 
 (* ---- execution ---------------------------------------------------------- *)
 
-(* What one served execution hands back beyond the wire response: the
-   chosen join order (for the record's plan summary), the request's sink
-   (for tail-sampled trace retention and cache counters), and the
-   deterministic budget spend — populated even when the run aborted. *)
-type exec = {
-  resp : Protocol.response;
-  plan : int list;
-  sink : Sink.t;
-  sampling : int;
-  execution : int;
-}
-
 (* One served execution: a fresh single-domain session over the shared
    engine/cache, wire-level overrides winning over the base config. Every
-   failure mode maps to a structured ERR — a budget abort is an answer. *)
+   failure mode maps to a structured ERR — a budget abort is an answer.
+   Beside the response it hands the flight recorder the run: the chosen
+   join order, the request's sink and the deterministic budget spend.
+   Tail sampling decides after the fact whether the tree was worth
+   keeping, so every request runs with a live sink. *)
 let run_query t (q : Protocol.query) ~deadline_ms =
-  (* The recorder needs spans even when the aggregate-telemetry flag is
-     off: tail sampling decides after the fact whether this request's
-     tree was worth keeping, so every request runs with a live sink. *)
-  let sink =
-    if t.cfg.telemetry || t.recorder <> None then Sink.create ~enabled:true ()
-    else Sink.null ()
-  in
+  let sink = Sink.create ~enabled:true () in
   let base = t.cfg.session in
   let budgets =
     {
@@ -209,77 +185,35 @@ let run_query t (q : Protocol.query) ~deadline_ms =
   in
   (* One absorb per request: the session's sink merges into the
      process aggregate under its mutex. *)
-  if t.cfg.telemetry then Aggregate.absorb t.aggregate (Sink.metrics sink);
-  {
-    resp;
-    plan;
-    sink;
-    (* The session counter keeps counting through an abort, so the
-       record sees the budget spend even when the answer is an ERR. *)
-    sampling = Cost.read (Session.counter session) Cost.Sampling;
-    execution = Cost.read (Session.counter session) Cost.Execution;
-  }
+  Aggregate.absorb t.aggregate (Sink.metrics sink);
+  ( resp,
+    {
+      Recorder.sink;
+      plan;
+      (* The session counter keeps counting through an abort, so the
+         record sees the budget spend even when the answer is an ERR. *)
+      sampling_units = Cost.read (Session.counter session) Cost.Sampling;
+      execution_units = Cost.read (Session.counter session) Cost.Execution;
+    } )
 
 (* ---- flight records ------------------------------------------------------ *)
 
-let fp_digest (q : Protocol.query) =
-  String.sub (Digest.to_hex (Digest.string q.Protocol.text)) 0 12
-
-let status_of_resp = function
-  | Protocol.Err (kind, _) -> Protocol.err_kind_label kind
-  | _ -> "ok"
-
 (* One flight record per submitted request — executed entries carry their
-   execution's plan/spend/span surface, rejected ones only their
-   admission outcome, so the recorder's record count reconciles with the
-   RX601/RX603 audit (RX701). Never called with t.mutex held: observe
-   takes the recorder's mutex and may write the slow log. *)
+   run, rejected ones only their admission outcome, so the recorder's
+   record count reconciles with the RX601/RX603 audit (RX701). Never
+   called with t.mutex held: the recorder takes its own mutex and may
+   write the slow log. *)
 let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
-    ~queue_ns ~exec =
-  match t.recorder with
-  | None -> ()
-  | Some rc ->
-    (* Per-edge timings read the raw close-order span list; the
-       chronological sort is deferred to retention, which only a sampled
-       minority of requests pays for. *)
-    let plan, sampling, execution, hits, misses, edge_ns, sink =
-      match exec with
-      | None -> ([], 0, 0, 0, 0, [], None)
-      | Some e ->
-        let m = Sink.metrics e.sink in
-        let c (x : Tm.counter) = x.Tm.c_value in
-        ( e.plan,
-          e.sampling,
-          e.execution,
-          c m.Tm.relation_cache_hits + c m.Tm.estimate_cache_hits,
-          c m.Tm.relation_cache_misses + c m.Tm.estimate_cache_misses,
-          Recorder.edge_timings_of_spans (Sink.spans e.sink),
-          Some e.sink )
-    in
-    let record =
-      {
-        Recorder.trace_id;
-        fingerprint = fp_digest q;
-        tenant = q.Protocol.client_id;
-        plan_digest = Recorder.plan_digest plan;
-        plan_edges = List.length plan;
-        latency_ns;
-        queue_ns;
-        sampling_units = sampling;
-        execution_units = execution;
-        cache_hits = hits;
-        cache_misses = misses;
-        outcome;
-        status = status_of_resp resp;
-        edge_ns;
-      }
-    in
-    (match (Recorder.observe rc record, sink) with
-     | Some reason, Some s ->
-       (match Sink.snapshot s with
-        | None -> ()
-        | Some snap -> Recorder.retain rc record reason snap)
-     | _ -> ())
+    ~queue_ns run =
+  let status =
+    match resp with
+    | Protocol.Err (kind, _) -> Protocol.err_kind_label kind
+    | _ -> "ok"
+  in
+  ignore
+    (Recorder.record_request t.recorder ~trace_id ~query:q.Protocol.text
+       ~tenant:q.Protocol.client_id ~outcome ~status ~latency_ns ~queue_ns run
+      : Recorder.record)
 
 let complete t entry ~wait_ns resp =
   locked t (fun () ->
@@ -294,7 +228,7 @@ let process t entry =
   let wait_ns = Clock.elapsed_ns entry.submitted_ns in
   let wait_ms = int_of_float (Clock.ms_of_ns wait_ns) in
   let q = entry.query in
-  let resp, exec =
+  let resp, run =
     match q.Protocol.deadline_ms with
     | Some d when wait_ms >= d ->
       (* The budget ran out while queued: answer without executing. *)
@@ -305,21 +239,21 @@ let process t entry =
               wait_ms d ),
         None )
     | Some d ->
-      let e = run_query t q ~deadline_ms:(Some (d - wait_ms)) in
-      (e.resp, Some e)
+      let resp, run = run_query t q ~deadline_ms:(Some (d - wait_ms)) in
+      (resp, Some run)
     | None ->
-      let e =
+      let resp, run =
         run_query t q
           ~deadline_ms:t.cfg.session.Session.budgets.Session.deadline_ms
       in
-      (e.resp, Some e)
+      (resp, Some run)
   in
   (* Record before waking the submitter: by the time a client reads its
      reply, the flight record is visible (RECENT/STATS right after an
      answer are deterministic). record_request takes only the recorder's
      mutex, never t.mutex. *)
   record_request t ~trace_id:entry.trace_id ~q ~outcome:Recorder.Executed ~resp
-    ~latency_ns:(Clock.elapsed_ns entry.submitted_ns) ~queue_ns:wait_ns ~exec;
+    ~latency_ns:(Clock.elapsed_ns entry.submitted_ns) ~queue_ns:wait_ns run;
   complete t entry ~wait_ns resp
 
 let take_locked t =
@@ -375,11 +309,7 @@ let create cfg =
       aggregate = Aggregate.create ();
       stopping = false;
       workers = [];
-      recorder =
-        (if cfg.recorder then
-           Some
-             (Recorder.create ?slow_ms:cfg.slow_ms ?slow_log:cfg.slow_log ())
-         else None);
+      recorder = Recorder.create ?slow_ms:cfg.slow_ms ?slow_log:cfg.slow_log ();
       started_ns = Clock.now_ns ();
       started_at = Unix.gettimeofday ();
       al_lock = (if armed then Accesslog.lock ~name:"serve.mutex" else -1);
@@ -442,16 +372,14 @@ let shutdown t =
         ~outcome:Recorder.Rejected
         ~resp:(Protocol.Err (Protocol.Busy, "server shutting down"))
         ~latency_ns:(Clock.elapsed_ns e.submitted_ns)
-        ~queue_ns:(Clock.elapsed_ns e.submitted_ns) ~exec:None)
+        ~queue_ns:(Clock.elapsed_ns e.submitted_ns) None)
     drained;
-  Option.iter Recorder.close t.recorder
+  Recorder.close t.recorder
 
 (* ---- admission ---------------------------------------------------------- *)
 
 let submit_async t (q : Protocol.query) =
-  let trace_id =
-    match t.recorder with Some rc -> Recorder.next_trace_id rc | None -> 0
-  in
+  let trace_id = Recorder.next_trace_id t.recorder in
   let t0 = Clock.now_ns () in
   let verdict =
     locked t (fun () ->
@@ -486,7 +414,7 @@ let submit_async t (q : Protocol.query) =
    | `Rejected ->
      record_request t ~trace_id ~q ~outcome:Recorder.Rejected
        ~resp:(Protocol.Err (Protocol.Busy, "admission queue full"))
-       ~latency_ns:(Clock.elapsed_ns t0) ~queue_ns:0 ~exec:None
+       ~latency_ns:(Clock.elapsed_ns t0) ~queue_ns:0 None
    | `Ticket _ -> ());
   verdict
 
@@ -540,12 +468,9 @@ let audit t =
 let self_check t = Serve_check.check (audit t)
 
 let tenants t =
-  match t.recorder with
-  | None -> []
-  | Some rc ->
-    List.map
-      (fun (s : Recorder.tenant_stat) -> (s.tenant, s.requests))
-      (Recorder.tenant_stats rc)
+  List.map
+    (fun (s : Recorder.tenant_stat) -> (s.tenant, s.requests))
+    (Recorder.tenant_stats t.recorder)
 
 let stats_kvs t =
   let counts =
@@ -586,21 +511,18 @@ let stats_kvs t =
   (* Recorder counters and tenant series come from the recorder's own
      mutex — never inside the server lock. *)
   let recorder_kvs =
-    match t.recorder with
-    | None -> []
-    | Some rc ->
-      [
-        ("records", string_of_int (Recorder.records rc));
-        ("records_dropped", string_of_int (Recorder.dropped rc));
-        ("traces_retained", string_of_int (Recorder.retained_count rc));
-      ]
+    [
+      ("records", string_of_int (Recorder.records t.recorder));
+      ("records_dropped", string_of_int (Recorder.dropped t.recorder));
+      ("traces_retained", string_of_int (Recorder.retained_count t.recorder));
+    ]
   in
   counts @ recorder_kvs @ cache_kvs
   @ List.map (fun (k, v) -> ("tenant." ^ k, string_of_int v)) (tenants t)
 
 let aggregate t = t.aggregate
 
-let recorder t = t.recorder
+let recorder t = Some t.recorder
 
 let metrics t =
   let snap = Tm.create () in
@@ -612,41 +534,33 @@ let metrics t =
    exposition format, followed by the recorder's own series (records,
    drops, retention, adaptive threshold, per-tenant labels). *)
 let metrics_text t =
-  Export.prometheus (metrics t)
-  ^ match t.recorder with None -> "" | Some rc -> Recorder.prometheus rc
+  Export.prometheus (metrics t) ^ Recorder.prometheus t.recorder
 
 let recent_lines t n =
-  match t.recorder with
-  | None -> []
-  | Some rc ->
-    List.map
-      (fun (r : Recorder.record) ->
-        (* The record itself does not store why it was retained; look the
-           reason up so RECENT marks which ids TRACE can fetch. *)
-        let reason =
-          Option.map
-            (fun (_, reason, _) -> reason)
-            (Recorder.find_trace rc r.Recorder.trace_id)
-        in
-        Rox_util.Minijson.to_string (Recorder.json_of_record ?reason r))
-      (Recorder.recent rc n)
+  List.map
+    (fun (r : Recorder.record) ->
+      (* The record itself does not store why it was retained; look the
+         reason up so RECENT marks which ids TRACE can fetch. *)
+      let reason =
+        Option.map
+          (fun (_, reason, _) -> reason)
+          (Recorder.find_trace t.recorder r.Recorder.trace_id)
+      in
+      Rox_util.Minijson.to_string (Recorder.json_of_record ?reason r))
+    (Recorder.recent t.recorder n)
 
 let trace_response t id =
-  match t.recorder with
+  match Recorder.find_trace t.recorder id with
   | None ->
-    Protocol.Err (Protocol.Unknown_id, "flight recorder disabled")
-  | Some rc -> (
-    match Recorder.find_trace rc id with
-    | None ->
-      Protocol.Err
-        ( Protocol.Unknown_id,
-          Printf.sprintf "trace %d not retained (never kept, or evicted)" id )
-    | Some (_, _, snap) ->
-      Protocol.Trace_reply
-        ( id,
-          Export.chrome_trace_parts
-            ~process_name:(Printf.sprintf "rox trace %d" id)
-            [ (0, Sink.snapshot_timeline snap, 0) ] ))
+    Protocol.Err
+      ( Protocol.Unknown_id,
+        Printf.sprintf "trace %d not retained (never kept, or evicted)" id )
+  | Some (_, _, snap) ->
+    Protocol.Trace_reply
+      ( id,
+        Export.chrome_trace_parts
+          ~process_name:(Printf.sprintf "rox trace %d" id)
+          [ (0, Sink.snapshot_timeline snap, 0) ] )
 
 (* ---- connection handling ------------------------------------------------ *)
 
@@ -664,7 +578,7 @@ let reply t fd resp =
   Protocol.write_frame fd (Protocol.render_response resp)
 
 let handle_connection t fd =
-  let d = Protocol.decoder ~max_frame:t.cfg.max_frame () in
+  let d = Protocol.decoder () in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->

@@ -25,6 +25,13 @@
     [ERR sampled_rows] / [ERR max_rows] reply — a served request never
     drops the connection the way the one-shot CLI exits with code 2.
 
+    Every request runs under a live telemetry sink that is absorbed into
+    the process {!aggregate}, and every submitted request — executed or
+    rejected — leaves one flight record through
+    {!Rox_telemetry.Recorder.record_request}; slow, errored and
+    head-sampled span trees are retained by trace id. Frames are capped
+    at {!Protocol.default_max_frame}.
+
     All shared state ([t]'s queue and audit counters) is guarded by one
     mutex and instrumented through {!Rox_util.Accesslog} when armed, so
     [rox racecheck] covers a served workload. *)
@@ -43,30 +50,24 @@ type config = {
   session : Rox_core.Session.config;
       (** base per-request session config; wire-level overrides (seed, τ,
           budgets, client_id) win field-by-field *)
-  telemetry : bool;     (** per-request sinks + process aggregate *)
-  max_frame : int;      (** protocol frame cap for {!handle_connection} *)
-  recorder : bool;
-      (** the flight recorder (default on): every submitted request —
-          executed or rejected — leaves one bounded record;
-          slow/errored/head-sampled span trees are retained by trace id
-          (see {!Rox_telemetry.Recorder}) *)
-  slow_ms : int option;  (** slow-log latency threshold override *)
+  slow_ms : int option;  (** slow-log latency threshold override (≥ 0) *)
   slow_log : string option;  (** slow-query JSONL path (off when [None]) *)
 }
 
 val config :
   ?cache:Rox_cache.Store.t -> ?workers:int -> ?queue_capacity:int ->
   ?max_connections:int -> ?session:Rox_core.Session.config ->
-  ?telemetry:bool -> ?max_frame:int -> ?recorder:bool -> ?slow_ms:int -> ?slow_log:string ->
-  Rox_storage.Engine.t -> config
+  ?slow_ms:int -> ?slow_log:string -> Rox_storage.Engine.t -> config
 (** Defaults: no cache, 2 workers, capacity 64, 256 connections, default
-    session config, telemetry on, {!Protocol.default_max_frame}, recorder
-    on, no slow log. *)
+    session config, the recorder's default slow-log threshold, no slow
+    log. @raise Invalid_argument when [workers < 0], [queue_capacity < 1]
+    or [max_connections < 1]. *)
 
 type t
 
 val create : config -> t
-(** Spawns the worker domains. Also ignores
+(** Spawns the worker domains and creates the flight recorder
+    (@raise Invalid_argument when [slow_ms < 0]). Also ignores
     [SIGPIPE] process-wide (once), so a client that disconnects before
     reading its reply surfaces as [EPIPE] on the write — an ordinary
     connection close — instead of killing the process. *)
@@ -110,15 +111,15 @@ val stats_kvs : t -> (string * string) list
 (** The STATS reply: process uptime ([uptime_ms], and [started_at] as
     wall-clock epoch seconds), the audit counters, queue depth,
     open/bounced connections ([connections] / [conn_rejected]), worker
-    count, and, only with the recorder on, its
-    counters ([records], [records_dropped], [traces_retained]) and
-    per-tenant request counts as [tenant.<client_id>] ({!tenants}). *)
+    count, the flight recorder's counters ([records], [records_dropped],
+    [traces_retained]) and per-tenant request counts as
+    [tenant.<client_id>] ({!tenants}). *)
 
 val tenants : t -> (string * int) list
 (** Per-tenant submitted-request counts (rejections included), read
     from {!Rox_telemetry.Recorder.tenant_stats}: sorted by client_id,
-    at most [tenant_cap] tenants plus ["other"], and empty with the
-    recorder off. *)
+    at most {!Rox_telemetry.Recorder.tenant_cap} tenants plus
+    ["other"]. *)
 
 val audit : t -> Rox_analysis.Serve_check.counts
 (** Snapshot the audit counters ({!Rox_analysis.Serve_check.check}
@@ -136,7 +137,8 @@ val aggregate : t -> Rox_telemetry.Aggregate.t
 (** The process aggregate per-request sinks are absorbed into. *)
 
 val recorder : t -> Rox_telemetry.Recorder.t option
-(** The flight recorder ([None] when [config.recorder] is false). *)
+(** The flight recorder; always [Some]. The option stays only because
+    the regression benchmark under [perfbench/] pattern-matches on it. *)
 
 val metrics_text : t -> string
 (** The METRICS reply body: {!metrics} in Prometheus text exposition,
@@ -146,12 +148,12 @@ val metrics_text : t -> string
 
 val recent_lines : t -> int -> string list
 (** The RECENT reply body: up to [n] newest request records as JSONL,
-    one compact object per line ([[]] with the recorder off). *)
+    one compact object per line. *)
 
 val trace_response : t -> int -> Protocol.response
 (** The TRACE reply: [Trace_reply] carrying the retained trace exported
     as Chrome trace-event JSON, or [Err (Unknown_id, _)] when the id was
-    never retained, already evicted, or the recorder is off. *)
+    never retained or already evicted. *)
 
 val shutdown : t -> unit
 (** Stop admitting, drain: workers finish every queued request before

@@ -95,7 +95,5 @@ let find_uri t uri =
   | Some i -> Some t.docs.(i)
   | None -> None
 
-let intern_qname t s = Str_pool.intern t.qname_pool s
-let intern_value t s = Str_pool.intern t.value_pool s
 let qname_id t s = Str_pool.find t.qname_pool s
 let value_id t s = Str_pool.find t.value_pool s

@@ -41,7 +41,5 @@ val bump_epoch : t -> unit
 (** Invalidate all epoch-scoped derived state (caches) for this engine. *)
 
 val find_uri : t -> string -> docref option
-val intern_qname : t -> string -> int
-val intern_value : t -> string -> int
 val qname_id : t -> string -> int option
 val value_id : t -> string -> int option

@@ -1,6 +1,7 @@
 (* The flight recorder: always-on, bounded accounting of every completed
-   request. One ring, one latency histogram, the retained traces, the
-   tenant series and the slow-log state sit behind one mutex, so the
+   request, entered through one record builder (record_request) under a
+   fixed policy. One ring, one latency histogram, the retained traces,
+   the tenant series and the slow-log state sit behind one mutex, so the
    retention decision and the threshold STATS reports read the same
    histogram. *)
 
@@ -43,14 +44,16 @@ type tenant_series = {
   tn_serve_ns : Metrics.histogram;
 }
 
+(* The fixed policy. *)
+let cap = 256
+let retain_cap = 64
+let head_every = 128
+let quantile = 0.95
+let floor_ns = 1_000_000
+let warmup = 32
+let tenant_cap = 8
+
 type t = {
-  cap : int;
-  retain_cap : int;
-  head_every : int;
-  q : float;
-  floor_ns : int;
-  warmup : int;
-  tenant_cap : int;
   slow_ms : int;
   next_id : int Atomic.t;
   (* The one lock: the ring, the latency histogram, the retained
@@ -81,20 +84,10 @@ type t = {
   mutable log_lines : int;
 }
 
-let create ?(cap = 256) ?(retain_cap = 64) ?(head_every = 128)
-    ?(quantile = 0.95) ?(floor_ns = 1_000_000) ?(warmup = 32)
-    ?(tenant_cap = 8) ?(slow_ms = 100) ?slow_log () =
-  if cap < 1 then invalid_arg "Recorder.create: cap must be >= 1";
-  if retain_cap < 1 then invalid_arg "Recorder.create: retain_cap must be >= 1";
+let create ?(slow_ms = 100) ?slow_log () =
+  if slow_ms < 0 then invalid_arg "Recorder.create: slow_ms must be >= 0";
   let armed = Rox_util.Accesslog.armed () in
   {
-    cap;
-    retain_cap;
-    head_every;
-    q = quantile;
-    floor_ns;
-    warmup;
-    tenant_cap;
     slow_ms;
     next_id = Atomic.make 1;
     mutex = Mutex.create ();
@@ -133,8 +126,8 @@ let locked t f =
 (* Adaptive tail-sampling threshold                                   *)
 
 let threshold_locked t =
-  if t.lat.Metrics.h_count < t.warmup then t.floor_ns
-  else max t.floor_ns (int_of_float (Metrics.quantile t.lat t.q))
+  if t.lat.Metrics.h_count < warmup then floor_ns
+  else max floor_ns (int_of_float (Metrics.quantile t.lat quantile))
 
 let threshold_ns t = locked t (fun () -> threshold_locked t)
 
@@ -162,7 +155,7 @@ let tenant_observe_locked t (r : record) =
     Hashtbl.length t.tenants - Bool.to_int (Hashtbl.mem t.tenants "other")
   in
   let s =
-    if Hashtbl.mem t.tenants r.tenant || named < t.tenant_cap then
+    if Hashtbl.mem t.tenants r.tenant || named < tenant_cap then
       series r.tenant
     else series "other"
   in
@@ -193,8 +186,6 @@ let tenant_stats_locked t =
 let tenant_stats t = locked t (fun () -> tenant_stats_locked t)
 
 let tenant_count t = locked t (fun () -> Hashtbl.length t.tenants)
-
-let tenant_cap t = t.tenant_cap
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query log                                                     *)
@@ -230,7 +221,7 @@ let json_of_record ?reason (r : record) =
 
 (* The line is formatted outside the lock; only the write and the flush
    hold it, so lines never interleave and close cannot race a write. *)
-let maybe_slow_log t (r : record) reason =
+let slow_log t (r : record) reason =
   match t.log_chan with
   | Some oc when r.latency_ns >= t.slow_ms * 1_000_000 || r.status <> "ok" ->
     let line =
@@ -260,35 +251,31 @@ let close t =
 (* The hot path                                                       *)
 
 let observe t (r : record) =
-  let reason =
-    locked t (fun () ->
-        (* Decide retention against the threshold as it stood before this
-           request — a latency spike must not raise the bar for itself. *)
-        let thr = threshold_locked t in
-        let slow = r.outcome <> Rejected && r.latency_ns >= thr in
-        let head = t.head_every > 0 && r.trace_id mod t.head_every = 0 in
-        t.ring.(t.cursor mod t.cap) <- Some r;
-        t.cursor <- t.cursor + 1;
-        if r.outcome <> Rejected then Metrics.observe t.lat r.latency_ns;
-        tenant_observe_locked t r;
-        if r.status <> "ok" then Some Errored
-        else if slow then Some Slow
-        else if head then Some Head_sampled
-        else None)
-  in
-  maybe_slow_log t r reason;
-  reason
+  locked t (fun () ->
+      (* Decide retention against the threshold as it stood before this
+         request — a latency spike must not raise the bar for itself. *)
+      let thr = threshold_locked t in
+      let slow = r.outcome <> Rejected && r.latency_ns >= thr in
+      let head = r.trace_id mod head_every = 0 in
+      t.ring.(t.cursor mod cap) <- Some r;
+      t.cursor <- t.cursor + 1;
+      if r.outcome <> Rejected then Metrics.observe t.lat r.latency_ns;
+      tenant_observe_locked t r;
+      if r.status <> "ok" then Some Errored
+      else if slow then Some Slow
+      else if head then Some Head_sampled
+      else None)
 
 let records t = locked t (fun () -> t.cursor)
 
-let dropped_locked t = max 0 (t.cursor - t.cap)
+let dropped_locked t = max 0 (t.cursor - cap)
 
 let dropped t = locked t (fun () -> dropped_locked t)
 
 let recent t n =
   let live =
     locked t (fun () ->
-        List.init (min t.cursor t.cap) (fun i -> Option.get t.ring.(i)))
+        List.init (min t.cursor cap) (fun i -> Option.get t.ring.(i)))
   in
   List.sort (fun a b -> compare b.trace_id a.trace_id) live
   |> List.filteri (fun i _ -> i < n)
@@ -301,7 +288,7 @@ let retain t (r : record) reason snapshot =
       if not (Hashtbl.mem t.retained r.trace_id) then begin
         Hashtbl.replace t.retained r.trace_id (r, reason, snapshot);
         Queue.push r.trace_id t.ret_fifo;
-        while Queue.length t.ret_fifo > t.retain_cap do
+        while Queue.length t.ret_fifo > retain_cap do
           Hashtbl.remove t.retained (Queue.pop t.ret_fifo)
         done
       end)
@@ -320,7 +307,7 @@ let traces t =
          (id, r, reason, Sink.snapshot_timeline snap))
 
 (* ------------------------------------------------------------------ *)
-(* Helpers for building records                                       *)
+(* The record builder                                                 *)
 
 let plan_digest edge_order =
   match edge_order with
@@ -332,18 +319,74 @@ let plan_digest edge_order =
     in
     String.sub hex 0 12
 
-let edge_timings_of_spans spans =
+(* Raw close-order spans are fine for per-edge timings; the chronological
+   sort is paid only when the tree is retained. *)
+let edge_timings spans =
   List.filter_map
     (fun (s : Sink.span) ->
       if s.Sink.name = "execute_edge" then
-        match List.assoc_opt "edge" s.Sink.attrs with
-        | Some e -> (
-          match int_of_string_opt e with
-          | Some id -> Some (id, Int64.to_int s.Sink.dur_ns)
-          | None -> None)
-        | None -> None
+        Option.map
+          (fun id -> (id, Int64.to_int s.Sink.dur_ns))
+          (Option.bind (List.assoc_opt "edge" s.Sink.attrs) int_of_string_opt)
       else None)
     spans
+
+type run = {
+  sink : Sink.t;
+  plan : int list;
+  sampling_units : int;
+  execution_units : int;
+}
+
+let record_request t ~trace_id ~query ~tenant ~outcome ~status ~latency_ns
+    ~queue_ns run =
+  let plan, sampling_units, execution_units, cache_hits, cache_misses, edge_ns
+      =
+    match run with
+    | None -> ([], 0, 0, 0, 0, [])
+    | Some run ->
+      let m = Sink.metrics run.sink in
+      let c (x : Metrics.counter) = x.Metrics.c_value in
+      ( run.plan,
+        run.sampling_units,
+        run.execution_units,
+        c m.Metrics.relation_cache_hits + c m.Metrics.estimate_cache_hits,
+        c m.Metrics.relation_cache_misses + c m.Metrics.estimate_cache_misses,
+        edge_timings (Sink.spans run.sink) )
+  in
+  let r =
+    {
+      trace_id;
+      fingerprint = String.sub (Digest.to_hex (Digest.string query)) 0 12;
+      tenant;
+      plan_digest = plan_digest plan;
+      plan_edges = List.length plan;
+      latency_ns;
+      queue_ns;
+      sampling_units;
+      execution_units;
+      cache_hits;
+      cache_misses;
+      outcome;
+      status;
+      edge_ns;
+    }
+  in
+  (* The slow-log line is written after retention is settled, so its
+     "retained" field names only a trace that TRACE can fetch: a request
+     without spans (rejected, or out of deadline in the queue) keeps none. *)
+  let kept =
+    match (observe t r, run) with
+    | Some reason, Some run -> (
+      match Sink.snapshot run.sink with
+      | Some snap ->
+        retain t r reason snap;
+        Some reason
+      | None -> None)
+    | _ -> None
+  in
+  slow_log t r kept;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus series                                                  *)

@@ -107,11 +107,7 @@ let token_base = 1 lsl 16
 let token_names : string array ref = ref [||]
 let n_tokens = ref 0
 
-let site_count () = !n_sites
 let lock_count () = !n_locks
-
-let site_name id =
-  if id >= 0 && id < !n_sites then !sites.(id).s_name else "?"
 
 let site_kind id =
   if id >= 0 && id < !n_sites then !sites.(id).s_kind else Shared

@@ -88,9 +88,7 @@ val events : unit -> event array
 val dropped : unit -> int
 val recorded : unit -> int
 
-val site_count : unit -> int
 val lock_count : unit -> int
-val site_name : int -> string
 val site_kind : int -> site_kind
 val lock_name : int -> string
 

@@ -19,8 +19,6 @@ let is_strictly_increasing_range arr off len =
   let rec go i = i >= off + len || (arr.(i - 1) < arr.(i) && go (i + 1)) in
   len <= 1 || go (off + 1)
 
-let is_strictly_increasing arr = is_strictly_increasing_range arr 0 (Array.length arr)
-
 let of_array arr =
   let data = Array.copy arr in
   let len = Array.length data in

@@ -73,6 +73,4 @@ val semijoin : marks:Bytes.t -> t -> t -> t
     (entries beyond it are dropped).
     @raise Invalid_argument when [table]'s sorted flag is unset. *)
 
-val is_strictly_increasing : int array -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -223,8 +223,6 @@ let load ?(params = default_gen) engine selection =
       { venue = v; docref; author_tag_count; byte_size = bytes () })
     selection
 
-let load_all ?params engine = load ?params engine (Array.to_list venues)
-
 let query_for uris =
   let n = List.length uris in
   if n < 2 then invalid_arg "Dblp.query_for: need at least 2 documents";

@@ -61,8 +61,6 @@ val load : ?params:gen_params -> Rox_storage.Engine.t -> venue list -> loaded li
 (** Generate + register the documents (uri = name with spaces replaced by
     '_', plus ".xml"). *)
 
-val load_all : ?params:gen_params -> Rox_storage.Engine.t -> loaded list
-
 val uri_of : venue -> string
 
 val venue_rng : gen_params -> venue -> Rox_util.Xoshiro.t

@@ -85,8 +85,6 @@ and pred_to_string = function
   | Value_cmp (p, c, l) ->
     "[" ^ path_to_string p ^ " " ^ cmp_to_string c ^ " " ^ literal_to_string l ^ "]"
 
-let pp_path ppf p = Format.pp_print_string ppf (path_to_string p)
-
 let pp_query ppf q =
   let open Format in
   List.iter (fun (v, p) -> fprintf ppf "let $%s := %s@\n" v (path_to_string p)) q.lets;

@@ -49,6 +49,5 @@ type query = {
   return_var : string;
 }
 
-val pp_path : Format.formatter -> path -> unit
 val pp_query : Format.formatter -> query -> unit
 val cmp_to_string : cmp -> string

@@ -222,7 +222,7 @@ let test_decoder_corrupt () =
 let test_admission_rejects_when_full () =
   let engine = library_engine () in
   let server =
-    S.create (S.config ~workers:0 ~queue_capacity:1 ~telemetry:false engine)
+    S.create (S.config ~workers:0 ~queue_capacity:1 engine)
   in
   let t1 =
     match S.submit_async server (P.query library_query) with
@@ -246,6 +246,77 @@ let test_admission_rejects_when_full () =
   Alcotest.(check int) "executed" 0 a.A.Serve_check.sv_executed;
   Alcotest.(check (list string)) "audit balances" [] (codes (S.self_check server))
 
+(* The slow log's "retained" field names only traces TRACE can fetch. A
+   request that never ran (rejected at admission, drained at shutdown, or
+   out of deadline in the queue) has no spans to keep, so its line reads
+   null; an executed request that errored keeps its tree. *)
+let test_slow_log_retained_matches_traces () =
+  let engine = library_engine () in
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rox_serve_slow_%d.jsonl" (Unix.getpid ()))
+  in
+  (try Sys.remove path with Sys_error _ -> ());
+  let server =
+    S.create (S.config ~workers:0 ~queue_capacity:1 ~slow_log:path engine)
+  in
+  let admit q =
+    match S.submit_async server q with
+    | `Ticket _ -> ()
+    | `Rejected -> Alcotest.fail "an empty queue admits"
+  in
+  admit (P.query ~max_sampled_rows:1 library_query);
+  (match S.submit_async server (P.query library_query) with
+   | `Rejected -> ()
+   | `Ticket _ -> Alcotest.fail "a full queue rejects");
+  Alcotest.(check bool) "budget abort executes" true (S.drain_once server);
+  admit (P.query ~deadline_ms:0 library_query);
+  Alcotest.(check bool) "queue deadline drains" true (S.drain_once server);
+  admit (P.query library_query);
+  S.shutdown server;
+  let ic = open_in path in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  Sys.remove path;
+  let module J = Rox_util.Minijson in
+  let summary line =
+    match J.parse line with
+    | Error m -> Alcotest.failf "slow-log line must parse: %s" m
+    | Ok j ->
+      let field k =
+        match J.member k j with
+        | Some (J.Str v) -> v
+        | Some (J.Num n) -> string_of_int (int_of_float n)
+        | Some J.Null -> "null"
+        | _ -> Alcotest.failf "slow-log line lacks %s" k
+      in
+      String.concat " "
+        (List.map field [ "trace_id"; "outcome"; "status"; "retained" ])
+  in
+  Alcotest.(check (list string))
+    "one line per request; retained only where a trace was kept"
+    [
+      "1 executed sampled_rows errored";
+      "2 rejected busy null";
+      "3 executed deadline null";
+      "4 rejected busy null";
+    ]
+    (List.sort compare
+       (List.map summary (List.filter (fun l -> l <> "") lines)));
+  let rc = Option.get (S.recorder server) in
+  Alcotest.(check int) "only the executed error is retained" 1
+    (Rox_telemetry.Recorder.retained_count rc);
+  (match S.trace_response server 1 with
+   | P.Trace_reply (1, _) -> ()
+   | r -> Alcotest.failf "want TRACE reply, got %s" (P.render_response r));
+  List.iter
+    (fun id ->
+      match S.trace_response server id with
+      | P.Err (P.Unknown_id, _) -> ()
+      | r -> Alcotest.failf "want ERR not_found, got %s" (P.render_response r))
+    [ 2; 3; 4 ];
+  Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
+
 (* ---------- identical requests: each executes once ------------------- *)
 
 let answer_ids = function
@@ -255,7 +326,7 @@ let answer_ids = function
 let test_identical_requests_execute_each () =
   let engine = library_engine () in
   let server =
-    S.create (S.config ~workers:0 ~queue_capacity:4 ~telemetry:false engine)
+    S.create (S.config ~workers:0 ~queue_capacity:4 engine)
   in
   let admit q =
     match S.submit_async server q with
@@ -346,11 +417,7 @@ let test_concurrent_identical_warm_cache () =
   Alcotest.(check int) "submitted" (2 * per_client) a.A.Serve_check.sv_submitted;
   Alcotest.(check int) "executed = submitted" a.A.Serve_check.sv_submitted
     a.A.Serve_check.sv_executed;
-  let rc =
-    match S.recorder server with
-    | Some rc -> rc
-    | None -> Alcotest.fail "recorder is on by default"
-  in
+  let rc = Option.get (S.recorder server) in
   Alcotest.(check int) "records = submitted" a.A.Serve_check.sv_submitted
     (Rox_telemetry.Recorder.records rc);
   Alcotest.(check (list string)) "recorder accounting balances" []
@@ -363,7 +430,7 @@ let test_concurrent_identical_warm_cache () =
 let test_budget_abort_replies () =
   let engine = library_engine () in
   let server =
-    S.create (S.config ~workers:1 ~queue_capacity:8 ~telemetry:false engine)
+    S.create (S.config ~workers:1 ~queue_capacity:8 engine)
   in
   (match S.submit server (P.query ~max_sampled_rows:1 library_query) with
    | P.Err (P.Sampled_rows, _) -> ()
@@ -409,7 +476,7 @@ let test_serve_check_codes () =
 let test_tenant_accounting () =
   let engine = library_engine () in
   let server =
-    S.create (S.config ~workers:1 ~queue_capacity:8 ~telemetry:false engine)
+    S.create (S.config ~workers:1 ~queue_capacity:8 engine)
   in
   ignore (S.submit server (P.query ~client_id:"alpha" library_query));
   ignore (S.submit server (P.query ~client_id:"alpha" other_query));
@@ -426,7 +493,7 @@ let test_tenant_accounting () =
 let test_tenant_flood_bounded () =
   let engine = library_engine () in
   let server =
-    S.create (S.config ~workers:1 ~queue_capacity:8 ~telemetry:false engine)
+    S.create (S.config ~workers:1 ~queue_capacity:8 engine)
   in
   for i = 1 to 50 do
     ignore
@@ -434,11 +501,7 @@ let test_tenant_flood_bounded () =
          (P.query ~client_id:(Printf.sprintf "flood%02d" i) library_query))
   done;
   S.shutdown server;
-  let cap =
-    match S.recorder server with
-    | Some rc -> Rox_telemetry.Recorder.tenant_cap rc
-    | None -> Alcotest.fail "recorder is on by default"
-  in
+  let cap = Rox_telemetry.Recorder.tenant_cap in
   let tenants = S.tenants server in
   Alcotest.(check bool) "tenants bounded to tenant_cap + 1" true
     (List.length tenants <= cap + 1);
@@ -450,16 +513,7 @@ let test_tenant_flood_bounded () =
       (S.stats_kvs server)
   in
   Alcotest.(check bool) "STATS tenant.* keys bounded" true
-    (List.length tenant_keys <= cap + 1);
-  let off =
-    S.create
-      (S.config ~workers:1 ~queue_capacity:8 ~telemetry:false ~recorder:false
-         engine)
-  in
-  ignore (S.submit off (P.query ~client_id:"x" library_query));
-  S.shutdown off;
-  Alcotest.(check (list (pair string int))) "no tenants with the recorder off"
-    [] (S.tenants off)
+    (List.length tenant_keys <= cap + 1)
 
 (* ---------- end-to-end: protocol session over a socketpair ------------- *)
 
@@ -524,7 +578,7 @@ let test_socketpair_session_two_domains () =
 let test_sigpipe_ignored_on_closed_peer () =
   let engine = library_engine () in
   (* create installs the process-wide SIGPIPE ignore … *)
-  let server = S.create (S.config ~workers:0 ~telemetry:false engine) in
+  let server = S.create (S.config ~workers:0 engine) in
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.close b;
   (* … so a write to a closed peer surfaces as EPIPE instead of killing
@@ -538,7 +592,7 @@ let test_sigpipe_ignored_on_closed_peer () =
 
 let test_client_disconnects_mid_session () =
   let engine = library_engine () in
-  let server = S.create (S.config ~workers:2 ~telemetry:false engine) in
+  let server = S.create (S.config ~workers:2 engine) in
   let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* The client fires a query and hangs up without reading the reply; the
      handler must treat the dead peer as a normal close, not raise. *)
@@ -551,7 +605,7 @@ let test_client_disconnects_mid_session () =
 let test_connection_cap () =
   let engine = library_engine () in
   let server =
-    S.create (S.config ~workers:1 ~max_connections:1 ~telemetry:false engine)
+    S.create (S.config ~workers:1 ~max_connections:1 engine)
   in
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -685,11 +739,7 @@ let test_flight_recorder_scrape () =
   Alcotest.(check int) "RECENT honours n" 1 (List.length (S.recent_lines server 1));
   (* TRACE: a retained id exports a valid Chrome trace; an unknown id is
      ERR not_found. *)
-  let rc =
-    match S.recorder server with
-    | Some rc -> rc
-    | None -> Alcotest.fail "recorder is on by default"
-  in
+  let rc = Option.get (S.recorder server) in
   let retained_id =
     match Rox_telemetry.Recorder.traces rc with
     | (id, _, _, _) :: _ -> id
@@ -733,11 +783,7 @@ let test_retained_trace_has_plan_events () =
       .Rox_core.Optimizer.edge_order
   in
   Alcotest.(check bool) "the plan executes edges" true (plan <> []);
-  let rc =
-    match S.recorder server with
-    | Some rc -> rc
-    | None -> Alcotest.fail "recorder is on by default"
-  in
+  let rc = Option.get (S.recorder server) in
   let ok_ids =
     List.filter_map
       (fun (id, r, _, _) ->
@@ -856,4 +902,6 @@ let suite =
     Alcotest.test_case "retained trace carries the plan's events" `Quick
       test_retained_trace_has_plan_events;
     Alcotest.test_case "tenant flood bounded" `Quick test_tenant_flood_bounded;
+    Alcotest.test_case "slow log: retained only where a trace was kept" `Quick
+      test_slow_log_retained_matches_traces;
   ]

@@ -487,33 +487,37 @@ let mk_record ?(tenant = "local") ?(outcome = Recorder.Executed)
   }
 
 let test_recorder_ring_wrap () =
-  let rc = Recorder.create ~cap:4 ~head_every:0 () in
-  for _ = 1 to 10 do
+  let rc = Recorder.create () in
+  let n = Recorder.cap + 44 in
+  for _ = 1 to n do
     ignore (Recorder.observe rc (mk_record rc ()) : Recorder.reason option)
   done;
-  check_int "records counts every append" 10 (Recorder.records rc);
-  check_int "dropped = observed - cap" 6 (Recorder.dropped rc);
-  let recent = Recorder.recent rc 100 in
-  check_int "ring keeps cap survivors" 4 (List.length recent);
+  check_int "records counts every append" n (Recorder.records rc);
+  check_int "dropped = observed - cap" 44 (Recorder.dropped rc);
+  check_int "ring keeps cap survivors" Recorder.cap
+    (List.length (Recorder.recent rc (2 * n)));
   Alcotest.(check (list int))
-    "survivors are the newest, newest first" [ 10; 9; 8; 7 ]
-    (List.map (fun r -> r.Recorder.trace_id) recent);
-  check_int "recent honours n" 2 (List.length (Recorder.recent rc 2));
+    "survivors are the newest, newest first" [ n; n - 1; n - 2; n - 3 ]
+    (List.map (fun r -> r.Recorder.trace_id) (Recorder.recent rc 4));
+  check_bool "the oldest survivor is the first not overwritten" true
+    (List.for_all
+       (fun r -> r.Recorder.trace_id > 44)
+       (Recorder.recent rc (2 * n)));
   (* RX701: the record count must balance the submissions. *)
   Alcotest.(check (list string)) "RX701 clean when balanced" []
     (List.map
        (fun d -> d.A.Diagnostic.code)
-       (A.Recorder_check.check ~submitted:10 rc));
+       (A.Recorder_check.check ~submitted:n rc));
   check_bool "RX701 fires on imbalance" true
     (List.exists
        (fun d -> d.A.Diagnostic.code = "RX701")
-       (A.Recorder_check.check ~submitted:11 rc))
+       (A.Recorder_check.check ~submitted:(n + 1) rc))
 
 (* Two domains share one ring: nothing is lost or double-counted, and
    recent sees both domains' survivors. *)
 let test_recorder_two_domain_conservation () =
-  let k = 50 in
-  let rc = Recorder.create ~cap:4 ~head_every:0 () in
+  let k = 150 in
+  let rc = Recorder.create () in
   let writer () =
     Domain.spawn (fun () ->
         for _ = 1 to k do
@@ -524,9 +528,11 @@ let test_recorder_two_domain_conservation () =
   Domain.join a;
   Domain.join b;
   check_int "records = 2k" (2 * k) (Recorder.records rc);
-  check_int "dropped = 2k - cap" ((2 * k) - 4) (Recorder.dropped rc);
-  let ids = List.map (fun r -> r.Recorder.trace_id) (Recorder.recent rc 100) in
-  check_int "recent returns the cap" 4 (List.length ids);
+  check_int "dropped = 2k - cap" ((2 * k) - Recorder.cap) (Recorder.dropped rc);
+  let ids =
+    List.map (fun r -> r.Recorder.trace_id) (Recorder.recent rc (2 * k))
+  in
+  check_int "recent returns the cap" Recorder.cap (List.length ids);
   Alcotest.(check (list int))
     "distinct, descending by trace id"
     (List.sort_uniq (fun x y -> compare y x) ids)
@@ -539,7 +545,7 @@ let test_recorder_two_domain_conservation () =
 (* Retention on one domain is judged against the latencies every domain
    served, and threshold_ns is that same bar. *)
 let test_recorder_threshold_shared_across_domains () =
-  let rc = Recorder.create ~head_every:0 () in
+  let rc = Recorder.create () in
   Domain.join
     (Domain.spawn (fun () ->
          for _ = 1 to 32 do
@@ -564,30 +570,31 @@ let test_recorder_threshold_shared_across_domains () =
   check_bool "at threshold_ns: Slow" true (at = Some Recorder.Slow)
 
 let test_recorder_threshold_monotone () =
-  let rc =
-    Recorder.create ~warmup:8 ~quantile:0.5 ~floor_ns:1000 ~head_every:0 ()
-  in
-  check_int "unarmed threshold is the floor" 1000 (Recorder.threshold_ns rc);
-  for _ = 1 to 7 do
-    ignore (Recorder.observe rc (mk_record rc ~latency_ns:1_000_000 ()))
+  let rc = Recorder.create () in
+  check_int "unarmed threshold is the floor" Recorder.floor_ns
+    (Recorder.threshold_ns rc);
+  for _ = 1 to Recorder.warmup - 1 do
+    ignore (Recorder.observe rc (mk_record rc ~latency_ns:4_000_000 ()))
   done;
-  check_int "below warmup still the floor" 1000 (Recorder.threshold_ns rc);
-  ignore (Recorder.observe rc (mk_record rc ~latency_ns:1_000_000 ()));
+  check_int "below warmup still the floor" Recorder.floor_ns
+    (Recorder.threshold_ns rc);
+  ignore (Recorder.observe rc (mk_record rc ~latency_ns:4_000_000 ()));
   let armed = Recorder.threshold_ns rc in
-  check_bool "warmup arms the quantile above the floor" true (armed > 1000);
-  (* Feeding ever-slower batches can only raise the bar: the median of a
-     right-shifted mass never moves left. *)
+  check_bool "warmup arms the quantile above the floor" true
+    (armed > Recorder.floor_ns);
+  (* Feeding ever-slower batches can only raise the bar: the quantile of
+     a right-shifted mass never moves left. *)
   let last = ref armed in
   List.iter
     (fun lat ->
-      for _ = 1 to 8 do
+      for _ = 1 to Recorder.warmup do
         ignore (Recorder.observe rc (mk_record rc ~latency_ns:lat ()))
       done;
       let now = Recorder.threshold_ns rc in
       check_bool "threshold never decreases under slower load" true
         (now >= !last);
       last := now)
-    [ 2_000_000; 8_000_000; 32_000_000 ]
+    [ 8_000_000; 32_000_000; 128_000_000 ]
 
 (* A retained trace as the served path builds it: one real sink's
    snapshot, here holding a single span named [name]. *)
@@ -602,22 +609,20 @@ let single_span_name = function
   | None -> None
 
 let test_recorder_retention () =
-  (* warmup never reached and head sampling off: only Errored and the
-     floor-crossing Slow path can retain. *)
-  let rc =
-    Recorder.create ~retain_cap:2 ~head_every:0 ~floor_ns:1000 ~warmup:1000 ()
-  in
+  (* Warmup not reached and trace ids below the head-sampling period:
+     only Errored and the floor-crossing Slow path can retain. *)
+  let rc = Recorder.create () in
   let err = mk_record rc ~status:"deadline" ~latency_ns:1 () in
   (match Recorder.observe rc err with
    | Some Recorder.Errored -> ()
    | _ -> Alcotest.fail "errored must retain whatever its latency");
-  let slow = mk_record rc ~latency_ns:5_000 () in
+  let slow = mk_record rc ~latency_ns:5_000_000 () in
   (match Recorder.observe rc slow with
    | Some Recorder.Slow -> ()
    | _ -> Alcotest.fail "latency past the floor must retain");
   (match
      Recorder.observe rc
-       (mk_record rc ~outcome:Recorder.Rejected ~latency_ns:5_000 ())
+       (mk_record rc ~outcome:Recorder.Rejected ~latency_ns:5_000_000 ())
    with
    | None -> ()
    | Some _ -> Alcotest.fail "a rejection's latency is not service time");
@@ -649,45 +654,63 @@ let test_recorder_retention () =
    | Some (_, Recorder.Errored, _) ->
      check_bool "re-retain is a no-op" true (single_span_name found = Some "first")
    | _ -> Alcotest.fail "re-retain must keep the original");
-  let third = mk_record rc ~status:"busy" ~latency_ns:1 () in
-  ignore (Recorder.observe rc third);
-  Recorder.retain rc third Recorder.Errored (snap ());
-  check_int "retain_cap holds" 2 (Recorder.retained_count rc);
+  (* Retaining retain_cap - 1 more fills the bound; one past it evicts
+     exactly the oldest. *)
+  let more () =
+    let r = mk_record rc ~status:"busy" ~latency_ns:1 () in
+    ignore (Recorder.observe rc r);
+    Recorder.retain rc r Recorder.Errored (snap ());
+    r
+  in
+  for _ = 1 to Recorder.retain_cap - 2 do
+    ignore (more () : Recorder.record)
+  done;
+  check_int "retain_cap reached" Recorder.retain_cap
+    (Recorder.retained_count rc);
+  check_bool "nothing evicted at the bound" true
+    (Recorder.find_trace rc err.Recorder.trace_id <> None);
+  let newest = more () in
+  check_int "retain_cap holds" Recorder.retain_cap (Recorder.retained_count rc);
   check_bool "oldest is FIFO-evicted" true
     (Recorder.find_trace rc err.Recorder.trace_id = None);
+  check_bool "second oldest survives" true
+    (Recorder.find_trace rc slow.Recorder.trace_id <> None);
   check_bool "newest survives" true
-    (Recorder.find_trace rc third.Recorder.trace_id <> None);
+    (Recorder.find_trace rc newest.Recorder.trace_id <> None);
   check_bool "unknown id is None" true (Recorder.find_trace rc 999_999 = None);
   (* Retained well-nested spans keep RX702 quiet. *)
   Alcotest.(check (list string)) "RX702 clean" []
     (List.map (fun d -> d.A.Diagnostic.code) (A.Recorder_check.check rc))
 
 let test_recorder_head_sampling () =
-  (* Slow retention pushed out of reach: only the 1-in-4 head sample by
-     trace id fires. Ids are 1-based, so the 4th and 8th records hit. *)
-  let rc = Recorder.create ~head_every:4 ~floor_ns:max_int ~warmup:max_int () in
+  (* Every latency sits under the 1 ms floor, so Slow never fires: only
+     the 1-in-head_every head sample by trace id does. Ids are 1-based,
+     so the 128th and 256th records hit. *)
+  let rc = Recorder.create () in
   let hits = ref [] in
-  for _ = 1 to 8 do
+  for _ = 1 to 2 * Recorder.head_every do
     let r = mk_record rc () in
     match Recorder.observe rc r with
     | Some Recorder.Head_sampled -> hits := r.Recorder.trace_id :: !hits
     | Some _ -> Alcotest.fail "only head sampling can fire here"
     | None -> ()
   done;
-  Alcotest.(check (list int)) "1-in-4 by trace id" [ 4; 8 ] (List.rev !hits)
+  Alcotest.(check (list int)) "1-in-128 by trace id" [ 128; 256 ] (List.rev !hits)
 
 let test_recorder_tenant_bound () =
-  let rc = Recorder.create ~tenant_cap:2 ~head_every:0 () in
+  let rc = Recorder.create () in
   List.iter
     (fun tenant -> ignore (Recorder.observe rc (mk_record rc ~tenant ())))
-    [ "a"; "b"; "c"; "d"; "a" ];
-  (* Four distinct tenants, cap 2: c and d fold into "other". *)
-  check_int "registry bounded to cap + other" 3 (Recorder.tenant_count rc);
+    [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "i"; "j"; "a" ];
+  (* Ten distinct tenants, cap 8: i and j fold into "other". *)
+  check_int "registry bounded to cap + other" (Recorder.tenant_cap + 1)
+    (Recorder.tenant_count rc);
   ignore (Recorder.observe rc (mk_record rc ~tenant:"other" ~status:"busy" ()));
   let stats = Recorder.tenant_stats rc in
   Alcotest.(check (list (pair string int)))
     "sorted by tenant, overflow folded"
-    [ ("a", 2); ("b", 1); ("other", 3) ]
+    [ ("a", 2); ("b", 1); ("c", 1); ("d", 1); ("e", 1); ("f", 1); ("g", 1);
+      ("h", 1); ("other", 3) ]
     (List.map (fun s -> (s.Recorder.tenant, s.Recorder.requests)) stats);
   let other = List.find (fun s -> s.Recorder.tenant = "other") stats in
   check_int "errors land on the overflow series" 1 other.Recorder.errors;
@@ -698,12 +721,13 @@ let test_recorder_tenant_bound () =
     ignore
       (Recorder.observe rc (mk_record rc ~tenant:(Printf.sprintf "t%d" i) ()))
   done;
-  check_int "flood cannot grow the registry" 3 (Recorder.tenant_count rc);
+  check_int "flood cannot grow the registry" (Recorder.tenant_cap + 1)
+    (Recorder.tenant_count rc);
   Alcotest.(check (list string)) "RX703 clean" []
     (List.map (fun d -> d.A.Diagnostic.code) (A.Recorder_check.check rc))
 
 let test_recorder_hostile_tenant_label () =
-  let rc = Recorder.create ~head_every:0 () in
+  let rc = Recorder.create () in
   let hostile = "evil\"tenant\\x\nboom" in
   ignore (Recorder.observe rc (mk_record rc ~tenant:hostile ()));
   let page = Recorder.prometheus rc in
@@ -753,14 +777,25 @@ let test_recorder_slow_log_file () =
       (Printf.sprintf "rox_recorder_log_%d.jsonl" (Unix.getpid ()))
   in
   (try Sys.remove path with Sys_error _ -> ());
-  let rc = Recorder.create ~slow_log:path ~slow_ms:1 ~head_every:0 () in
-  ignore (Recorder.observe rc (mk_record rc ~latency_ns:2_000_000 ()));
-  ignore (Recorder.observe rc (mk_record rc ~latency_ns:10 ()));
-  ignore (Recorder.observe rc (mk_record rc ~latency_ns:10 ~status:"busy" ()));
+  check_bool "negative slow_ms rejected" true
+    (match Recorder.create ~slow_ms:(-1) () with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  let rc = Recorder.create ~slow_log:path ~slow_ms:1 () in
+  let request ?(status = "ok") latency_ns =
+    ignore
+      (Recorder.record_request rc ~trace_id:(Recorder.next_trace_id rc)
+         ~query:"q" ~tenant:"local" ~outcome:Recorder.Executed ~status
+         ~latency_ns ~queue_ns:0 None
+        : Recorder.record)
+  in
+  request 2_000_000;
+  request 10;
+  request ~status:"busy" 10;
   check_int "slow + errored logged, fast skipped" 2 (Recorder.log_lines rc);
   Recorder.close rc;
   Recorder.close rc (* idempotent *);
-  ignore (Recorder.observe rc (mk_record rc ~latency_ns:2_000_000 ()));
+  request 2_000_000;
   check_int "closed log stops counting" 2 (Recorder.log_lines rc);
   check_int "but records keep flowing" 4 (Recorder.records rc);
   let ic = open_in path in
@@ -779,6 +814,59 @@ let test_recorder_slow_log_file () =
       | Ok _ -> ()
       | Error m -> Alcotest.failf "slow-log line must parse: %s" m)
     !lines
+
+(* The record builder: the fingerprint is the MD5 prefix of the query
+   text, cache counters and per-edge timings are read from the run's
+   sink, and an errored run's tree is retained under its trace id. *)
+let test_recorder_record_request () =
+  let rc = Recorder.create () in
+  let sink = Sink.create ~enabled:true () in
+  let m = Sink.metrics sink in
+  Metrics.incr ~by:2 m.Metrics.relation_cache_hits;
+  Metrics.incr m.Metrics.estimate_cache_hits;
+  Metrics.incr m.Metrics.estimate_cache_misses;
+  Sink.with_span sink "query" (fun () ->
+      List.iter
+        (fun e ->
+          Sink.with_span sink "execute_edge"
+            ~attrs:(fun () -> [ ("edge", string_of_int e) ])
+            ignore)
+        [ 3; 1 ]);
+  let r =
+    Recorder.record_request rc ~trace_id:(Recorder.next_trace_id rc)
+      ~query:"for $x in doc(\"a.xml\")//b return $x" ~tenant:"alpha"
+      ~outcome:Recorder.Executed ~status:"deadline" ~latency_ns:5 ~queue_ns:2
+      (Some
+         { Recorder.sink; plan = [ 3; 1 ]; sampling_units = 11;
+           execution_units = 13 })
+  in
+  check_string "fingerprint is the MD5 prefix"
+    (String.sub
+       (Digest.to_hex (Digest.string "for $x in doc(\"a.xml\")//b return $x"))
+       0 12)
+    r.Recorder.fingerprint;
+  check_string "plan digest" (Recorder.plan_digest [ 3; 1 ]) r.Recorder.plan_digest;
+  check_int "plan edges" 2 r.Recorder.plan_edges;
+  check_int "sampling spend" 11 r.Recorder.sampling_units;
+  check_int "execution spend" 13 r.Recorder.execution_units;
+  check_int "cache hits: relation + estimate" 3 r.Recorder.cache_hits;
+  check_int "cache misses" 1 r.Recorder.cache_misses;
+  Alcotest.(check (list int)) "per-edge timings in close order" [ 3; 1 ]
+    (List.map fst r.Recorder.edge_ns);
+  (match Recorder.find_trace rc r.Recorder.trace_id with
+   | Some (kept, Recorder.Errored, _) ->
+     check_int "the record rides along" r.Recorder.trace_id
+       kept.Recorder.trace_id
+   | _ -> Alcotest.fail "an errored run must be retained");
+  let bare =
+    Recorder.record_request rc ~trace_id:(Recorder.next_trace_id rc)
+      ~query:"q" ~tenant:"alpha" ~outcome:Recorder.Rejected ~status:"busy"
+      ~latency_ns:5 ~queue_ns:0 None
+  in
+  check_int "no run: no spend" 0 bare.Recorder.sampling_units;
+  check_string "no run: no plan" "-" bare.Recorder.plan_digest;
+  check_bool "no run: nothing to retain" true
+    (Recorder.find_trace rc bare.Recorder.trace_id = None)
 
 let suite =
   [
@@ -812,6 +900,7 @@ let suite =
     ("recorder: hostile tenant labels", `Quick, test_recorder_hostile_tenant_label);
     ("recorder: slow-log JSON shape", `Quick, test_recorder_json_shape);
     ("recorder: slow-log file lifecycle", `Quick, test_recorder_slow_log_file);
+    ("recorder: one record builder", `Quick, test_recorder_record_request);
     ("recorder: two-domain conservation", `Quick, test_recorder_two_domain_conservation);
     ("recorder: one threshold across domains", `Quick,
      test_recorder_threshold_shared_across_domains);
