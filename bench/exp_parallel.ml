@@ -17,44 +17,53 @@ open Bench_common
 
 let queries = [ q1_query "<" 145; q1_query ">" 145; q1_query "<" 60 ]
 
-(* With [?aggregate], each query runs under a fresh per-session telemetry
-   sink that is absorbed into the shared mutex-guarded process registry
-   after the run — the multi-domain serving pattern the telemetry layer is
-   built for. Sinks are session-local; only the aggregate crosses domains. *)
-let run_one ?cache ?aggregate compiled =
+(* With [?merged] (a registry owned by the calling domain), each query
+   runs under a fresh per-session telemetry sink whose registry is merged
+   into it after the run. Sinks and registries are single-domain; they
+   cross domains only as the values [Domain.join] returns. *)
+let run_one ?cache ?merged compiled =
   let telemetry =
-    match aggregate with
+    match merged with
     | None -> Rox_telemetry.Sink.null ()
     | Some _ -> Rox_telemetry.Sink.create ~enabled:true ()
   in
   let session = Rox_core.Session.create ?cache ~telemetry () in
   let answer = fst (Rox_core.Optimizer.answer session compiled) in
-  (match aggregate with
-   | Some agg -> Rox_telemetry.Aggregate.absorb agg (Rox_telemetry.Sink.metrics telemetry)
-   | None -> ());
+  Option.iter
+    (fun into ->
+      Rox_telemetry.Metrics.add_into ~into (Rox_telemetry.Sink.metrics telemetry))
+    merged;
   answer
 
 (* Each domain executes [iters] passes over the whole query list and
-   returns the answers of its last pass (for the bit-identity check). *)
-let domain_work ?cache ?aggregate compiled_list iters () =
+   returns the answers of its last pass (for the bit-identity check) and,
+   with [~telemetry], its sessions' registries merged into one. *)
+let domain_work ?cache ~telemetry compiled_list iters () =
+  let merged = if telemetry then Some (Rox_telemetry.Metrics.create ()) else None in
   let answers = ref [] in
   for _ = 1 to iters do
-    answers := List.map (fun c -> run_one ?cache ?aggregate c) compiled_list
+    answers := List.map (fun c -> run_one ?cache ?merged c) compiled_list
   done;
-  !answers
+  (!answers, merged)
 
-let measure ~domains ~iters ?cache ?aggregate compiled_list =
+(* The per-domain registries come back through [Domain.join] and are
+   merged here, on the parent. *)
+let measure ~domains ~iters ?cache ?(telemetry = false) compiled_list =
   let t0 = Unix.gettimeofday () in
   let spawned =
     List.init (domains - 1) (fun _ ->
-        Domain.spawn (domain_work ?cache ?aggregate compiled_list iters))
+        Domain.spawn (domain_work ?cache ~telemetry compiled_list iters))
   in
-  let mine = domain_work ?cache ?aggregate compiled_list iters () in
+  let mine = domain_work ?cache ~telemetry compiled_list iters () in
   let others = List.map Domain.join spawned in
   let dt = Unix.gettimeofday () -. t0 in
   let total_runs = domains * iters * List.length compiled_list in
   let qps = float_of_int total_runs /. dt in
-  (qps, dt, mine :: others)
+  let merged = Rox_telemetry.Metrics.create () in
+  List.iter
+    (fun (_, m) -> Option.iter (Rox_telemetry.Metrics.add_into ~into:merged) m)
+    (mine :: others);
+  (qps, dt, List.map fst (mine :: others), merged)
 
 let answers_equal lists =
   match lists with
@@ -138,7 +147,7 @@ let run ?(factor = 0.25) ?(iters = 3) () =
   let runs =
     List.map
       (fun domains ->
-        let qps, dt, per_domain = measure ~domains ~iters compiled_list in
+        let qps, dt, per_domain, _ = measure ~domains ~iters compiled_list in
         let identical =
           answers_equal per_domain
           && List.for_all (fun l -> l = reference) per_domain
@@ -151,31 +160,28 @@ let run ?(factor = 0.25) ?(iters = 3) () =
   (* Shared-cache sanity: two domains hammer one mutex-guarded store;
      answers must still match the cache-off reference. *)
   let store = Rox_cache.Store.of_megabytes engine 32 in
-  let _, _, cached = measure ~domains:2 ~iters ~cache:store compiled_list in
+  let _, _, cached, _ = measure ~domains:2 ~iters ~cache:store compiled_list in
   let cache_ok =
     answers_equal cached && List.for_all (fun l -> l = reference) cached
   in
   Printf.printf "shared cache, 2 domains: answers %s\n%!"
     (if cache_ok then "identical" else "DIVERGED");
-  (* Telemetry aggregate sanity: per-session sinks absorbed across domains
-     must account for exactly one queries_served per run. *)
-  let aggregate = Rox_telemetry.Aggregate.create () in
+  (* Telemetry sanity: per-session registries merged per domain, then
+     across domains, must account for exactly one queries_served per run. *)
   let telemetry_domains = 2 in
-  let _, _, with_telemetry =
-    measure ~domains:telemetry_domains ~iters ~aggregate compiled_list
+  let _, _, with_telemetry, merged =
+    measure ~domains:telemetry_domains ~iters ~telemetry:true compiled_list
   in
   let telemetry_answers_ok =
     answers_equal with_telemetry
     && List.for_all (fun l -> l = reference) with_telemetry
   in
-  let served, merges =
-    Rox_telemetry.Aggregate.with_metrics aggregate (fun m ->
-        ( m.Rox_telemetry.Metrics.queries_served.Rox_telemetry.Metrics.c_value,
-          m.Rox_telemetry.Metrics.aggregate_merges.Rox_telemetry.Metrics.c_value ))
+  let served =
+    merged.Rox_telemetry.Metrics.queries_served.Rox_telemetry.Metrics.c_value
   in
   let expected_served = telemetry_domains * iters * List.length queries in
   let telemetry_ok = served = expected_served && telemetry_answers_ok in
-  Printf.printf "telemetry aggregate, %d domains: %d/%d queries served%s\n%!"
+  Printf.printf "telemetry merge, %d domains: %d/%d queries served%s\n%!"
     telemetry_domains served expected_served
     (if telemetry_ok then "" else "  INCONSISTENT");
   (* Cache-hit throughput: the same hot fingerprints hammered from N
@@ -229,8 +235,6 @@ let run ?(factor = 0.25) ?(iters = 3) () =
     (Printf.sprintf "  \"telemetry_queries_served\": %d,\n" served);
   Buffer.add_string buf
     (Printf.sprintf "  \"telemetry_consistent\": %b,\n" telemetry_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"aggregate_merges\": %d,\n" merges);
   Buffer.add_string buf
     (Printf.sprintf
        "  \"cache_hit_leg\": {\"domains\": %d, \"qps\": %s, \"per_domain_qps\": [%s], \"qps_spread_pct\": %s, \"lock_waits\": %d, \"hits\": %d, \"identical\": %b},\n"

@@ -1,7 +1,7 @@
 (* Telemetry overhead on the Figure 5 workload (the DBLP 4-venue author
    chain): the same query run with telemetry off (null sink — one boolean
    test per instrumentation site), on (spans + metrics recorded, per-run
-   sinks absorbed into one aggregate registry), and with the flight
+   sinks merged into one plain registry), and with the flight
    recorder armed on top (per-run record append, tail-sampling retention
    decision, tenant series — the always-on production configuration).
 
@@ -41,12 +41,13 @@ let run ?(full = false) () =
   let run_off () =
     ignore (Rox_core.Optimizer.run (Rox_core.Session.create ()) compiled)
   in
-  let aggregate = Rox_telemetry.Aggregate.create () in
+  let merged = Rox_telemetry.Metrics.create () in
   let last_sink = ref (Rox_telemetry.Sink.null ()) in
   let session_on () =
-    (* Fresh sink per query, absorbed post-run — the serving pattern. *)
+    (* Fresh sink per query, merged post-run — the serving pattern. *)
     (match Rox_telemetry.Sink.enabled !last_sink, !last_sink with
-     | true, s -> Rox_telemetry.Aggregate.absorb aggregate (Rox_telemetry.Sink.metrics s)
+     | true, s ->
+       Rox_telemetry.Metrics.add_into ~into:merged (Rox_telemetry.Sink.metrics s)
      | false, _ -> ());
     let sink = Rox_telemetry.Sink.create ~enabled:true () in
     last_sink := sink;

@@ -94,6 +94,15 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
+(* An output path that cannot be opened or written (--slow-log,
+   --trace-out, --metrics-out, stat --out) is reported like an unreadable
+   --doc: one stderr line and exit 1, never an uncaught exception. *)
+let or_exit f =
+  try f ()
+  with Sys_error m ->
+    Printf.eprintf "%s\n" m;
+    exit 1
+
 let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
     max_sampled_rows count_only limit cache_mb cache_stats profile
     trace_out metrics_out slow_log slow_ms =
@@ -158,13 +167,14 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
       (match cache with Some store -> Rox_cache.Store.observe_into store m | None -> ());
       (match trace_out with
        | Some path ->
-         write_file path (Rox_telemetry.Export.chrome_trace [ (0, sink) ]);
+         or_exit (fun () ->
+             write_file path (Rox_telemetry.Export.chrome_trace [ (0, sink) ]));
          Printf.eprintf "wrote Chrome trace (%d span(s)) to %s\n"
            (Rox_telemetry.Sink.span_count sink) path
        | None -> ());
       (match metrics_out with
        | Some path ->
-         write_file path (Rox_telemetry.Export.prometheus m);
+         or_exit (fun () -> write_file path (Rox_telemetry.Export.prometheus m));
          Printf.eprintf "wrote metrics to %s\n" path
        | None -> ());
       if profile then prerr_string (Rox_telemetry.Export.profile ?work_units m)
@@ -177,7 +187,9 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
     match slow_log with
     | None -> None
     | Some path ->
-      Some (Rox_telemetry.Recorder.create ?slow_ms ~slow_log:path ())
+      Some
+        (or_exit (fun () ->
+             Rox_telemetry.Recorder.create ?slow_ms ~slow_log:path ()))
   in
   let cur_session = ref None in
   let t0 = Unix.gettimeofday () in
@@ -494,7 +506,7 @@ let racecheck_workload ~domains ~iters ~scale () =
   let race_diags =
     A.Race_fixtures.with_recording (fun () ->
         (* Everything is created *inside* the armed region so every cache,
-           engine epoch, aggregate and session registers its site. *)
+           engine epoch, server and session registers its site. *)
         let engine = Rox_storage.Engine.create () in
         let params = Rox_workload.Xmark.scaled scale in
         ignore
@@ -505,24 +517,20 @@ let racecheck_workload ~domains ~iters ~scale () =
           List.map (Rox_xquery.Compile.compile_string engine) queries
         in
         let cache = Rox_cache.Store.of_megabytes engine 8 in
-        let aggregate = Rox_telemetry.Aggregate.create () in
         A.Race_fixtures.fork_join domains (fun _ ->
             for _ = 1 to iters do
               List.iter
                 (fun compiled ->
                   let telemetry = Rox_telemetry.Sink.create ~enabled:true () in
                   let session = Rox_core.Session.create ~cache ~telemetry () in
-                  let answer =
-                    Rox_core.Session.confine session (fun () ->
-                        fst (Rox_core.Optimizer.answer session compiled))
-                  in
-                  ignore (answer : _ array);
-                  Rox_telemetry.Aggregate.absorb aggregate
-                    (Rox_telemetry.Sink.metrics telemetry))
+                  ignore
+                    (Rox_core.Session.confine session (fun () ->
+                         fst (Rox_core.Optimizer.answer session compiled))
+                      : _ array))
                 compiled_list
             done);
         (* Served pass: the same queries through the serving front-end's
-           shared state (admission queue, audit counters)
+           shared state (admission queue, ledger, session-registry merges)
            — client domains submitting against a 2-worker pool, so the
            recording covers the server's mutex discipline too. *)
         let server =
@@ -633,9 +641,10 @@ let serve_smoke scale slow_log slow_ms =
       : Rox_storage.Engine.docref);
   let cache = Rox_cache.Store.of_megabytes engine 8 in
   let server =
-    Serve.create
-      (Serve.config ~cache ~workers:2 ~queue_capacity:16 ?slow_ms ?slow_log
-         engine)
+    or_exit (fun () ->
+        Serve.create
+          (Serve.config ~cache ~workers:2 ~queue_capacity:16 ?slow_ms ?slow_log
+             engine))
   in
   let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let handler = Thread.create (fun () -> Serve.handle_connection server srv_fd) () in
@@ -750,10 +759,13 @@ let serve_smoke scale slow_log slow_ms =
              (fun name -> contains_substring json (Printf.sprintf "\"name\": %S" name))
              [ "vertex_initialized"; "edge_weighted"; "chain_round"; "edge_executed" ]);
         (match slow_log with
-         | Some path ->
+         | Some path -> (
            let out = path ^ ".trace.json" in
-           write_file out json;
-           Printf.printf "serve-smoke: wrote retained trace %d to %s\n" id out
+           match write_file out json with
+           | () ->
+             Printf.printf "serve-smoke: wrote retained trace %d to %s\n" id out
+           | exception Sys_error m ->
+             Printf.printf "serve-smoke: retained trace not written: %s\n" m)
          | None -> ())
       | _ -> check "trace reply" false));
   send (Sproto.Trace_get 999_999);
@@ -771,7 +783,16 @@ let serve_smoke scale slow_log slow_ms =
     (Rox_telemetry.Recorder.records rc = 3);
   check "recorder RX7xx clean"
     (A.Recorder_check.check ~submitted:3 rc = []);
+  let regular path =
+    match Unix.stat path with
+    | st -> st.Unix.st_kind = Unix.S_REG
+    | exception Unix.Unix_error _ -> false
+  in
   (match slow_log with
+   | Some path when not (regular path) ->
+     (* A device or a pipe cannot be read back line by line. *)
+     Printf.printf "serve-smoke: slow log %s is not a regular file; read-back skipped\n"
+       path
    | Some path ->
      (* Every slow-log line must parse; the errored request always
         logs, so the file is never empty. *)
@@ -826,9 +847,10 @@ let serve_run docs socket port workers queue_cap max_conns cache_mb smoke scale
       else None
     in
     let server =
-      Serve.create
-        (Serve.config ?cache ~workers ~queue_capacity:queue_cap
-           ~max_connections:max_conns ?slow_ms ?slow_log engine)
+      or_exit (fun () ->
+          Serve.create
+            (Serve.config ?cache ~workers ~queue_capacity:queue_cap
+               ~max_connections:max_conns ?slow_ms ?slow_log engine))
     in
     let fd =
       match socket with
@@ -871,7 +893,9 @@ let profile_builtin trace_out metrics_out repeat scale slow_log slow_ms =
     match slow_log with
     | None -> None
     | Some path ->
-      Some (Rox_telemetry.Recorder.create ?slow_ms ~slow_log:path ())
+      Some
+        (or_exit (fun () ->
+             Rox_telemetry.Recorder.create ?slow_ms ~slow_log:path ()))
   in
   let sampling = ref 0 and execution = ref 0 in
   let queries = [ xmark_query "<"; xmark_query ">"; showdown_query ] in
@@ -908,13 +932,14 @@ let profile_builtin trace_out metrics_out repeat scale slow_log slow_ms =
   Rox_cache.Store.observe_into cache m;
   (match trace_out with
    | Some path ->
-     write_file path (Rox_telemetry.Export.chrome_trace [ (0, sink) ]);
+     or_exit (fun () ->
+         write_file path (Rox_telemetry.Export.chrome_trace [ (0, sink) ]));
      Printf.eprintf "wrote Chrome trace (%d span(s)) to %s\n"
        (Rox_telemetry.Sink.span_count sink) path
    | None -> ());
   (match metrics_out with
    | Some path ->
-     write_file path (Rox_telemetry.Export.prometheus m);
+     or_exit (fun () -> write_file path (Rox_telemetry.Export.prometheus m));
      Printf.eprintf "wrote metrics to %s\n" path
    | None -> ());
   print_string (Rox_telemetry.Export.profile ~work_units:(!sampling, !execution) m);
@@ -999,7 +1024,7 @@ let stat_run socket port metrics recent trace_id out =
     | Sproto.Trace_reply (id, json) ->
       (match out with
        | Some path ->
-         write_file path json;
+         or_exit (fun () -> write_file path json);
          Printf.eprintf "wrote trace %d to %s\n" id path
        | None -> print_endline json);
       0

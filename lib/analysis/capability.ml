@@ -100,15 +100,15 @@ let allowlist =
     (* -- telemetry ------------------------------------------------- *)
     f "lib/telemetry/metrics.ml" "counter.*"
       "single-owner: a Metrics.t belongs to one sink on one domain; \
-       cross-domain totals live in the Aggregate's own Metrics.t, \
-       mutated only under its mutex";
+       cross-domain totals live in the server's own Metrics.t, \
+       mutated only under its t.mutex";
     f "lib/telemetry/metrics.ml" "gauge.*"
       "single-owner: same discipline as counter.*";
     f "lib/telemetry/metrics.ml" "histogram.*"
       "single-owner: same discipline as counter.*";
     f "lib/telemetry/sink.ml" "t.*"
-      "single-owner: sinks are session-local; Aggregate.absorb moves \
-       totals into the aggregate under its mutex";
+      "single-owner: sinks are session-local; the server's complete \
+       merges a request's totals into its ledger under t.mutex";
     f "lib/telemetry/recorder.ml" "t.*"
       "mutex: the ring cursor and the slow-log state are read and \
        written only under the recorder's one t.mutex (the locked \

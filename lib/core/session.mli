@@ -60,8 +60,9 @@ val create :
 (** A fresh session: new RNG seeded from [config.seed], new cost counter
     (with the sampled-rows budget installed), and a null telemetry sink
     unless one is passed. Sessions are single-domain values
-    — share the engine, the cache and the telemetry {!Rox_telemetry.Aggregate}
-    across domains, never a session or its sink. *)
+    — share the engine and the cache across domains, never a session or
+    its sink; totals cross domains as merged {!Rox_telemetry.Metrics.t}
+    registries. *)
 
 val config : t -> config
 val seed : t -> int

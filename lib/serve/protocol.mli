@@ -70,7 +70,7 @@ type request =
   | Query of query
   | Ping
   | Stats
-  | Metrics     (** scrape: process aggregate + recorder/tenant series *)
+  | Metrics     (** scrape: the server's ledger + recorder/tenant series *)
   | Recent of int  (** the flight recorder's n newest request records *)
   | Trace_get of int  (** a retained trace by id *)
   | Quit

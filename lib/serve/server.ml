@@ -6,7 +6,6 @@ module Engine = Rox_storage.Engine
 module Accesslog = Rox_util.Accesslog
 module Sink = Rox_telemetry.Sink
 module Tm = Rox_telemetry.Metrics
-module Aggregate = Rox_telemetry.Aggregate
 module Clock = Rox_telemetry.Clock
 module Export = Rox_telemetry.Export
 module Recorder = Rox_telemetry.Recorder
@@ -67,17 +66,15 @@ type t = {
   mutex : Mutex.t;
   work : Condition.t;               (* signalled on push and on shutdown *)
   queue : pending Queue.t;
-  (* audit counters — the Serve_check.counts source of truth *)
-  mutable requests : int;
-  mutable responses : int;
-  mutable submitted : int;
-  mutable executed : int;
-  mutable rejected : int;
+  (* The one ledger: frames, replies and rejections are counted here,
+     each executed request observes its queue wait and serve latency and
+     merges its session registry here, all under t.mutex. The audit,
+     STATS and METRICS read it. *)
+  metrics : Tm.t;
+  mutable submitted : int;  (* QUERY requests offered to admission *)
   (* connection accounting — bounds the thread-per-connection pool *)
   mutable conns : int;
   mutable conn_rejected : int;
-  metrics : Tm.t;                   (* server-level instruments, mutex-guarded *)
-  aggregate : Aggregate.t;          (* absorbed per-request session sinks *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
   (* The flight recorder: always-on request records, tail-sampled trace
@@ -183,9 +180,6 @@ let run_query t (q : Protocol.query) ~deadline_ms =
         [] )
     | exn -> (Protocol.Err (Protocol.Internal, Printexc.to_string exn), [])
   in
-  (* One absorb per request: the session's sink merges into the
-     process aggregate under its mutex. *)
-  Aggregate.absorb t.aggregate (Sink.metrics sink);
   ( resp,
     {
       Recorder.sink;
@@ -215,13 +209,20 @@ let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
        ~tenant:q.Protocol.client_id ~outcome ~status ~latency_ns ~queue_ns run
       : Recorder.record)
 
-let complete t entry ~wait_ns resp =
+(* The request's one visit to the ledger: its serve_ns observation is the
+   audit's executed count, and its session registry (absent when the
+   deadline ran out in the queue) is merged in the same critical
+   section. *)
+let complete t entry ~wait_ns resp run =
   locked t (fun () ->
       Accesslog.record ~site:t.al_counts Write;
       entry.outcome <- Some resp;
-      t.executed <- t.executed + 1;
       Tm.observe t.metrics.Tm.queue_wait_ns wait_ns;
       Tm.observe t.metrics.Tm.serve_ns (Clock.elapsed_ns entry.submitted_ns);
+      Option.iter
+        (fun (r : Recorder.run) ->
+          Tm.add_into ~into:t.metrics (Sink.metrics r.Recorder.sink))
+        run;
       Condition.broadcast entry.done_c)
 
 let process t entry =
@@ -254,7 +255,7 @@ let process t entry =
      mutex, never t.mutex. *)
   record_request t ~trace_id:entry.trace_id ~q ~outcome:Recorder.Executed ~resp
     ~latency_ns:(Clock.elapsed_ns entry.submitted_ns) ~queue_ns:wait_ns run;
-  complete t entry ~wait_ns resp
+  complete t entry ~wait_ns resp run
 
 let take_locked t =
   (* Called with t.mutex held (worker loop / drain). *)
@@ -298,15 +299,10 @@ let create cfg =
       mutex = Mutex.create ();
       work = Condition.create ();
       queue = Queue.create ();
-      requests = 0;
-      responses = 0;
+      metrics = Tm.create ();
       submitted = 0;
-      executed = 0;
-      rejected = 0;
       conns = 0;
       conn_rejected = 0;
-      metrics = Tm.create ();
-      aggregate = Aggregate.create ();
       stopping = false;
       workers = [];
       recorder = Recorder.create ?slow_ms:cfg.slow_ms ?slow_log:cfg.slow_log ();
@@ -353,7 +349,6 @@ let shutdown t =
           Accesslog.record ~site:t.al_queue Write;
           let e = Queue.pop t.queue in
           Accesslog.record ~site:t.al_counts Write;
-          t.rejected <- t.rejected + 1;
           Tm.incr t.metrics.Tm.admission_rejects;
           e.outcome <- Some (Protocol.Err (Protocol.Busy, "server shutting down"));
           Condition.broadcast e.done_c;
@@ -386,7 +381,6 @@ let submit_async t (q : Protocol.query) =
         Accesslog.record ~site:t.al_counts Write;
         t.submitted <- t.submitted + 1;
         if t.stopping || Queue.length t.queue >= t.cfg.queue_capacity then begin
-          t.rejected <- t.rejected + 1;
           Tm.incr t.metrics.Tm.admission_rejects;
           `Rejected
         end
@@ -453,17 +447,22 @@ let drain_once t =
 
 let queue_depth t = locked t (fun () -> Queue.length t.queue)
 
+(* Read with t.mutex held. *)
+let audit_locked t =
+  let m = t.metrics in
+  {
+    Serve_check.sv_requests = m.Tm.requests_received.Tm.c_value;
+    sv_responses = m.Tm.responses_sent.Tm.c_value;
+    sv_submitted = t.submitted;
+    sv_executed = m.Tm.serve_ns.Tm.h_count;
+    sv_coalesced = 0;
+    sv_rejected = m.Tm.admission_rejects.Tm.c_value;
+  }
+
 let audit t =
   locked t (fun () ->
       Accesslog.record ~site:t.al_counts Read;
-      {
-        Serve_check.sv_requests = t.requests;
-        sv_responses = t.responses;
-        sv_submitted = t.submitted;
-        sv_executed = t.executed;
-        sv_coalesced = 0;
-        sv_rejected = t.rejected;
-      })
+      audit_locked t)
 
 let self_check t = Serve_check.check (audit t)
 
@@ -476,14 +475,15 @@ let stats_kvs t =
   let counts =
     locked t (fun () ->
         Accesslog.record ~site:t.al_counts Read;
+        let a = audit_locked t in
         [
           ("uptime_ms", string_of_int (Clock.elapsed_ns t.started_ns / 1_000_000));
           ("started_at", Printf.sprintf "%.3f" t.started_at);
-          ("requests", string_of_int t.requests);
-          ("responses", string_of_int t.responses);
-          ("submitted", string_of_int t.submitted);
-          ("executed", string_of_int t.executed);
-          ("rejected", string_of_int t.rejected);
+          ("requests", string_of_int a.Serve_check.sv_requests);
+          ("responses", string_of_int a.sv_responses);
+          ("submitted", string_of_int a.sv_submitted);
+          ("executed", string_of_int a.sv_executed);
+          ("rejected", string_of_int a.sv_rejected);
           ("queue_depth", string_of_int (Queue.length t.queue));
           ("connections", string_of_int t.conns);
           ("conn_rejected", string_of_int t.conn_rejected);
@@ -520,19 +520,20 @@ let stats_kvs t =
   counts @ recorder_kvs @ cache_kvs
   @ List.map (fun (k, v) -> ("tenant." ^ k, string_of_int v)) (tenants t)
 
-let aggregate t = t.aggregate
-
 let recorder t = Some t.recorder
 
+(* A private copy: the caller may keep or mutate it without reaching
+   the ledger. *)
 let metrics t =
   let snap = Tm.create () in
-  locked t (fun () -> Tm.add_into ~into:snap t.metrics);
-  Aggregate.with_metrics t.aggregate (fun m -> Tm.add_into ~into:snap m);
+  locked t (fun () ->
+      Accesslog.record ~site:t.al_counts Read;
+      Tm.add_into ~into:snap t.metrics);
   snap
 
-(* The METRICS scrape body: the merged process aggregate in text
-   exposition format, followed by the recorder's own series (records,
-   drops, retention, adaptive threshold, per-tenant labels). *)
+(* The METRICS scrape body: the server's ledger in text exposition
+   format, followed by the recorder's own series (records, drops,
+   retention, adaptive threshold, per-tenant labels). *)
 let metrics_text t =
   Export.prometheus (metrics t) ^ Recorder.prometheus t.recorder
 
@@ -567,13 +568,11 @@ let trace_response t id =
 let count_request t =
   locked t (fun () ->
       Accesslog.record ~site:t.al_counts Write;
-      t.requests <- t.requests + 1;
       Tm.incr t.metrics.Tm.requests_received)
 
 let reply t fd resp =
   locked t (fun () ->
       Accesslog.record ~site:t.al_counts Write;
-      t.responses <- t.responses + 1;
       Tm.incr t.metrics.Tm.responses_sent);
   Protocol.write_frame fd (Protocol.render_response resp)
 

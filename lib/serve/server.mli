@@ -25,16 +25,21 @@
     [ERR sampled_rows] / [ERR max_rows] reply — a served request never
     drops the connection the way the one-shot CLI exits with code 2.
 
-    Every request runs under a live telemetry sink that is absorbed into
-    the process {!aggregate}, and every submitted request — executed or
-    rejected — leaves one flight record through
+    Every request runs under a live telemetry sink whose registry is
+    merged into the server's one ledger when the request completes, and
+    every submitted request — executed or rejected — leaves one flight
+    record through
     {!Rox_telemetry.Recorder.record_request}; slow, errored and
     head-sampled span trees are retained by trace id. Frames are capped
     at {!Protocol.default_max_frame}.
 
-    All shared state ([t]'s queue and audit counters) is guarded by one
-    mutex and instrumented through {!Rox_util.Accesslog} when armed, so
-    [rox racecheck] covers a served workload. *)
+    All shared state — the queue, the connection counters and the ledger,
+    one {!Rox_telemetry.Metrics.t} that counts frames, replies,
+    rejections and executions and holds every merged session registry —
+    is guarded by one mutex and instrumented through
+    {!Rox_util.Accesslog} when armed, so [rox racecheck] covers a served
+    workload. The audit, STATS and METRICS all read the ledger, so each
+    served event is counted once. *)
 
 type config = {
   engine : Rox_storage.Engine.t;
@@ -67,7 +72,8 @@ type t
 
 val create : config -> t
 (** Spawns the worker domains and creates the flight recorder
-    (@raise Invalid_argument when [slow_ms < 0]). Also ignores
+    (@raise Invalid_argument when [slow_ms < 0], [Sys_error] when the
+    slow log cannot be opened). Also ignores
     [SIGPIPE] process-wide (once), so a client that disconnects before
     reading its reply surfaces as [EPIPE] on the write — an ordinary
     connection close — instead of killing the process. *)
@@ -122,19 +128,20 @@ val tenants : t -> (string * int) list
     ["other"]. *)
 
 val audit : t -> Rox_analysis.Serve_check.counts
-(** Snapshot the audit counters ({!Rox_analysis.Serve_check.check}
+(** Snapshot the audit counts, read from the ledger: [sv_requests],
+    [sv_responses] and [sv_rejected] are its [requests_received],
+    [responses_sent] and [admission_rejects] counters, [sv_executed] its
+    [serve_ns] observation count ({!Rox_analysis.Serve_check.check}
     expects a quiescent snapshot — take it after {!shutdown}). *)
 
 val self_check : t -> Rox_analysis.Diagnostic.t list
 (** [Serve_check.check (audit t)]. *)
 
 val metrics : t -> Rox_telemetry.Metrics.t
-(** A merged snapshot: the server's own instruments (queue depth,
-    admission rejects, queue-wait and serve latency) plus
-    the absorbed per-request session registries. *)
-
-val aggregate : t -> Rox_telemetry.Aggregate.t
-(** The process aggregate per-request sinks are absorbed into. *)
+(** A private copy of the ledger, taken under the server's mutex: the
+    server's own instruments (frames, replies, admission rejects, queue
+    depth, queue-wait and serve latency) plus the merged per-request
+    session registries. Mutating the copy does not reach the server. *)
 
 val recorder : t -> Rox_telemetry.Recorder.t option
 (** The flight recorder; always [Some]. The option stays only because

@@ -114,42 +114,48 @@ let chrome_trace ?process_name sinks =
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                         *)
 
+let histogram_series buf ?label (h : Metrics.histogram) =
+  let name = h.Metrics.h_name in
+  (* [inner] opens a bucket's label set, [outer] is the whole label set
+     of the _sum and _count lines. *)
+  let inner, outer =
+    match label with
+    | None -> ("", "")
+    | Some (k, v) ->
+      let l = Printf.sprintf "%s=\"%s\"" k (escape_label v) in
+      (l ^ ",", "{" ^ l ^ "}")
+  in
+  let highest = ref (-1) in
+  Array.iteri (fun i n -> if n > 0 then highest := i) h.Metrics.h_buckets;
+  let cum = ref 0 in
+  for i = 0 to !highest do
+    cum := !cum + h.Metrics.h_buckets.(i);
+    Printf.bprintf buf "%s_bucket{%sle=\"%d\"} %d\n" name inner
+      (Metrics.bucket_upper i) !cum
+  done;
+  Printf.bprintf buf "%s_bucket{%sle=\"+Inf\"} %d\n" name inner h.Metrics.h_count;
+  Printf.bprintf buf "%s_sum%s %d\n" name outer h.Metrics.h_sum;
+  Printf.bprintf buf "%s_count%s %d\n" name outer h.Metrics.h_count
+
 let prometheus (m : Metrics.t) =
   let buf = Buffer.create 4096 in
   let head name help kind =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
+    Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name help name kind
   in
   List.iter
     (fun (c : Metrics.counter) ->
       head c.Metrics.c_name c.Metrics.c_help "counter";
-      Buffer.add_string buf (Printf.sprintf "%s %d\n" c.Metrics.c_name c.Metrics.c_value))
+      Printf.bprintf buf "%s %d\n" c.Metrics.c_name c.Metrics.c_value)
     (Metrics.counters m);
   List.iter
     (fun (g : Metrics.gauge) ->
       head g.Metrics.g_name g.Metrics.g_help "gauge";
-      Buffer.add_string buf (Printf.sprintf "%s %g\n" g.Metrics.g_name g.Metrics.g_value))
+      Printf.bprintf buf "%s %g\n" g.Metrics.g_name g.Metrics.g_value)
     (Metrics.gauges m);
   List.iter
     (fun (h : Metrics.histogram) ->
       head h.Metrics.h_name h.Metrics.h_help "histogram";
-      let highest = ref (-1) in
-      Array.iteri
-        (fun i n -> if n > 0 then highest := i)
-        h.Metrics.h_buckets;
-      let cum = ref 0 in
-      for i = 0 to !highest do
-        cum := !cum + h.Metrics.h_buckets.(i);
-        Buffer.add_string buf
-          (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" h.Metrics.h_name
-             (Metrics.bucket_upper i) !cum)
-      done;
-      Buffer.add_string buf
-        (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" h.Metrics.h_name h.Metrics.h_count);
-      Buffer.add_string buf
-        (Printf.sprintf "%s_sum %d\n" h.Metrics.h_name h.Metrics.h_sum);
-      Buffer.add_string buf
-        (Printf.sprintf "%s_count %d\n" h.Metrics.h_name h.Metrics.h_count))
+      histogram_series buf h)
     (Metrics.histograms m);
   Buffer.contents buf
 

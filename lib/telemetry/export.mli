@@ -29,6 +29,15 @@ val escape_label : string -> string
     Everything emitted inside a label value's quotes — in particular
     client-supplied tenant ids — must pass through this. *)
 
+val histogram_series :
+  Buffer.t -> ?label:string * string -> Metrics.histogram -> unit
+(** Append [h]'s sample lines: the cumulative [_bucket{le="..."}] ladder
+    (log₂ bounds, buckets past the last observation folded into [+Inf]),
+    then [_sum] and [_count]. With [label = (key, value)] every line
+    carries [key="value"] (the value through {!escape_label}). The one
+    histogram writer: {!prometheus} and the flight recorder's per-tenant
+    series both print through it. *)
+
 val prometheus : Metrics.t -> string
 (** Text exposition format: [# HELP] / [# TYPE] per instrument, counters
     as [_total], histograms as cumulative [_bucket{le="..."}] ladders

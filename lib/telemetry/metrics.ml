@@ -39,7 +39,6 @@ type t = {
   queries_served : counter;
   budget_aborts : counter;
   spans_dropped : counter;
-  aggregate_merges : counter;
   requests_received : counter;
   responses_sent : counter;
   admission_rejects : counter;
@@ -91,9 +90,6 @@ let create () =
     budget_aborts =
       counter "rox_budget_aborts_total" "runs aborted by a deadline or sampling budget";
     spans_dropped = counter "rox_spans_dropped_total" "spans and events lost to the sink buffer cap";
-    aggregate_merges =
-      counter "rox_aggregate_merges_total"
-        "per-session registries merged into the process aggregate";
     requests_received =
       counter "rox_serve_requests_total" "protocol frames parsed by the server";
     responses_sent =
@@ -175,7 +171,7 @@ let counters t =
     t.sampling_time_ns; t.execution_time_ns; t.relation_cache_hits;
     t.relation_cache_misses; t.estimate_cache_hits; t.estimate_cache_misses;
     t.rows_materialized; t.pairs_emitted; t.edges_executed; t.chain_rounds;
-    t.queries_served; t.budget_aborts; t.spans_dropped; t.aggregate_merges;
+    t.queries_served; t.budget_aborts; t.spans_dropped;
     t.requests_received; t.responses_sent; t.admission_rejects;
   ]
 
@@ -192,9 +188,16 @@ let add_into ~into t =
   List.iter2
     (fun (a : gauge) b -> a.g_value <- Float.max a.g_value b.g_value)
     (gauges into) (gauges t);
+  (* The server merges every request's registry inside its critical
+     section, so keep this short: an empty histogram (every bucket 0) is
+     skipped, and the bucket adds are a plain loop. *)
   List.iter2
     (fun (a : histogram) b ->
-      a.h_count <- a.h_count + b.h_count;
-      a.h_sum <- a.h_sum + b.h_sum;
-      Array.iteri (fun i n -> a.h_buckets.(i) <- a.h_buckets.(i) + n) b.h_buckets)
+      if b.h_count > 0 then begin
+        a.h_count <- a.h_count + b.h_count;
+        a.h_sum <- a.h_sum + b.h_sum;
+        for i = 0 to n_buckets - 1 do
+          a.h_buckets.(i) <- a.h_buckets.(i) + b.h_buckets.(i)
+        done
+      end)
     (histograms into) (histograms t)

@@ -5,8 +5,8 @@
     signals — edge-execution latency, chain-round sampling cost, cache
     hit counts, rows materialized, queries served. A fixed shape (rather
     than registration-by-name) keeps increments allocation-free, makes
-    {!add_into} a structural merge, and means the multi-domain aggregate
-    never sees an instrument it does not know.
+    {!add_into} a structural merge, and means the server's registry
+    never absorbs an instrument it does not know.
 
     Histograms are log₂-scale: bucket [i] counts observations in
     [[2^i, 2^(i+1))] (bucket 0 also absorbs values ≤ 1). Durations are
@@ -57,7 +57,6 @@ type t = {
   queries_served : counter;
   budget_aborts : counter;       (** runs ended by [Cost.Budget_exceeded] *)
   spans_dropped : counter;       (** spans and events lost to the sink's buffer cap *)
-  aggregate_merges : counter;    (** registries merged into the {!Aggregate} *)
   requests_received : counter;   (** protocol frames parsed by [rox serve] *)
   responses_sent : counter;      (** protocol replies written by [rox serve] *)
   admission_rejects : counter;   (** requests bounced off a full queue *)
@@ -109,14 +108,15 @@ val histograms : t -> histogram list
 
 val add_into : into:t -> t -> unit
 (** Merge [t] into [into]: counters and histograms add, gauges take the
-    max. The multi-domain server's process aggregate is built from this —
-    see {!Aggregate}.
+    max. The multi-domain server builds its one ledger from this: each
+    request's session registry is merged into the server's own registry
+    under the server's mutex ([Rox_serve.Server.metrics]).
 
     The counter-vs-gauge rule. A *counter* measures work this registry's
     owner performed itself (requests served, rows materialized, spans
     dropped): each session's contribution is disjoint, so merging adds,
     and absorbing the same registry twice genuinely double-counts — call
-    sites must absorb a registry into a given aggregate at most once per
+    sites must merge a registry into a given target at most once per
     measurement interval. A *gauge* is a last-observed snapshot of shared
     state (cache residency, cache lock waits, queue depth): many sessions
     observe the *same* store, so adding would multiply one store's

@@ -220,7 +220,10 @@ let json_of_record ?reason (r : record) =
     ]
 
 (* The line is formatted outside the lock; only the write and the flush
-   hold it, so lines never interleave and close cannot race a write. *)
+   hold it, so lines never interleave and close cannot race a write. A
+   failed write (a full disk, a vanished mount) closes the log with one
+   stderr line: the slow log is a side channel, and the request being
+   recorded still gets its record, its retention and its reply. *)
 let slow_log t (r : record) reason =
   match t.log_chan with
   | Some oc when r.latency_ns >= t.slow_ms * 1_000_000 || r.status <> "ok" ->
@@ -228,11 +231,16 @@ let slow_log t (r : record) reason =
       Rox_util.Minijson.to_string (json_of_record ?reason r) ^ "\n"
     in
     locked t (fun () ->
-        if not t.log_closed then begin
-          output_string oc line;
-          flush oc;
-          t.log_lines <- t.log_lines + 1
-        end)
+        if not t.log_closed then
+          match
+            output_string oc line;
+            flush oc
+          with
+          | () -> t.log_lines <- t.log_lines + 1
+          | exception Sys_error m ->
+            t.log_closed <- true;
+            close_out_noerr oc;
+            Printf.eprintf "rox: slow log write failed (%s); slow log closed\n%!" m)
   | _ -> ()
 
 let log_lines t = locked t (fun () -> t.log_lines)
@@ -432,28 +440,7 @@ let prometheus t =
         head "rox_tenant_serve_duration_ns" "per-tenant served-request latency"
           "histogram";
         List.iter
-          (fun s ->
-            let label = Export.escape_label s.tenant in
-            let h = s.serve_ns in
-            let highest = ref (-1) in
-            Array.iteri
-              (fun i n -> if n > 0 then highest := i)
-              h.Metrics.h_buckets;
-            let cum = ref 0 in
-            for i = 0 to !highest do
-              cum := !cum + h.Metrics.h_buckets.(i);
-              Printf.bprintf buf
-                "rox_tenant_serve_duration_ns_bucket{tenant=\"%s\",le=\"%d\"} %d\n"
-                label (Metrics.bucket_upper i) !cum
-            done;
-            Printf.bprintf buf
-              "rox_tenant_serve_duration_ns_bucket{tenant=\"%s\",le=\"+Inf\"} %d\n"
-              label h.Metrics.h_count;
-            Printf.bprintf buf "rox_tenant_serve_duration_ns_sum{tenant=\"%s\"} %d\n"
-              label h.Metrics.h_sum;
-            Printf.bprintf buf
-              "rox_tenant_serve_duration_ns_count{tenant=\"%s\"} %d\n" label
-              h.Metrics.h_count)
+          (fun s -> Export.histogram_series buf ~label:("tenant", s.tenant) s.serve_ns)
           stats
       end);
   Buffer.contents buf

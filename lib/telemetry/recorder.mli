@@ -26,7 +26,8 @@
     structured JSONL line (via [Rox_util.Minijson]) for every record that
     errored or ran at least [slow_ms] milliseconds, after retention is
     settled. The line is formatted outside the mutex and written and
-    flushed inside it. *)
+    flushed inside it. A write that fails closes the log with one stderr
+    line; recording, retention and the caller carry on. *)
 
 (** {2 The policy} *)
 
@@ -78,7 +79,8 @@ type t
 val create : ?slow_ms:int -> ?slow_log:string -> unit -> t
 (** [slow_ms] (default 100) is the slow-log latency threshold;
     [slow_log] is the JSONL path (omit for no slow log).
-    @raise Invalid_argument when [slow_ms < 0]. *)
+    @raise Invalid_argument when [slow_ms < 0].
+    @raise Sys_error when [slow_log] cannot be opened for writing. *)
 
 val next_trace_id : t -> int
 (** Monotonic id assignment ([Atomic.fetch_and_add]); ids start at 1. *)
@@ -160,7 +162,8 @@ val tenant_stats : t -> tenant_stat list
 val tenant_count : t -> int
 
 val log_lines : t -> int
-(** Slow-log lines written so far (0 when no log is armed). *)
+(** Slow-log lines written so far (0 when no log is armed; a failed
+    write is not counted). *)
 
 val close : t -> unit
 (** Flush and close the slow log; further observations still record but

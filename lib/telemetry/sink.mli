@@ -17,7 +17,8 @@
     is built (an export, or a read of a retained {!snapshot}).
 
     A sink is single-domain state, exactly like the session that owns it:
-    share the {!Aggregate}, never a sink. *)
+    share a merged {!Metrics.t} ({!Metrics.add_into} under the owner's
+    lock), never a sink. *)
 
 type span = {
   name : string;

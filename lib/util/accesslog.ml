@@ -1,7 +1,7 @@
 (* The shared-access event log behind the RX5xx race detector.
 
    Every instrumented touch of cross-domain mutable state — a cache store
-   operation, an engine epoch read or bump, a telemetry aggregate merge, a
+   operation, an engine epoch read or bump, a server ledger update, a
    session confinement entry — appends one event: which domain, which
    site, read or write, which locks the domain held, and an optional info
    word (the epoch value for epoch sites). The checker in

@@ -1,9 +1,9 @@
 (** Shared-access event log for the RX5xx concurrency-soundness checks.
 
     Instrumented sites (the cache store, the engine mutation epoch, the
-    telemetry aggregate, session confinement) append one event per touch
-    of cross-domain mutable state: domain id, site id, read/write, the
-    locks the domain held, and an info word. {!Rox_analysis.Race_check}
+    server's queue and ledger, the flight recorder, session confinement)
+    append one event per touch of cross-domain mutable state: domain id,
+    site id, read/write, the locks the domain held, and an info word. {!Rox_analysis.Race_check}
     replays the log with Eraser locksets and vector-clock happens-before.
 
     Overhead contract: disarmed, an instrumented site costs one boolean

@@ -246,7 +246,7 @@ let test_estimate_reuse () =
 
 (* The counter-vs-gauge rule of metrics.mli, exercised end-to-end: a
    store's residency is a gauge, so observing it into two registries and
-   absorbing both into one aggregate must report the residency ONCE
+   merging both into one registry must report the residency ONCE
    (gauges merge with Float.max — idempotent), while counters genuinely
    add. A residency that doubled here would mean add_into treats gauges
    as counters. *)

@@ -705,7 +705,7 @@ let test_flight_recorder_scrape () =
   Alcotest.(check bool) "errored request is retained" true
     (int_of_string (List.assoc "traces_retained" kvs) >= 1);
   (* METRICS: the exposition page carries the recorder and tenant series
-     after the process aggregate. *)
+     after the server's ledger. *)
   let page = S.metrics_text server in
   Alcotest.(check bool) "recorder records series" true
     (contains page "rox_recorder_records_total 3");
@@ -877,6 +877,118 @@ let test_socketpair_scrape_session () =
   Alcotest.(check bool) "bye" true (bye = P.Bye);
   Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
 
+(* ---------- the one ledger --------------------------------------------- *)
+
+(* STATS and METRICS read the same ledger: after a session with a ping,
+   a rejected query and a quit (and one request executed off the
+   socket), the audit keys equal the exposition's counters. *)
+let test_stats_match_metrics_page () =
+  let engine = library_engine () in
+  let server = S.create (S.config ~workers:0 ~queue_capacity:1 engine) in
+  (match S.submit_async server (P.query library_query) with
+   | `Ticket _ -> ()
+   | `Rejected -> Alcotest.fail "an empty queue admits");
+  let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let client =
+    Domain.spawn (fun () ->
+        let d = P.decoder () in
+        let send r = P.write_frame cli_fd (P.render_request r) in
+        let recv () =
+          match P.read_frame cli_fd d with
+          | `Frame payload -> (
+            match P.parse_response payload with
+            | Ok r -> r
+            | Error m -> failwith m)
+          | `Eof -> failwith "eof"
+          | `Corrupt m -> failwith m
+        in
+        send P.Ping;
+        ignore (recv () : P.response);
+        send (P.Query (P.query other_query));
+        let busy = recv () in
+        send P.Quit;
+        ignore (recv () : P.response);
+        Unix.close cli_fd;
+        busy)
+  in
+  S.handle_connection server srv_fd;
+  (match Domain.join client with
+   | P.Err (P.Busy, _) -> ()
+   | r -> Alcotest.failf "want ERR busy, got %s" (P.render_response r));
+  Alcotest.(check bool) "the queued request executes" true (S.drain_once server);
+  S.shutdown server;
+  let kvs = S.stats_kvs server in
+  let page = S.metrics_text server in
+  let sample name =
+    let prefix = name ^ " " in
+    let n = String.length prefix in
+    match
+      List.find_opt
+        (fun l -> String.length l > n && String.sub l 0 n = prefix)
+        (String.split_on_char '\n' page)
+    with
+    | Some l -> String.sub l n (String.length l - n)
+    | None -> Alcotest.failf "METRICS lacks %s" name
+  in
+  List.iter
+    (fun (key, series, want) ->
+      Alcotest.(check string) ("STATS " ^ key) want (List.assoc key kvs);
+      Alcotest.(check string) (key ^ " = " ^ series) (List.assoc key kvs)
+        (sample series))
+    [
+      ("requests", "rox_serve_requests_total", "3");
+      ("responses", "rox_serve_responses_total", "3");
+      ("rejected", "rox_serve_admission_rejects_total", "1");
+      ("executed", "rox_serve_request_duration_ns_count", "1");
+    ];
+  Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
+
+let test_metrics_snapshot_is_private () =
+  let engine = library_engine () in
+  let server = S.create (S.config ~workers:1 ~queue_capacity:8 engine) in
+  ignore (S.submit server (P.query library_query) : P.response);
+  S.shutdown server;
+  let module Tm = Rox_telemetry.Metrics in
+  let read (m : Tm.t) =
+    ( m.Tm.queries_served.Tm.c_value,
+      m.Tm.admission_rejects.Tm.c_value,
+      m.Tm.serve_ns.Tm.h_count,
+      m.Tm.serve_ns.Tm.h_sum )
+  in
+  let first = S.metrics server in
+  let before = read first in
+  Tm.incr ~by:100 first.Tm.queries_served;
+  Tm.incr first.Tm.admission_rejects;
+  Tm.observe first.Tm.serve_ns 1_000_000;
+  Alcotest.(check bool) "the copy took the writes" true (read first <> before);
+  Alcotest.(check bool) "the next snapshot does not see them" true
+    (read (S.metrics server) = before);
+  Alcotest.(check (list string)) "audit unchanged" [] (codes (S.self_check server))
+
+(* A slow log that cannot take a write is closed with one stderr line;
+   the worker keeps serving and every request is answered. *)
+let test_slow_log_write_failure () =
+  if Sys.file_exists "/dev/full" then begin
+    let engine = library_engine () in
+    let server =
+      S.create
+        (S.config ~workers:1 ~queue_capacity:8 ~slow_ms:0 ~slow_log:"/dev/full"
+           engine)
+    in
+    for _ = 1 to 3 do
+      match S.submit server (P.query library_query) with
+      | P.Answer _ -> ()
+      | r -> Alcotest.failf "want an answer, got %s" (P.render_response r)
+    done;
+    S.shutdown server;
+    let rc = Option.get (S.recorder server) in
+    Alcotest.(check int) "every request recorded" 3
+      (Rox_telemetry.Recorder.records rc);
+    Alcotest.(check int) "no line counted as written" 0
+      (Rox_telemetry.Recorder.log_lines rc);
+    Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
+  end
+
 let suite =
   [
     Alcotest.test_case "protocol: request round-trip" `Quick test_request_roundtrip;
@@ -904,4 +1016,10 @@ let suite =
     Alcotest.test_case "tenant flood bounded" `Quick test_tenant_flood_bounded;
     Alcotest.test_case "slow log: retained only where a trace was kept" `Quick
       test_slow_log_retained_matches_traces;
+    Alcotest.test_case "one ledger: STATS = METRICS page" `Quick
+      test_stats_match_metrics_page;
+    Alcotest.test_case "metrics snapshot is private" `Quick
+      test_metrics_snapshot_is_private;
+    Alcotest.test_case "slow log write failure keeps serving" `Quick
+      test_slow_log_write_failure;
   ]

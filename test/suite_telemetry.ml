@@ -1,8 +1,8 @@
 (* The telemetry layer (lib/telemetry): log₂ histogram bucket boundaries,
    span nesting and exception-safety of the sink, the zero-cost disabled
    path, exporter round-trips through the Chrome-trace validator, and the
-   property the multi-domain server leans on — per-domain registries
-   summing exactly into the mutex-guarded process aggregate. *)
+   property the multi-domain server leans on — per-request registries
+   summing exactly into the server's mutex-guarded ledger. *)
 
 open Helpers
 open Rox_telemetry
@@ -297,7 +297,7 @@ let test_bad_cap_rejected () =
     [ 0; -1 ];
   check_int "cap 1 is fine" 0 (Sink.span_count (Sink.create ~cap:1 ~enabled:false ()))
 
-(* ---------- add_into and the 2-domain aggregate ---------- *)
+(* ---------- add_into and the served 2-domain sum ---------- *)
 
 let test_add_into () =
   let a = Metrics.create () and b = Metrics.create () in
@@ -315,39 +315,59 @@ let test_add_into () =
   check_int "source untouched" 4 b.Metrics.queries_served.Metrics.c_value
 
 let test_two_domain_aggregate () =
-  (* The serving pattern: each domain runs sessions with per-session
-     sinks, absorbing every registry into one process aggregate. The
-     per-domain totals must sum exactly to the aggregate. *)
-  let agg = Aggregate.create () in
-  let work seed () =
-    let served = ref 0 and observed = ref 0 and sum = ref 0 in
-    let rng = Rox_util.Xoshiro.create seed in
-    for _ = 1 to 50 do
-      let sink = Sink.create ~enabled:true () in
-      let m = Sink.metrics sink in
-      let n = 1 + Rox_util.Xoshiro.int rng 4 in
-      for _ = 1 to n do
-        Sink.with_span sink "query"
-          ~record:(fun m d -> Metrics.observe m.Metrics.query_ns d)
-          (fun () -> Metrics.incr m.Metrics.queries_served)
-      done;
-      served := !served + n;
-      observed := !observed + n;
-      sum := !sum + m.Metrics.query_ns.Metrics.h_sum;
-      Aggregate.absorb agg m
-    done;
-    (!served, !observed, !sum)
+  (* The serving pattern: two client domains submit against a 2-worker
+     server; every request runs a session under its own sink, and the
+     server merges each registry into its one ledger as the request
+     completes. Every request does the same deterministic work, so the
+     ledger must hold exactly [n] times one standalone session's counts. *)
+  let engine = Rox_storage.Engine.create () in
+  ignore
+    (Rox_storage.Engine.add_tree engine ~uri:"lib.xml"
+       (Rox_xmldom.Xml_parser.parse_string
+          "<lib><book><author>A</author><author>B</author></book>\
+           <book><author>A</author></book></lib>")
+      : Rox_storage.Engine.docref);
+  let query =
+    {|for $b in doc("lib.xml")//book, $a in doc("lib.xml")//author
+where $b//author/text() = $a/text() return $a|}
   in
-  let other = Domain.spawn (work 1) in
-  let s0, o0, n0 = work 2 () in
-  let s1, o1, n1 = Domain.join other in
-  Aggregate.with_metrics agg (fun m ->
-      check_int "queries_served sums across domains" (s0 + s1)
-        m.Metrics.queries_served.Metrics.c_value;
-      check_int "histogram count sums across domains" (o0 + o1)
-        m.Metrics.query_ns.Metrics.h_count;
-      check_int "histogram sum sums across domains" (n0 + n1)
-        m.Metrics.query_ns.Metrics.h_sum)
+  let one =
+    let sink = Sink.create ~enabled:true () in
+    let session = Rox_core.Session.create ~telemetry:sink () in
+    ignore
+      (Rox_core.Optimizer.answer session
+         (Rox_xquery.Compile.compile_string ~telemetry:sink engine query));
+    Sink.metrics sink
+  in
+  let module S = Rox_serve.Server in
+  let server = S.create (S.config ~workers:2 ~queue_capacity:64 engine) in
+  let per_client = 25 in
+  let client () =
+    for _ = 1 to per_client do
+      match S.submit server (Rox_serve.Protocol.query query) with
+      | Rox_serve.Protocol.Answer _ -> ()
+      | _ -> Alcotest.fail "every request must be answered"
+    done
+  in
+  let other = Domain.spawn client in
+  client ();
+  Domain.join other;
+  S.shutdown server;
+  let n = 2 * per_client in
+  let m = S.metrics server in
+  let c (f : Metrics.t -> Metrics.counter) x = (f x).Metrics.c_value in
+  let hc (f : Metrics.t -> Metrics.histogram) x = (f x).Metrics.h_count in
+  check_int "one query_ns observation per session" 1 (hc (fun m -> m.Metrics.query_ns) one);
+  check_bool "the query executes edges" true (c (fun m -> m.Metrics.edges_executed) one > 0);
+  List.iter
+    (fun (name, get) -> check_int name (n * get one) (get m))
+    [
+      ("queries_served sums across domains", c (fun m -> m.Metrics.queries_served));
+      ("query_ns count sums across domains", hc (fun m -> m.Metrics.query_ns));
+      ("edges_executed sums across domains", c (fun m -> m.Metrics.edges_executed));
+      ("chain_rounds sums across domains", c (fun m -> m.Metrics.chain_rounds));
+    ];
+  check_int "one serve_ns observation per request" n (hc (fun m -> m.Metrics.serve_ns) m)
 
 (* ---------- End-to-end: a real run under an enabled sink ---------- *)
 
@@ -742,6 +762,35 @@ let test_recorder_hostile_tenant_label () =
          check_bool "no line is a bare continuation" true
            (line = "" || String.length line > 1))
 
+(* The per-tenant latency histogram goes through the same exposition
+   writer as the registry's histograms: a cumulative ladder up to the
+   highest occupied bucket, then +Inf, _sum and _count, every line
+   carrying the escaped tenant label. *)
+let test_recorder_tenant_ladder () =
+  let rc = Recorder.create () in
+  List.iter
+    (fun latency_ns ->
+      ignore (Recorder.observe rc (mk_record rc ~tenant:"a\"b" ~latency_ns ())))
+    [ 1_000; 5_000 ];
+  let name = "rox_tenant_serve_duration_ns" in
+  let lines =
+    String.split_on_char '\n' (Recorder.prometheus rc)
+    |> List.filter (fun l ->
+           String.length l > String.length name
+           && String.sub l 0 (String.length name) = name)
+  in
+  let bucket le n =
+    Printf.sprintf "%s_bucket{tenant=\"a\\\"b\",le=\"%s\"} %d" name le n
+  in
+  Alcotest.(check (list string)) "tenant ladder lines"
+    ([ bucket "1" 0; bucket "3" 0; bucket "7" 0; bucket "15" 0;
+       bucket "31" 0; bucket "63" 0; bucket "127" 0; bucket "255" 0;
+       bucket "511" 0; bucket "1023" 1; bucket "2047" 1; bucket "4095" 1;
+       bucket "8191" 2; bucket "+Inf" 2 ]
+    @ [ name ^ "_sum{tenant=\"a\\\"b\"} 6000";
+        name ^ "_count{tenant=\"a\\\"b\"} 2" ])
+    lines
+
 let test_recorder_json_shape () =
   let module J = Rox_util.Minijson in
   let rc = Recorder.create () in
@@ -904,4 +953,5 @@ let suite =
     ("recorder: two-domain conservation", `Quick, test_recorder_two_domain_conservation);
     ("recorder: one threshold across domains", `Quick,
      test_recorder_threshold_shared_across_domains);
+    ("recorder: tenant histogram ladder", `Quick, test_recorder_tenant_ladder);
   ]
