@@ -92,18 +92,6 @@ let check_subset ~op ~what ~domain a =
           (Printf.sprintf "%s contains node %d outside its domain" what x))
     a
 
-let check_identical ~op ~what a b =
-  let na = Array.length a and nb = Array.length b in
-  if na <> nb then
-    fail ~op ~contract:Cache_consistent
-      (Printf.sprintf "%s: cached length %d, fresh length %d" what na nb)
-  else
-    for i = 0 to na - 1 do
-      if a.(i) <> b.(i) then
-        fail ~op ~contract:Cache_consistent
-          (Printf.sprintf "%s[%d]: cached %d, fresh %d" what i a.(i) b.(i))
-    done
-
 let check_column_flag ~op ~what (c : Rox_util.Column.t) =
   if not (Rox_util.Column.flag_honest c) then
     fail ~op ~contract:Sorted_flag

@@ -29,8 +29,9 @@ type contract =
   | Domain_subset  (** operator output stays inside its input domain *)
   | Cost_bound     (** observed work within the Table 1 cost formula *)
   | Cache_consistent
-      (** a [Rox_cache] hit replayed a result bit-identical to what a
-          fresh execution of the fingerprinted operation produces *)
+      (** a [Rox_cache] hit replayed a result equal, by the value's own
+          equality, to what a fresh execution of the fingerprinted
+          operation produces *)
   | Sorted_flag
       (** a {!Rox_util.Column.t} carrying [sorted=true] really is strictly
           increasing — the flag kernels trust for their merge fast paths *)
@@ -88,10 +89,6 @@ val check_sorted_dedup : op:string -> what:string -> int array -> unit
 
 val check_subset : op:string -> what:string -> domain:int array -> int array -> unit
 (** Every element occurs in [domain] (sorted). *)
-
-val check_identical : op:string -> what:string -> int array -> int array -> unit
-(** [check_identical ~op ~what cached fresh] fails the {!Cache_consistent}
-    contract on the first position where the arrays differ. *)
 
 val check_column_flag : op:string -> what:string -> Rox_util.Column.t -> unit
 (** A set sorted flag matches reality ({!Sorted_flag}, RX305). *)

@@ -5,7 +5,6 @@ type location =
   | Vertex of int
   | Edge of int
   | Event of int
-  | Plan_pos of int
   | Span of int
   | Site of int
   | Source of string * int
@@ -40,7 +39,6 @@ let location_string = function
   | Vertex v -> Printf.sprintf "vertex v%d" v
   | Edge e -> Printf.sprintf "edge e%d" e
   | Event i -> Printf.sprintf "trace event #%d" i
-  | Plan_pos i -> Printf.sprintf "plan position %d" i
   | Span i -> Printf.sprintf "telemetry span #%d" i
   | Site i -> Printf.sprintf "shared site #%d" i
   | Source (file, line) -> Printf.sprintf "%s:%d" file line
@@ -207,29 +205,6 @@ let registry =
       ci_detail =
         "Cache_lookup events must point at live edges; a dangling \
          id means the cache key schema and the graph diverged." };
-    { ci_code = "RX201"; ci_severity = Error;
-      ci_summary = "plan references an unknown edge id";
-      ci_detail = "The executed plan names an edge the graph lacks." };
-    { ci_code = "RX202"; ci_severity = Error;
-      ci_summary = "plan lists an edge twice";
-      ci_detail = "A join order visits each edge at most once." };
-    { ci_code = "RX203"; ci_severity = Error;
-      ci_summary = "plan misses a non-trivial edge";
-      ci_detail =
-        "Every non-trivial edge must be executed or implied by the \
-         executed set; downgraded to info when transitive implication \
-         covers it." };
-    { ci_code = "RX204"; ci_severity = Warning;
-      ci_summary = "plan lists a trivial edge";
-      ci_detail =
-        "Trivial edges never execute physically; listing one in a plan \
-         is harmless but sloppy." };
-    { ci_code = "RX205"; ci_severity = Info;
-      ci_summary = "plan step opens a new component (non-contiguous plan)";
-      ci_detail =
-        "ROX prefers plans that grow one connected component; opening a \
-         second component forces a later cartesian-style merge. Legal, \
-         sometimes optimal, always worth an eyebrow." };
     { ci_code = "RX301"; ci_severity = Error;
       ci_summary = "operator output violated the sorted duplicate-free contract";
       ci_detail =
@@ -416,7 +391,6 @@ let location_json loc =
   | Vertex v -> Obj [ ("kind", Str "vertex"); ("id", Num (float_of_int v)) ]
   | Edge e -> Obj [ ("kind", Str "edge"); ("id", Num (float_of_int e)) ]
   | Event i -> Obj [ ("kind", Str "event"); ("index", Num (float_of_int i)) ]
-  | Plan_pos i -> Obj [ ("kind", Str "plan"); ("index", Num (float_of_int i)) ]
   | Span i -> Obj [ ("kind", Str "span"); ("index", Num (float_of_int i)) ]
   | Site i -> Obj [ ("kind", Str "site"); ("id", Num (float_of_int i)) ]
   | Source (file, line) ->

@@ -1,9 +1,10 @@
 (** Structured diagnostics for the static analysis passes.
 
     Each diagnostic carries a severity, a stable code ([RX0xx] graph
-    checks, [RX1xx] trace checks, [RX2xx] plan checks, [RX3xx]
-    operator-contract violations, [RX4xx] telemetry checks, [RX5xx]
-    concurrency-soundness checks), a location inside the artifact being
+    checks, [RX1xx] trace checks, [RX3xx] operator-contract
+    violations, [RX4xx] telemetry checks, [RX5xx] concurrency-soundness
+    checks, [RX6xx] serve and [RX7xx] recorder accounting checks), a
+    location inside the artifact being
     checked, a message and an optional fix hint.
 
     The {!registry} is the single source of truth mapping every code to
@@ -18,7 +19,6 @@ type location =
   | Vertex of int      (** a vertex id *)
   | Edge of int        (** an edge id *)
   | Event of int       (** index into the optimizer event list ([Sink.events]) *)
-  | Plan_pos of int    (** index into an execution plan *)
   | Span of int        (** index into the chronological telemetry span list *)
   | Site of int        (** an access-log shared-site id *)
   | Source of string * int  (** a source file and line (lint findings) *)

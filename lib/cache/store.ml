@@ -1,7 +1,24 @@
+open Rox_util
+open Rox_algebra
+module Sink = Rox_telemetry.Sink
+module Tm = Rox_telemetry.Metrics
+
+module L = Lru.Make (struct
+  type t = string
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+type pairs = { left : Column.t; right : Column.t }
+
+type _ kind =
+  | Relation : pairs kind
+  | Estimate : Cutoff.t kind
+
 type t = {
   engine : Rox_storage.Engine.t;
-  relations : Relation_cache.t;
-  estimates : Estimate_cache.t;
+  relations : pairs L.t;
+  estimates : Cutoff.t L.t;
 }
 
 let default_budget = 16 * 1024 * 1024
@@ -10,8 +27,8 @@ let create ?(relation_budget = default_budget) ?(estimate_budget = default_budge
     engine =
   {
     engine;
-    relations = Relation_cache.create ~budget:relation_budget ();
-    estimates = Estimate_cache.create ~budget:estimate_budget ();
+    relations = L.create ~name:"cache.relations" ~budget:relation_budget ();
+    estimates = L.create ~name:"cache.estimates" ~budget:estimate_budget ();
   }
 
 let of_megabytes engine mb =
@@ -20,8 +37,65 @@ let of_megabytes engine mb =
 
 let engine t = t.engine
 let epoch t = Rox_storage.Engine.epoch t.engine
-let relations t = t.relations
-let estimates t = t.estimates
+
+let lru : type v. t -> v kind -> v L.t =
+ fun t -> function Relation -> t.relations | Estimate -> t.estimates
+
+(* Pairs weigh the bytes of their underlying storage, with storage shared
+   between the two columns (e.g. zero-copy views of the same array) counted
+   once; both kinds add a conservative constant for the key string, the
+   hashtable slot and the recency-list node. *)
+let weight : type v. v kind -> v -> int =
+ fun kind v ->
+  match kind with
+  | Relation ->
+    let right =
+      if Column.same_storage v.left v.right then 0 else Column.storage_bytes v.right
+    in
+    Column.storage_bytes v.left + right + 128
+  | Estimate -> (8 * Array.length v.Cutoff.out) + 160
+
+let equal : type v. v kind -> v -> v -> bool =
+ fun kind a b ->
+  match kind with
+  | Relation -> Column.equal a.left b.left && Column.equal a.right b.right
+  | Estimate -> Cutoff.equal a b
+
+let note_lookup : type v. v kind -> Sink.t -> edge:int -> hit:bool -> unit =
+ fun kind tel ~edge ~hit ->
+  if Sink.enabled tel then begin
+    let m = Sink.metrics tel in
+    Tm.incr
+      (match (kind, hit) with
+       | Relation, true -> m.Tm.relation_cache_hits
+       | Relation, false -> m.Tm.relation_cache_misses
+       | Estimate, true -> m.Tm.estimate_cache_hits
+       | Estimate, false -> m.Tm.estimate_cache_misses);
+    let store = match kind with Relation -> `Relation | Estimate -> `Estimate in
+    Sink.emit tel (Sink.Cache_lookup { edge; store; hit })
+  end
+
+let memo (type v) store (kind : v kind) ~sanitize ~telemetry ~edge ~key
+    ~(run : charged:bool -> v) : v =
+  match store with
+  | None -> run ~charged:true
+  | Some t ->
+    let lru = lru t kind in
+    let key = key (epoch t) in
+    (match L.find lru key with
+     | Some v ->
+       note_lookup kind telemetry ~edge ~hit:true;
+       if sanitize && not (equal kind v (run ~charged:false)) then
+         Sanitize.fail
+           ~op:(Printf.sprintf "Store.memo(e%d)" edge)
+           ~contract:Sanitize.Cache_consistent
+           (Printf.sprintf "cached %s differs from a fresh execution" key);
+       v
+     | None ->
+       note_lookup kind telemetry ~edge ~hit:false;
+       let v = run ~charged:true in
+       L.add lru key ~weight:(weight kind v) v;
+       v)
 
 type stats = {
   relations : Lru.stats;
@@ -29,14 +103,13 @@ type stats = {
 }
 
 let stats (t : t) : stats =
-  { relations = Relation_cache.stats t.relations;
-    estimates = Estimate_cache.stats t.estimates }
+  { relations = L.stats t.relations; estimates = L.stats t.estimates }
 
 let observe_into t m =
   let s = stats t in
-  Rox_telemetry.Metrics.set m.Rox_telemetry.Metrics.cache_resident_bytes
+  Tm.set m.Tm.cache_resident_bytes
     (float_of_int (s.relations.Lru.bytes + s.estimates.Lru.bytes));
-  Rox_telemetry.Metrics.set m.Rox_telemetry.Metrics.cache_lock_waits
+  Tm.set m.Tm.cache_lock_waits
     (float_of_int (s.relations.Lru.lock_waits + s.estimates.Lru.lock_waits))
 
 let stats_to_string s =
@@ -45,5 +118,5 @@ let stats_to_string s =
     (Lru.stats_to_string s.estimates)
 
 let clear (t : t) =
-  Relation_cache.clear t.relations;
-  Estimate_cache.clear t.estimates
+  L.clear t.relations;
+  L.clear t.estimates

@@ -1,22 +1,41 @@
-(** The per-engine cache bundle handed through the execution stack.
+(** The cross-query cache: the per-engine bundle handed through the
+    execution stack, and the one lookup every cached operation goes
+    through.
 
-    One store pairs a {!Relation_cache} (materialized edge executions,
-    consulted by [Rox_joingraph.Runtime.execute_edge]) and an
-    {!Estimate_cache} (cut-off sample results, consulted by the
-    optimizer's weighing and chain exploration) with the
-    {!Rox_storage.Engine} whose documents both describe. Fingerprints are
-    scoped by {!Rox_storage.Engine.epoch}, so keys minted before a
-    document registration (or an explicit
-    {!Rox_storage.Engine.bump_epoch}) can never hit again — invalidation
-    is one integer increment; the dead entries age out of the LRU under
-    normal insertion pressure.
+    A store holds two byte-budgeted {!Lru} caches next to the
+    {!Rox_storage.Engine} whose documents both describe:
+    - [cache.relations]: fully materialized edge executions — the pair
+      columns a staircase or value join produced for one edge against
+      concrete endpoint tables, consulted by
+      [Rox_joingraph.Runtime.execute_edge];
+    - [cache.estimates]: cut-off sampled executions — the whole
+      {!Rox_algebra.Cutoff.t} (estimate, sampled output, consumed
+      fraction), consulted by the optimizer's weighing and chain
+      exploration.
+
+    Both operations are pure functions of their inputs, so {!memo} can
+    replay a result for *any* query that repeats the same request on the
+    same engine epoch. Keys are {!Fingerprint.t}s scoped by
+    {!Rox_storage.Engine.epoch}, so keys minted before a document
+    registration (or an explicit {!Rox_storage.Engine.bump_epoch}) can
+    never hit again — invalidation is one integer increment; the dead
+    entries age out of the LRU under normal insertion pressure.
 
     A store is deliberately *external* to any single query run: create it
     once next to the engine and pass it to every optimizer invocation to
-    get cross-query reuse. Each member cache is one LRU behind one
-    mutex, shared by every session on every domain. *)
+    get cross-query reuse. Each member cache is one LRU behind one mutex,
+    shared by every session on every domain. Cached values are shared,
+    never copied: consumers must treat them as immutable. *)
 
 type t
+
+type pairs = { left : Rox_util.Column.t; right : Rox_util.Column.t }
+(** A cached edge execution: the two parallel pair columns in (v1-node,
+    v2-node) orientation. *)
+
+type _ kind =
+  | Relation : pairs kind           (** [cache.relations] *)
+  | Estimate : Rox_algebra.Cutoff.t kind  (** [cache.estimates] *)
 
 val create :
   ?relation_budget:int -> ?estimate_budget:int -> Rox_storage.Engine.t -> t
@@ -31,8 +50,30 @@ val engine : t -> Rox_storage.Engine.t
 val epoch : t -> int
 (** The engine's current epoch — the scope of every key minted now. *)
 
-val relations : t -> Relation_cache.t
-val estimates : t -> Estimate_cache.t
+val weight : 'v kind -> 'v -> int
+(** The bytes an entry is charged: for pairs, the underlying column
+    storage (shared storage counted once) plus 128; for estimates, 8 per
+    sampled output node plus 160. *)
+
+val memo :
+  t option ->
+  'v kind ->
+  sanitize:bool ->
+  telemetry:Rox_telemetry.Sink.t ->
+  edge:int ->
+  key:(int -> Fingerprint.t) ->
+  run:(charged:bool -> 'v) ->
+  'v
+(** [memo store kind ~sanitize ~telemetry ~edge ~key ~run] is the one
+    cache lookup. Without a store it is [run ~charged:true]. With one it
+    looks up [key epoch] in the [kind]'s cache, counts the hit or miss
+    in the sink's metrics and emits one [Sink.Cache_lookup] event for
+    [edge]. A miss runs [run ~charged:true], adds the result under its
+    {!weight} and returns it. A hit returns the cached value; under
+    [sanitize] it first re-runs [run ~charged:false] and raises a
+    [Cache_consistent] violation (RX304) unless the two are equal
+    ({!Rox_algebra.Cutoff.equal} for estimates, element-wise on both
+    columns for pairs). [run ~charged:false] must charge no meter. *)
 
 type stats = {
   relations : Lru.stats;
@@ -40,7 +81,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
 val stats_to_string : stats -> string
 
 val observe_into : t -> Rox_telemetry.Metrics.t -> unit

@@ -20,6 +20,7 @@ type seg = {
 }
 
 let max_paths = 32
+let max_rounds = 12
 
 let seg_to_event graph s =
   let via =
@@ -51,13 +52,9 @@ let best_symmetric paths =
      | first :: rest ->
        Some (List.fold_left (fun acc p -> if p.s_cost < acc.s_cost then p else acc) first rest))
 
-let run ?grow_cutoff ?(max_rounds = 12) state =
+let run state =
   let session = State.session state in
-  let grow_cutoff =
-    match grow_cutoff with
-    | Some g -> g
-    | None -> (Session.config session).Session.grow_cutoff
-  in
+  let grow_cutoff = (Session.config session).Session.grow_cutoff in
   let graph = State.graph state in
   let runtime = State.runtime state in
   match State.min_weight_edge state with

@@ -20,9 +20,10 @@ type result = {
   trigger : trigger;
 }
 
-val run : ?grow_cutoff:bool -> ?max_rounds:int -> State.t -> result option
-(** [None] when no un-executed edges remain. [grow_cutoff] defaults to the
-    owning session's config; [false] freezes the cut-off at τ (the
-    ablation of the front-bias mitigation); [max_rounds] bounds
-    exploration (default 12). Checks the session deadline once per round
+val run : State.t -> result option
+(** [None] when no un-executed edges remain. The owning session's
+    [grow_cutoff] config decides whether the cut-off grows; [false]
+    freezes it at τ (the ablation of the front-bias mitigation).
+    Exploration stops after 12 rounds and keeps at most 32 paths per
+    round. Checks the session deadline once per round
     ({!Session.check_deadline}). *)

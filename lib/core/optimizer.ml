@@ -31,10 +31,6 @@ let execute_one state ~order ~rows e =
   in
   incr order;
   rows := (e.Edge.id, info.Runtime.rel_rows) :: !rows;
-  if Session.cache session <> None then
-    Sink.emit (State.telemetry state)
-      (Sink.Cache_lookup
-         { edge = e.Edge.id; store = `Relation; hit = info.Runtime.cache_hit });
   Sink.emit (State.telemetry state)
     (Sink.Edge_executed
        { edge = e.Edge.id; order = !order; pairs = info.Runtime.pair_count;

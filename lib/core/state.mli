@@ -61,10 +61,12 @@ val sampled_cutoff :
   limit:int ->
   Rox_algebra.Cutoff.t
 (** The [↓l(exec(e, S, T))] of Algorithms 1 and 2 with the estimate cache
-    in front: identical requests (same edge shape, sample contents, inner
-    table and limit, on the same engine epoch) replay the cached
-    {!Rox_algebra.Cutoff.t} — across chain rounds and across queries —
-    and charge no sampling work. Emits a [Sink.Cache_lookup] event per
-    consultation; a hit is cross-checked bit-identical under the session's
-    sanitize mode. Without a cache this is exactly [Exec.sampled] charged
-    to the sampling meter. *)
+    in front, through {!Rox_cache.Store.memo}: identical requests (same
+    edge shape, direction, sample contents, inner table and limit, on the
+    same engine epoch) replay the cached {!Rox_algebra.Cutoff.t} — across
+    chain rounds and across queries — and charge no sampling work. Each
+    consultation counts a hit or miss and emits one [Sink.Cache_lookup]
+    event; under the session's sanitize mode a hit must equal an
+    uncharged fresh run ({!Rox_algebra.Cutoff.equal}, RX304). A charged
+    run executes under an ["exec_sampled"] span. Without a cache this is
+    exactly [Exec.sampled] charged to the sampling meter. *)

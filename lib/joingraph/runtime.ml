@@ -145,7 +145,6 @@ type exec_info = {
   pair_count : int;
   rel_rows : int;
   changed : int list;
-  cache_hit : bool;
 }
 
 let rec uf_find t v = if t.equi_uf.(v) = v then v else (t.equi_uf.(v) <- uf_find t t.equi_uf.(v); t.equi_uf.(v))
@@ -235,53 +234,26 @@ type exec_plan = {
   run : Rox_algebra.Cost.meter option -> Exec.pairs;
 }
 
-let edge_fingerprint t (e : Edge.t) store plan =
+let edge_fingerprint t (e : Edge.t) plan epoch =
   let vdesc v = Vertex.fingerprint_label (Graph.vertex t.graph v) in
-  Rox_cache.Fingerprint.make
-    ~epoch:(Rox_cache.Store.epoch store)
+  Rox_cache.Fingerprint.make ~epoch
     [
       "edge"; plan.variant; vdesc e.Edge.v1; vdesc e.Edge.v2;
       Rox_cache.Fingerprint.column plan.in1; Rox_cache.Fingerprint.column plan.in2;
     ]
 
-(* Consult the relation cache around the physical join. A hit replays the
-   stored pair columns; under the sanitizer every hit is cross-checked
-   bit-identical against a fresh (uncharged) execution of the same
-   physical variant. *)
+(* The physical join behind the relation cache: a hit replays the stored
+   pair columns (cross-checked against an uncharged fresh run under the
+   sanitizer). *)
 let cached_pairs ?meter t (e : Edge.t) plan =
-  let note_lookup hit =
-    if Sink.enabled t.telemetry then begin
-      let m = Sink.metrics t.telemetry in
-      Tm.incr (if hit then m.Tm.relation_cache_hits else m.Tm.relation_cache_misses)
-    end
+  let v =
+    Rox_cache.Store.memo t.cache Rox_cache.Store.Relation ~sanitize:t.sanitize
+      ~telemetry:t.telemetry ~edge:e.Edge.id ~key:(edge_fingerprint t e plan)
+      ~run:(fun ~charged ->
+        let p = plan.run (if charged then meter else None) in
+        { Rox_cache.Store.left = p.Exec.left; right = p.Exec.right })
   in
-  match t.cache with
-  | None -> (plan.run meter, false)
-  | Some store ->
-    let key = edge_fingerprint t e store plan in
-    let relations = Rox_cache.Store.relations store in
-    (match Rox_cache.Relation_cache.find relations key with
-     | Some v ->
-       note_lookup true;
-       let pairs =
-         { Exec.left = v.Rox_cache.Relation_cache.left;
-           right = v.Rox_cache.Relation_cache.right }
-       in
-       if t.sanitize then begin
-         let op = Printf.sprintf "Runtime.cached_pairs(e%d %s)" e.Edge.id plan.variant in
-         let fresh = plan.run None in
-         Sanitize.check_identical ~op ~what:"left column"
-           (Column.read pairs.Exec.left) (Column.read fresh.Exec.left);
-         Sanitize.check_identical ~op ~what:"right column"
-           (Column.read pairs.Exec.right) (Column.read fresh.Exec.right)
-       end;
-       (pairs, true)
-     | None ->
-       note_lookup false;
-       let pairs = plan.run meter in
-       Rox_cache.Relation_cache.add relations key
-         { Rox_cache.Relation_cache.left = pairs.Exec.left; right = pairs.Exec.right };
-       (pairs, false))
+  { Exec.left = v.Rox_cache.Store.left; right = v.Rox_cache.Store.right }
 
 let execute_edge_body ?meter t (e : Edge.t) =
   let v1 = e.Edge.v1 and v2 = e.Edge.v2 in
@@ -349,7 +321,7 @@ let execute_edge_body ?meter t (e : Edge.t) =
               t.engine t.graph e ~t1 ~t2);
       }
   in
-  let pairs, cache_hit = cached_pairs ?meter t e plan in
+  let pairs = cached_pairs ?meter t e plan in
   let c1 = t.comp_of.(v1) and c2 = t.comp_of.(v2) in
   let get cid = match t.components.(cid) with Some r -> r | None -> assert false in
   let rel =
@@ -405,7 +377,7 @@ let execute_edge_body ?meter t (e : Edge.t) =
             (Column.read tab))
       (Relation.vertices rel)
   end;
-  { pair_count = Exec.pair_count pairs; rel_rows = Relation.rows rel; changed; cache_hit }
+  { pair_count = Exec.pair_count pairs; rel_rows = Relation.rows rel; changed }
 
 let execute_edge ?meter t (e : Edge.t) =
   if executed t e then invalid_arg "Runtime.execute_edge: edge already executed";

@@ -28,12 +28,13 @@ type config = {
       (** the session's contract-checking mode, threaded into every
           operator this runtime calls *)
   cache : Rox_cache.Store.t option;
-      (** cross-query relation cache: {!execute_edge} consults it (keyed
-          by physical variant, endpoint identities and input table
-          contents, scoped by the engine epoch) before running the
-          staircase / value join, and stores fresh results. Component
-          maintenance and semijoin reduction always run — only the
-          physical join itself is elided on a hit. *)
+      (** cross-query relation cache: {!execute_edge} runs the staircase
+          / value join through {!Rox_cache.Store.memo} (keyed by physical
+          variant, endpoint identities and input table contents, scoped
+          by the engine epoch), which counts and emits the lookup and
+          cross-checks hits under [sanitize]. Component maintenance and
+          semijoin reduction always run — only the physical join itself
+          is elided on a hit. *)
   table_sampler : (int -> Rox_util.Column.t -> Rox_util.Column.t) option;
       (** [table_sampler vertex domain] may thin a table when it is first
           materialized from its index — the hook behind the approximate
@@ -42,7 +43,9 @@ type config = {
   telemetry : Rox_telemetry.Sink.t;
       (** the session's telemetry sink: {!execute_edge} runs under an
           ["execute_edge"] span carrying an [("edge", id)] attribute and
-          feeds the edge-latency histogram and cache hit/miss counters.
+          feeds the edge-latency histogram; with a cache, the relation
+          lookup's hit/miss counter and [Cache_lookup] event land inside
+          that span.
           The null sink (see {!default_config}) costs one boolean test. *)
 }
 
@@ -92,7 +95,6 @@ type exec_info = {
   pair_count : int;      (** operator result pairs *)
   rel_rows : int;        (** rows of the affected component afterwards *)
   changed : int list;    (** vertices whose T(v) shrank (incl. endpoints) *)
-  cache_hit : bool;      (** the physical join was replayed from the cache *)
 }
 
 val execute_edge :

@@ -74,19 +74,6 @@ let test_bad_derived_edge () =
       : Edge.t);
   check_bool "RX008 fires" true (has_error "RX008" (Graph_check.check g))
 
-(* --- plan checks ------------------------------------------------------- *)
-
-let test_plan_violations () =
-  let g, trivial, step = small_graph () in
-  (* Unknown id, duplicate, trivial edge listed, real edge missing. *)
-  let diags = Plan_check.check g [ 99; trivial.Edge.id; step.Edge.id; step.Edge.id ] in
-  check_bool "RX201 fires" true (has_error "RX201" diags);
-  check_bool "RX202 fires" true (has_error "RX202" diags);
-  check_bool "RX204 warns" true (List.mem "RX204" (codes diags));
-  let missing = Plan_check.check g [] in
-  check_bool "RX203 fires" true (has_error "RX203" missing);
-  check_int "good plan: no errors" 0 (List.length (errors (Plan_check.check g [ step.Edge.id ])))
-
 (* --- event-stream replay checks ------------------------------------------------------ *)
 
 let weighted_exec g (e : Edge.t) ~order ~pairs ~rel_rows events =
@@ -101,6 +88,37 @@ let trace_of events =
   let t = Sink.create ~enabled:true () in
   List.iter (Sink.emit t) events;
   t
+
+(* --- executed plans ---------------------------------------------------- *)
+
+(* An executed plan is the [Edge_executed] stream: [Trace_check] rejects an
+   unknown, repeated or trivial edge and warns on a missing one, and a
+   fixed plan that repeats or misses an edge never runs. *)
+let test_plan_violations () =
+  let g, trivial, step = small_graph () in
+  let exec edge order = Sink.Edge_executed { edge; order; pairs = 1; rel_rows = 1 } in
+  let replay events = Trace_check.check g (trace_of events) in
+  check_bool "RX101 fires" true (has_error "RX101" (replay [ exec 99 1 ]));
+  let weighted = Sink.Edge_weighted { edge = step.Edge.id; weight = 1.0 } in
+  check_bool "RX102 fires" true
+    (has_error "RX102" (replay [ weighted; exec step.Edge.id 1; exec step.Edge.id 2 ]));
+  check_bool "RX107 fires" true
+    (has_error "RX107"
+       (replay
+          [ weighted; exec step.Edge.id 1;
+            Sink.Edge_weighted { edge = trivial.Edge.id; weight = 1.0 };
+            exec trivial.Edge.id 2 ]));
+  check_bool "RX109 warns" true (List.mem "RX109" (codes (replay [])));
+  check_int "good plan: no errors" 0
+    (List.length (errors (replay [ weighted; exec step.Edge.id 1 ])));
+  let engine, _ = engine_of_xml "<r><a><b/></a></r>" in
+  let plan_error order =
+    match Rox_classical.Executor.execute_default engine g order with
+    | _ -> false
+    | exception Rox_classical.Executor.Plan_error _ -> true
+  in
+  check_bool "duplicated edge: Plan_error" true (plan_error [ step; step ]);
+  check_bool "missing edge: Plan_error" true (plan_error [])
 
 let test_trace_double_execution () =
   let g, _, step = small_graph () in
@@ -199,9 +217,8 @@ return $n|}
   let result = Rox_core.Optimizer.run (Rox_core.Session.create ~telemetry:sink ()) compiled in
   check_int "clean graph" 0 (List.length (errors (Graph_check.check graph)));
   check_int "clean trace" 0 (List.length (errors (Trace_check.check graph sink)));
-  check_int "clean plan" 0
-    (List.length
-       (errors (Plan_check.check graph result.Rox_core.Optimizer.edge_order)))
+  check_bool "trace order = plan" true
+    (Sink.execution_order sink = result.Rox_core.Optimizer.edge_order)
 
 (* --- operator-contract sanitizer --------------------------------------- *)
 
@@ -240,7 +257,7 @@ let test_sanitizer_wrap_restores_flag () =
 let test_report_ordering () =
   let diags =
     [
-      Diagnostic.info "RX205" Diagnostic.Graph_loc "info first in input";
+      Diagnostic.info "RX008" Diagnostic.Graph_loc "info first in input";
       Diagnostic.error "RX001" Diagnostic.Graph_loc "error second in input";
       Diagnostic.warning "RX004" Diagnostic.Graph_loc "warning third in input";
     ]

@@ -112,13 +112,18 @@ let test_store_admits_up_to_budget () =
   (* One shared 59-element column: 472 bytes of storage counted once,
      plus the 128-byte entry overhead. *)
   let c = Rox_util.Column.of_array (Array.init 59 Fun.id) in
-  let v = { Relation_cache.left = c; right = c } in
-  check_int "entry weight" 600 (Relation_cache.weight v);
-  let key = Fingerprint.make ~epoch:(Store.epoch store) [ "admit" ] in
-  Relation_cache.add (Store.relations store) key v;
-  check_bool "600-byte entry resident under a 1000-byte budget" true
-    (Relation_cache.find (Store.relations store) key <> None);
+  let v = { Store.left = c; right = c } in
+  check_int "entry weight" 600 (Store.weight Store.Relation v);
+  let memo () =
+    Store.memo (Some store) Store.Relation ~sanitize:false
+      ~telemetry:(Sink.null ()) ~edge:0
+      ~key:(fun epoch -> Fingerprint.make ~epoch [ "admit" ])
+      ~run:(fun ~charged:_ -> v)
+  in
+  ignore (memo () : Store.pairs);
+  ignore (memo () : Store.pairs);
   let s = (Store.stats store).Store.relations in
+  check_int "600-byte entry resident under a 1000-byte budget" 1 s.Lru.hits;
   check_int "not rejected" 0 s.Lru.rejected;
   check_int "resident bytes" 600 s.Lru.bytes
 
@@ -299,6 +304,61 @@ let prop_cache_transparent =
                 && non_cache_events t2 = non_cache_events base_trace)
             queries))
 
+(* The relation lookup reports itself, whoever drives the runtime: a
+   fixed plan through the classical executor on a cached session emits one
+   relation [Cache_lookup] per executed edge, and the events agree with the
+   registry's hit counter. *)
+let test_executor_relation_events () =
+  let engine, _ = engine_of_xml site_xml in
+  let store = Store.create engine in
+  let compiled = Rox_xquery.Compile.compile_string engine (List.nth queries 1) in
+  let rox = Rox_core.Optimizer.run (Rox_core.Session.create ()) compiled in
+  let plan =
+    List.map (Rox_joingraph.Graph.edge compiled.Rox_xquery.Compile.graph)
+      rox.Rox_core.Optimizer.edge_order
+  in
+  let run () =
+    let sink = Sink.create ~enabled:true () in
+    let session = Rox_core.Session.create ~cache:store ~telemetry:sink () in
+    let _, run = Rox_classical.Executor.answer session compiled plan in
+    let executed = List.length run.Rox_classical.Executor.edge_rows in
+    check_int "one relation lookup per executed edge" executed
+      (Sink.cache_lookups ~store:`Relation sink);
+    let m = Sink.metrics sink in
+    check_int "relation hit events = relation_cache_hits"
+      m.Rox_telemetry.Metrics.relation_cache_hits.Rox_telemetry.Metrics.c_value
+      (Sink.cache_hits ~store:`Relation sink);
+    (executed, Sink.cache_hits ~store:`Relation sink)
+  in
+  let executed, cold_hits = run () in
+  check_bool "edges executed" true (executed > 0);
+  check_int "cold run: no relation hits" 0 cold_hits;
+  let executed, warm_hits = run () in
+  check_int "warm run: every edge hits" executed warm_hits
+
+(* Under the sanitizer a hit is re-run and compared with the value's own
+   equality: an estimate that differs only in its consumed fraction is a
+   cache divergence (RX304). *)
+let test_memo_sanitize_whole_cutoff () =
+  let engine, _ = engine_of_xml site_xml in
+  let store = Store.create engine in
+  let cut fraction =
+    { Rox_algebra.Cutoff.out = [| 3; 5 |]; produced = 2; consumed_outer = 1;
+      fraction; est = 4.0; completed = false }
+  in
+  let memo v () =
+    Store.memo (Some store) Store.Estimate ~sanitize:true ~telemetry:(Sink.null ())
+      ~edge:0
+      ~key:(fun epoch -> Fingerprint.make ~epoch [ "fraction" ])
+      ~run:(fun ~charged:_ -> v)
+  in
+  ignore (memo (cut 0.5) () : Rox_algebra.Cutoff.t);
+  check_bool "equal fresh run passes" true
+    (Result.is_ok (Rox_analysis.Contract.wrap (memo (cut 0.5))));
+  match Rox_analysis.Contract.wrap (memo (cut 0.25)) with
+  | Ok _ -> Alcotest.fail "a hit differing in fraction passed the cross-check"
+  | Error d -> check_string "RX304" "RX304" d.Rox_analysis.Diagnostic.code
+
 let suite =
   [
     prop_lru_model;
@@ -313,4 +373,8 @@ let suite =
     Alcotest.test_case "double absorb: gauges max, counters add" `Quick
       test_double_absorb_gauge_not_summed;
     prop_cache_transparent;
+    Alcotest.test_case "executor: one relation event per edge" `Quick
+      test_executor_relation_events;
+    Alcotest.test_case "memo: sanitize compares the whole cutoff" `Quick
+      test_memo_sanitize_whole_cutoff;
   ]
