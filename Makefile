@@ -43,13 +43,16 @@ racecheck:
 # sorted flags audited, session confinement (no global reads on a
 # session's path) armed — then the serve suite under the same contracts,
 # so cache replay (RX304) and confinement (RX307) run on the concurrent
-# served path too, and the property suite, whose index-domain property
-# drives the RX306 step cross-check over every axis and domain kind.
+# served path too, the property suite, whose index-domain property
+# drives the RX306 step cross-check over every axis and domain kind, and
+# the join-graph suite, whose edge-by-edge replays cross-check the T(v)
+# refresh that skips carried columns against RX306.
 sanitize:
 	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- analyze
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test fuzz
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test serve
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test props
+	ROX_SANITIZE=1 dune exec test/test_main.exe -- test joingraph
 
 # Quick benchmarks: the cache experiment (BENCH_cache.json), the
 # columnar relation kernels vs the row-major reference

@@ -59,39 +59,3 @@ let iter_hash ?meter ~outer_doc ~outer ~inner_doc ~inner f =
             Cost.charge meter 1;
             f cidx onode inode))
     outer
-
-let by_value doc nodes =
-  let tagged = Array.map (fun n -> (Doc.value_id doc n, n)) (Column.read nodes) in
-  Array.sort
-    (fun (a, pa) (b, pb) -> match Int.compare a b with 0 -> Int.compare pa pb | c -> c)
-    tagged;
-  tagged
-
-let iter_merge ?meter ~outer_doc ~outer ~inner_doc ~inner f =
-  let a = by_value outer_doc outer in
-  let b = by_value inner_doc inner in
-  Cost.charge meter (min (Array.length a) (Array.length b));
-  let i = ref 0 and j = ref 0 in
-  let na = Array.length a and nb = Array.length b in
-  while !i < na && !j < nb do
-    let va, _ = a.(!i) and vb, _ = b.(!j) in
-    if va < vb || va < 0 then incr i
-    else if vb < va || vb < 0 then incr j
-    else begin
-      (* Emit the cross product of the two equal-value groups. *)
-      let j_end = ref !j in
-      while !j_end < nb && fst b.(!j_end) = va do incr j_end done;
-      let i_end = ref !i in
-      while !i_end < na && fst a.(!i_end) = va do incr i_end done;
-      for ii = !i to !i_end - 1 do
-        let _, onode = a.(ii) in
-        for jj = !j to !j_end - 1 do
-          let _, inode = b.(jj) in
-          Cost.charge meter 1;
-          f ii onode inode
-        done
-      done;
-      i := !i_end;
-      j := !j_end
-    end
-  done

@@ -2,11 +2,10 @@
 
     XQuery general comparisons such as [$a/@person = $b/@id] or
     [$a1/text() = $a2/text()] become relational equi-join edges in the Join
-    Graph. Three physical algorithms, per Table 1:
+    Graph. Two physical algorithms, per Table 1:
 
     - {!iter_index_nl}: nested-loop with an inner *value-index* lookup —
       the zero-investment algorithm ROX samples with (Section 2.3);
-    - {!iter_merge}: merge join over value-ordered inputs;
     - {!iter_hash}: classic build-probe hash join (build side = inner) —
       *not* zero-investment, used only for full edge execution.
 
@@ -44,14 +43,3 @@ val iter_hash :
   inner:Rox_util.Column.t ->
   (int -> int -> int -> unit) ->
   unit
-
-val iter_merge :
-  ?meter:Cost.meter ->
-  outer_doc:Rox_shred.Doc.t ->
-  outer:Rox_util.Column.t ->
-  inner_doc:Rox_shred.Doc.t ->
-  inner:Rox_util.Column.t ->
-  (int -> int -> int -> unit) ->
-  unit
-(** Pairs are emitted in value order, not outer order — full execution
-    only. *)

@@ -3,12 +3,13 @@ open Rox_algebra
 
 (* Column-major materialized intermediates. Each vertex's cells live in
    one immutable [Column.t]; kernels move column pointers where they can
-   ([project], [of_pairs]) and gather through row-index vectors where
-   they cannot ([extend], [fuse], [distinct], [sort_rows]), so a cell is
+   ([project], [of_pairs], and any kernel whose output rows are exactly
+   its input's rows) and gather through row-index vectors where they
+   cannot ([extend], [fuse], [distinct], [sort_rows]), so a cell is
    copied at most once per kernel and never boxed. The trusted
    [Column.sorted] flag (strictly increasing = document order, duplicate
-   free) unlocks merge paths and makes [distinct] / [sort_rows] free on
-   fresh single-component relations.
+   free) makes [distinct] / [sort_rows] free on fresh single-component
+   relations and a column its own T(v) in the runtime's refresh.
 
    Under [ROX_SANITIZE=1] every kernel is cross-checked bit-for-bit
    against the retained row-major reference in {!Naive} (RX306), and
@@ -80,58 +81,99 @@ let iter_rows t f =
   done
 
 (* Gather the first [n] row indices of [rows] out of every column of
-   [t]. [rows] entries are in bounds by construction. *)
+   [t]. [rows] entries are in bounds by construction. Strictly increasing
+   [rows] keep a sorted column sorted; if there are [t.nrows] of them
+   they are exactly [0 .. t.nrows - 1], the output is [t]'s rows
+   unchanged, and its columns are carried by pointer, sorted flags
+   included, so a caller can tell an untouched column by physical
+   equality. *)
 let gather t rows n =
-  Array.map
-    (fun c ->
-      let src = Column.read c in
-      let out = Array.make n 0 in
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i (Array.unsafe_get src (Array.unsafe_get rows i))
-      done;
-      Column.unsafe_of_array ~sorted:false out)
-    t.cols
+  let rec increasing i =
+    i >= n
+    || (Array.unsafe_get rows (i - 1) < Array.unsafe_get rows i && increasing (i + 1))
+  in
+  let keeps_order = increasing 1 in
+  if keeps_order && n = t.nrows then t.cols
+  else
+    Array.map
+      (fun c ->
+        let src = Column.read c in
+        let out = Array.make n 0 in
+        for i = 0 to n - 1 do
+          Array.unsafe_set out i (Array.unsafe_get src (Array.unsafe_get rows i))
+        done;
+        Column.unsafe_of_array ~sorted:(keeps_order && Column.sorted c) out)
+      t.cols
 
-(* Pairs grouped by key in a compressed sparse layout: key id [kid] owns
-   the [starts.(kid) .. starts.(kid) + counts.(kid) - 1] slice of
-   [vals], in pair order — per-key insertion order is what keeps the
-   kernels bit-identical to the row-major reference. *)
+(* Pairs grouped by key in a compressed sparse layout: a key's id is the
+   index of its first pair, and the key owns the [starts.(kid) ..
+   starts.(kid) + counts.(kid) - 1] slice of [vals], in pair order —
+   per-key insertion order is what keeps the kernels bit-identical to
+   the row-major reference. When every key's pairs are already
+   contiguous (unique keys, or keys sorted), the input is its own
+   grouping: [vals] is the input itself, a key's slice starts at its id
+   and runs while the key repeats, and neither [counts] nor [starts] is
+   built. *)
 type csr = {
   index : Int_table.t; (* key -> key id *)
-  counts : int array;
-  starts : int array;
+  keys : int array;
+  grouped : bool;
+  counts : int array; (* empty when [grouped] *)
+  starts : int array; (* empty when [grouped] *)
   vals : int array;
 }
+
+let csr_start c kid = if c.grouped then kid else Array.unsafe_get c.starts kid
+
+let csr_count c kid =
+  if c.grouped then begin
+    let key = Array.unsafe_get c.keys kid and e = ref (kid + 1) in
+    while !e < Array.length c.keys && Array.unsafe_get c.keys !e = key do
+      incr e
+    done;
+    !e - kid
+  end
+  else Array.unsafe_get c.counts kid
 
 let csr_of_pairs keys vals_in =
   let np = Array.length keys in
   let index = Int_table.create ~capacity:(2 * np) () in
-  let kid_of = Array.make (max np 1) 0 in
-  let nkeys = ref 0 in
-  for k = 0 to np - 1 do
-    let kid = Int_table.find_or_add index (Array.unsafe_get keys k) ~default:!nkeys in
-    if kid = !nkeys then incr nkeys;
-    Array.unsafe_set kid_of k kid
-  done;
-  let counts = Array.make (max !nkeys 1) 0 in
-  for k = 0 to np - 1 do
-    let kid = Array.unsafe_get kid_of k in
-    Array.unsafe_set counts kid (Array.unsafe_get counts kid + 1)
-  done;
-  let starts = Array.make (max !nkeys 1) 0 in
-  let acc = ref 0 in
-  for kid = 0 to !nkeys - 1 do
-    starts.(kid) <- !acc;
-    acc := !acc + counts.(kid)
-  done;
-  let vals = Array.make (max np 1) 0 in
-  let fill = Array.copy starts in
-  for k = 0 to np - 1 do
-    let kid = Array.unsafe_get kid_of k in
-    Array.unsafe_set vals (Array.unsafe_get fill kid) (Array.unsafe_get vals_in k);
-    Array.unsafe_set fill kid (Array.unsafe_get fill kid + 1)
-  done;
-  { index; counts; starts; vals }
+  (* Optimistic pass: stop at the first key that reappears after another
+     key came between. *)
+  let rec contiguous k =
+    k >= np
+    ||
+    let key = Array.unsafe_get keys k in
+    ((k > 0 && Array.unsafe_get keys (k - 1) = key)
+    || Int_table.find_or_add index key ~default:k = k)
+    && contiguous (k + 1)
+  in
+  if contiguous 0 then
+    { index; keys; grouped = true; counts = [||]; starts = [||]; vals = vals_in }
+  else begin
+    let kid_of = Array.make np 0 and counts = Array.make np 0 in
+    for k = 0 to np - 1 do
+      let kid = Int_table.find_or_add index (Array.unsafe_get keys k) ~default:k in
+      Array.unsafe_set kid_of k kid;
+      Array.unsafe_set counts kid (Array.unsafe_get counts kid + 1)
+    done;
+    (* Key ids ascend in first-occurrence order, so the slices are laid
+       out in that order. *)
+    let starts = Array.make np 0 in
+    let acc = ref 0 in
+    for kid = 0 to np - 1 do
+      starts.(kid) <- !acc;
+      acc := !acc + counts.(kid)
+    done;
+    let vals = Array.make np 0 in
+    let fill = Array.copy starts in
+    for k = 0 to np - 1 do
+      let kid = Array.unsafe_get kid_of k in
+      Array.unsafe_set vals (Array.unsafe_get fill kid) (Array.unsafe_get vals_in k);
+      Array.unsafe_set fill kid (Array.unsafe_get fill kid + 1)
+    done;
+    { index; keys; grouped = false; counts; starts; vals }
+  end
 
 let project t keep =
   let cols = Array.map (fun v -> column t v) keep in
@@ -144,61 +186,60 @@ let is_nondecreasing arr =
   Array.length arr <= 1 || go 1
 
 let extend_impl ?meter ?(max_rows = max_int) t ~on ~new_vertex (p : Exec.pairs) =
-  let on_col = column t on in
+  let od = Column.read (column t on) in
   let pl = Column.read p.Exec.left and pr = Column.read p.Exec.right in
   let np = Array.length pl in
-  let od = Column.read on_col in
   let n = t.nrows in
-  if Column.sorted on_col && is_nondecreasing pl then begin
-    (* Merge path: the on-column is strictly increasing (each key on at
-       most one row) and the pairs arrive grouped by non-decreasing left
-       key — a single forward scan reproduces the hash path's output
-       order exactly. *)
-    let out_rows = Int_vec.create () in
-    let out_new = Int_vec.create () in
-    let nrows = ref 0 in
-    let i = ref 0 and k = ref 0 in
-    while !i < n && !k < np do
-      let key = od.(!i) and l = pl.(!k) in
-      if l < key then incr k
-      else if l > key then incr i
-      else begin
-        Int_vec.push out_rows !i;
-        Int_vec.push out_new pr.(!k);
-        incr nrows;
-        if !nrows > max_rows then raise (Too_large !nrows);
-        incr k
-      end
-    done;
-    Cost.charge meter !nrows;
-    make
-      (Array.append t.verts [| new_vertex |])
-      (Array.append
-         (gather t (Int_vec.to_array out_rows) !nrows)
-         [| Column.unsafe_of_array ~sorted:false (Int_vec.to_array out_new) |])
-      !nrows
-  end
-  else begin
-    (* Hash path: pairs grouped by left key, one counting pass to size
-       the output exactly, then straight column fills — no per-row
-       closures, no growth reallocation. *)
-    let csr = csr_of_pairs pl pr in
-    let row_kid = Array.make (max n 1) (-1) in
-    let row_cnt = Array.make (max n 1) 0 in
-    let total = ref 0 in
-    for i = 0 to n - 1 do
-      let kid = Int_table.find_default csr.index (Array.unsafe_get od i) ~default:(-1) in
-      Array.unsafe_set row_kid i kid;
-      if kid >= 0 then begin
-        let cnt = Array.unsafe_get csr.counts kid in
-        Array.unsafe_set row_cnt i cnt;
-        total := !total + cnt;
-        if !total > max_rows then raise (Too_large (max_rows + 1))
-      end
-    done;
-    Cost.charge meter !total;
-    let w = Array.length t.cols in
-    let out = Array.make (w + 1) Column.empty in
+  (* Each row's matches are one slice of [vals], in pair order — what
+     keeps the kernel bit-identical to the row-major reference — and the
+     same pass counts the output exactly. *)
+  let row_start = Array.make (max n 1) 0 and row_cnt = Array.make (max n 1) 0 in
+  let total = ref 0 and matched = ref 0 and repeats = ref false in
+  let set_row i s c =
+    Array.unsafe_set row_start i s;
+    Array.unsafe_set row_cnt i c;
+    incr matched;
+    if c > 1 then repeats := true;
+    total := !total + c;
+    if !total > max_rows then raise (Too_large (max_rows + 1))
+  in
+  let vals =
+    if is_nondecreasing od && is_nondecreasing pl then begin
+      (* Merge path: rows and pairs both in non-decreasing key order, so
+         one forward scan finds every row's run of pairs; rows repeating
+         a key share its run. *)
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        let key = Array.unsafe_get od i in
+        while !k < np && Array.unsafe_get pl !k < key do
+          incr k
+        done;
+        let e = ref !k in
+        while !e < np && Array.unsafe_get pl !e = key do
+          incr e
+        done;
+        if !e > !k then set_row i !k (!e - !k)
+      done;
+      pr
+    end
+    else begin
+      (* Hash path: pairs grouped by left key through the CSR. *)
+      let csr = csr_of_pairs pl pr in
+      for i = 0 to n - 1 do
+        let kid = Int_table.find_default csr.index (Array.unsafe_get od i) ~default:(-1) in
+        if kid >= 0 then set_row i (csr_start csr kid) (csr_count csr kid)
+      done;
+      csr.vals
+    end
+  in
+  Cost.charge meter !total;
+  let w = Array.length t.cols in
+  let out = Array.make (w + 1) Column.empty in
+  (* Every row matched exactly once: the output rows are the input rows,
+     so the old columns are carried by pointer. Rows that are only
+     dropped, never repeated, keep a sorted column sorted. *)
+  if !matched = n && !total = n then Array.blit t.cols 0 out 0 w
+  else
     for c = 0 to w - 1 do
       let src = Column.read t.cols.(c) in
       let dst = Array.make !total 0 in
@@ -210,23 +251,21 @@ let extend_impl ?meter ?(max_rows = max_int) t ~on ~new_vertex (p : Exec.pairs) 
           incr r
         done
       done;
-      out.(c) <- Column.unsafe_of_array ~sorted:false dst
+      out.(c) <- Column.unsafe_of_array ~sorted:((not !repeats) && Column.sorted t.cols.(c)) dst
     done;
-    let dst = Array.make !total 0 in
-    let r = ref 0 in
-    for i = 0 to n - 1 do
-      let kid = Array.unsafe_get row_kid i in
-      if kid >= 0 then begin
-        let s = Array.unsafe_get csr.starts kid in
-        for j = 0 to Array.unsafe_get csr.counts kid - 1 do
-          Array.unsafe_set dst !r (Array.unsafe_get csr.vals (s + j));
-          incr r
-        done
-      end
-    done;
-    out.(w) <- Column.unsafe_of_array ~sorted:false dst;
-    make (Array.append t.verts [| new_vertex |]) out !total
-  end
+  let dst = Array.make !total 0 in
+  let r = ref 0 in
+  for i = 0 to n - 1 do
+    let s = Array.unsafe_get row_start i in
+    for j = 0 to Array.unsafe_get row_cnt i - 1 do
+      Array.unsafe_set dst !r (Array.unsafe_get vals (s + j));
+      incr r
+    done
+  done;
+  (* The new column's flag is detected: a strictly increasing column is
+     its own T(v) in the runtime's refresh. *)
+  out.(w) <- Column.unsafe_of_array_detect dst;
+  make (Array.append t.verts [| new_vertex |]) out !total
 
 (* --- fuse -------------------------------------------------------------- *)
 
@@ -250,7 +289,7 @@ let fuse_impl ?meter ?(max_rows = max_int) left right ~on_left ~on_right (p : Ex
     Array.unsafe_set lkid k lk;
     Array.unsafe_set rkid k rk;
     if lk >= 0 && rk >= 0 then begin
-      total := !total + (Array.unsafe_get lc.counts lk * Array.unsafe_get rc.counts rk);
+      total := !total + (csr_count lc lk * csr_count rc rk);
       if !total > max_rows then raise (Too_large (max_rows + 1))
     end
   done;
@@ -260,8 +299,8 @@ let fuse_impl ?meter ?(max_rows = max_int) left right ~on_left ~on_right (p : Ex
   for k = 0 to np - 1 do
     let lk = Array.unsafe_get lkid k and rk = Array.unsafe_get rkid k in
     if lk >= 0 && rk >= 0 then begin
-      let ls = Array.unsafe_get lc.starts lk and ln = Array.unsafe_get lc.counts lk in
-      let rs = Array.unsafe_get rc.starts rk and rn = Array.unsafe_get rc.counts rk in
+      let ls = csr_start lc lk and ln = csr_count lc lk in
+      let rs = csr_start rc rk and rn = csr_count rc rk in
       for a = 0 to ln - 1 do
         let li = Array.unsafe_get lc.vals (ls + a) in
         for b = 0 to rn - 1 do

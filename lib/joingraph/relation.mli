@@ -10,12 +10,15 @@
 
     Storage is column-major — one immutable {!Rox_util.Column.t} per
     vertex, mirroring the MonetDB/XQuery substrate the paper runs on.
-    [project] and [of_pairs] move column pointers without copying;
+    [project] and [of_pairs] move column pointers without copying, and
+    so does every kernel whose output rows are exactly its input's rows
+    in order: it carries the input's columns (sorted flags included), so
+    an unchanged column is physically ([==]) the input's;
     [extend] / [fuse] / [distinct] / [sort_rows] gather through unboxed
     row-index vectors and open-addressing int tables (no polymorphic
     compare, no boxed keys); the trusted [Column.sorted] flag turns
-    [distinct] and [sort_rows] into no-ops on document-ordered columns
-    and unlocks a merge path in [extend].
+    [distinct] and [sort_rows] into no-ops on document-ordered columns,
+    and kernels keep it set where order survives.
 
     Under [ROX_SANITIZE=1] every kernel is cross-checked bit-for-bit
     against the retained row-major reference {!Naive} (contract RX306)
@@ -61,8 +64,9 @@ val extend :
   t -> on:int -> new_vertex:int -> Exec.pairs -> t
 (** [extend r ~on ~new_vertex pairs] joins [r] with the pair list on [r]'s
     [on] column (pairs are oriented (on-node, new-node)). Work charged:
-    result rows. Takes a hash-free merge path when the [on] column is
-    strictly increasing and the pairs arrive grouped by left key. *)
+    result rows. Takes a hash-free merge path when the [on] column and
+    the pairs' left keys are both non-decreasing. When every row of [r]
+    matched exactly one pair, [r]'s columns are carried by pointer. *)
 
 val fuse :
   ?sanitize:bool ->
@@ -70,7 +74,9 @@ val fuse :
   ?max_rows:int ->
   t -> t -> on_left:int -> on_right:int -> Exec.pairs -> t
 (** Join two components through an edge whose endpoints live one in each:
-    pairs oriented (left-component node, right-component node). *)
+    pairs oriented (left-component node, right-component node). A side
+    whose rows come out exactly once each, in order, is carried by
+    pointer. *)
 
 val filter_pairs :
   ?sanitize:bool ->

@@ -126,6 +126,10 @@ let ensure_table t v =
     t.tables.(v) <- Some tab;
     tab
 
+let component t v =
+  let cid = t.comp_of.(v) in
+  if cid < 0 then None else t.components.(cid)
+
 let new_component t rel =
   if t.ncomponents >= Array.length t.components then begin
     let bigger = Array.make (2 * Array.length t.components) None in
@@ -184,20 +188,30 @@ let marks_for t v table =
    report which ones actually shrank. Each column holds only nodes of the
    table the edge read for its vertex ([read v]: the endpoint input, else
    the current T(v)), and T(v) only ever shrinks — so the new T(v) is that
-   sorted table semijoined with the column, never a sort. *)
-let refresh_tables t rel ~read =
+   sorted table semijoined with the column, never a sort — or the column
+   itself when it is strictly increasing. A column the kernel carried by
+   pointer ([old.(i)] == the new column) holds the same values as before
+   the edge, so its T(v) stands and is skipped. *)
+let refresh_tables t rel ~old ~read =
   let changed = ref [] in
-  Array.iter
-    (fun v ->
-      let base = read v in
-      let fresh = Column.semijoin ~marks:(marks_for t v base) base (Relation.column rel v) in
-      let dirty =
-        match t.tables.(v) with
-        | Some old -> Column.length old <> Column.length fresh
-        | None -> true
-      in
-      t.tables.(v) <- Some fresh;
-      if dirty then changed := v :: !changed)
+  Array.iteri
+    (fun i v ->
+      let col = Relation.column rel v in
+      if not (match old.(i) with Some c -> c == col | None -> false) then begin
+        let fresh =
+          if Column.sorted col then col
+          else
+            let base = read v in
+            Column.semijoin ~marks:(marks_for t v base) base col
+        in
+        let dirty =
+          match t.tables.(v) with
+          | Some old -> Column.length old <> Column.length fresh
+          | None -> true
+        in
+        t.tables.(v) <- Some fresh;
+        if dirty then changed := v :: !changed
+      end)
     (Relation.vertices rel);
   List.rev !changed
 
@@ -346,6 +360,13 @@ let execute_edge_body ?meter t (e : Edge.t) =
   in
   if Relation.rows rel > t.max_rows then
     raise (Blowup { edge = e.Edge.id; rows = Relation.rows rel; limit = t.max_rows });
+  (* Each vertex's column before the edge, read before the new component
+     replaces the ones it came from. *)
+  let old =
+    Array.map
+      (fun v -> Option.map (fun r -> Relation.column r v) (component t v))
+      (Relation.vertices rel)
+  in
   (* Install the new component, retiring any merged ones. *)
   let cid =
     if c1 >= 0 then c1
@@ -358,7 +379,7 @@ let execute_edge_body ?meter t (e : Edge.t) =
   let read v =
     if v = v1 then plan.in1 else if v = v2 then plan.in2 else table_or_domain t v
   in
-  let changed = refresh_tables t rel ~read in
+  let changed = refresh_tables t rel ~old ~read in
   if t.sanitize then begin
     let op = Printf.sprintf "Runtime.execute_edge(e%d)" e.Edge.id in
     Array.iter

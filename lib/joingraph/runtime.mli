@@ -10,8 +10,9 @@
     unset; initialized from the best index when an incident edge first
     executes — Algorithm 1, lines 8–12), and per already-executed connected
     subgraph a fully joined {!Relation}. Executing an edge creates,
-    extends, fuses or filters components and semijoin-reduces every table
-    of the affected component. *)
+    extends, fuses or filters components and semijoin-reduces the table
+    of every vertex whose column the edge rebuilt; a column the kernel
+    carried unchanged keeps its table. *)
 
 open Rox_storage
 
@@ -90,6 +91,10 @@ val table_or_domain : t -> int -> Rox_util.Column.t
 
 val ensure_table : t -> int -> Rox_util.Column.t
 (** Materialize T(v) from its index domain if unset, and return it. *)
+
+val component : t -> int -> Relation.t option
+(** The materialized component holding the vertex, if any: T(v) is the
+    distinct values of its column there. *)
 
 type exec_info = {
   pair_count : int;      (** operator result pairs *)

@@ -225,8 +225,7 @@ let complete t entry ~wait_ns resp run =
         run;
       Condition.broadcast entry.done_c)
 
-let process t entry =
-  let wait_ns = Clock.elapsed_ns entry.submitted_ns in
+let process t entry ~wait_ns =
   let wait_ms = int_of_float (Clock.ms_of_ns wait_ns) in
   let q = entry.query in
   let resp, run =
@@ -275,13 +274,35 @@ let take_locked t =
   in
   go ()
 
+(* The worker's exception barrier: [run_query] maps every failure of the
+   run to an ERR, but the flight record (a trace snapshot, the slow log)
+   and the ledger update come after it. An exception there must neither
+   kill the worker domain nor leave the submitter blocked in [await]: the
+   entry is answered ERR internal unless it already has its outcome, so
+   it is completed exactly once and the RX601/RX603 balances hold. Both
+   sources run after the recorder stored the request's record, so RX701
+   holds too. *)
+let process_guarded t entry =
+  let wait_ns = Clock.elapsed_ns entry.submitted_ns in
+  try process t entry ~wait_ns
+  with exn ->
+    let answered =
+      locked t (fun () ->
+          Accesslog.record ~site:t.al_counts Read;
+          Option.is_some entry.outcome)
+    in
+    if not answered then
+      complete t entry ~wait_ns
+        (Protocol.Err (Protocol.Internal, Printexc.to_string exn))
+        None
+
 let worker_loop t =
   Accesslog.hb_acquire t.hb_spawn;
   let rec loop () =
     match Mutex.protect t.mutex (fun () -> take_locked t) with
     | None -> ()
     | Some entry ->
-      process t entry;
+      process_guarded t entry;
       loop ()
   in
   loop ();
@@ -440,7 +461,7 @@ let drain_once t =
   with
   | None -> false
   | Some entry ->
-    process t entry;
+    process_guarded t entry;
     true
 
 (* ---- introspection ------------------------------------------------------ *)

@@ -134,10 +134,6 @@ let test_value_join_algorithms_agree () =
     pairs_of_iter (fun f ->
         Value_join.iter_hash ~outer_doc:doc ~outer:left ~inner_doc:doc ~inner:right f)
   in
-  let merge =
-    pairs_of_iter (fun f ->
-        Value_join.iter_merge ~outer_doc:doc ~outer:left ~inner_doc:doc ~inner:right f)
-  in
   let index_nl =
     pairs_of_iter (fun f ->
         Value_join.iter_index_nl ~outer_doc:doc ~outer:left
@@ -146,7 +142,6 @@ let test_value_join_algorithms_agree () =
   in
   (* x matches x (2 left x's times 1 right x) + z matches z (1x2) = 4 pairs. *)
   check_int "hash pair count" 4 (List.length hash);
-  check_bool "merge = hash" true (merge = hash);
   check_bool "index_nl = hash" true (index_nl = hash)
 
 let test_index_nl_unrestricted () =

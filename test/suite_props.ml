@@ -70,10 +70,10 @@ let prop_cutoff_sanity =
       && cut.Cutoff.produced <= limit + 0 (* the cut stops exactly at limit *)
       && (cut.Cutoff.completed || cut.Cutoff.produced = limit))
 
-(* Value joins: all three algorithms produce the same pair set on random
+(* Value joins: both algorithms produce the same pair set on random
    documents. *)
 let prop_value_join_equivalence =
-  qtest ~count:80 "value joins: hash = merge = index-NL" QCheck.small_int (fun seed ->
+  qtest ~count:80 "value joins: hash = index-NL" QCheck.small_int (fun seed ->
       let _, r = random_engine seed in
       let doc = r.Engine.doc in
       let texts = Kind_index.lookup r.Engine.kinds Nodekind.Text in
@@ -91,10 +91,6 @@ let prop_value_join_equivalence =
           collect (fun f ->
               Value_join.iter_hash ~outer_doc:doc ~outer:left ~inner_doc:doc ~inner:right f)
         in
-        let merge =
-          collect (fun f ->
-              Value_join.iter_merge ~outer_doc:doc ~outer:left ~inner_doc:doc ~inner:right f)
-        in
         let nl =
           collect (fun f ->
               Value_join.iter_index_nl ~outer_doc:doc ~outer:left
@@ -102,7 +98,7 @@ let prop_value_join_equivalence =
                          restrict = Some right }
                 f)
         in
-        hash = merge && merge = nl
+        hash = nl
       end)
 
 (* Staircase with restricted candidates = staircase with all candidates
@@ -273,6 +269,12 @@ let pick_vertex rng (r : Naive.r) =
 
 let agree naive_out col_out = Relation.equal col_out (Naive.to_relation naive_out)
 
+let by_left (l, r) =
+  let sorted =
+    List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.combine (Array.to_list l) (Array.to_list r))
+  in
+  (Array.of_list (List.map fst sorted), Array.of_list (List.map snd sorted))
+
 let prop_kernel_extend =
   qtest ~count:300 "columnar extend = naive extend (hash path)" QCheck.small_int
     (fun seed ->
@@ -281,6 +283,9 @@ let prop_kernel_extend =
       let r = fuzz_naive rng ~base_vertex:0 ~span in
       let p = fuzz_pairs rng ~m:(xi rng 20) ~lspan:span ~rspan:50 in
       let on = pick_vertex rng r in
+      (* Pairs sorted by left key, pair order kept within a key: each key's
+         pairs are one contiguous run, the CSR's grouped shape. *)
+      let p = if Rox_util.Xoshiro.bool rng then by_left p else p in
       agree
         (Naive.extend r ~on ~new_vertex:9 ~left:(fst p) ~right:(snd p))
         (Relation.extend (Naive.to_relation r) ~on ~new_vertex:9 (cpairs p)))
@@ -290,12 +295,14 @@ let prop_kernel_extend_merge =
     (fun seed ->
       let rng = Rox_util.Xoshiro.create (seed + 202) in
       let n = xi rng 25 in
-      (* Strictly increasing on-column: detect sets the sorted flag, and
-         the grouped pairs below steer [extend] onto its merge path. *)
+      (* Non-decreasing on-column — strictly increasing or with repeated
+         keys — and the grouped pairs below steer [extend] onto its merge
+         path. *)
+      let step = if Rox_util.Xoshiro.bool rng then 2 else 1 in
       let r =
         {
           Naive.verts = [| 0; 1 |];
-          data = Array.init (n * 2) (fun k -> if k mod 2 = 0 then k / 2 else xi rng 6);
+          data = Array.init (n * 2) (fun k -> if k mod 2 = 0 then k / step else xi rng 6);
           nrows = n;
         }
       in
@@ -339,6 +346,8 @@ let prop_kernel_fuse =
       let b = fuzz_naive rng ~base_vertex:10 ~span in
       let p = fuzz_pairs rng ~m:(xi rng 20) ~lspan:span ~rspan:span in
       let on_left = pick_vertex rng a and on_right = pick_vertex rng b in
+      (* Sorted rows: equal keys of the first column sit together. *)
+      let a = if Rox_util.Xoshiro.bool rng then Naive.sort_rows a else a in
       agree
         (Naive.fuse a b ~on_left ~on_right ~pl:(fst p) ~pr:(snd p))
         (Relation.fuse (Naive.to_relation a) (Naive.to_relation b) ~on_left ~on_right
@@ -385,6 +394,126 @@ let prop_kernel_cross =
       let b = fuzz_naive rng ~base_vertex:10 ~span:5 in
       agree (Naive.cross a b) (Relation.cross (Naive.to_relation a) (Naive.to_relation b)))
 
+(* ---- identity and unique-key shapes ---------------------------------
+
+   When a kernel's output rows are exactly its input's rows in order, the
+   input's columns are carried by pointer (sorted flags included); the
+   runtime's T(v) refresh relies on that physical identity. Every on-key
+   below has exactly one pair (the unique-key grouping path), so every row
+   matches once; dropping the pair of one present key loses a row, and
+   then every column must be rebuilt. *)
+
+let carried ~from out =
+  Array.for_all
+    (fun v ->
+      let a = Relation.column from v and b = Relation.column out v in
+      a == b && Rox_util.Column.sorted a = Rox_util.Column.sorted b)
+    (Relation.vertices from)
+
+let copied ~from out =
+  Array.for_all
+    (fun v -> Relation.column from v != Relation.column out v)
+    (Relation.vertices from)
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = xi rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+(* Distinct keys of column [c] of [r], in first-occurrence order. *)
+let keys_of (r : Naive.r) c =
+  let w = Array.length r.Naive.verts in
+  let seen = Hashtbl.create 16 in
+  List.rev
+    (List.fold_left
+       (fun acc i ->
+         let k = r.Naive.data.((i * w) + c) in
+         if Hashtbl.mem seen k then acc else (Hashtbl.replace seen k (); k :: acc))
+       [] (List.init r.Naive.nrows Fun.id))
+  |> Array.of_list
+
+let prop_kernel_extend_carry =
+  qtest ~count:300 "extend carries unchanged columns (hash + merge paths)" QCheck.small_int
+    (fun seed ->
+      let rng = Rox_util.Xoshiro.create (seed + 208) in
+      let merge = Rox_util.Xoshiro.bool rng in
+      let r =
+        if merge then begin
+          (* Strictly increasing on-column 0 and sorted pairs: merge path. *)
+          let n = xi rng 25 in
+          {
+            Naive.verts = [| 0; 1 |];
+            data = Array.init (n * 2) (fun k -> if k mod 2 = 0 then 3 * (k / 2) else xi rng 6);
+            nrows = n;
+          }
+        end
+        else fuzz_naive rng ~base_vertex:0 ~span:(1 + xi rng 9)
+      in
+      let c = if merge then 0 else xi rng (Array.length r.Naive.verts) in
+      let on = r.Naive.verts.(c) in
+      (* One pair per present key, plus unique keys no row holds. *)
+      let keys = Array.append (keys_of r c) (Array.init (xi rng 4) (fun i -> 1000 + i)) in
+      if merge then Array.sort compare keys else shuffle rng keys;
+      let run keys =
+        let pr = Array.mapi (fun i _ -> 500 + i) keys in
+        let rel = Naive.to_relation r in
+        let out = Relation.extend rel ~on ~new_vertex:9 (cpairs (keys, pr)) in
+        (rel, out, agree (Naive.extend r ~on ~new_vertex:9 ~left:keys ~right:pr) out)
+      in
+      let rel, out, ok = run keys in
+      ok && carried ~from:rel out
+      &&
+      if r.Naive.nrows = 0 then true
+      else begin
+        let w = Array.length r.Naive.verts in
+        let gone = r.Naive.data.((xi rng r.Naive.nrows * w) + c) in
+        let rel, out, ok = run (Array.of_list (List.filter (( <> ) gone) (Array.to_list keys))) in
+        ok && copied ~from:rel out
+      end)
+
+let prop_kernel_fuse_carry =
+  qtest ~count:300 "fuse carries an unchanged side" QCheck.small_int (fun seed ->
+      let rng = Rox_util.Xoshiro.create (seed + 209) in
+      let n = xi rng 20 in
+      (* Column 0 of each side holds distinct keys in shuffled order. *)
+      let side base =
+        let keys = Array.init n (fun i -> 2 * i) in
+        shuffle rng keys;
+        let w = 1 + xi rng 3 in
+        {
+          Naive.verts = Array.init w (fun i -> base + i);
+          data = Array.init (n * w) (fun k -> if k mod w = 0 then keys.(k / w) else xi rng 5);
+          nrows = n;
+        }
+      in
+      let a = side 0 and b = side 10 in
+      (* Pair k joins left row k with right row perm.(k): left rows come out
+         in order, right rows in [perm] order. *)
+      let perm = Array.init n Fun.id in
+      if Rox_util.Xoshiro.bool rng then shuffle rng perm;
+      let pl = Array.init n (fun k -> a.Naive.data.(k * Array.length a.Naive.verts)) in
+      let pr = Array.init n (fun k -> b.Naive.data.(perm.(k) * Array.length b.Naive.verts)) in
+      let run pl pr =
+        let ra = Naive.to_relation a and rb = Naive.to_relation b in
+        let out = Relation.fuse ra rb ~on_left:0 ~on_right:10 (cpairs (pl, pr)) in
+        (ra, rb, out, agree (Naive.fuse a b ~on_left:0 ~on_right:10 ~pl ~pr) out)
+      in
+      let ra, rb, out, ok = run pl pr in
+      let in_order = Array.for_all2 ( = ) perm (Array.init n Fun.id) in
+      ok && carried ~from:ra out
+      && (if in_order then carried ~from:rb out else copied ~from:rb out)
+      &&
+      if n = 0 then true
+      else begin
+        let k = xi rng n in
+        let drop a = Array.of_list (List.filteri (fun i _ -> i <> k) (Array.to_list a)) in
+        let ra, rb, out, ok = run (drop pl) (drop pr) in
+        ok && copied ~from:ra out && copied ~from:rb out
+      end)
+
 let suite =
   [
     prop_step_direction_symmetry;
@@ -402,4 +531,6 @@ let suite =
     prop_kernel_filter_pairs;
     prop_kernel_unary;
     prop_kernel_cross;
+    prop_kernel_extend_carry;
+    prop_kernel_fuse_carry;
   ]
