@@ -21,9 +21,9 @@ lint:
 	dune exec bin/rox_cli.exe -- lint
 	dune exec bin/rox_cli.exe -- lint --json > rox_lint.json
 
-# Dynamic race detection (RX501-RX504): prove the detector's teeth on
-# the seeded fixtures (the planted unguarded counter must come back
-# RX501, its mutex-guarded twin clean), then replay the multi-domain
+# Dynamic race detection (RX501, RX502, RX504): prove the detector's
+# teeth on the seeded fixtures (the planted unguarded counter must come
+# back RX501, its mutex-guarded twin clean), then replay the multi-domain
 # workload — concurrent sessions on one shared cache, then the
 # same queries through the serving front-end — under the armed access
 # log and require it race-free. The explicit seeded-race invocation
@@ -36,17 +36,17 @@ racecheck:
 	  echo "racecheck: seeded race was NOT flagged (expected exit 1)"; exit 1; \
 	else echo "racecheck: seeded race correctly rejected"; fi
 
-# Runtime contract checks (RX301-RX307): the analyze workloads plus the
+# Runtime contract checks (RX301-RX306): the analyze workloads plus the
 # fuzz suite with every operator call cross-checked — columnar kernels
 # bit-for-bit against the row-major reference, index-domain steps against
 # the candidate-column path, cache hits against fresh recomputation,
-# sorted flags audited, session confinement (no global reads on a
-# session's path) armed — then the serve suite under the same contracts,
-# so cache replay (RX304) and confinement (RX307) run on the concurrent
-# served path too, the property suite, whose index-domain property
-# drives the RX306 step cross-check over every axis and domain kind, and
-# the join-graph suite, whose edge-by-edge replays cross-check the T(v)
-# refresh that skips carried columns against RX306.
+# sorted flags audited — then the serve suite under the same contracts,
+# so cache replay (RX304) runs on the concurrent served path too, the
+# property suite, whose index-domain property drives the RX306 step
+# cross-check over every axis and domain kind, and the join-graph suite,
+# whose edge-by-edge replays cross-check the T(v) refresh that skips
+# carried columns against RX306. The suites' direct operator calls take
+# ROX_SANITIZE's mode from one test helper.
 sanitize:
 	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- analyze
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test fuzz

@@ -26,17 +26,19 @@ let make_tests () =
   let staircase_desc =
     Test.make ~name:"staircase descendant (Fig1-3 steps)"
       (Staged.stage (fun () ->
-           Staircase.join ~doc ~axis:Axis.Descendant ~context:sample100 bidders))
+           Staircase.join ~sanitize:false ~doc ~axis:Axis.Descendant ~context:sample100
+             bidders))
   in
   let staircase_child =
     Test.make ~name:"staircase child (Table 1)"
       (Staged.stage (fun () ->
-           Staircase.join ~doc ~axis:Axis.Child ~context:sample100 bidders))
+           Staircase.join ~sanitize:false ~doc ~axis:Axis.Child ~context:sample100 bidders))
   in
   let staircase_anc =
     Test.make ~name:"staircase ancestor (Table 1)"
       (Staged.stage (fun () ->
-           Staircase.join ~doc ~axis:Axis.Ancestor ~context:bidders auctions))
+           Staircase.join ~sanitize:false ~doc ~axis:Axis.Ancestor ~context:bidders
+             auctions))
   in
   let index_lookup =
     Test.make ~name:"element index lookup (Table 1 Delt)"
@@ -76,7 +78,9 @@ let make_tests () =
   let names, name_domain = index_domain (Rox_joingraph.Vertex.Element "name") in
   let texts, text_domain = index_domain (Rox_joingraph.Vertex.Text None) in
   let name_sample = Sampling.sample rng names 100 in
-  let name_texts = Staircase.join ~doc ~axis:Axis.Child ~context:name_sample texts in
+  let name_texts =
+    Staircase.join ~sanitize:false ~doc ~axis:Axis.Child ~context:name_sample texts
+  in
   let sampled_step label ~axis ~context ~candidates domain =
     Test.make ~name:label
       (Staged.stage (fun () ->
@@ -111,7 +115,7 @@ let make_tests () =
     in
     Test.make ~name:"relation extend (Fig 5 intermediates)"
       (Staged.stage (fun () ->
-           Rox_joingraph.Relation.extend base ~on:0 ~new_vertex:1 pairs))
+           Rox_joingraph.Relation.extend ~sanitize:false base ~on:0 ~new_vertex:1 pairs))
   in
   let sampling_draw =
     Test.make ~name:"index sampling tau=100 (Sec 2.3)"

@@ -66,9 +66,10 @@ let case_extend n =
         Relation.Naive.extend naive_base ~on:1 ~new_vertex:2 ~left:pl ~right:pr)
   in
   let new_s =
-    time_best (fun () -> Relation.extend columnar_base ~on:1 ~new_vertex:2 pairs)
+    time_best (fun () ->
+        Relation.extend ~sanitize:false columnar_base ~on:1 ~new_vertex:2 pairs)
   in
-  let out = Relation.extend columnar_base ~on:1 ~new_vertex:2 pairs in
+  let out = Relation.extend ~sanitize:false columnar_base ~on:1 ~new_vertex:2 pairs in
   let ref_out =
     Relation.Naive.to_relation
       (Relation.Naive.extend naive_base ~on:1 ~new_vertex:2 ~left:pl ~right:pr)
@@ -98,9 +99,10 @@ let case_fuse n =
         Relation.Naive.fuse naive_l naive_r ~on_left:1 ~on_right:2 ~pl ~pr)
   in
   let new_s =
-    time_best (fun () -> Relation.fuse col_l col_r ~on_left:1 ~on_right:2 pairs)
+    time_best (fun () ->
+        Relation.fuse ~sanitize:false col_l col_r ~on_left:1 ~on_right:2 pairs)
   in
-  let out = Relation.fuse col_l col_r ~on_left:1 ~on_right:2 pairs in
+  let out = Relation.fuse ~sanitize:false col_l col_r ~on_left:1 ~on_right:2 pairs in
   let ref_out =
     Relation.Naive.to_relation
       (Relation.Naive.fuse naive_l naive_r ~on_left:1 ~on_right:2 ~pl ~pr)
@@ -119,8 +121,8 @@ let case_distinct n =
   let naive = Relation.Naive.of_pairs ~v1:0 ~v2:1 ~left ~right in
   let columnar = Relation.of_pairs ~v1:0 ~v2:1 { Exec.left = col left; right = col right } in
   let old_s = time_best (fun () -> Relation.Naive.distinct naive) in
-  let new_s = time_best (fun () -> Relation.distinct columnar) in
-  let out = Relation.distinct columnar in
+  let new_s = time_best (fun () -> Relation.distinct ~sanitize:false columnar) in
+  let out = Relation.distinct ~sanitize:false columnar in
   let ref_out = Relation.Naive.to_relation (Relation.Naive.distinct naive) in
   if not (Relation.equal out ref_out) then
     failwith "relation bench: columnar distinct differs from naive reference";
@@ -129,14 +131,10 @@ let case_distinct n =
 let run ~full () =
   header "Relation kernels: columnar core vs row-major reference";
   let sizes = if full then [ 10_000; 100_000; 1_000_000 ] else [ 10_000; 100_000 ] in
-  (* Time the kernels themselves, not the RX306 cross-check. *)
-  let prev = Rox_algebra.Sanitize.default_mode () in
-  Rox_algebra.Sanitize.set_default_mode false;
+  (* Kernels run with ~sanitize:false: time the kernels themselves, not
+     the RX306 cross-check. *)
   let cases =
-    Fun.protect
-      ~finally:(fun () -> Rox_algebra.Sanitize.set_default_mode prev)
-      (fun () ->
-        List.concat_map (fun n -> [ case_extend n; case_fuse n; case_distinct n ]) sizes)
+    List.concat_map (fun n -> [ case_extend n; case_fuse n; case_distinct n ]) sizes
   in
   subheader "best-of-3 wall clock per kernel call";
   Rox_util.Table_fmt.print

@@ -503,7 +503,7 @@ let racecheck_workload ~domains ~iters ~scale () =
   let race_diags =
     A.Race_fixtures.with_recording (fun () ->
         (* Everything is created *inside* the armed region so every cache,
-           engine epoch, server and session registers its site. *)
+           server and session registers its site. *)
         let engine = Rox_storage.Engine.create () in
         let params = Rox_workload.Xmark.scaled scale in
         ignore
@@ -1291,15 +1291,18 @@ let cmd =
     Arg.(value & opt optimizer_conv Opt_rox & info [ "optimizer" ] ~docv:"OPT"
            ~doc:"Evaluation strategy: $(b,rox) (run-time optimization with chain sampling), $(b,greedy) (run-time, smallest-weight edge), $(b,static) (compile-time synopsis plan), or $(b,midquery) (static plan with validity-range re-optimization).")
   in
-  let tau = Arg.(value & opt int 100 & info [ "tau" ] ~docv:"N" ~doc:"Sample size (default 100).") in
+  let tau =
+    Arg.(value & opt (int_at_least 0) 100 & info [ "tau" ] ~docv:"N"
+           ~doc:"Sample size (default 100).")
+  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Session RNG seed: equal seeds give bit-identical runs.") in
   let deadline_ms =
-    Arg.(value & opt int 0 & info [ "deadline-ms" ] ~docv:"MS"
+    Arg.(value & opt (int_at_least 0) 0 & info [ "deadline-ms" ] ~docv:"MS"
            ~doc:"Wall-clock budget per query run in milliseconds (0 = none). \
                  Exceeding it aborts the run with a budget error.")
   in
   let max_sampled_rows =
-    Arg.(value & opt int 0 & info [ "max-sampled-rows" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 0) 0 & info [ "max-sampled-rows" ] ~docv:"N"
            ~doc:"Budget on total sampled tuples per run (0 = unlimited). \
                  Exceeding it aborts the run with a budget error.")
   in
@@ -1309,7 +1312,7 @@ let cmd =
            ~doc:"Serialize at most K answer nodes (0 = all; default 20).")
   in
   let cache_mb =
-    Arg.(value & opt int 0 & info [ "cache-mb" ] ~docv:"MB"
+    Arg.(value & opt (int_at_least 0) 0 & info [ "cache-mb" ] ~docv:"MB"
            ~doc:"Budget (MiB) for the cross-query cache of materialized edge \
                  executions and sample estimates (0 = off; default 0). Only \
                  affects the rox and greedy optimizers.")
@@ -1336,29 +1339,23 @@ let cmd =
       $ cache_stats $ profile $ trace_out_arg $ metrics_out_arg
       $ slow_log_arg $ slow_ms_arg)
   in
-  let group =
-    Cmd.group ~default:run_term (Cmd.info "rox" ~doc)
-      [ analyze_cmd; lint_cmd; racecheck_cmd; serve_cmd; stat_cmd; profile_cmd;
-        trace_validate_cmd ]
+  let commands =
+    [ Cmd.v (Cmd.info "run" ~doc) run_term; analyze_cmd; lint_cmd; racecheck_cmd;
+      serve_cmd; stat_cmd; profile_cmd; trace_validate_cmd ]
   in
+  let group = Cmd.group ~default:run_term (Cmd.info "rox" ~doc) commands in
   let legacy = Cmd.v (Cmd.info "rox" ~doc) run_term in
-  (group, legacy)
+  (group, legacy, List.map Cmd.name commands)
 
 (* Cmd.group dispatches on the first argv token, which would reject the
    historical `rox query.xq` spelling as an unknown command: route bare
-   positionals that aren't subcommand names to the plain query runner. *)
+   positionals that aren't command names to the plain query runner. *)
 let () =
-  let group, legacy = cmd in
+  let group, legacy, names = cmd in
   let bare_positional =
     Array.length Sys.argv > 1
     && String.length Sys.argv.(1) > 0
     && Sys.argv.(1).[0] <> '-'
-    && Sys.argv.(1) <> "analyze"
-    && Sys.argv.(1) <> "lint"
-    && Sys.argv.(1) <> "racecheck"
-    && Sys.argv.(1) <> "serve"
-    && Sys.argv.(1) <> "stat"
-    && Sys.argv.(1) <> "profile"
-    && Sys.argv.(1) <> "trace-validate"
+    && not (List.mem Sys.argv.(1) names)
   in
   exit (Cmd.eval' (if bare_positional then legacy else group))

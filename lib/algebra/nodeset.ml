@@ -1,20 +1,14 @@
 open Rox_util
 
-(* Direct callers (tests, ad-hoc tools) may omit [sanitize] and inherit the
-   process default; session execution paths always thread the session's
-   mode — the RX307 confinement trap in [Sanitize.default_mode] catches any
-   path that forgets. *)
-let resolve = function Some s -> s | None -> Sanitize.default_mode ()
-
-let checked ?sanitize ~op a b out =
-  if resolve sanitize then begin
+let checked ~sanitize ~op a b out =
+  if sanitize then begin
     Sanitize.check_sorted_dedup ~op ~what:"left input" a;
     Sanitize.check_sorted_dedup ~op ~what:"right input" b;
     Sanitize.check_sorted_dedup ~op ~what:"output" out
   end;
   out
 
-let intersect ?sanitize a b =
+let intersect ~sanitize a b =
   let out = Int_vec.create ~capacity:(min (Array.length a) (Array.length b) + 1) () in
   let i = ref 0 and j = ref 0 in
   while !i < Array.length a && !j < Array.length b do
@@ -27,9 +21,9 @@ let intersect ?sanitize a b =
     else if x < y then incr i
     else incr j
   done;
-  checked ?sanitize ~op:"Nodeset.intersect" a b (Int_vec.to_array out)
+  checked ~sanitize ~op:"Nodeset.intersect" a b (Int_vec.to_array out)
 
-let union ?sanitize a b =
+let union ~sanitize a b =
   let out = Int_vec.create ~capacity:(Array.length a + Array.length b) () in
   let i = ref 0 and j = ref 0 in
   while !i < Array.length a && !j < Array.length b do
@@ -56,9 +50,9 @@ let union ?sanitize a b =
     Int_vec.push out b.(!j);
     incr j
   done;
-  checked ?sanitize ~op:"Nodeset.union" a b (Int_vec.to_array out)
+  checked ~sanitize ~op:"Nodeset.union" a b (Int_vec.to_array out)
 
-let difference ?sanitize a b =
+let difference ~sanitize a b =
   let out = Int_vec.create () in
   let i = ref 0 and j = ref 0 in
   while !i < Array.length a do
@@ -79,7 +73,7 @@ let difference ?sanitize a b =
       else incr j
     end
   done;
-  checked ?sanitize ~op:"Nodeset.difference" a b (Int_vec.to_array out)
+  checked ~sanitize ~op:"Nodeset.difference" a b (Int_vec.to_array out)
 
 let mem = Bin_search.mem
 
@@ -91,7 +85,7 @@ let is_sorted a =
   let rec check i = i >= Array.length a || (a.(i - 1) <= a.(i) && check (i + 1)) in
   Array.length a = 0 || check 1
 
-let of_unsorted ?sanitize a =
+let of_unsorted ~sanitize a =
   let out =
     if is_sorted a then begin
       (* Already in document order (duplicates allowed): dedup linearly
@@ -109,7 +103,7 @@ let of_unsorted ?sanitize a =
     end
     else Int_vec.sorted_dedup (Int_vec.of_array a)
   in
-  if resolve sanitize then
+  if sanitize then
     Sanitize.check_sorted_dedup ~op:"Nodeset.of_unsorted" ~what:"output" out;
   out
 

@@ -5,7 +5,6 @@ type contract =
   | Cache_consistent
   | Sorted_flag
   | Kernel_equiv
-  | Session_confined
 
 type violation = {
   op : string;
@@ -22,57 +21,16 @@ let contract_label = function
   | Cache_consistent -> "cache hit bit-identical to fresh execution"
   | Sorted_flag -> "column sorted flag honest (strictly increasing)"
   | Kernel_equiv -> "columnar kernel bit-identical to naive reference"
-  | Session_confined -> "per-query state reached only through the session"
 
 let fail ~op ~contract detail = raise (Violation { op; contract; detail })
 
 let message v =
   Printf.sprintf "%s: %s violated (%s)" v.op (contract_label v.contract) v.detail
 
-(* --- session confinement ------------------------------------------------ *)
-
-(* The process-wide *default* sanitize mode, read from ROX_SANITIZE once at
-   startup. This is configuration, not per-query state: sessions snapshot it
-   at construction time and operators receive the mode as an explicit
-   parameter from their session. *)
-let default =
-  ref
-    (match Sys.getenv_opt "ROX_SANITIZE" with
-     | None | Some "" | Some "0" -> false
-     | Some _ -> true)
-
-(* Per-domain marker for "a session run is in flight". While an *armed*
-   (sanitize-on) region is active, any read of process-global mutable state
-   through the accessors below is an RX307 Session_confined violation: every
-   operator must draw its mode, counter and RNG from the session it was
-   handed, never from process globals — that confinement is what makes
-   concurrent sessions on separate domains sound. *)
-type region = { armed : bool }
-
-let region_key : region option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let confine ~sanitize f =
-  let prev = Domain.DLS.get region_key in
-  Domain.DLS.set region_key (Some { armed = sanitize });
-  Fun.protect ~finally:(fun () -> Domain.DLS.set region_key prev) f
-
-let confined () =
-  match Domain.DLS.get region_key with Some _ -> true | None -> false
-
-let global_read what =
-  match Domain.DLS.get region_key with
-  | Some { armed = true } ->
-    fail ~op:what ~contract:Session_confined
-      "process-global mutable state read inside a session-confined region"
-  | Some { armed = false } | None -> ()
-
-let default_mode () =
-  global_read "Sanitize.default_mode";
-  !default
-
-let set_default_mode b =
-  global_read "Sanitize.set_default_mode";
-  default := b
+let env_default =
+  match Sys.getenv_opt "ROX_SANITIZE" with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
 
 (* --- checks ------------------------------------------------------------- *)
 

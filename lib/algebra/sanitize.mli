@@ -9,20 +9,14 @@
     breach.
 
     The sanitize mode is *per-session* state: every instrumented operator
-    receives it as an explicit parameter (threaded from the
-    [Rox_core.Session] that owns the query, or carried by the structure —
-    runtime, state — the session configured). The process-wide
-    {!default_mode}, initialized once from the [ROX_SANITIZE] environment
-    variable, is only the default a session snapshots at construction
-    time.
-
-    Confinement (RX307): while a session run is in flight —
-    {!confine} marks the current domain — reading process-global mutable
-    configuration through {!default_mode} / {!set_default_mode} is itself
-    a {!Session_confined} violation when the region is armed. This
-    dynamically enforces that no operator on a session's execution path
-    falls back to process globals, which is what makes concurrent sessions
-    on separate OCaml domains sound. *)
+    receives it as a required argument, threaded from the
+    [Rox_core.Session] that owns the query or carried by the structure
+    (runtime, state) the session configured. No operator can fall back to
+    a process-wide mode, so concurrent sessions on separate OCaml domains
+    cannot observe each other's setting. {!env_default}, read once from
+    the [ROX_SANITIZE] environment variable, is only the value session
+    configurations (and planning helpers that run outside a session)
+    start from. *)
 
 type contract =
   | Sorted_dedup   (** Table 1's zero-investment node-sequence contract *)
@@ -38,10 +32,6 @@ type contract =
   | Kernel_equiv
       (** a columnar relation kernel produced a result bit-identical to
           the retained naive row-major reference implementation *)
-  | Session_confined
-      (** no operator inside a session run reads process-global mutable
-          state (cost counters, RNG, sanitize mode) other than through its
-          session (RX307) *)
 
 type violation = {
   op : string;          (** operator, e.g. ["Staircase.join(descendant)"] *)
@@ -53,31 +43,9 @@ exception Violation of violation
 
 val contract_label : contract -> string
 
-val default_mode : unit -> bool
-(** The process-default sanitize mode, initialized from [ROX_SANITIZE]
-    ([unset], [""] and ["0"] mean off). Sessions snapshot it at
-    construction; operators called outside any session default to it.
-    Raises {!Violation} ({!Session_confined}) when called inside an armed
-    confined region — an operator on a session path must use the mode its
-    session handed it. *)
-
-val set_default_mode : bool -> unit
-(** Change the process default (tests, analysis drivers). Same confinement
-    rule as {!default_mode}. *)
-
-val confine : sanitize:bool -> (unit -> 'a) -> 'a
-(** [confine ~sanitize f] runs [f] with the current domain marked as
-    inside a session run; [sanitize] arms the {!Session_confined} trap.
-    Regions nest; the marker is domain-local, so sessions on other domains
-    are unaffected. *)
-
-val confined : unit -> bool
-(** Whether the current domain is inside a {!confine} region. *)
-
-val global_read : string -> unit
-(** [global_read what] is the RX307 tripwire: call it from any accessor of
-    process-global mutable state. Inside an armed confined region it fails
-    the {!Session_confined} contract; otherwise it is a no-op. *)
+val env_default : bool
+(** The sanitize mode the [ROX_SANITIZE] environment variable asks for
+    ([unset], [""] and ["0"] mean off), read once at program start. *)
 
 val message : violation -> string
 

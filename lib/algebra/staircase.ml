@@ -204,10 +204,7 @@ let join_impl ?meter ~doc ~axis ~context candidates =
     iter_pairs ?meter ~doc ~axis ~context ~candidates (fun _ _ s -> Int_vec.push out s);
     Column.unsafe_of_array ~sorted:true (Int_vec.sorted_dedup out)
 
-let join ?sanitize ?meter ~doc ~axis ~context candidates =
-  let sanitize =
-    match sanitize with Some s -> s | None -> Sanitize.default_mode ()
-  in
+let join ~sanitize ?meter ~doc ~axis ~context candidates =
   if not sanitize then join_impl ?meter ~doc ~axis ~context candidates
   else begin
     let op = Printf.sprintf "Staircase.join(%s)" (Axis.to_string axis) in

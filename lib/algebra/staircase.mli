@@ -48,7 +48,7 @@ val iter_pairs :
     with the same pairs, order and charged work. *)
 
 val join :
-  ?sanitize:bool ->
+  sanitize:bool ->
   ?meter:Cost.meter ->
   doc:Doc.t ->
   axis:Axis.t ->
@@ -57,10 +57,8 @@ val join :
   Rox_util.Column.t
 (** [join ~doc ~axis ~context candidates]: duplicate-free document-ordered
     result nodes ([sorted] flag set; the Following axis returns a
-    zero-copy slice of the candidates). [?sanitize] selects the
-    contract-checking mode (default: {!Sanitize.default_mode}, which is an
-    RX307 violation inside an armed session region — session paths thread
-    their own mode). *)
+    zero-copy slice of the candidates). [~sanitize] selects the
+    contract-checking mode. *)
 
 val count :
   ?meter:Cost.meter ->

@@ -26,7 +26,7 @@ let f file name guard =
    - "read-only table": initialized at module load, never written;
      module initialization happens-before every domain spawn.
    - "single-owner": reachable from exactly one session / builder /
-     checker call, which lives and dies on one domain (RX307/RX504).
+     checker call, which lives and dies on one domain (RX504).
    - "mutex": every access inside one named mutex's critical section.
    - "publish-before-spawn": written only before worker domains are
      spawned; Domain.spawn publishes the write. *)
@@ -35,15 +35,9 @@ let allowlist =
     (* -- algebra --------------------------------------------------- *)
     g "lib/algebra/axis.ml" "all"
       "read-only table: axis enumeration, never written after module init";
-    g "lib/algebra/sanitize.ml" "default"
-      "publish-before-spawn: seeded from ROX_SANITIZE at module init, \
-       read-only afterwards (sessions copy it at construction)";
-    g "lib/algebra/sanitize.ml" "region_key"
-      "Domain.DLS key: the pointed-to region marker is per-domain by \
-       construction — it is how RX307 confinement is implemented";
     f "lib/algebra/cost.ml" "counter.*"
       "single-owner: each counter belongs to one session, which is \
-       confined to one domain (RX307/RX504)";
+       confined to one domain (RX504)";
     (* -- analysis -------------------------------------------------- *)
     f "lib/analysis/race_check.ml" "site_state.*"
       "single-owner: checker-local replay state, built and consumed \
@@ -90,13 +84,10 @@ let allowlist =
       "single-owner: a builder is local to one parse call";
     (* -- storage --------------------------------------------------- *)
     f "lib/storage/engine.ml" "t.docs"
-      "publish-before-spawn: registration happens before serving; the \
-       epoch bump (an RX503 site) is the mutation's last store";
+      "publish-before-spawn: every document is registered before the \
+       first query and registration only appends";
     f "lib/storage/engine.ml" "t.ndocs"
       "publish-before-spawn: same discipline as t.docs";
-    f "lib/storage/engine.ml" "t.epoch"
-      "publish-before-spawn: bumps are recorded at the engine.epoch \
-       access-log site, so a bump overlapping a reader is RX503";
     (* -- telemetry ------------------------------------------------- *)
     f "lib/telemetry/metrics.ml" "counter.*"
       "single-owner: a Metrics.t belongs to one sink on one domain; \

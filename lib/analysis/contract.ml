@@ -1,9 +1,6 @@
 module Sanitize = Rox_algebra.Sanitize
 module D = Diagnostic
 
-let enabled () = Sanitize.default_mode ()
-let set_enabled b = Sanitize.set_default_mode b
-
 let code_of_contract = function
   | Sanitize.Sorted_dedup -> "RX301"
   | Sanitize.Domain_subset -> "RX302"
@@ -11,7 +8,6 @@ let code_of_contract = function
   | Sanitize.Cache_consistent -> "RX304"
   | Sanitize.Sorted_flag -> "RX305"
   | Sanitize.Kernel_equiv -> "RX306"
-  | Sanitize.Session_confined -> "RX307"
 
 let diagnostic_of_violation ?label (v : Sanitize.violation) =
   let message =
@@ -24,9 +20,6 @@ let diagnostic_of_violation ?label (v : Sanitize.violation) =
     message
 
 let wrap ?label f =
-  (* Sanitizing runs build their own sanitize-on sessions; wrap only
-     converts the first violation into a diagnostic — it no longer flips
-     any process-global flag (RX307 would flag exactly that). *)
   match f () with
   | result -> Ok result
   | exception Sanitize.Violation v -> Error (diagnostic_of_violation ?label v)

@@ -1,24 +1,12 @@
 (** User-facing face of the operator-contract sanitizer.
 
     The low-level hooks live in [Rox_algebra.Sanitize]; the sanitize mode
-    is a per-session capability threaded into every operator — zero cost
+    is a per-session argument threaded into every operator — zero cost
     when off, which is the default. This module turns violations into
     {!Diagnostic.t} values: RX301 for sorted/duplicate-free breaches,
     RX302 for domain escapes, RX303 for Table 1 cost-bound overruns,
-    RX304 for cache replay divergence, RX305 for sorted-flag lies, RX306
-    for kernel/reference divergence, and RX307 for session-confinement
-    breaches — an operator reading process-global mutable state (e.g.
-    falling back to [Sanitize.default_mode] instead of its session's
-    threaded mode) inside an armed session region. *)
-
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-(** The process-global *default* sanitize mode (aliases of
-    [Rox_algebra.Sanitize.default_mode] / [set_default_mode]); the
-    [ROX_SANITIZE] environment variable sets the initial value. Sessions
-    snapshot it at construction — flipping it never affects a session
-    already built, and reading it inside an armed session region is
-    itself an RX307 violation. *)
+    RX304 for cache replay divergence, RX305 for sorted-flag lies and
+    RX306 for kernel/reference divergence. *)
 
 val diagnostic_of_violation :
   ?label:string -> Rox_algebra.Sanitize.violation -> Diagnostic.t
@@ -26,5 +14,4 @@ val diagnostic_of_violation :
 val wrap : ?label:string -> (unit -> 'a) -> ('a, Diagnostic.t) result
 (** [wrap f] converts the first {!Rox_algebra.Sanitize.Violation} raised
     by [f] into an error diagnostic. Other exceptions propagate. [f] is
-    expected to run under a sanitize-on session of its own; [wrap] does
-    not mutate the global default. *)
+    expected to run under a sanitize-on session of its own. *)

@@ -227,7 +227,8 @@ let registry =
       ci_detail =
         "Under ROX_SANITIZE=1 every cache hit is cross-checked \
          bit-for-bit against a fresh execution; a mismatch means stale \
-         or corrupted cache state (check epoch scoping first)." };
+         or corrupted cache state (check that the key names every \
+         input: document ids and input node-set contents)." };
     { ci_code = "RX305"; ci_severity = Error;
       ci_summary = "a column's sorted flag contradicts its data";
       ci_detail =
@@ -238,13 +239,6 @@ let registry =
       ci_detail =
         "The columnar kernel's output differed from the retained \
          row-major reference implementation on the same input." };
-    { ci_code = "RX307"; ci_severity = Error;
-      ci_summary = "process-global mutable state read inside a session-confined run";
-      ci_detail =
-        "While a session's confined region is armed, every operator must \
-         draw RNG, counters and mode from the session it was handed; a \
-         read through a process-global accessor breaks the isolation \
-         that makes concurrent sessions sound." };
     { ci_code = "RX401"; ci_severity = Error;
       ci_summary = "telemetry spans are not well-nested (overlap without containment)";
       ci_detail =
@@ -279,22 +273,13 @@ let registry =
          manifested in this interleaving (happens-before covered every \
          pair), but the discipline is fragile — a scheduling change \
          could expose it." };
-    { ci_code = "RX503"; ci_severity = Error;
-      ci_summary = "mutation-epoch read/write race";
-      ci_detail =
-        "A read of a generation counter (e.g. the engine's mutation \
-         epoch) raced an epoch bump from another domain: the reader may \
-         mint a fingerprint in a retired generation. Epoch sites get \
-         their own code because the damage is silent cache staleness, \
-         not a crash." };
     { ci_code = "RX504"; ci_severity = Error;
       ci_summary = "session-confined state touched from multiple domains";
       ci_detail =
         "A site registered as single-owner (a session's run-time state) \
          recorded accesses from two different domains. Sessions are the \
-         unit of confinement — sharing one across domains voids every \
-         isolation guarantee RX307 polices within a domain. Extends \
-         RX307 across the domain boundary." };
+         unit of confinement — sharing one across domains shares its \
+         RNG, counters and sink between concurrent runs." };
     { ci_code = "RX510"; ci_severity = Error;
       ci_summary = "undocumented mutable global or mutable field (not in the capability allowlist)";
       ci_detail =

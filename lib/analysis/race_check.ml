@@ -13,8 +13,8 @@
 
    - Did this access *race* — is there a prior access to the same site
      from another domain that neither happens-before this one nor shares
-     a lock with it? Races are errors: RX503 on epoch sites, RX501
-     otherwise (the message says which side was unlocked).
+     a lock with it? Races are RX501 errors (the message says which
+     side was unlocked).
 
    - Is the *discipline* sound — Eraser's candidate lockset (the
      intersection of lock sets over all accesses once the site is
@@ -67,7 +67,7 @@ type site_state = {
   mutable cand : int;               (* Eraser candidate lockset *)
   mutable all_locked : bool;        (* every access held >= 1 lock *)
   mutable owner : int;              (* Confined: first accessor, -1 = none *)
-  mutable raced : bool;             (* an RX501/RX503 already reported here *)
+  mutable raced : bool;             (* an RX501 already reported here *)
   mutable leak_reported : bool;
 }
 
@@ -176,22 +176,13 @@ let check ~(sites : Al.site_info array) (events : Al.event array) =
         Printf.sprintf "%s: %s races %s (no happens-before edge, no common lock)"
           info.Al.s_name (describe cur cur_verb) (describe prior prior_verb)
       in
-      if info.Al.s_kind = Al.Epoch then
-        add
-          (D.of_code "RX503" (D.Site site_id)
-             ~hint:
-               "order the epoch bump against readers (lock, or quiesce \
-                domains around mutations) — stale epochs mint stale \
-                fingerprints"
-             detail)
-      else
-        add
-          (D.of_code "RX501" (D.Site site_id)
-             ~hint:
-               "guard the site with one mutex on every path, or prove \
-                the ordering with Accesslog.hb_publish/hb_acquire around \
-                spawn/join"
-             detail)
+      add
+        (D.of_code "RX501" (D.Site site_id)
+           ~hint:
+             "guard the site with one mutex on every path, or prove \
+              the ordering with Accesslog.hb_publish/hb_acquire around \
+              spawn/join"
+           detail)
     end
   in
   Array.iter

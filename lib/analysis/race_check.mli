@@ -12,11 +12,8 @@
     - [RX502] (warning): every access to a shared site held some lock,
       but no single lock covers all of them and only scheduling ordered
       this interleaving — fragile discipline, no manifest race.
-    - [RX503] (error): the RX501 situation on an [Epoch]-kind site (a
-      generation counter), called out separately because the damage is
-      silent cache staleness.
     - [RX504] (error): a [Confined]-kind site (session state) accessed
-      by a second domain — the cross-domain extension of RX307.
+      by a second domain.
 
     At most one race diagnostic is reported per site (the first racy
     pair in recording order). *)

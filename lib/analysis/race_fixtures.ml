@@ -81,25 +81,6 @@ let guarded_counter ?(domains = 2) ?(iters = 64) () =
                     incr counter))
           done))
 
-(* An epoch bump racing unsynchronized readers: the engine-mutation
-   pattern the RX503 code exists for. *)
-let epoch_race ?(iters = 32) () =
-  with_recording (fun () ->
-      let epoch = ref 0 in
-      let site = Al.site ~name:"fixture.mutation_epoch" Al.Epoch in
-      Al.record ~site ~info:0 Al.Write;
-      fork_join 2 (fun i ->
-          if i = 0 then
-            for _ = 1 to iters do
-              Al.record ~site ~info:(!epoch + 1) Al.Write;
-              incr epoch
-            done
-          else
-            for _ = 1 to iters do
-              Al.record ~site ~info:!epoch Al.Read;
-              ignore (Sys.opaque_identity !epoch)
-            done))
-
 (* Inconsistent lock discipline: two sequential phases (fork/join orders
    them, so no race manifests), each guarding the same site with a
    *different* mutex. Every access is locked, no single lock covers the
@@ -216,8 +197,6 @@ let all =
      "two domains increment an unguarded shared counter", [ "RX501" ]);
     ("guarded-counter", (fun () -> guarded_counter ()),
      "the same counter behind one mutex on every path", []);
-    ("epoch-race", (fun () -> epoch_race ()),
-     "an epoch bump racing unsynchronized readers", [ "RX503" ]);
     ("split-locks", (fun () -> split_locks ()),
      "two paths guard one site with two different locks", [ "RX502" ]);
     ("confined-leak", (fun () -> confined_leak ()),

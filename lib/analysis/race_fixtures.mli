@@ -26,9 +26,6 @@ val seeded_race : ?domains:int -> ?iters:int -> unit -> Diagnostic.t list
 val guarded_counter : ?domains:int -> ?iters:int -> unit -> Diagnostic.t list
 (** The same counter behind one mutex on every path → no diagnostics. *)
 
-val epoch_race : ?iters:int -> unit -> Diagnostic.t list
-(** A generation-counter bump racing unsynchronized readers → RX503. *)
-
 val split_locks : ?iters:int -> unit -> Diagnostic.t list
 (** One site, two phases, two different mutexes → RX502 (discipline
     warning; fork/join ordering keeps it from being a manifest race). *)

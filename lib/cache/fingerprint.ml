@@ -39,4 +39,4 @@ let option_column = function
   | Some c -> column c
   | None -> "domain"
 
-let make ~epoch parts = Printf.sprintf "e%d|%s" epoch (String.concat "|" parts)
+let make parts = String.concat "|" parts

@@ -1,10 +1,11 @@
 (** Canonical cache keys for edge executions and chain-sample requests.
 
     A fingerprint identifies the *inputs* of a deterministic computation:
-    the engine epoch (so document mutation retires every key in O(1) — see
-    {!Rox_storage.Engine.epoch}), a small textual descriptor of the
-    operation (edge kind, axis, endpoint annotations, document ids,
-    cut-off limits …), and the identities of the node-set inputs. Node
+    a small textual descriptor of the operation (edge kind, axis, endpoint
+    annotations, document ids, cut-off limits …) and the identities of
+    the node-set inputs. Documents are shredded once and never change
+    after registration, so a document id plus the content of the input
+    node sets pins the result for the engine's lifetime. Node
     sets are identified by content: length plus two independently seeded
     64-bit FNV-1a hashes, i.e. 128 effective bits — collisions are
     negligible, and the [ROX_SANITIZE] cross-check (see DESIGN.md) guards
@@ -26,7 +27,7 @@ val table : int array -> string
 val option_table : int array option -> string
 (** [table] of the array, or a distinguished token for [None] (an input
     served by the vertex's index domain rather than a materialized table —
-    stable within an epoch). *)
+    stable because registered documents never change). *)
 
 val column : Rox_util.Column.t -> string
 (** Content identity of a column — equal to [table] of the same values,
@@ -34,7 +35,7 @@ val column : Rox_util.Column.t -> string
 
 val option_column : Rox_util.Column.t option -> string
 
-val make : epoch:int -> string list -> t
-(** Join the descriptor parts under the epoch: ["e<epoch>|p1|p2|..."].
+val make : string list -> t
+(** Join the descriptor parts: ["p1|p2|..."].
     Parts must not contain ['|'] (enforced nowhere hot; keep descriptors
     to the label alphabet). *)

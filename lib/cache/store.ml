@@ -36,7 +36,6 @@ let of_megabytes engine mb =
   create ~relation_budget:(bytes * 3 / 4) ~estimate_budget:(bytes / 4) engine
 
 let engine t = t.engine
-let epoch t = Rox_storage.Engine.epoch t.engine
 
 let lru : type v. t -> v kind -> v L.t =
  fun t -> function Relation -> t.relations | Estimate -> t.estimates
@@ -81,7 +80,7 @@ let memo (type v) store (kind : v kind) ~sanitize ~telemetry ~edge ~key
   | None -> run ~charged:true
   | Some t ->
     let lru = lru t kind in
-    let key = key (epoch t) in
+    let key = key () in
     (match L.find lru key with
      | Some v ->
        note_lookup kind telemetry ~edge ~hit:true;

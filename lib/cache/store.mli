@@ -15,11 +15,10 @@
 
     Both operations are pure functions of their inputs, so {!memo} can
     replay a result for *any* query that repeats the same request on the
-    same engine epoch. Keys are {!Fingerprint.t}s scoped by
-    {!Rox_storage.Engine.epoch}, so keys minted before a document
-    registration (or an explicit {!Rox_storage.Engine.bump_epoch}) can
-    never hit again — invalidation is one integer increment; the dead
-    entries age out of the LRU under normal insertion pressure.
+    same engine. Keys are {!Fingerprint.t}s naming the document ids and
+    the contents of the input node sets; registered documents never
+    change ({!Rox_storage.Engine.register} only appends), so a key stays
+    valid for the engine's lifetime and nothing needs invalidating.
 
     A store is deliberately *external* to any single query run: create it
     once next to the engine and pass it to every optimizer invocation to
@@ -47,8 +46,6 @@ val of_megabytes : Rox_storage.Engine.t -> int -> t
     estimates. [n <= 0] yields a store that caches nothing. *)
 
 val engine : t -> Rox_storage.Engine.t
-val epoch : t -> int
-(** The engine's current epoch — the scope of every key minted now. *)
 
 val weight : 'v kind -> 'v -> int
 (** The bytes an entry is charged: for pairs, the underlying column
@@ -61,15 +58,16 @@ val memo :
   sanitize:bool ->
   telemetry:Rox_telemetry.Sink.t ->
   edge:int ->
-  key:(int -> Fingerprint.t) ->
+  key:(unit -> Fingerprint.t) ->
   run:(charged:bool -> 'v) ->
   'v
 (** [memo store kind ~sanitize ~telemetry ~edge ~key ~run] is the one
-    cache lookup. Without a store it is [run ~charged:true]. With one it
-    looks up [key epoch] in the [kind]'s cache, counts the hit or miss
-    in the sink's metrics and emits one [Sink.Cache_lookup] event for
-    [edge]. A miss runs [run ~charged:true], adds the result under its
-    {!weight} and returns it. A hit returns the cached value; under
+    cache lookup. Without a store it is [run ~charged:true] ([key] is
+    never computed). With one it looks up [key ()] in the [kind]'s
+    cache, counts the hit or miss in the sink's metrics and emits one
+    [Sink.Cache_lookup] event for [edge]. A miss runs
+    [run ~charged:true], adds the result under its {!weight} and returns
+    it. A hit returns the cached value; under
     [sanitize] it first re-runs [run ~charged:false] and raises a
     [Cache_consistent] violation (RX304) unless the two are equal
     ({!Rox_algebra.Cutoff.equal} for estimates, element-wise on both

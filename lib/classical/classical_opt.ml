@@ -28,7 +28,10 @@ let static_order engine graph =
   let score (e : Edge.t) =
     if doc_of e.Edge.v1 = doc_of e.Edge.v2 then begin
       let t1, t1_domain = domain e.Edge.v1 and t2, t2_domain = domain e.Edge.v2 in
-      let pairs = Exec.full_pairs ?t1_domain ?t2_domain engine graph e ~t1 ~t2 in
+      let pairs =
+        Exec.full_pairs ~sanitize:Rox_algebra.Sanitize.env_default ?t1_domain ?t2_domain
+          engine graph e ~t1 ~t2
+      in
       float_of_int (Exec.pair_count pairs)
     end
     else begin

@@ -10,8 +10,8 @@
 
     Every entry point takes the owning {!Session} explicitly: options,
     RNG, telemetry sink, counter, cache and budgets all come from it, and the whole
-    run executes inside {!Session.confine} — armed deadline, RX307
-    confinement. Ablation switches (the design choices benchmarked in
+    run executes inside {!Session.confine} — armed deadline, RX504
+    confinement record. Ablation switches (the design choices benchmarked in
     [bench/main.ml]) live in {!Session.config}:
     - [use_chain = false] — greedy smallest-weight-edge execution, no
       look-ahead;

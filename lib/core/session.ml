@@ -24,11 +24,8 @@ type config = {
   client_id : string;
 }
 
-(* The ONLY place a session consults process-global state: the default
-   sanitize mode seeded from ROX_SANITIZE at module init. Every other
-   field is an explicit literal. Inside an armed confined region this
-   call itself trips RX307 — sessions must be built before entering
-   another session's region, never from within one. *)
+(* The sanitize mode starts from ROX_SANITIZE, read once at program start;
+   every other field is an explicit literal. *)
 let default_config () =
   {
     seed = 42;
@@ -37,7 +34,7 @@ let default_config () =
     resample = true;
     grow_cutoff = true;
     table_fraction = None;
-    sanitize = Sanitize.default_mode ();
+    sanitize = Sanitize.env_default;
     budgets = default_budgets;
     client_id = "local";
   }
@@ -51,8 +48,7 @@ type t = {
   (* RX5xx access-log site (kind Confined, -1 when the log was disarmed
      at creation): every [confine] entry records one Write, so the race
      detector proves each session lives and dies on one domain — a
-     session reused across domains is RX504, the cross-domain extension
-     of RX307. *)
+     session reused across domains is RX504. *)
   al_site : int;
   mutable deadline_at : float option;
       (* Absolute wall-clock instant (Unix time) past which the session
@@ -118,9 +114,7 @@ let check_deadline t =
 let confine t f =
   if Accesslog.armed () then Accesslog.record ~site:t.al_site Accesslog.Write;
   arm t;
-  Fun.protect
-    ~finally:(fun () -> disarm t)
-    (fun () -> Sanitize.confine ~sanitize:t.config.sanitize f)
+  Fun.protect ~finally:(fun () -> disarm t) f
 
 let table_sampler t =
   match t.config.table_fraction with

@@ -8,12 +8,9 @@
     process-global mutable state is consulted during a run, which is what
     makes one {!Rox_storage.Engine.t} plus one {!Rox_cache.Store.t}
     safely shareable by concurrent sessions on OCaml 5 domains
-    (see [bench/exp_parallel.ml]).
-
-    Confinement is enforced dynamically: {!confine} marks the dynamic
-    extent of a run, and — when the session sanitizes — any process-global
-    accessor called inside it raises an RX307
-    [{!Rox_algebra.Sanitize.Session_confined}] violation. *)
+    (see [bench/exp_parallel.ml]). Every operator takes the sanitize mode
+    as a required argument, so no operator can run under a mode its
+    session did not hand it. *)
 
 type budgets = {
   max_rows : int;
@@ -47,10 +44,8 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Paper defaults; [sanitize] comes from
-    {!Rox_algebra.Sanitize.default_mode} (the [ROX_SANITIZE] environment
-    default) — the single sanctioned global read, performed at
-    session-construction time, never during a run. *)
+(** Paper defaults; [sanitize] is {!Rox_algebra.Sanitize.env_default}
+    (the [ROX_SANITIZE] environment variable, read once at start). *)
 
 type t
 
@@ -102,9 +97,9 @@ val check_deadline : t -> unit
 
 val confine : t -> (unit -> 'a) -> 'a
 (** [confine t f] runs [f] as one armed session run: the deadline clock
-    starts, and the dynamic extent is marked as session-confined
-    ({!Rox_algebra.Sanitize.confine}) so that — under a sanitizing
-    session — any process-global accessor called inside trips RX307. *)
+    starts for its extent, and (with the access log armed) the entry is
+    recorded at the session's [Confined] site, so the race detector
+    reports a session used from two domains (RX504). *)
 
 val table_sampler : t -> (int -> Rox_util.Column.t -> Rox_util.Column.t) option
 (** The approximate-mode table sampler implied by [table_fraction]: a

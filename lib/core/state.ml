@@ -47,9 +47,9 @@ let sampled_cutoff t (e : Edge.t) ~outer ~sample ~inner_table ~limit =
   let run meter =
     Exec.sampled ~sanitize ?meter engine graph e ~outer ~sample ~inner_table ~limit
   in
-  let key epoch =
+  let key () =
     let vdesc v = Vertex.fingerprint_label (Graph.vertex graph v) in
-    Rox_cache.Fingerprint.make ~epoch
+    Rox_cache.Fingerprint.make
       [
         "est";
         (match e.Edge.op with

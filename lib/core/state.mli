@@ -63,7 +63,7 @@ val sampled_cutoff :
 (** The [↓l(exec(e, S, T))] of Algorithms 1 and 2 with the estimate cache
     in front, through {!Rox_cache.Store.memo}: identical requests (same
     edge shape, direction, sample contents, inner table and limit, on the
-    same engine epoch) replay the cached {!Rox_algebra.Cutoff.t} — across
+    same engine) replay the cached {!Rox_algebra.Cutoff.t} — across
     chain rounds and across queries — and charge no sampling work. Each
     consultation counts a hit or miss and emits one [Sink.Cache_lookup]
     event; under the session's sanitize mode a hit must equal an

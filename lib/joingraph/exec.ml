@@ -200,11 +200,8 @@ let check_domain_path ~op ~same ~charged ~column_charged =
   Sanitize.check_kernel_equiv ~op ~what:"index-domain membership"
     (same && charged = column_charged)
 
-let full_pairs ?sanitize ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine
+let full_pairs ~sanitize ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine
     graph (e : Edge.t) ~t1 ~t2 =
-  let sanitize =
-    match sanitize with Some s -> s | None -> Sanitize.default_mode ()
-  in
   if not sanitize then
     full_pairs_impl ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine graph e
       ~t1 ~t2
@@ -250,7 +247,7 @@ let full_pairs ?sanitize ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain
     pairs
   end
 
-let sampled ?sanitize ?meter engine graph (e : Edge.t) ~outer ~sample ~inner_table ~limit =
+let sampled ~sanitize ?meter engine graph (e : Edge.t) ~outer ~sample ~inner_table ~limit =
   let v1 = Graph.vertex graph e.Edge.v1 in
   let v2 = Graph.vertex graph e.Edge.v2 in
   let outer_v, inner_v = match outer with From_v1 -> (v1, v2) | From_v2 -> (v2, v1) in
@@ -267,9 +264,6 @@ let sampled ?sanitize ?meter engine graph (e : Edge.t) ~outer ~sample ~inner_tab
       Cutoff.run ~limit ~outer_len:(Column.length sample) ~iter:(fun emit ->
           Staircase.iter_pairs ?meter ?domain ~doc ~axis ~context:sample ~candidates
             (fun cidx _ s -> emit cidx s))
-    in
-    let sanitize =
-      match sanitize with Some s -> s | None -> Sanitize.default_mode ()
     in
     if sanitize && Option.is_some domain then begin
       (* Both paths against private counters, so the caller's meter sees

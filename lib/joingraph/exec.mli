@@ -45,7 +45,7 @@ val pair_count : pairs -> int
 type equi_algo = Algo_hash | Algo_index_nl of direction
 
 val full_pairs :
-  ?sanitize:bool ->
+  sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   ?equi_algo:equi_algo ->
   ?step_direction:direction ->
@@ -66,7 +66,7 @@ val full_pairs :
     cross-checked against the column path (RX306). *)
 
 val sampled :
-  ?sanitize:bool ->
+  sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   Engine.t ->
   Graph.t ->
@@ -81,6 +81,5 @@ val sampled :
     outer vertex; [inner_table] restricts the inner side to its current
     materialized table, or [None] to use the vertex domain, whose
     {!index_domain} descriptor then decides step membership (cross-checked
-    against the column path under the sanitizer, RX306; [?sanitize]
-    defaults to {!Rox_algebra.Sanitize.default_mode}). The result's [out]
+    against the column path under [~sanitize], RX306). The result's [out]
     holds inner-side nodes in generation order. *)

@@ -689,11 +689,6 @@ end
 
 (* --- sanitizer wrappers ------------------------------------------------- *)
 
-(* Kernels take the session's sanitize mode explicitly; a missing argument
-   falls back to the process default, which the RX307 confinement trap
-   rejects inside an armed session region. *)
-let resolve = function Some s -> s | None -> Sanitize.default_mode ()
-
 let check_flags ~op t =
   Array.iteri
     (fun i c ->
@@ -708,9 +703,9 @@ let check_against ~op result naive =
 
 let pair_arrays (p : Exec.pairs) = (Column.read p.Exec.left, Column.read p.Exec.right)
 
-let extend ?sanitize ?meter ?max_rows t ~on ~new_vertex p =
+let extend ~sanitize ?meter ?max_rows t ~on ~new_vertex p =
   let r = extend_impl ?meter ?max_rows t ~on ~new_vertex p in
-  if resolve sanitize then begin
+  if sanitize then begin
     let op = "Relation.extend" in
     check_flags ~op t;
     Sanitize.check_column_flag ~op ~what:"pairs.left" p.Exec.left;
@@ -721,9 +716,9 @@ let extend ?sanitize ?meter ?max_rows t ~on ~new_vertex p =
   end;
   r
 
-let fuse ?sanitize ?meter ?max_rows left right ~on_left ~on_right p =
+let fuse ~sanitize ?meter ?max_rows left right ~on_left ~on_right p =
   let r = fuse_impl ?meter ?max_rows left right ~on_left ~on_right p in
-  if resolve sanitize then begin
+  if sanitize then begin
     let op = "Relation.fuse" in
     check_flags ~op left;
     check_flags ~op right;
@@ -734,9 +729,9 @@ let fuse ?sanitize ?meter ?max_rows left right ~on_left ~on_right p =
   end;
   r
 
-let filter_pairs ?sanitize ?meter t ~c1 ~c2 p =
+let filter_pairs ~sanitize ?meter t ~c1 ~c2 p =
   let r = filter_pairs_impl ?meter t ~c1 ~c2 p in
-  if resolve sanitize then begin
+  if sanitize then begin
     let op = "Relation.filter_pairs" in
     check_flags ~op t;
     let left, right = pair_arrays p in
@@ -744,27 +739,27 @@ let filter_pairs ?sanitize ?meter t ~c1 ~c2 p =
   end;
   r
 
-let project ?sanitize t keep =
+let project ~sanitize t keep =
   let r = project t keep in
-  if resolve sanitize then
+  if sanitize then
     check_against ~op:"Relation.project" r (Naive.project (Naive.of_relation t) keep);
   r
 
-let distinct ?sanitize ?meter t =
+let distinct ~sanitize ?meter t =
   let r = distinct_impl ?meter t in
-  if resolve sanitize then
+  if sanitize then
     check_against ~op:"Relation.distinct" r (Naive.distinct (Naive.of_relation t));
   r
 
-let sort_rows ?sanitize t =
+let sort_rows ~sanitize t =
   let r = sort_rows_impl t in
-  if resolve sanitize then
+  if sanitize then
     check_against ~op:"Relation.sort_rows" r (Naive.sort_rows (Naive.of_relation t));
   r
 
-let cross ?sanitize ?meter ?max_rows a b =
+let cross ~sanitize ?meter ?max_rows a b =
   let r = cross_impl ?meter ?max_rows a b in
-  if resolve sanitize then
+  if sanitize then
     check_against ~op:"Relation.cross" r
       (Naive.cross ?max_rows (Naive.of_relation a) (Naive.of_relation b));
   r

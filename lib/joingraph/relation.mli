@@ -54,11 +54,11 @@ val equal : t -> t -> bool
     loops, no polymorphic compare. Used by the sanitizer cross-checks. *)
 
 (** The kernels below take the calling session's sanitize mode as
-    [?sanitize]; omitting it falls back to {!Rox_algebra.Sanitize.default_mode},
-    which is an RX307 violation inside an armed session region. *)
+    [~sanitize]; under it each call is cross-checked against {!Naive}
+    (RX306). *)
 
 val extend :
-  ?sanitize:bool ->
+  sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   ?max_rows:int ->
   t -> on:int -> new_vertex:int -> Exec.pairs -> t
@@ -69,7 +69,7 @@ val extend :
     matched exactly one pair, [r]'s columns are carried by pointer. *)
 
 val fuse :
-  ?sanitize:bool ->
+  sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   ?max_rows:int ->
   t -> t -> on_left:int -> on_right:int -> Exec.pairs -> t
@@ -79,20 +79,20 @@ val fuse :
     pointer. *)
 
 val filter_pairs :
-  ?sanitize:bool ->
+  sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter -> t -> c1:int -> c2:int -> Exec.pairs -> t
 (** Keep rows whose (c1, c2) cell pair appears in the pair list — an edge
     both of whose endpoints are already in the component. *)
 
-val project : ?sanitize:bool -> t -> int array -> t
+val project : sanitize:bool -> t -> int array -> t
 (** Restrict to the given vertex columns (in the given order) — pure
     column-pointer selection, no copying. *)
 
-val distinct : ?sanitize:bool -> ?meter:Rox_algebra.Cost.meter -> t -> t
+val distinct : sanitize:bool -> ?meter:Rox_algebra.Cost.meter -> t -> t
 (** Duplicate row elimination (the δ of the plan tail), keeping the first
     occurrence of each row. Free when any column is strictly increasing. *)
 
-val sort_rows : ?sanitize:bool -> t -> t
+val sort_rows : sanitize:bool -> t -> t
 (** Lexicographic row order over the columns — the τ numbering of the plan
     tail sorts by node identity column by column. Free when the first
     column is strictly increasing. *)
@@ -104,7 +104,7 @@ val row_array : t -> int -> int array
 (** Fresh copy of one row. *)
 
 val cross :
-  ?sanitize:bool -> ?meter:Rox_algebra.Cost.meter -> ?max_rows:int -> t -> t -> t
+  sanitize:bool -> ?meter:Rox_algebra.Cost.meter -> ?max_rows:int -> t -> t -> t
 (** Cartesian product (needed only when a plan joins two components on an
     edge spanning them — via [fuse] — never blindly; exposed for tests and
     the plan-space enumerator). *)

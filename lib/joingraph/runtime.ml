@@ -12,12 +12,11 @@ exception Blowup of { edge : int; rows : int; limit : int }
 type config = {
   max_rows : int;
   (* Per-session sanitize mode: threaded into every operator this runtime
-     calls, so concurrent sessions can differ and no operator consults the
-     process-global default mid-run. *)
+     calls, so concurrent sessions can differ. *)
   sanitize : bool;
   (* Cross-query relation cache: consulted before running the physical
      staircase / value join of an edge, keyed by operation shape and input
-     table contents (epoch-scoped). *)
+     table contents. *)
   cache : Rox_cache.Store.t option;
   (* Applied when a vertex table is first materialized from its index
      domain — the hook behind approximate (sample-driven) execution. *)
@@ -29,7 +28,7 @@ type config = {
 
 let default_config () =
   { max_rows = 50_000_000;
-    sanitize = Sanitize.default_mode ();
+    sanitize = Sanitize.env_default;
     cache = None;
     table_sampler = None;
     telemetry = Sink.null () }
@@ -248,9 +247,9 @@ type exec_plan = {
   run : Rox_algebra.Cost.meter option -> Exec.pairs;
 }
 
-let edge_fingerprint t (e : Edge.t) plan epoch =
+let edge_fingerprint t (e : Edge.t) plan () =
   let vdesc v = Vertex.fingerprint_label (Graph.vertex t.graph v) in
-  Rox_cache.Fingerprint.make ~epoch
+  Rox_cache.Fingerprint.make
     [
       "edge"; plan.variant; vdesc e.Edge.v1; vdesc e.Edge.v2;
       Rox_cache.Fingerprint.column plan.in1; Rox_cache.Fingerprint.column plan.in2;

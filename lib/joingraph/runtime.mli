@@ -31,8 +31,8 @@ type config = {
   cache : Rox_cache.Store.t option;
       (** cross-query relation cache: {!execute_edge} runs the staircase
           / value join through {!Rox_cache.Store.memo} (keyed by physical
-          variant, endpoint identities and input table contents, scoped
-          by the engine epoch), which counts and emits the lookup and
+          variant, endpoint identities and input table contents), which
+          counts and emits the lookup and
           cross-checks hits under [sanitize]. Component maintenance and
           semijoin reduction always run — only the physical join itself
           is elided on a hit. *)
@@ -52,9 +52,8 @@ type config = {
 
 val default_config : unit -> config
 (** 50M-row guard, no cache, no sampler, null telemetry, sanitize =
-    {!Rox_algebra.Sanitize.default_mode} (hence an RX307 violation inside
-    an armed session region — sessions always build their config
-    explicitly). *)
+    {!Rox_algebra.Sanitize.env_default}. Sessions always build their
+    config explicitly. *)
 
 val create : ?config:config -> Engine.t -> Graph.t -> t
 (** One runtime per query run. Sessions pass the per-query [config]

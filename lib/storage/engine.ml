@@ -14,17 +14,6 @@ type t = {
   mutable docs : docref array;
   mutable ndocs : int;
   by_uri : (string, int) Hashtbl.t;
-  (* Generation counter for derived state (caches): any registration or
-     explicit invalidation bumps it, so consumers can scope keys by epoch
-     and retire everything derived from the old document set in O(1). *)
-  mutable epoch : int;
-  (* RX5xx access-log site for the mutation epoch (-1 when the log was
-     disarmed at engine construction). Epoch reads and bumps record here,
-     so the race detector can prove a concurrent bump never overlaps a
-     reader minting fingerprints — or report RX503 when it does. The
-     bump stands proxy for the whole registration mutation (docs table,
-     uri map): the epoch write is its last store. *)
-  al_epoch : int;
 }
 
 let create () =
@@ -34,24 +23,7 @@ let create () =
     docs = [||];
     ndocs = 0;
     by_uri = Hashtbl.create 16;
-    epoch = 0;
-    al_epoch =
-      (if Rox_util.Accesslog.armed () then
-         Rox_util.Accesslog.site ~name:"engine.epoch" Rox_util.Accesslog.Epoch
-       else -1);
   }
-
-let epoch t =
-  if Rox_util.Accesslog.armed () then
-    Rox_util.Accesslog.record ~site:t.al_epoch ~info:t.epoch
-      Rox_util.Accesslog.Read;
-  t.epoch
-
-let bump_epoch t =
-  t.epoch <- t.epoch + 1;
-  if Rox_util.Accesslog.armed () then
-    Rox_util.Accesslog.record ~site:t.al_epoch ~info:t.epoch
-      Rox_util.Accesslog.Write
 
 let qnames t = t.qname_pool
 let values t = t.value_pool
@@ -75,7 +47,6 @@ let register t doc =
   t.docs.(t.ndocs) <- r;
   Hashtbl.replace t.by_uri (Doc.uri doc) t.ndocs;
   t.ndocs <- t.ndocs + 1;
-  bump_epoch t;
   r
 
 let add_doc t doc = register t doc

@@ -21,7 +21,11 @@ val values : t -> Rox_util.Str_pool.t
 
 val add_tree : t -> ?uri:string -> Rox_xmldom.Tree.t -> docref
 (** Shred, index and register a tree; the document id is its registration
-    order. *)
+    order. Registration only appends: a registered document, its id and
+    its indices never change afterwards, which is what lets [Rox_cache]
+    keys name documents by id. Register every document before the first
+    query runs — the engine is not synchronized against concurrent
+    readers. *)
 
 val add_doc : t -> Rox_shred.Doc.t -> docref
 (** Index and register an already-shredded document (it must have been
@@ -30,15 +34,6 @@ val add_doc : t -> Rox_shred.Doc.t -> docref
 val doc_count : t -> int
 val get : t -> int -> docref
 (** By document id. @raise Invalid_argument for an unknown id. *)
-
-val epoch : t -> int
-(** Generation counter over the engine's document set. Every registration
-    (and every explicit {!bump_epoch}) increments it; state derived from
-    the documents — notably [Rox_cache] fingerprints — is scoped by the
-    epoch, so a bump retires all of it in O(1) without walking anything. *)
-
-val bump_epoch : t -> unit
-(** Invalidate all epoch-scoped derived state (caches) for this engine. *)
 
 val find_uri : t -> string -> docref option
 val qname_id : t -> string -> int option

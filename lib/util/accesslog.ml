@@ -1,20 +1,19 @@
 (* The shared-access event log behind the RX5xx race detector.
 
    Every instrumented touch of cross-domain mutable state — a cache store
-   operation, an engine epoch read or bump, a server ledger update, a
-   session confinement entry — appends one event: which domain, which
-   site, read or write, which locks the domain held, and an optional info
-   word (the epoch value for epoch sites). The checker in
+   operation, a server ledger update, a session confinement entry —
+   appends one event: which domain, which site, read or write, and which
+   locks the domain held. The checker in
    Rox_analysis.Race_check replays the log with Eraser-style locksets and
    vector-clock happens-before.
 
    Overhead contract (mirrors the telemetry sink): a *disarmed* log costs
    one boolean test per instrumented site — no atomics, no allocation.
-   Armed, an event is one Atomic.fetch_and_add plus five stores into a
+   Armed, an event is one Atomic.fetch_and_add plus four stores into a
    preallocated buffer. The buffer is bounded: events past the cap are
    counted as dropped, never grown. *)
 
-type site_kind = Shared | Epoch | Confined
+type site_kind = Shared | Confined
 
 type op = Read | Write | Acquire | Release
 
@@ -24,7 +23,6 @@ type event = {
   site : int;  (* site id for Read/Write, lock id for Acquire/Release *)
   op : op;
   locks : int; (* bitmask of lock ids held by the recording domain *)
-  info : int;  (* epoch value for Epoch sites; 0 otherwise *)
 }
 
 (* --- arming ------------------------------------------------------------- *)
@@ -122,10 +120,10 @@ let sites_snapshot () = Array.sub !sites 0 !n_sites
 
 (* --- the event buffer --------------------------------------------------- *)
 
-(* Flat int array, 5 slots per event. Each slot is written exactly once,
+(* Flat int array, 4 slots per event. Each slot is written exactly once,
    by the domain that won the cursor for it; readers only look after the
    recording domains have quiesced (joined), which synchronizes. *)
-let stride = 5
+let stride = 4
 let default_cap = 65_536
 
 let cap = ref default_cap
@@ -158,21 +156,20 @@ let lockset_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
 let locks_held () = Domain.DLS.get lockset_key
 
-let record_raw ~site ~op ~locks ~info =
+let record_raw ~site ~op ~locks =
   let i = Atomic.fetch_and_add cursor 1 in
   if i < !cap then begin
     let b = !buf and o = i * stride in
     Array.unsafe_set b o (op_code op);
     Array.unsafe_set b (o + 1) ((Domain.self () :> int));
     Array.unsafe_set b (o + 2) site;
-    Array.unsafe_set b (o + 3) locks;
-    Array.unsafe_set b (o + 4) info
+    Array.unsafe_set b (o + 3) locks
   end
   else Atomic.incr dropped_count
 
-let record ~site ?(info = 0) op =
+let record ~site op =
   if !armed_flag && site >= 0 then
-    record_raw ~site ~op ~locks:(Domain.DLS.get lockset_key) ~info
+    record_raw ~site ~op ~locks:(Domain.DLS.get lockset_key)
 
 (* [with_lock] is called *inside* the real critical section (after the
    Mutex.lock), so the Acquire event order reflects actual acquisition
@@ -184,10 +181,10 @@ let with_lock id f =
     let prev = Domain.DLS.get lockset_key in
     let held = prev lor (1 lsl id) in
     Domain.DLS.set lockset_key held;
-    record_raw ~site:id ~op:Acquire ~locks:held ~info:0;
+    record_raw ~site:id ~op:Acquire ~locks:held;
     Fun.protect
       ~finally:(fun () ->
-        record_raw ~site:id ~op:Release ~locks:held ~info:0;
+        record_raw ~site:id ~op:Release ~locks:held;
         Domain.DLS.set lockset_key prev)
       f
   end
@@ -213,11 +210,11 @@ let hb_token ~name =
 
 let hb_publish tok =
   if !armed_flag && tok >= 0 then
-    record_raw ~site:tok ~op:Release ~locks:(Domain.DLS.get lockset_key) ~info:0
+    record_raw ~site:tok ~op:Release ~locks:(Domain.DLS.get lockset_key)
 
 let hb_acquire tok =
   if !armed_flag && tok >= 0 then
-    record_raw ~site:tok ~op:Acquire ~locks:(Domain.DLS.get lockset_key) ~info:0
+    record_raw ~site:tok ~op:Acquire ~locks:(Domain.DLS.get lockset_key)
 
 (* --- decoding ----------------------------------------------------------- *)
 
@@ -232,5 +229,4 @@ let events () =
         domain = b.(o + 1);
         site = b.(o + 2);
         locks = b.(o + 3);
-        info = b.(o + 4);
       })

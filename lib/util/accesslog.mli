@@ -1,14 +1,14 @@
 (** Shared-access event log for the RX5xx concurrency-soundness checks.
 
-    Instrumented sites (the cache store, the engine mutation epoch, the
-    server's queue and ledger, the flight recorder, session confinement)
-    append one event per touch of cross-domain mutable state: domain id,
-    site id, read/write, the locks the domain held, and an info word. {!Rox_analysis.Race_check}
-    replays the log with Eraser locksets and vector-clock happens-before.
+    Instrumented sites (the cache store, the server's queue and ledger,
+    the flight recorder, session confinement) append one event per touch
+    of cross-domain mutable state: domain id, site id, read/write and the
+    locks the domain held. {!Rox_analysis.Race_check} replays the log
+    with Eraser locksets and vector-clock happens-before.
 
     Overhead contract: disarmed, an instrumented site costs one boolean
     test ({!armed}) — no atomics, no allocation. Armed, one
-    [Atomic.fetch_and_add] plus five stores into a preallocated bounded
+    [Atomic.fetch_and_add] plus four stores into a preallocated bounded
     buffer; events past the cap are counted in {!dropped}, never grown.
 
     The log is process-global by design — it is the one observer that
@@ -17,7 +17,6 @@
 
 type site_kind =
   | Shared    (** plain cross-domain mutable state; races are RX501/RX502 *)
-  | Epoch     (** a generation counter; read/write races are RX503 *)
   | Confined  (** single-owner state; any second domain is RX504 *)
 
 type op = Read | Write | Acquire | Release
@@ -28,7 +27,6 @@ type event = {
   site : int;     (** site id for [Read]/[Write]; lock id for [Acquire]/[Release] *)
   op : op;
   locks : int;    (** bitmask of lock ids held by the recording domain *)
-  info : int;     (** epoch value for [Epoch] sites; 0 otherwise *)
 }
 
 val armed : unit -> bool
@@ -50,7 +48,7 @@ val lock : name:string -> int
     bitmasks: at most 62 distinct names are tracked; later registrations
     return [-1] and go untracked. *)
 
-val record : site:int -> ?info:int -> op -> unit
+val record : site:int -> op -> unit
 (** Append one [Read]/[Write] event with the domain's current lockset.
     No-op when disarmed or [site < 0]. *)
 

@@ -5,11 +5,11 @@ type spec = {
   return_vertex : int;
 }
 
-let apply ?sanitize ?meter spec rel =
-  let projected = Relation.project ?sanitize rel spec.key_vertices in
-  let distinct = Relation.distinct ?sanitize ?meter projected in
-  let sorted = Relation.sort_rows ?sanitize distinct in
-  let final = Relation.project ?sanitize sorted [| spec.return_vertex |] in
+let apply ~sanitize ?meter spec rel =
+  let projected = Relation.project ~sanitize rel spec.key_vertices in
+  let distinct = Relation.distinct ~sanitize ?meter projected in
+  let sorted = Relation.sort_rows ~sanitize distinct in
+  let final = Relation.project ~sanitize sorted [| spec.return_vertex |] in
   Rox_util.Column.read (Relation.column final spec.return_vertex)
 
-let count ?sanitize ?meter spec rel = Array.length (apply ?sanitize ?meter spec rel)
+let count ~sanitize ?meter spec rel = Array.length (apply ~sanitize ?meter spec rel)

@@ -13,7 +13,7 @@ type spec = {
 }
 
 val apply :
-  ?sanitize:bool ->
+  sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   spec ->
   Rox_joingraph.Relation.t ->
@@ -23,7 +23,7 @@ val apply :
     preserved, as the semantics demand. *)
 
 val count :
-  ?sanitize:bool ->
+  sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   spec ->
   Rox_joingraph.Relation.t ->

@@ -3,6 +3,10 @@
 
 open Rox_xmldom
 
+(* The sanitize mode every direct operator call in the suites passes:
+   [ROX_SANITIZE]'s, so a sanitizing test run cross-checks each call. *)
+let sanitize = Rox_algebra.Sanitize.env_default
+
 let tags = [| "a"; "b"; "c"; "d"; "item" |]
 let attr_names = [| "id"; "ref"; "x" |]
 (* Includes the strings [float_of_string] reads as NaN, infinity, negative

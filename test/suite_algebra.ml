@@ -46,7 +46,7 @@ let staircase_matches_naive seed axis =
   let k = 1 + Rox_util.Xoshiro.int rng (max 1 (n - 1)) in
   let context = col (Rox_util.Xoshiro.sample_without_replacement rng n k) in
   let candidates = Kind_index.all (kinds_of engine 0) in
-  let result = Staircase.join ~doc ~axis ~context candidates in
+  let result = Staircase.join ~sanitize ~doc ~axis ~context candidates in
   let expected =
     Array.to_list (arr context)
     |> List.concat_map (fun c -> naive_axis engine ~doc_id:0 ~pre:c axis)
@@ -70,7 +70,7 @@ let test_staircase_desc_restricted () =
   let cs = Element_index.lookup_name r.Engine.elements "c" in
   (* descendants of <b> restricted to c: the two nested c's. *)
   let bs = Element_index.lookup_name r.Engine.elements "b" in
-  let result = Staircase.join ~doc ~axis:Axis.Descendant ~context:bs cs in
+  let result = Staircase.join ~sanitize ~doc ~axis:Axis.Descendant ~context:bs cs in
   check_int "two c under b" 2 (clen result)
 
 let test_staircase_pairs_grouped () =
@@ -104,7 +104,9 @@ let test_staircase_cost_charged () =
   let counter = Cost.new_counter () in
   let meter = Cost.execution_meter counter in
   let persons = Element_index.lookup_name r.Engine.elements "person" in
-  ignore (Staircase.join ~meter ~doc ~axis:Axis.Descendant ~context:persons (Kind_index.all r.Engine.kinds));
+  ignore
+    (Staircase.join ~sanitize ~meter ~doc ~axis:Axis.Descendant ~context:persons
+       (Kind_index.all r.Engine.kinds));
   check_bool "execution work recorded" true (Cost.read counter Cost.Execution > 0);
   check_int "sampling untouched" 0 (Cost.read counter Cost.Sampling)
 
@@ -128,8 +130,8 @@ let test_value_join_algorithms_agree () =
   let l = Element_index.lookup_name r.Engine.elements "l" in
   let rr = Element_index.lookup_name r.Engine.elements "r" in
   let texts = Kind_index.lookup r.Engine.kinds Nodekind.Text in
-  let left = Staircase.join ~doc ~axis:Axis.Descendant ~context:l texts in
-  let right = Staircase.join ~doc ~axis:Axis.Descendant ~context:rr texts in
+  let left = Staircase.join ~sanitize ~doc ~axis:Axis.Descendant ~context:l texts in
+  let right = Staircase.join ~sanitize ~doc ~axis:Axis.Descendant ~context:rr texts in
   let hash =
     pairs_of_iter (fun f ->
         Value_join.iter_hash ~outer_doc:doc ~outer:left ~inner_doc:doc ~inner:right f)
@@ -149,7 +151,7 @@ let test_index_nl_unrestricted () =
   let doc = r.Engine.doc in
   let l = Element_index.lookup_name r.Engine.elements "l" in
   let texts = Kind_index.lookup r.Engine.kinds Nodekind.Text in
-  let left = Staircase.join ~doc ~axis:Axis.Descendant ~context:l texts in
+  let left = Staircase.join ~sanitize ~doc ~axis:Axis.Descendant ~context:l texts in
   (* Unrestricted inner: matches all text nodes with equal values, including
      the left ones themselves. *)
   let out = ref 0 in
@@ -237,24 +239,24 @@ let sorted_set = QCheck.map (fun l -> Array.of_list (List.sort_uniq compare l)) 
 
 let prop_intersect =
   qtest "intersect = filter mem" QCheck.(pair sorted_set sorted_set) (fun (a, b) ->
-      Nodeset.intersect a b
+      Nodeset.intersect ~sanitize a b
       = Array.of_list
           (List.filter (fun x -> Array.exists (( = ) x) b) (Array.to_list a)))
 
 let prop_union =
   qtest "union = sort_uniq append" QCheck.(pair sorted_set sorted_set) (fun (a, b) ->
-      Nodeset.union a b
+      Nodeset.union ~sanitize a b
       = Array.of_list (List.sort_uniq compare (Array.to_list a @ Array.to_list b)))
 
 let prop_difference =
   qtest "difference = filter not-mem" QCheck.(pair sorted_set sorted_set) (fun (a, b) ->
-      Nodeset.difference a b
+      Nodeset.difference ~sanitize a b
       = Array.of_list
           (List.filter (fun x -> not (Array.exists (( = ) x) b)) (Array.to_list a)))
 
 let prop_of_unsorted =
   qtest "of_unsorted sorts and dedups" QCheck.(array small_int) (fun a ->
-      Nodeset.of_unsorted a = Array.of_list (List.sort_uniq compare (Array.to_list a)))
+      Nodeset.of_unsorted ~sanitize a = Array.of_list (List.sort_uniq compare (Array.to_list a)))
 
 (* ---------- Cost ---------- *)
 

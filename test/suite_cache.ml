@@ -1,5 +1,6 @@
 (* The cross-query cache (lib/cache): the weighted LRU core against a
-   reference model, fingerprint identity, epoch invalidation, and — the
+   reference model, fingerprint identity, hits surviving a later document
+   registration, and — the
    property that justifies the subsystem — cache-on and cache-off runs
    being observationally identical (same answers, same executed trace) on
    random fuzz-style workloads, with the sanitizer cross-checking every
@@ -117,7 +118,7 @@ let test_store_admits_up_to_budget () =
   let memo () =
     Store.memo (Some store) Store.Relation ~sanitize:false
       ~telemetry:(Sink.null ()) ~edge:0
-      ~key:(fun epoch -> Fingerprint.make ~epoch [ "admit" ])
+      ~key:(fun () -> Fingerprint.make [ "admit" ])
       ~run:(fun ~charged:_ -> v)
   in
   ignore (memo () : Store.pairs);
@@ -162,11 +163,11 @@ let prop_fingerprint =
       let same = a = b in
       (Fingerprint.table a = Fingerprint.table (Array.copy a))
       && (same || Fingerprint.table a <> Fingerprint.table b)
-      && Fingerprint.make ~epoch:1 [ "x"; Fingerprint.table a ]
-         <> Fingerprint.make ~epoch:2 [ "x"; Fingerprint.table a ]
+      && Fingerprint.make [ "x"; Fingerprint.table a ]
+         <> Fingerprint.make [ "y"; Fingerprint.table a ]
       && Fingerprint.option_table None <> Fingerprint.option_table (Some [||]))
 
-(* ---------- End-to-end: cache-on = cache-off, epochs, reuse ---------- *)
+(* ---------- End-to-end: cache-on = cache-off, registration, reuse ---------- *)
 
 let queries =
   [
@@ -178,10 +179,11 @@ where $a/ref/@person = $p/@id
 return $p|};
   ]
 
-let run_with ?cache engine source =
+let run_with ?cache ?(sanitize = sanitize) engine source =
   let compiled = Rox_xquery.Compile.compile_string engine source in
   let sink = Sink.create ~enabled:true () in
-  let session = Rox_core.Session.create ?cache ~telemetry:sink () in
+  let config = { (Rox_core.Session.default_config ()) with Rox_core.Session.sanitize } in
+  let session = Rox_core.Session.create ~config ?cache ~telemetry:sink () in
   let answer, _ = Rox_core.Optimizer.answer session compiled in
   (answer, sink)
 
@@ -190,64 +192,57 @@ let non_cache_events sink =
     (function Sink.Cache_lookup _ -> false | _ -> true)
     (Sink.events sink)
 
-let with_sanitizer f =
-  let prev = Rox_algebra.Sanitize.default_mode () in
-  Rox_algebra.Sanitize.set_default_mode true;
-  Fun.protect
-    ~finally:(fun () -> Rox_algebra.Sanitize.set_default_mode prev)
-    f
-
-let test_epoch_invalidation () =
+(* Registration only appends, and every key names its documents by id and
+   its inputs by content, so registering a second document retires no
+   entry: the repeat still replays from cache, with the sanitizer armed so
+   RX304 re-checks each hit against a fresh execution. *)
+let test_later_registration () =
   let engine, _ = engine_of_xml site_xml in
   let store = Store.create engine in
-  with_sanitizer (fun () ->
-      let q = List.nth queries 1 in
-      let base, _ = run_with engine q in
-      let _, _ = run_with ~cache:store engine q in
-      let warm, warm_trace = run_with ~cache:store engine q in
-      check_bool "warm run hits" true (Sink.cache_hits warm_trace > 0);
-      check_bool "warm run replays estimates fully" true
-        (Sink.cache_hits ~store:`Estimate warm_trace
-         = Sink.cache_lookups ~store:`Estimate warm_trace);
-      check_bool "warm answer" true (warm = base);
-      (* Bumping the epoch retires every key minted before it: the next
-         run finds none of the earlier entries (any hits it reports are
-         its own same-epoch insertions being reused within the run) and
-         still answers correctly. *)
-      let before = Store.epoch store in
-      Engine.bump_epoch engine;
-      check_int "store sees the new epoch" (before + 1) (Store.epoch store);
-      let cold, cold_trace = run_with ~cache:store engine q in
-      check_int "no stale relation hits after bump" 0
-        (Sink.cache_hits ~store:`Relation cold_trace);
-      check_bool "estimates recompute after bump" true
-        (Sink.cache_hits ~store:`Estimate cold_trace
-         < Sink.cache_lookups ~store:`Estimate cold_trace);
-      check_bool "post-bump answer" true (cold = base))
+  let q = List.nth queries 1 in
+  let run ?cache () = run_with ?cache ~sanitize:true engine q in
+  let base, _ = run () in
+  let _, _ = run ~cache:store () in
+  let warm, warm_trace = run ~cache:store () in
+  check_bool "warm run hits" true (Sink.cache_hits warm_trace > 0);
+  check_bool "warm run replays estimates fully" true
+    (Sink.cache_hits ~store:`Estimate warm_trace
+     = Sink.cache_lookups ~store:`Estimate warm_trace);
+  check_bool "warm answer" true (warm = base);
+  ignore
+    (Engine.add_tree engine ~uri:"doc1.xml" (Rox_xmldom.Xml_parser.parse_string site_xml)
+      : Engine.docref);
+  let uncached, _ = run () in
+  let again, again_trace = run ~cache:store () in
+  check_int "every relation still hits" (List.length (Sink.execution_order again_trace))
+    (Sink.cache_hits ~store:`Relation again_trace);
+  check_int "every estimate still hits"
+    (Sink.cache_lookups ~store:`Estimate again_trace)
+    (Sink.cache_hits ~store:`Estimate again_trace);
+  check_bool "answer = cache-off answer" true (again = uncached && uncached = base)
 
 let test_estimate_reuse () =
   let engine, _ = engine_of_xml site_xml in
   let store = Store.create engine in
-  with_sanitizer (fun () ->
-      let q = List.nth queries 1 in
-      let base, _ = run_with engine q in
-      let a1, t1 = run_with ~cache:store engine q in
-      let a2, t2 = run_with ~cache:store engine q in
-      let executed t = List.length (Sink.execution_order t) in
-      check_bool "answers stable" true (a1 = base && a2 = base);
-      (* An identical repeat on an unchanged engine replays entirely from
-         cache: every edge execution and every sampled estimate hits. *)
-      check_int "second run: all relations from cache" (executed t2)
-        (Sink.cache_hits ~store:`Relation t2);
-      check_int "second run: all estimates from cache"
-        (Sink.cache_lookups ~store:`Estimate t2)
-        (Sink.cache_hits ~store:`Estimate t2);
-      check_bool "second run reuses first run's estimates" true
-        (Sink.cache_hits ~store:`Estimate t2
-         >= Sink.cache_lookups ~store:`Estimate t1
-            - Sink.cache_hits ~store:`Estimate t1
-         && Sink.cache_hits ~store:`Estimate t2 > 0);
-      ignore (executed t1))
+  let q = List.nth queries 1 in
+  let base, _ = run_with ~sanitize:true engine q in
+  let a1, t1 = run_with ~cache:store ~sanitize:true engine q in
+  let a2, t2 = run_with ~cache:store ~sanitize:true engine q in
+  let executed t = List.length (Sink.execution_order t) in
+  check_bool "answers stable" true (a1 = base && a2 = base);
+  (* An identical repeat on an unchanged engine replays entirely from
+     cache: every edge execution and every sampled estimate hits. *)
+  check_int "second run: all relations from cache" (executed t2)
+    (Sink.cache_hits ~store:`Relation t2);
+  check_int "second run: all estimates from cache"
+    (Sink.cache_lookups ~store:`Estimate t2)
+    (Sink.cache_hits ~store:`Estimate t2);
+  check_bool "second run reuses first run's estimates" true
+    (Sink.cache_hits ~store:`Estimate t2
+     >= Sink.cache_lookups ~store:`Estimate t1
+        - Sink.cache_hits ~store:`Estimate t1
+     && Sink.cache_hits ~store:`Estimate t2 > 0);
+  ignore (executed t1)
 
 (* The counter-vs-gauge rule of metrics.mli, exercised end-to-end: a
    store's residency is a gauge, so observing it into two registries and
@@ -290,19 +285,18 @@ let prop_cache_transparent =
     (fun seed ->
       let engine, _ = engine_of_trees [ random_tree seed ] in
       let store = Store.create engine in
-      with_sanitizer (fun () ->
-          List.for_all
-            (fun q ->
-              match run_with engine q with
-              | exception Rox_xquery.Compile.Unsupported _ -> true
-              | exception Rox_xquery.Compile.Rejected _ -> true
-              | base_answer, base_trace ->
-                let a1, t1 = run_with ~cache:store engine q in
-                let a2, t2 = run_with ~cache:store engine q in
-                a1 = base_answer && a2 = base_answer
-                && non_cache_events t1 = non_cache_events base_trace
-                && non_cache_events t2 = non_cache_events base_trace)
-            queries))
+      List.for_all
+        (fun q ->
+          match run_with ~sanitize:true engine q with
+          | exception Rox_xquery.Compile.Unsupported _ -> true
+          | exception Rox_xquery.Compile.Rejected _ -> true
+          | base_answer, base_trace ->
+            let a1, t1 = run_with ~cache:store ~sanitize:true engine q in
+            let a2, t2 = run_with ~cache:store ~sanitize:true engine q in
+            a1 = base_answer && a2 = base_answer
+            && non_cache_events t1 = non_cache_events base_trace
+            && non_cache_events t2 = non_cache_events base_trace)
+        queries)
 
 (* The relation lookup reports itself, whoever drives the runtime: a
    fixed plan through the classical executor on a cached session emits one
@@ -349,7 +343,7 @@ let test_memo_sanitize_whole_cutoff () =
   let memo v () =
     Store.memo (Some store) Store.Estimate ~sanitize:true ~telemetry:(Sink.null ())
       ~edge:0
-      ~key:(fun epoch -> Fingerprint.make ~epoch [ "fraction" ])
+      ~key:(fun () -> Fingerprint.make [ "fraction" ])
       ~run:(fun ~charged:_ -> v)
   in
   ignore (memo (cut 0.5) () : Rox_algebra.Cutoff.t);
@@ -368,7 +362,8 @@ let suite =
     Alcotest.test_case "2-domain hammer hits bit-identical" `Slow
       test_hammer_bit_identical;
     prop_fingerprint;
-    Alcotest.test_case "epoch bump invalidates" `Quick test_epoch_invalidation;
+    Alcotest.test_case "later registration keeps hits valid" `Quick
+      test_later_registration;
     Alcotest.test_case "repeat run replays from cache" `Quick test_estimate_reuse;
     Alcotest.test_case "double absorb: gauges max, counters add" `Quick
       test_double_absorb_gauge_not_summed;

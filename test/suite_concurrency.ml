@@ -21,8 +21,7 @@ let mk_sites kinds =
        (fun i k -> { Al.s_name = Printf.sprintf "site%d" i; s_kind = k })
        kinds)
 
-let ev ?(locks = 0) ?(info = 0) seq domain site op =
-  { Al.seq; domain; site; op; locks; info }
+let ev ?(locks = 0) seq domain site op = { Al.seq; domain; site; op; locks }
 
 let test_unlocked_write_races () =
   let sites = mk_sites [ Al.Shared ] in
@@ -79,12 +78,6 @@ let test_hb_wrong_direction_races () =
   Alcotest.(check (list string)) "RX501" [ "RX501" ]
     (codes (A.Race_check.check ~sites events))
 
-let test_epoch_race_code () =
-  let sites = mk_sites [ Al.Epoch ] in
-  let events = [| ev 0 0 0 Al.Write; ev 1 1 0 Al.Read |] in
-  Alcotest.(check (list string)) "RX503" [ "RX503" ]
-    (codes (A.Race_check.check ~sites events))
-
 let test_confined_leak_code () =
   let sites = mk_sites [ Al.Confined ] in
   let events = [| ev 0 0 0 Al.Write; ev 1 1 0 Al.Write |] in
@@ -92,7 +85,7 @@ let test_confined_leak_code () =
   check_bool "contains RX504" true (List.mem "RX504" got)
 
 let test_single_domain_clean () =
-  let sites = mk_sites [ Al.Shared; Al.Epoch; Al.Confined ] in
+  let sites = mk_sites [ Al.Shared; Al.Shared; Al.Confined ] in
   let events =
     Array.init 30 (fun i ->
         ev i 0 (i mod 3) (if i mod 2 = 0 then Al.Write else Al.Read))
@@ -408,7 +401,7 @@ let test_registry_unique_and_complete () =
     (List.length (List.sort_uniq compare cs));
   List.iter
     (fun c -> check_bool c true (List.mem c cs))
-    [ "RX501"; "RX502"; "RX503"; "RX504"; "RX510"; "RX511" ]
+    [ "RX501"; "RX502"; "RX504"; "RX510"; "RX511" ]
 
 let test_registry_explain () =
   (match A.Diagnostic.explain "RX501" with
@@ -458,7 +451,6 @@ let suite =
     Alcotest.test_case "hb edge -> clean" `Quick test_hb_ordering_clean;
     Alcotest.test_case "hb wrong direction -> RX501" `Quick
       test_hb_wrong_direction_races;
-    Alcotest.test_case "epoch read/write -> RX503" `Quick test_epoch_race_code;
     Alcotest.test_case "confined leak -> RX504" `Quick test_confined_leak_code;
     Alcotest.test_case "single domain -> clean" `Quick test_single_domain_clean;
     Alcotest.test_case "split locks -> RX502" `Quick test_split_lock_discipline;

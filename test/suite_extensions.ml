@@ -53,7 +53,9 @@ let test_runtime_runs_from_empty_side () =
   in
   let kernel dir =
     units (fun meter ->
-        ignore (Exec.full_pairs ~meter ~step_direction:dir engine graph e ~t1 ~t2 : Exec.pairs))
+        ignore
+          (Exec.full_pairs ~sanitize ~meter ~step_direction:dir engine graph e ~t1 ~t2
+            : Exec.pairs))
   in
   let rt = Runtime.create engine graph in
   let run =

@@ -113,8 +113,8 @@ let test_full_pairs_directions () =
   let engine = two_doc_engine () in
   let g, a, t, e = step_graph engine in
   let t1 = Exec.vertex_domain engine a and t2 = Exec.vertex_domain engine t in
-  let fwd = Exec.full_pairs ~step_direction:Exec.From_v1 engine g e ~t1 ~t2 in
-  let rev = Exec.full_pairs ~step_direction:Exec.From_v2 engine g e ~t1 ~t2 in
+  let fwd = Exec.full_pairs ~sanitize ~step_direction:Exec.From_v1 engine g e ~t1 ~t2 in
+  let rev = Exec.full_pairs ~sanitize ~step_direction:Exec.From_v2 engine g e ~t1 ~t2 in
   let norm p =
     List.sort compare
       (List.combine (Array.to_list (arr p.Exec.left)) (Array.to_list (arr p.Exec.right)))
@@ -127,7 +127,9 @@ let test_sampled_step () =
   let g, a, t, e = step_graph engine in
   let sample = Exec.vertex_domain engine a in
   ignore t;
-  let cut = Exec.sampled engine g e ~outer:Exec.From_v1 ~sample ~inner_table:None ~limit:2 in
+  let cut =
+    Exec.sampled ~sanitize engine g e ~outer:Exec.From_v1 ~sample ~inner_table:None ~limit:2
+  in
   check_int "cut at 2" 2 cut.Cutoff.produced;
   check_bool "not completed" true (not cut.Cutoff.completed)
 
@@ -138,7 +140,10 @@ let test_sampled_equijoin () =
   let tb = Graph.add_vertex g ~doc_id:1 (Vertex.Text None) in
   let e = Graph.add_edge g ~v1:ta.Vertex.id ~v2:tb.Vertex.id Edge.Equijoin in
   let sample = Exec.vertex_domain engine (Graph.vertex g ta.Vertex.id) in
-  let cut = Exec.sampled engine g e ~outer:Exec.From_v1 ~sample ~inner_table:None ~limit:100 in
+  let cut =
+    Exec.sampled ~sanitize engine g e ~outer:Exec.From_v1 ~sample ~inner_table:None
+      ~limit:100
+  in
   (* "x" appears twice in doc0 and once in doc1 -> 2 pairs. *)
   check_int "two matches" 2 cut.Cutoff.produced;
   check_bool "completed" true cut.Cutoff.completed
@@ -161,7 +166,7 @@ let test_relation_basics () =
 let test_relation_extend () =
   let r = Relation.of_pairs ~v1:0 ~v2:1 (pairs [ 1; 2 ] [ 10; 11 ]) in
   (* Extend on column 1: 10 -> {100, 101}; 11 -> {} *)
-  let r2 = Relation.extend r ~on:1 ~new_vertex:2 (pairs [ 10; 10 ] [ 100; 101 ]) in
+  let r2 = Relation.extend ~sanitize r ~on:1 ~new_vertex:2 (pairs [ 10; 10 ] [ 100; 101 ]) in
   check_int "rows" 2 (Relation.rows r2);
   let distinct v = arr (Rox_util.Column.sorted_dedup (Relation.column r2 v)) in
   check_bool "new column" true (distinct 2 = [| 100; 101 |]);
@@ -171,31 +176,31 @@ let test_relation_fuse () =
   let left = Relation.of_pairs ~v1:0 ~v2:1 (pairs [ 1; 2 ] [ 10; 20 ]) in
   let right = Relation.of_pairs ~v1:2 ~v2:3 (pairs [ 100; 200 ] [ 7; 8 ]) in
   (* Join column 1 with column 2 via pairs (10,100) and (20,999/no). *)
-  let fused = Relation.fuse left right ~on_left:1 ~on_right:2 (pairs [ 10 ] [ 100 ]) in
+  let fused = Relation.fuse ~sanitize left right ~on_left:1 ~on_right:2 (pairs [ 10 ] [ 100 ]) in
   check_int "one row" 1 (Relation.rows fused);
   check_int "width 4" 4 (Relation.width fused);
   check_bool "values" true (arr (Relation.column fused 3) = [| 7 |])
 
 let test_relation_filter_pairs () =
   let r = Relation.of_pairs ~v1:0 ~v2:1 (pairs [ 1; 2; 3 ] [ 10; 20; 30 ]) in
-  let filtered = Relation.filter_pairs r ~c1:0 ~c2:1 (pairs [ 1; 3 ] [ 10; 30 ]) in
+  let filtered = Relation.filter_pairs ~sanitize r ~c1:0 ~c2:1 (pairs [ 1; 3 ] [ 10; 30 ]) in
   check_int "two rows" 2 (Relation.rows filtered);
   check_bool "kept" true (arr (Relation.column filtered 0) = [| 1; 3 |])
 
 let test_relation_distinct_sort_project () =
   let r = Relation.of_pairs ~v1:0 ~v2:1 (pairs [ 2; 1; 2 ] [ 20; 10; 20 ]) in
-  let d = Relation.distinct r in
+  let d = Relation.distinct ~sanitize r in
   check_int "distinct rows" 2 (Relation.rows d);
-  let s = Relation.sort_rows d in
+  let s = Relation.sort_rows ~sanitize d in
   check_bool "sorted" true (arr (Relation.column s 0) = [| 1; 2 |]);
-  let p = Relation.project s [| 1 |] in
+  let p = Relation.project ~sanitize s [| 1 |] in
   check_int "projected width" 1 (Relation.width p);
   check_bool "projected col" true (arr (Relation.column p 1) = [| 10; 20 |])
 
 let test_relation_cross () =
   let a = Relation.singleton ~vertex:0 (col [| 1; 2 |]) in
   let b = Relation.singleton ~vertex:1 (col [| 7; 8; 9 |]) in
-  let c = Relation.cross a b in
+  let c = Relation.cross ~sanitize a b in
   check_int "6 rows" 6 (Relation.rows c);
   check_int "width 2" 2 (Relation.width c)
 
@@ -214,20 +219,20 @@ let test_relation_kernels_vs_naive () =
     let rel = Relation.of_pairs ~v1:0 ~v2:1 (pairs l r) in
     let pl = [| 3; 5; 3 |] and pr = [| 100; 101; 102 |] in
     agree (name ^ ": extend")
-      (Relation.extend rel ~on:0 ~new_vertex:2 (pairs [ 3; 5; 3 ] [ 100; 101; 102 ]))
+      (Relation.extend ~sanitize rel ~on:0 ~new_vertex:2 (pairs [ 3; 5; 3 ] [ 100; 101; 102 ]))
       (N.extend naive ~on:0 ~new_vertex:2 ~left:pl ~right:pr);
     let naive_o = N.of_pairs ~v1:3 ~v2:4 ~left:[| 9; 7 |] ~right:[| 40; 41 |] in
     let rel_o = Relation.of_pairs ~v1:3 ~v2:4 (pairs [ 9; 7 ] [ 40; 41 ]) in
     agree (name ^ ": fuse")
-      (Relation.fuse rel rel_o ~on_left:1 ~on_right:3 (pairs [ 9; 7 ] [ 9; 9 ]))
+      (Relation.fuse ~sanitize rel rel_o ~on_left:1 ~on_right:3 (pairs [ 9; 7 ] [ 9; 9 ]))
       (N.fuse naive naive_o ~on_left:1 ~on_right:3 ~pl:[| 9; 7 |] ~pr:[| 9; 9 |]);
     agree (name ^ ": filter_pairs")
-      (Relation.filter_pairs rel ~c1:0 ~c2:1 (pairs [ 3; 5 ] [ 9; 7 ]))
+      (Relation.filter_pairs ~sanitize rel ~c1:0 ~c2:1 (pairs [ 3; 5 ] [ 9; 7 ]))
       (N.filter_pairs naive ~c1:0 ~c2:1 ~left:[| 3; 5 |] ~right:[| 9; 7 |]);
-    agree (name ^ ": distinct") (Relation.distinct rel) (N.distinct naive);
-    agree (name ^ ": sort_rows") (Relation.sort_rows rel) (N.sort_rows naive);
-    agree (name ^ ": project") (Relation.project rel [| 1 |]) (N.project naive [| 1 |]);
-    agree (name ^ ": cross") (Relation.cross rel rel_o) (N.cross naive naive_o)
+    agree (name ^ ": distinct") (Relation.distinct ~sanitize rel) (N.distinct naive);
+    agree (name ^ ": sort_rows") (Relation.sort_rows ~sanitize rel) (N.sort_rows naive);
+    agree (name ^ ": project") (Relation.project ~sanitize rel [| 1 |]) (N.project naive [| 1 |]);
+    agree (name ^ ": cross") (Relation.cross ~sanitize rel rel_o) (N.cross naive naive_o)
   in
   check_shape "zero-row" [] [];
   check_shape "one-row" [ 3 ] [ 9 ];
@@ -237,10 +242,10 @@ let test_relation_kernels_vs_naive () =
   let nodes = [| 2; 5; 9 |] in
   let one_n = N.singleton ~vertex:0 nodes in
   let one = Relation.singleton ~vertex:0 (col nodes) in
-  agree "one-column: distinct" (Relation.distinct one) (N.distinct one_n);
-  agree "one-column: sort_rows" (Relation.sort_rows one) (N.sort_rows one_n);
+  agree "one-column: distinct" (Relation.distinct ~sanitize one) (N.distinct one_n);
+  agree "one-column: sort_rows" (Relation.sort_rows ~sanitize one) (N.sort_rows one_n);
   agree "one-column: extend (merge path)"
-    (Relation.extend one ~on:0 ~new_vertex:1 (pairs [ 2; 2; 9 ] [ 7; 8; 1 ]))
+    (Relation.extend ~sanitize one ~on:0 ~new_vertex:1 (pairs [ 2; 2; 9 ] [ 7; 8; 1 ]))
     (N.extend one_n ~on:0 ~new_vertex:1 ~left:[| 2; 2; 9 |] ~right:[| 7; 8; 1 |])
 
 let test_relation_iter_rows () =
@@ -366,16 +371,17 @@ let test_relation_too_large () =
   let r = Relation.of_pairs ~v1:0 ~v2:1 (pairs [ 1; 1; 1 ] [ 10; 11; 12 ]) in
   (* Extending each of 3 rows with 3 matches = 9 rows > 4. *)
   let p = pairs [ 10; 10; 10; 11; 11; 11; 12; 12; 12 ] [ 5; 6; 7; 5; 6; 7; 5; 6; 7 ] in
-  (match Relation.extend ~max_rows:4 r ~on:1 ~new_vertex:2 p with
+  (match Relation.extend ~sanitize ~max_rows:4 r ~on:1 ~new_vertex:2 p with
    | exception Relation.Too_large n -> check_bool "aborted early" true (n = 5)
    | _ -> Alcotest.fail "expected Too_large");
   (* Without the cap it succeeds. *)
-  check_int "uncapped rows" 9 (Relation.rows (Relation.extend r ~on:1 ~new_vertex:2 p))
+  check_int "uncapped rows" 9
+    (Relation.rows (Relation.extend ~sanitize r ~on:1 ~new_vertex:2 p))
 
 let test_cross_too_large () =
   let a = Relation.singleton ~vertex:0 (col (Array.init 100 (fun i -> i))) in
   let b = Relation.singleton ~vertex:1 (col (Array.init 100 (fun i -> i))) in
-  match Relation.cross ~max_rows:5000 a b with
+  match Relation.cross ~sanitize ~max_rows:5000 a b with
   | exception Relation.Too_large _ -> ()
   | _ -> Alcotest.fail "expected Too_large from cross"
 
@@ -464,7 +470,7 @@ return $o|}
   in
   (* Sanitizer off: the checks above are the only ones. Under
      ROX_SANITIZE=1 the replay runs armed too, adding RX306. *)
-  let modes = List.sort_uniq compare [ false; Sanitize.default_mode () ] in
+  let modes = List.sort_uniq compare [ false; sanitize ] in
   List.iter
     (fun sanitize ->
       let carried = List.fold_left (fun acc q -> acc + replay_refresh ~sanitize q) 0 queries in

@@ -113,9 +113,11 @@ let prop_staircase_restriction =
       let context = col (random_context rng doc) in
       let all = Kind_index.all r.Engine.kinds in
       let restricted = Sampling.sample rng all (clen all / 2) in
-      let direct = Staircase.join ~doc ~axis ~context restricted in
+      let direct = Staircase.join ~sanitize ~doc ~axis ~context restricted in
       let via_full =
-        Nodeset.intersect (arr (Staircase.join ~doc ~axis ~context all)) (arr restricted)
+        Nodeset.intersect ~sanitize
+          (arr (Staircase.join ~sanitize ~doc ~axis ~context all))
+          (arr restricted)
       in
       arr direct = via_full)
 
@@ -181,12 +183,12 @@ let prop_index_domain_walk =
       let e = Graph.add_edge g ~v1:outer.Vertex.id ~v2:inner.Vertex.id (Edge.Step axis) in
       let sampled inner_table =
         metered (fun meter ->
-            Exec.sampled ?meter engine g e ~outer:Exec.From_v1 ~sample:context ~inner_table
+            Exec.sampled ~sanitize ?meter engine g e ~outer:Exec.From_v1 ~sample:context ~inner_table
               ~limit)
       in
       let full ?t2_domain () =
         metered (fun meter ->
-            Exec.full_pairs ?meter ~step_direction:Exec.From_v1 ?t2_domain engine g e
+            Exec.full_pairs ~sanitize ?meter ~step_direction:Exec.From_v1 ?t2_domain engine g e
               ~t1:context ~t2:candidates)
       in
       let cut_d, units_d = cut ?domain () and cut_c, units_c = cut () in
@@ -233,7 +235,7 @@ let prop_of_unsorted_normalizes =
       (* Dense value range: duplicates are common. *)
       let a = Array.init n (fun _ -> Rox_util.Xoshiro.int rng 25) in
       if presorted then Array.sort compare a;
-      let out = Nodeset.of_unsorted a in
+      let out = Nodeset.of_unsorted ~sanitize a in
       Nodeset.is_sorted_dedup out
       && List.sort_uniq compare (Array.to_list a) = Array.to_list out)
 
@@ -288,7 +290,7 @@ let prop_kernel_extend =
       let p = if Rox_util.Xoshiro.bool rng then by_left p else p in
       agree
         (Naive.extend r ~on ~new_vertex:9 ~left:(fst p) ~right:(snd p))
-        (Relation.extend (Naive.to_relation r) ~on ~new_vertex:9 (cpairs p)))
+        (Relation.extend ~sanitize (Naive.to_relation r) ~on ~new_vertex:9 (cpairs p)))
 
 let prop_kernel_extend_merge =
   qtest ~count:300 "columnar extend = naive extend (merge path)" QCheck.small_int
@@ -312,7 +314,7 @@ let prop_kernel_extend_merge =
       let pr = Array.init m (fun i -> 100 + i) in
       agree
         (Naive.extend r ~on:0 ~new_vertex:9 ~left:pl ~right:pr)
-        (Relation.extend (Naive.to_relation r) ~on:0 ~new_vertex:9 (cpairs (pl, pr))))
+        (Relation.extend ~sanitize (Naive.to_relation r) ~on:0 ~new_vertex:9 (cpairs (pl, pr))))
 
 let prop_kernel_extend_too_large =
   qtest ~count:200 "extend Too_large parity with naive" QCheck.small_int
@@ -330,7 +332,7 @@ let prop_kernel_extend_too_large =
       in
       let b =
         run (fun () ->
-            Relation.extend ~max_rows (Naive.to_relation r) ~on ~new_vertex:9 (cpairs p))
+            Relation.extend ~sanitize ~max_rows (Naive.to_relation r) ~on ~new_vertex:9 (cpairs p))
       in
       match (a, b) with
       | `Too_large x, `Too_large y -> x = y
@@ -350,7 +352,7 @@ let prop_kernel_fuse =
       let a = if Rox_util.Xoshiro.bool rng then Naive.sort_rows a else a in
       agree
         (Naive.fuse a b ~on_left ~on_right ~pl:(fst p) ~pr:(snd p))
-        (Relation.fuse (Naive.to_relation a) (Naive.to_relation b) ~on_left ~on_right
+        (Relation.fuse ~sanitize (Naive.to_relation a) (Naive.to_relation b) ~on_left ~on_right
            (cpairs p)))
 
 let prop_kernel_filter_pairs =
@@ -363,7 +365,7 @@ let prop_kernel_filter_pairs =
       let p = fuzz_pairs rng ~m:(xi rng 25) ~lspan:span ~rspan:span in
       agree
         (Naive.filter_pairs r ~c1 ~c2 ~left:(fst p) ~right:(snd p))
-        (Relation.filter_pairs (Naive.to_relation r) ~c1 ~c2 (cpairs p)))
+        (Relation.filter_pairs ~sanitize (Naive.to_relation r) ~c1 ~c2 (cpairs p)))
 
 let prop_kernel_unary =
   qtest ~count:300 "columnar distinct/sort_rows/project = naive" QCheck.small_int
@@ -382,9 +384,9 @@ let prop_kernel_unary =
         done;
         Array.sub vs 0 (1 + xi rng (Array.length vs))
       in
-      agree (Naive.distinct r) (Relation.distinct (Naive.to_relation r))
-      && agree (Naive.sort_rows r) (Relation.sort_rows (Naive.to_relation r))
-      && agree (Naive.project r keep) (Relation.project (Naive.to_relation r) keep))
+      agree (Naive.distinct r) (Relation.distinct ~sanitize (Naive.to_relation r))
+      && agree (Naive.sort_rows r) (Relation.sort_rows ~sanitize (Naive.to_relation r))
+      && agree (Naive.project r keep) (Relation.project ~sanitize (Naive.to_relation r) keep))
 
 let prop_kernel_cross =
   qtest ~count:200 "columnar cross = naive cross" QCheck.small_int
@@ -392,7 +394,8 @@ let prop_kernel_cross =
       let rng = Rox_util.Xoshiro.create (seed + 207) in
       let a = fuzz_naive rng ~base_vertex:0 ~span:5 in
       let b = fuzz_naive rng ~base_vertex:10 ~span:5 in
-      agree (Naive.cross a b) (Relation.cross (Naive.to_relation a) (Naive.to_relation b)))
+      agree (Naive.cross a b)
+        (Relation.cross ~sanitize (Naive.to_relation a) (Naive.to_relation b)))
 
 (* ---- identity and unique-key shapes ---------------------------------
 
@@ -460,7 +463,7 @@ let prop_kernel_extend_carry =
       let run keys =
         let pr = Array.mapi (fun i _ -> 500 + i) keys in
         let rel = Naive.to_relation r in
-        let out = Relation.extend rel ~on ~new_vertex:9 (cpairs (keys, pr)) in
+        let out = Relation.extend ~sanitize rel ~on ~new_vertex:9 (cpairs (keys, pr)) in
         (rel, out, agree (Naive.extend r ~on ~new_vertex:9 ~left:keys ~right:pr) out)
       in
       let rel, out, ok = run keys in
@@ -498,7 +501,7 @@ let prop_kernel_fuse_carry =
       let pr = Array.init n (fun k -> b.Naive.data.(perm.(k) * Array.length b.Naive.verts)) in
       let run pl pr =
         let ra = Naive.to_relation a and rb = Naive.to_relation b in
-        let out = Relation.fuse ra rb ~on_left:0 ~on_right:10 (cpairs (pl, pr)) in
+        let out = Relation.fuse ~sanitize ra rb ~on_left:0 ~on_right:10 (cpairs (pl, pr)) in
         (ra, rb, out, agree (Naive.fuse a b ~on_left:0 ~on_right:10 ~pl ~pr) out)
       in
       let ra, rb, out, ok = run pl pr in

@@ -1,6 +1,5 @@
 (* The per-query Session: determinism under equal seeds, isolation between
-   concurrent sessions, typed resource budgets, and the RX307 confinement
-   tripwire that keeps operators off process-global state. *)
+   concurrent sessions, typed resource budgets, and a sanitizing run. *)
 
 open Rox_storage
 open Rox_xquery
@@ -123,33 +122,11 @@ let test_budget_message () =
   | Some m -> check_bool "mentions deadline" true (contains m "deadline")
   | None -> Alcotest.fail "budget_message must render Budget_exceeded"
 
-(* ---------- RX307 confinement ---------- *)
+(* ---------- Sanitizer ---------- *)
 
-let test_confined_global_read_trips () =
-  let session =
-    Session.create
-      ~config:{ (Session.default_config ()) with Session.sanitize = true } ()
-  in
-  match
-    Session.confine session (fun () ->
-        ignore (Rox_algebra.Sanitize.default_mode () : bool))
-  with
-  | exception Rox_algebra.Sanitize.Violation v ->
-    check_bool "Session_confined" true
-      (v.Rox_algebra.Sanitize.contract = Rox_algebra.Sanitize.Session_confined)
-  | () -> Alcotest.fail "global read inside an armed region must trip RX307"
-
-let test_unarmed_region_permissive () =
-  (* sanitize off: the region is marked but the trap is not armed. *)
-  let session = Session.create () in
-  let mode =
-    Session.confine session (fun () -> Rox_algebra.Sanitize.default_mode ())
-  in
-  check_bool "reads fine when unarmed" true (mode = false || mode = true)
-
-let test_full_run_stays_confined () =
-  (* A whole optimizer run with sanitize on: no operator on the path may
-     fall back to process-global state. *)
+let test_sanitized_full_run () =
+  (* A whole optimizer run with every operator contract checked answers
+     like the default run. *)
   let engine = xmark_engine () in
   let compiled = Compile.compile_string engine q1 in
   let session =
@@ -181,11 +158,7 @@ let suite =
       test_budget_failure_isolated;
     Alcotest.test_case "deadline budget aborts" `Quick test_deadline_budget;
     Alcotest.test_case "budget message renders" `Quick test_budget_message;
-    Alcotest.test_case "RX307 trips on confined global read" `Quick
-      test_confined_global_read_trips;
-    Alcotest.test_case "unarmed region reads globals" `Quick
-      test_unarmed_region_permissive;
-    Alcotest.test_case "sanitized full run" `Quick test_full_run_stays_confined;
+    Alcotest.test_case "sanitized full run" `Quick test_sanitized_full_run;
     Alcotest.test_case "two domains, identical answers" `Quick
       test_two_domains_bit_identical;
   ]

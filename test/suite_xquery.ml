@@ -272,10 +272,10 @@ let test_tail () =
       { Exec.left = col [| 3; 1; 3; 1 |]; right = col [| 30; 10; 30; 11 |] }
   in
   let spec = { Tail.key_vertices = [| 0; 1 |]; return_vertex = 0 } in
-  let out = Tail.apply spec rel in
+  let out = Tail.apply ~sanitize spec rel in
   (* Distinct pairs: (1,10), (1,11), (3,30); sorted; return column 0. *)
   check_bool "tail output" true (out = [| 1; 1; 3 |]);
-  check_int "count" 3 (Tail.count spec rel)
+  check_int "count" 3 (Tail.count ~sanitize spec rel)
 
 let suite =
   [
