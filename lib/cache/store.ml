@@ -60,6 +60,11 @@ let equal : type v. v kind -> v -> v -> bool =
   | Relation -> Column.equal a.left b.left && Column.equal a.right b.right
   | Estimate -> Cutoff.equal a b
 
+let verify_replay kind ~op ~what ~replayed ~fresh =
+  if not (equal kind replayed fresh) then
+    Sanitize.fail ~op ~contract:Sanitize.Cache_consistent
+      (what ^ " differs from a fresh execution")
+
 let note_lookup : type v. v kind -> Sink.t -> edge:int -> hit:bool -> unit =
  fun kind tel ~edge ~hit ->
   if Sink.enabled tel then begin
@@ -84,11 +89,10 @@ let memo (type v) store (kind : v kind) ~sanitize ~telemetry ~edge ~key
     (match L.find lru key with
      | Some v ->
        note_lookup kind telemetry ~edge ~hit:true;
-       if sanitize && not (equal kind v (run ~charged:false)) then
-         Sanitize.fail
+       if sanitize then
+         verify_replay kind
            ~op:(Printf.sprintf "Store.memo(e%d)" edge)
-           ~contract:Sanitize.Cache_consistent
-           (Printf.sprintf "cached %s differs from a fresh execution" key);
+           ~what:("cached " ^ key) ~replayed:v ~fresh:(run ~charged:false);
        v
      | None ->
        note_lookup kind telemetry ~edge ~hit:false;

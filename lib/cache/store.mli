@@ -68,10 +68,15 @@ val memo :
     [Sink.Cache_lookup] event for [edge]. A miss runs
     [run ~charged:true], adds the result under its {!weight} and returns
     it. A hit returns the cached value; under
-    [sanitize] it first re-runs [run ~charged:false] and raises a
-    [Cache_consistent] violation (RX304) unless the two are equal
+    [sanitize] it first re-runs [run ~charged:false] and checks the two
+    with {!verify_replay}. [run ~charged:false] must charge no meter. *)
+
+val verify_replay : 'v kind -> op:string -> what:string -> replayed:'v -> fresh:'v -> unit
+(** The sanitizer's replay check (RX304), shared by every memo that
+    replays a ['v] instead of running it: raises a [Cache_consistent]
+    violation naming [op] and [what] unless [replayed] equals [fresh]
     ({!Rox_algebra.Cutoff.equal} for estimates, element-wise on both
-    columns for pairs). [run ~charged:false] must charge no meter. *)
+    columns for pairs). *)
 
 type stats = {
   relations : Lru.stats;

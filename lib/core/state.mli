@@ -1,8 +1,9 @@
 (** ROX optimizer state: the Join Graph knowledge base of Algorithm 1.
 
     Wraps the shared execution {!Rox_joingraph.Runtime} with the sampling
-    side of ROX: per-vertex random samples S(v) and cardinalities card(v)
-    and per-edge weights w(e). Everything mutable a run touches — RNG,
+    side of ROX: per-vertex random samples S(v) and cardinalities card(v),
+    per-edge weights w(e) and the memo of the query's cut-off sampled
+    runs. Everything mutable a run touches — RNG,
     cost counter, telemetry sink, cache — belongs to the owning {!Session}; the
     state only adds the per-graph arrays. *)
 
@@ -60,13 +61,18 @@ val sampled_cutoff :
   inner_table:Rox_util.Column.t option ->
   limit:int ->
   Rox_algebra.Cutoff.t
-(** The [↓l(exec(e, S, T))] of Algorithms 1 and 2 with the estimate cache
-    in front, through {!Rox_cache.Store.memo}: identical requests (same
-    edge shape, direction, sample contents, inner table and limit, on the
-    same engine) replay the cached {!Rox_algebra.Cutoff.t} — across
-    chain rounds and across queries — and charge no sampling work. Each
-    consultation counts a hit or miss and emits one [Sink.Cache_lookup]
-    event; under the session's sanitize mode a hit must equal an
-    uncharged fresh run ({!Rox_algebra.Cutoff.equal}, RX304). A charged
-    run executes under an ["exec_sampled"] span. Without a cache this is
-    exactly [Exec.sampled] charged to the sampling meter. *)
+(** The [↓l(exec(e, S, T))] of Algorithms 1 and 2 with two memos in
+    front. First the state's own per-query memo: a request this query
+    already made on [e] — same direction and limit, the same inner table
+    object (or both the index domain), a sample of equal contents —
+    replays the remembered {!Rox_algebra.Cutoff.t}, charges no sampling
+    work, opens no span and counts one [sampled_replays] in the sink's
+    metrics; under the session's sanitize mode the replay is re-run
+    uncharged and checked with {!Rox_cache.Store.verify_replay} (RX304).
+    On a miss the estimate cache is consulted through
+    {!Rox_cache.Store.memo} (identical requests on the same engine replay
+    across queries; each consultation counts a hit or miss and emits one
+    [Sink.Cache_lookup] event), and the result is remembered. A charged
+    run executes under an ["exec_sampled"] span. Without a cache and
+    without a repeat this is exactly [Exec.sampled] charged to the
+    sampling meter. *)

@@ -102,10 +102,16 @@ type pairs = { left : Column.t; right : Column.t }
 
 let pair_count p = Column.length p.left
 
-(* The builders below fill plain vectors; wrapping detects sortedness in
-   one scan so a strictly-increasing pair column (e.g. a fresh selective
-   step) keeps its document-order certificate for downstream kernels. *)
-let freeze vec = Column.unsafe_of_array_detect (Int_vec.to_array vec)
+(* The builders below fill plain vectors, pre-sized to the smaller input
+   so a typical result grows in few doublings and an exactly-filled vector
+   hands over its array uncopied; wrapping detects sortedness in one scan
+   so a strictly-increasing pair column (e.g. a fresh selective step)
+   keeps its document-order certificate for downstream kernels. *)
+let pair_vecs t1 t2 =
+  let capacity = max 16 (min (Column.length t1) (Column.length t2)) in
+  (Int_vec.create ~capacity (), Int_vec.create ~capacity ())
+
+let freeze vec = Column.unsafe_of_array_detect (Int_vec.release vec)
 
 type equi_algo = Algo_hash | Algo_index_nl of direction
 
@@ -142,7 +148,7 @@ let full_pairs_impl ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engi
       | Some d -> d
       | None -> if Column.length t1 <= Column.length t2 then From_v1 else From_v2
     in
-    let lefts = Int_vec.create () and rights = Int_vec.create () in
+    let lefts, rights = pair_vecs t1 t2 in
     (match dir with
      | From_v1 ->
        let doc = (docref engine v1).Engine.doc in
@@ -163,7 +169,7 @@ let full_pairs_impl ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engi
       | Some a -> a
       | None -> Algo_hash
     in
-    let lefts = Int_vec.create () and rights = Int_vec.create () in
+    let lefts, rights = pair_vecs t1 t2 in
     let doc1 = (docref engine v1).Engine.doc in
     let doc2 = (docref engine v2).Engine.doc in
     (match algo with

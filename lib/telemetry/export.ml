@@ -201,7 +201,8 @@ let profile ?work_units (m : Metrics.t) =
      line "work units          sampling %d (%.1f%%) | execution %d (%.1f%%)" ws
        (pct ws (ws + we)) we (pct we (ws + we)));
   line "edge executions     %s" (hist_line m.Metrics.edge_execution_ns);
-  line "sampled runs        %s" (hist_line m.Metrics.sampled_run_ns);
+  line "sampled runs        %s | %d replayed" (hist_line m.Metrics.sampled_run_ns)
+    (c m.Metrics.sampled_replays);
   line "chain rounds        %s" (hist_line m.Metrics.chain_round_ns);
   line "cache               relation %s | estimate %s"
     (ratio_line (c m.Metrics.relation_cache_hits) (c m.Metrics.relation_cache_misses))

@@ -32,6 +32,7 @@ type t = {
   relation_cache_misses : counter;
   estimate_cache_hits : counter;
   estimate_cache_misses : counter;
+  sampled_replays : counter;
   rows_materialized : counter;
   pairs_emitted : counter;
   edges_executed : counter;
@@ -81,6 +82,9 @@ let create () =
     estimate_cache_misses =
       counter "rox_estimate_cache_misses_total"
         "estimate cache lookups that ran the sampled operator";
+    sampled_replays =
+      counter "rox_sampled_replays_total"
+        "cut-off sampled runs replayed from the per-query memo";
     rows_materialized =
       counter "rox_rows_materialized_total" "component rows produced by edge executions";
     pairs_emitted = counter "rox_pairs_emitted_total" "join pairs produced by edge executions";
@@ -170,8 +174,8 @@ let counters t =
   [
     t.sampling_time_ns; t.execution_time_ns; t.relation_cache_hits;
     t.relation_cache_misses; t.estimate_cache_hits; t.estimate_cache_misses;
-    t.rows_materialized; t.pairs_emitted; t.edges_executed; t.chain_rounds;
-    t.queries_served; t.budget_aborts; t.spans_dropped;
+    t.sampled_replays; t.rows_materialized; t.pairs_emitted; t.edges_executed;
+    t.chain_rounds; t.queries_served; t.budget_aborts; t.spans_dropped;
     t.requests_received; t.responses_sent; t.admission_rejects;
   ]
 

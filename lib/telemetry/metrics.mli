@@ -50,6 +50,7 @@ type t = {
   relation_cache_misses : counter;
   estimate_cache_hits : counter;
   estimate_cache_misses : counter;
+  sampled_replays : counter;     (** cut-off sampled runs replayed within a query *)
   rows_materialized : counter;   (** component rows produced by edge exec *)
   pairs_emitted : counter;       (** join pairs produced by edge exec *)
   edges_executed : counter;

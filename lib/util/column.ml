@@ -75,6 +75,15 @@ let equal a b =
 
 let same_storage a b = a.data == b.data
 
+(* Multiply-add over the view only: equal contents hash equal whatever the
+   storage, the offset or the sorted flag. *)
+let hash t =
+  let h = ref t.len in
+  for i = t.off to t.off + t.len - 1 do
+    h := (!h * 31) + t.data.(i)
+  done;
+  !h
+
 (* Bytes of the *underlying* storage — shared storage should be counted
    once by callers that account for memory (see Rox_cache). *)
 let storage_bytes t = 8 * Array.length t.data

@@ -50,6 +50,10 @@ val equal : t -> t -> bool
 val same_storage : t -> t -> bool
 (** Physical identity of the underlying arrays. *)
 
+val hash : t -> int
+(** A cheap content hash for in-memory keys: columns that are {!equal}
+    hash equal. Not collision-resistant — confirm a match with {!equal}. *)
+
 val storage_bytes : t -> int
 (** Bytes of the underlying storage (count shared storage once). *)
 

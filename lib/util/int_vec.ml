@@ -41,6 +41,8 @@ let last t =
 
 let to_array t = Array.sub t.data 0 t.len
 
+let release t = if t.len = Array.length t.data then t.data else to_array t
+
 let of_array arr =
   { data = (if Array.length arr = 0 then Array.make 1 0 else Array.copy arr);
     len = Array.length arr }

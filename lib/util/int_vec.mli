@@ -23,6 +23,12 @@ val last : t -> int
 val to_array : t -> int array
 (** Fresh array copy of the contents. *)
 
+val release : t -> int array
+(** The contents, for a builder that is done with the vector: the backing
+    array itself when the vector is exactly full, otherwise one trimmed
+    copy. The result may share storage with [t], so [t] must not be
+    modified afterwards. *)
+
 val of_array : int array -> t
 val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

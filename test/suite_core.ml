@@ -62,20 +62,26 @@ let test_rox_nonempty () =
   let answer, _ = Optimizer.answer_default compiled in
   check_bool "answer nonempty at this scale" true (Array.length answer > 0)
 
-let test_rox_dblp_correct () =
+(* The 4-venue DBLP author join. *)
+let dblp_compiled () =
   let engine = Engine.create () in
   let params = { Rox_workload.Dblp.default_gen with reduction = 400 } in
   ignore
     (Rox_workload.Dblp.load ~params engine
        (List.map Rox_workload.Dblp.find_venue [ "VLDB"; "ICDE"; "SIGMOD"; "EDBT" ]));
   let q = Rox_workload.Dblp.query_for [ "VLDB.xml"; "ICDE.xml"; "SIGMOD.xml"; "EDBT.xml" ] in
-  let compiled = Compile.compile_string engine q in
+  (engine, Compile.compile_string engine q)
+
+(* Doc ids vary here: compare (doc, pre) sequences. The return vertex is
+   in doc 0 (VLDB). *)
+let dblp_answer_matches engine compiled answer =
+  List.map (fun p -> (0, p)) (Array.to_list answer)
+  = Naive.eval_query engine compiled.Compile.query
+
+let test_rox_dblp_correct () =
+  let engine, compiled = dblp_compiled () in
   let answer, _ = Optimizer.answer_default compiled in
-  let naive = Naive.eval_query engine compiled.Compile.query in
-  (* Doc ids vary here: compare (doc, pre) sequences. The return vertex is
-     in doc 0 (VLDB). *)
-  check_bool "ROX = naive on DBLP" true
-    (List.map (fun p -> (0, p)) (Array.to_list answer) = naive)
+  check_bool "ROX = naive on DBLP" true (dblp_answer_matches engine compiled answer)
 
 (* NaN text must never satisfy a numeric predicate: ROX reads the value
    index's range path, the naive evaluator compares every text node. *)
@@ -286,6 +292,68 @@ let test_work_buckets_populated () =
   check_bool "sampling work" true (Rox_algebra.Cost.read c Rox_algebra.Cost.Sampling > 0);
   check_bool "execution work" true (Rox_algebra.Cost.read c Rox_algebra.Cost.Execution > 0)
 
+(* ---------- Per-query replay of cut-off sampled runs ---------- *)
+
+let sampled_replays sink =
+  (Sink.metrics sink).Rox_telemetry.Metrics.sampled_replays.Rox_telemetry.Metrics.c_value
+
+(* Within one query, a repeated cut-off sampled run is free whether the
+   session has a cross-query store or not: the state's memo replays it,
+   and a fresh store would replay it too. So a one-shot session and one
+   with its own empty store spend the same units on the same plan and
+   give the same answer. *)
+let test_replay_parity () =
+  let xmark = xmark_engine ~factor:0.05 () in
+  let dblp_engine, dblp = dblp_compiled () in
+  List.iter
+    (fun (name, engine, compiled) ->
+      let run session =
+        let answer, r = Optimizer.answer session compiled in
+        let c = r.Optimizer.counter in
+        ( answer,
+          r.Optimizer.edge_order,
+          Rox_algebra.Cost.read c Rox_algebra.Cost.Sampling,
+          Rox_algebra.Cost.read c Rox_algebra.Cost.Execution )
+      in
+      let sink = Sink.create ~enabled:true () in
+      let answer, order, sampling, execution = run (Session.create ~telemetry:sink ()) in
+      let answer', order', sampling', execution' =
+        run (Session.create ~cache:(Rox_cache.Store.create engine) ())
+      in
+      check_int (name ^ ": sampling units") sampling' sampling;
+      check_int (name ^ ": execution units") execution' execution;
+      check_bool (name ^ ": edge order") true (order = order');
+      check_bool (name ^ ": answer") true (answer = answer');
+      if name = "DBLP" then
+        check_bool "DBLP: repeats replayed" true (sampled_replays sink > 0))
+    [
+      ("Q1", xmark, Compile.compile_string xmark (q1 145 "<"));
+      ("Qm1", xmark, Compile.compile_string xmark (q1 145 ">"));
+      ("DBLP", dblp_engine, dblp);
+    ]
+
+(* With the sanitizer armed in the session config every replay is re-run
+   uncharged and compared with the remembered result (RX304). The Figure 1
+   query re-weighs edges against inner tables that an execution replaced,
+   so a memo that matched a stale table would fail here. *)
+let test_replay_sanitized () =
+  let config = { (Session.default_config ()) with Session.sanitize = true } in
+  let run compiled =
+    let sink = Sink.create ~enabled:true () in
+    let answer, _ = Optimizer.answer (Session.create ~config ~telemetry:sink ()) compiled in
+    (answer, sampled_replays sink)
+  in
+  let engine, compiled = dblp_compiled () in
+  let answer, replays = run compiled in
+  check_bool "DBLP: replays re-checked" true (replays > 0);
+  check_bool "ROX = naive on DBLP, sanitized" true
+    (dblp_answer_matches engine compiled answer);
+  let engine = xmark_engine () in
+  let compiled = Compile.compile_string engine fig1_query in
+  let answer, _ = run compiled in
+  check_bool "ROX = naive on Fig 1 query, sanitized" true
+    (answers_match engine compiled answer)
+
 let suite =
   [
     Alcotest.test_case "ROX Q1 = naive" `Quick test_rox_q1_correct;
@@ -306,4 +374,6 @@ let suite =
     Alcotest.test_case "estimate accuracy uniform" `Quick test_estimate_accuracy_uniform;
     Alcotest.test_case "trace records" `Quick test_trace_records;
     Alcotest.test_case "work buckets populated" `Quick test_work_buckets_populated;
+    Alcotest.test_case "replay parity: no store = fresh store" `Quick test_replay_parity;
+    Alcotest.test_case "replays re-checked under sanitize" `Quick test_replay_sanitized;
   ]
