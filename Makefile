@@ -45,10 +45,12 @@ racecheck:
 # property suite, whose index-domain property drives the RX306 step
 # cross-check over every axis and domain kind, and the join-graph suite,
 # whose edge-by-edge replays cross-check the T(v) refresh that skips
-# carried columns against RX306, and the core suite, whose optimizer runs
-# re-check every replay of the per-query sampled-run memo (RX304). The
-# suites' direct operator calls take ROX_SANITIZE's mode from one test
-# helper.
+# carried columns against RX306, the core suite, whose optimizer runs
+# re-check every replay of the per-query sampled-run memo (RX304), and
+# the classical and extensions suites, so the static, enumerated and
+# mid-query policies run the one execution driver under the contracts
+# too. The suites' direct operator calls take ROX_SANITIZE's mode from
+# one test helper.
 sanitize:
 	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- analyze
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test fuzz
@@ -56,6 +58,8 @@ sanitize:
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test props
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test joingraph
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test core
+	ROX_SANITIZE=1 dune exec test/test_main.exe -- test classical
+	ROX_SANITIZE=1 dune exec test/test_main.exe -- test extensions
 
 # Quick benchmarks: the cache experiment (BENCH_cache.json), the
 # columnar relation kernels vs the row-major reference

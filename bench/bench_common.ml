@@ -111,7 +111,7 @@ type plan_eval = { p_work : int; p_join_rows : int; p_blown : bool }
 
 let eval_plan ctx graph edges =
   match Executor.execute (plan_session ()) ctx.engine graph edges with
-  | run -> { p_work = work run; p_join_rows = run.Executor.join_rows; p_blown = false }
+  | run -> { p_work = work run; p_join_rows = Executor.join_rows graph run; p_blown = false }
   | exception Runtime.Blowup { rows; _ } ->
     { p_work = blowup_penalty; p_join_rows = max rows blowup_penalty; p_blown = true }
 

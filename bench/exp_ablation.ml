@@ -77,16 +77,16 @@ let run () =
           | run -> string_of_int (Rox_algebra.Cost.total run.Rox_classical.Executor.counter)
           | exception Rox_joingraph.Runtime.Blowup _ -> "blowup"
         in
-        let mq =
+        let mq, replans =
           Rox_classical.Midquery.execute (Session.create ()) compiled.Compile.engine graph
         in
-        let mq_work = Rox_algebra.Cost.total mq.Rox_classical.Midquery.counter in
+        let mq_work = Rox_algebra.Cost.total mq.Rox_core.Driver.counter in
         let rox = Optimizer.run_default compiled in
         let rox_work = Rox_algebra.Cost.total rox.Optimizer.counter in
         [
           qname;
           static_work;
-          Printf.sprintf "%d (%d replans)" mq_work mq.Rox_classical.Midquery.replans;
+          Printf.sprintf "%d (%d replans)" mq_work replans;
           string_of_int rox_work;
         ])
       queries

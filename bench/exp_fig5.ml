@@ -28,7 +28,7 @@ let run ~full () =
         let cumulative placement =
           let edges = Enumerate.plan_edges graph template ~order ~placement in
           match execute_plan ctx graph edges with
-          | Some run -> string_of_int run.Executor.join_rows
+          | Some run -> string_of_int (Executor.join_rows graph run)
           | None -> "blowup"
         in
         let marks =

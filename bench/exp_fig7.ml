@@ -35,13 +35,13 @@ let measure_combo ctx vs =
           min acc (eval_plan ctx graph edges).p_work)
         max_int Enumerate.placements
     in
-    let mq = Midquery.execute (plan_session ()) ctx.engine graph in
+    let mq, _ = Midquery.execute (plan_session ()) ctx.engine graph in
     Some
       {
         rox_pure = Rox_algebra.Cost.read c Rox_algebra.Cost.Execution;
         rox_full = Rox_algebra.Cost.total c;
         classical;
-        midquery = Rox_algebra.Cost.total mq.Midquery.counter;
+        midquery = Rox_algebra.Cost.total mq.Rox_core.Driver.counter;
       }
 
 let run ~full () =

@@ -64,7 +64,7 @@ let run venue_names scale reduction seed sort_by_work =
         match Executor.execute session engine graph edges with
         | run ->
           ( Rox_algebra.Cost.total run.Executor.counter,
-            string_of_int run.Executor.join_rows )
+            string_of_int (Executor.join_rows graph run) )
         | exception Rox_joingraph.Runtime.Blowup { rows; _ } ->
           (max_int, Printf.sprintf ">%d (blowup)" rows)
       in

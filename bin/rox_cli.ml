@@ -138,13 +138,12 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
       exit 1
   in
   if show_graph then prerr_string (Rox_joingraph.Pretty.to_string compiled.Rox_xquery.Compile.graph);
+  let cache_applies = optimizer = Opt_rox || optimizer = Opt_greedy in
   let cache =
-    if cache_mb > 0 then Some (Rox_cache.Store.of_megabytes engine cache_mb)
+    if cache_mb > 0 && cache_applies then Some (Rox_cache.Store.of_megabytes engine cache_mb)
     else None
   in
-  if (cache_mb > 0 || cache_stats)
-     && not (optimizer = Opt_rox || optimizer = Opt_greedy)
-  then
+  if (cache_mb > 0 || cache_stats) && not cache_applies then
     Printf.eprintf
       "note: --cache-mb/--cache-stats only apply to the rox and greedy optimizers\n";
   (* Everything a run may touch is owned by one explicit session built
@@ -155,9 +154,12 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
       max_sampled_rows =
         (if max_sampled_rows > 0 then Some max_sampled_rows else None) }
   in
-  let session_config use_chain =
-    { (Rox_core.Session.default_config ()) with
-      Rox_core.Session.tau; seed; use_chain; budgets }
+  let session =
+    Rox_core.Session.create
+      ~config:
+        { (Rox_core.Session.default_config ()) with
+          Rox_core.Session.tau; seed; use_chain = optimizer = Opt_rox; budgets }
+      ?cache ~telemetry:sink ()
   in
   (* Telemetry outputs are written on success AND on a budget abort — an
      aborted run's partial profile is exactly what one wants to inspect. *)
@@ -191,10 +193,9 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
         (or_exit (fun () ->
              Rox_telemetry.Recorder.create ?slow_ms ~slow_log:path ()))
   in
-  let cur_session = ref None in
   let t0 = Unix.gettimeofday () in
   let latency_ns () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-  let flight session ~plan ~status =
+  let flight ~plan ~status =
     match recorder with
     | None -> ()
     | Some rc ->
@@ -209,66 +210,40 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
        | None -> ());
       Rox_telemetry.Recorder.close rc
   in
-  let answer, counter, plan_session =
+  let graph = compiled.Rox_xquery.Compile.graph in
+  let answer, result =
     try
       match optimizer with
-      | Opt_rox | Opt_greedy ->
-        let session =
-          Rox_core.Session.create
-            ~config:(session_config (optimizer = Opt_rox))
-            ?cache ~telemetry:sink ()
-        in
-        cur_session := Some session;
-        let answer, result = Rox_core.Optimizer.answer session compiled in
-        if show_trace then begin
-          List.iter
-            (fun id ->
-              let e = Rox_joingraph.Graph.edge compiled.Rox_xquery.Compile.graph id in
-              Printf.eprintf "executed edge %d: %s\n" id
-                (Rox_joingraph.Pretty.edge_line compiled.Rox_xquery.Compile.graph e))
-            result.Rox_core.Optimizer.edge_order
-        end;
-        ( answer, result.Rox_core.Optimizer.counter,
-          (result.Rox_core.Optimizer.edge_order, session) )
+      | Opt_rox | Opt_greedy -> Rox_core.Optimizer.answer session compiled
       | Opt_static ->
-        let order =
-          Rox_classical.Classical_opt.static_order engine compiled.Rox_xquery.Compile.graph
-        in
-        let session =
-          Rox_core.Session.create ~config:(session_config false) ~telemetry:sink ()
-        in
-        cur_session := Some session;
-        let answer, run = Rox_classical.Executor.answer session compiled order in
-        ( answer, run.Rox_classical.Executor.counter,
-          (List.map (fun e -> e.Rox_joingraph.Edge.id) order, session) )
+        Rox_classical.Executor.answer session compiled
+          (Rox_classical.Classical_opt.static_order engine graph)
       | Opt_midquery ->
-        let session =
-          Rox_core.Session.create ~config:(session_config false) ~telemetry:sink ()
-        in
-        cur_session := Some session;
-        let answer, run = Rox_classical.Midquery.answer session compiled in
-        Printf.eprintf "mid-query re-optimizations: %d\n" run.Rox_classical.Midquery.replans;
-        (answer, run.Rox_classical.Midquery.counter, ([], session))
+        let answer, result, replans = Rox_classical.Midquery.answer session compiled in
+        Printf.eprintf "mid-query re-optimizations: %d\n" replans;
+        (answer, result)
     with Rox_algebra.Cost.Budget_exceeded { reason; _ } as exn ->
       (match Rox_algebra.Cost.budget_message exn with
        | Some m -> Printf.eprintf "aborted: %s\n" m
        | None -> ());
       emit_telemetry ();
       (* An aborted run still slow-logs: errored records always write. *)
-      (match !cur_session with
-       | Some session ->
-         let status =
-           match reason with
+      flight ~plan:[]
+        ~status:
+          (match reason with
            | Rox_algebra.Cost.Deadline -> "deadline"
-           | Rox_algebra.Cost.Sampled_rows -> "sampled_rows"
-         in
-         flight session ~plan:[] ~status
-       | None -> ());
+           | Rox_algebra.Cost.Sampled_rows -> "sampled_rows");
       exit 2
   in
   let dt = Unix.gettimeofday () -. t0 in
-  let plan, session = plan_session in
-  flight session ~plan ~status:"ok";
+  let counter = result.Rox_core.Driver.counter in
+  if show_trace then
+    List.iter
+      (fun id ->
+        Printf.eprintf "executed edge %d: %s\n" id
+          (Rox_joingraph.Pretty.edge_line graph (Rox_joingraph.Graph.edge graph id)))
+      result.Rox_core.Driver.edge_order;
+  flight ~plan:result.Rox_core.Driver.edge_order ~status:"ok";
   Printf.eprintf "answer: %d nodes; work: sampling=%d execution=%d; %.3fs\n"
     (Array.length answer)
     (Rox_algebra.Cost.read counter Rox_algebra.Cost.Sampling)

@@ -1,63 +1,47 @@
-open Rox_algebra
 open Rox_joingraph
 open Rox_core
 
-type run = {
+type result = Driver.result = {
+  runtime : Runtime.t;
   relation : Relation.t;
+  edge_order : int list;
   edge_rows : (int * int) list;
-  counter : Cost.counter;
-  cumulative_rows : int;
-  join_rows : int;
+  counter : Rox_algebra.Cost.counter;
 }
 
-exception Plan_error of string
+let static runtime order =
+  let graph = Runtime.graph runtime in
+  let pending = ref order in
+  let rec next () =
+    match !pending with
+    | [] -> None
+    | e :: rest ->
+      pending := rest;
+      if not (Runtime.executed runtime e) then Some e
+      else if Runtime.is_trivial_edge graph e || Runtime.implied runtime e then next ()
+      else raise (Driver.Plan_error (Printf.sprintf "edge %d appears twice in the plan" e.Edge.id))
+  in
+  { Driver.next; executed = (fun _ _ -> ()) }
 
 let execute session engine graph order =
-  Session.confine session (fun () ->
-      let runtime =
-        Runtime.create ~config:(Session.runtime_config session) engine graph
-      in
-      let counter = Session.counter session in
-      let meter = Cost.execution_meter counter in
-      let rows = ref [] in
-      List.iter
-        (fun (e : Edge.t) ->
-          if not (Runtime.executed runtime e) then begin
-            Session.check_deadline session;
-            let info = Runtime.execute_edge ~meter runtime e in
-            rows := (e.Edge.id, info.Runtime.rel_rows) :: !rows
-          end
-          else if not (Runtime.is_trivial_edge graph e || Runtime.implied runtime e) then
-            raise (Plan_error (Printf.sprintf "edge %d appears twice in the plan" e.Edge.id)))
-        order;
-      if not (Runtime.all_executed runtime) then
-        raise (Plan_error "plan does not cover all edges");
-      let relation = Runtime.final_relation ~meter runtime in
-      let edge_rows = List.rev !rows in
-      let is_join id = match (Graph.edge graph id).Edge.op with Edge.Equijoin -> true | Edge.Step _ -> false in
-      {
-        relation;
-        edge_rows;
-        counter;
-        cumulative_rows = List.fold_left (fun acc (_, r) -> acc + r) 0 edge_rows;
-        join_rows =
-          List.fold_left
-            (fun acc (id, r) -> if is_join id then acc + r else acc)
-            0 edge_rows;
-      })
+  Driver.run session (fun () ->
+      let runtime = Runtime.create ~config:(Session.runtime_config session) engine graph in
+      (runtime, static runtime order))
+
+let join_rows graph result =
+  List.fold_left
+    (fun acc (id, rows) ->
+      match (Graph.edge graph id).Edge.op with
+      | Edge.Equijoin -> acc + rows
+      | Edge.Step _ -> acc)
+    0 result.edge_rows
 
 let answer session (compiled : Rox_xquery.Compile.compiled) order =
-  let run =
+  let result =
     execute session compiled.Rox_xquery.Compile.engine
       compiled.Rox_xquery.Compile.graph order
   in
-  let nodes =
-    Session.confine session (fun () ->
-        Rox_xquery.Tail.apply ~sanitize:(Session.sanitize session)
-          ~meter:(Cost.execution_meter run.counter)
-          compiled.Rox_xquery.Compile.tail run.relation)
-  in
-  (nodes, run)
+  (Driver.answer session compiled result, result)
 
 let execute_default engine graph order =
   execute (Session.create ()) engine graph order

@@ -1,58 +1,52 @@
 (** Fixed-plan executor.
 
-    Executes a Join Graph in a *given* edge order through the very same
-    {!Rox_joingraph.Runtime} machinery as ROX — same operators, same cost
-    accounting — but with no sampling and no adaptation. This is the
-    workhorse behind every non-ROX plan class of Figures 5–7 (smallest,
-    largest, classical, and the canonical step placements of the ROX join
-    order).
+    Executes a Join Graph in a *given* edge order as a static order policy
+    over {!Rox_core.Driver} — the same loop, operators, cost accounting,
+    span and events as ROX — but with no sampling and no adaptation. This
+    is the workhorse behind every non-ROX plan class of Figures 5–7
+    (smallest, largest, classical, and the canonical step placements of
+    the ROX join order). The session supplies the counter, the max-rows
+    guard, the sanitize mode, the cache handle and the deadline. *)
 
-    Runs under the same {!Rox_core.Session} type as the optimizer: the
-    session supplies the counter, the max-rows guard, the sanitize mode
-    and the cache handle, and the whole run is session-confined with the
-    deadline checked per edge. *)
-
-type run = {
+type result = Rox_core.Driver.result = {
+  runtime : Rox_joingraph.Runtime.t;
   relation : Rox_joingraph.Relation.t;
+  edge_order : int list;
   edge_rows : (int * int) list;
-      (** (edge id, component rows after execution), in execution order. *)
   counter : Rox_algebra.Cost.counter;
-      (** the session's counter — every operator charged to its execution
-          bucket. *)
-  cumulative_rows : int;  (** Σ component rows over all executed edges. *)
-  join_rows : int;
-      (** Σ component rows over equi-join edges only — the "cumulative
-          (intermediate) join result cardinality" of Figure 5. *)
 }
-
-exception Plan_error of string
-(** The order misses an edge or repeats one. *)
+(** {!Rox_core.Driver.result}, re-exported with its fields. *)
 
 val execute :
   Rox_core.Session.t ->
   Rox_storage.Engine.t ->
   Rox_joingraph.Graph.t ->
   Rox_joingraph.Edge.t list ->
-  run
+  result
 (** The order must cover every non-trivial edge exactly once (trivial
-    root-descendant edges may be included; they are skipped).
-    @raise Plan_error on malformed orders.
+    root-descendant edges, and edges already implied by executed
+    equi-joins, may be included; they are skipped).
+    @raise Rox_core.Driver.Plan_error on malformed orders.
     @raise Rox_joingraph.Runtime.Blowup when materialization explodes.
     @raise Rox_algebra.Cost.Budget_exceeded past the session deadline. *)
+
+val join_rows : Rox_joingraph.Graph.t -> result -> int
+(** Σ component rows over equi-join edges only — the "cumulative
+    (intermediate) join result cardinality" of Figure 5. *)
 
 val answer :
   Rox_core.Session.t ->
   Rox_xquery.Compile.compiled ->
   Rox_joingraph.Edge.t list ->
-  int array * run
+  int array * result
 (** Execute and apply the query tail. *)
 
 val execute_default :
   Rox_storage.Engine.t ->
   Rox_joingraph.Graph.t ->
   Rox_joingraph.Edge.t list ->
-  run
+  result
 (** Thin wrapper: a fresh default session per call. *)
 
 val answer_default :
-  Rox_xquery.Compile.compiled -> Rox_joingraph.Edge.t list -> int array * run
+  Rox_xquery.Compile.compiled -> Rox_joingraph.Edge.t list -> int array * result

@@ -1,9 +1,8 @@
 open Rox_storage
-open Rox_algebra
 open Rox_joingraph
 open Rox_core
 
-(* Per-document synopses, built once per engine. *)
+(* Per-document synopses, rebuilt on every call: nothing caches them. *)
 let synopses engine =
   Array.init (Engine.doc_count engine) (fun i -> Synopsis.build (Engine.get engine i))
 
@@ -29,9 +28,8 @@ let edge_estimate synopses graph est (e : Edge.t) =
 
 (* Greedy connected plan over [edges], starting from the given per-vertex
    estimates; returns the order and the per-edge predictions. *)
-let greedy_plan synopses engine graph est edges =
+let greedy_plan synopses graph est edges =
   let est = Array.copy est in
-  ignore engine;
   let covered = Hashtbl.create 16 in
   let order = ref [] in
   let remaining = ref edges in
@@ -74,84 +72,70 @@ let base_estimates engine graph =
     (fun (v : Vertex.t) -> float_of_int (Exec.vertex_domain_count engine v))
     (Graph.vertices graph)
 
-let plannable_edges runtime =
-  Runtime.unexecuted_edges runtime
-
 let synopsis_order engine graph =
-  let syn = synopses engine in
-  let runtime = Runtime.create engine graph in
-  let plan = greedy_plan syn engine graph (base_estimates engine graph) (plannable_edges runtime) in
-  List.map fst plan
+  let edges = Runtime.unexecuted_edges (Runtime.create engine graph) in
+  List.map fst (greedy_plan (synopses engine) graph (base_estimates engine graph) edges)
 
-type run = {
-  relation : Relation.t;
-  edge_order : int list;
-  replans : int;
-  counter : Cost.counter;
-}
-
-let execute ?(validity_factor = 5.0) session engine graph =
-  Session.confine session (fun () ->
+(* Plan from the current statistics — base counts, overridden by observed
+   table sizes as execution proceeds — and replan whenever a result falls
+   outside the validity range of its prediction. *)
+let policy ~validity_factor ~replans engine runtime =
+  let graph = Runtime.graph runtime in
   let syn = synopses engine in
-  let runtime =
-    Runtime.create ~config:(Session.runtime_config session) engine graph
-  in
-  let counter = Session.counter session in
-  let meter = Cost.execution_meter counter in
-  let replans = ref 0 in
-  let executed_order = ref [] in
-  (* Current per-vertex statistics: base counts, overridden by observed
-     table sizes as execution proceeds. *)
+  let base = base_estimates engine graph in
   let current_estimates () =
     Array.mapi
       (fun i base ->
         match Runtime.table runtime i with
         | Some t -> float_of_int (Rox_util.Column.length t)
         | None -> base)
-      (base_estimates engine graph)
+      base
   in
-  let rec drive plan =
-    match plan with
-    | [] ->
-      (match plannable_edges runtime with
-       | [] -> ()
-       | rest -> drive (greedy_plan syn engine graph (current_estimates ()) rest))
-    | (e, predicted) :: rest ->
-      if Runtime.executed runtime e then drive rest
+  let plan = ref [] in
+  let predicted = ref 0.0 in
+  let rec next () =
+    match !plan with
+    | [] -> (
+      match Runtime.unexecuted_edges runtime with
+      | [] -> None
+      | rest ->
+        plan := greedy_plan syn graph (current_estimates ()) rest;
+        next ())
+    | (e, p) :: rest ->
+      plan := rest;
+      if Runtime.executed runtime e then next ()
       else begin
-        Session.check_deadline session;
-        let info = Runtime.execute_edge ~meter runtime e in
-        executed_order := e.Edge.id :: !executed_order;
-        let observed = float_of_int info.Runtime.rel_rows in
-        let invalid =
-          predicted > 0.0
-          && (observed > predicted *. validity_factor
-             || observed < predicted /. validity_factor)
-        in
-        if invalid && plannable_edges runtime <> [] then begin
-          (* Outside the validity range: re-plan the remainder with the
-             observed statistics. *)
-          incr replans;
-          drive (greedy_plan syn engine graph (current_estimates ()) (plannable_edges runtime))
-        end
-        else drive rest
+        predicted := p;
+        Some e
       end
   in
-  drive (greedy_plan syn engine graph (base_estimates engine graph) (plannable_edges runtime));
-  let relation = Runtime.final_relation ~meter runtime in
-  { relation; edge_order = List.rev !executed_order; replans = !replans; counter })
+  let executed _ (info : Runtime.exec_info) =
+    let observed = float_of_int info.Runtime.rel_rows in
+    let p = !predicted in
+    if p > 0.0
+       && (observed > p *. validity_factor || observed < p /. validity_factor)
+       && Runtime.unexecuted_edges runtime <> []
+    then begin
+      incr replans;
+      plan := []
+    end
+  in
+  { Driver.next; executed }
+
+let execute ?(validity_factor = 5.0) session engine graph =
+  let replans = ref 0 in
+  let result =
+    Driver.run session (fun () ->
+        let runtime = Runtime.create ~config:(Session.runtime_config session) engine graph in
+        (runtime, policy ~validity_factor ~replans engine runtime))
+  in
+  (result, !replans)
 
 let answer ?validity_factor session (compiled : Rox_xquery.Compile.compiled) =
-  let run =
+  let result, replans =
     execute ?validity_factor session compiled.Rox_xquery.Compile.engine
       compiled.Rox_xquery.Compile.graph
   in
-  let nodes =
-    Session.confine session (fun () ->
-        Rox_xquery.Tail.apply ~sanitize:(Session.sanitize session)
-          ~meter:(Cost.execution_meter run.counter)
-          compiled.Rox_xquery.Compile.tail run.relation)
-  in
-  (nodes, run)
+  (Driver.answer session compiled result, result, replans)
 
 let answer_default compiled = answer (Session.create ()) compiled

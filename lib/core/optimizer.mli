@@ -8,34 +8,30 @@
     every vertex whose table shrank — the re-sampling (rather than
     independence-scaling) that makes ROX robust to correlations.
 
-    Every entry point takes the owning {!Session} explicitly: options,
-    RNG, telemetry sink, counter, cache and budgets all come from it, and the whole
-    run executes inside {!Session.confine} — armed deadline, RX504
-    confinement record. Ablation switches (the design choices benchmarked in
-    [bench/main.ml]) live in {!Session.config}:
+    Phase 2 is an order policy over {!Driver}: the same loop, span,
+    events and accounting as every baseline. Every entry point takes the
+    owning {!Session} explicitly: options, RNG, telemetry sink, counter,
+    cache and budgets all come from it. Ablation switches (the design
+    choices benchmarked in [bench/main.ml]) live in {!Session.config}:
     - [use_chain = false] — greedy smallest-weight-edge execution, no
       look-ahead;
     - [resample = false] — weights are never refreshed after Phase 1 (the
       independence assumption a classical optimizer is stuck with);
     - [grow_cutoff = false] — chain sampling keeps a fixed cut-off τ. *)
 
-type result = {
-  state : State.t;
-  relation : Rox_joingraph.Relation.t;  (** fully joined non-root relation *)
-  edge_order : int list;                (** execution order (edge ids) *)
+type result = Driver.result = {
+  runtime : Rox_joingraph.Runtime.t;
+  relation : Rox_joingraph.Relation.t;
+  edge_order : int list;
   edge_rows : (int * int) list;
-      (** (edge id, component rows after executing it) in execution order —
-          the per-edge intermediate result sizes behind Figure 5. *)
-  counter : Rox_algebra.Cost.counter;   (** the session's counter *)
+  counter : Rox_algebra.Cost.counter;
 }
-
-val run_graph :
-  Session.t -> Rox_storage.Engine.t -> Rox_joingraph.Graph.t -> result
-(** One optimized run of [graph] under [session].
-    @raise Rox_algebra.Cost.Budget_exceeded when a session budget
-    (deadline or sampled rows) runs out mid-run. *)
+(** {!Driver.result}, re-exported with its fields. *)
 
 val run : Session.t -> Rox_xquery.Compile.compiled -> result
+(** One optimized run under [session].
+    @raise Rox_algebra.Cost.Budget_exceeded when a session budget
+    (deadline or sampled rows) runs out mid-run. *)
 
 val answer : Session.t -> Rox_xquery.Compile.compiled -> int array * result
 (** Run and apply the π/δ/τ tail: the query answer as return-vertex nodes

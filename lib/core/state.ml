@@ -42,13 +42,10 @@ let graph t = Runtime.graph t.runtime
 let engine t = Runtime.engine t.runtime
 let tau t = Session.tau t.session
 let rng t = Session.rng t.session
-let counter t = Session.counter t.session
 let telemetry t = Session.telemetry t.session
 let sample t v = t.samples.(v)
 let card t v = t.cards.(v)
-let cache t = Session.cache t.session
 let sampling_meter t = Session.sampling_meter t.session
-let execution_meter t = Session.execution_meter t.session
 
 (* The inner table is matched by identity: T(v) is replaced, never
    mutated, and a remembered request keeps its table alive, so the same

@@ -21,8 +21,6 @@ val session : t -> Session.t
 val runtime : t -> Runtime.t
 val graph : t -> Graph.t
 val tau : t -> int
-val rng : t -> Rox_util.Xoshiro.t
-val counter : t -> Rox_algebra.Cost.counter
 val telemetry : t -> Rox_telemetry.Sink.t
 (** The session's sink: spans and the optimizer's events. *)
 
@@ -48,10 +46,6 @@ val set_weight : t -> Edge.t -> float -> unit
 val min_weight_edge : t -> Edge.t option
 (** Un-executed edge of smallest weight (unweighted edges lose against any
     weighted one; among only-unweighted edges, the first). *)
-
-val execution_meter : t -> Rox_algebra.Cost.meter
-
-val cache : t -> Rox_cache.Store.t option
 
 val sampled_cutoff :
   t ->

@@ -1,10 +1,11 @@
 (** Shared Join Graph execution state: vertex tables + materialized
     components.
 
-    Both the ROX optimizer and the fixed-plan executor of the classical
-    baseline drive edge execution through this module, so both measure the
-    very same operator work — plans differ only in edge *order* and
-    sampling, exactly the comparison of Section 4.
+    Every strategy — ROX, greedy, static and enumerated plans, mid-query
+    re-optimization — executes edges through this module from one loop
+    ([Rox_core.Driver]), so all measure the very same operator work: plans
+    differ only in edge *order* and sampling, exactly the comparison of
+    Section 4.
 
     The runtime tracks, per vertex, the materialized table T(v) (initially
     unset; initialized from the best index when an incident edge first

@@ -138,7 +138,7 @@ let same_set a b = List.sort_uniq compare a = List.sort_uniq compare b
    table equals the distinct values of its final relation column. *)
 let tables_match_relation (result : Rox_core.Optimizer.result) =
   let rel = result.Rox_core.Optimizer.relation in
-  let runtime = Rox_core.State.runtime result.Rox_core.Optimizer.state in
+  let runtime = result.Rox_core.Optimizer.runtime in
   Array.for_all
     (fun v ->
       match Rox_joingraph.Runtime.table runtime v with

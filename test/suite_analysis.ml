@@ -115,7 +115,7 @@ let test_plan_violations () =
   let plan_error order =
     match Rox_classical.Executor.execute_default engine g order with
     | _ -> false
-    | exception Rox_classical.Executor.Plan_error _ -> true
+    | exception Rox_core.Driver.Plan_error _ -> true
   in
   check_bool "duplicated edge: Plan_error" true (plan_error [ step; step ]);
   check_bool "missing edge: Plan_error" true (plan_error [])

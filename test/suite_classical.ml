@@ -84,7 +84,7 @@ let test_all_plans_same_answer () =
 let test_plan_error_on_incomplete () =
   let engine, compiled = dblp_setup [ "VLDB"; "ICDE" ] in
   match Executor.execute_default engine compiled.Compile.graph [] with
-  | exception Executor.Plan_error _ -> ()
+  | exception Rox_core.Driver.Plan_error _ -> ()
   | _ -> Alcotest.fail "empty plan must fail"
 
 let test_plan_error_on_duplicate () =
@@ -95,7 +95,7 @@ let test_plan_error_on_duplicate () =
       ~order:(Enumerate.Linear [ 0; 1 ]) ~placement:Enumerate.SJ
   in
   match Executor.execute_default engine compiled.Compile.graph (edges @ edges) with
-  | exception Executor.Plan_error _ -> ()
+  | exception Rox_core.Driver.Plan_error _ -> ()
   | _ -> Alcotest.fail "duplicated plan must fail"
 
 (* ---------- Classical optimizer ---------- *)
@@ -159,9 +159,8 @@ let test_join_rows_accounting () =
         | Edge.Step _ -> acc)
       0 run.Executor.edge_rows
   in
-  check_int "join_rows consistent" manual_join run.Executor.join_rows;
-  let manual_total = List.fold_left (fun acc (_, r) -> acc + r) 0 run.Executor.edge_rows in
-  check_int "cumulative consistent" manual_total run.Executor.cumulative_rows
+  check_int "join_rows consistent" manual_join
+    (Executor.join_rows compiled.Compile.graph run)
 
 let suite =
   [

@@ -164,17 +164,17 @@ let dblp_compiled () =
 
 let test_midquery_correct_dblp () =
   let compiled = dblp_compiled () in
-  let nodes, run = Midquery.answer_default compiled in
+  let nodes, _, replans = Midquery.answer_default compiled in
   let naive =
     Naive.eval_query compiled.Compile.engine compiled.Compile.query |> List.map snd
   in
   check_bool "midquery = naive on DBLP" true (Array.to_list nodes = naive);
-  check_bool "replans bounded" true (run.Midquery.replans <= 20)
+  check_bool "replans bounded" true (replans <= 20)
 
 let test_midquery_correct_xmark () =
   let engine = xmark_engine () in
   let compiled = Compile.compile_string engine q1 in
-  let nodes, _ = Midquery.answer_default compiled in
+  let nodes, _, _ = Midquery.answer_default compiled in
   let naive = Naive.eval_query engine compiled.Compile.query |> List.map snd in
   check_bool "midquery = naive on XMark" true (Array.to_list nodes = naive)
 
@@ -201,7 +201,7 @@ let test_midquery_replans_on_surprise () =
   let compiled =
     Compile.compile_string engine {|for $a in doc("doc0.xml")//a[./c][./b] return $a|}
   in
-  let nodes, _run = Midquery.answer_default compiled in
+  let nodes, _, _ = Midquery.answer_default compiled in
   check_int "10 selective results" 10 (Array.length nodes)
 
 let suite =

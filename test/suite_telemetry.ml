@@ -433,6 +433,51 @@ let test_edge_events_match_spans () =
     executed;
   check_int "no span without its event" (List.length executed) (List.length span_edges)
 
+(* Every strategy runs through the one execution driver: one query span,
+   Edge_executed events in the run's own order, one query served; a
+   baseline out of time counts one budget abort. *)
+let test_every_strategy_one_driver () =
+  let compiled, _, _ = xmark_run () in
+  let engine = compiled.Rox_xquery.Compile.engine in
+  let graph = compiled.Rox_xquery.Compile.graph in
+  let session ?deadline_ms ~use_chain sink =
+    let config = Rox_core.Session.default_config () in
+    let budgets = { config.Rox_core.Session.budgets with Rox_core.Session.deadline_ms } in
+    Rox_core.Session.create
+      ~config:{ config with Rox_core.Session.use_chain; budgets }
+      ~telemetry:sink ()
+  in
+  let static s =
+    Rox_classical.Executor.execute s engine graph
+      (Rox_classical.Classical_opt.static_order engine graph)
+  in
+  let midquery s = fst (Rox_classical.Midquery.execute s engine graph) in
+  List.iter
+    (fun (name, use_chain, run) ->
+      let sink = Sink.create ~enabled:true () in
+      let result : Rox_core.Driver.result = run (session ~use_chain sink) in
+      let queries = List.filter (fun s -> s.Sink.name = "query") (Sink.spans sink) in
+      check_int (name ^ ": one query span") 1 (List.length queries);
+      check_bool (name ^ ": events follow the run") true
+        (Sink.execution_order sink = result.Rox_core.Driver.edge_order);
+      check_int (name ^ ": one query served") 1
+        (Sink.metrics sink).Metrics.queries_served.Metrics.c_value)
+    [
+      ("rox", true, fun s -> Rox_core.Optimizer.run s compiled);
+      ("greedy", false, fun s -> Rox_core.Optimizer.run s compiled);
+      ("static", false, static);
+      ("midquery", false, midquery);
+    ];
+  List.iter
+    (fun (name, run) ->
+      let sink = Sink.create ~enabled:true () in
+      (match run (session ~deadline_ms:0 ~use_chain:false sink) with
+       | exception Rox_algebra.Cost.Budget_exceeded _ -> ()
+       | (_ : Rox_core.Driver.result) -> Alcotest.fail (name ^ ": a 0 ms deadline must abort"));
+      check_int (name ^ ": one budget abort") 1
+        (Sink.metrics sink).Metrics.budget_aborts.Metrics.c_value)
+    [ ("static", static); ("midquery", midquery) ]
+
 (* ---------- Quantile interpolation (satellite: upper-bound bias fix) --- *)
 
 let test_quantile_interpolation () =
@@ -939,6 +984,7 @@ let suite =
     ("2-domain aggregate sum", `Quick, test_two_domain_aggregate);
     ("real run under enabled sink", `Quick, test_session_run_records);
     ("edge events match execute_edge spans", `Quick, test_edge_events_match_spans);
+    ("every strategy runs through one driver", `Quick, test_every_strategy_one_driver);
     ("quantile log-interpolation pins", `Quick, test_quantile_interpolation);
     ("prometheus label escaping", `Quick, test_escape_label);
     ("recorder: ring wraparound + RX701", `Quick, test_recorder_ring_wrap);
