@@ -468,131 +468,6 @@ let lint root json list_bindings =
   end
 
 (* ---------------------------------------------------------------------- *)
-(* racecheck: the RX5xx dynamic race detector. Default run = fixture      *)
-(* sweep (the detector must flag every seeded bug and stay silent on the  *)
-(* fixed twins — exit 3 if its teeth are gone) + a recorded replay of the *)
-(* multi-domain parallel-serving workload, which must come back clean.    *)
-
-let racecheck_workload ~domains ~iters ~scale () =
-  let serve_diags = ref [] in
-  let race_diags =
-    A.Race_fixtures.with_recording (fun () ->
-        (* Everything is created *inside* the armed region so every cache,
-           server and session registers its site. *)
-        let engine = Rox_storage.Engine.create () in
-        let params = Rox_workload.Xmark.scaled scale in
-        ignore
-          (Rox_workload.Xmark.generate ~params engine ~uri:"xmark.xml"
-            : Rox_storage.Engine.docref);
-        let queries = [ xmark_query "<"; xmark_query ">"; showdown_query ] in
-        let compiled_list =
-          List.map (Rox_xquery.Compile.compile_string engine) queries
-        in
-        let cache = Rox_cache.Store.of_megabytes engine 8 in
-        A.Race_fixtures.fork_join domains (fun _ ->
-            for _ = 1 to iters do
-              List.iter
-                (fun compiled ->
-                  let telemetry = Rox_telemetry.Sink.create ~enabled:true () in
-                  let session = Rox_core.Session.create ~cache ~telemetry () in
-                  ignore
-                    (Rox_core.Session.confine session (fun () ->
-                         fst (Rox_core.Optimizer.answer session compiled))
-                      : _ array))
-                compiled_list
-            done);
-        (* Served pass: the same queries through the serving front-end's
-           shared state (admission queue, ledger, session-registry merges)
-           — client domains submitting against a 2-worker pool, so the
-           recording covers the server's mutex discipline too. *)
-        let server =
-          Rox_serve.Server.create
-            (Rox_serve.Server.config ~cache ~workers:2 ~queue_capacity:64
-               engine)
-        in
-        A.Race_fixtures.fork_join domains (fun i ->
-            for _ = 1 to iters do
-              List.iter
-                (fun q ->
-                  let query =
-                    Rox_serve.Protocol.query
-                      ~client_id:(Printf.sprintf "domain%d" i) q
-                  in
-                  ignore
-                    (Rox_serve.Server.submit server query
-                      : Rox_serve.Protocol.response))
-                queries
-            done);
-        Rox_serve.Server.shutdown server;
-        serve_diags := Rox_serve.Server.self_check server)
-  in
-  race_diags @ !serve_diags
-
-let racecheck fixture json domains iters scale =
-  match fixture with
-  | Some name ->
-    (match A.Race_fixtures.find name with
-     | None ->
-       Printf.eprintf "unknown fixture %s; available: %s\n" name
-         (String.concat ", "
-            (List.map (fun (n, _, _, _) -> n) A.Race_fixtures.all));
-       2
-     | Some (n, run, descr, _expected) ->
-       let report = A.Report.make ~subject:("racecheck:" ^ n) (run ()) in
-       if json then print_string (A.Report.json_string [ report ])
-       else begin
-         A.Report.print report;
-         Printf.printf "racecheck fixture %s (%s): %d error(s), %d warning(s)\n"
-           n descr
-           (A.Report.errors report)
-           (A.Report.warnings report)
-       end;
-       A.Report.exit_code [ report ])
-  | None ->
-    (* Self-test: every fixture must produce exactly its expected codes —
-       in particular the seeded race must come back RX501. A detector
-       that cannot see the planted bug blesses nothing (exit 3). *)
-    let codes_of diags =
-      List.sort_uniq compare (List.map (fun d -> d.A.Diagnostic.code) diags)
-    in
-    let failures = ref [] in
-    let fixture_reports =
-      List.map
-        (fun (name, run, _descr, expected) ->
-          let diags = run () in
-          let got = codes_of diags in
-          if got <> List.sort_uniq compare expected then
-            failures := (name, expected, got) :: !failures;
-          A.Report.make ~subject:("racecheck:" ^ name) diags)
-        A.Race_fixtures.all
-    in
-    if !failures <> [] then begin
-      List.iter
-        (fun (name, expected, got) ->
-          Printf.eprintf "racecheck self-test FAILED: %s expected [%s] got [%s]\n"
-            name (String.concat " " expected) (String.concat " " got))
-        (List.rev !failures);
-      3
-    end
-    else begin
-      let workload = racecheck_workload ~domains ~iters ~scale () in
-      let wreport =
-        A.Report.make ~subject:"racecheck:parallel-workload" workload
-      in
-      (* JSON carries only the workload findings (the fixture sweep is a
-         self-test, not a finding), so its exit_code field matches the
-         process exit. *)
-      if json then print_string (A.Report.json_string [ wreport ])
-      else begin
-        Printf.printf
-          "racecheck self-test: %d fixture(s) behaved as seeded\n"
-          (List.length fixture_reports);
-        A.Report.print wreport
-      end;
-      A.Report.exit_code [ wreport ]
-    end
-
-(* ---------------------------------------------------------------------- *)
 (* serve: the protocol front-end over a worker-domain pool. Real mode     *)
 (* listens on a Unix or TCP socket; --smoke runs a scripted client over a *)
 (* socketpair against an in-process XMark engine (`make serve-smoke`).    *)
@@ -1194,7 +1069,7 @@ let analyze_cmd =
   let explain =
     Arg.(value & opt (some string) None & info [ "explain" ] ~docv:"CODE"
            ~doc:"Print the long explanation for one diagnostic code (e.g. \
-                 $(b,RX501)) and exit; unknown codes exit 2.")
+                 $(b,RX504)) and exit; unknown codes exit 2.")
   in
   let doc =
     "Static analysis: check Join Graphs, verify optimizer traces and executed \
@@ -1223,36 +1098,6 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(const lint $ root $ json_arg $ list_bindings)
-
-let racecheck_cmd =
-  let fixture =
-    Arg.(value & opt (some string) None & info [ "fixture" ] ~docv:"NAME"
-           ~doc:"Run one seeded fixture and report its diagnostics (exit 1 \
-                 when they contain errors — the seeded-race fixture does). \
-                 Omit to run the full self-test plus the multi-domain \
-                 workload replay.")
-  in
-  let domains =
-    Arg.(value & opt int 4 & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains for the workload replay (default 4).")
-  in
-  let iters =
-    Arg.(value & opt int 2 & info [ "iters" ] ~docv:"N"
-           ~doc:"Passes over the query list per domain (default 2).")
-  in
-  let scale =
-    Arg.(value & opt float 0.02 & info [ "scale" ] ~docv:"F"
-           ~doc:"XMark scale factor for the replayed workload (default 0.02).")
-  in
-  let doc =
-    "Dynamic race detection (RX501-RX504): first prove the detector's teeth \
-     on the seeded fixtures (every planted bug must be flagged, every fixed \
-     twin must be clean — exit 3 otherwise), then record the multi-domain \
-     parallel-serving workload and verify it race-free. Exits 1 if the \
-     workload itself races."
-  in
-  Cmd.v (Cmd.info "racecheck" ~doc)
-    Term.(const racecheck $ fixture $ json_arg $ domains $ iters $ scale)
 
 let cmd =
   let docs = docs_arg in
@@ -1315,8 +1160,8 @@ let cmd =
       $ slow_log_arg $ slow_ms_arg)
   in
   let commands =
-    [ Cmd.v (Cmd.info "run" ~doc) run_term; analyze_cmd; lint_cmd; racecheck_cmd;
-      serve_cmd; stat_cmd; profile_cmd; trace_validate_cmd ]
+    [ Cmd.v (Cmd.info "run" ~doc) run_term; analyze_cmd; lint_cmd; serve_cmd;
+      stat_cmd; profile_cmd; trace_validate_cmd ]
   in
   let group = Cmd.group ~default:run_term (Cmd.info "rox" ~doc) commands in
   let legacy = Cmd.v (Cmd.info "rox" ~doc) run_term in

@@ -5,6 +5,7 @@ type contract =
   | Cache_consistent
   | Sorted_flag
   | Kernel_equiv
+  | Owner_domain
 
 type violation = {
   op : string;
@@ -21,6 +22,7 @@ let contract_label = function
   | Cache_consistent -> "cache hit bit-identical to fresh execution"
   | Sorted_flag -> "column sorted flag honest (strictly increasing)"
   | Kernel_equiv -> "columnar kernel bit-identical to naive reference"
+  | Owner_domain -> "session entered only from the domain that claimed it"
 
 let fail ~op ~contract detail = raise (Violation { op; contract; detail })
 

@@ -32,6 +32,9 @@ type contract =
   | Kernel_equiv
       (** a columnar relation kernel produced a result bit-identical to
           the retained naive row-major reference implementation *)
+  | Owner_domain
+      (** a session is entered ([Rox_core.Session.confine]) only from
+          the domain whose first entry claimed it *)
 
 type violation = {
   op : string;          (** operator, e.g. ["Staircase.join(descendant)"] *)

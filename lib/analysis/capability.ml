@@ -27,7 +27,9 @@ let f file name guard =
      module initialization happens-before every domain spawn.
    - "single-owner": reachable from exactly one session / builder /
      checker call, which lives and dies on one domain (RX504).
-   - "mutex": every access inside one named mutex's critical section.
+   - "mutex": the state lives in one Rox_util.Guarded.t, so every access
+     is inside its lock's critical section. The lint holds a "mutex:"
+     entry to that: its file must call Guarded.create (RX510).
    - "publish-before-spawn": written only before worker domains are
      spawned; Domain.spawn publishes the write. *)
 let allowlist =
@@ -39,25 +41,21 @@ let allowlist =
       "single-owner: each counter belongs to one session, which is \
        confined to one domain (RX504)";
     (* -- analysis -------------------------------------------------- *)
-    f "lib/analysis/race_check.ml" "site_state.*"
-      "single-owner: checker-local replay state, built and consumed \
-       inside one check call on one domain";
     f "lib/analysis/trace_check.ml" "comp.*"
       "single-owner: checker-local replay state, one check call";
     f "lib/analysis/trace_check.ml" "replay.*"
       "single-owner: checker-local replay state, one check call";
     (* -- cache ----------------------------------------------------- *)
     f "lib/cache/lru.ml" "node.*"
-      "mutex: recency links and entry payloads only change inside the \
-       owning cache's lock critical section";
-    f "lib/cache/lru.ml" "t.*"
-      "mutex: every operation runs under the cache's one lock \
-       (Mutex.protect in locked / try_locked); the armed access log \
-       records each locked entry as a Write";
+      "mutex: nodes are reachable only through the cache's Guarded.t \
+       state (its table and recency list)";
+    f "lib/cache/lru.ml" "state.*"
+      "mutex: the table, recency list, bytes and counters are the \
+       cache's Guarded.t payload";
     (* -- core ------------------------------------------------------ *)
     f "lib/core/session.ml" "t.deadline_at"
-      "single-owner: a session lives and dies on one domain; confine \
-       records an RX504 site access to prove it";
+      "single-owner: a session lives and dies on one domain; under the \
+       sanitize mode confine checks the owner domain (RX504)";
     (* -- joingraph ------------------------------------------------- *)
     f "lib/joingraph/graph.ml" "t.*"
       "publish-before-spawn: graphs mutate only during compilation; a \
@@ -69,13 +67,11 @@ let allowlist =
       "single-owner: one decoder per connection, fed and drained only \
        by that connection's handler thread";
     f "lib/serve/server.ml" "pending.*"
-      "mutex: outcome only changes inside the server's one t.mutex \
-       critical section (completion broadcasts under it)";
-    f "lib/serve/server.ml" "t.*"
+      "mutex: outcome is written and read only inside the server's \
+       Guarded.t critical section (completion broadcasts under it)";
+    f "lib/serve/server.ml" "shared.*"
       "mutex: queue, audit and connection counters, server metrics, \
-       stopping and the worker list all mutate inside Mutex.protect \
-       t.mutex (the locked wrapper records the Accesslog serve.mutex \
-       bracket); worker spawn/join carry hb tokens";
+       stopping and the worker list are the server's Guarded.t payload";
     (* -- shred ----------------------------------------------------- *)
     f "lib/shred/doc.ml" "t.doc_id"
       "publish-before-spawn: written once by Engine.register before the \
@@ -92,48 +88,21 @@ let allowlist =
     f "lib/telemetry/metrics.ml" "counter.*"
       "single-owner: a Metrics.t belongs to one sink on one domain; \
        cross-domain totals live in the server's own Metrics.t, \
-       mutated only under its t.mutex";
+       inside its Guarded.t";
     f "lib/telemetry/metrics.ml" "gauge.*"
       "single-owner: same discipline as counter.*";
     f "lib/telemetry/metrics.ml" "histogram.*"
       "single-owner: same discipline as counter.*";
     f "lib/telemetry/sink.ml" "t.*"
       "single-owner: sinks are session-local; the server's complete \
-       merges a request's totals into its ledger under t.mutex";
-    f "lib/telemetry/recorder.ml" "t.*"
-      "mutex: the ring cursor and the slow-log state are read and \
-       written only under the recorder's one t.mutex (the locked \
-       wrapper records the telemetry.recorder access-log bracket)";
+       merges a request's totals into its ledger under the server's lock";
+    f "lib/telemetry/recorder.ml" "state.*"
+      "mutex: the ring cursor and the slow-log state are the \
+       recorder's Guarded.t payload";
     f "lib/telemetry/recorder.ml" "tenant_series.*"
-      "mutex: tenant counters mutate only under the recorder's one \
-       t.mutex, the same critical section that bounds the tenant \
-       table's cardinality";
-    (* -- util: access log itself ----------------------------------- *)
-    g "lib/util/accesslog.ml" "armed_flag"
-      "publish-before-spawn: flipped at CLI startup or by a racecheck \
-       driver before domains exist; spawn publishes the value";
-    g "lib/util/accesslog.ml" "registry_mutex"
-      "mutex: it IS the guard for the site/lock registries";
-    g "lib/util/accesslog.ml" "sites"
-      "mutex: grown only inside registry_mutex; snapshot arrays are \
-       immutable once handed out";
-    g "lib/util/accesslog.ml" "n_sites" "mutex: written under registry_mutex";
-    g "lib/util/accesslog.ml" "lock_names"
-      "mutex: grown only inside registry_mutex";
-    g "lib/util/accesslog.ml" "n_locks" "mutex: written under registry_mutex";
-    g "lib/util/accesslog.ml" "token_names"
-      "mutex: grown only inside registry_mutex";
-    g "lib/util/accesslog.ml" "n_tokens" "mutex: written under registry_mutex";
-    g "lib/util/accesslog.ml" "cap"
-      "publish-before-spawn: sized by set_armed before recording begins";
-    g "lib/util/accesslog.ml" "buf"
-      "publish-before-spawn: allocated by set_armed before recording; \
-       slot writes are claimed by the atomic cursor";
-    g "lib/util/accesslog.ml" "cursor"
-      "Atomic.t: fetch_and_add claims disjoint slots";
-    g "lib/util/accesslog.ml" "dropped_count" "Atomic.t: monotonic counter";
-    g "lib/util/accesslog.ml" "lockset_key"
-      "Domain.DLS key: each domain sees only its own lockset bitmask";
+      "mutex: tenant series are reachable only through the recorder's \
+       Guarded.t tenant table, the critical section that bounds its \
+       cardinality";
     (* -- util: plain data structures ------------------------------- *)
     g "lib/util/column.ml" "empty"
       "read-only table: the shared empty column holds length-0 arrays — \

@@ -1,13 +1,16 @@
 (** The mutable-state capability allowlist behind [rox lint] (RX510/RX511).
 
-    Every top-level mutable binding ([ref], [Atomic.t], [Mutex.t], DLS
+    Every top-level mutable binding ([ref], [Atomic.t], mutexes, DLS
     keys, arrays, growable tables) and every [mutable] record field under
     [lib/] must either be process-private by construction or carry an
     explicit entry here stating which discipline guards it. The lint
     ({!Global_lint}) scans the sources, matches what it finds against this
     list, and fails on any mutable state that is not documented (RX510) —
     so adding shared state to the engine forces the author to write down,
-    in this file, why it is safe under multi-domain execution.
+    in this file, why it is safe under multi-domain execution. A guard
+    that begins ["mutex:"] claims the state lives in a
+    {!Rox_util.Guarded.t}; the lint fails it (RX510) unless its file
+    calls [Guarded.create].
 
     Entries are matched by relative file path, binding kind, and name.
     The name is exact, or a wildcard of the form ["t.*"] / ["*"] covering
@@ -21,7 +24,7 @@ type kind =
 
 type entry = {
   cap_file : string;  (** path relative to the scan root's parent, e.g.
-                          ["lib/util/accesslog.ml"] *)
+                          ["lib/util/int_vec.ml"] *)
   cap_kind : kind;
   cap_name : string;  (** exact name, or a ["prefix.*"] / ["*"] wildcard *)
   cap_guard : string; (** the documented discipline that makes it safe;

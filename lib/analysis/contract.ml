@@ -8,6 +8,7 @@ let code_of_contract = function
   | Sanitize.Cache_consistent -> "RX304"
   | Sanitize.Sorted_flag -> "RX305"
   | Sanitize.Kernel_equiv -> "RX306"
+  | Sanitize.Owner_domain -> "RX504"
 
 let diagnostic_of_violation ?label (v : Sanitize.violation) =
   let message =

@@ -5,8 +5,9 @@
     when off, which is the default. This module turns violations into
     {!Diagnostic.t} values: RX301 for sorted/duplicate-free breaches,
     RX302 for domain escapes, RX303 for Table 1 cost-bound overruns,
-    RX304 for cache replay divergence, RX305 for sorted-flag lies and
-    RX306 for kernel/reference divergence. *)
+    RX304 for cache replay divergence, RX305 for sorted-flag lies,
+    RX306 for kernel/reference divergence and RX504 for a session
+    entered from a domain other than its owner. *)
 
 val diagnostic_of_violation :
   ?label:string -> Rox_algebra.Sanitize.violation -> Diagnostic.t

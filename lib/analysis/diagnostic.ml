@@ -6,7 +6,6 @@ type location =
   | Edge of int
   | Event of int
   | Span of int
-  | Site of int
   | Source of string * int
 
 type t = {
@@ -40,7 +39,6 @@ let location_string = function
   | Edge e -> Printf.sprintf "edge e%d" e
   | Event i -> Printf.sprintf "trace event #%d" i
   | Span i -> Printf.sprintf "telemetry span #%d" i
-  | Site i -> Printf.sprintf "shared site #%d" i
   | Source (file, line) -> Printf.sprintf "%s:%d" file line
 
 let to_string d =
@@ -255,41 +253,25 @@ let registry =
          its cap; the event stream ends in a Truncated marker, exporters \
          mark the truncation, and replay findings past it (typically \
          RX109) are partial. Raise the cap or trace a smaller run." };
-    { ci_code = "RX501"; ci_severity = Error;
-      ci_summary = "data race: unsynchronized cross-domain write to a shared site";
-      ci_detail =
-        "The access log recorded a write to a shared site that is \
-         neither happens-before ordered with another domain's access to \
-         the same site nor covered by a common lock — with at least one \
-         side holding no lock at all. This is the racy interleaving the \
-         detector exists to catch; the report names both accesses and \
-         the locks (if any) each held." };
-    { ci_code = "RX502"; ci_severity = Warning;
-      ci_summary = "lock-discipline violation: site guarded by inconsistent lock sets";
-      ci_detail =
-        "Eraser-style lockset refinement: every access to the site held \
-         some lock, but no single lock was common to all of them, so \
-         mutual exclusion is not what orders the accesses. No race \
-         manifested in this interleaving (happens-before covered every \
-         pair), but the discipline is fragile — a scheduling change \
-         could expose it." };
     { ci_code = "RX504"; ci_severity = Error;
       ci_summary = "session-confined state touched from multiple domains";
       ci_detail =
-        "A site registered as single-owner (a session's run-time state) \
-         recorded accesses from two different domains. Sessions are the \
-         unit of confinement — sharing one across domains shares its \
-         RNG, counters and sink between concurrent runs." };
+        "A session was entered (Session.confine) from a domain other than \
+         the one whose first entry claimed it; the sanitize mode checks \
+         the owner on every entry. Sessions are the unit of confinement \
+         — sharing one across domains shares its RNG, counters and sink \
+         between concurrent runs." };
     { ci_code = "RX510"; ci_severity = Error;
       ci_summary = "undocumented mutable global or mutable field (not in the capability allowlist)";
       ci_detail =
         "rox lint inventories every top-level mutable binding (ref, \
-         Atomic.t, Mutex.t, Hashtbl, DLS key, array literal) and every \
+         Atomic.t, mutex, Hashtbl, DLS key, array literal) and every \
          mutable record field under lib/, and requires each to match an \
          entry in Rox_analysis.Capability.allowlist carrying a \
          documented guard (which lock, which confinement, or why \
-         write-never). New shared state must state its discipline \
-         before it lands." };
+         write-never). A \"mutex:\" guard must be backed by the type: \
+         its file must build the state with Rox_util.Guarded.create. \
+         New shared state must state its discipline before it lands." };
     { ci_code = "RX511"; ci_severity = Warning;
       ci_summary = "stale capability allowlist entry (matches no source binding)";
       ci_detail =
@@ -377,7 +359,6 @@ let location_json loc =
   | Edge e -> Obj [ ("kind", Str "edge"); ("id", Num (float_of_int e)) ]
   | Event i -> Obj [ ("kind", Str "event"); ("index", Num (float_of_int i)) ]
   | Span i -> Obj [ ("kind", Str "span"); ("index", Num (float_of_int i)) ]
-  | Site i -> Obj [ ("kind", Str "site"); ("id", Num (float_of_int i)) ]
   | Source (file, line) ->
     Obj [ ("kind", Str "source"); ("file", Str file); ("line", Num (float_of_int line)) ]
 

@@ -20,7 +20,6 @@ type location =
   | Edge of int        (** an edge id *)
   | Event of int       (** index into the optimizer event list ([Sink.events]) *)
   | Span of int        (** index into the chronological telemetry span list *)
-  | Site of int        (** an access-log shared-site id *)
   | Source of string * int  (** a source file and line (lint findings) *)
 
 type t = {

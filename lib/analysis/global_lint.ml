@@ -339,7 +339,11 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let scan_root root =
+(* Every [.ml] file under [root] as (name relative to the root's parent,
+   contents). Findings are named that way ([lib/util/x.ml] whether
+   invoked as [lib] or [../lib]), so the capability allowlist matches
+   from any working directory. *)
+let sources root =
   let files = ref [] in
   let rec walk dir rel =
     let entries = Sys.readdir dir in
@@ -352,17 +356,15 @@ let scan_root root =
         else if Filename.check_suffix e ".ml" then files := (p, r) :: !files)
       entries
   in
-  (* Findings are named relative to the root's parent (["lib/util/x.ml"]
-     whether invoked as [lib] or [../lib]), so the capability allowlist
-     matches from any working directory. *)
   walk root (Filename.basename root);
-  List.concat_map
-    (fun (p, r) -> scan_source ~file:r (read_file p))
-    (List.sort compare !files)
+  List.map (fun (p, r) -> (r, read_file p)) (List.sort compare !files)
+
+let scan_root root =
+  List.concat_map (fun (file, src) -> scan_source ~file src) (sources root)
 
 (* --- checking ------------------------------------------------------------ *)
 
-let check bindings =
+let check ~guarded bindings =
   let used = Hashtbl.create 16 in
   let diags = ref [] in
   List.iter
@@ -390,6 +392,29 @@ let check bindings =
                (Capability.kind_string b.gb_kind) b.gb_name b.gb_what)
           :: !diags)
     bindings;
+  (* A "mutex:" guard is a claim the type checker can back: the state is
+     a Guarded.t payload, reachable only under its lock. A file that never
+     builds one has nothing that enforces the claim. *)
+  List.iter
+    (fun e ->
+      if
+        Hashtbl.mem used e
+        && String.starts_with ~prefix:"mutex:" e.Capability.cap_guard
+        && not (List.mem e.Capability.cap_file guarded)
+      then
+        diags :=
+          Diagnostic.of_code "RX510"
+            (Diagnostic.Source (e.Capability.cap_file, 0))
+            ~hint:
+              "move the state into one Rox_util.Guarded.t, or document \
+               the discipline that really guards it"
+            (Printf.sprintf
+               "allowlist entry for %s `%s` claims a mutex guard, but %s \
+                never calls Guarded.create"
+               (Capability.kind_string e.Capability.cap_kind)
+               e.Capability.cap_name e.Capability.cap_file)
+          :: !diags)
+    Capability.allowlist;
   List.iter
     (fun e ->
       if not (Hashtbl.mem used e) then
@@ -405,4 +430,14 @@ let check bindings =
     Capability.allowlist;
   List.rev !diags
 
-let run ~root = Report.make ~subject:("lint:" ^ root) (check (scan_root root))
+let run ~root =
+  let srcs = sources root in
+  let guarded =
+    List.filter_map
+      (fun (file, src) ->
+        if contains_token (strip src) "Guarded.create" then Some file else None)
+      srcs
+  in
+  Report.make ~subject:("lint:" ^ root)
+    (check ~guarded
+       (List.concat_map (fun (file, src) -> scan_source ~file src) srcs))

@@ -5,7 +5,7 @@
     of shared mutable state the multi-domain engine must account for:
 
     - {b globals}: column-zero [let] {e value} bindings whose right-hand
-      side creates mutable state — [ref], [Atomic.make], [Mutex.create],
+      side creates mutable state — [ref], [Atomic.make], a mutex or
       [Condition.create], [Domain.DLS.new_key], [Hashtbl.create],
       [Buffer.create], [Queue.create], [Stack.create], [Bytes.create],
       [Array.make]/[init], or an array literal. Function bindings are
@@ -15,8 +15,11 @@
 
     Each finding is matched against {!Capability.allowlist}. An
     unmatched binding is RX510 (error); an allowlist entry with an empty
-    guard is RX510 on the entry; an entry matching no binding is RX511
-    (warning) so the allowlist cannot outlive the code it excuses.
+    guard is RX510 on the entry; so is a matched entry whose guard begins
+    ["mutex:"] when its file never calls [Guarded.create] — the claim
+    that the state sits behind a lock must be one the type checker
+    enforces. An entry matching no binding is RX511 (warning) so the
+    allowlist cannot outlive the code it excuses.
 
     The scanner is deliberately a heuristic: it over-approximates
     (arrays used as read-only lookup tables still need an entry saying
@@ -48,11 +51,12 @@ val scan_root : string -> binding list
     ([lib/util/x.ml] whether invoked as [lib] or [../lib]) so they match
     {!Capability.allowlist} from any working directory. *)
 
-val check : binding list -> Diagnostic.t list
+val check : guarded:string list -> binding list -> Diagnostic.t list
 (** Match bindings against {!Capability.allowlist}: RX510 for each
-    undocumented binding and each empty-guard entry, RX511 for each
-    stale entry. Errors first. *)
+    undocumented binding, each empty-guard entry and each matched
+    ["mutex:"] entry whose file is not in [guarded] (the files that call
+    [Guarded.create]); RX511 for each stale entry. *)
 
 val run : root:string -> Report.t
-(** [scan_root] + [check], packaged as a report with subject
-    ["lint:" ^ root]. *)
+(** [scan_root] + [check], with [guarded] read from the same sources,
+    packaged as a report with subject ["lint:" ^ root]. *)

@@ -24,7 +24,7 @@ module type S = sig
   type key
   type 'v t
 
-  val create : name:string -> budget:int -> unit -> 'v t
+  val create : budget:int -> unit -> 'v t
   val find : 'v t -> key -> 'v option
   val mem : 'v t -> key -> bool
   val add : 'v t -> key -> weight:int -> 'v -> unit
@@ -33,6 +33,8 @@ module type S = sig
   val stats : 'v t -> stats
   val iter_coldest_first : 'v t -> (key -> 'v -> unit) -> unit
 end
+
+module Guarded = Rox_util.Guarded
 
 module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
   type key = K.t
@@ -49,18 +51,10 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
     mutable next : 'v node option;
   }
 
-  type 'v t = {
-    (* One lock for the whole cache: every lookup and mutation runs
-       under it. *)
-    lock : Mutex.t;
-    (* RX5xx access-log identities: every locked operation records one
-       Write at [al_site] while holding [al_lock], so the race detector
-       sees the cache as a mutex-guarded shared site. Both are -1 when
-       the log was disarmed at construction. *)
-    al_site : int;
-    al_lock : int;
+  (* Everything a lookup or a mutation touches. It lives in one
+     [Guarded.t], so it is reachable only under the cache's lock. *)
+  type 'v state = {
     table : 'v node H.t;
-    budget : int;
     mutable first : 'v node option;
     mutable last : 'v node option;
     mutable bytes : int;
@@ -69,159 +63,148 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
     mutable insertions : int;
     mutable evictions : int;
     mutable rejected : int;
+  }
+
+  type 'v t = {
+    budget : int;
+    state : 'v state Guarded.t;
+    (* Outside the lock, so a lookup can count a busy lock before it
+       blocks on it. *)
     waits : int Atomic.t;
   }
 
-  let create ~name ~budget () =
-    let armed = Rox_util.Accesslog.armed () in
+  let create ~budget () =
     {
-      lock = Mutex.create ();
-      al_site =
-        (if armed then Rox_util.Accesslog.site ~name Rox_util.Accesslog.Shared
-         else -1);
-      al_lock = (if armed then Rox_util.Accesslog.lock ~name:(name ^ ".mutex") else -1);
-      table = H.create 64;
       budget = max 0 budget;
-      first = None;
-      last = None;
-      bytes = 0;
-      hits = 0;
-      misses = 0;
-      insertions = 0;
-      evictions = 0;
-      rejected = 0;
+      state =
+        Guarded.create
+          {
+            table = H.create 64;
+            first = None;
+            last = None;
+            bytes = 0;
+            hits = 0;
+            misses = 0;
+            insertions = 0;
+            evictions = 0;
+            rejected = 0;
+          };
       waits = Atomic.make 0;
     }
 
-  let bracketed t f =
-    if Rox_util.Accesslog.armed () then
-      Rox_util.Accesslog.with_lock t.al_lock (fun () ->
-          Rox_util.Accesslog.record ~site:t.al_site Rox_util.Accesslog.Write;
-          f ())
-    else f ()
+  (* ---- recency list ---- *)
 
-  let locked t f = Mutex.protect t.lock (fun () -> bracketed t f)
-
-  let try_locked t f =
-    if not (Mutex.try_lock t.lock) then None
-    else
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.lock)
-        (fun () -> Some (bracketed t f))
-
-  (* ---- recency list (all under the lock) ---- *)
-
-  let unlink t n =
-    (match n.prev with Some p -> p.next <- n.next | None -> t.first <- n.next);
-    (match n.next with Some x -> x.prev <- n.prev | None -> t.last <- n.prev);
+  let unlink s n =
+    (match n.prev with Some p -> p.next <- n.next | None -> s.first <- n.next);
+    (match n.next with Some x -> x.prev <- n.prev | None -> s.last <- n.prev);
     n.prev <- None;
     n.next <- None
 
-  let push_hottest t n =
-    n.prev <- t.last;
+  let push_hottest s n =
+    n.prev <- s.last;
     n.next <- None;
-    (match t.last with Some l -> l.next <- Some n | None -> t.first <- Some n);
-    t.last <- Some n
+    (match s.last with Some l -> l.next <- Some n | None -> s.first <- Some n);
+    s.last <- Some n
 
-  let is_hottest t n = match t.last with Some l -> l == n | None -> false
+  let is_hottest s n = match s.last with Some l -> l == n | None -> false
 
-  let touch t n =
-    if not (is_hottest t n) then begin
-      unlink t n;
-      push_hottest t n
+  let touch s n =
+    if not (is_hottest s n) then begin
+      unlink s n;
+      push_hottest s n
     end
 
   (* ---- core ops ---- *)
 
-  let find_locked t k =
-    match H.find_opt t.table k with
+  let find_locked s k =
+    match H.find_opt s.table k with
     | Some n ->
-      t.hits <- t.hits + 1;
-      touch t n;
+      s.hits <- s.hits + 1;
+      touch s n;
       Some n.nvalue
     | None ->
-      t.misses <- t.misses + 1;
+      s.misses <- s.misses + 1;
       None
 
   (* A busy lock is counted in [lock_waits] before blocking on it: the
      cache's contention signal. *)
   let find t k =
-    match try_locked t (fun () -> find_locked t k) with
+    match Guarded.try_with_lock t.state (fun s -> find_locked s k) with
     | Some r -> r
     | None ->
       Atomic.incr t.waits;
-      locked t (fun () -> find_locked t k)
+      Guarded.with_lock t.state (fun s -> find_locked s k)
 
-  let mem t k = locked t (fun () -> H.mem t.table k)
+  let mem t k = Guarded.with_lock t.state (fun s -> H.mem s.table k)
 
-  let drop t n =
-    unlink t n;
-    H.remove t.table n.nkey;
-    t.bytes <- t.bytes - n.nweight
+  let drop s n =
+    unlink s n;
+    H.remove s.table n.nkey;
+    s.bytes <- s.bytes - n.nweight
 
-  let evict_to_budget t =
-    while t.bytes > t.budget do
-      match t.first with
+  let evict_to_budget t s =
+    while s.bytes > t.budget do
+      match s.first with
       | Some coldest ->
-        drop t coldest;
-        t.evictions <- t.evictions + 1
+        drop s coldest;
+        s.evictions <- s.evictions + 1
       | None -> assert false (* bytes > 0 implies a resident entry *)
     done
 
   let add t k ~weight v =
     if weight < 0 then
       invalid_arg (Printf.sprintf "Lru.add: negative weight %d" weight);
-    locked t (fun () ->
+    Guarded.with_lock t.state (fun s ->
         if t.budget <= 0 || weight > t.budget then begin
           (* Too large to ever fit: admitting it would just flush the
              cache. *)
-          (match H.find_opt t.table k with Some n -> drop t n | None -> ());
-          t.rejected <- t.rejected + 1
+          (match H.find_opt s.table k with Some n -> drop s n | None -> ());
+          s.rejected <- s.rejected + 1
         end
         else begin
-          (match H.find_opt t.table k with
+          (match H.find_opt s.table k with
            | Some n ->
-             t.bytes <- t.bytes - n.nweight + weight;
+             s.bytes <- s.bytes - n.nweight + weight;
              n.nvalue <- v;
              n.nweight <- weight;
-             touch t n
+             touch s n
            | None ->
              let n = { nkey = k; nvalue = v; nweight = weight; prev = None; next = None } in
-             H.replace t.table k n;
-             push_hottest t n;
-             t.bytes <- t.bytes + weight);
-          t.insertions <- t.insertions + 1;
-          evict_to_budget t
+             H.replace s.table k n;
+             push_hottest s n;
+             s.bytes <- s.bytes + weight);
+          s.insertions <- s.insertions + 1;
+          evict_to_budget t s
         end)
 
   let remove t k =
-    locked t (fun () ->
-        match H.find_opt t.table k with Some n -> drop t n | None -> ())
+    Guarded.with_lock t.state (fun s ->
+        match H.find_opt s.table k with Some n -> drop s n | None -> ())
 
   let clear t =
-    locked t (fun () ->
-        H.reset t.table;
-        t.first <- None;
-        t.last <- None;
-        t.bytes <- 0)
+    Guarded.with_lock t.state (fun s ->
+        H.reset s.table;
+        s.first <- None;
+        s.last <- None;
+        s.bytes <- 0)
 
   let stats t =
-    locked t (fun () ->
+    Guarded.with_lock t.state (fun s ->
         {
-          hits = t.hits;
-          misses = t.misses;
-          insertions = t.insertions;
-          evictions = t.evictions;
-          rejected = t.rejected;
-          entries = H.length t.table;
-          bytes = t.bytes;
+          hits = s.hits;
+          misses = s.misses;
+          insertions = s.insertions;
+          evictions = s.evictions;
+          rejected = s.rejected;
+          entries = H.length s.table;
+          bytes = s.bytes;
           budget = t.budget;
           lock_waits = Atomic.get t.waits;
           fast_hits = 0;
         })
 
   let iter_coldest_first t f =
-    locked t (fun () ->
+    Guarded.with_lock t.state (fun s ->
         let rec go = function
           | None -> ()
           | Some n ->
@@ -229,5 +212,5 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
             f n.nkey n.nvalue;
             go next
         in
-        go t.first)
+        go s.first)
 end

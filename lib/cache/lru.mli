@@ -8,15 +8,10 @@
     {!stats} snapshot, so benchmarks and the CLI can report reuse without
     instrumenting call sites.
 
-    One mutex guards the whole cache (hashtable, recency list, counters).
-    A lookup that finds it busy is counted in [lock_waits] and then
-    blocks.
-
-    When the {!Rox_util.Accesslog} is armed at construction time, every
-    locked operation records one access-log Write under the cache's
-    registered lock, so the RX5xx race detector sees the cache as a
-    mutex-guarded shared site; disarmed, the instrumentation is one
-    boolean test per operation. *)
+    The hashtable, the recency list and the counters live in one
+    {!Rox_util.Guarded.t}, so every operation runs under the cache's one
+    lock and nothing else can reach them. A lookup that finds the lock
+    busy is counted in [lock_waits] and then blocks. *)
 
 type stats = {
   hits : int;            (** lookups answered from the cache *)
@@ -39,11 +34,10 @@ module type S = sig
   type key
   type 'v t
 
-  val create : name:string -> budget:int -> unit -> 'v t
+  val create : budget:int -> unit -> 'v t
   (** A cache holding at most [budget] bytes of entry weight. A
       non-positive budget admits nothing, which is how "cache off" is
-      spelled. [name] labels the cache's site and lock in RX5xx
-      race-detector reports. *)
+      spelled. *)
 
   val find : 'v t -> key -> 'v option
   (** Counted lookup under the lock; a hit refreshes the entry's

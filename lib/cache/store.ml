@@ -27,8 +27,8 @@ let create ?(relation_budget = default_budget) ?(estimate_budget = default_budge
     engine =
   {
     engine;
-    relations = L.create ~name:"cache.relations" ~budget:relation_budget ();
-    estimates = L.create ~name:"cache.estimates" ~budget:estimate_budget ();
+    relations = L.create ~budget:relation_budget ();
+    estimates = L.create ~budget:estimate_budget ();
   }
 
 let of_megabytes engine mb =

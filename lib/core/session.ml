@@ -45,11 +45,9 @@ type t = {
   counter : Cost.counter;
   cache : Rox_cache.Store.t option;
   telemetry : Rox_telemetry.Sink.t;
-  (* RX5xx access-log site (kind Confined, -1 when the log was disarmed
-     at creation): every [confine] entry records one Write, so the race
-     detector proves each session lives and dies on one domain — a
-     session reused across domains is RX504. *)
-  al_site : int;
+  (* The domain that first entered [confine] (-1 until then). With the
+     sanitize mode on, an entry from any other domain is RX504. *)
+  owner : int Atomic.t;
   mutable deadline_at : float option;
       (* Absolute wall-clock instant (Unix time) past which the session
          aborts; set when a run is armed, cleared when it unwinds. *)
@@ -69,10 +67,7 @@ let create ?config ?cache ?telemetry () =
     counter = Cost.new_counter ~sampling_budget ();
     cache;
     telemetry;
-    al_site =
-      (if Accesslog.armed () then
-         Accesslog.site ~name:"core.session" Accesslog.Confined
-       else -1);
+    owner = Atomic.make (-1);
     deadline_at = None;
   }
 
@@ -111,8 +106,18 @@ let check_deadline t =
       raise (Cost.Budget_exceeded { reason = Cost.Deadline; spent; budget })
     end
 
+(* The first entry claims the session for its domain, wherever the
+   session was created: a server worker confines sessions the worker
+   itself builds, and a session handed to a pool is claimed by the domain
+   that runs it. *)
 let confine t f =
-  if Accesslog.armed () then Accesslog.record ~site:t.al_site Accesslog.Write;
+  let self = (Domain.self () :> int) in
+  ignore (Atomic.compare_and_set t.owner (-1) self : bool);
+  let owner = Atomic.get t.owner in
+  if t.config.sanitize && owner <> self then
+    Sanitize.fail ~op:"Session.confine" ~contract:Sanitize.Owner_domain
+      (Printf.sprintf "session claimed by domain %d, entered from domain %d"
+         owner self);
   arm t;
   Fun.protect ~finally:(fun () -> disarm t) f
 

@@ -97,9 +97,11 @@ val check_deadline : t -> unit
 
 val confine : t -> (unit -> 'a) -> 'a
 (** [confine t f] runs [f] as one armed session run: the deadline clock
-    starts for its extent, and (with the access log armed) the entry is
-    recorded at the session's [Confined] site, so the race detector
-    reports a session used from two domains (RX504). *)
+    starts for its extent. The first entry claims the session for the
+    calling domain, whichever domain created it.
+    @raise Rox_algebra.Sanitize.Violation with contract [Owner_domain]
+    (RX504) when the session's sanitize mode is on and the session was
+    already claimed by another domain. *)
 
 val table_sampler : t -> (int -> Rox_util.Column.t -> Rox_util.Column.t) option
 (** The approximate-mode table sampler implied by [table_fraction]: a

@@ -3,7 +3,7 @@ module Optimizer = Rox_core.Optimizer
 module Compile = Rox_xquery.Compile
 module Cost = Rox_algebra.Cost
 module Engine = Rox_storage.Engine
-module Accesslog = Rox_util.Accesslog
+module Guarded = Rox_util.Guarded
 module Sink = Rox_telemetry.Sink
 module Tm = Rox_telemetry.Metrics
 module Clock = Rox_telemetry.Clock
@@ -61,15 +61,15 @@ type pending = {
 
 type ticket = pending
 
-type t = {
-  cfg : config;
-  mutex : Mutex.t;
-  work : Condition.t;               (* signalled on push and on shutdown *)
+(* The server's cross-domain state: reachable only inside the one
+   [Guarded.with_lock t.shared] critical section. A pending entry's
+   [outcome] is written and read under the same lock. *)
+type shared = {
   queue : pending Queue.t;
   (* The one ledger: frames, replies and rejections are counted here,
      each executed request observes its queue wait and serve latency and
-     merges its session registry here, all under t.mutex. The audit,
-     STATS and METRICS read it. *)
+     merges its session registry here. The audit, STATS and METRICS read
+     it. *)
   metrics : Tm.t;
   mutable submitted : int;  (* QUERY requests offered to admission *)
   (* connection accounting — bounds the thread-per-connection pool *)
@@ -77,30 +77,22 @@ type t = {
   mutable conn_rejected : int;
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
+}
+
+type t = {
+  cfg : config;
+  shared : shared Guarded.t;
+  work : Condition.t;  (* signalled on push and on shutdown *)
   (* The flight recorder: always-on request records, tail-sampled trace
-     retention, tenant series, slow log. Behind its own mutex — never
-     touched while t.mutex is held. *)
+     retention, tenant series, slow log. Behind its own lock — never
+     touched while the server's is held. *)
   recorder : Recorder.t;
   started_ns : int64;   (* monotonic, for uptime_ms *)
   started_at : float;   (* wall clock (epoch seconds), for STATS *)
-  (* Accesslog ids; -1 (no-op) when created disarmed *)
-  al_lock : int;
-  al_queue : int;
-  al_counts : int;
-  hb_spawn : int;
-  hb_done : int;
 }
 
-(* Every mutation of [t]'s shared state goes through [locked]: the one
-   mutex, with the Accesslog critical-section bracket inside it so the
-   recorded acquisition order is the real one. Never wait on a condition
-   inside the bracket — waiting releases the real mutex while the bracket
-   would still claim it. *)
-let locked t f =
-  Mutex.protect t.mutex (fun () -> Accesslog.with_lock t.al_lock f)
-
-let set_depth_locked t =
-  Tm.set t.metrics.Tm.queue_depth (float_of_int (Queue.length t.queue))
+let set_depth_locked s =
+  Tm.set s.metrics.Tm.queue_depth (float_of_int (Queue.length s.queue))
 
 (* ---- execution ---------------------------------------------------------- *)
 
@@ -195,8 +187,8 @@ let run_query t (q : Protocol.query) ~deadline_ms =
 (* One flight record per submitted request — executed entries carry their
    run, rejected ones only their admission outcome, so the recorder's
    record count reconciles with the RX601/RX603 audit (RX701). Never
-   called with t.mutex held: the recorder takes its own mutex and may
-   write the slow log. *)
+   called with the server's lock held: the recorder takes its own and
+   may write the slow log. *)
 let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
     ~queue_ns run =
   let status =
@@ -214,14 +206,13 @@ let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
    deadline ran out in the queue) is merged in the same critical
    section. *)
 let complete t entry ~wait_ns resp run =
-  locked t (fun () ->
-      Accesslog.record ~site:t.al_counts Write;
+  Guarded.with_lock t.shared (fun s ->
       entry.outcome <- Some resp;
-      Tm.observe t.metrics.Tm.queue_wait_ns wait_ns;
-      Tm.observe t.metrics.Tm.serve_ns (Clock.elapsed_ns entry.submitted_ns);
+      Tm.observe s.metrics.Tm.queue_wait_ns wait_ns;
+      Tm.observe s.metrics.Tm.serve_ns (Clock.elapsed_ns entry.submitted_ns);
       Option.iter
         (fun (r : Recorder.run) ->
-          Tm.add_into ~into:t.metrics (Sink.metrics r.Recorder.sink))
+          Tm.add_into ~into:s.metrics (Sink.metrics r.Recorder.sink))
         run;
       Condition.broadcast entry.done_c)
 
@@ -251,28 +242,27 @@ let process t entry ~wait_ns =
   (* Record before waking the submitter: by the time a client reads its
      reply, the flight record is visible (RECENT/STATS right after an
      answer are deterministic). record_request takes only the recorder's
-     mutex, never t.mutex. *)
+     lock, never the server's. *)
   record_request t ~trace_id:entry.trace_id ~q ~outcome:Recorder.Executed ~resp
     ~latency_ns:(Clock.elapsed_ns entry.submitted_ns) ~queue_ns:wait_ns run;
   complete t entry ~wait_ns resp run
 
-let take_locked t =
-  (* Called with t.mutex held (worker loop / drain). *)
-  let rec go () =
-    if not (Queue.is_empty t.queue) then
-      Some
-        (Accesslog.with_lock t.al_lock (fun () ->
-             Accesslog.record ~site:t.al_queue Write;
-             let e = Queue.pop t.queue in
-             set_depth_locked t;
-             e))
-    else if t.stopping then None
-    else begin
-      Condition.wait t.work t.mutex;
-      go ()
-    end
-  in
-  go ()
+(* The next queued entry, waiting for one unless the server stops. *)
+let take t =
+  Guarded.with_lock t.shared (fun s ->
+      let rec go () =
+        if not (Queue.is_empty s.queue) then begin
+          let e = Queue.pop s.queue in
+          set_depth_locked s;
+          Some e
+        end
+        else if s.stopping then None
+        else begin
+          Guarded.wait t.shared t.work;
+          go ()
+        end
+      in
+      go ())
 
 (* The worker's exception barrier: [run_query] maps every failure of the
    run to an ERR, but the flight record (a trace snapshot, the slow log)
@@ -287,95 +277,77 @@ let process_guarded t entry =
   try process t entry ~wait_ns
   with exn ->
     let answered =
-      locked t (fun () ->
-          Accesslog.record ~site:t.al_counts Read;
-          Option.is_some entry.outcome)
+      Guarded.with_lock t.shared (fun _ -> Option.is_some entry.outcome)
     in
     if not answered then
       complete t entry ~wait_ns
         (Protocol.Err (Protocol.Internal, Printexc.to_string exn))
         None
 
-let worker_loop t =
-  Accesslog.hb_acquire t.hb_spawn;
-  let rec loop () =
-    match Mutex.protect t.mutex (fun () -> take_locked t) with
-    | None -> ()
-    | Some entry ->
-      process_guarded t entry;
-      loop ()
-  in
-  loop ();
-  Accesslog.hb_publish t.hb_done
+let rec worker_loop t =
+  match take t with
+  | None -> ()
+  | Some entry ->
+    process_guarded t entry;
+    worker_loop t
 
 (* ---- lifecycle ---------------------------------------------------------- *)
 
 let create cfg =
   Lazy.force ignore_sigpipe;
-  let armed = Accesslog.armed () in
-  let reg_site name = if armed then Accesslog.site ~name Accesslog.Shared else -1 in
   let t =
     {
       cfg;
-      mutex = Mutex.create ();
+      shared =
+        Guarded.create
+          {
+            queue = Queue.create ();
+            metrics = Tm.create ();
+            submitted = 0;
+            conns = 0;
+            conn_rejected = 0;
+            stopping = false;
+            workers = [];
+          };
       work = Condition.create ();
-      queue = Queue.create ();
-      metrics = Tm.create ();
-      submitted = 0;
-      conns = 0;
-      conn_rejected = 0;
-      stopping = false;
-      workers = [];
       recorder = Recorder.create ?slow_ms:cfg.slow_ms ?slow_log:cfg.slow_log ();
       started_ns = Clock.now_ns ();
       started_at = Unix.gettimeofday ();
-      al_lock = (if armed then Accesslog.lock ~name:"serve.mutex" else -1);
-      al_queue = reg_site "serve.queue";
-      al_counts = reg_site "serve.counts";
-      hb_spawn = (if armed then Accesslog.hb_token ~name:"serve.spawn" else -1);
-      hb_done = (if armed then Accesslog.hb_token ~name:"serve.done" else -1);
     }
   in
-  (* Publish construction before the fork so the detector sees the real
-     init-to-worker happens-before edge (the Race_fixtures pattern). *)
-  Accesslog.hb_publish t.hb_spawn;
-  t.workers <-
-    List.init cfg.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  let workers =
+    List.init cfg.workers (fun _ -> Domain.spawn (fun () -> worker_loop t))
+  in
+  Guarded.with_lock t.shared (fun s -> s.workers <- workers);
   t
 
 let shutdown t =
   let workers =
-    locked t (fun () ->
-        if t.stopping then []
+    Guarded.with_lock t.shared (fun s ->
+        if s.stopping then []
         else begin
-          t.stopping <- true;
+          s.stopping <- true;
           Condition.broadcast t.work;
-          let ws = t.workers in
-          t.workers <- [];
+          let ws = s.workers in
+          s.workers <- [];
           ws
         end)
   in
-  List.iter
-    (fun d ->
-      Domain.join d;
-      Accesslog.hb_acquire t.hb_done)
-    workers;
+  List.iter Domain.join workers;
   (* Workers drain the queue before exiting; anything still here means
      workers = 0. Fail it as rejected so the RX603 balance holds and no
      awaiting client hangs. *)
   let drained =
-    locked t (fun () ->
+    Guarded.with_lock t.shared (fun s ->
         let acc = ref [] in
-        while not (Queue.is_empty t.queue) do
-          Accesslog.record ~site:t.al_queue Write;
-          let e = Queue.pop t.queue in
-          Accesslog.record ~site:t.al_counts Write;
-          Tm.incr t.metrics.Tm.admission_rejects;
+        while not (Queue.is_empty s.queue) do
+          let e = Queue.pop s.queue in
+          Tm.incr s.metrics.Tm.admission_rejects;
           e.outcome <- Some (Protocol.Err (Protocol.Busy, "server shutting down"));
           Condition.broadcast e.done_c;
           acc := e :: !acc
         done;
-        set_depth_locked t;
+        set_depth_locked s;
         !acc)
   in
   (* Flight-record the drained entries outside the server lock, then
@@ -398,11 +370,10 @@ let submit_async t (q : Protocol.query) =
   let trace_id = Recorder.next_trace_id t.recorder in
   let t0 = Clock.now_ns () in
   let verdict =
-    locked t (fun () ->
-        Accesslog.record ~site:t.al_counts Write;
-        t.submitted <- t.submitted + 1;
-        if t.stopping || Queue.length t.queue >= t.cfg.queue_capacity then begin
-          Tm.incr t.metrics.Tm.admission_rejects;
+    Guarded.with_lock t.shared (fun s ->
+        s.submitted <- s.submitted + 1;
+        if s.stopping || Queue.length s.queue >= t.cfg.queue_capacity then begin
+          Tm.incr s.metrics.Tm.admission_rejects;
           `Rejected
         end
         else begin
@@ -415,9 +386,8 @@ let submit_async t (q : Protocol.query) =
               outcome = None;
             }
           in
-          Accesslog.record ~site:t.al_queue Write;
-          Queue.push entry t.queue;
-          set_depth_locked t;
+          Queue.push entry s.queue;
+          set_depth_locked s;
           Condition.signal t.work;
           `Ticket entry
         end)
@@ -434,12 +404,12 @@ let submit_async t (q : Protocol.query) =
   verdict
 
 let await t (tk : ticket) =
-  Mutex.protect t.mutex (fun () ->
+  Guarded.with_lock t.shared (fun _ ->
       let rec wait () =
         match tk.outcome with
         | Some r -> r
         | None ->
-          Condition.wait tk.done_c t.mutex;
+          Guarded.wait t.shared tk.done_c;
           wait ()
       in
       wait ())
@@ -450,12 +420,11 @@ let submit t q =
   | `Ticket tk -> await t tk
 
 let drain_once t =
-  match locked t (fun () ->
-            if Queue.is_empty t.queue then None
+  match Guarded.with_lock t.shared (fun s ->
+            if Queue.is_empty s.queue then None
             else begin
-              Accesslog.record ~site:t.al_queue Write;
-              let e = Queue.pop t.queue in
-              set_depth_locked t;
+              let e = Queue.pop s.queue in
+              set_depth_locked s;
               Some e
             end)
   with
@@ -466,24 +435,20 @@ let drain_once t =
 
 (* ---- introspection ------------------------------------------------------ *)
 
-let queue_depth t = locked t (fun () -> Queue.length t.queue)
+let queue_depth t = Guarded.with_lock t.shared (fun s -> Queue.length s.queue)
 
-(* Read with t.mutex held. *)
-let audit_locked t =
-  let m = t.metrics in
+let audit_locked s =
+  let m = s.metrics in
   {
     Serve_check.sv_requests = m.Tm.requests_received.Tm.c_value;
     sv_responses = m.Tm.responses_sent.Tm.c_value;
-    sv_submitted = t.submitted;
+    sv_submitted = s.submitted;
     sv_executed = m.Tm.serve_ns.Tm.h_count;
     sv_coalesced = 0;
     sv_rejected = m.Tm.admission_rejects.Tm.c_value;
   }
 
-let audit t =
-  locked t (fun () ->
-      Accesslog.record ~site:t.al_counts Read;
-      audit_locked t)
+let audit t = Guarded.with_lock t.shared audit_locked
 
 let self_check t = Serve_check.check (audit t)
 
@@ -494,9 +459,8 @@ let tenants t =
 
 let stats_kvs t =
   let counts =
-    locked t (fun () ->
-        Accesslog.record ~site:t.al_counts Read;
-        let a = audit_locked t in
+    Guarded.with_lock t.shared (fun s ->
+        let a = audit_locked s in
         [
           ("uptime_ms", string_of_int (Clock.elapsed_ns t.started_ns / 1_000_000));
           ("started_at", Printf.sprintf "%.3f" t.started_at);
@@ -505,9 +469,9 @@ let stats_kvs t =
           ("submitted", string_of_int a.sv_submitted);
           ("executed", string_of_int a.sv_executed);
           ("rejected", string_of_int a.sv_rejected);
-          ("queue_depth", string_of_int (Queue.length t.queue));
-          ("connections", string_of_int t.conns);
-          ("conn_rejected", string_of_int t.conn_rejected);
+          ("queue_depth", string_of_int (Queue.length s.queue));
+          ("connections", string_of_int s.conns);
+          ("conn_rejected", string_of_int s.conn_rejected);
           ("workers", string_of_int t.cfg.workers);
         ])
   in
@@ -547,9 +511,7 @@ let recorder t = Some t.recorder
    the ledger. *)
 let metrics t =
   let snap = Tm.create () in
-  locked t (fun () ->
-      Accesslog.record ~site:t.al_counts Read;
-      Tm.add_into ~into:snap t.metrics);
+  Guarded.with_lock t.shared (fun s -> Tm.add_into ~into:snap s.metrics);
   snap
 
 (* The METRICS scrape body: the server's ledger in text exposition
@@ -587,14 +549,10 @@ let trace_response t id =
 (* ---- connection handling ------------------------------------------------ *)
 
 let count_request t =
-  locked t (fun () ->
-      Accesslog.record ~site:t.al_counts Write;
-      Tm.incr t.metrics.Tm.requests_received)
+  Guarded.with_lock t.shared (fun s -> Tm.incr s.metrics.Tm.requests_received)
 
 let reply t fd resp =
-  locked t (fun () ->
-      Accesslog.record ~site:t.al_counts Write;
-      Tm.incr t.metrics.Tm.responses_sent);
+  Guarded.with_lock t.shared (fun s -> Tm.incr s.metrics.Tm.responses_sent);
   Protocol.write_frame fd (Protocol.render_response resp)
 
 let handle_connection t fd =
@@ -653,14 +611,13 @@ let handle_connection t fd =
    attempt rather than a parsed frame — and closed. *)
 let dispatch_connection t fd =
   let admitted =
-    locked t (fun () ->
-        Accesslog.record ~site:t.al_counts Write;
-        if t.conns >= t.cfg.max_connections then begin
-          t.conn_rejected <- t.conn_rejected + 1;
+    Guarded.with_lock t.shared (fun s ->
+        if s.conns >= t.cfg.max_connections then begin
+          s.conn_rejected <- s.conn_rejected + 1;
           false
         end
         else begin
-          t.conns <- t.conns + 1;
+          s.conns <- s.conns + 1;
           true
         end)
   in
@@ -678,9 +635,7 @@ let dispatch_connection t fd =
         (fun () ->
           Fun.protect
             ~finally:(fun () ->
-              locked t (fun () ->
-                  Accesslog.record ~site:t.al_counts Write;
-                  t.conns <- t.conns - 1))
+              Guarded.with_lock t.shared (fun s -> s.conns <- s.conns - 1))
             (fun () ->
               try handle_connection t fd
               with _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())))
@@ -691,7 +646,7 @@ let dispatch_connection t fd =
 let serve t listen_fd =
   Lazy.force ignore_sigpipe;
   let rec loop () =
-    let stop = locked t (fun () -> t.stopping) in
+    let stop = Guarded.with_lock t.shared (fun s -> s.stopping) in
     if not stop then
       match Unix.accept listen_fd with
       | fd, _ ->

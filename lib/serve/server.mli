@@ -9,7 +9,7 @@
       buffering);
     - a pool of long-lived *worker domains* that pop requests and run one
       fresh {!Rox_core.Session} each over the shared engine and the
-      cache store (one mutex per member cache). Every admitted request
+      cache store (one lock per member cache). Every admitted request
       takes one queue slot and executes once, identical requests
       included: a repeat reuses the shared cache's edge joins and
       sampled estimates rather than another request's execution.
@@ -36,10 +36,9 @@
     All shared state — the queue, the connection counters and the ledger,
     one {!Rox_telemetry.Metrics.t} that counts frames, replies,
     rejections and executions and holds every merged session registry —
-    is guarded by one mutex and instrumented through
-    {!Rox_util.Accesslog} when armed, so [rox racecheck] covers a served
-    workload. The audit, STATS and METRICS all read the ledger, so each
-    served event is counted once. *)
+    lives in one {!Rox_util.Guarded.t}, so it is reachable only under
+    the server's one lock. The audit, STATS and METRICS all read the
+    ledger, so each served event is counted once. *)
 
 type config = {
   engine : Rox_storage.Engine.t;
@@ -138,7 +137,7 @@ val self_check : t -> Rox_analysis.Diagnostic.t list
 (** [Serve_check.check (audit t)]. *)
 
 val metrics : t -> Rox_telemetry.Metrics.t
-(** A private copy of the ledger, taken under the server's mutex: the
+(** A private copy of the ledger, taken under the server's lock: the
     server's own instruments (frames, replies, admission rejects, queue
     depth, queue-wait and serve latency) plus the merged per-request
     session registries. Mutating the copy does not reach the server. *)

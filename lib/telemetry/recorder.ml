@@ -1,9 +1,11 @@
 (* The flight recorder: always-on, bounded accounting of every completed
    request, entered through one record builder (record_request) under a
    fixed policy. One ring, one latency histogram, the retained traces,
-   the tenant series and the slow-log state sit behind one mutex, so the
+   the tenant series and the slow-log state sit in one Guarded.t, so the
    retention decision and the threshold STATS reports read the same
    histogram. *)
+
+module Guarded = Rox_util.Guarded
 
 type outcome = Executed | Rejected
 
@@ -53,18 +55,9 @@ let floor_ns = 1_000_000
 let warmup = 32
 let tenant_cap = 8
 
-type t = {
-  slow_ms : int;
-  next_id : int Atomic.t;
-  (* The one lock: the ring, the latency histogram, the retained
-     traces, the tenant series and the slow-log state below are touched
-     only inside [locked]. *)
-  mutex : Mutex.t;
-  (* RX5xx access-log identities (-1 when the log was disarmed at
-     creation): every critical section records one Write at [al_site]
-     under [al_lock]. *)
-  al_site : int;
-  al_lock : int;
+(* Everything [record_request] and the readers touch, in one
+   [Guarded.t]: reachable only under the recorder's one lock. *)
+type state = {
   (* The ring: [cursor] counts every append ever made, so the occupied
      prefix is [min cursor cap] and the overwrite (drop) count is
      [max 0 (cursor - cap)] — Sink's bounded-buffer discipline, derived
@@ -79,64 +72,59 @@ type t = {
   (* First [tenant_cap] distinct ids get their own series, the rest fold
      into ["other"]. *)
   tenants : (string, tenant_series) Hashtbl.t;
-  log_chan : out_channel option;
-  mutable log_closed : bool;
+  (* The slow log; [None] once closed (or never opened). *)
+  mutable log_chan : out_channel option;
   mutable log_lines : int;
+}
+
+type t = {
+  slow_ms : int;
+  (* Whether a slow log was configured: decides outside the lock whether
+     a record's line is worth formatting. *)
+  logging : bool;
+  next_id : int Atomic.t;
+  state : state Guarded.t;
 }
 
 let create ?(slow_ms = 100) ?slow_log () =
   if slow_ms < 0 then invalid_arg "Recorder.create: slow_ms must be >= 0";
-  let armed = Rox_util.Accesslog.armed () in
   {
     slow_ms;
+    logging = Option.is_some slow_log;
     next_id = Atomic.make 1;
-    mutex = Mutex.create ();
-    al_site =
-      (if armed then
-         Rox_util.Accesslog.site ~name:"telemetry.recorder"
-           Rox_util.Accesslog.Shared
-       else -1);
-    al_lock =
-      (if armed then Rox_util.Accesslog.lock ~name:"telemetry.recorder.mutex"
-       else -1);
-    ring = Array.make cap None;
-    cursor = 0;
-    lat =
-      Metrics.histogram "rox_recorder_latency_ns"
-        "served-request latency as seen by the flight recorder";
-    retained = Hashtbl.create 64;
-    ret_fifo = Queue.create ();
-    tenants = Hashtbl.create 8;
-    log_chan = Option.map open_out slow_log;
-    log_closed = false;
-    log_lines = 0;
+    state =
+      Guarded.create
+        {
+          ring = Array.make cap None;
+          cursor = 0;
+          lat =
+            Metrics.histogram "rox_recorder_latency_ns"
+              "served-request latency as seen by the flight recorder";
+          retained = Hashtbl.create 64;
+          ret_fifo = Queue.create ();
+          tenants = Hashtbl.create 8;
+          log_chan = Option.map open_out slow_log;
+          log_lines = 0;
+        };
   }
 
 let next_trace_id t = Atomic.fetch_and_add t.next_id 1
 
-let locked t f =
-  Mutex.protect t.mutex (fun () ->
-      if Rox_util.Accesslog.armed () then
-        Rox_util.Accesslog.with_lock t.al_lock (fun () ->
-            Rox_util.Accesslog.record ~site:t.al_site Rox_util.Accesslog.Write;
-            f ())
-      else f ())
-
 (* ------------------------------------------------------------------ *)
 (* Adaptive tail-sampling threshold                                   *)
 
-let threshold_locked t =
-  if t.lat.Metrics.h_count < warmup then floor_ns
-  else max floor_ns (int_of_float (Metrics.quantile t.lat quantile))
+let threshold_locked s =
+  if s.lat.Metrics.h_count < warmup then floor_ns
+  else max floor_ns (int_of_float (Metrics.quantile s.lat quantile))
 
-let threshold_ns t = locked t (fun () -> threshold_locked t)
+let threshold_ns t = Guarded.with_lock t.state threshold_locked
 
 (* ------------------------------------------------------------------ *)
 (* Tenant series                                                      *)
 
-let tenant_observe_locked t (r : record) =
+let tenant_observe_locked st (r : record) =
   let series key =
-    match Hashtbl.find_opt t.tenants key with
+    match Hashtbl.find_opt st.tenants key with
     | Some s -> s
     | None ->
       let s =
@@ -148,14 +136,14 @@ let tenant_observe_locked t (r : record) =
               "per-tenant served-request latency";
         }
       in
-      Hashtbl.replace t.tenants key s;
+      Hashtbl.replace st.tenants key s;
       s
   in
   let named =
-    Hashtbl.length t.tenants - Bool.to_int (Hashtbl.mem t.tenants "other")
+    Hashtbl.length st.tenants - Bool.to_int (Hashtbl.mem st.tenants "other")
   in
   let s =
-    if Hashtbl.mem t.tenants r.tenant || named < tenant_cap then
+    if Hashtbl.mem st.tenants r.tenant || named < tenant_cap then
       series r.tenant
     else series "other"
   in
@@ -170,7 +158,7 @@ type tenant_stat = {
   serve_ns : Metrics.histogram;
 }
 
-let tenant_stats_locked t =
+let tenant_stats_locked s =
   Hashtbl.fold
     (fun tenant s acc ->
       {
@@ -180,12 +168,12 @@ let tenant_stats_locked t =
         serve_ns = s.tn_serve_ns;
       }
       :: acc)
-    t.tenants []
+    s.tenants []
   |> List.sort (fun (a : tenant_stat) b -> String.compare a.tenant b.tenant)
 
-let tenant_stats t = locked t (fun () -> tenant_stats_locked t)
+let tenant_stats t = Guarded.with_lock t.state tenant_stats_locked
 
-let tenant_count t = locked t (fun () -> Hashtbl.length t.tenants)
+let tenant_count t = Guarded.with_lock t.state (fun s -> Hashtbl.length s.tenants)
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query log                                                     *)
@@ -225,65 +213,64 @@ let json_of_record ?reason (r : record) =
    stderr line: the slow log is a side channel, and the request being
    recorded still gets its record, its retention and its reply. *)
 let slow_log t (r : record) reason =
-  match t.log_chan with
-  | Some oc when r.latency_ns >= t.slow_ms * 1_000_000 || r.status <> "ok" ->
+  if t.logging && (r.latency_ns >= t.slow_ms * 1_000_000 || r.status <> "ok")
+  then
     let line =
       Rox_util.Minijson.to_string (json_of_record ?reason r) ^ "\n"
     in
-    locked t (fun () ->
-        if not t.log_closed then
+    Guarded.with_lock t.state (fun s ->
+        match s.log_chan with
+        | None -> ()
+        | Some oc -> (
           match
             output_string oc line;
             flush oc
           with
-          | () -> t.log_lines <- t.log_lines + 1
+          | () -> s.log_lines <- s.log_lines + 1
           | exception Sys_error m ->
-            t.log_closed <- true;
+            s.log_chan <- None;
             close_out_noerr oc;
-            Printf.eprintf "rox: slow log write failed (%s); slow log closed\n%!" m)
-  | _ -> ()
+            Printf.eprintf "rox: slow log write failed (%s); slow log closed\n%!" m))
 
-let log_lines t = locked t (fun () -> t.log_lines)
+let log_lines t = Guarded.with_lock t.state (fun s -> s.log_lines)
 
 let close t =
-  match t.log_chan with
-  | None -> ()
-  | Some oc ->
-    locked t (fun () ->
-        if not t.log_closed then begin
-          t.log_closed <- true;
-          close_out oc
-        end)
+  Guarded.with_lock t.state (fun s ->
+      match s.log_chan with
+      | None -> ()
+      | Some oc ->
+        s.log_chan <- None;
+        close_out oc)
 
 (* ------------------------------------------------------------------ *)
 (* The hot path                                                       *)
 
 let observe t (r : record) =
-  locked t (fun () ->
+  Guarded.with_lock t.state (fun s ->
       (* Decide retention against the threshold as it stood before this
          request — a latency spike must not raise the bar for itself. *)
-      let thr = threshold_locked t in
+      let thr = threshold_locked s in
       let slow = r.outcome <> Rejected && r.latency_ns >= thr in
       let head = r.trace_id mod head_every = 0 in
-      t.ring.(t.cursor mod cap) <- Some r;
-      t.cursor <- t.cursor + 1;
-      if r.outcome <> Rejected then Metrics.observe t.lat r.latency_ns;
-      tenant_observe_locked t r;
+      s.ring.(s.cursor mod cap) <- Some r;
+      s.cursor <- s.cursor + 1;
+      if r.outcome <> Rejected then Metrics.observe s.lat r.latency_ns;
+      tenant_observe_locked s r;
       if r.status <> "ok" then Some Errored
       else if slow then Some Slow
       else if head then Some Head_sampled
       else None)
 
-let records t = locked t (fun () -> t.cursor)
+let records t = Guarded.with_lock t.state (fun s -> s.cursor)
 
-let dropped_locked t = max 0 (t.cursor - cap)
+let dropped_locked s = max 0 (s.cursor - cap)
 
-let dropped t = locked t (fun () -> dropped_locked t)
+let dropped t = Guarded.with_lock t.state dropped_locked
 
 let recent t n =
   let live =
-    locked t (fun () ->
-        List.init (min t.cursor cap) (fun i -> Option.get t.ring.(i)))
+    Guarded.with_lock t.state (fun s ->
+        List.init (min s.cursor cap) (fun i -> Option.get s.ring.(i)))
   in
   List.sort (fun a b -> compare b.trace_id a.trace_id) live
   |> List.filteri (fun i _ -> i < n)
@@ -292,25 +279,27 @@ let recent t n =
 (* Retained traces                                                    *)
 
 let retain t (r : record) reason snapshot =
-  locked t (fun () ->
-      if not (Hashtbl.mem t.retained r.trace_id) then begin
-        Hashtbl.replace t.retained r.trace_id (r, reason, snapshot);
-        Queue.push r.trace_id t.ret_fifo;
-        while Queue.length t.ret_fifo > retain_cap do
-          Hashtbl.remove t.retained (Queue.pop t.ret_fifo)
+  Guarded.with_lock t.state (fun s ->
+      if not (Hashtbl.mem s.retained r.trace_id) then begin
+        Hashtbl.replace s.retained r.trace_id (r, reason, snapshot);
+        Queue.push r.trace_id s.ret_fifo;
+        while Queue.length s.ret_fifo > retain_cap do
+          Hashtbl.remove s.retained (Queue.pop s.ret_fifo)
         done
       end)
 
-let find_trace t id = locked t (fun () -> Hashtbl.find_opt t.retained id)
+let find_trace t id =
+  Guarded.with_lock t.state (fun s -> Hashtbl.find_opt s.retained id)
 
-let retained_count t = locked t (fun () -> Hashtbl.length t.retained)
+let retained_count t =
+  Guarded.with_lock t.state (fun s -> Hashtbl.length s.retained)
 
 (* Snapshots are immutable, so they are rendered outside the lock. *)
 let traces t =
-  locked t (fun () ->
+  Guarded.with_lock t.state (fun s ->
       Hashtbl.fold
         (fun id (r, reason, snap) acc -> (id, r, reason, snap) :: acc)
-        t.retained [])
+        s.retained [])
   |> List.map (fun (id, r, reason, snap) ->
          (id, r, reason, Sink.snapshot_timeline snap))
 
@@ -407,23 +396,23 @@ let prometheus t =
   let head name help kind =
     Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name help name kind
   in
-  locked t (fun () ->
+  Guarded.with_lock t.state (fun st ->
       head "rox_recorder_records_total"
         "request records appended to the flight recorder" "counter";
-      Printf.bprintf buf "rox_recorder_records_total %d\n" t.cursor;
+      Printf.bprintf buf "rox_recorder_records_total %d\n" st.cursor;
       head "rox_recorder_records_dropped_total"
         "request records overwritten by the ring cap" "counter";
       Printf.bprintf buf "rox_recorder_records_dropped_total %d\n"
-        (dropped_locked t);
+        (dropped_locked st);
       head "rox_recorder_traces_retained"
         "full span trees currently addressable by trace id" "gauge";
       Printf.bprintf buf "rox_recorder_traces_retained %d\n"
-        (Hashtbl.length t.retained);
+        (Hashtbl.length st.retained);
       head "rox_recorder_slow_threshold_ns"
         "adaptive tail-sampling latency threshold" "gauge";
       Printf.bprintf buf "rox_recorder_slow_threshold_ns %d\n"
-        (threshold_locked t);
-      let stats = tenant_stats_locked t in
+        (threshold_locked st);
+      let stats = tenant_stats_locked st in
       if stats <> [] then begin
         head "rox_tenant_requests_total" "served requests per tenant" "counter";
         List.iter

@@ -4,7 +4,7 @@
     Every finished request enters through one function,
     {!record_request}, which builds its {!record} and feeds three layers,
     all bounded by the fixed policy below so they can stay armed in
-    production, and all behind one mutex:
+    production, and all in one {!Rox_util.Guarded.t}:
 
     - {b Request records.} Every completed request — executed or
       rejected at admission — appends one {!record} to one process-wide
@@ -25,7 +25,7 @@
     When built with [?slow_log], {!record_request} also appends one
     structured JSONL line (via [Rox_util.Minijson]) for every record that
     errored or ran at least [slow_ms] milliseconds, after retention is
-    settled. The line is formatted outside the mutex and written and
+    settled. The line is formatted outside the lock and written and
     flushed inside it. A write that fails closes the log with one stderr
     line; recording, retention and the caller carry on. *)
 

@@ -44,7 +44,7 @@ let prop_lru_model =
     QCheck.(pair small_int (int_range 5 60))
     (fun (seed, budget) ->
       let rng = Rox_util.Xoshiro.create (seed * 31 + budget) in
-      let cache = SLru.create ~name:"test.lru" ~budget () in
+      let cache = SLru.create ~budget () in
       let model = ref [] in
       let ok = ref true in
       for i = 0 to 79 do
@@ -77,7 +77,7 @@ let prop_lru_model =
       && s.Lru.bytes = model_total !model)
 
 let test_lru_basics () =
-  let c = SLru.create ~name:"test.lru" ~budget:10 () in
+  let c = SLru.create ~budget:10 () in
   SLru.add c "a" ~weight:4 1;
   SLru.add c "b" ~weight:4 2;
   check_bool "both resident" true (SLru.mem c "a" && SLru.mem c "b");
@@ -97,7 +97,7 @@ let test_lru_basics () =
      | _ -> false
      | exception Invalid_argument _ -> true);
   (* A non-positive budget means "cache off": nothing is ever admitted. *)
-  let off = SLru.create ~name:"test.lru" ~budget:0 () in
+  let off = SLru.create ~budget:0 () in
   SLru.add off "a" ~weight:0 1;
   check_bool "budget 0 admits nothing" true (not (SLru.mem off "a"));
   SLru.clear c;
@@ -134,7 +134,7 @@ let test_hammer_bit_identical () =
   (* Each key's value is a pure function of the key, so whatever domain
      wrote last, any hit must return exactly that function's value. *)
   let expected k = Hashtbl.hash ("v:" ^ k) in
-  let cache = SLru.create ~name:"test.hammer" ~budget:65536 () in
+  let cache = SLru.create ~budget:65536 () in
   let keys = Array.init 64 (fun i -> Printf.sprintf "h%d" i) in
   Array.iter (fun k -> SLru.add cache k ~weight:8 (expected k)) keys;
   let bad = Atomic.make 0 in

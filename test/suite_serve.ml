@@ -989,6 +989,71 @@ let test_slow_log_write_failure () =
     Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
   end
 
+(* ---------- multi-domain replay over one shared cache ----------------- *)
+
+let xmark_query op =
+  Printf.sprintf
+    {|let $d := doc("xmark.xml")
+for $o in $d//open_auction[.//current/text() %s 145],
+    $p in $d//person[.//province],
+    $i in $d//item[./quantity = 1]
+where $o//bidder//personref/@person = $p/@id and
+      $o//itemref/@item = $i/@id
+return $o|}
+    op
+
+let showdown_query =
+  {|let $d := doc("xmark.xml")
+for $o in $d//open_auction[.//current/text() > 145],
+    $p in $d//person[.//province]
+where $o//bidder//personref/@person = $p/@id
+return $o|}
+
+(* Two passes over the XMark pair and the showdown query from four
+   domains at once: first as sessions on one 8 MiB store, then as client
+   requests to a 2-worker server over the same store. Every answer equals
+   the single-domain one-shot answer, and the server's books balance
+   (RX601/RX603/RX701). *)
+let test_multi_domain_replay () =
+  let engine = Rox_storage.Engine.create () in
+  ignore
+    (Rox_workload.Xmark.generate ~params:(Rox_workload.Xmark.scaled 0.02)
+       engine ~uri:"xmark.xml"
+      : Rox_storage.Engine.docref);
+  let queries = [ xmark_query "<"; xmark_query ">"; showdown_query ] in
+  let expected = List.map (reference_ids engine) queries in
+  Alcotest.(check bool) "answers are not empty" true
+    (List.for_all (fun ids -> Array.length ids > 0) expected);
+  let cache = Rox_cache.Store.of_megabytes engine 8 in
+  let on_four_domains answer =
+    List.init 4 (fun i ->
+        Domain.spawn (fun () ->
+            List.init 2 (fun _ -> List.map (answer i) queries)))
+    |> List.iter (fun d ->
+           List.iter
+             (Alcotest.(check (list (array int))) "one-shot answers" expected)
+             (Domain.join d))
+  in
+  let compiled =
+    List.map (fun q -> (q, Rox_xquery.Compile.compile_string engine q)) queries
+  in
+  on_four_domains (fun _ q ->
+      let session =
+        Rox_core.Session.create ~cache
+          ~telemetry:(Rox_telemetry.Sink.create ~enabled:true ())
+          ()
+      in
+      Rox_core.Session.confine session (fun () ->
+          fst (Rox_core.Optimizer.answer session (List.assoc q compiled))));
+  let server =
+    S.create (S.config ~cache ~workers:2 ~queue_capacity:64 engine)
+  in
+  on_four_domains (fun i q ->
+      answer_ids
+        (S.submit server (P.query ~client_id:(Printf.sprintf "domain%d" i) q)));
+  S.shutdown server;
+  Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
+
 let suite =
   [
     Alcotest.test_case "protocol: request round-trip" `Quick test_request_roundtrip;
@@ -1022,4 +1087,6 @@ let suite =
       test_metrics_snapshot_is_private;
     Alcotest.test_case "slow log write failure keeps serving" `Quick
       test_slow_log_write_failure;
+    Alcotest.test_case "4 domains, one store, one server" `Slow
+      test_multi_domain_replay;
   ]

@@ -476,6 +476,120 @@ let prop_json_roundtrip =
     (QCheck.make ~print:(fun v -> Minijson.to_string v) json_gen)
     (fun v -> Minijson.parse (Minijson.to_string v) = Ok v)
 
+(* ---------- Guarded ---------- *)
+
+let await_flag flag =
+  while not (Atomic.get flag) do
+    Domain.cpu_relax ()
+  done
+
+let test_guarded_raise_releases () =
+  let g = Guarded.create (ref 0) in
+  (match
+     Guarded.with_lock g (fun r ->
+         incr r;
+         failwith "body")
+   with
+   | () -> Alcotest.fail "the body raised"
+   | exception Failure _ -> ());
+  (match Guarded.try_with_lock g (fun r -> !r) with
+   | Some n -> check_int "the write before the raise stands" 1 n
+   | None -> Alcotest.fail "the lock is still held");
+  check_int "with_lock does not block" 2
+    (Guarded.with_lock g (fun r ->
+         incr r;
+         !r))
+
+(* The consumer waits holding the lock; the producer can take the lock
+   only because the wait released it, and the woken consumer holds it
+   again (a try from inside its own section finds it busy). *)
+let test_guarded_wait () =
+  let g = Guarded.create (Queue.create ()) in
+  let nonempty = Condition.create () in
+  let waiting = Atomic.make false in
+  let consumer =
+    Domain.spawn (fun () ->
+        Guarded.with_lock g (fun q ->
+            while Queue.is_empty q do
+              Atomic.set waiting true;
+              Guarded.wait g nonempty
+            done;
+            (Queue.pop q, Guarded.try_with_lock g ignore = None)))
+  in
+  await_flag waiting;
+  Guarded.with_lock g (fun q ->
+      Queue.push 42 q;
+      Condition.signal nonempty);
+  let item, held = Domain.join consumer in
+  check_int "the consumer got the item" 42 item;
+  check_bool "the woken consumer holds the lock" true held
+
+module Int_lru = Rox_cache.Lru.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* One domain parks inside the cache's critical section; a lookup from
+   another finds the lock busy and counts it before blocking. The
+   holder cannot see the lookup arrive, so it lets go after a growing
+   pause until one lookup has been counted. *)
+let lru_lock_wait cache ~pause =
+  let holding = Atomic.make false and release = Atomic.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        Int_lru.iter_coldest_first cache (fun _ _ ->
+            Atomic.set holding true;
+            await_flag release))
+  in
+  await_flag holding;
+  let looker =
+    Domain.spawn (fun () -> ignore (Int_lru.find cache 1 : int option))
+  in
+  Unix.sleepf pause;
+  Atomic.set release true;
+  Domain.join holder;
+  Domain.join looker
+
+let test_guarded_try_busy () =
+  let g = Guarded.create () in
+  let holding = Atomic.make false and release = Atomic.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        Guarded.with_lock g (fun () ->
+            Atomic.set holding true;
+            await_flag release))
+  in
+  await_flag holding;
+  check_bool "busy: None" true (Guarded.try_with_lock g Fun.id = None);
+  Atomic.set release true;
+  Domain.join holder;
+  check_bool "free: Some" true (Guarded.try_with_lock g Fun.id = Some ());
+  let cache = Int_lru.create ~budget:64 () in
+  Int_lru.add cache 1 ~weight:8 1;
+  let rec attempt n =
+    lru_lock_wait cache ~pause:(0.002 *. float_of_int n);
+    let st = Int_lru.stats cache in
+    if st.Rox_cache.Lru.lock_waits = 0 && n < 20 then attempt (n + 1)
+    else st
+  in
+  check_bool "lock_waits counts the busy lookup" true
+    ((attempt 1).Rox_cache.Lru.lock_waits >= 1)
+
+let test_guarded_counter_hammer () =
+  let g = Guarded.create (ref 0) in
+  let n = 10_000 in
+  let workers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to n do
+              Guarded.with_lock g incr
+            done))
+  in
+  List.iter Domain.join workers;
+  check_int "exact total" (2 * n) (Guarded.with_lock g ( ! ))
+
 let suite =
   [
     Alcotest.test_case "xoshiro determinism" `Quick test_determinism;
@@ -517,4 +631,12 @@ let suite =
     Alcotest.test_case "json write numbers" `Quick test_json_write_numbers;
     Alcotest.test_case "json deep nesting" `Quick test_json_deep_nesting;
     prop_json_roundtrip;
+    Alcotest.test_case "guarded: raising body releases lock" `Quick
+      test_guarded_raise_releases;
+    Alcotest.test_case "guarded: wait releases, re-acquires" `Quick
+      test_guarded_wait;
+    Alcotest.test_case "guarded: try_with_lock on busy lock" `Quick
+      test_guarded_try_busy;
+    Alcotest.test_case "guarded: two-domain counter exact" `Quick
+      test_guarded_counter_hammer;
   ]
