@@ -1,4 +1,4 @@
-.PHONY: all build test analyze lint sanitize bench-smoke profile-smoke serve-smoke recorder-smoke check clean
+.PHONY: all build test analyze lint sanitize bench-smoke profile-smoke check clean
 
 all: build
 
@@ -51,49 +51,28 @@ sanitize:
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test classical
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test extensions
 
-# Quick benchmarks: the cache experiment (BENCH_cache.json), the
-# columnar relation kernels vs the row-major reference
-# (BENCH_relation.json, warns under 2x at 10^5 rows), concurrent
-# sessions on OCaml 5 domains (BENCH_parallel.json, bit-identity
-# enforced; speedup tracks physical cores), telemetry overhead on
-# the Figure 5 workload (BENCH_telemetry.json, <3% target), and the
-# serving front-end (BENCH_serve.json: saturation qps at 1 and N
-# worker domains, open-loop p50/p99, a scripted socketpair session,
-# audits required clean).
+# Quick benchmarks: telemetry overhead on the Figure 5 workload
+# (BENCH_telemetry.json, <3% target), and the serving front-end
+# (BENCH_serve.json: saturation qps at 1 and N worker domains, open-loop
+# p50/p99, a scripted socketpair session, audits required clean).
 bench-smoke:
-	dune exec bench/main.exe -- cache relation parallel telemetry serve
-
-# A scripted protocol session against an in-process server over a
-# socketpair: PING, repeated QUERY (answers must be bit-identical),
-# a budget-aborted QUERY (structured ERR, not a dropped connection),
-# STATS accounting, QUIT — then the RX601/RX603 self-audit.
-serve-smoke:
-	dune exec bin/rox_cli.exe -- serve --smoke
-
-# The flight-recorder acceptance loop, under the sanitizer: the serve
-# smoke script with a slow log armed at --slow-ms 0, so every request
-# writes a JSONL line (validated in-script, line count reconciled with
-# the recorder) and at least one trace is retained, fetched over TRACE,
-# and exported — then the exported file must pass the Chrome-trace
-# schema check.
-recorder-smoke:
-	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- serve --smoke \
-	  --slow-log rox_slow.jsonl --slow-ms 0
-	dune exec bin/rox_cli.exe -- trace-validate rox_slow.jsonl.trace.json
+	dune exec bench/main.exe -- telemetry serve
 
 # An instrumented run of the built-in XMark workload: --profile summary
-# on stderr, Chrome trace-event JSON + Prometheus metrics on disk, then
-# the emitted trace parsed back and schema-checked (well-nested spans,
+# on stderr, Chrome trace-event JSON + Prometheus metrics on disk, a
+# slow-query log at --slow-ms 0 (one JSONL line per query), then the
+# emitted trace parsed back and schema-checked (well-nested spans,
 # non-negative durations). The trace loads in Perfetto / chrome://tracing.
 profile-smoke:
 	dune exec bin/rox_cli.exe -- profile --repeat 2 \
-	  --trace-out rox_trace.json --metrics-out rox_metrics.prom
+	  --trace-out rox_trace.json --metrics-out rox_metrics.prom \
+	  --slow-log rox_slow.jsonl --slow-ms 0
 	dune exec bin/rox_cli.exe -- trace-validate rox_trace.json
 
 # Every gate once, failing loudly. Benchmarks are not part of check: CI
 # runs bench-smoke as its own step (and uploads the BENCH_*.json files),
 # so a local check never rewrites the committed results.
-check: build test analyze lint sanitize profile-smoke serve-smoke recorder-smoke
+check: build test analyze lint sanitize profile-smoke
 
 clean:
 	dune clean

@@ -20,9 +20,6 @@ let experiments ~full =
     ("fig7", "Figure 7: scaling document sizes", fun () -> Exp_fig7.run ~full ());
     ("fig8", "Figure 8: sample size vs overhead", fun () -> Exp_fig8.run ~full ());
     ("ablate", "Ablations of ROX design choices", fun () -> Exp_ablation.run ());
-    ("cache", "Cross-query cache: repeated workload reuse", fun () -> Exp_cache.run ~full ());
-    ("relation", "Columnar relation kernels vs row-major reference", fun () -> Exp_relation.run ~full ());
-    ("parallel", "Concurrent sessions on OCaml 5 domains, shared engine", fun () -> Exp_parallel.run ());
     ("telemetry", "Telemetry span/metric overhead on the fig5 workload", fun () -> Exp_telemetry.run ~full ());
     ("recorder", "Flight-recorder overhead (alias: the telemetry experiment's recorder arm)", fun () -> Exp_telemetry.run ~full ());
     ("serve", "Serving front-end: saturation, open-loop latency, socketpair session", fun () -> Exp_serve.run ());

@@ -103,14 +103,10 @@ let or_exit f =
     Printf.eprintf "%s\n" m;
     exit 1
 
-let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
-    max_sampled_rows count_only limit cache_mb cache_stats profile
-    trace_out metrics_out slow_log slow_ms =
-  (* The slow log needs span timings, so --slow-log arms the sink too. *)
-  let telemetry_on =
-    profile || trace_out <> None || metrics_out <> None || slow_log <> None
-  in
-  let sink = Rox_telemetry.Sink.create ~enabled:telemetry_on () in
+(* A fresh engine with every --doc file parsed and registered under its
+   basename (announced on stderr with [~announce]). A parse error or an
+   unreadable file is one stderr line and exit 1. *)
+let engine_of_docs ~announce docs =
   let engine = Rox_storage.Engine.create () in
   List.iter
     (fun path ->
@@ -125,8 +121,19 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
       in
       let uri = Filename.basename path in
       ignore (Rox_storage.Engine.add_tree engine ~uri tree : Rox_storage.Engine.docref);
-      Printf.eprintf "loaded %s as doc(%S)\n" path uri)
+      if announce then Printf.eprintf "loaded %s as doc(%S)\n" path uri)
     docs;
+  engine
+
+let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
+    max_sampled_rows count_only limit cache_mb cache_stats profile
+    trace_out metrics_out slow_log slow_ms =
+  (* The slow log needs span timings, so --slow-log arms the sink too. *)
+  let telemetry_on =
+    profile || trace_out <> None || metrics_out <> None || slow_log <> None
+  in
+  let sink = Rox_telemetry.Sink.create ~enabled:telemetry_on () in
+  let engine = engine_of_docs ~announce:true docs in
   let source = read_query query_file in
   let compiled =
     try Rox_xquery.Compile.compile_string ~telemetry:sink engine source with
@@ -413,21 +420,7 @@ let analyze docs query_file list_codes codes_md explain json =
       match query_file with
       | None -> builtin_cases ~quiet:json ()
       | Some qf ->
-        let engine = Rox_storage.Engine.create () in
-        List.iter
-          (fun path ->
-            let tree =
-              try Rox_xmldom.Xml_parser.parse_file path with
-              | Rox_xmldom.Xml_parser.Parse_error { line; column; message } ->
-                Printf.eprintf "%s:%d:%d: parse error: %s\n" path line column message;
-                exit 1
-              | Sys_error m ->
-                Printf.eprintf "%s\n" m;
-                exit 1
-            in
-            let uri = Filename.basename path in
-            ignore (Rox_storage.Engine.add_tree engine ~uri tree : Rox_storage.Engine.docref))
-          docs;
+        let engine = engine_of_docs ~announce:false docs in
         [ analyze_case ~quiet:json ~subject:qf engine (read_query qf) ]
     in
     if json then print_string (A.Report.json_string reports)
@@ -468,270 +461,50 @@ let lint root json list_bindings =
   end
 
 (* ---------------------------------------------------------------------- *)
-(* serve: the protocol front-end over a worker-domain pool. Real mode     *)
-(* listens on a Unix or TCP socket; --smoke runs a scripted client over a *)
-(* socketpair against an in-process XMark engine (`make serve-smoke`).    *)
+(* serve: the protocol front-end over a worker-domain pool, listening on  *)
+(* a Unix or TCP socket.                                                  *)
 
 module Serve = Rox_serve.Server
 module Sproto = Rox_serve.Protocol
 
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-(* The smoke writes a retained trace beside its slow log, and reads the log
-   back, only when the log is a regular file: a device such as /dev/null
-   sits in a directory that is not the smoke's to write, and cannot be
-   read back line by line. *)
-let regular path =
-  match Unix.stat path with
-  | st -> st.Unix.st_kind = Unix.S_REG
-  | exception Unix.Unix_error _ -> false
-
-let serve_smoke scale slow_log slow_ms =
-  let engine = Rox_storage.Engine.create () in
-  let params = Rox_workload.Xmark.scaled scale in
-  ignore
-    (Rox_workload.Xmark.generate ~params engine ~uri:"xmark.xml"
-      : Rox_storage.Engine.docref);
-  let cache = Rox_cache.Store.of_megabytes engine 8 in
+let serve_run docs socket port workers queue_cap max_conns cache_mb slow_log
+    slow_ms =
+  let engine = engine_of_docs ~announce:true docs in
+  if docs = [] then
+    Printf.eprintf "warning: no --doc given; every doc() reference will fail\n";
+  let cache =
+    if cache_mb > 0 then Some (Rox_cache.Store.of_megabytes engine cache_mb)
+    else None
+  in
   let server =
     or_exit (fun () ->
         Serve.create
-          (Serve.config ~cache ~workers:2 ~queue_capacity:16 ?slow_ms ?slow_log
-             engine))
+          (Serve.config ?cache ~workers ~queue_capacity:queue_cap
+             ~max_connections:max_conns ?slow_ms ?slow_log engine))
   in
-  let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let handler = Thread.create (fun () -> Serve.handle_connection server srv_fd) () in
-  let decoder = Sproto.decoder () in
-  let send req = Sproto.write_frame cli_fd (Sproto.render_request req) in
-  let recv () =
-    match Sproto.read_frame cli_fd decoder with
-    | `Frame payload ->
-      (match Sproto.parse_response payload with
-       | Ok r -> r
-       | Error m -> failwith ("bad response: " ^ m))
-    | `Eof -> failwith "unexpected EOF"
-    | `Corrupt m -> failwith ("corrupt response stream: " ^ m)
+  let fd =
+    match socket with
+    | Some path ->
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind fd (Unix.ADDR_UNIX path);
+      Unix.listen fd 64;
+      Printf.eprintf "rox serve: listening on %s (%d worker(s), queue %d)\n"
+        path workers queue_cap;
+      fd
+    | None ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.setsockopt fd Unix.SO_REUSEADDR true;
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.listen fd 64;
+      Printf.eprintf
+        "rox serve: listening on 127.0.0.1:%d (%d worker(s), queue %d)\n"
+        port workers queue_cap;
+      fd
   in
-  let failures = ref 0 in
-  let check name ok =
-    Printf.printf "serve-smoke: %-32s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then incr failures
-  in
-  send Sproto.Ping;
-  check "ping" (recv () = Sproto.Pong);
-  let q = Sproto.query ~client_id:"smoke" (xmark_query "<") in
-  send (Sproto.Query q);
-  let r1 = recv () in
-  check "query answers"
-    (match r1 with Sproto.Answer a -> a.total > 0 | _ -> false);
-  send (Sproto.Query q);
-  let r2 = recv () in
-  check "repeat query bit-identical"
-    (match (r1, r2) with
-     | Sproto.Answer a, Sproto.Answer b -> a.ids = b.ids && a.total = b.total
-     | _ -> false);
-  send (Sproto.Query (Sproto.query ~max_sampled_rows:1 (xmark_query ">")));
-  check "budget abort is an ERR reply"
-    (match recv () with Sproto.Err (Sproto.Sampled_rows, _) -> true | _ -> false);
-  send Sproto.Stats;
-  let stats = match recv () with Sproto.Stats_reply kvs -> kvs | _ -> [] in
-  let stat k = try List.assoc k stats with Not_found -> "<absent>" in
-  check "stats requests=5" (stat "requests" = "5");
-  check "stats executed=3" (stat "executed" = "3");
-  check "stats rejected=0" (stat "rejected" = "0");
-  check "stats tenant.smoke=2" (stat "tenant.smoke" = "2");
-  (* Flight recorder: every record is visible before its reply, so the
-     counts right after the three query answers are deterministic. *)
-  check "stats records=3" (stat "records" = "3");
-  check "stats records_dropped=0" (stat "records_dropped" = "0");
-  check "stats uptime_ms present" (stat "uptime_ms" <> "<absent>");
-  check "stats started_at present" (stat "started_at" <> "<absent>");
-  check "stats traces_retained >= 1"
-    (match int_of_string_opt (stat "traces_retained") with
-     | Some n -> n >= 1
-     | None -> false);
-  send Sproto.Metrics;
-  let mtext =
-    match recv () with Sproto.Metrics_reply s -> s | _ -> ""
-  in
-  check "metrics has recorder series"
-    (contains_substring mtext "rox_recorder_records_total");
-  check "metrics has tenant series"
-    (contains_substring mtext "rox_tenant_requests_total");
-  send (Sproto.Recent 10);
-  let recent_lines =
-    match recv () with Sproto.Recent_reply l -> l | _ -> []
-  in
-  check "recent returns 3 records" (List.length recent_lines = 3);
-  let recent_json =
-    List.filter_map
-      (fun l -> Result.to_option (Rox_util.Minijson.parse l))
-      recent_lines
-  in
-  check "recent lines are JSON"
-    (List.length recent_json = List.length recent_lines);
-  (* The budget-aborted query errored, so its trace is always retained:
-     fetch it over the wire and validate the Chrome export. *)
-  let retained_id =
-    List.fold_left
-      (fun acc json ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          (match Rox_util.Minijson.member "retained" json with
-           | Some Rox_util.Minijson.Null | None -> None
-           | Some _ ->
-             Option.bind
-               (Option.bind
-                  (Rox_util.Minijson.member "trace_id" json)
-                  Rox_util.Minijson.to_num_opt)
-               (fun f -> Some (int_of_float f))))
-      None recent_json
-  in
-  check "recent shows a retained record" (retained_id <> None);
-  (match retained_id with
-   | None -> ()
-   | Some id ->
-     send (Sproto.Trace_get id);
-     (match recv () with
-      | Sproto.Trace_reply (rid, json) ->
-        check "trace id echoes" (rid = id);
-        let valid =
-          match Rox_util.Minijson.parse json with
-          | Error _ -> false
-          | Ok parsed ->
-            (match Rox_telemetry.Export.validate_chrome parsed with
-             | Ok _ -> true
-             | Error _ -> false)
-        in
-        check "trace exports valid Chrome JSON" valid;
-        (* The retained timeline carries the optimizer's events beside the
-           spans, even for a request its budget cut short. *)
-        check "trace carries optimizer events"
-          (List.exists
-             (fun name -> contains_substring json (Printf.sprintf "\"name\": %S" name))
-             [ "vertex_initialized"; "edge_weighted"; "chain_round"; "edge_executed" ]);
-        (match slow_log with
-         | Some path when regular path -> (
-           let out = path ^ ".trace.json" in
-           match write_file out json with
-           | () ->
-             Printf.printf "serve-smoke: wrote retained trace %d to %s\n" id out
-           | exception Sys_error m ->
-             Printf.printf "serve-smoke: retained trace not written: %s\n" m)
-         | Some path ->
-           Printf.printf
-             "serve-smoke: slow log %s is not a regular file; retained trace not \
-              written\n"
-             path
-         | None -> ())
-      | _ -> check "trace reply" false));
-  send (Sproto.Trace_get 999_999);
-  check "unknown trace id is ERR not_found"
-    (match recv () with
-     | Sproto.Err (Sproto.Unknown_id, _) -> true
-     | _ -> false);
-  send Sproto.Quit;
-  check "quit acknowledged" (recv () = Sproto.Bye);
-  Thread.join handler;
+  Serve.serve server fd;
   Serve.shutdown server;
-  check "audit self-check clean" (Serve.self_check server = []);
-  let rc = Option.get (Serve.recorder server) in
-  check "recorder records=3 after shutdown"
-    (Rox_telemetry.Recorder.records rc = 3);
-  check "recorder RX7xx clean"
-    (A.Recorder_check.check ~submitted:3 rc = []);
-  (match slow_log with
-   | Some path when not (regular path) ->
-     (* A device or a pipe cannot be read back line by line. *)
-     Printf.printf "serve-smoke: slow log %s is not a regular file; read-back skipped\n"
-       path
-   | Some path ->
-     (* Every slow-log line must parse; the errored request always
-        logs, so the file is never empty. *)
-     let lines = ref [] in
-     (try
-        let ic = open_in path in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> close_in ic)
-      with Sys_error _ -> ());
-     let parsed =
-       List.filter_map
-         (fun l -> Result.to_option (Rox_util.Minijson.parse l))
-         !lines
-     in
-     check "slow-log non-empty" (!lines <> []);
-     check "slow-log lines parse as JSON"
-       (List.length parsed = List.length !lines);
-     check "slow-log reconciles with recorder"
-       (List.length !lines = Rox_telemetry.Recorder.log_lines rc)
-   | None -> ());
-  (try Unix.close cli_fd with Unix.Unix_error _ -> ());
-  Printf.printf "serve-smoke: %s\n" (if !failures = 0 then "PASS" else "FAIL");
-  if !failures = 0 then 0 else 1
-
-let serve_run docs socket port workers queue_cap max_conns cache_mb smoke scale
-    slow_log slow_ms =
-  if smoke then serve_smoke scale slow_log slow_ms
-  else begin
-    let engine = Rox_storage.Engine.create () in
-    List.iter
-      (fun path ->
-        let tree =
-          try Rox_xmldom.Xml_parser.parse_file path with
-          | Rox_xmldom.Xml_parser.Parse_error { line; column; message } ->
-            Printf.eprintf "%s:%d:%d: parse error: %s\n" path line column message;
-            exit 1
-          | Sys_error m ->
-            Printf.eprintf "%s\n" m;
-            exit 1
-        in
-        let uri = Filename.basename path in
-        ignore (Rox_storage.Engine.add_tree engine ~uri tree : Rox_storage.Engine.docref);
-        Printf.eprintf "loaded %s as doc(%S)\n" path uri)
-      docs;
-    if docs = [] then
-      Printf.eprintf "warning: no --doc given; every doc() reference will fail\n";
-    let cache =
-      if cache_mb > 0 then Some (Rox_cache.Store.of_megabytes engine cache_mb)
-      else None
-    in
-    let server =
-      or_exit (fun () ->
-          Serve.create
-            (Serve.config ?cache ~workers ~queue_capacity:queue_cap
-               ~max_connections:max_conns ?slow_ms ?slow_log engine))
-    in
-    let fd =
-      match socket with
-      | Some path ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd 64;
-        Printf.eprintf "rox serve: listening on %s (%d worker(s), queue %d)\n"
-          path workers queue_cap;
-        fd
-      | None ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        Unix.listen fd 64;
-        Printf.eprintf
-          "rox serve: listening on 127.0.0.1:%d (%d worker(s), queue %d)\n"
-          port workers queue_cap;
-        fd
-    in
-    Serve.serve server fd;
-    Serve.shutdown server;
-    0
-  end
+  0
 
 (* ---------------------------------------------------------------------- *)
 (* profile: the built-in XMark workload under full telemetry — the self-  *)
@@ -950,19 +723,6 @@ let serve_cmd =
     Arg.(value & opt int 0 & info [ "cache-mb" ] ~docv:"MB"
            ~doc:"Cross-query cache budget shared by all workers (0 = off).")
   in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Self-test: serve an in-process XMark engine to a scripted \
-                 client over a socketpair, assert the protocol replies and \
-                 the STATS counters, and exit 0/1 (behind $(b,make serve-smoke)). \
-                 With $(b,--slow-log) $(i,FILE) naming a regular file, it also \
-                 writes one retained trace as Chrome JSON to $(i,FILE).trace.json \
-                 and reads the log back.")
-  in
-  let scale =
-    Arg.(value & opt float 0.02 & info [ "scale" ] ~docv:"F"
-           ~doc:"XMark scale factor for the --smoke engine (default 0.02).")
-  in
   let doc =
     "Serve queries over a length-prefixed socket protocol (QUERY/PING/STATS/\
      METRICS/RECENT/TRACE/QUIT) with bounded admission, a worker-domain pool \
@@ -974,8 +734,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const serve_run $ docs_arg $ socket $ port $ workers $ queue_cap
-          $ max_conns $ cache_mb $ smoke $ scale $ slow_log_arg
-          $ slow_ms_arg)
+          $ max_conns $ cache_mb $ slow_log_arg $ slow_ms_arg)
 
 let stat_cmd =
   let socket =

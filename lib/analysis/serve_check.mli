@@ -4,8 +4,8 @@
     (the analysis layer sits below it), so the contract is a plain record
     of audit counts the server produces at quiescence — after its workers
     joined and every submitted request was answered. [Rox_serve] re-exports
-    {!check} as its self-audit; [rox serve --smoke] and the serve test
-    suite fail on any diagnostic. *)
+    {!check} as its self-audit; the serve test suite fails on any
+    diagnostic. *)
 
 type counts = {
   sv_requests : int;    (** protocol frames parsed *)

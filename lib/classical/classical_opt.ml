@@ -28,9 +28,19 @@ let static_order engine graph =
   let score (e : Edge.t) =
     if doc_of e.Edge.v1 = doc_of e.Edge.v2 then begin
       let t1, t1_domain = domain e.Edge.v1 and t2, t2_domain = domain e.Edge.v2 in
+      (* Only the count matters: the smaller side as step context, a
+         hash join for an equi-join. *)
+      let variant =
+        match e.Edge.op with
+        | Edge.Step _ ->
+          Exec.Step_from
+            (if Rox_util.Column.length t1 <= Rox_util.Column.length t2 then Exec.From_v1
+             else Exec.From_v2)
+        | Edge.Equijoin -> Exec.Hash_join
+      in
       let pairs =
-        Exec.full_pairs ~sanitize:Rox_algebra.Sanitize.env_default ?t1_domain ?t2_domain
-          engine graph e ~t1 ~t2
+        Exec.full_pairs ~sanitize:Rox_algebra.Sanitize.env_default ~variant ?t1_domain
+          ?t2_domain engine graph e ~t1 ~t2
       in
       float_of_int (Exec.pair_count pairs)
     end

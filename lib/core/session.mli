@@ -7,10 +7,10 @@
     session (or a narrow capability derived from it) explicitly — no
     process-global mutable state is consulted during a run, which is what
     makes one {!Rox_storage.Engine.t} plus one {!Rox_cache.Store.t}
-    safely shareable by concurrent sessions on OCaml 5 domains
-    (see [bench/exp_parallel.ml]). Every operator takes the sanitize mode
-    as a required argument, so no operator can run under a mode its
-    session did not hand it. *)
+    safely shareable by concurrent sessions on OCaml 5 domains (the
+    serve suite's multi-domain replay checks it). Every operator takes
+    the sanitize mode as a required argument, so no operator can run
+    under a mode its session did not hand it. *)
 
 type budgets = {
   max_rows : int;

@@ -113,7 +113,7 @@ let pair_vecs t1 t2 =
 
 let freeze vec = Column.unsafe_of_array_detect (Int_vec.release vec)
 
-type equi_algo = Algo_hash | Algo_index_nl of direction
+type variant = Step_from of direction | Hash_join | Index_nl_from of direction
 
 let inner_spec engine (v : Vertex.t) restrict =
   let r = docref engine v in
@@ -137,67 +137,46 @@ let inner_spec engine (v : Vertex.t) restrict =
   in
   { Value_join.docref = r; side; restrict }
 
-let full_pairs_impl ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine graph
-    (e : Edge.t) ~t1 ~t2 =
+let full_pairs_impl ?meter ~variant ?t1_domain ?t2_domain engine graph (e : Edge.t) ~t1
+    ~t2 =
   let v1 = Graph.vertex graph e.Edge.v1 in
   let v2 = Graph.vertex graph e.Edge.v2 in
-  match e.Edge.op with
-  | Edge.Step axis ->
-    let dir =
-      match step_direction with
-      | Some d -> d
-      | None -> if Column.length t1 <= Column.length t2 then From_v1 else From_v2
-    in
-    let lefts, rights = pair_vecs t1 t2 in
-    (match dir with
-     | From_v1 ->
-       let doc = (docref engine v1).Engine.doc in
-       Staircase.iter_pairs ?meter ?domain:t2_domain ~doc ~axis ~context:t1 ~candidates:t2
-         (fun _ c s ->
-           Int_vec.push lefts c;
-           Int_vec.push rights s)
-     | From_v2 ->
-       let doc = (docref engine v2).Engine.doc in
-       Staircase.iter_pairs ?meter ?domain:t1_domain ~doc ~axis:(Axis.reverse axis)
-         ~context:t2 ~candidates:t1 (fun _ c s ->
-           Int_vec.push lefts s;
-           Int_vec.push rights c));
-    { left = freeze lefts; right = freeze rights }
-  | Edge.Equijoin ->
-    let algo =
-      match equi_algo with
-      | Some a -> a
-      | None -> Algo_hash
-    in
-    let lefts, rights = pair_vecs t1 t2 in
-    let doc1 = (docref engine v1).Engine.doc in
-    let doc2 = (docref engine v2).Engine.doc in
-    (match algo with
-     | Algo_hash ->
-       (* Build on the smaller side. *)
-       if Column.length t2 <= Column.length t1 then
-         Value_join.iter_hash ?meter ~outer_doc:doc1 ~outer:t1 ~inner_doc:doc2 ~inner:t2
-           (fun _ o i ->
-             Int_vec.push lefts o;
-             Int_vec.push rights i)
-       else
-         Value_join.iter_hash ?meter ~outer_doc:doc2 ~outer:t2 ~inner_doc:doc1 ~inner:t1
-           (fun _ o i ->
-             Int_vec.push lefts i;
-             Int_vec.push rights o)
-     | Algo_index_nl dir ->
-       (match dir with
-        | From_v1 ->
-          let inner = inner_spec engine v2 (Some t2) in
-          Value_join.iter_index_nl ?meter ~outer_doc:doc1 ~outer:t1 ~inner (fun _ o i ->
-              Int_vec.push lefts o;
-              Int_vec.push rights i)
-        | From_v2 ->
-          let inner = inner_spec engine v1 (Some t1) in
-          Value_join.iter_index_nl ?meter ~outer_doc:doc2 ~outer:t2 ~inner (fun _ o i ->
-              Int_vec.push lefts i;
-              Int_vec.push rights o)));
-    { left = freeze lefts; right = freeze rights }
+  let doc v = (docref engine v).Engine.doc in
+  let lefts, rights = pair_vecs t1 t2 in
+  (* Kernels report (outer, inner); [emit] keeps a v1-outer pair as is,
+     [emit_rev] flips a v2-outer one into (v1-node, v2-node). *)
+  let emit _ a b =
+    Int_vec.push lefts a;
+    Int_vec.push rights b
+  in
+  let emit_rev _ b a =
+    Int_vec.push lefts a;
+    Int_vec.push rights b
+  in
+  (match (e.Edge.op, variant) with
+   | Edge.Step axis, Step_from From_v1 ->
+     Staircase.iter_pairs ?meter ?domain:t2_domain ~doc:(doc v1) ~axis ~context:t1
+       ~candidates:t2 emit
+   | Edge.Step axis, Step_from From_v2 ->
+     Staircase.iter_pairs ?meter ?domain:t1_domain ~doc:(doc v2) ~axis:(Axis.reverse axis)
+       ~context:t2 ~candidates:t1 emit_rev
+   | Edge.Equijoin, Hash_join ->
+     (* Build on the smaller side. *)
+     if Column.length t2 <= Column.length t1 then
+       Value_join.iter_hash ?meter ~outer_doc:(doc v1) ~outer:t1 ~inner_doc:(doc v2)
+         ~inner:t2 emit
+     else
+       Value_join.iter_hash ?meter ~outer_doc:(doc v2) ~outer:t2 ~inner_doc:(doc v1)
+         ~inner:t1 emit_rev
+   | Edge.Equijoin, Index_nl_from From_v1 ->
+     Value_join.iter_index_nl ?meter ~outer_doc:(doc v1) ~outer:t1
+       ~inner:(inner_spec engine v2 (Some t2)) emit
+   | Edge.Equijoin, Index_nl_from From_v2 ->
+     Value_join.iter_index_nl ?meter ~outer_doc:(doc v2) ~outer:t2
+       ~inner:(inner_spec engine v1 (Some t1)) emit_rev
+   | Edge.Step _, (Hash_join | Index_nl_from _) | Edge.Equijoin, Step_from _ ->
+     invalid_arg "Exec.full_pairs: variant does not match the edge operator");
+  { left = freeze lefts; right = freeze rights }
 
 (* Under the sanitizer, a step that tested membership against an
    index-domain descriptor is re-run on the candidate column: the same
@@ -206,11 +185,10 @@ let check_domain_path ~op ~same ~charged ~column_charged =
   Sanitize.check_kernel_equiv ~op ~what:"index-domain membership"
     (same && charged = column_charged)
 
-let full_pairs ~sanitize ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine
-    graph (e : Edge.t) ~t1 ~t2 =
+let full_pairs ~sanitize ?meter ~variant ?t1_domain ?t2_domain engine graph (e : Edge.t)
+    ~t1 ~t2 =
   if not sanitize then
-    full_pairs_impl ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain engine graph e
-      ~t1 ~t2
+    full_pairs_impl ?meter ~variant ?t1_domain ?t2_domain engine graph e ~t1 ~t2
   else begin
     let op =
       match e.Edge.op with
@@ -223,14 +201,13 @@ let full_pairs ~sanitize ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain
     Sanitize.check_sorted_dedup ~op ~what:"t2" (Column.read t2);
     let pairs, charged =
       Sanitize.observed meter (fun m ->
-          full_pairs_impl ~meter:m ?equi_algo ?step_direction ?t1_domain ?t2_domain engine
-            graph e ~t1 ~t2)
+          full_pairs_impl ~meter:m ~variant ?t1_domain ?t2_domain engine graph e ~t1 ~t2)
     in
     (match (e.Edge.op, t1_domain, t2_domain) with
      | Edge.Step _, Some _, _ | Edge.Step _, _, Some _ ->
        let column, column_charged =
          Sanitize.observed None (fun m ->
-             full_pairs_impl ~meter:m ?equi_algo ?step_direction engine graph e ~t1 ~t2)
+             full_pairs_impl ~meter:m ~variant engine graph e ~t1 ~t2)
        in
        check_domain_path ~op ~charged ~column_charged
          ~same:
@@ -245,8 +222,8 @@ let full_pairs ~sanitize ?meter ?equi_algo ?step_direction ?t1_domain ?t2_domain
     (* Only the hash value join has a |C| + |S| + |R| Table 1 bound
        expressible in the sizes at hand; index-NL work depends on bucket
        sizes, steps on subtree shapes. *)
-    (match (e.Edge.op, equi_algo) with
-     | Edge.Equijoin, (None | Some Algo_hash) ->
+    (match variant with
+     | Hash_join ->
        Sanitize.check_cost ~op ~charged
          ~bound:(Column.length t1 + Column.length t2 + Column.length pairs.left)
      | _ -> ());

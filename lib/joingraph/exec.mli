@@ -42,13 +42,21 @@ type pairs = { left : Rox_util.Column.t; right : Rox_util.Column.t }
 
 val pair_count : pairs -> int
 
-type equi_algo = Algo_hash | Algo_index_nl of direction
+type variant =
+  | Step_from of direction
+      (** a step whose context is this endpoint's table *)
+  | Hash_join  (** an equi-join building its hash table on the smaller side *)
+  | Index_nl_from of direction
+      (** an equi-join probing the other endpoint's value index from this
+          endpoint's table *)
+(** The physical variant of one edge execution. {!Runtime} is the one
+    module that chooses it; a planner that only counts pairs passes one
+    explicitly. *)
 
 val full_pairs :
   sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
-  ?equi_algo:equi_algo ->
-  ?step_direction:direction ->
+  variant:variant ->
   ?t1_domain:Rox_algebra.Staircase.domain ->
   ?t2_domain:Rox_algebra.Staircase.domain ->
   Engine.t ->
@@ -57,13 +65,14 @@ val full_pairs :
   t1:Rox_util.Column.t ->
   t2:Rox_util.Column.t ->
   pairs
-(** Complete evaluation of an edge against materialized endpoint tables.
-    Steps default to taking the smaller side as context; equi-joins default
-    to a hash join building on the smaller side. [?t1_domain] /
-    [?t2_domain] describe an input that is still its vertex's untouched
-    {!index_domain}; a step whose candidates are described tests
-    membership on the document's columns. Under the sanitizer that step is
-    cross-checked against the column path (RX306). *)
+(** Complete evaluation of an edge against materialized endpoint tables,
+    through [variant] (@raise Invalid_argument when a step variant meets
+    an equi-join or the reverse). [?t1_domain] / [?t2_domain] describe an
+    input that is still its vertex's untouched {!index_domain}; a step
+    whose candidates are described tests membership on the document's
+    columns. Under the sanitizer that step is cross-checked against the
+    column path (RX306), and a hash join's charge against its
+    [|t1| + |t2| + |pairs|] bound. *)
 
 val sampled :
   sanitize:bool ->

@@ -477,8 +477,7 @@ module Naive = struct
   (* The seed's row-major implementation, retained verbatim in spirit:
      one flat [data] array, boxed hashtables, polymorphic sorts. It is
      the ground truth the columnar kernels are compared against under
-     ROX_SANITIZE=1 (RX306), the oracle of the property tests, and the
-     "old" side of bench/exp_relation. *)
+     ROX_SANITIZE=1 (RX306), and the oracle of the property tests. *)
 
   type r = { verts : int array; data : int array (* row-major *); nrows : int }
 

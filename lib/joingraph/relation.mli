@@ -111,8 +111,8 @@ val cross :
 
 (** The seed's row-major implementation, retained as the reference the
     columnar kernels are validated against: by the RX306 sanitizer
-    cross-check on every kernel call under [ROX_SANITIZE=1], by the
-    property tests, and as the "old" side of [bench/exp_relation]. *)
+    cross-check on every kernel call under [ROX_SANITIZE=1], and by the
+    property tests. *)
 module Naive : sig
   type r = { verts : int array; data : int array; nrows : int }
 

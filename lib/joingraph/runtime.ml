@@ -236,12 +236,12 @@ let charged_table ?meter t v =
     Rox_algebra.Cost.charge meter (Column.length tab);
     tab
 
-(* The cacheable unit of edge execution: the physical-variant descriptor
+(* The cacheable unit of edge execution: the physical variant's label
    (results are bit-identical only per variant — pair order differs between
    a hash join and an index nested-loop), the concrete input tables, and a
    thunk running the physical operator. *)
 type exec_plan = {
-  variant : string;
+  label : string;
   in1 : Column.t;
   in2 : Column.t;
   run : Rox_algebra.Cost.meter option -> Exec.pairs;
@@ -251,7 +251,7 @@ let edge_fingerprint t (e : Edge.t) plan () =
   let vdesc v = Vertex.fingerprint_label (Graph.vertex t.graph v) in
   Rox_cache.Fingerprint.make
     [
-      "edge"; plan.variant; vdesc e.Edge.v1; vdesc e.Edge.v2;
+      "edge"; plan.label; vdesc e.Edge.v1; vdesc e.Edge.v2;
       Rox_cache.Fingerprint.column plan.in1; Rox_cache.Fingerprint.column plan.in2;
     ]
 
@@ -277,62 +277,47 @@ let execute_edge_body ?meter t (e : Edge.t) =
    | Edge.Step _ -> ());
   (* Only the outer (context / probing) side is materialized and paid for;
      the inner side is served by the indices — the zero-investment
-     discipline the paper's Join Graph execution lives by. *)
+     discipline the paper's Join Graph execution lives by. Steps take the
+     smaller side as context; equi-joins run an index nested-loop from the
+     smaller side when the inner endpoint has a value-index access path,
+     a hash join otherwise. The label names the variant in cache keys. *)
   let outer_first = known_size t v1 <= known_size t v2 in
-  let plan =
+  let variant, label =
     match e.Edge.op with
     | Edge.Step axis ->
-      let dir = if outer_first then Exec.From_v1 else Exec.From_v2 in
-      let t1, t2, t1_domain, t2_domain =
-        match dir with
-        | Exec.From_v1 ->
-          let t2, t2_domain = table_or_index_domain t v2 in
-          (charged_table ?meter t v1, t2, None, t2_domain)
-        | Exec.From_v2 ->
-          let t1, t1_domain = table_or_index_domain t v1 in
-          (t1, charged_table ?meter t v2, t1_domain, None)
-      in
-      {
-        variant =
-          Printf.sprintf "step:%s:%s" (Rox_algebra.Axis.short_label axis)
-            (match dir with Exec.From_v1 -> "1" | Exec.From_v2 -> "2");
-        in1 = t1;
-        in2 = t2;
-        run =
-          (fun m ->
-            Exec.full_pairs ~sanitize:t.sanitize ?meter:m ~step_direction:dir ?t1_domain
-              ?t2_domain t.engine t.graph e ~t1 ~t2);
-      }
+      let dir, side = if outer_first then (Exec.From_v1, "1") else (Exec.From_v2, "2") in
+      ( Exec.Step_from dir,
+        Printf.sprintf "step:%s:%s" (Rox_algebra.Axis.short_label axis) side )
     | Edge.Equijoin ->
-      (* Index nested-loop from the smaller side when the inner endpoint
-         has a value-index access path; hash join otherwise. *)
-      let algo =
-        if outer_first && is_value_vertex t v2 then Exec.Algo_index_nl Exec.From_v1
-        else if is_value_vertex t v1 then Exec.Algo_index_nl Exec.From_v2
-        else Exec.Algo_hash
-      in
-      let t1, t2 =
-        match algo with
-        | Exec.Algo_index_nl Exec.From_v1 ->
-          (charged_table ?meter t v1, table_or_domain t v2)
-        | Exec.Algo_index_nl Exec.From_v2 ->
-          (table_or_domain t v1, charged_table ?meter t v2)
-        | Exec.Algo_hash ->
-          (charged_table ?meter t v1, charged_table ?meter t v2)
-      in
-      {
-        variant =
-          (match algo with
-           | Exec.Algo_hash -> "eq:hash"
-           | Exec.Algo_index_nl Exec.From_v1 -> "eq:nl1"
-           | Exec.Algo_index_nl Exec.From_v2 -> "eq:nl2");
-        in1 = t1;
-        in2 = t2;
-        run =
-          (fun m ->
-            Exec.full_pairs ~sanitize:t.sanitize ?meter:m ~equi_algo:algo
-              t.engine t.graph e ~t1 ~t2);
-      }
+      if outer_first && is_value_vertex t v2 then
+        (Exec.Index_nl_from Exec.From_v1, "eq:nl1")
+      else if is_value_vertex t v1 then (Exec.Index_nl_from Exec.From_v2, "eq:nl2")
+      else (Exec.Hash_join, "eq:hash")
+  in
+  let t1, t2, t1_domain, t2_domain =
+    match variant with
+    | Exec.Step_from Exec.From_v1 ->
+      let t2, t2_domain = table_or_index_domain t v2 in
+      (charged_table ?meter t v1, t2, None, t2_domain)
+    | Exec.Step_from Exec.From_v2 ->
+      let t1, t1_domain = table_or_index_domain t v1 in
+      (t1, charged_table ?meter t v2, t1_domain, None)
+    | Exec.Index_nl_from Exec.From_v1 ->
+      (charged_table ?meter t v1, table_or_domain t v2, None, None)
+    | Exec.Index_nl_from Exec.From_v2 ->
+      (table_or_domain t v1, charged_table ?meter t v2, None, None)
+    | Exec.Hash_join -> (charged_table ?meter t v1, charged_table ?meter t v2, None, None)
+  in
+  let plan =
+    {
+      label;
+      in1 = t1;
+      in2 = t2;
+      run =
+        (fun m ->
+          Exec.full_pairs ~sanitize:t.sanitize ?meter:m ~variant ?t1_domain ?t2_domain
+            t.engine t.graph e ~t1 ~t2);
+    }
   in
   let pairs = cached_pairs ?meter t e plan in
   let c1 = t.comp_of.(v1) and c2 = t.comp_of.(v2) in

@@ -5,8 +5,10 @@
     with metadata" flavour: an object with a ["traceEvents"] array of
     complete ([ph = "X"]) events, microsecond timestamps relative to the
     earliest span, one [tid] lane per sink. {!validate_chrome} checks
-    exactly the schema subset {!chrome_trace} promises — the [make
-    profile-smoke] gate parses the emitted file back and runs it. *)
+    exactly the schema subset {!chrome_trace} promises — [make
+    profile-smoke] parses its emitted file back and runs it, and the
+    serve test suite runs it on the retained trace a TRACE reply
+    carries. *)
 
 val chrome_trace :
   ?process_name:string -> (int * Sink.t) list -> string

@@ -72,6 +72,28 @@ let engine_of_trees trees =
   in
   (engine, refs)
 
+(* A fresh engine holding one generated XMark document as xmark.xml. *)
+let xmark_engine ?(factor = 0.02) () =
+  let engine = Rox_storage.Engine.create () in
+  let params = Rox_workload.Xmark.scaled factor in
+  ignore
+    (Rox_workload.Xmark.generate ~params engine ~uri:"xmark.xml"
+      : Rox_storage.Engine.docref);
+  engine
+
+(* XMark Q1 ([op] = "<") and Qm1 (">") of Section 3.2 at threshold
+   [theta], over xmark.xml. *)
+let xmark_q1 ~op ~theta =
+  Printf.sprintf
+    {|let $d := doc("xmark.xml")
+for $o in $d//open_auction[.//current/text() %s %d],
+    $p in $d//person[.//province],
+    $i in $d//item[./quantity = 1]
+where $o//bidder//personref/@person = $p/@id and
+      $o//itemref/@item = $i/@id
+return $o|}
+    op theta
+
 let engine_of_xml xml =
   let tree = Xml_parser.parse_string xml in
   let engine = Rox_storage.Engine.create () in

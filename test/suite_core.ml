@@ -5,23 +5,6 @@ open Rox_core
 open Helpers
 module Sink = Rox_telemetry.Sink
 
-let xmark_engine ?(factor = 0.02) () =
-  let engine = Engine.create () in
-  let params = Rox_workload.Xmark.scaled factor in
-  ignore (Rox_workload.Xmark.generate ~params engine ~uri:"xmark.xml");
-  engine
-
-let q1 threshold op =
-  Printf.sprintf
-    {|let $d := doc("xmark.xml")
-for $o in $d//open_auction[.//current/text() %s %d],
-    $p in $d//person[.//province],
-    $i in $d//item[./quantity = 1]
-where $o//bidder//personref/@person = $p/@id and
-      $o//itemref/@item = $i/@id
-return $o|}
-    op threshold
-
 let fig1_query =
   {|let $r := doc("xmark.xml")
 for $a in $r//open_auction[./reserve]/bidder//personref,
@@ -40,13 +23,13 @@ let answers_match engine compiled answer =
 
 let test_rox_q1_correct () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   let answer, _ = Optimizer.answer_default compiled in
   check_bool "ROX = naive on Q1" true (answers_match engine compiled answer)
 
 let test_rox_qm1_correct () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 ">") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:">" ~theta:145) in
   let answer, _ = Optimizer.answer_default compiled in
   check_bool "ROX = naive on Qm1" true (answers_match engine compiled answer)
 
@@ -58,7 +41,7 @@ let test_rox_fig1_correct () =
 
 let test_rox_nonempty () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   let answer, _ = Optimizer.answer_default compiled in
   check_bool "answer nonempty at this scale" true (Array.length answer > 0)
 
@@ -100,7 +83,7 @@ let test_rox_nan_text () =
 
 let test_rox_deterministic () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   let r1 = Optimizer.run_default compiled in
   let r2 = Optimizer.run_default compiled in
   check_bool "same edge order" true (r1.Optimizer.edge_order = r2.Optimizer.edge_order);
@@ -109,7 +92,7 @@ let test_rox_deterministic () =
 
 let test_rox_seed_sensitivity () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   let s1 = Session.create ~config:{ (Session.default_config ()) with Session.seed = 1 } () in
   let a1, _ = Optimizer.answer s1 compiled in
   let s2 = Session.create ~config:{ (Session.default_config ()) with Session.seed = 99 } () in
@@ -120,7 +103,7 @@ let test_rox_seed_sensitivity () =
 
 let ablation_correct config () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   let answer, _ = Optimizer.answer (Session.create ~config ()) compiled in
   check_bool "ablated optimizer still correct" true (answers_match engine compiled answer)
 
@@ -135,7 +118,7 @@ let test_ablation_fixed_cutoff () =
 
 let test_tau_variants () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   List.iter
     (fun tau ->
       let config = { (Session.default_config ()) with Session.tau } in
@@ -169,15 +152,15 @@ let test_correlation_defers_bidders () =
      must finish with bounded work. The sharper check: work on Qm1's plan
      must stay within a small factor of Q1's despite ~3x denser bidders. *)
   let engine = xmark_engine ~factor:0.05 () in
-  let c1 = Compile.compile_string engine (q1 145 "<") in
-  let cm1 = Compile.compile_string engine (q1 145 ">") in
+  let c1 = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
+  let cm1 = Compile.compile_string engine (xmark_q1 ~op:">" ~theta:145) in
   let r1 = Optimizer.run_default c1 in
   let rm1 = Optimizer.run_default cm1 in
   let w1 = Rox_algebra.Cost.total r1.Optimizer.counter in
   let wm1 = Rox_algebra.Cost.total rm1.Optimizer.counter in
   check_bool "both complete" true (w1 > 0 && wm1 > 0);
-  let pos1, len1 = bidder_edge_position engine (q1 145 "<") in
-  let posm, lenm = bidder_edge_position engine (q1 145 ">") in
+  let pos1, len1 = bidder_edge_position engine (xmark_q1 ~op:"<" ~theta:145) in
+  let posm, lenm = bidder_edge_position engine (xmark_q1 ~op:">" ~theta:145) in
   check_bool "bidder edge executed in both" true (pos1 <> None && posm <> None);
   (* The dense-bidder query defers the open_auction->bidder expansion at
      least as late (relative position) as the sparse one. *)
@@ -221,7 +204,7 @@ return $a|}
 
 let test_state_init_and_weights () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   let state = State.create (Session.create ()) engine compiled.Compile.graph in
   let graph = compiled.Compile.graph in
   (* Element vertex init works, bare-range text vertex does not. *)
@@ -271,7 +254,7 @@ let test_estimate_accuracy_uniform () =
 
 let test_trace_records () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   let sink = Sink.create ~enabled:true () in
   let result = Optimizer.run (Session.create ~telemetry:sink ()) compiled in
   let events = Sink.events sink in
@@ -286,7 +269,7 @@ let test_trace_records () =
 
 let test_work_buckets_populated () =
   let engine = xmark_engine () in
-  let compiled = Compile.compile_string engine (q1 145 "<") in
+  let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
   let result = Optimizer.run_default compiled in
   let c = result.Optimizer.counter in
   check_bool "sampling work" true (Rox_algebra.Cost.read c Rox_algebra.Cost.Sampling > 0);
@@ -327,8 +310,8 @@ let test_replay_parity () =
       if name = "DBLP" then
         check_bool "DBLP: repeats replayed" true (sampled_replays sink > 0))
     [
-      ("Q1", xmark, Compile.compile_string xmark (q1 145 "<"));
-      ("Qm1", xmark, Compile.compile_string xmark (q1 145 ">"));
+      ("Q1", xmark, Compile.compile_string xmark (xmark_q1 ~op:"<" ~theta:145));
+      ("Qm1", xmark, Compile.compile_string xmark (xmark_q1 ~op:">" ~theta:145));
       ("DBLP", dblp_engine, dblp);
     ]
 

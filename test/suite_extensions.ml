@@ -10,14 +10,6 @@ open Helpers
 
 let session_with adjust = Session.create ~config:(adjust (Session.default_config ())) ()
 
-let xmark_engine () =
-  let engine = Engine.create () in
-  ignore
-    (Rox_workload.Xmark.generate ~params:(Rox_workload.Xmark.scaled 0.02) engine
-       ~uri:"xmark.xml"
-      : Engine.docref);
-  engine
-
 let q1 =
   {|let $d := doc("xmark.xml")
 for $o in $d//open_auction[.//current/text() < 145],
@@ -54,7 +46,8 @@ let test_runtime_runs_from_empty_side () =
   let kernel dir =
     units (fun meter ->
         ignore
-          (Exec.full_pairs ~sanitize ~meter ~step_direction:dir engine graph e ~t1 ~t2
+          (Exec.full_pairs ~sanitize ~meter ~variant:(Exec.Step_from dir) engine graph e
+             ~t1 ~t2
             : Exec.pairs))
   in
   let rt = Runtime.create engine graph in

@@ -214,17 +214,6 @@ let prop_text_range_matches =
       && Column.flag_honest got
       && Value_index.text_range_count r.Engine.values ?lo ?hi () = Column.length got)
 
-let xmark_q1 ~op ~theta =
-  Printf.sprintf
-    {|let $d := doc("xmark.xml")
-for $o in $d//open_auction[.//current/text() %s %d],
-    $p in $d//person[.//province],
-    $i in $d//item[./quantity = 1]
-where $o//bidder//personref/@person = $p/@id and
-      $o//itemref/@item = $i/@id
-return $o|}
-    op theta
-
 let run_seeded ?table_fraction ~seed compiled =
   let config =
     { (Rox_core.Session.default_config ()) with

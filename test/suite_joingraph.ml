@@ -113,8 +113,8 @@ let test_full_pairs_directions () =
   let engine = two_doc_engine () in
   let g, a, t, e = step_graph engine in
   let t1 = Exec.vertex_domain engine a and t2 = Exec.vertex_domain engine t in
-  let fwd = Exec.full_pairs ~sanitize ~step_direction:Exec.From_v1 engine g e ~t1 ~t2 in
-  let rev = Exec.full_pairs ~sanitize ~step_direction:Exec.From_v2 engine g e ~t1 ~t2 in
+  let pairs dir = Exec.full_pairs ~sanitize ~variant:(Exec.Step_from dir) engine g e ~t1 ~t2 in
+  let fwd = pairs Exec.From_v1 and rev = pairs Exec.From_v2 in
   let norm p =
     List.sort compare
       (List.combine (Array.to_list (arr p.Exec.left)) (Array.to_list (arr p.Exec.right)))
@@ -438,21 +438,7 @@ let replay_refresh ~sanitize (compiled : Rox_xquery.Compile.compiled) =
   !carried
 
 let test_runtime_refresh_by_hand () =
-  let xmark = Rox_storage.Engine.create () in
-  ignore
-    (Rox_workload.Xmark.generate ~params:(Rox_workload.Xmark.scaled 0.05) xmark ~uri:"xmark.xml"
-      : Rox_storage.Engine.docref);
-  let q1 op =
-    Printf.sprintf
-      {|let $d := doc("xmark.xml")
-for $o in $d//open_auction[.//current/text() %s 145],
-    $p in $d//person[.//province],
-    $i in $d//item[./quantity = 1]
-where $o//bidder//personref/@person = $p/@id and
-      $o//itemref/@item = $i/@id
-return $o|}
-      op
-  in
+  let xmark = xmark_engine ~factor:0.05 () in
   let dblp = Rox_storage.Engine.create () in
   let venues = [ "VLDB"; "ICDE"; "SIGMOD"; "EDBT" ] in
   ignore
@@ -462,8 +448,8 @@ return $o|}
       : Rox_workload.Dblp.loaded list);
   let queries =
     [
-      Rox_xquery.Compile.compile_string xmark (q1 "<");
-      Rox_xquery.Compile.compile_string xmark (q1 ">");
+      Rox_xquery.Compile.compile_string xmark (xmark_q1 ~op:"<" ~theta:145);
+      Rox_xquery.Compile.compile_string xmark (xmark_q1 ~op:">" ~theta:145);
       Rox_xquery.Compile.compile_string dblp
         (Rox_workload.Dblp.query_for (List.map (fun v -> v ^ ".xml") venues));
     ]

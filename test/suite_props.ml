@@ -188,8 +188,8 @@ let prop_index_domain_walk =
       in
       let full ?t2_domain () =
         metered (fun meter ->
-            Exec.full_pairs ~sanitize ?meter ~step_direction:Exec.From_v1 ?t2_domain engine g e
-              ~t1:context ~t2:candidates)
+            Exec.full_pairs ~sanitize ?meter ~variant:(Exec.Step_from Exec.From_v1) ?t2_domain
+              engine g e ~t1:context ~t2:candidates)
       in
       let cut_d, units_d = cut ?domain () and cut_c, units_c = cut () in
       let sampled_d, sunits_d = sampled None

@@ -991,17 +991,6 @@ let test_slow_log_write_failure () =
 
 (* ---------- multi-domain replay over one shared cache ----------------- *)
 
-let xmark_query op =
-  Printf.sprintf
-    {|let $d := doc("xmark.xml")
-for $o in $d//open_auction[.//current/text() %s 145],
-    $p in $d//person[.//province],
-    $i in $d//item[./quantity = 1]
-where $o//bidder//personref/@person = $p/@id and
-      $o//itemref/@item = $i/@id
-return $o|}
-    op
-
 let showdown_query =
   {|let $d := doc("xmark.xml")
 for $o in $d//open_auction[.//current/text() > 145],
@@ -1010,25 +999,27 @@ where $o//bidder//personref/@person = $p/@id
 return $o|}
 
 (* Two passes over the XMark pair and the showdown query from four
-   domains at once: first as sessions on one 8 MiB store, then as client
-   requests to a 2-worker server over the same store. Every answer equals
-   the single-domain one-shot answer, and the server's books balance
+   domains at once: as cache-off sessions, as sessions on one 8 MiB
+   store, then as client requests to a 2-worker server over the same
+   store. Every answer equals the single-domain one-shot answer, the
+   server's ledger counts one served query per request (each request's
+   registry merged into it once), and its books balance
    (RX601/RX603/RX701). *)
 let test_multi_domain_replay () =
-  let engine = Rox_storage.Engine.create () in
-  ignore
-    (Rox_workload.Xmark.generate ~params:(Rox_workload.Xmark.scaled 0.02)
-       engine ~uri:"xmark.xml"
-      : Rox_storage.Engine.docref);
-  let queries = [ xmark_query "<"; xmark_query ">"; showdown_query ] in
+  let engine = Helpers.xmark_engine () in
+  let queries =
+    [ Helpers.xmark_q1 ~op:"<" ~theta:145; Helpers.xmark_q1 ~op:">" ~theta:145;
+      showdown_query ]
+  in
   let expected = List.map (reference_ids engine) queries in
   Alcotest.(check bool) "answers are not empty" true
     (List.for_all (fun ids -> Array.length ids > 0) expected);
   let cache = Rox_cache.Store.of_megabytes engine 8 in
+  let domains = 4 and passes = 2 in
   let on_four_domains answer =
-    List.init 4 (fun i ->
+    List.init domains (fun i ->
         Domain.spawn (fun () ->
-            List.init 2 (fun _ -> List.map (answer i) queries)))
+            List.init passes (fun _ -> List.map (answer i) queries)))
     |> List.iter (fun d ->
            List.iter
              (Alcotest.(check (list (array int))) "one-shot answers" expected)
@@ -1037,14 +1028,17 @@ let test_multi_domain_replay () =
   let compiled =
     List.map (fun q -> (q, Rox_xquery.Compile.compile_string engine q)) queries
   in
-  on_four_domains (fun _ q ->
-      let session =
-        Rox_core.Session.create ~cache
-          ~telemetry:(Rox_telemetry.Sink.create ~enabled:true ())
-          ()
-      in
-      Rox_core.Session.confine session (fun () ->
-          fst (Rox_core.Optimizer.answer session (List.assoc q compiled))));
+  let session_answer ?cache q =
+    let session =
+      Rox_core.Session.create ?cache
+        ~telemetry:(Rox_telemetry.Sink.create ~enabled:true ())
+        ()
+    in
+    Rox_core.Session.confine session (fun () ->
+        fst (Rox_core.Optimizer.answer session (List.assoc q compiled)))
+  in
+  on_four_domains (fun _ q -> session_answer q);
+  on_four_domains (fun _ q -> session_answer ~cache q);
   let server =
     S.create (S.config ~cache ~workers:2 ~queue_capacity:64 engine)
   in
@@ -1052,6 +1046,9 @@ let test_multi_domain_replay () =
       answer_ids
         (S.submit server (P.query ~client_id:(Printf.sprintf "domain%d" i) q)));
   S.shutdown server;
+  Alcotest.(check int) "ledger: one served query per request"
+    (domains * passes * List.length queries)
+    (S.metrics server).Rox_telemetry.Metrics.queries_served.Rox_telemetry.Metrics.c_value;
   Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
 
 let suite =
