@@ -1,8 +1,7 @@
 (* Ablations of ROX's design choices (see DESIGN.md):
    - re-sampling after each execution vs frozen Phase-1 weights
      (independence assumption);
-   - chain sampling vs greedy smallest-weight edge;
-   - growing cut-off vs fixed tau cut-off (front-bias mitigation). *)
+   - chain sampling vs greedy smallest-weight edge. *)
 
 open Rox_xquery
 open Rox_workload
@@ -16,7 +15,6 @@ let variants () =
     ("ROX (full)", base_config ());
     ("no resample", { (base_config ()) with Session.resample = false });
     ("greedy (no chain)", { (base_config ()) with Session.use_chain = false });
-    ("fixed cutoff", { (base_config ()) with Session.grow_cutoff = false });
   ]
 
 let measure compiled config =
@@ -26,7 +24,7 @@ let measure compiled config =
     Rox_algebra.Cost.read c Rox_algebra.Cost.Execution )
 
 let run () =
-  header "Ablations: chain sampling, re-sampling, cut-off growth";
+  header "Ablations: chain sampling, re-sampling";
   (* XMark Q1 / Qm1. *)
   let engine = xmark_engine ~factor:1.0 () in
   let queries =

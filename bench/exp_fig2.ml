@@ -59,6 +59,7 @@ let run () =
             match trigger with
             | `Stopping_condition -> "stopping condition"
             | `Exhausted -> "branches exhausted"
+            | `Cannot_pay -> "sampling reached the cheapest segment's cost"
             | `Single_edge -> "single edge"
           in
           Some (Printf.sprintf "chose segment [%s] (%s)"

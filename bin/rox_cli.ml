@@ -720,8 +720,9 @@ let serve_cmd =
                  (default 256).")
   in
   let cache_mb =
-    Arg.(value & opt int 0 & info [ "cache-mb" ] ~docv:"MB"
-           ~doc:"Cross-query cache budget shared by all workers (0 = off).")
+    Arg.(value & opt (int_at_least 0) 0 & info [ "cache-mb" ] ~docv:"MB"
+           ~doc:"Cross-query cache budget shared by all workers, at least 0 \
+                 (0 = off).")
   in
   let doc =
     "Serve queries over a length-prefixed socket protocol (QUERY/PING/STATS/\

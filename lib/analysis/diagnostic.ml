@@ -152,10 +152,12 @@ let registry =
          chain round chose it (Algorithm 1/2); an unweighted execution \
          bypassed the run-time evidence the paper is built on." };
     { ci_code = "RX105"; ci_severity = Error;
-      ci_summary = "chain rounds not consecutive or cutoff not monotone";
+      ci_summary = "chain rounds off-script: not consecutive, cutoff not monotone, or an unjustified stop";
       ci_detail =
-        "Chain sampling proceeds in rounds with a non-decreasing cutoff; \
-         violations mean the Algorithm 2 loop went off-script." };
+        "Chain sampling proceeds in rounds with a non-decreasing cutoff \
+         and stops on line 26 exactly when a segment of its last round \
+         dominates every other; violations mean the Algorithm 2 loop went \
+         off-script." };
     { ci_code = "RX106"; ci_severity = Error;
       ci_summary = "chain-chosen edges do not form a connected path from the chain source";
       ci_detail =

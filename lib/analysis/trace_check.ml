@@ -19,6 +19,7 @@ type replay = {
   mutable chain : (int * int) option;  (** (source, min_edge) *)
   mutable chain_round : int;
   mutable chain_cutoff : int;
+  mutable chain_last : Sink.chain_path list;  (** the last round's segments *)
   mutable next_order : int;
 }
 
@@ -57,6 +58,33 @@ let path_connected graph source edges =
     edges;
   !ok
 
+(* Line 26 over a round's recorded statistics: the segment whose (cost, sf)
+   makes executing it first help every other one. *)
+let dominating (paths : Sink.chain_path list) =
+  List.find_opt
+    (fun (pi : Sink.chain_path) ->
+      List.for_all
+        (fun (pj : Sink.chain_path) ->
+          pj == pi || pi.Sink.cost +. (pi.Sink.sf *. pj.Sink.cost) <= pj.Sink.cost)
+        paths)
+    paths
+
+(* A chain's stop must be the one its last round justifies: line 26 holds
+   for [stopping_condition] and fails for the line-34 stops. *)
+let stop_findings r (trigger : Rox_telemetry.Metrics.chain_trigger) =
+  let label = Rox_telemetry.Metrics.chain_trigger_label trigger in
+  match (trigger, r.chain_last, dominating r.chain_last) with
+  | `Single_edge, _, _ ->
+    [ Printf.sprintf "a started chain ended as %s" label ]
+  | _, [], _ -> [ Printf.sprintf "chain stopped (%s) before any round" label ]
+  | `Stopping_condition, _, None ->
+    [ Printf.sprintf "chain stopped on line 26 but no segment of round %d dominates"
+        r.chain_round ]
+  | (`Exhausted | `Cannot_pay), _, Some p ->
+    [ Printf.sprintf "chain stopped (%s) although segment %s of round %d dominates (line 26)"
+        label p.Sink.label r.chain_round ]
+  | _ -> []
+
 let check (g : Graph.t) (sink : Sink.t) =
   let out = ref [] in
   let add d = out := d :: !out in
@@ -73,6 +101,7 @@ let check (g : Graph.t) (sink : Sink.t) =
       chain = None;
       chain_round = 0;
       chain_cutoff = 0;
+      chain_last = [];
       next_order = 1;
     }
   in
@@ -105,6 +134,7 @@ let check (g : Graph.t) (sink : Sink.t) =
       | Sink.Chain_started { source; min_edge } ->
         r.chain_round <- 0;
         r.chain_cutoff <- 0;
+        r.chain_last <- [];
         if not (valid_edge min_edge) then begin
           r.chain <- None;
           add
@@ -141,6 +171,7 @@ let check (g : Graph.t) (sink : Sink.t) =
             add (D.error "RX105" loc (Printf.sprintf "cutoff %d is not positive" cutoff));
           r.chain_round <- round;
           r.chain_cutoff <- max r.chain_cutoff cutoff;
+          r.chain_last <- paths;
           List.iter
             (fun (p : Sink.chain_path) ->
               if bad_stat p.Sink.cost || bad_stat p.Sink.sf then
@@ -150,13 +181,14 @@ let check (g : Graph.t) (sink : Sink.t) =
                         (string_of_float p.Sink.cost) (string_of_float p.Sink.sf))))
             paths
         end
-      | Sink.Chain_chosen { edges; trigger = _ } ->
+      | Sink.Chain_chosen { edges; trigger } ->
         (match r.chain with
          | None ->
            add
              (D.error "RX106" loc
                 "chain choice emitted outside a chain (no Chain_started)")
          | Some (source, _min_edge) ->
+           List.iter (fun msg -> add (D.error "RX105" loc msg)) (stop_findings r trigger);
            let ids_ok =
              List.for_all
                (fun id ->

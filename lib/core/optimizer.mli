@@ -16,8 +16,7 @@
     - [use_chain = false] — greedy smallest-weight-edge execution, no
       look-ahead;
     - [resample = false] — weights are never refreshed after Phase 1 (the
-      independence assumption a classical optimizer is stuck with);
-    - [grow_cutoff = false] — chain sampling keeps a fixed cut-off τ. *)
+      independence assumption a classical optimizer is stuck with). *)
 
 type result = Driver.result = {
   runtime : Rox_joingraph.Runtime.t;

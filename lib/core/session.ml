@@ -17,7 +17,6 @@ type config = {
   tau : int;
   use_chain : bool;
   resample : bool;
-  grow_cutoff : bool;
   table_fraction : float option;
   sanitize : bool;
   budgets : budgets;
@@ -32,7 +31,6 @@ let default_config () =
     tau = 100;
     use_chain = true;
     resample = true;
-    grow_cutoff = true;
     table_fraction = None;
     sanitize = Sanitize.env_default;
     budgets = default_budgets;
@@ -155,11 +153,10 @@ let flight_record t recorder ~query ~plan ~latency_ns ~status =
 let describe t =
   let b = t.config.budgets in
   Printf.sprintf
-    "session client=%s seed=%d tau=%d chain=%b resample=%b grow_cutoff=%b \
+    "session client=%s seed=%d tau=%d chain=%b resample=%b \
      table_fraction=%s sanitize=%b max_rows=%d deadline_ms=%s \
      max_sampled_rows=%s cache=%b telemetry=%b"
     t.config.client_id t.config.seed t.config.tau t.config.use_chain t.config.resample
-    t.config.grow_cutoff
     (match t.config.table_fraction with
      | None -> "-"
      | Some f -> string_of_float f)

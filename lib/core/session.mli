@@ -33,7 +33,6 @@ type config = {
   tau : int;                     (** sample size τ (default 100) *)
   use_chain : bool;              (** chain sampling vs greedy (ablation) *)
   resample : bool;               (** refresh weights after execution *)
-  grow_cutoff : bool;            (** grow the chain cut-off by τ per round *)
   table_fraction : float option; (** approximate mode (Section 6) *)
   sanitize : bool;               (** operator-contract checking mode *)
   budgets : budgets;

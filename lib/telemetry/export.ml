@@ -148,6 +148,15 @@ let prometheus (m : Metrics.t) =
       Printf.bprintf buf "%s %d\n" c.Metrics.c_name c.Metrics.c_value)
     (Metrics.counters m);
   List.iter
+    (fun (l : Metrics.labelled) ->
+      head l.Metrics.l_name l.Metrics.l_help "counter";
+      Array.iteri
+        (fun i v ->
+          Printf.bprintf buf "%s{%s=\"%s\"} %d\n" l.Metrics.l_name l.Metrics.l_key
+            (escape_label v) l.Metrics.l_counts.(i))
+        l.Metrics.l_values)
+    (Metrics.labelled_counters m);
+  List.iter
     (fun (g : Metrics.gauge) ->
       head g.Metrics.g_name g.Metrics.g_help "gauge";
       Printf.bprintf buf "%s %g\n" g.Metrics.g_name g.Metrics.g_value)
@@ -204,6 +213,13 @@ let profile ?work_units (m : Metrics.t) =
   line "sampled runs        %s | %d replayed" (hist_line m.Metrics.sampled_run_ns)
     (c m.Metrics.sampled_replays);
   line "chain rounds        %s" (hist_line m.Metrics.chain_round_ns);
+  let stops = m.Metrics.chain_stops in
+  line "chain stops         %s"
+    (String.concat " | "
+       (Array.to_list
+          (Array.mapi
+             (fun i v -> Printf.sprintf "%s %d" v stops.Metrics.l_counts.(i))
+             stops.Metrics.l_values)));
   line "cache               relation %s | estimate %s"
     (ratio_line (c m.Metrics.relation_cache_hits) (c m.Metrics.relation_cache_misses))
     (ratio_line (c m.Metrics.estimate_cache_hits) (c m.Metrics.estimate_cache_misses));

@@ -42,7 +42,8 @@ val histogram_series :
 
 val prometheus : Metrics.t -> string
 (** Text exposition format: [# HELP] / [# TYPE] per instrument, counters
-    as [_total], histograms as cumulative [_bucket{le="..."}] ladders
+    as [_total] (a labelled counter as one [name{key="value"}] line per
+    value), histograms as cumulative [_bucket{le="..."}] ladders
     (log₂ bounds, buckets past the last observation folded into [+Inf])
     plus [_sum] and [_count]. *)
 

@@ -20,6 +20,22 @@ type histogram = {
   h_buckets : int array;
 }
 
+type labelled = {
+  l_name : string;
+  l_help : string;
+  l_key : string;
+  l_values : string array;
+  l_counts : int array;
+}
+
+type chain_trigger = [ `Stopping_condition | `Exhausted | `Cannot_pay | `Single_edge ]
+
+let chain_trigger_label : chain_trigger -> string = function
+  | `Stopping_condition -> "stopping_condition"
+  | `Exhausted -> "exhausted"
+  | `Cannot_pay -> "cannot_pay"
+  | `Single_edge -> "single_edge"
+
 type t = {
   compile_ns : histogram;
   query_ns : histogram;
@@ -37,6 +53,7 @@ type t = {
   pairs_emitted : counter;
   edges_executed : counter;
   chain_rounds : counter;
+  chain_stops : labelled;
   queries_served : counter;
   budget_aborts : counter;
   spans_dropped : counter;
@@ -52,6 +69,10 @@ type t = {
 
 let counter name help = { c_name = name; c_help = help; c_value = 0 }
 let gauge name help = { g_name = name; g_help = help; g_value = 0.0 }
+
+let labelled name help key values =
+  { l_name = name; l_help = help; l_key = key; l_values = Array.of_list values;
+    l_counts = Array.make (List.length values) 0 }
 
 let histogram name help =
   { h_name = name; h_help = help; h_count = 0; h_sum = 0;
@@ -90,6 +111,11 @@ let create () =
     pairs_emitted = counter "rox_pairs_emitted_total" "join pairs produced by edge executions";
     edges_executed = counter "rox_edges_executed_total" "full edge executions";
     chain_rounds = counter "rox_chain_rounds_total" "chain-sampling rounds run";
+    chain_stops =
+      labelled "rox_chain_stops_total" "chain-sampling decisions, by the rule that ended them"
+        "trigger"
+        (List.map chain_trigger_label
+           [ `Stopping_condition; `Exhausted; `Cannot_pay; `Single_edge ]);
     queries_served = counter "rox_queries_served_total" "optimized query runs completed";
     budget_aborts =
       counter "rox_budget_aborts_total" "runs aborted by a deadline or sampling budget";
@@ -117,6 +143,16 @@ let create () =
 
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let set g v = g.g_value <- v
+
+let incr_label ?(by = 1) l value =
+  let rec find i =
+    if i >= Array.length l.l_values then
+      invalid_arg (Printf.sprintf "Metrics.incr_label: %s has no %s %S" l.l_name l.l_key value)
+    else if String.equal l.l_values.(i) value then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  l.l_counts.(i) <- l.l_counts.(i) + by
 
 (* Index of the highest set bit: values in [2^i, 2^(i+1)) land in bucket i;
    everything <= 1 lands in bucket 0. *)
@@ -179,6 +215,8 @@ let counters t =
     t.requests_received; t.responses_sent; t.admission_rejects;
   ]
 
+let labelled_counters t = [ t.chain_stops ]
+
 let gauges t = [ t.cache_resident_bytes; t.cache_lock_waits; t.queue_depth ]
 
 let histograms t =
@@ -189,6 +227,10 @@ let add_into ~into t =
   List.iter2
     (fun (a : counter) b -> a.c_value <- a.c_value + b.c_value)
     (counters into) (counters t);
+  List.iter2
+    (fun (a : labelled) b ->
+      Array.iteri (fun i n -> a.l_counts.(i) <- a.l_counts.(i) + n) b.l_counts)
+    (labelled_counters into) (labelled_counters t);
   List.iter2
     (fun (a : gauge) b -> a.g_value <- Float.max a.g_value b.g_value)
     (gauges into) (gauges t);

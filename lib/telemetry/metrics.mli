@@ -25,6 +25,28 @@ type gauge = private {
   mutable g_value : float;
 }
 
+(** A counter family with one label: one count per label value, the
+    values fixed when the instrument is created (Prometheus exports one
+    series per value). *)
+type labelled = private {
+  l_name : string;
+  l_help : string;
+  l_key : string;             (** the label's name, e.g. ["trigger"] *)
+  l_values : string array;    (** the label's values, in export order *)
+  l_counts : int array;       (** one count per value, aligned with [l_values] *)
+}
+
+(** Why one chain-sampling decision (Algorithm 2) ended: a segment
+    dominated every other (line 26), no segment could be extended (line
+    34), the chain's own sampled work reached the cheapest segment's
+    estimated cost, or the minimum-weight edge had no branching endpoint
+    and ran without a chain. *)
+type chain_trigger = [ `Stopping_condition | `Exhausted | `Cannot_pay | `Single_edge ]
+
+val chain_trigger_label : chain_trigger -> string
+(** ["stopping_condition"], ["exhausted"], ["cannot_pay"], ["single_edge"]:
+    the values of {!t.chain_stops} and the trace's [trigger] attribute. *)
+
 val n_buckets : int
 (** 62: bucket [i] covers [[2^i, 2^(i+1))]. *)
 
@@ -55,6 +77,7 @@ type t = {
   pairs_emitted : counter;       (** join pairs produced by edge exec *)
   edges_executed : counter;
   chain_rounds : counter;
+  chain_stops : labelled;        (** chain decisions per {!chain_trigger} *)
   queries_served : counter;
   budget_aborts : counter;       (** runs ended by [Cost.Budget_exceeded] *)
   spans_dropped : counter;       (** spans and events lost to the sink's buffer cap *)
@@ -80,6 +103,10 @@ val histogram : string -> string -> histogram
 val incr : ?by:int -> counter -> unit
 val set : gauge -> float -> unit
 
+val incr_label : ?by:int -> labelled -> string -> unit
+(** [incr_label l value] adds to [value]'s count; no allocation.
+    @raise Invalid_argument when [value] is not one of [l]'s values. *)
+
 val observe : histogram -> int -> unit
 (** [observe h v] records one observation of [v] (values ≤ 0 land in
     bucket 0 and contribute 0 to the sum). *)
@@ -102,16 +129,18 @@ val quantile : histogram -> float -> float
     log-uniform populations. 0 for an empty histogram. *)
 
 val counters : t -> counter list
+val labelled_counters : t -> labelled list
 val gauges : t -> gauge list
 val histograms : t -> histogram list
 (** Stable enumeration order — exporters and {!add_into} rely on the two
     lists of a pair of registries being positionally aligned. *)
 
 val add_into : into:t -> t -> unit
-(** Merge [t] into [into]: counters and histograms add, gauges take the
-    max. The multi-domain server builds its one ledger from this: each
-    request's session registry is merged into the server's own registry
-    under the server's mutex ([Rox_serve.Server.metrics]).
+(** Merge [t] into [into]: counters (labelled ones per value) and
+    histograms add, gauges take the max. The multi-domain server builds
+    its one ledger from this: each request's session registry is merged
+    into the server's own registry under the server's mutex
+    ([Rox_serve.Server.metrics]).
 
     The counter-vs-gauge rule. A *counter* measures work this registry's
     owner performed itself (requests served, rows materialized, spans

@@ -21,7 +21,7 @@ type event =
   | Chain_round of { round : int; cutoff : int; paths : chain_path list }
   | Chain_chosen of {
       edges : int list;
-      trigger : [ `Stopping_condition | `Exhausted | `Single_edge ];
+      trigger : Metrics.chain_trigger;
     }
   | Edge_executed of { edge : int; order : int; pairs : int; rel_rows : int }
   | Cache_lookup of { edge : int; store : [ `Relation | `Estimate ]; hit : bool }
@@ -166,11 +166,6 @@ let cache_lookups ?store t = count_lookups ?store ~hits_only:false t
 
 let store_label = function `Relation -> "relation" | `Estimate -> "estimate"
 
-let trigger_label = function
-  | `Stopping_condition -> "stopping_condition"
-  | `Exhausted -> "exhausted"
-  | `Single_edge -> "single_edge"
-
 let event_span at depth ev =
   let i = string_of_int and f = Printf.sprintf "%g" in
   let name, attrs =
@@ -191,7 +186,7 @@ let event_span at depth ev =
     | Chain_chosen { edges; trigger } ->
       ( "chain_chosen",
         [ ("edges", String.concat " " (List.map i edges));
-          ("trigger", trigger_label trigger) ] )
+          ("trigger", Metrics.chain_trigger_label trigger) ] )
     | Edge_executed { edge; order; pairs; rel_rows } ->
       ( "edge_executed",
         [ ("edge", i edge); ("order", i order); ("pairs", i pairs);

@@ -51,7 +51,7 @@ type event =
   | Chain_round of { round : int; cutoff : int; paths : chain_path list }
   | Chain_chosen of {
       edges : int list;
-      trigger : [ `Stopping_condition | `Exhausted | `Single_edge ];
+      trigger : Metrics.chain_trigger;
     }
   | Edge_executed of { edge : int; order : int; pairs : int; rel_rows : int }
   | Cache_lookup of { edge : int; store : [ `Relation | `Estimate ]; hit : bool }

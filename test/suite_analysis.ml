@@ -173,6 +173,30 @@ let test_trace_nonmonotone_cutoff () =
   in
   check_bool "RX105 fires" true (has_error "RX105" (Trace_check.check g t))
 
+(* A stop must be the one the last round's (cost, sf) justify: line 26
+   (20 + 0.1·40 <= 40) holds here, so only [stopping_condition] fits. *)
+let test_trace_unjustified_stop () =
+  let g, _, step = small_graph () in
+  let stop_with trigger =
+    trace_of
+      [
+        Sink.Chain_started { source = step.Edge.v1; min_edge = step.Edge.id };
+        Sink.Chain_round
+          { round = 1; cutoff = 100;
+            paths =
+              [ { Sink.label = "p1"; via = "a~b"; cost = 20.0; sf = 0.1 };
+                { Sink.label = "p2"; via = "a~c"; cost = 40.0; sf = 2.0 } ] };
+        Sink.Chain_chosen { edges = [ step.Edge.id ]; trigger };
+      ]
+  in
+  check_bool "line 26 holds: stopping_condition is clean" false
+    (has_error "RX105" (Trace_check.check g (stop_with `Stopping_condition)));
+  List.iter
+    (fun trigger ->
+      check_bool "a line-34 stop despite a dominating segment is RX105" true
+        (has_error "RX105" (Trace_check.check g (stop_with trigger))))
+    [ `Cannot_pay; `Exhausted ]
+
 let test_trace_disconnected_chain () =
   let g = Graph.create () in
   let a = Graph.add_vertex g ~doc_id:0 (Vertex.Element "a") in
@@ -290,6 +314,8 @@ let suite =
       test_trace_trivial_executed;
     Alcotest.test_case "trace: non-monotone cutoff -> RX105" `Quick
       test_trace_nonmonotone_cutoff;
+    Alcotest.test_case "trace: unjustified chain stop -> RX105" `Quick
+      test_trace_unjustified_stop;
     Alcotest.test_case "trace: disconnected chain -> RX106" `Quick
       test_trace_disconnected_chain;
     Alcotest.test_case "trace: cardinality accounting -> RX108" `Quick

@@ -113,9 +113,6 @@ let test_ablation_greedy () =
 let test_ablation_noresample () =
   ablation_correct { (Session.default_config ()) with Session.resample = false } ()
 
-let test_ablation_fixed_cutoff () =
-  ablation_correct { (Session.default_config ()) with Session.grow_cutoff = false } ()
-
 let test_tau_variants () =
   let engine = xmark_engine () in
   let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
@@ -199,6 +196,109 @@ return $a|}
     List.exists (function Sink.Chain_chosen _ -> true | _ -> false) (Sink.events sink)
   in
   check_bool "chain sampling engaged" true chose
+
+(* Algorithm 2's estimator on Figure 2's planted document: 2000 a's, each
+   with a b; every 100th b has a c with two d's. The chain starts at c (20
+   nodes, all sampled, so one sampled tuple stands for one full-table
+   tuple): via b~c it carries 20 tuples (sf 1), via c~d 40 (sf 2). *)
+let fig2_engine () =
+  let buf = Buffer.create (1 lsl 16) in
+  Buffer.add_string buf "<r>";
+  for i = 0 to 1999 do
+    Buffer.add_string buf "<a><b>";
+    if i mod 100 = 0 then Buffer.add_string buf "<c><d/><d/></c>";
+    Buffer.add_string buf "</b>";
+    if i mod 2 = 0 then Buffer.add_string buf "<e/>";
+    Buffer.add_string buf "</a>"
+  done;
+  Buffer.add_string buf "</r>";
+  engine_of_xml (Buffer.contents buf) |> fst
+
+(* One traced ROX run: the sink, after checking its trace replays clean. *)
+let traced_run engine q =
+  let compiled = Compile.compile_string engine q in
+  let sink = Sink.create ~enabled:true () in
+  let answer, _ = Optimizer.answer (Session.create ~telemetry:sink ()) compiled in
+  check_bool "ROX = naive" true (answers_match engine compiled answer);
+  let errors =
+    List.filter Rox_analysis.Diagnostic.is_error
+      (Rox_analysis.Trace_check.check compiled.Compile.graph sink)
+  in
+  check_int "trace replays clean" 0 (List.length errors);
+  sink
+
+let chain_stops sink trigger =
+  let open Rox_telemetry.Metrics in
+  let stops = (Sink.metrics sink).chain_stops in
+  let rec find i =
+    if stops.l_values.(i) = chain_trigger_label trigger then stops.l_counts.(i)
+    else find (i + 1)
+  in
+  find 0
+
+let test_chain_estimator_fig2 () =
+  let sink = traced_run (fig2_engine ()) {|for $a in doc("doc0.xml")//a[./e][./b//c[./d]]
+return $a|} in
+  match Sink.chain_rounds sink with
+  | (1, 100, paths) :: _ ->
+    let seg via =
+      match List.find_opt (fun p -> p.Sink.via = via) paths with
+      | Some p -> (p.Sink.cost, p.Sink.sf)
+      | None -> Alcotest.failf "round 1 has no segment via %s" via
+    in
+    Alcotest.(check (pair (float 1e-9) (float 1e-9))) "b~c (cost, sf)" (20.0, 1.0) (seg "b~c");
+    Alcotest.(check (pair (float 1e-9) (float 1e-9))) "c~d (cost, sf)" (40.0, 2.0) (seg "c~d")
+  | _ -> Alcotest.fail "expected a first chain round at cut-off 100"
+
+(* A chain whose source is empty: no z exists, so the b~z edge weighs 0 and
+   the chain starts at z with cardinality 0. Its segments carry cost 0 and
+   sf 0, never 0/0. *)
+let test_chain_empty_source () =
+  let engine, _ = engine_of_xml "<r><a><b/></a><a><b/><c/></a></r>" in
+  let sink = traced_run engine {|for $a in doc("doc0.xml")//a[./b//z][./c] return $a|} in
+  let events = Sink.events sink in
+  let empty =
+    List.filter_map
+      (function Sink.Vertex_initialized { vertex; card = 0 } -> Some vertex | _ -> None)
+      events
+  in
+  check_bool "a chain started at the empty vertex" true
+    (List.exists
+       (function Sink.Chain_started { source; _ } -> List.mem source empty | _ -> false)
+       events);
+  let rounds = Sink.chain_rounds sink in
+  List.iter
+    (fun (_, _, paths) ->
+      List.iter
+        (fun p ->
+          check_bool (p.Sink.label ^ " finite") true
+            (Float.is_finite p.Sink.cost && Float.is_finite p.Sink.sf))
+        paths)
+    rounds
+
+(* A hub with six one-per-a branches: every segment carries |a| tuples at
+   sf 1, so none dominates, and sampling all six costs more than
+   executing any one of them. *)
+let test_chain_cannot_pay () =
+  let branches = [ "b"; "c"; "d"; "e"; "f"; "g" ] in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "<r>";
+  for _ = 1 to 50 do
+    Buffer.add_string buf "<a>";
+    List.iter (fun t -> Printf.bprintf buf "<%s/>" t) branches;
+    Buffer.add_string buf "</a>"
+  done;
+  Buffer.add_string buf "</r>";
+  let engine, _ = engine_of_xml (Buffer.contents buf) in
+  let preds = String.concat "" (List.map (Printf.sprintf "[./%s]") branches) in
+  let sink = traced_run engine (Printf.sprintf {|for $a in doc("doc0.xml")//a%s return $a|} preds) in
+  check_bool "a chain stopped because it could not pay" true (chain_stops sink `Cannot_pay > 0);
+  let chosen =
+    List.filter (function Sink.Chain_chosen _ -> true | _ -> false) (Sink.events sink)
+  in
+  check_int "every chain choice counted" (List.length chosen)
+    (chain_stops sink `Cannot_pay + chain_stops sink `Exhausted
+     + chain_stops sink `Stopping_condition)
 
 (* ---------- State / Estimate units ---------- *)
 
@@ -349,10 +449,12 @@ let suite =
     Alcotest.test_case "seed-independent answers" `Quick test_rox_seed_sensitivity;
     Alcotest.test_case "ablation: greedy" `Quick test_ablation_greedy;
     Alcotest.test_case "ablation: no resample" `Quick test_ablation_noresample;
-    Alcotest.test_case "ablation: fixed cutoff" `Quick test_ablation_fixed_cutoff;
     Alcotest.test_case "tau variants correct" `Quick test_tau_variants;
     Alcotest.test_case "correlation adaptivity" `Quick test_correlation_defers_bidders;
     Alcotest.test_case "chain finds selective path" `Quick test_chain_finds_selective_path;
+    Alcotest.test_case "chain estimator: fig2 round 1" `Quick test_chain_estimator_fig2;
+    Alcotest.test_case "chain from an empty source" `Quick test_chain_empty_source;
+    Alcotest.test_case "chain stops when it cannot pay" `Quick test_chain_cannot_pay;
     Alcotest.test_case "state init and weights" `Quick test_state_init_and_weights;
     Alcotest.test_case "estimate accuracy uniform" `Quick test_estimate_accuracy_uniform;
     Alcotest.test_case "trace records" `Quick test_trace_records;

@@ -126,6 +126,11 @@ let test_fixed_seeds () =
     (fun seed -> check_bool (Printf.sprintf "seed %d" seed) true (run_instance seed))
     [ 1; 2; 3; 17; 99; 12345 ]
 
+(* The shrunk instance that found sf = flow / card(source) unguarded: its
+   chain starts at a vertex with cardinality 0, and 0/0 tripped RX113. *)
+let test_seed_empty_chain_source () =
+  check_bool "seed 3" true (run_instance 3)
+
 (* ---- sort-free execution paths ------------------------------------------
 
    The runtime refreshes T(v) by [Column.semijoin] and the value index
@@ -256,6 +261,7 @@ let suite =
   [
     prop_fuzz;
     Alcotest.test_case "fixed fuzz seeds" `Quick test_fixed_seeds;
+    Alcotest.test_case "seed 3: chain from an empty source" `Quick test_seed_empty_chain_source;
     prop_semijoin_refresh;
     prop_text_range_matches;
     prop_tables_match_xmark;

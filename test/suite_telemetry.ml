@@ -193,6 +193,7 @@ let busy_sink () =
       Sink.with_span sink "chain_round" (fun () -> ()));
   Metrics.incr m.Metrics.queries_served;
   Metrics.incr ~by:5 m.Metrics.relation_cache_hits;
+  Metrics.incr_label ~by:2 m.Metrics.chain_stops "cannot_pay";
   Metrics.set m.Metrics.cache_resident_bytes 4096.0;
   sink
 
@@ -221,6 +222,9 @@ let test_prometheus_exposition () =
   check_bool "counter line" true (has "rox_queries_served_total 1");
   check_bool "hits line" true (has "rox_relation_cache_hits_total 5");
   check_bool "gauge line" true (has "rox_cache_resident_bytes 4096");
+  check_bool "labelled series" true (has "rox_chain_stops_total{trigger=\"cannot_pay\"} 2");
+  check_bool "every label value exported" true
+    (has "rox_chain_stops_total{trigger=\"stopping_condition\"} 0");
   check_bool "histogram count" true (has "rox_edge_execution_duration_ns_count 1");
   check_bool "+Inf ladder top" true (has "le=\"+Inf\"");
   check_bool "help text present" true (has "# HELP rox_queries_served_total");
@@ -235,7 +239,9 @@ let test_profile_summary () =
   let has s = contains text s in
   check_bool "sampling row" true (has "sampling");
   check_bool "execution row" true (has "execution");
-  check_bool "work units shown" true (has "work units")
+  check_bool "work units shown" true (has "work units");
+  check_bool "chain stops per trigger" true
+    (has "chain stops         stopping_condition 0 | exhausted 0 | cannot_pay 2 | single_edge 0")
 
 (* ---------- Budget message units (satellite: Cost.budget_message) ---------- *)
 
@@ -307,11 +313,24 @@ let test_add_into () =
   Metrics.observe b.Metrics.query_ns 100_000;
   Metrics.set a.Metrics.cache_resident_bytes 10.0;
   Metrics.set b.Metrics.cache_resident_bytes 99.0;
+  Metrics.incr_label a.Metrics.chain_stops "exhausted";
+  Metrics.incr_label ~by:2 b.Metrics.chain_stops "exhausted";
+  Metrics.incr_label b.Metrics.chain_stops "single_edge";
+  (match Metrics.incr_label a.Metrics.chain_stops "no_such_trigger" with
+   | () -> Alcotest.fail "an unknown label value must be rejected"
+   | exception Invalid_argument _ -> ());
   Metrics.add_into ~into:a b;
   check_int "counters add" 7 a.Metrics.queries_served.Metrics.c_value;
   check_int "histogram counts add" 2 a.Metrics.query_ns.Metrics.h_count;
   check_int "histogram sums add" 100_100 a.Metrics.query_ns.Metrics.h_sum;
   check_int "gauges take max" 99 (int_of_float a.Metrics.cache_resident_bytes.Metrics.g_value);
+  let stops = a.Metrics.chain_stops in
+  check_string "labelled counters add per value"
+    "stopping_condition=0 exhausted=3 cannot_pay=0 single_edge=1"
+    (String.concat " "
+       (Array.to_list
+          (Array.mapi (fun i v -> Printf.sprintf "%s=%d" v stops.Metrics.l_counts.(i))
+             stops.Metrics.l_values)));
   check_int "source untouched" 4 b.Metrics.queries_served.Metrics.c_value
 
 let test_two_domain_aggregate () =
