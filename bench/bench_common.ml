@@ -44,7 +44,10 @@ let compile_combo ctx venues =
 (* ---------- Plan classes of Figures 5-7 ---------- *)
 
 type plan_class_costs = {
-  optimal : int;        (** cheapest canonical plan *)
+  optimal : int;
+      (** cheapest canonical plan: every class, ROX's included, is read
+          against it, so ROX-pure may read below 1.0x when ROX executes a
+          plan outside the canonical space *)
   largest : int;        (** slowest placement of the largest join order *)
   classical : int;      (** best placement of the classical join order *)
   smallest : int;       (** best placement of the smallest-intermediates order *)
@@ -199,7 +202,7 @@ let plan_classes ?rox_config ctx compiled =
       in
       Some
         {
-          optimal = min optimal rox_pure;
+          optimal;
           largest = order_worst largest_order;
           classical;
           smallest = order_best smallest_order;

@@ -2,17 +2,17 @@
    plan quality stays flat while the relative sampling overhead shrinks
    with document size.
 
-   To keep the scaling sweep tractable, this experiment uses the
-   lightweight plan classes only — ROX (incl/excl sampling), the classical
-   smallest-input-first plan, and the mid-query re-optimization baseline —
-   normalized to ROX excl. sampling, which Figure 6 shows to be the
-   bottom line of the full plan space. *)
+   Per combination: ROX (incl/excl sampling), the classical
+   smallest-input-first plan and the mid-query re-optimization baseline,
+   each normalized to the cheapest canonical plan of the enumerated plan
+   space (the E7 optimum), so a change to ROX moves only ROX's columns. *)
 
 open Rox_workload
 open Rox_classical
 open Bench_common
 
 type point = {
+  optimal : int;
   rox_pure : int;
   rox_full : int;
   classical : int;
@@ -21,26 +21,16 @@ type point = {
 
 let measure_combo ctx vs =
   let compiled = compile_combo ctx vs in
-  let graph = compiled.Rox_xquery.Compile.graph in
-  match Enumerate.analyze graph with
+  match plan_classes ctx compiled with
   | None -> None
-  | Some template ->
-    let rox = Rox_core.Optimizer.run_default compiled in
-    let c = rox.Rox_core.Optimizer.counter in
-    let classical_order = Classical_opt.join_order ctx.engine graph template in
-    let classical =
-      List.fold_left
-        (fun acc placement ->
-          let edges = Enumerate.plan_edges graph template ~order:classical_order ~placement in
-          min acc (eval_plan ctx graph edges).p_work)
-        max_int Enumerate.placements
-    in
-    let mq, _ = Midquery.execute (plan_session ()) ctx.engine graph in
+  | Some c ->
+    let mq, _ = Midquery.execute (plan_session ()) ctx.engine compiled.Rox_xquery.Compile.graph in
     Some
       {
-        rox_pure = Rox_algebra.Cost.read c Rox_algebra.Cost.Execution;
-        rox_full = Rox_algebra.Cost.total c;
-        classical;
+        optimal = c.optimal;
+        rox_pure = c.rox_pure;
+        rox_full = c.rox_full;
+        classical = c.classical;
         midquery = Rox_algebra.Cost.total mq.Rox_core.Driver.counter;
       }
 
@@ -60,21 +50,18 @@ let run ~full () =
                Correlation.nonempty_joint
                  (List.map (fun v -> List.assoc v.Dblp.name ctx.by_name) vs))
         |> Combos.sample_per_group ~seed:23 ~per_group
+        |> List.filter_map (fun (g, vs) -> Option.map (fun p -> (g, p)) (measure_combo ctx vs))
       in
       List.iter
         (fun group ->
-          let points =
-            List.filter_map
-              (fun (g, vs) -> if g = group then measure_combo ctx vs else None)
-              combos
-          in
+          let points = List.filter_map (fun (g, p) -> if g = group then Some p else None) combos in
           if points <> [] then begin
             let gm f =
               Rox_util.Stats.geometric_mean
                 (Array.of_list
                    (List.map
                       (fun p ->
-                        max 1e-9 (float_of_int (f p) /. float_of_int (max 1 p.rox_pure)))
+                        max 1e-9 (float_of_int (f p) /. float_of_int (max 1 p.optimal)))
                       points))
             in
             table :=
@@ -90,12 +77,9 @@ let run ~full () =
           end)
         Combos.groups;
       let ovs =
-        List.filter_map
-          (fun (_, vs) ->
-            Option.map
-              (fun p ->
-                float_of_int (p.rox_full - p.rox_pure) /. float_of_int (max 1 p.rox_pure))
-              (measure_combo ctx vs))
+        List.map
+          (fun (_, p) ->
+            float_of_int (p.rox_full - p.rox_pure) /. float_of_int (max 1 p.rox_pure))
           combos
       in
       if ovs <> [] then
