@@ -112,14 +112,20 @@ let blowup_penalty = 30_000_000
 
 type plan_eval = { p_work : int; p_join_rows : int; p_blown : bool }
 
-let eval_plan ctx graph edges =
-  match Executor.execute (plan_session ()) ctx.engine graph edges with
+let execute_compiled ctx compiled edges =
+  Executor.execute (plan_session ())
+    ~outputs:(Tail.outputs compiled.Compile.tail)
+    ctx.engine compiled.Compile.graph edges
+
+let eval_plan ctx compiled edges =
+  let graph = compiled.Compile.graph in
+  match execute_compiled ctx compiled edges with
   | run -> { p_work = work run; p_join_rows = Executor.join_rows graph run; p_blown = false }
   | exception Runtime.Blowup { rows; _ } ->
     { p_work = blowup_penalty; p_join_rows = max rows blowup_penalty; p_blown = true }
 
-let execute_plan ctx graph edges =
-  try Some (Executor.execute (plan_session ()) ctx.engine graph edges)
+let execute_plan ctx compiled edges =
+  try Some (execute_compiled ctx compiled edges)
   with Runtime.Blowup _ -> None
 
 (* Evaluate every plan class for one combo. Returns None when the combo is
@@ -143,7 +149,7 @@ let plan_classes ?rox_config ctx compiled =
             List.map
               (fun placement ->
                 let edges = Enumerate.plan_edges graph template ~order ~placement in
-                (placement, eval_plan ctx graph edges))
+                (placement, eval_plan ctx compiled edges))
               Enumerate.placements
           in
           (order, runs))

@@ -70,13 +70,16 @@ let run () =
           match
             Rox_classical.Executor.execute
               (plan_session ~max_rows:3_000_000 ())
+              ~outputs:(Tail.outputs compiled.Compile.tail)
               compiled.Compile.engine graph order
           with
           | run -> string_of_int (Rox_algebra.Cost.total run.Rox_classical.Executor.counter)
           | exception Rox_joingraph.Runtime.Blowup _ -> "blowup"
         in
         let mq, replans =
-          Rox_classical.Midquery.execute (Session.create ()) compiled.Compile.engine graph
+          Rox_classical.Midquery.execute (Session.create ())
+            ~outputs:(Tail.outputs compiled.Compile.tail)
+            compiled.Compile.engine graph
         in
         let mq_work = Rox_algebra.Cost.total mq.Rox_core.Driver.counter in
         let rox = Optimizer.run_default compiled in

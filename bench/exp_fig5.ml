@@ -27,7 +27,7 @@ let run ~full () =
       (fun order ->
         let cumulative placement =
           let edges = Enumerate.plan_edges graph template ~order ~placement in
-          match execute_plan ctx graph edges with
+          match execute_plan ctx compiled edges with
           | Some run -> string_of_int (Executor.join_rows graph run)
           | None -> "blowup"
         in

@@ -24,7 +24,11 @@ let measure_combo ctx vs =
   match plan_classes ctx compiled with
   | None -> None
   | Some c ->
-    let mq, _ = Midquery.execute (plan_session ()) ctx.engine compiled.Rox_xquery.Compile.graph in
+    let mq, _ =
+      Midquery.execute (plan_session ())
+        ~outputs:(Rox_xquery.Tail.outputs compiled.Rox_xquery.Compile.tail)
+        ctx.engine compiled.Rox_xquery.Compile.graph
+    in
     Some
       {
         optimal = c.optimal;

@@ -61,7 +61,11 @@ let run venue_names scale reduction seed sort_by_work =
                   { Rox_core.Session.default_budgets with max_rows = 5_000_000 } }
             ()
         in
-        match Executor.execute session engine graph edges with
+        match
+          Executor.execute session
+            ~outputs:(Rox_xquery.Tail.outputs compiled.Rox_xquery.Compile.tail)
+            engine graph edges
+        with
         | run ->
           ( Rox_algebra.Cost.total run.Executor.counter,
             string_of_int (Executor.join_rows graph run) )

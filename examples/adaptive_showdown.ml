@@ -29,8 +29,9 @@ let () =
         Rox_classical.Classical_opt.static_order engine compiled.Compile.graph
       in
       let static_run =
-        Rox_classical.Executor.execute (Rox_core.Session.create ()) engine
-          compiled.Compile.graph order
+        Rox_classical.Executor.execute (Rox_core.Session.create ())
+          ~outputs:(Tail.outputs compiled.Compile.tail)
+          engine compiled.Compile.graph order
       in
       let static_work = Rox_algebra.Cost.total static_run.Rox_classical.Executor.counter in
       (* ROX. *)

@@ -36,7 +36,11 @@ let () =
     List.map
       (fun placement ->
         let edges = Enumerate.plan_edges graph template ~order:classical_order ~placement in
-        let run = Executor.execute (Rox_core.Session.create ()) engine graph edges in
+        let run =
+          Executor.execute (Rox_core.Session.create ())
+            ~outputs:(Rox_xquery.Tail.outputs compiled.Rox_xquery.Compile.tail)
+            engine graph edges
+        in
         Rox_algebra.Cost.total run.Executor.counter)
       Enumerate.placements
     |> List.fold_left min max_int

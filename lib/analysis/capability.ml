@@ -31,7 +31,9 @@ let f file name guard =
      is inside its lock's critical section. The lint holds a "mutex:"
      entry to that: its file must call Guarded.create (RX510).
    - "publish-before-spawn": written only before worker domains are
-     spawned; Domain.spawn publishes the write. *)
+     spawned; Domain.spawn publishes the write.
+   - "domain-local": a Domain.DLS key; every domain reaches its own
+     value only. *)
 let allowlist =
   [
     (* -- algebra --------------------------------------------------- *)
@@ -60,6 +62,10 @@ let allowlist =
     f "lib/joingraph/graph.ml" "t.*"
       "publish-before-spawn: graphs mutate only during compilation; a \
        compiled query shared across domains is read-only";
+    g "lib/joingraph/runtime.ml" "marks_key"
+      "domain-local: a Domain.DLS key, so every domain grows and clears \
+       its own semijoin mark buffer; a session runs on one domain (RX504) \
+       and Column.semijoin leaves the buffer all zero, raising or not";
     f "lib/joingraph/runtime.ml" "t.*"
       "single-owner: per-run optimizer state owned by one session run";
     (* -- serve ----------------------------------------------------- *)

@@ -3,7 +3,7 @@ open Rox_joingraph
 let input_size engine graph (slot : Enumerate.slot) =
   (* Run the document's step chain on a scratch runtime; no meter — the
      classical optimizer's planning statistics are free. *)
-  let runtime = Runtime.create engine graph in
+  let runtime = Runtime.create ~outputs:(Graph.vertex_ids graph) engine graph in
   List.iter
     (fun e -> ignore (Runtime.execute_edge runtime e : Runtime.exec_info))
     slot.Enumerate.step_edges;

@@ -23,9 +23,11 @@ let static runtime order =
   in
   { Driver.next; executed = (fun _ _ -> ()) }
 
-let execute session engine graph order =
+let execute session ~outputs engine graph order =
   Driver.run session (fun () ->
-      let runtime = Runtime.create ~config:(Session.runtime_config session) engine graph in
+      let runtime =
+        Runtime.create ~config:(Session.runtime_config session) ~outputs engine graph
+      in
       (runtime, static runtime order))
 
 let join_rows graph result =
@@ -38,12 +40,13 @@ let join_rows graph result =
 
 let answer session (compiled : Rox_xquery.Compile.compiled) order =
   let result =
-    execute session compiled.Rox_xquery.Compile.engine
-      compiled.Rox_xquery.Compile.graph order
+    execute session
+      ~outputs:(Rox_xquery.Tail.outputs compiled.Rox_xquery.Compile.tail)
+      compiled.Rox_xquery.Compile.engine compiled.Rox_xquery.Compile.graph order
   in
   (Driver.answer session compiled result, result)
 
-let execute_default engine graph order =
-  execute (Session.create ()) engine graph order
+let execute_default ~outputs engine graph order =
+  execute (Session.create ()) ~outputs engine graph order
 
 let answer_default compiled order = answer (Session.create ()) compiled order

@@ -19,6 +19,7 @@ type result = Rox_core.Driver.result = {
 
 val execute :
   Rox_core.Session.t ->
+  outputs:int array ->
   Rox_storage.Engine.t ->
   Rox_joingraph.Graph.t ->
   Rox_joingraph.Edge.t list ->
@@ -42,6 +43,7 @@ val answer :
 (** Execute and apply the query tail. *)
 
 val execute_default :
+  outputs:int array ->
   Rox_storage.Engine.t ->
   Rox_joingraph.Graph.t ->
   Rox_joingraph.Edge.t list ->

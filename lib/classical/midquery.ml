@@ -73,7 +73,9 @@ let base_estimates engine graph =
     (Graph.vertices graph)
 
 let synopsis_order engine graph =
-  let edges = Runtime.unexecuted_edges (Runtime.create engine graph) in
+  let edges =
+    Runtime.unexecuted_edges (Runtime.create ~outputs:(Graph.vertex_ids graph) engine graph)
+  in
   List.map fst (greedy_plan (synopses engine) graph (base_estimates engine graph) edges)
 
 (* Plan from the current statistics — base counts, overridden by observed
@@ -122,19 +124,22 @@ let policy ~validity_factor ~replans engine runtime =
   in
   { Driver.next; executed }
 
-let execute ?(validity_factor = 5.0) session engine graph =
+let execute ?(validity_factor = 5.0) session ~outputs engine graph =
   let replans = ref 0 in
   let result =
     Driver.run session (fun () ->
-        let runtime = Runtime.create ~config:(Session.runtime_config session) engine graph in
+        let runtime =
+          Runtime.create ~config:(Session.runtime_config session) ~outputs engine graph
+        in
         (runtime, policy ~validity_factor ~replans engine runtime))
   in
   (result, !replans)
 
 let answer ?validity_factor session (compiled : Rox_xquery.Compile.compiled) =
   let result, replans =
-    execute ?validity_factor session compiled.Rox_xquery.Compile.engine
-      compiled.Rox_xquery.Compile.graph
+    execute ?validity_factor session
+      ~outputs:(Rox_xquery.Tail.outputs compiled.Rox_xquery.Compile.tail)
+      compiled.Rox_xquery.Compile.engine compiled.Rox_xquery.Compile.graph
   in
   (Driver.answer session compiled result, result, replans)
 

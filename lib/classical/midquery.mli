@@ -22,6 +22,7 @@ val synopsis_order : Rox_storage.Engine.t -> Graph.t -> Edge.t list
 val execute :
   ?validity_factor:float ->
   Rox_core.Session.t ->
+  outputs:int array ->
   Rox_storage.Engine.t ->
   Graph.t ->
   Rox_core.Driver.result * int

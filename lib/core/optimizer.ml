@@ -46,7 +46,7 @@ let policy state =
         next ())
     | [] -> State.min_weight_edge state
   in
-  (* Refresh samples/cards of every vertex whose table shrank, then
+  (* Refresh samples/cards of every live vertex whose table shrank, then
      re-sample the weights of the un-executed edges incident to the executed
      edge's endpoints (lines 14-19; Fig 3.2: "the weights of other edges are
      unchanged" — they are re-sampled when their own vertices execute). *)
@@ -59,8 +59,9 @@ let policy state =
 let run session (compiled : Rox_xquery.Compile.compiled) =
   Driver.run session (fun () ->
       let state =
-        State.create session compiled.Rox_xquery.Compile.engine
-          compiled.Rox_xquery.Compile.graph
+        State.create session
+          ~outputs:(Rox_xquery.Tail.outputs compiled.Rox_xquery.Compile.tail)
+          compiled.Rox_xquery.Compile.engine compiled.Rox_xquery.Compile.graph
       in
       phase1 state;
       (State.runtime state, policy state))

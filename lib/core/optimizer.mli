@@ -6,7 +6,9 @@
     (Algorithm 2) with the execution of the winning path segment, fully
     materializing results and re-sampling the weights of edges incident to
     every vertex whose table shrank — the re-sampling (rather than
-    independence-scaling) that makes ROX robust to correlations.
+    independence-scaling) that makes ROX robust to correlations. Only live
+    vertices are re-sampled (see {!Rox_joingraph.Runtime}): a vertex whose
+    last edge has run is read by no later estimate.
 
     Phase 2 is an order policy over {!Driver}: the same loop, span,
     events and accounting as every baseline. Every entry point takes the

@@ -26,10 +26,10 @@ type t = {
   replays : replay list array;  (* per edge id *)
 }
 
-let create session engine graph =
+let create session ~outputs engine graph =
   {
     session;
-    runtime = Runtime.create ~config:(Session.runtime_config session) engine graph;
+    runtime = Runtime.create ~config:(Session.runtime_config session) ~outputs engine graph;
     samples = Array.make (Graph.vertex_count graph) None;
     cards = Array.make (Graph.vertex_count graph) None;
     weights = Array.make (Graph.edge_count graph) None;

@@ -11,11 +11,12 @@ open Rox_joingraph
 
 type t
 
-val create : Session.t -> Rox_storage.Engine.t -> Graph.t -> t
+val create : Session.t -> outputs:int array -> Rox_storage.Engine.t -> Graph.t -> t
 (** One state per query run, owned by [session]: the runtime is built from
     {!Session.runtime_config} (max_rows, sanitize mode, cache,
-    approximate-mode table sampler), and sampling draws from the session
-    RNG and charge the session counter. *)
+    approximate-mode table sampler) over the query's output vertices (see
+    {!Runtime.create}), and sampling draws from the session RNG and charge
+    the session counter. *)
 
 val session : t -> Session.t
 val runtime : t -> Runtime.t

@@ -52,6 +52,7 @@ let edge t i =
   (edges t).(i)
 
 let vertex_count t = t.nvertices
+let vertex_ids t = Array.init t.nvertices Fun.id
 let edge_count t = t.nedges
 
 let incident t v =

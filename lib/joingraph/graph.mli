@@ -18,6 +18,10 @@ val edge : t -> int -> Edge.t
 val vertex_count : t -> int
 val edge_count : t -> int
 val vertices : t -> Vertex.t array
+
+val vertex_ids : t -> int array
+(** Every vertex id, in order. *)
+
 val edges : t -> Edge.t array
 
 val incident : t -> int -> Edge.t list

@@ -30,6 +30,16 @@ let make verts cols nrows =
   Array.iteri (fun i v -> col_of.(v) <- i) verts;
   { verts; cols; col_of; nrows }
 
+(* Positions, in [verts], of the output columns a kernel builds: the
+   vertices [keep] accepts, or the first one when it accepts none, so the
+   output still carries its row count. Every column without [keep]. *)
+let kept_positions ?keep verts =
+  let all = List.init (Array.length verts) Fun.id in
+  let pos = match keep with None -> all | Some f -> List.filter (fun i -> f verts.(i)) all in
+  Array.of_list (if pos = [] then [ 0 ] else pos)
+
+let select arr pos = Array.map (fun i -> arr.(i)) pos
+
 let width t = Array.length t.verts
 let rows t = t.nrows
 let vertices t = t.verts
@@ -51,9 +61,12 @@ let column t v = t.cols.(col_index_exn t v)
 
 let singleton ~vertex nodes = make [| vertex |] [| nodes |] (Column.length nodes)
 
-let of_pairs ~v1 ~v2 (p : Exec.pairs) =
+let of_pairs ?keep ~v1 ~v2 (p : Exec.pairs) =
   (* Pointer copy: the pair columns become the relation's columns. *)
-  make [| v1; v2 |] [| p.Exec.left; p.Exec.right |] (Column.length p.Exec.left)
+  let pos = kept_positions ?keep [| v1; v2 |] in
+  make (select [| v1; v2 |] pos)
+    (select [| p.Exec.left; p.Exec.right |] pos)
+    (Column.length p.Exec.left)
 
 let equal a b =
   a.nrows = b.nrows
@@ -87,13 +100,13 @@ let iter_rows t f =
    unchanged, and its columns are carried by pointer, sorted flags
    included, so a caller can tell an untouched column by physical
    equality. *)
-let gather t rows n =
+let gather_columns cols nrows rows n =
   let rec increasing i =
     i >= n
     || (Array.unsafe_get rows (i - 1) < Array.unsafe_get rows i && increasing (i + 1))
   in
   let keeps_order = increasing 1 in
-  if keeps_order && n = t.nrows then t.cols
+  if keeps_order && n = nrows then cols
   else
     Array.map
       (fun c ->
@@ -103,7 +116,9 @@ let gather t rows n =
           Array.unsafe_set out i (Array.unsafe_get src (Array.unsafe_get rows i))
         done;
         Column.unsafe_of_array ~sorted:(keeps_order && Column.sorted c) out)
-      t.cols
+      cols
+
+let gather t rows n = gather_columns t.cols t.nrows rows n
 
 (* Pairs grouped by key in a compressed sparse layout: a key's id is the
    index of its first pair, and the key owns the [starts.(kid) ..
@@ -185,7 +200,7 @@ let is_nondecreasing arr =
   let rec go i = i >= Array.length arr || (arr.(i - 1) <= arr.(i) && go (i + 1)) in
   Array.length arr <= 1 || go 1
 
-let extend_impl ?meter ?(max_rows = max_int) t ~on ~new_vertex (p : Exec.pairs) =
+let extend_impl ?meter ?(max_rows = max_int) ?keep t ~on ~new_vertex (p : Exec.pairs) =
   let od = Column.read (column t on) in
   let pl = Column.read p.Exec.left and pr = Column.read p.Exec.right in
   let np = Array.length pl in
@@ -234,13 +249,15 @@ let extend_impl ?meter ?(max_rows = max_int) t ~on ~new_vertex (p : Exec.pairs) 
   in
   Cost.charge meter !total;
   let w = Array.length t.cols in
-  let out = Array.make (w + 1) Column.empty in
+  let verts = Array.append t.verts [| new_vertex |] in
+  let pos = kept_positions ?keep verts in
+  let carried = !matched = n && !total = n in
   (* Every row matched exactly once: the output rows are the input rows,
      so the old columns are carried by pointer. Rows that are only
      dropped, never repeated, keep a sorted column sorted. *)
-  if !matched = n && !total = n then Array.blit t.cols 0 out 0 w
-  else
-    for c = 0 to w - 1 do
+  let old_column c =
+    if carried then t.cols.(c)
+    else begin
       let src = Column.read t.cols.(c) in
       let dst = Array.make !total 0 in
       let r = ref 0 in
@@ -251,21 +268,26 @@ let extend_impl ?meter ?(max_rows = max_int) t ~on ~new_vertex (p : Exec.pairs) 
           incr r
         done
       done;
-      out.(c) <- Column.unsafe_of_array ~sorted:((not !repeats) && Column.sorted t.cols.(c)) dst
+      Column.unsafe_of_array ~sorted:((not !repeats) && Column.sorted t.cols.(c)) dst
+    end
+  in
+  let new_column () =
+    let dst = Array.make !total 0 in
+    let r = ref 0 in
+    for i = 0 to n - 1 do
+      let s = Array.unsafe_get row_start i in
+      for j = 0 to Array.unsafe_get row_cnt i - 1 do
+        Array.unsafe_set dst !r (Array.unsafe_get vals (s + j));
+        incr r
+      done
     done;
-  let dst = Array.make !total 0 in
-  let r = ref 0 in
-  for i = 0 to n - 1 do
-    let s = Array.unsafe_get row_start i in
-    for j = 0 to Array.unsafe_get row_cnt i - 1 do
-      Array.unsafe_set dst !r (Array.unsafe_get vals (s + j));
-      incr r
-    done
-  done;
-  (* The new column's flag is detected: a strictly increasing column is
-     its own T(v) in the runtime's refresh. *)
-  out.(w) <- Column.unsafe_of_array_detect dst;
-  make (Array.append t.verts [| new_vertex |]) out !total
+    (* The new column's flag is detected: a strictly increasing column is
+       its own T(v) in the runtime's refresh. *)
+    Column.unsafe_of_array_detect dst
+  in
+  make (select verts pos)
+    (Array.map (fun c -> if c < w then old_column c else new_column ()) pos)
+    !total
 
 (* --- fuse -------------------------------------------------------------- *)
 
@@ -273,7 +295,7 @@ let extend_impl ?meter ?(max_rows = max_int) t ~on ~new_vertex (p : Exec.pairs) 
 let rows_csr t ci =
   csr_of_pairs (Column.read t.cols.(ci)) (Array.init t.nrows (fun i -> i))
 
-let fuse_impl ?meter ?(max_rows = max_int) left right ~on_left ~on_right (p : Exec.pairs) =
+let fuse_impl ?meter ?(max_rows = max_int) ?keep left right ~on_left ~on_right (p : Exec.pairs) =
   let cl = col_index_exn left on_left in
   let cr = col_index_exn right on_right in
   let lc = rows_csr left cl in
@@ -311,14 +333,20 @@ let fuse_impl ?meter ?(max_rows = max_int) left right ~on_left ~on_right (p : Ex
       done
     end
   done;
-  make
-    (Array.append left.verts right.verts)
-    (Array.append (gather left out_l !total) (gather right out_r !total))
+  let verts = Array.append left.verts right.verts in
+  let pos = kept_positions ?keep verts in
+  let wl = Array.length left.verts in
+  let lpos, rpos = List.partition (fun i -> i < wl) (Array.to_list pos) in
+  let side t pos rows =
+    gather_columns (Array.of_list (List.map (fun i -> t.cols.(i)) pos)) t.nrows rows !total
+  in
+  make (select verts pos)
+    (Array.append (side left lpos out_l) (side right (List.map (fun i -> i - wl) rpos) out_r))
     !total
 
 (* --- filter_pairs ------------------------------------------------------ *)
 
-let filter_pairs_impl ?meter t ~c1 ~c2 (p : Exec.pairs) =
+let filter_pairs_impl ?meter ?keep t ~c1 ~c2 (p : Exec.pairs) =
   let i1 = col_index_exn t c1 and i2 = col_index_exn t c2 in
   let pl = Column.read p.Exec.left and pr = Column.read p.Exec.right in
   let set = Int_table.Multimap.create ~capacity:(Array.length pl) () in
@@ -326,16 +354,22 @@ let filter_pairs_impl ?meter t ~c1 ~c2 (p : Exec.pairs) =
     Int_table.Multimap.add set pl.(k) pr.(k)
   done;
   let d1 = Column.read t.cols.(i1) and d2 = Column.read t.cols.(i2) in
-  let keep = Array.make (max t.nrows 1) 0 in
+  let rows_kept = Array.make (max t.nrows 1) 0 in
   let nkeep = ref 0 in
   for i = 0 to t.nrows - 1 do
     if Int_table.Multimap.mem_pair set d1.(i) d2.(i) then begin
-      Array.unsafe_set keep !nkeep i;
+      Array.unsafe_set rows_kept !nkeep i;
       incr nkeep
     end
   done;
   Cost.charge meter t.nrows;
-  if !nkeep = t.nrows then t else make t.verts (gather t keep !nkeep) !nkeep
+  let pos = kept_positions ?keep t.verts in
+  if !nkeep = t.nrows && Array.length pos = Array.length t.verts then t
+  else
+    let cols = select t.cols pos in
+    make (select t.verts pos)
+      (if !nkeep = t.nrows then cols else gather_columns cols t.nrows rows_kept !nkeep)
+      !nkeep
 
 (* --- distinct ----------------------------------------------------------- *)
 
@@ -702,8 +736,12 @@ let check_against ~op result naive =
 
 let pair_arrays (p : Exec.pairs) = (Column.read p.Exec.left, Column.read p.Exec.right)
 
-let extend ~sanitize ?meter ?max_rows t ~on ~new_vertex p =
-  let r = extend_impl ?meter ?max_rows t ~on ~new_vertex p in
+(* The reference result restricted to the columns a kernel keeps. *)
+let naive_kept ?keep (n : Naive.r) =
+  Naive.project n (select n.Naive.verts (kept_positions ?keep n.Naive.verts))
+
+let extend ~sanitize ?meter ?max_rows ?keep t ~on ~new_vertex p =
+  let r = extend_impl ?meter ?max_rows ?keep t ~on ~new_vertex p in
   if sanitize then begin
     let op = "Relation.extend" in
     check_flags ~op t;
@@ -711,30 +749,33 @@ let extend ~sanitize ?meter ?max_rows t ~on ~new_vertex p =
     Sanitize.check_column_flag ~op ~what:"pairs.right" p.Exec.right;
     let left, right = pair_arrays p in
     check_against ~op r
-      (Naive.extend ?max_rows (Naive.of_relation t) ~on ~new_vertex ~left ~right)
+      (naive_kept ?keep
+         (Naive.extend ?max_rows (Naive.of_relation t) ~on ~new_vertex ~left ~right))
   end;
   r
 
-let fuse ~sanitize ?meter ?max_rows left right ~on_left ~on_right p =
-  let r = fuse_impl ?meter ?max_rows left right ~on_left ~on_right p in
+let fuse ~sanitize ?meter ?max_rows ?keep left right ~on_left ~on_right p =
+  let r = fuse_impl ?meter ?max_rows ?keep left right ~on_left ~on_right p in
   if sanitize then begin
     let op = "Relation.fuse" in
     check_flags ~op left;
     check_flags ~op right;
     let pl, pr = pair_arrays p in
     check_against ~op r
-      (Naive.fuse ?max_rows (Naive.of_relation left) (Naive.of_relation right)
-         ~on_left ~on_right ~pl ~pr)
+      (naive_kept ?keep
+         (Naive.fuse ?max_rows (Naive.of_relation left) (Naive.of_relation right)
+            ~on_left ~on_right ~pl ~pr))
   end;
   r
 
-let filter_pairs ~sanitize ?meter t ~c1 ~c2 p =
-  let r = filter_pairs_impl ?meter t ~c1 ~c2 p in
+let filter_pairs ~sanitize ?meter ?keep t ~c1 ~c2 p =
+  let r = filter_pairs_impl ?meter ?keep t ~c1 ~c2 p in
   if sanitize then begin
     let op = "Relation.filter_pairs" in
     check_flags ~op t;
     let left, right = pair_arrays p in
-    check_against ~op r (Naive.filter_pairs (Naive.of_relation t) ~c1 ~c2 ~left ~right)
+    check_against ~op r
+      (naive_kept ?keep (Naive.filter_pairs (Naive.of_relation t) ~c1 ~c2 ~left ~right))
   end;
   r
 

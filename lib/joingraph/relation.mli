@@ -43,7 +43,7 @@ val has_vertex : t -> int -> bool
 val singleton : vertex:int -> Rox_util.Column.t -> t
 (** One-column relation from a node set (zero-copy). *)
 
-val of_pairs : v1:int -> v2:int -> Exec.pairs -> t
+val of_pairs : ?keep:(int -> bool) -> v1:int -> v2:int -> Exec.pairs -> t
 (** The pair columns become the relation's columns — zero-copy. *)
 
 val column : t -> int -> Rox_util.Column.t
@@ -55,12 +55,18 @@ val equal : t -> t -> bool
 
 (** The kernels below take the calling session's sanitize mode as
     [~sanitize]; under it each call is cross-checked against {!Naive}
-    (RX306). *)
+    (RX306).
+
+    [?keep] (here and on {!of_pairs}) names the columns the output
+    carries: those of the vertices it accepts, or — when it accepts none —
+    the first output column alone, so the row count survives. A column
+    left out is never gathered. Without it, every column is kept. *)
 
 val extend :
   sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   ?max_rows:int ->
+  ?keep:(int -> bool) ->
   t -> on:int -> new_vertex:int -> Exec.pairs -> t
 (** [extend r ~on ~new_vertex pairs] joins [r] with the pair list on [r]'s
     [on] column (pairs are oriented (on-node, new-node)). Work charged:
@@ -72,6 +78,7 @@ val fuse :
   sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->
   ?max_rows:int ->
+  ?keep:(int -> bool) ->
   t -> t -> on_left:int -> on_right:int -> Exec.pairs -> t
 (** Join two components through an edge whose endpoints live one in each:
     pairs oriented (left-component node, right-component node). A side
@@ -80,7 +87,8 @@ val fuse :
 
 val filter_pairs :
   sanitize:bool ->
-  ?meter:Rox_algebra.Cost.meter -> t -> c1:int -> c2:int -> Exec.pairs -> t
+  ?meter:Rox_algebra.Cost.meter -> ?keep:(int -> bool) ->
+  t -> c1:int -> c2:int -> Exec.pairs -> t
 (** Keep rows whose (c1, c2) cell pair appears in the pair list — an edge
     both of whose endpoints are already in the component. *)
 

@@ -53,9 +53,14 @@ type t = {
      (the closure edges of Figure 4 are alternatives, not extra work) and
      completes as a no-op. *)
   equi_uf : int array;
-  (* All-zero scratch indexed by pre for [Column.semijoin]; grown on
-     demand. *)
-  mutable marks : Bytes.t;
+  (* Per vertex: read by the plan tail (a for-bound or returned vertex). *)
+  output : bool array;
+  (* Per vertex: un-executed incident edges. A vertex is live while it is
+     an output or this count is positive. *)
+  pending : int array;
+  (* Per vertex: dropped from its component once dead, so the final
+     relation never re-enters it as its index domain. *)
+  retired : bool array;
 }
 
 let engine t = t.engine
@@ -67,8 +72,24 @@ let is_trivial_edge graph (e : Edge.t) =
     Vertex.is_root (Graph.vertex graph e.Edge.v1)
   | Edge.Step _ | Edge.Equijoin -> false
 
-let create ?config engine graph =
+let mark_executed t (e : Edge.t) =
+  if not t.executed_edges.(e.Edge.id) then begin
+    t.executed_edges.(e.Edge.id) <- true;
+    t.pending.(e.Edge.v1) <- t.pending.(e.Edge.v1) - 1;
+    t.pending.(e.Edge.v2) <- t.pending.(e.Edge.v2) - 1
+  end
+
+let create ?config ~outputs engine graph =
   let config = match config with Some c -> c | None -> default_config () in
+  let nv = Graph.vertex_count graph in
+  let output = Array.make nv false in
+  Array.iter (fun v -> output.(v) <- true) outputs;
+  let pending = Array.make nv 0 in
+  Array.iter
+    (fun (e : Edge.t) ->
+      pending.(e.Edge.v1) <- pending.(e.Edge.v1) + 1;
+      pending.(e.Edge.v2) <- pending.(e.Edge.v2) + 1)
+    (Graph.edges graph);
   let t =
     {
       engine;
@@ -78,24 +99,24 @@ let create ?config engine graph =
       cache = config.cache;
       table_sampler = config.table_sampler;
       telemetry = config.telemetry;
-      tables = Array.make (Graph.vertex_count graph) None;
+      tables = Array.make nv None;
       executed_edges = Array.make (Graph.edge_count graph) false;
       implied_edges = Array.make (Graph.edge_count graph) false;
-      comp_of = Array.make (Graph.vertex_count graph) (-1);
+      comp_of = Array.make nv (-1);
       components = Array.make 8 None;
       ncomponents = 0;
-      equi_uf = Array.init (Graph.vertex_count graph) (fun i -> i);
-      marks = Bytes.empty;
+      equi_uf = Array.init nv (fun i -> i);
+      output;
+      pending;
+      retired = Array.make nv false;
     }
   in
-  Array.iter
-    (fun e -> if is_trivial_edge graph e then t.executed_edges.(e.Edge.id) <- true)
-    (Graph.edges graph);
+  Array.iter (fun e -> if is_trivial_edge graph e then mark_executed t e) (Graph.edges graph);
   t
 
 let executed t (e : Edge.t) = t.executed_edges.(e.Edge.id)
 let implied t (e : Edge.t) = t.implied_edges.(e.Edge.id)
-let mark_executed t (e : Edge.t) = t.executed_edges.(e.Edge.id) <- true
+let live t v = t.output.(v) || t.pending.(v) > 0
 
 let unexecuted_edges t =
   Array.to_list (Graph.edges t.graph) |> List.filter (fun e -> not (executed t e))
@@ -167,28 +188,42 @@ let sweep_implied t =
          && (match e.Edge.op with Edge.Equijoin -> true | Edge.Step _ -> false)
          && equi_connected t e.Edge.v1 e.Edge.v2
       then begin
-        t.executed_edges.(e.Edge.id) <- true;
+        mark_executed t e;
         t.implied_edges.(e.Edge.id) <- true
       end)
     (Graph.edges t.graph)
 
-(* A scratch mark buffer covering every entry of [table], a node set of
-   vertex [v]: grown at most once per document size, to cover the whole
-   document. *)
-let marks_for t v table =
-  let n = Column.length table in
-  if n > 0 && Bytes.length t.marks <= Column.get table (n - 1) then begin
-    let doc = (Engine.get t.engine (Graph.vertex t.graph v).Vertex.doc_id).Engine.doc in
-    t.marks <- Bytes.make (Rox_shred.Doc.node_count doc) '\000'
-  end;
-  t.marks
+(* One all-zero scratch buffer per domain for [Column.semijoin], indexed
+   by pre and grown to the largest document seen, so no query allocates
+   its own and no two domains share one. *)
+let marks_key = Domain.DLS.new_key (fun () -> Bytes.empty)
 
-(* After the affected component changed, refresh T(v) for all its vertices;
-   report which ones actually shrank. Each column holds only nodes of the
-   table the edge read for its vertex ([read v]: the endpoint input, else
-   the current T(v)), and T(v) only ever shrinks — so the new T(v) is that
-   sorted table semijoined with the column, never a sort — or the column
-   itself when it is strictly increasing. A column the kernel carried by
+(* [table] ⋉ [col] with the domain's mark buffer, grown first to cover
+   every entry of [table], a node set of vertex [v]. The buffer leaves
+   the domain's slot while the semijoin runs: another thread of the same
+   domain semijoining meanwhile finds the slot empty and allocates its
+   own. *)
+let semijoin t v table col =
+  let marks = Domain.DLS.get marks_key in
+  let n = Column.length table in
+  let marks =
+    if n > 0 && Bytes.length marks <= Column.get table (n - 1) then
+      let doc = (Engine.get t.engine (Graph.vertex t.graph v).Vertex.doc_id).Engine.doc in
+      Bytes.make (Rox_shred.Doc.node_count doc) '\000'
+    else marks
+  in
+  Domain.DLS.set marks_key Bytes.empty;
+  let fresh = Column.semijoin ~marks table col in
+  Domain.DLS.set marks_key marks;
+  fresh
+
+(* After the affected component changed, refresh T(v) for its live
+   vertices — a dead vertex's table is read by no estimate, chain or edge
+   again — and report which ones actually shrank. Each column holds only
+   nodes of the table the edge read for its vertex ([read v]: the
+   endpoint input, else the current T(v)), and T(v) only ever shrinks —
+   so the new T(v) is that sorted table semijoined with the column, never
+   a sort — or the column itself when it is strictly increasing. A column the kernel carried by
    pointer ([old.(i)] == the new column) holds the same values as before
    the edge, so its T(v) stands and is skipped. *)
 let refresh_tables t rel ~old ~read =
@@ -196,13 +231,8 @@ let refresh_tables t rel ~old ~read =
   Array.iteri
     (fun i v ->
       let col = Relation.column rel v in
-      if not (match old.(i) with Some c -> c == col | None -> false) then begin
-        let fresh =
-          if Column.sorted col then col
-          else
-            let base = read v in
-            Column.semijoin ~marks:(marks_for t v base) base col
-        in
+      if live t v && not (match old.(i) with Some c -> c == col | None -> false) then begin
+        let fresh = if Column.sorted col then col else semijoin t v (read v) col in
         let dirty =
           match t.tables.(v) with
           | Some old -> Column.length old <> Column.length fresh
@@ -270,6 +300,9 @@ let cached_pairs ?meter t (e : Edge.t) plan =
 
 let execute_edge_body ?meter t (e : Edge.t) =
   let v1 = e.Edge.v1 and v2 = e.Edge.v2 in
+  (* Marked first, so liveness below counts the edges left after it and
+     the sweep never takes the edge itself for an implied one. *)
+  mark_executed t e;
   (match e.Edge.op with
    | Edge.Equijoin ->
      equi_union t v1 v2;
@@ -322,21 +355,26 @@ let execute_edge_body ?meter t (e : Edge.t) =
   let pairs = cached_pairs ?meter t e plan in
   let c1 = t.comp_of.(v1) and c2 = t.comp_of.(v2) in
   let get cid = match t.components.(cid) with Some r -> r | None -> assert false in
+  (* Carry only live columns: the new component leaves out every vertex
+     that no output and no other un-executed edge reads (the kernels never
+     gather its column). A component with no live vertex keeps one column,
+     so its row count, zero included, still reaches the final cross
+     product. *)
+  let keep = live t in
+  let sanitize = t.sanitize and max_rows = t.max_rows in
   let rel =
     match
-      if c1 < 0 && c2 < 0 then Relation.of_pairs ~v1 ~v2 pairs
+      if c1 < 0 && c2 < 0 then Relation.of_pairs ~keep ~v1 ~v2 pairs
       else if c1 >= 0 && c2 < 0 then
-        Relation.extend ~sanitize:t.sanitize ?meter ~max_rows:t.max_rows (get c1)
-          ~on:v1 ~new_vertex:v2 pairs
+        Relation.extend ~sanitize ?meter ~max_rows ~keep (get c1) ~on:v1 ~new_vertex:v2 pairs
       else if c1 < 0 && c2 >= 0 then
-        Relation.extend ~sanitize:t.sanitize ?meter ~max_rows:t.max_rows (get c2)
-          ~on:v2 ~new_vertex:v1
+        Relation.extend ~sanitize ?meter ~max_rows ~keep (get c2) ~on:v2 ~new_vertex:v1
           { Exec.left = pairs.Exec.right; right = pairs.Exec.left }
       else if c1 = c2 then
-        Relation.filter_pairs ~sanitize:t.sanitize ?meter (get c1) ~c1:v1 ~c2:v2 pairs
+        Relation.filter_pairs ~sanitize ?meter ~keep (get c1) ~c1:v1 ~c2:v2 pairs
       else
-        Relation.fuse ~sanitize:t.sanitize ?meter ~max_rows:t.max_rows (get c1)
-          (get c2) ~on_left:v1 ~on_right:v2 pairs
+        Relation.fuse ~sanitize ?meter ~max_rows ~keep (get c1) (get c2) ~on_left:v1
+          ~on_right:v2 pairs
     with
     | rel -> rel
     | exception Relation.Too_large rows ->
@@ -344,6 +382,13 @@ let execute_edge_body ?meter t (e : Edge.t) =
   in
   if Relation.rows rel > t.max_rows then
     raise (Blowup { edge = e.Edge.id; rows = Relation.rows rel; limit = t.max_rows });
+  (* Every vertex the edge joined: its endpoints and their components. *)
+  let joined =
+    Array.concat
+      [ [| v1; v2 |];
+        (if c1 >= 0 then Relation.vertices (get c1) else [||]);
+        (if c2 >= 0 then Relation.vertices (get c2) else [||]) ]
+  in
   (* Each vertex's column before the edge, read before the new component
      replaces the ones it came from. *)
   let old =
@@ -351,7 +396,8 @@ let execute_edge_body ?meter t (e : Edge.t) =
       (fun v -> Option.map (fun r -> Relation.column r v) (component t v))
       (Relation.vertices rel)
   in
-  (* Install the new component, retiring any merged ones. *)
+  (* Install the new component, retiring any merged ones and the vertices
+     it left out. *)
   let cid =
     if c1 >= 0 then c1
     else if c2 >= 0 then c2
@@ -359,7 +405,13 @@ let execute_edge_body ?meter t (e : Edge.t) =
   in
   if c1 >= 0 && c2 >= 0 && c1 <> c2 then t.components.(c2) <- None;
   set_component t cid rel;
-  mark_executed t e;
+  Array.iter
+    (fun v ->
+      if not (Relation.has_vertex rel v) then begin
+        t.comp_of.(v) <- -1;
+        t.retired.(v) <- true
+      end)
+    joined;
   let read v =
     if v = v1 then plan.in1 else if v = v2 then plan.in2 else table_or_domain t v
   in
@@ -369,8 +421,7 @@ let execute_edge_body ?meter t (e : Edge.t) =
     Array.iter
       (fun v ->
         match t.tables.(v) with
-        | None -> ()
-        | Some tab ->
+        | Some tab when live t v ->
           let what = Printf.sprintf "T(v%d)" v in
           (* The sort-free refresh must equal sorting its column (RX306). *)
           Sanitize.check_kernel_equiv ~op ~what
@@ -379,7 +430,8 @@ let execute_edge_body ?meter t (e : Edge.t) =
           Sanitize.check_sorted_dedup ~op ~what (Column.read tab);
           Sanitize.check_subset ~op ~what
             ~domain:(Column.read (Exec.vertex_domain t.engine (Graph.vertex t.graph v)))
-            (Column.read tab))
+            (Column.read tab)
+        | _ -> ())
       (Relation.vertices rel)
   end;
   { pair_count = Exec.pair_count pairs; rel_rows = Relation.rows rel; changed }
@@ -404,21 +456,24 @@ let execute_edge ?meter t (e : Edge.t) =
 let final_relation ?meter t =
   if not (all_executed t) then
     invalid_arg "Runtime.final_relation: unexecuted edges remain";
-  let live = ref [] in
+  let parts = ref [] in
   for i = t.ncomponents - 1 downto 0 do
     match t.components.(i) with
-    | Some rel -> live := rel :: !live
+    | Some rel -> parts := rel :: !parts
     | None -> ()
   done;
-  (* Non-root vertices with no component (graphs whose only edges were
-     trivial) enter as their domains. *)
+  (* Non-root vertices no executed edge touched (graphs whose only edges
+     were trivial) enter as their domains; retired vertices left their
+     components on purpose. *)
   Array.iter
     (fun (v : Vertex.t) ->
-      if (not (Vertex.is_root v)) && t.comp_of.(v.Vertex.id) < 0 then
-        live :=
-          Relation.singleton ~vertex:v.Vertex.id (table_or_domain t v.Vertex.id) :: !live)
+      if (not (Vertex.is_root v)) && t.comp_of.(v.Vertex.id) < 0
+         && not t.retired.(v.Vertex.id)
+      then
+        parts :=
+          Relation.singleton ~vertex:v.Vertex.id (table_or_domain t v.Vertex.id) :: !parts)
     (Graph.vertices t.graph);
-  match !live with
+  match !parts with
   | [] -> invalid_arg "Runtime.final_relation: empty graph"
   | first :: rest ->
     List.fold_left

@@ -12,8 +12,16 @@
     executes — Algorithm 1, lines 8–12), and per already-executed connected
     subgraph a fully joined {!Relation}. Executing an edge creates,
     extends, fuses or filters components and semijoin-reduces the table
-    of every vertex whose column the edge rebuilt; a column the kernel
-    carried unchanged keeps its table. *)
+    of every live vertex whose column the edge rebuilt; a column the
+    kernel carried unchanged keeps its table.
+
+    A vertex is {e live} while it is one of the query's output vertices
+    (the plan tail's for-bound and returned vertices) or still has an
+    un-executed incident edge. Components carry only live columns: the
+    kernel that builds a component leaves out (never gathers) the column
+    of a vertex the edge makes dead, its T(v) is no longer refreshed, and
+    {!exec_info.changed} never names it. Rows, pairs and every execution
+    charge are those of carrying every column. *)
 
 open Rox_storage
 
@@ -56,9 +64,12 @@ val default_config : unit -> config
     {!Rox_algebra.Sanitize.env_default}. Sessions always build their
     config explicitly. *)
 
-val create : ?config:config -> Engine.t -> Graph.t -> t
+val create : ?config:config -> outputs:int array -> Engine.t -> Graph.t -> t
 (** One runtime per query run. Sessions pass the per-query [config]
-    explicitly; omitting it takes {!default_config} (direct/test use). *)
+    explicitly; omitting it takes {!default_config} (direct/test use).
+    [outputs] are the vertices the final relation's consumer reads — the
+    plan tail's key and return vertices ({!Rox_xquery.Tail.outputs}); a
+    caller without a tail passes {!Graph.vertex_ids}. *)
 
 val engine : t -> Engine.t
 val graph : t -> Graph.t
@@ -74,7 +85,9 @@ val implied : t -> Edge.t -> bool
 (** The edge completed for free because it was transitively implied by
     executed equi-joins (a Figure 4 join equivalence). *)
 
-val mark_executed : t -> Edge.t -> unit
+val live : t -> int -> bool
+(** The vertex is an output or has an un-executed incident edge. *)
+
 val unexecuted_edges : t -> Edge.t list
 
 val unexecuted_incident : t -> int -> Edge.t list
@@ -83,7 +96,8 @@ val unexecuted_incident : t -> int -> Edge.t list
 val all_executed : t -> bool
 
 val table : t -> int -> Rox_util.Column.t option
-(** T(v), if materialized. *)
+(** T(v), if materialized. Current for live vertices; a dead vertex keeps
+    the table it had when it died. *)
 
 val table_or_domain : t -> int -> Rox_util.Column.t
 (** T(v), or the vertex's index domain when not yet materialized — the
@@ -93,13 +107,14 @@ val ensure_table : t -> int -> Rox_util.Column.t
 (** Materialize T(v) from its index domain if unset, and return it. *)
 
 val component : t -> int -> Relation.t option
-(** The materialized component holding the vertex, if any: T(v) is the
-    distinct values of its column there. *)
+(** The materialized component holding the vertex, if any: for a live
+    vertex, T(v) is the distinct values of its column there. A dead vertex
+    has left its component (or is its one remaining column). *)
 
 type exec_info = {
   pair_count : int;      (** operator result pairs *)
   rel_rows : int;        (** rows of the affected component afterwards *)
-  changed : int list;    (** vertices whose T(v) shrank (incl. endpoints) *)
+  changed : int list;    (** live vertices whose T(v) shrank (incl. endpoints) *)
 }
 
 val execute_edge :
@@ -113,10 +128,12 @@ val execute_edge :
     qualify, and falls back to a hash join when neither does. Only the
     probing side is materialized and charged (both sides of a hash join).
     @raise Invalid_argument if the edge was already executed.
-    @raise Blowup when the component would exceed [max_rows]. *)
+    @raise Blowup when the component would exceed [max_rows]; the
+    runtime is not used again afterwards. *)
 
 val final_relation : ?meter:Rox_algebra.Cost.meter -> t -> Relation.t
-(** The fully joined relation over all non-root vertices after every edge
-    executed. Vertices never touched by an edge enter as their index
-    domains; genuinely disconnected components combine by Cartesian
-    product (the Join Graph semantics). *)
+(** The fully joined relation after every edge executed, over the output
+    vertices plus one column per component that holds none. Non-root
+    vertices never touched by an edge enter as their index domains;
+    genuinely disconnected components combine by Cartesian product (the
+    Join Graph semantics). *)

@@ -141,37 +141,46 @@ let semijoin ~marks table t =
   if not table.sorted then invalid_arg "Column.semijoin: table not strictly increasing";
   let nm = Bytes.length marks in
   let in_range x = x >= 0 && x < nm in
-  let marked = ref 0 in
-  for i = t.off to t.off + t.len - 1 do
-    let x = t.data.(i) in
-    if in_range x && Bytes.unsafe_get marks x = '\000' then begin
-      Bytes.unsafe_set marks x '\001';
-      incr marked
-    end
-  done;
-  (* Distinct table entries each consume a distinct mark: at most [marked]
-     survive. *)
-  let out = ref [||] and kept = ref 0 in
-  for i = 0 to table.len - 1 do
-    let x = table.data.(table.off + i) in
-    if in_range x && Bytes.unsafe_get marks x <> '\000' then begin
-      Bytes.unsafe_set marks x '\000';
-      if !kept < i then !out.(!kept) <- x;
-      incr kept
-    end
-    else if !kept = i then begin
-      out := Array.make !marked 0;
-      Array.blit table.data table.off !out 0 i
-    end
-  done;
-  (* Values of [t] outside [table] keep their marks: clear them so the
-     scratch buffer is all zero again. *)
-  if !kept < !marked then
-    iter (fun x -> if in_range x then Bytes.unsafe_set marks x '\000') t;
-  if !kept = table.len then table
-  else
-    let data = if !kept = Array.length !out then !out else Array.sub !out 0 !kept in
-    { data; off = 0; len = !kept; sorted = true }
+  let clear () = iter (fun x -> if in_range x then Bytes.unsafe_set marks x '\000') t in
+  match
+    let marked = ref 0 in
+    for i = t.off to t.off + t.len - 1 do
+      let x = t.data.(i) in
+      if in_range x && Bytes.unsafe_get marks x = '\000' then begin
+        Bytes.unsafe_set marks x '\001';
+        incr marked
+      end
+    done;
+    (* Distinct table entries each consume a distinct mark: at most
+       [marked] survive. *)
+    let out = ref [||] and kept = ref 0 in
+    for i = 0 to table.len - 1 do
+      let x = table.data.(table.off + i) in
+      if in_range x && Bytes.unsafe_get marks x <> '\000' then begin
+        Bytes.unsafe_set marks x '\000';
+        if !kept < i then !out.(!kept) <- x;
+        incr kept
+      end
+      else if !kept = i then begin
+        out := Array.make !marked 0;
+        Array.blit table.data table.off !out 0 i
+      end
+    done;
+    (* Values of [t] outside [table] keep their marks: clear them so the
+       scratch buffer is all zero again. *)
+    if !kept < !marked then clear ();
+    (!out, !kept)
+  with
+  | _, kept when kept = table.len -> table
+  | out, kept ->
+    let data = if kept = Array.length out then out else Array.sub out 0 kept in
+    { data; off = 0; len = kept; sorted = true }
+  | exception exn ->
+    (* An allocation failure mid-walk must not leave marks behind for the
+       buffer's next user. *)
+    let bt = Printexc.get_raw_backtrace () in
+    clear ();
+    Printexc.raise_with_backtrace exn bt
 
 let pp ppf t =
   Format.fprintf ppf "[%s|%d%s]"

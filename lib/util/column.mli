@@ -73,7 +73,8 @@ val semijoin : marks:Bytes.t -> t -> t -> t
     When every value of [c] occurs in [table] this equals
     [sorted_dedup c]; when nothing is dropped it is [table] itself.
     [marks] is scratch: it must be all zero on entry, is all zero again on
-    return, and should be longer than the largest value of [table]
+    return — by exception too — and should be longer than the largest
+    value of [table]
     (entries beyond it are dropped).
     @raise Invalid_argument when [table]'s sorted flag is unset. *)
 

@@ -5,6 +5,8 @@ type spec = {
   return_vertex : int;
 }
 
+let outputs spec = Array.append spec.key_vertices [| spec.return_vertex |]
+
 let apply ~sanitize ?meter spec rel =
   let projected = Relation.project ~sanitize rel spec.key_vertices in
   let distinct = Relation.distinct ~sanitize ?meter projected in

@@ -12,6 +12,10 @@ type spec = {
   return_vertex : int;
 }
 
+val outputs : spec -> int array
+(** The vertices the tail reads: the key vertices and the return vertex —
+    the output vertices of {!Rox_joingraph.Runtime.create}. *)
+
 val apply :
   sanitize:bool ->
   ?meter:Rox_algebra.Cost.meter ->

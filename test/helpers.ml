@@ -156,16 +156,18 @@ let minor_words_of_calls n f =
 (* Sorted distinct list equality for answers given as (doc, pre) or pre. *)
 let same_set a b = List.sort_uniq compare a = List.sort_uniq compare b
 
-(* Algorithm 1's semijoin invariant after a run: every materialized vertex
-   table equals the distinct values of its final relation column. *)
+(* Algorithm 1's semijoin invariant after a run, over the live vertices
+   (the outputs, once every edge ran): every materialized live vertex
+   table equals the distinct values of its final relation column. A dead
+   vertex's table is no longer refreshed. *)
 let tables_match_relation (result : Rox_core.Optimizer.result) =
   let rel = result.Rox_core.Optimizer.relation in
   let runtime = result.Rox_core.Optimizer.runtime in
   Array.for_all
     (fun v ->
       match Rox_joingraph.Runtime.table runtime v with
-      | Some table ->
+      | Some table when Rox_joingraph.Runtime.live runtime v ->
         Rox_util.Column.equal table
           (Rox_util.Column.sorted_dedup (Rox_joingraph.Relation.column rel v))
-      | None -> true)
+      | _ -> true)
     (Rox_joingraph.Relation.vertices rel)

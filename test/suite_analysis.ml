@@ -113,7 +113,7 @@ let test_plan_violations () =
     (List.length (errors (replay [ weighted; exec step.Edge.id 1 ])));
   let engine, _ = engine_of_xml "<r><a><b/></a></r>" in
   let plan_error order =
-    match Rox_classical.Executor.execute_default engine g order with
+    match Rox_classical.Executor.execute_default ~outputs:(Graph.vertex_ids g) engine g order with
     | _ -> false
     | exception Rox_core.Driver.Plan_error _ -> true
   in

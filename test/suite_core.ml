@@ -305,7 +305,10 @@ let test_chain_cannot_pay () =
 let test_state_init_and_weights () =
   let engine = xmark_engine () in
   let compiled = Compile.compile_string engine (xmark_q1 ~op:"<" ~theta:145) in
-  let state = State.create (Session.create ()) engine compiled.Compile.graph in
+  let state =
+    State.create (Session.create ()) ~outputs:(Tail.outputs compiled.Compile.tail) engine
+      compiled.Compile.graph
+  in
   let graph = compiled.Compile.graph in
   (* Element vertex init works, bare-range text vertex does not. *)
   Array.iter
@@ -344,7 +347,7 @@ let test_estimate_accuracy_uniform () =
   let state =
     State.create
       (Session.create ~config:{ (Session.default_config ()) with Session.tau = 50 } ())
-      engine g
+      ~outputs:(Graph.vertex_ids g) engine g
   in
   ignore (State.init_vertex_from_index state a.Vertex.id : bool);
   ignore (State.init_vertex_from_index state b.Vertex.id : bool);
@@ -437,6 +440,100 @@ let test_replay_sanitized () =
   check_bool "ROX = naive on Fig 1 query, sanitized" true
     (answers_match engine compiled answer)
 
+(* ---------- Live columns ---------- *)
+
+let sorted_outputs (compiled : Compile.compiled) =
+  List.sort_uniq compare (Array.to_list (Tail.outputs compiled.Compile.tail))
+
+(* Once every edge ran, only the tail's vertices are live: the final
+   relation carries exactly them, not every vertex an edge joined. *)
+let test_final_relation_outputs () =
+  let engine = xmark_engine () in
+  List.iter
+    (fun op ->
+      let compiled = Compile.compile_string engine (xmark_q1 ~op ~theta:145) in
+      let result = Optimizer.run (Session.create ()) compiled in
+      let columns = Array.to_list (Relation.vertices result.Optimizer.relation) in
+      check_bool ("Q1 " ^ op ^ ": final columns = outputs") true
+        (List.sort compare columns = sorted_outputs compiled))
+    [ "<"; ">" ]
+
+(* [b] reaches the for-bound [a] only through the document root, so the
+   component {b, y} has no live vertex once its step ran: it keeps one
+   column, and its row count — zero when the filter matches nothing —
+   still decides the answer. Every strategy must agree with the naive
+   evaluator. *)
+let test_dead_component () =
+  let query =
+    {|let $d := doc("doc0.xml")
+for $a in $d//a where $d//b/y = "1" return $a|}
+  in
+  List.iter
+    (fun (label, y, expected) ->
+      let engine, _ = engine_of_xml (Printf.sprintf "<r><a/><a/><b><y>%s</y></b><b/></r>" y) in
+      let compiled = Compile.compile_string engine query in
+      let naive = Naive.eval_query engine compiled.Compile.query |> List.map snd in
+      check_int (label ^ ": naive") expected (List.length naive);
+      let greedy =
+        Session.create ~config:{ (Session.default_config ()) with Session.use_chain = false } ()
+      in
+      let runs =
+        [
+          ("rox", fun () -> Optimizer.answer (Session.create ()) compiled);
+          ("greedy", fun () -> Optimizer.answer greedy compiled);
+          ( "static",
+            fun () ->
+              Rox_classical.Executor.answer (Session.create ()) compiled
+                (Rox_classical.Midquery.synopsis_order engine compiled.Compile.graph) );
+          ( "midquery",
+            fun () ->
+              let answer, result, _ = Rox_classical.Midquery.answer (Session.create ()) compiled in
+              (answer, result) );
+        ]
+      in
+      List.iter
+        (fun (name, run) ->
+          let answer, result = run () in
+          let what = Printf.sprintf "%s, %s" label name in
+          check_bool (what ^ " = naive") true (Array.to_list answer = naive);
+          check_int (what ^ ": a plus one dead column") 2
+            (Array.length (Relation.vertices result.Optimizer.relation)))
+        runs)
+    [ ("filter matches", "1", 2); ("filter matches nothing", "2", 0) ]
+
+(* The semijoin mark buffer is per domain: two domains running the
+   Q1/Qm1 family at once over one engine (no cache) must each get the
+   sequential answers. *)
+let test_two_domains_one_engine () =
+  let engine = xmark_engine ~factor:0.05 () in
+  let family =
+    List.concat_map
+      (fun op ->
+        List.map
+          (fun theta -> Compile.compile_string engine (xmark_q1 ~op ~theta))
+          [ 50; 145; 250 ])
+      [ "<"; ">" ]
+    |> Array.of_list
+  in
+  let answer compiled = fst (Optimizer.answer (Session.create ()) compiled) in
+  let reference = Array.map answer family in
+  let n = Array.length family in
+  let rounds = 20 in
+  let worker offset () =
+    let wrong = ref 0 in
+    for i = 0 to (rounds * n) - 1 do
+      let q = (i + offset) mod n in
+      match answer family.(q) with
+      | a -> if a <> reference.(q) then incr wrong
+      | exception _ -> incr wrong
+    done;
+    !wrong
+  in
+  let other = Domain.spawn (worker 3) in
+  let here = worker 0 () in
+  check_int "this domain: every answer = reference" 0 here;
+  check_int "other domain: every answer = reference" 0 (Domain.join other)
+
 let suite =
   [
     Alcotest.test_case "ROX Q1 = naive" `Quick test_rox_q1_correct;
@@ -461,4 +558,7 @@ let suite =
     Alcotest.test_case "work buckets populated" `Quick test_work_buckets_populated;
     Alcotest.test_case "replay parity: no store = fresh store" `Quick test_replay_parity;
     Alcotest.test_case "replays re-checked under sanitize" `Quick test_replay_sanitized;
+    Alcotest.test_case "final relation holds the outputs" `Quick test_final_relation_outputs;
+    Alcotest.test_case "dead component keeps its rows" `Quick test_dead_component;
+    Alcotest.test_case "two domains, one engine" `Quick test_two_domains_one_engine;
   ]

@@ -50,7 +50,7 @@ let test_runtime_runs_from_empty_side () =
              ~t1 ~t2
             : Exec.pairs))
   in
-  let rt = Runtime.create engine graph in
+  let rt = Runtime.create ~outputs:(Graph.vertex_ids graph) engine graph in
   let run =
     units (fun meter -> ignore (Runtime.execute_edge ~meter rt e : Runtime.exec_info))
   in

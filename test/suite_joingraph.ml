@@ -276,7 +276,7 @@ let small_join_graph engine =
 let test_runtime_trivial_edges () =
   let engine = two_doc_engine () in
   let g, _, _ = small_join_graph engine in
-  let rt = Runtime.create engine g in
+  let rt = Runtime.create ~outputs:(Graph.vertex_ids g) engine g in
   (* The two root-descendant edges are pre-executed. *)
   check_int "2 trivial pre-executed" 3 (List.length (Runtime.unexecuted_edges rt));
   check_bool "not all executed" true (not (Runtime.all_executed rt))
@@ -286,7 +286,7 @@ let test_runtime_execute_all_orders () =
   let final_rows order_sel =
     let engine = two_doc_engine () in
     let g, edges, _ = small_join_graph engine in
-    let rt = Runtime.create engine g in
+    let rt = Runtime.create ~outputs:(Graph.vertex_ids g) engine g in
     List.iter (fun e -> ignore (Runtime.execute_edge rt e : Runtime.exec_info)) (order_sel edges);
     let rel = Runtime.final_relation rt in
     let rows = ref [] in
@@ -304,7 +304,7 @@ let test_runtime_execute_all_orders () =
 let test_runtime_tables_shrink () =
   let engine = two_doc_engine () in
   let g, edges, (a, ta, _, tb) = small_join_graph engine in
-  let rt = Runtime.create engine g in
+  let rt = Runtime.create ~outputs:(Graph.vertex_ids g) engine g in
   match edges with
   | [ sa; sb; j ] ->
     ignore (Runtime.execute_edge rt sa : Runtime.exec_info);
@@ -323,7 +323,7 @@ let test_runtime_tables_shrink () =
 let test_runtime_double_execute () =
   let engine = two_doc_engine () in
   let g, edges, _ = small_join_graph engine in
-  let rt = Runtime.create engine g in
+  let rt = Runtime.create ~outputs:(Graph.vertex_ids g) engine g in
   let e = List.hd edges in
   ignore (Runtime.execute_edge rt e : Runtime.exec_info);
   match Runtime.execute_edge rt e with
@@ -336,7 +336,7 @@ let test_runtime_blowup () =
   let rt =
     Runtime.create
       ~config:{ (Runtime.default_config ()) with Runtime.max_rows = 1 }
-      engine g
+      ~outputs:(Graph.vertex_ids g) engine g
   in
   match List.iter (fun e -> ignore (Runtime.execute_edge rt e : Runtime.exec_info)) edges with
   | exception Runtime.Blowup _ -> ()
@@ -360,7 +360,7 @@ let test_runtime_implied_equijoins () =
   let e01 = Graph.add_edge g ~v1:ts.(0) ~v2:ts.(1) Edge.Equijoin in
   let e02 = Graph.add_edge g ~v1:ts.(0) ~v2:ts.(2) Edge.Equijoin in
   let e12 = Graph.add_edge g ~v1:ts.(1) ~v2:ts.(2) Edge.Equijoin in
-  let rt = Runtime.create engine g in
+  let rt = Runtime.create ~outputs:(Graph.vertex_ids g) engine g in
   ignore (Runtime.execute_edge rt e01 : Runtime.exec_info);
   check_bool "e12 not yet implied" true (not (Runtime.executed rt e12));
   ignore (Runtime.execute_edge rt e02 : Runtime.exec_info);
@@ -388,18 +388,21 @@ let test_cross_too_large () =
 (* ---------- Runtime: the refresh, checked by hand ---------- *)
 
 (* Replays ROX's edge order for [compiled] one edge at a time and checks
-   every edge's refresh without relying on the sanitizer: each component
-   vertex's T(v) is the distinct values of its column, and [changed] holds
-   every vertex whose table shrank — exactly those, among vertices that
-   already had a table. Returns how many columns of the component each
-   edge grew were left physically unchanged (the carried ones the
-   refresh skips). *)
+   every edge's refresh without relying on the sanitizer: each live
+   component vertex's T(v) is the distinct values of its column, [changed]
+   holds every live vertex whose table shrank — exactly those, among
+   vertices that already had a table — and names no dead vertex, and a
+   component carries a dead column only as the one column of a component
+   with no live vertex. Returns how many columns of the component each
+   edge grew were left physically unchanged (the carried ones the refresh
+   skips). *)
 let replay_refresh ~sanitize (compiled : Rox_xquery.Compile.compiled) =
   let open Rox_xquery.Compile in
   let engine = compiled.engine and graph = compiled.graph in
   let order = (Rox_core.Optimizer.run_default compiled).Rox_core.Optimizer.edge_order in
   let rt =
-    Runtime.create ~config:{ (Runtime.default_config ()) with Runtime.sanitize } engine graph
+    Runtime.create ~config:{ (Runtime.default_config ()) with Runtime.sanitize }
+      ~outputs:(Rox_xquery.Tail.outputs compiled.tail) engine graph
   in
   let nv = Graph.vertex_count graph in
   let column_of v = Option.map (fun r -> Relation.column r v) (Runtime.component rt v) in
@@ -412,11 +415,17 @@ let replay_refresh ~sanitize (compiled : Rox_xquery.Compile.compiled) =
         let columns = Array.init nv column_of in
         let info = Runtime.execute_edge rt e in
         let grown = Runtime.component rt e.Edge.v1 in
+        List.iter
+          (fun v -> check_bool (Printf.sprintf "e%d v%d: changed is live" id v) true (Runtime.live rt v))
+          info.Runtime.changed;
         for v = 0 to nv - 1 do
           let what = Printf.sprintf "e%d v%d" id v in
           let changed = List.mem v info.Runtime.changed in
           match Runtime.component rt v with
           | None -> check_bool (what ^ ": changed only in a component") false changed
+          | Some rel when not (Runtime.live rt v) ->
+            check_bool (what ^ ": a dead column is its component's only one") true
+              (Relation.vertices rel = [| v |])
           | Some rel -> (
             let col = Relation.column rel v in
             (match columns.(v) with

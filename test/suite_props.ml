@@ -277,6 +277,22 @@ let by_left (l, r) =
   in
   (Array.of_list (List.map fst sorted), Array.of_list (List.map snd sorted))
 
+(* The kernels' [?keep]: none half the time, else a seeded subset of the
+   output vertices (often empty). The reference keeps the accepted
+   vertices, or the first output column when it accepts none. *)
+let fuzz_keep rng =
+  if Rox_util.Xoshiro.bool rng then None
+  else
+    let salt = xi rng 3 in
+    Some (fun v -> (v + salt) mod 3 = 0)
+
+let naive_keep keep (n : Naive.r) =
+  match keep with
+  | None -> n
+  | Some f ->
+    let vs = List.filter f (Array.to_list n.Naive.verts) in
+    Naive.project n (Array.of_list (if vs = [] then [ n.Naive.verts.(0) ] else vs))
+
 let prop_kernel_extend =
   qtest ~count:300 "columnar extend = naive extend (hash path)" QCheck.small_int
     (fun seed ->
@@ -288,9 +304,10 @@ let prop_kernel_extend =
       (* Pairs sorted by left key, pair order kept within a key: each key's
          pairs are one contiguous run, the CSR's grouped shape. *)
       let p = if Rox_util.Xoshiro.bool rng then by_left p else p in
+      let keep = fuzz_keep rng in
       agree
-        (Naive.extend r ~on ~new_vertex:9 ~left:(fst p) ~right:(snd p))
-        (Relation.extend ~sanitize (Naive.to_relation r) ~on ~new_vertex:9 (cpairs p)))
+        (naive_keep keep (Naive.extend r ~on ~new_vertex:9 ~left:(fst p) ~right:(snd p)))
+        (Relation.extend ~sanitize ?keep (Naive.to_relation r) ~on ~new_vertex:9 (cpairs p)))
 
 let prop_kernel_extend_merge =
   qtest ~count:300 "columnar extend = naive extend (merge path)" QCheck.small_int
@@ -350,10 +367,11 @@ let prop_kernel_fuse =
       let on_left = pick_vertex rng a and on_right = pick_vertex rng b in
       (* Sorted rows: equal keys of the first column sit together. *)
       let a = if Rox_util.Xoshiro.bool rng then Naive.sort_rows a else a in
+      let keep = fuzz_keep rng in
       agree
-        (Naive.fuse a b ~on_left ~on_right ~pl:(fst p) ~pr:(snd p))
-        (Relation.fuse ~sanitize (Naive.to_relation a) (Naive.to_relation b) ~on_left ~on_right
-           (cpairs p)))
+        (naive_keep keep (Naive.fuse a b ~on_left ~on_right ~pl:(fst p) ~pr:(snd p)))
+        (Relation.fuse ~sanitize ?keep (Naive.to_relation a) (Naive.to_relation b) ~on_left
+           ~on_right (cpairs p)))
 
 let prop_kernel_filter_pairs =
   qtest ~count:300 "columnar filter_pairs = naive filter_pairs" QCheck.small_int
@@ -363,9 +381,10 @@ let prop_kernel_filter_pairs =
       let r = fuzz_naive rng ~base_vertex:0 ~span in
       let c1 = pick_vertex rng r and c2 = pick_vertex rng r in
       let p = fuzz_pairs rng ~m:(xi rng 25) ~lspan:span ~rspan:span in
+      let keep = fuzz_keep rng in
       agree
-        (Naive.filter_pairs r ~c1 ~c2 ~left:(fst p) ~right:(snd p))
-        (Relation.filter_pairs ~sanitize (Naive.to_relation r) ~c1 ~c2 (cpairs p)))
+        (naive_keep keep (Naive.filter_pairs r ~c1 ~c2 ~left:(fst p) ~right:(snd p)))
+        (Relation.filter_pairs ~sanitize ?keep (Naive.to_relation r) ~c1 ~c2 (cpairs p)))
 
 let prop_kernel_unary =
   qtest ~count:300 "columnar distinct/sort_rows/project = naive" QCheck.small_int

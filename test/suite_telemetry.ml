@@ -459,6 +459,7 @@ let test_every_strategy_one_driver () =
   let compiled, _, _ = xmark_run () in
   let engine = compiled.Rox_xquery.Compile.engine in
   let graph = compiled.Rox_xquery.Compile.graph in
+  let outputs = Rox_xquery.Tail.outputs compiled.Rox_xquery.Compile.tail in
   let session ?deadline_ms ~use_chain sink =
     let config = Rox_core.Session.default_config () in
     let budgets = { config.Rox_core.Session.budgets with Rox_core.Session.deadline_ms } in
@@ -467,10 +468,10 @@ let test_every_strategy_one_driver () =
       ~telemetry:sink ()
   in
   let static s =
-    Rox_classical.Executor.execute s engine graph
+    Rox_classical.Executor.execute s ~outputs engine graph
       (Rox_classical.Classical_opt.static_order engine graph)
   in
-  let midquery s = fst (Rox_classical.Midquery.execute s engine graph) in
+  let midquery s = fst (Rox_classical.Midquery.execute s ~outputs engine graph) in
   List.iter
     (fun (name, use_chain, run) ->
       let sink = Sink.create ~enabled:true () in
